@@ -1533,7 +1533,7 @@ reason = "heuristic counter, never load-acquired"
         assert!(fs.iter().all(|f| f.lint == "hot-path-lock"));
 
         let ok = sf(
-            "crates/core/src/parallel_atomic.rs",
+            "crates/core/src/parallel_improved.rs",
             "// lint:allow(hot-path-lock): cold merge path only\nuse parking_lot::Mutex;\n",
         );
         assert!(lint_hot_path_locks(&ok).is_empty());

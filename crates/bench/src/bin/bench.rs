@@ -1,6 +1,6 @@
 //! Perf-regression harness: run the fig3/fig4 workloads (plus the
-//! bench-only road graphs) across the fused, prior-atomic, forced-push,
-//! and direction-optimized request-buffer implementations, emit
+//! bench-only road graphs) across the fused, forced-push, and
+//! direction-optimized request-buffer entries, emit
 //! `BENCH_sssp.json`, and optionally diff against a committed baseline.
 //!
 //! Usage:
@@ -50,8 +50,7 @@ fn main() {
         &[SuiteScale::Smoke, SuiteScale::Default]
     };
     println!(
-        "BENCH: fused vs improved-atomic vs improved-push vs improved \
-         (delta = 1, unit weights)"
+        "BENCH: fused vs improved-push vs improved (delta = 1, unit weights)"
     );
     println!("threads: {threads}, scales: {}\n", if smoke { "smoke" } else { "smoke+default" });
 
@@ -68,19 +67,12 @@ fn main() {
     let table = baseline::to_table(&entries);
     println!("{}", markdown_table(&baseline::HEADER, &table));
 
-    // Headline: per-graph speedup of the request-buffer path over the
-    // prior atomic scheme, and of the direction oracle over forced push,
-    // at the same thread count (minima: stable on shared machines, see
-    // the check's doc).
-    for chunk in entries.chunks(4) {
-        let (atomic, push, improved) = (&chunk[1], &chunk[2], &chunk[3]);
+    // Headline: per-graph speedup of the direction oracle over forced
+    // push at the same thread count (minima: stable on shared machines,
+    // see the check's doc).
+    for chunk in entries.chunks(3) {
+        let (push, improved) = (&chunk[1], &chunk[2]);
         if improved.min_ms > 0.0 {
-            println!(
-                "{}/{}: improved vs improved-atomic {:.2}x",
-                atomic.scale,
-                atomic.graph,
-                atomic.min_ms / improved.min_ms
-            );
             let (push_epochs, pull_epochs) = improved.directions.unwrap_or((0, 0));
             println!(
                 "{}/{}: direction oracle vs forced push {:.2}x ({} push / {} pull epochs)",
@@ -95,7 +87,7 @@ fn main() {
 
     // Generalized-stepping strategy gate: real-weighted rmat/er graphs,
     // one row per strategy. Grouped after the baseline headline so the
-    // chunks(4) walk above only ever sees baseline rows.
+    // chunks(3) walk above only ever sees baseline rows.
     println!(
         "\nSTEPPING: fused vs classic vs rho:{} vs delta-star:{} (delta = {}, real weights)",
         stepping::RHO,

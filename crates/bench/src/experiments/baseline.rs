@@ -2,13 +2,12 @@
 //!
 //! Times the fig3/fig4 workloads (the [`paper_suite`] graphs with unit
 //! weights, Δ = 1, highest-out-degree source, plus the bench-only
-//! [`gate_extras`] road graphs) across four implementations:
+//! [`gate_extras`] road graphs) across three entries — the one stepping
+//! loop's classic strategy on its sequential and pooled kernels:
 //!
 //! * `fused` — the sequential fused reference; every other entry is
 //!   normalized against it, so the regression check compares
 //!   machine-independent ratios rather than raw milliseconds;
-//! * `improved-atomic` — the prior parallel scheme (dense atomic request
-//!   vector, split rebuilt per call), kept as the "before" datapoint;
 //! * `improved-push` — the request-buffer path with the density oracle
 //!   pinned to push: the pre-direction-optimization behaviour, kept so
 //!   the oracle's win (or cost) per graph is a committed datapoint;
@@ -16,15 +15,14 @@
 //!   [`SsspEngine`] with automatic push/pull direction selection. Its
 //!   rows also record how many light epochs the oracle sent each way.
 //!
-//! All four are cross-checked for identical distances (and push/pull for
-//! identical stats — the direction switch must be invisible) before
-//! anything is timed.
+//! All three are cross-checked for identical distances and stats (the
+//! kernels and the direction switch must be invisible) before anything
+//! is timed.
 
 use gblas::direction::{self, Direction};
 use graphdata::suite::Dataset;
 use graphdata::{gen, paper_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
-use sssp_core::parallel_atomic::delta_stepping_parallel_atomic;
 use sssp_core::stats::SsspStats;
 use sssp_core::{dijkstra, fused, Implementation, RunBudget};
 use taskpool::ThreadPool;
@@ -47,8 +45,7 @@ pub struct BenchEntry {
     pub nv: usize,
     /// Directed edge count.
     pub ne: usize,
-    /// Implementation name (`fused` / `improved-atomic` / `improved-push`
-    /// / `improved`).
+    /// Implementation name (`fused` / `improved-push` / `improved`).
     pub impl_name: String,
     /// Worker threads (1 for the sequential entry).
     pub threads: usize,
@@ -160,11 +157,10 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
         let g = &d.graph;
         let src = bench_source(g);
 
-        // Correctness gate: all four implementations must agree with
-        // Dijkstra (and each other) before any of them is timed.
+        // Correctness gate: every entry must agree with Dijkstra (and
+        // the others) before any of them is timed.
         let dj = dijkstra::dijkstra(g, src);
         let fu = fused::delta_stepping_fused(g, src, DELTA);
-        let at = delta_stepping_parallel_atomic(&pool, g, src, DELTA);
         let mut engine = SsspEngine::new(g);
         direction::reset_decision_counters();
         let (im, _) = engine
@@ -174,7 +170,6 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
         // so the committed baseline shows which graphs actually switch.
         let decisions = direction::decision_counters();
         assert_eq!(fu.dist, dj.dist, "{}: fused disagrees with Dijkstra", d.name);
-        assert_eq!(at.dist, dj.dist, "{}: atomic disagrees with Dijkstra", d.name);
         assert_eq!(im.dist, dj.dist, "{}: improved disagrees with Dijkstra", d.name);
         assert_eq!(im.stats, fu.stats, "{}: stats drift", d.name);
 
@@ -211,19 +206,6 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
         };
 
         entries.push(entry(Implementation::Fused.name(), 1, fused_t, fu.stats.clone()));
-
-        let t = measure_median_min(
-            || {
-                std::hint::black_box(delta_stepping_parallel_atomic(&pool, g, src, DELTA));
-            },
-            reps,
-        );
-        entries.push(entry(
-            Implementation::ParallelAtomic.name(),
-            threads,
-            ms(t),
-            at.stats.clone(),
-        ));
 
         // Forced-push "before" datapoint: the same engine/cache-hot path
         // with the oracle pinned to push, so the auto row's win (or
@@ -501,14 +483,13 @@ mod tests {
     #[test]
     fn smoke_run_produces_consistent_entries() {
         let entries = run(SuiteScale::Smoke, 2, Reps { warmup: 0, samples: 1 });
-        // (4 smoke graphs + 1 road gate extra) x 4 implementations.
-        assert_eq!(entries.len(), 20);
+        // (4 smoke graphs + 1 road gate extra) x 3 entries.
+        assert_eq!(entries.len(), 15);
         assert!(entries.iter().any(|e| e.graph == "road-256"));
-        for chunk in entries.chunks(4) {
+        for chunk in entries.chunks(3) {
             assert_eq!(chunk[0].impl_name, "fused");
-            assert_eq!(chunk[1].impl_name, "improved-atomic");
-            assert_eq!(chunk[2].impl_name, "improved-push");
-            assert_eq!(chunk[3].impl_name, "improved");
+            assert_eq!(chunk[1].impl_name, "improved-push");
+            assert_eq!(chunk[2].impl_name, "improved");
             // All implementations agree on the counters — the direction
             // switch in particular must be invisible in the stats.
             for e in &chunk[1..] {
@@ -516,8 +497,8 @@ mod tests {
             }
             assert!(chunk.iter().all(|e| e.median_ms >= 0.0));
             // Only the auto entry records oracle decisions.
-            assert!(chunk[3].directions.is_some(), "{}", chunk[3].graph);
-            assert!(chunk[..3].iter().all(|e| e.directions.is_none()));
+            assert!(chunk[2].directions.is_some(), "{}", chunk[2].graph);
+            assert!(chunk[..2].iter().all(|e| e.directions.is_none()));
         }
     }
 

@@ -70,11 +70,12 @@ pub struct BatchConfig {
     pub implementation: Implementation,
     /// Bucket width Δ for every job.
     pub delta: f64,
-    /// Frontier-extraction strategy for every job. `Classic` keeps the
-    /// historical behavior (the bucket implementations selected by
-    /// [`BatchConfig::implementation`]); ρ / Δ* route every job through
-    /// the generalized stepping loop — pooled when `implementation` is
-    /// parallel, sequential otherwise, bit-identical either way. The
+    /// Frontier-extraction strategy for every job that runs on the
+    /// stepping loop: `Fused` / `ParallelImproved` under any strategy,
+    /// and every implementation under ρ / Δ* — pooled when
+    /// `implementation` is parallel, sequential otherwise, bit-identical
+    /// either way. Only `Classic` on a paper-reproduction variant
+    /// (canonical, gblas, parallel) runs that variant's own loop. The
     /// panic-retry ladder falls back to the *sequential* path of the
     /// same strategy, so a retried job still answers with the strategy
     /// the caller asked for.
@@ -441,7 +442,7 @@ impl BatchRunner {
             .as_deref()
             .map(|dir| Self::checkpoint_path(dir, source));
         if let Some(path) = &path {
-            let fingerprint = engine.graph().fingerprint();
+            let fingerprint = engine.fingerprint();
             // The manifest names the live checkpoint for this job; a
             // directory without one (pre-manifest layouts, or a manifest
             // that failed to load) falls back to the conventional path.
@@ -578,10 +579,10 @@ impl BatchRunner {
         }
     }
 
-    /// One attempt of `implementation`. The engine-cached paths serve
-    /// the frontier family the engine speaks (fused, improved); the
-    /// other implementations go through the checked front door with the
-    /// shared pool.
+    /// One attempt of `implementation`. Everything the stepping loop
+    /// serves goes through the engine (cached split, warm workspace);
+    /// classic runs of the paper-reproduction variants go through the
+    /// checked front door with the shared pool.
     #[allow(clippy::too_many_arguments)]
     fn attempt(
         &self,
@@ -592,41 +593,35 @@ impl BatchRunner {
         cfg: &GuardConfig,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, f64, Option<String>), SsspError> {
-        if self.cfg.strategy != SteppingStrategy::Classic {
-            // Generalized strategies bypass the Implementation table: the
-            // stepping loop is the implementation, pooled or sequential by
-            // whether this attempt still has the pool (the retry ladder
-            // passes `None`, landing on the bit-identical sequential path
-            // of the *same* strategy).
-            let delta = engine.preflight(source, self.cfg.delta, cfg)?;
-            let pool = pool.filter(|_| implementation.is_parallel());
-            let (result, _) =
-                engine.run_stepping(pool, source, delta, self.cfg.strategy, budget)?;
-            return Ok((result, delta, None));
+        let on_the_loop = self.cfg.strategy != SteppingStrategy::Classic
+            || matches!(
+                implementation,
+                Implementation::Fused | Implementation::ParallelImproved
+            );
+        if !on_the_loop {
+            return run_with_budget(
+                implementation,
+                engine.graph(),
+                source,
+                self.cfg.delta,
+                pool,
+                cfg,
+                budget,
+            )
+            .map(|r| (r.result, r.delta, r.degraded));
         }
-        match implementation {
-            Implementation::Fused => {
-                let delta = engine.preflight(source, self.cfg.delta, cfg)?;
-                let (result, _) = engine.run_fused(source, delta, budget)?;
-                Ok((result, delta, None))
-            }
-            Implementation::ParallelImproved if pool.is_some() => {
-                let delta = engine.preflight(source, self.cfg.delta, cfg)?;
-                let pool = pool.expect("guarded by the match arm");
-                let (result, _) = engine.run_parallel_improved(pool, source, delta, budget)?;
-                Ok((result, delta, None))
-            }
-            other => {
-                run_with_budget(other, engine.graph(), source, self.cfg.delta, pool, cfg, budget)
-                    .map(|r| (r.result, r.delta, r.degraded))
-            }
-        }
+        // Pooled or sequential by whether this attempt still has the pool
+        // (the retry ladder passes `None`, landing on the bit-identical
+        // sequential kernels of the *same* strategy).
+        let delta = engine.preflight(source, self.cfg.delta, cfg)?;
+        let pool = pool.filter(|_| implementation.is_parallel());
+        let (result, _) = engine.run_stepping(pool, source, delta, self.cfg.strategy, budget)?;
+        Ok((result, delta, None))
     }
 
     /// Continue a persisted checkpoint, with the same one-retry panic
     /// ladder as a fresh run. Any resumable checkpoint continues on the
-    /// engine's frontier family — bit-identical to the uninterrupted run
-    /// by the family's construction.
+    /// engine's stepping loop — bit-identical to the uninterrupted run.
     fn resume_job(
         &self,
         engine: &mut SsspEngine<'_>,
@@ -635,10 +630,9 @@ impl BatchRunner {
     ) -> BatchOutcome {
         let g = engine.graph();
         let mut budget = self.job_budget(g);
-        // `resume_stepping` routes by the checkpoint itself: a stepping
-        // checkpoint re-enters the generalized loop, a classic one goes to
-        // the bucket resume paths — so mixed directories (a strategy
-        // change between batches) resume every file correctly.
+        // The strategy comes from the checkpoint itself, so mixed
+        // directories (a strategy change between batches) resume every
+        // file correctly.
         let pool = pool.filter(|_| self.cfg.implementation.is_parallel());
         let first =
             catch_unwind(AssertUnwindSafe(|| engine.resume_stepping(pool, cp, &mut budget)));
@@ -695,7 +689,7 @@ impl BatchRunner {
         source: usize,
         manifest: Option<&ManifestState>,
     ) -> BatchOutcome {
-        let fingerprint = engine.graph().fingerprint();
+        let fingerprint = engine.fingerprint();
         match outcome {
             BatchOutcome::Partial {
                 checkpoint,

@@ -10,22 +10,22 @@
 //! records that bound, turning a partial run into a certified partial
 //! answer.
 //!
-//! For the frontier-based implementations (fused, parallel, improved,
-//! atomic — all bit-identical to each other by construction), the
-//! checkpoint additionally captures the exact loop state (current bucket,
-//! pending frontier, settled set of the current bucket, counters), so
-//! [`crate::fused::delta_stepping_fused_resume`] and
-//! [`crate::parallel_improved::delta_stepping_parallel_improved_resume`]
-//! can continue the run and land on **bit-identical distances and stats**
-//! versus an uninterrupted run. The canonical and GraphBLAS
-//! implementations emit distance-only checkpoints (`resumable == false`):
-//! their internal state (bucket queue, masked GraphBLAS vectors) does not
-//! map onto the frontier loop, so a resume could reproduce the distances
-//! but not their exact counter provenance.
+//! The stepping loop ([`crate::stepping`], every strategy, pooled or
+//! not) and the paper's task scheme ([`crate::parallel`]) additionally
+//! capture the exact loop state (current range, pending frontier,
+//! settled set of the current range, counters), so
+//! [`crate::engine::SsspEngine::resume_stepping`] can continue the run
+//! and land on **bit-identical distances and stats** versus an
+//! uninterrupted run. The canonical and GraphBLAS implementations emit
+//! distance-only checkpoints (`resumable == false`): their internal
+//! state (bucket queue, masked GraphBLAS vectors) does not map onto the
+//! frontier loop, so a resume could reproduce the distances but not
+//! their exact counter provenance.
 
 use graphdata::io::bytes::ByteReader;
 
 use crate::budget::BudgetStop;
+use crate::delta::bucket_start;
 use crate::guard::SsspError;
 use crate::stats::SsspStats;
 use crate::stepping::SteppingStrategy;
@@ -38,7 +38,10 @@ use crate::stepping::SteppingStrategy;
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"GBSSCKP2";
 
 /// Canonical implementation tags in wire order: the byte written for a
-/// checkpoint's `implementation` is the index into this table.
+/// checkpoint's `implementation` is the index into this table, so slots
+/// are never removed — `fused`, `improved` and `atomic` name loops that
+/// no longer exist and only appear in files written by older binaries.
+/// The tag is a label; nothing routes on it.
 const IMPLEMENTATION_TAGS: [&str; 7] =
     ["canonical", "fused", "gblas", "parallel", "improved", "atomic", "stepping"];
 
@@ -54,10 +57,11 @@ pub enum StopPoint {
     LightPhase,
 }
 
-/// Loop state specific to the generalized stepping implementations
-/// (`crate::stepping`): the extraction strategy, the certified settled
-/// bound, and the current range's exclusive threshold. The classic bucket
-/// implementations carry `None` — their bound is `bucket · Δ`.
+/// Loop state of the stepping loop (`crate::stepping`): the extraction
+/// strategy, the certified settled bound, and the current range's
+/// exclusive threshold. Checkpoints without one (`parallel`, canonical,
+/// gblas, and files from older binaries) are bounded by `bucket · Δ`;
+/// a resumable one is continued as classic from that bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteppingState {
     /// The frontier-extraction strategy the run was using.
@@ -77,9 +81,9 @@ pub struct SteppingState {
 ///
 /// * `dist[v] < settled_below` implies `dist[v]` is the final
 ///   shortest-path distance from `source` to `v`;
-/// * `settled_below == bucket as f64 * delta` for the classic bucket
-///   implementations, and the extracted-range bound
-///   ([`SteppingState::bound`]) for generalized stepping checkpoints;
+/// * `settled_below` is the extracted-range bound
+///   ([`SteppingState::bound`]) when the checkpoint carries stepping
+///   state, and the lower edge of `bucket` otherwise;
 /// * when `stop_point == StopPoint::BucketStart`, `frontier` and
 ///   `settled` are empty;
 /// * when `resumable`, replaying the frontier loop from this state is
@@ -108,26 +112,28 @@ pub struct Checkpoint {
     /// Current-bucket members already light-relaxed (empty at
     /// [`StopPoint::BucketStart`]).
     pub settled: Vec<usize>,
-    /// Whether the frontier loop can be resumed bit-identically from this
-    /// checkpoint (true for the fused/parallel/improved/atomic family).
+    /// Whether the stepping loop can be resumed bit-identically from this
+    /// checkpoint (true for the loop itself and for `parallel`).
     pub resumable: bool,
-    /// Generalized-stepping loop state; `None` for the classic bucket
-    /// implementations.
+    /// Stepping-loop state; `None` for the other implementations and for
+    /// files written by older binaries.
     pub stepping: Option<SteppingState>,
 }
 
 impl Checkpoint {
     /// The partial-result certificate: every `dist[v]` strictly below this
-    /// bound is the final shortest-path distance. For the classic bucket
-    /// implementations that is the bucket invariant — all buckets before
+    /// bound is the final shortest-path distance. For stepping-loop runs
+    /// it is the extracted-range bound: every range below
+    /// [`SteppingState::bound`] has been drained to a fixpoint. Without
+    /// stepping state it is the bucket invariant — all buckets before
     /// `bucket` have been emptied, and relaxations out of bucket `i` can
-    /// only produce values `≥ i·Δ`. For generalized stepping runs the
-    /// bound is the extracted-range bound: every range below
-    /// [`SteppingState::bound`] has been drained to a fixpoint.
+    /// only produce values `≥ i·Δ` — taken at the bucket's exact lower
+    /// edge ([`bucket_start`]), so the certificate covers precisely the
+    /// vertices `bucket_of` places in an emptied bucket.
     pub fn settled_below(&self) -> f64 {
         match &self.stepping {
             Some(st) => st.bound,
-            None => self.bucket as f64 * self.delta,
+            None => bucket_start(self.bucket, self.delta),
         }
     }
 
@@ -173,19 +179,7 @@ impl Checkpoint {
         {
             return fail("bucket-start checkpoint carries a frontier");
         }
-        match (self.implementation, &self.stepping) {
-            ("stepping", None) => {
-                return fail("stepping checkpoint is missing its stepping state")
-            }
-            (other, Some(_)) if other != "stepping" => {
-                return fail("non-stepping checkpoint carries stepping state")
-            }
-            _ => {}
-        }
         if let Some(st) = &self.stepping {
-            if st.strategy == SteppingStrategy::Classic {
-                return fail("classic runs do not carry stepping state");
-            }
             if st.strategy.validate().is_err() {
                 return fail("degenerate stepping-strategy parameter");
             }
@@ -211,7 +205,8 @@ impl Checkpoint {
     /// resumable    u8       0 or 1
     /// source       u64
     /// delta        f64
-    /// bucket       u64      (settled_below certificate = bucket · Δ)
+    /// bucket       u64      (settled_below certificate = bucket · Δ when
+    ///                       there is no stepping section)
     /// stats        5 × u64  buckets_processed, light_phases, heavy_phases,
     ///                       relaxations, improvements
     /// nv           u64
@@ -481,8 +476,7 @@ pub struct LiveState<'a> {
     /// Whether this implementation's checkpoints support bit-identical
     /// resume.
     pub resumable: bool,
-    /// Generalized-stepping loop state (`None` for the classic bucket
-    /// implementations).
+    /// Stepping-loop state (`None` for the other implementations).
     pub stepping: Option<SteppingState>,
 }
 
@@ -603,7 +597,7 @@ mod tests {
 
     #[test]
     fn every_implementation_tag_round_trips() {
-        for tag in ["canonical", "fused", "gblas", "parallel", "improved", "atomic"] {
+        for tag in IMPLEMENTATION_TAGS {
             let mut cp = sample();
             cp.implementation = tag;
             let (back, _) = Checkpoint::from_bytes(&cp.to_bytes(7)).unwrap();
@@ -643,24 +637,27 @@ mod tests {
     #[test]
     fn validate_enforces_stepping_consistency() {
         assert!(stepping_sample().validate(4).is_ok());
-        // "stepping" implementation must carry stepping state...
-        let mut bad = stepping_sample();
-        bad.stepping = None;
-        assert!(bad.validate(4).is_err());
-        // ...and classic implementations must not.
-        let mut bad = sample();
-        bad.stepping = stepping_sample().stepping;
-        assert!(bad.validate(4).is_err());
+        // The implementation tag is a label: it neither requires nor
+        // forbids the stepping section (an older binary's "stepping" file
+        // and a relabelled one both decode), and classic is a strategy
+        // like the others.
+        let mut relabelled = stepping_sample();
+        relabelled.stepping = None;
+        assert!(relabelled.validate(4).is_ok());
+        let mut relabelled = sample();
+        relabelled.stepping = stepping_sample().stepping;
+        assert!(relabelled.validate(4).is_ok());
+        let mut classic = stepping_sample();
+        classic.stepping.as_mut().unwrap().strategy = SteppingStrategy::Classic;
+        assert!(classic.validate(4).is_ok());
+        let (back, _) = Checkpoint::from_bytes(&classic.to_bytes(3)).unwrap();
+        assert_eq!(back, classic);
         // Degenerate strategy parameters are rejected.
         for strategy in [SteppingStrategy::Rho(0), SteppingStrategy::DeltaStar(0.0)] {
             let mut bad = stepping_sample();
             bad.stepping.as_mut().unwrap().strategy = strategy;
             assert!(bad.validate(4).is_err(), "{strategy:?}");
         }
-        // Classic never appears inside stepping state.
-        let mut bad = stepping_sample();
-        bad.stepping.as_mut().unwrap().strategy = SteppingStrategy::Classic;
-        assert!(bad.validate(4).is_err());
         // The threshold can never sit below the certified bound.
         let mut bad = stepping_sample();
         bad.stepping.as_mut().unwrap().threshold = 0.25;

@@ -141,6 +141,44 @@ pub fn bucket_of(tent: f64, delta: f64) -> usize {
     }
 }
 
+/// The smallest f64 strictly greater than `x`, for non-negative finite
+/// `x` (distances are never negative). Local stand-in for
+/// `f64::next_up`, which this crate's minimum toolchain predates.
+pub(crate) fn next_up(x: f64) -> f64 {
+    if x == 0.0 {
+        f64::from_bits(1)
+    } else {
+        f64::from_bits(x.to_bits() + 1)
+    }
+}
+
+/// The exact lower edge of bucket `b`: the least `x ≥ 0` with
+/// `bucket_of(x, Δ) ≥ b` (`∞` when no finite distance reaches `b`).
+///
+/// `bucket_of` is monotone in `x`, so `lo ≤ x < hi` with
+/// `lo = bucket_start(b, Δ)` and `hi = bucket_start(b + 1, Δ)` holds
+/// **iff** `bucket_of(x, Δ) == b` — a range test that agrees with the
+/// division bit for bit, which `x < (b + 1) as f64 * Δ` does not for
+/// Δ that are not powers of two. The product is off by at most a few
+/// ulps, so the two correction loops run a handful of steps.
+pub fn bucket_start(b: usize, delta: f64) -> f64 {
+    let mut x = b as f64 * delta;
+    if b == usize::MAX || !x.is_finite() {
+        return crate::INF;
+    }
+    while x > 0.0 {
+        let below = f64::from_bits(x.to_bits() - 1);
+        if bucket_of(below, delta) < b {
+            break;
+        }
+        x = below;
+    }
+    while bucket_of(x, delta) < b {
+        x = next_up(x);
+    }
+    x
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,5 +301,27 @@ mod tests {
             );
         }
         assert_eq!(bucket_of(1.0, 1e-300), usize::MAX - 1);
+    }
+
+    #[test]
+    fn bucket_start_is_the_exact_edge_of_the_division() {
+        // Non-power-of-two Δ is where `b as f64 * Δ` and `⌊x / Δ⌋`
+        // disagree by an ulp; the edge must side with the division.
+        for delta in [0.1, 0.3, 1.0, 2.5, 1e-3, 7.0 / 3.0, 1e-300, 1e300] {
+            for b in [0usize, 1, 2, 3, 7, 10, 29, 30, 1000, 123_456_789, usize::MAX - 1] {
+                let lo = bucket_start(b, delta);
+                if lo.is_finite() {
+                    assert!(bucket_of(lo, delta) >= b, "Δ={delta} b={b}");
+                    if lo > 0.0 {
+                        let below = f64::from_bits(lo.to_bits() - 1);
+                        assert!(bucket_of(below, delta) < b, "Δ={delta} b={b}");
+                    }
+                }
+            }
+            assert_eq!(bucket_start(0, delta), 0.0);
+            assert_eq!(bucket_start(usize::MAX, delta), f64::INFINITY);
+        }
+        assert_eq!(bucket_start(3, 2.5), 7.5);
+        assert_eq!(bucket_start(2, 0.5), 1.0);
     }
 }

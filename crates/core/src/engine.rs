@@ -5,9 +5,9 @@
 //! at 35–40 % of total runtime. A single query cannot avoid that cost, but
 //! multi-source workloads (bench loops, all-pairs sampling, the CLI's
 //! `--sources` mode) re-split the *same* matrix at the *same* Δ on every
-//! call. [`SsspEngine`] builds each split once; the per-run workspaces
-//! ([`FusedWorkspace`], [`ImprovedWorkspace`]) ride along so repeated
-//! runs allocate nothing after the first.
+//! call. [`SsspEngine`] builds each split once; the loop's workspace
+//! ([`SteppingWorkspace`]) rides along so repeated runs allocate nothing
+//! after the first.
 //!
 //! Splits live in a shared [`SplitCache`] keyed by
 //! `(graph fingerprint, Δ.to_bits())`: an engine created with
@@ -26,21 +26,16 @@
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use graphdata::CsrGraph;
 use taskpool::ThreadPool;
 
 use crate::budget::RunBudget;
 use crate::checkpoint::Checkpoint;
-use crate::fused::{
-    delta_stepping_fused_resume_with, delta_stepping_fused_with, FusedWorkspace, LightHeavy,
-};
+use crate::fused::LightHeavy;
 use crate::guard::{self, GuardConfig, SsspError};
-use crate::parallel_improved::{
-    delta_stepping_parallel_improved_resume_with, delta_stepping_parallel_improved_with,
-    split_light_heavy_chunked, ImprovedWorkspace,
-};
+use crate::parallel_improved::split_light_heavy_chunked;
 use crate::result::SsspResult;
 use crate::split_cache::SplitCache;
 use crate::stats::PhaseProfile;
@@ -92,9 +87,7 @@ pub struct SsspEngine<'g> {
     /// steady state costs no lock. Workloads use a handful of Δ values at
     /// most, so a linear scan beats a hash map here.
     local: Vec<(u64, Arc<LightHeavy>)>,
-    fused_ws: FusedWorkspace,
-    improved_ws: ImprovedWorkspace,
-    stepping_ws: SteppingWorkspace,
+    ws: SteppingWorkspace,
     /// Cached verdict of the `O(|V| + |E|)` weight scan. The engine
     /// borrows the graph immutably for its whole lifetime, so the verdict
     /// can never go stale.
@@ -120,9 +113,7 @@ impl<'g> SsspEngine<'g> {
             fingerprint: g.fingerprint(),
             cache,
             local: Vec::new(),
-            fused_ws: FusedWorkspace::new(n),
-            improved_ws: ImprovedWorkspace::new(n),
-            stepping_ws: SteppingWorkspace::new(n),
+            ws: SteppingWorkspace::new(n),
             weights_verdict: None,
             stats: EngineStats::default(),
         }
@@ -150,24 +141,21 @@ impl<'g> SsspEngine<'g> {
     }
 
     /// Drop this graph's cached splits, both the engine-local handles and
-    /// the shared entries under this fingerprint (workspaces are kept —
-    /// they are graph-sized, not Δ-dependent). The preflight verdict
+    /// the shared entries under this fingerprint (the workspace is kept —
+    /// it is graph-sized, not Δ-dependent). The preflight verdict
     /// survives: the graph cannot have changed under the engine's borrow.
     pub fn clear_cache(&mut self) {
         self.local.clear();
         self.cache.purge_fingerprint(self.fingerprint);
     }
 
-    /// Re-allocate the run workspaces. Panic-isolating callers (the batch
-    /// runner) use this after catching a panic mid-run: the workspaces may
+    /// Re-allocate the run workspace. Panic-isolating callers (the batch
+    /// runner) use this after catching a panic mid-run: the workspace may
     /// hold half-updated request buffers whose "all-INF when idle"
     /// invariant no longer holds, and a fresh allocation is the cheap way
     /// to restore it. Cached splits are immutable once built and survive.
     pub fn reset_workspaces(&mut self) {
-        let n = self.g.num_vertices();
-        self.fused_ws = FusedWorkspace::new(n);
-        self.improved_ws = ImprovedWorkspace::new(n);
-        self.stepping_ws = SteppingWorkspace::new(n);
+        self.ws = SteppingWorkspace::new(self.g.num_vertices());
     }
 
     /// [`guard::preflight`] with the weight scan cached: the first call
@@ -199,19 +187,14 @@ impl<'g> SsspEngine<'g> {
     }
 
     /// The split for `delta`, fetched from the shared cache and built on a
-    /// miss (by this engine or a concurrent sharer — whoever asks first).
-    /// Build time this engine actually paid is returned through
-    /// `profile.matrix_filter`; hits add nothing.
-    fn split_for(
-        &mut self,
-        pool: Option<&ThreadPool>,
-        delta: f64,
-        profile: &mut PhaseProfile,
-    ) -> Arc<LightHeavy> {
+    /// miss (by this engine or a concurrent sharer — whoever asks first),
+    /// with the build time this engine actually paid (zero on a hit) —
+    /// what a run reports as `matrix_filter`.
+    fn split_for(&mut self, pool: Option<&ThreadPool>, delta: f64) -> (Arc<LightHeavy>, Duration) {
         let key = delta.to_bits();
         if let Some((_, lh)) = self.local.iter().find(|(k, _)| *k == key) {
             self.stats.split_hits += 1;
-            return Arc::clone(lh);
+            return (Arc::clone(lh), Duration::ZERO);
         }
         let g = self.g;
         let t0 = Instant::now();
@@ -219,42 +202,32 @@ impl<'g> SsspEngine<'g> {
             Some(pool) => split_light_heavy_chunked(pool, g, delta),
             None => LightHeavy::build(g, delta),
         });
-        if built {
-            profile.matrix_filter += t0.elapsed();
+        let filter_time = if built {
             self.stats.split_builds += 1;
+            t0.elapsed()
         } else {
             self.stats.split_hits += 1;
-        }
+            Duration::ZERO
+        };
         self.local.push((key, Arc::clone(&lh)));
-        lh
+        (lh, filter_time)
     }
 
-    /// Sequential fused delta-stepping through the cache. Bit-identical to
-    /// [`crate::fused::delta_stepping_fused_checked`]; the profile's
-    /// `matrix_filter` is zero whenever the split was already cached.
+    /// Sequential classic Δ-stepping (the paper's fused implementation):
+    /// `run_stepping(None, .., Classic, ..)`, named for the benchmark
+    /// harness.
     pub fn run_fused(
         &mut self,
         source: usize,
         delta: f64,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        if !(delta > 0.0 && delta.is_finite()) {
-            return Err(SsspError::InvalidDelta { delta });
-        }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(None, delta, &mut profile);
-        let (result, loop_profile) =
-            delta_stepping_fused_with(self.g, &lh, source, delta, budget, &mut self.fused_ws)?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
-        Ok((result, profile))
+        self.run_stepping(None, source, delta, SteppingStrategy::Classic, budget)
     }
 
-    /// Parallel request-buffer delta-stepping through the cache.
-    /// Bit-identical to
-    /// [`crate::parallel_improved::delta_stepping_parallel_improved_checked`];
-    /// the split is built in parallel on a miss and free on a hit.
+    /// Pooled classic Δ-stepping (the paper's proposed improvement):
+    /// `run_stepping(Some(pool), .., Classic, ..)`, named for the
+    /// benchmark harness.
     pub fn run_parallel_improved(
         &mut self,
         pool: &ThreadPool,
@@ -262,76 +235,15 @@ impl<'g> SsspEngine<'g> {
         delta: f64,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        if !(delta > 0.0 && delta.is_finite()) {
-            return Err(SsspError::InvalidDelta { delta });
-        }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(Some(pool), delta, &mut profile);
-        let (result, loop_profile) = delta_stepping_parallel_improved_with(
-            pool,
-            self.g,
-            &lh,
-            source,
-            delta,
-            budget,
-            &mut self.improved_ws,
-        )?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
-        Ok((result, profile))
+        self.run_stepping(Some(pool), source, delta, SteppingStrategy::Classic, budget)
     }
 
-    /// Resume an interrupted run on the sequential fused path, through
-    /// the split cache. Bit-identical to the uninterrupted run.
-    pub fn resume_fused(
-        &mut self,
-        cp: &Checkpoint,
-        budget: &mut RunBudget,
-    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        cp.validate(self.g.num_vertices())?;
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(None, cp.delta, &mut profile);
-        let (result, loop_profile) =
-            delta_stepping_fused_resume_with(self.g, &lh, cp, budget, &mut self.fused_ws)?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
-        Ok((result, profile))
-    }
-
-    /// Resume an interrupted run on the parallel improved path, through
-    /// the split cache. Bit-identical to the uninterrupted run.
-    pub fn resume_parallel_improved(
-        &mut self,
-        pool: &ThreadPool,
-        cp: &Checkpoint,
-        budget: &mut RunBudget,
-    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        cp.validate(self.g.num_vertices())?;
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(Some(pool), cp.delta, &mut profile);
-        let (result, loop_profile) = delta_stepping_parallel_improved_resume_with(
-            pool,
-            self.g,
-            &lh,
-            cp,
-            budget,
-            &mut self.improved_ws,
-        )?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
-        Ok((result, profile))
-    }
-
-    /// Run under any [`SteppingStrategy`] through the cache. `Classic`
-    /// dispatches to the bucket implementations ([`SsspEngine::run_fused`]
-    /// sequentially, [`SsspEngine::run_parallel_improved`] with a pool) —
-    /// they *are* the classic strategy; ρ and Δ* go through the
-    /// generalized loop, sequentially or pooled by whether `pool` is
-    /// given. Distances and stats are bit-identical across thread counts
-    /// and the pool-less path for every strategy.
+    /// The one way to run: any [`SteppingStrategy`] through the split
+    /// cache and the warm workspace, on the pooled relaxation kernels
+    /// when `pool` is given and the sequential ones otherwise. Distances
+    /// and stats are bit-identical across thread counts and the
+    /// pool-less path for every strategy; the profile's `matrix_filter`
+    /// is zero whenever the split was already cached.
     pub fn run_stepping(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -341,38 +253,20 @@ impl<'g> SsspEngine<'g> {
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         strategy.validate()?;
-        if strategy == SteppingStrategy::Classic {
-            return match pool {
-                Some(pool) => self.run_parallel_improved(pool, source, delta, budget),
-                None => self.run_fused(source, delta, budget),
-            };
-        }
         if !(delta > 0.0 && delta.is_finite()) {
             return Err(SsspError::InvalidDelta { delta });
         }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(pool, delta, &mut profile);
-        let (result, loop_profile) = stepping_with(
-            self.g,
-            &lh,
-            source,
-            delta,
-            strategy,
-            pool,
-            budget,
-            &mut self.stepping_ws,
-        )?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
+        let (lh, filter_time) = self.split_for(pool, delta);
+        let (result, mut profile) =
+            stepping_with(self.g, &lh, source, delta, strategy, pool, budget, &mut self.ws)?;
+        profile.matrix_filter += filter_time;
         Ok((result, profile))
     }
 
-    /// Resume an interrupted run of any implementation, routed by the
-    /// checkpoint itself: generalized-stepping checkpoints (carrying a
-    /// [`crate::checkpoint::SteppingState`]) re-enter the stepping loop,
-    /// classic bucket checkpoints go to the fused / parallel-improved
-    /// resume paths. Bit-identical to the uninterrupted run.
+    /// The one way to resume: continue any resumable checkpoint — from
+    /// this loop under any strategy, from an older binary's classic
+    /// loops, or from [`crate::parallel`] — through the split cache.
+    /// Bit-identical to the uninterrupted run, pooled or not.
     pub fn resume_stepping(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -380,19 +274,10 @@ impl<'g> SsspEngine<'g> {
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         cp.validate(self.g.num_vertices())?;
-        if cp.stepping.is_none() {
-            return match pool {
-                Some(pool) => self.resume_parallel_improved(pool, cp, budget),
-                None => self.resume_fused(cp, budget),
-            };
-        }
-        let mut profile = PhaseProfile::default();
-        let lh = self.split_for(pool, cp.delta, &mut profile);
-        let (result, loop_profile) =
-            stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.stepping_ws)?;
-        profile.relaxation += loop_profile.relaxation;
-        profile.vector_ops += loop_profile.vector_ops;
-        profile.matrix_filter += loop_profile.matrix_filter;
+        let (lh, filter_time) = self.split_for(pool, cp.delta);
+        let (result, mut profile) =
+            stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.ws)?;
+        profile.matrix_filter += filter_time;
         Ok((result, profile))
     }
 
@@ -667,8 +552,6 @@ mod tests {
         engine.save_checkpoint(&cp, &path).unwrap();
         let loaded = engine.load_checkpoint(&path).unwrap();
         assert_eq!(loaded, cp);
-        // The router sends stepping checkpoints to the generalized loop
-        // and classic ones to the bucket resume paths.
         let (resumed, _) = engine
             .resume_stepping(None, &loaded, &mut RunBudget::unlimited())
             .unwrap();
@@ -681,6 +564,12 @@ mod tests {
             .run_fused(3, 1.0, &mut RunBudget::unlimited().cancel_after(2))
             .unwrap_err();
         let classic_cp = err.into_checkpoint().unwrap();
+        // Classic is a strategy like the others: same label, same trailer.
+        assert_eq!(classic_cp.implementation, "stepping");
+        assert_eq!(
+            classic_cp.stepping.map(|st| st.strategy),
+            Some(SteppingStrategy::Classic)
+        );
         let (resumed, _) = engine
             .resume_stepping(None, &classic_cp, &mut RunBudget::unlimited())
             .unwrap();
@@ -704,7 +593,9 @@ mod tests {
         engine.save_checkpoint(&cp, &path).unwrap();
         let loaded = engine.load_checkpoint(&path).unwrap();
         assert_eq!(loaded, cp);
-        let (resumed, _) = engine.resume_fused(&loaded, &mut RunBudget::unlimited()).unwrap();
+        let (resumed, _) = engine
+            .resume_stepping(None, &loaded, &mut RunBudget::unlimited())
+            .unwrap();
         assert_eq!(resumed.dist, full.dist);
         assert_eq!(resumed.stats, full.stats);
 
@@ -774,25 +665,49 @@ mod tests {
 
     #[test]
     fn engine_resume_matches_uninterrupted_run() {
+        // One table over (strategy × kernel the checkpoint was cut on ×
+        // kernel it resumes on): the pooled and pool-less kernels are
+        // bit-identical step for step, so every crossing reconverges.
         let g = test_graph();
         let pool = ThreadPool::with_threads(4).unwrap();
         let mut engine = SsspEngine::new(&g);
-        let full = engine.run_fused(3, 1.0, &mut RunBudget::unlimited()).unwrap().0;
-        for k in [0, 2, 7] {
-            let err = engine
-                .run_fused(3, 1.0, &mut RunBudget::unlimited().cancel_after(k))
-                .unwrap_err();
-            let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-            let (seq, _) = engine.resume_fused(&cp, &mut RunBudget::unlimited()).unwrap();
-            assert_eq!(seq.dist, full.dist, "fused resume, epoch {k}");
-            assert_eq!(seq.stats, full.stats, "fused resume, epoch {k}");
-            let (par, _) = engine
-                .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
-                .unwrap();
-            assert_eq!(par.dist, full.dist, "improved resume, epoch {k}");
-            assert_eq!(par.stats, full.stats, "improved resume, epoch {k}");
+        for strategy in [
+            SteppingStrategy::Classic,
+            SteppingStrategy::Rho(32),
+            SteppingStrategy::DeltaStar(4.0),
+        ] {
+            let full = engine
+                .run_stepping(None, 3, 1.0, strategy, &mut RunBudget::unlimited())
+                .unwrap()
+                .0;
+            for cut_on in [None, Some(&pool)] {
+                for k in [0, 2, 7] {
+                    let err = engine
+                        .run_stepping(
+                            cut_on,
+                            3,
+                            1.0,
+                            strategy,
+                            &mut RunBudget::unlimited().cancel_after(k),
+                        )
+                        .unwrap_err();
+                    let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
+                    for resume_on in [None, Some(&pool)] {
+                        let (resumed, _) = engine
+                            .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
+                            .unwrap();
+                        let label = format!(
+                            "{strategy}: cut pooled={}, resumed pooled={}, epoch {k}",
+                            cut_on.is_some(),
+                            resume_on.is_some()
+                        );
+                        assert_eq!(resumed.dist, full.dist, "{label}");
+                        assert_eq!(resumed.stats, full.stats, "{label}");
+                    }
+                }
+            }
         }
-        // All resumes reused the single cached split.
+        // Every run and resume reused the single cached split.
         assert_eq!(engine.stats().split_builds, 1);
     }
 }

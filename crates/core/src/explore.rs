@@ -18,9 +18,10 @@
 //!    `racecheck` cargo feature, without which a schedule can still be
 //!    permuted but sees only the coarse-grained accesses).
 //! 2. **Bit-identical output** — distances must equal the sequential
-//!    fused reference bit for bit on *every* schedule, and distances and
-//!    stats must match the first explored seed (the repo-wide guarantee
-//!    the determinism suite checks per thread count, here checked per
+//!    reference bit for bit on *every* schedule, and stats must match
+//!    the reference (the stepping loop's pooled kernels, any strategy)
+//!    or the first explored seed (the repo-wide guarantee the
+//!    determinism suite checks per thread count, here checked per
 //!    schedule).
 //!
 //! Alongside races, each explored schedule drains the tracker's
@@ -46,8 +47,10 @@ use taskpool::ThreadPool;
 use crate::budget::RunBudget;
 use crate::engine::SsspEngine;
 use crate::guard::{GuardConfig, SsspError};
+use crate::result::SsspResult;
 use crate::run::{run_with_budget, Implementation};
 use crate::stats::SsspStats;
+use crate::stepping::{delta_stepping_strategy, SteppingStrategy};
 
 /// Exploration bounds: which seeds to run and how adversarial each
 /// schedule may get.
@@ -171,19 +174,18 @@ fn bits(dist: &[f64]) -> Vec<u64> {
     dist.iter().map(|d| d.to_bits()).collect()
 }
 
-/// Run `imp` on `g` once per seed under the armed schedule controller,
-/// checking race-freedom and bit-identical output on every schedule.
-///
-/// The fused sequential reference is computed first, outside the tracing
-/// session and with the scheduler disarmed.
-pub fn explore(
-    imp: Implementation,
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
+/// Run `run` once per seed under the armed schedule controller, checking
+/// race-freedom, lock-order acyclicity, and bit-identical output on
+/// every schedule. `reference` was computed outside the tracing session
+/// with the scheduler disarmed; with `pin_stats` its counters are part
+/// of the contract, otherwise stats only have to agree across seeds.
+/// `run` returns `None` when the run failed or degraded.
+fn explore_schedules(
+    reference: &SsspResult,
+    pin_stats: bool,
     cfg: &ExploreConfig,
+    mut run: impl FnMut(&ThreadPool) -> Option<SsspResult>,
 ) -> ExploreReport {
-    let reference = crate::fused::delta_stepping_fused(g, source, delta);
     let ref_bits = bits(&reference.dist);
     let pool = ThreadPool::with_threads(cfg.threads.max(2)).expect("pool");
     let _threshold = ThresholdGuard::set();
@@ -191,19 +193,11 @@ pub fn explore(
     // per-seed isolation comes from `reset`.
     let session = racecheck::Session::new();
     let mut report = ExploreReport::default();
-    let mut first: Option<(Vec<u64>, SsspStats)> = None;
+    let mut expect_stats: Option<SsspStats> = pin_stats.then(|| reference.stats.clone());
     for seed in cfg.seeds.clone() {
         session.reset();
         taskpool::sched::arm(seed, cfg.preemption_budget);
-        let run = run_with_budget(
-            imp,
-            g,
-            source,
-            delta,
-            Some(&pool),
-            &GuardConfig::default(),
-            &mut RunBudget::unlimited(),
-        );
+        let outcome = run(&pool);
         taskpool::sched::disarm();
         report.schedules += 1;
         report.events += session.events();
@@ -219,20 +213,9 @@ pub fn explore(
         report
             .deadlocks
             .extend(deadlocks.into_iter().map(|d| (seed, d)));
-        let diverged = match run {
-            Ok(rep) if rep.degraded.is_none() => {
-                let b = bits(&rep.result.dist);
-                if b != ref_bits {
-                    true
-                } else {
-                    match &first {
-                        None => {
-                            first = Some((b, rep.result.stats));
-                            false
-                        }
-                        Some((b0, s0)) => &b != b0 || &rep.result.stats != s0,
-                    }
-                }
+        let diverged = match outcome {
+            Some(result) if bits(&result.dist) == ref_bits => {
+                *expect_stats.get_or_insert_with(|| result.stats.clone()) != result.stats
             }
             _ => true,
         };
@@ -244,73 +227,86 @@ pub fn explore(
     report
 }
 
+/// Every implementation behind the checked front door: distances must
+/// equal the sequential fused reference bit for bit on every schedule,
+/// and stats must agree across seeds (the paper-reproduction variants
+/// count phases differently from fused, so the reference's counters are
+/// not pinned here).
+pub fn explore(
+    imp: Implementation,
+    g: &CsrGraph,
+    source: usize,
+    delta: f64,
+    cfg: &ExploreConfig,
+) -> ExploreReport {
+    let reference = crate::fused::delta_stepping_fused(g, source, delta);
+    explore_schedules(&reference, false, cfg, |pool| {
+        run_with_budget(
+            imp,
+            g,
+            source,
+            delta,
+            Some(pool),
+            &GuardConfig::default(),
+            &mut RunBudget::unlimited(),
+        )
+        .ok()
+        .filter(|rep| rep.degraded.is_none())
+        .map(|rep| rep.result)
+    })
+}
+
+/// The production loop's pooled kernels under any strategy: distances
+/// *and* stats must equal the pool-less run of the same strategy on
+/// every schedule.
+pub fn explore_strategy(
+    strategy: SteppingStrategy,
+    g: &CsrGraph,
+    source: usize,
+    delta: f64,
+    cfg: &ExploreConfig,
+) -> ExploreReport {
+    let reference = delta_stepping_strategy(g, source, delta, strategy);
+    explore_schedules(&reference, true, cfg, |pool| {
+        SsspEngine::new(g)
+            .run_stepping(Some(pool), source, delta, strategy, &mut RunBudget::unlimited())
+            .ok()
+            .map(|(result, _)| result)
+    })
+}
+
 /// The cancel-then-resume path under adversarial schedules: per seed,
-/// cancel a parallel-improved run after `cancel_epoch` budget checks,
-/// then resume its checkpoint through [`SsspEngine::resume_parallel_improved`]
-/// — both halves armed on the same seed — and require the stitched result
-/// to be bit-identical (distances *and* stats) to the fused reference.
+/// cancel a pooled run after `cancel_epoch` budget checks, then resume
+/// its checkpoint through [`SsspEngine::resume_stepping`] — both halves
+/// armed on the same seed — and require the stitched result to be
+/// bit-identical (distances *and* stats) to the pool-less reference.
 pub fn explore_cancel_resume(
+    strategy: SteppingStrategy,
     g: &CsrGraph,
     source: usize,
     delta: f64,
     cancel_epoch: u64,
     cfg: &ExploreConfig,
 ) -> ExploreReport {
-    let reference = crate::fused::delta_stepping_fused(g, source, delta);
-    let ref_bits = bits(&reference.dist);
-    let pool = ThreadPool::with_threads(cfg.threads.max(2)).expect("pool");
-    let _threshold = ThresholdGuard::set();
-    let session = racecheck::Session::new();
-    let mut report = ExploreReport::default();
-    for seed in cfg.seeds.clone() {
-        session.reset();
-        taskpool::sched::arm(seed, cfg.preemption_budget);
-        let outcome = (|| -> Result<(), ()> {
-            let err = crate::parallel_improved::delta_stepping_parallel_improved_checked(
-                &pool,
-                g,
-                source,
-                delta,
-                &mut RunBudget::unlimited().cancel_after(cancel_epoch),
-            )
-            .map(|_| ()) // completing before the cancel means the epoch was too late
-            .err()
-            .ok_or(())?;
-            let cp = match err {
-                SsspError::Cancelled { checkpoint } => checkpoint,
-                _ => return Err(()),
-            };
-            let mut engine = SsspEngine::new(g);
-            let (resumed, _) = engine
-                .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
-                .map_err(|_| ())?;
-            // Improved is bit-identical to fused in distances and stats.
-            if bits(&resumed.dist) != ref_bits || resumed.stats != reference.stats {
-                return Err(());
-            }
-            Ok(())
-        })();
-        taskpool::sched::disarm();
-        report.schedules += 1;
-        report.events += session.events();
-        let races = session.take_races();
-        let deadlocks = session.take_deadlocks();
-        if !races.is_empty() {
-            replay_hint("conflicting unordered accesses", seed, cfg.preemption_budget);
-        }
-        if !deadlocks.is_empty() {
-            replay_hint("lock-order cycle", seed, cfg.preemption_budget);
-        }
-        report.races.extend(races.into_iter().map(|r| (seed, r)));
-        report
-            .deadlocks
-            .extend(deadlocks.into_iter().map(|d| (seed, d)));
-        if outcome.is_err() {
-            replay_hint("divergent cancel/resume output", seed, cfg.preemption_budget);
-            report.divergent_seeds.push(seed);
-        }
-    }
-    report
+    let reference = delta_stepping_strategy(g, source, delta, strategy);
+    explore_schedules(&reference, true, cfg, |pool| {
+        let mut engine = SsspEngine::new(g);
+        let cancelled = engine.run_stepping(
+            Some(pool),
+            source,
+            delta,
+            strategy,
+            &mut RunBudget::unlimited().cancel_after(cancel_epoch),
+        );
+        // Completing before the cancel means the epoch was too late.
+        let Err(SsspError::Cancelled { checkpoint }) = cancelled else {
+            return None;
+        };
+        engine
+            .resume_stepping(Some(pool), &checkpoint, &mut RunBudget::unlimited())
+            .ok()
+            .map(|(result, _)| result)
+    })
 }
 
 #[cfg(test)]
@@ -337,19 +333,27 @@ mod tests {
     }
 
     #[test]
-    fn smoke_cancel_resume_is_clean() {
+    fn smoke_strategy_and_cancel_resume_are_clean() {
+        // One schedule each: the scheduler and tracker are process-wide,
+        // so this stays short next to the other unit tests. The full
+        // strategy × seed matrix runs in `tests/racecheck.rs`.
         let g = CsrGraph::from_edge_list(&grid2d(5, 5)).unwrap();
         let cfg = ExploreConfig {
-            seeds: 0..2,
+            seeds: 0..1,
             ..ExploreConfig::default()
         };
-        let report = explore_cancel_resume(&g, 0, 1.0, 2, &cfg);
-        assert_eq!(report.schedules, 2);
-        assert!(
-            report.is_clean(),
-            "races: {:?}, divergent: {:?}",
-            report.races,
-            report.divergent_seeds
-        );
+        for report in [
+            explore_strategy(SteppingStrategy::DeltaStar(2.0), &g, 0, 1.0, &cfg),
+            explore_cancel_resume(SteppingStrategy::Rho(4), &g, 0, 1.0, 2, &cfg),
+        ] {
+            assert_eq!(report.schedules, 1);
+            assert!(
+                report.is_clean(),
+                "races: {:?}, divergent: {:?}",
+                report.races,
+                report.divergent_seeds
+            );
+            assert!(report.events > 0, "instrumentation must have fired");
+        }
     }
 }

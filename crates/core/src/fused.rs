@@ -2,7 +2,9 @@
 //! paper's hand-written C code that beat the unfused SuiteSparse version by
 //! ~3.7× on average (Fig. 3).
 //!
-//! The two fusions the paper describes are both here:
+//! The two fusions the paper describes both live in the one stepping loop
+//! ([`crate::stepping`]); this module is that loop's *sequential classic*
+//! front door plus the [`LightHeavy`] split it runs over:
 //!
 //! 1. *Hadamard ∘ vxm fusion*: `t_Req = A_L^T (t ∘ t_Bi)` runs as one
 //!    scatter loop over the current frontier — the bucket filter, the
@@ -16,19 +18,15 @@
 //! `Vec<bool>`) exactly like the paper's direct C implementation.
 
 use std::sync::OnceLock;
-use std::time::Instant;
 
-use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
 
 use crate::budget::RunBudget;
-use crate::checkpoint::{Checkpoint, LiveState, StopPoint};
-use crate::delta::bucket_of;
 use crate::guard::SsspError;
-use crate::pull::{self, PullIndex};
+use crate::pull::PullIndex;
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
-use crate::INF;
+use crate::stepping::{stepping_checked, SteppingStrategy};
 
 /// The light/heavy split in CSR form — built in a single fused pass over
 /// the adjacency (vs. the four `GrB_apply` calls of Fig. 2).
@@ -149,76 +147,6 @@ impl LightHeavy {
     }
 }
 
-/// Shared relaxation state: the dense `t_Req` accumulator plus the list of
-/// touched positions (the sparse pattern of the request vector).
-struct ReqBuffer {
-    req: Vec<f64>,
-    touched: Vec<usize>,
-}
-
-impl ReqBuffer {
-    fn new(n: usize) -> Self {
-        ReqBuffer {
-            req: vec![INF; n],
-            touched: Vec::new(),
-        }
-    }
-
-    /// `req[u] = min(req[u], cand)`, tracking first touches.
-    #[inline]
-    fn offer(&mut self, u: usize, cand: f64) {
-        if self.req[u] == INF {
-            self.touched.push(u);
-            self.req[u] = cand;
-        } else if cand < self.req[u] {
-            self.req[u] = cand;
-        }
-    }
-}
-
-/// Reusable per-run state for [`delta_stepping_fused_with`]: the dense
-/// request accumulator and the frontier/settled scratch vectors. Callers
-/// that run many queries (multi-source, bench loops) keep one of these so
-/// repeated runs allocate nothing.
-pub struct FusedWorkspace {
-    reqs: ReqBuffer,
-    frontier: Vec<usize>,
-    settled: Vec<usize>,
-    /// Frontier bitmap for dense (pull) epochs — all-`false` between
-    /// phases, set and cleared by iterating the (sparse) frontier.
-    in_frontier: Vec<bool>,
-}
-
-impl std::fmt::Debug for FusedWorkspace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FusedWorkspace")
-            .field("capacity", &self.reqs.req.len())
-            .finish()
-    }
-}
-
-impl FusedWorkspace {
-    /// Workspace sized for an `n`-vertex graph.
-    pub fn new(n: usize) -> Self {
-        FusedWorkspace {
-            reqs: ReqBuffer::new(n),
-            frontier: Vec::new(),
-            settled: Vec::new(),
-            in_frontier: vec![false; n],
-        }
-    }
-
-    /// Grow (never shrink) to fit an `n`-vertex graph.
-    pub fn ensure(&mut self, n: usize) {
-        if self.reqs.req.len() < n {
-            self.reqs.req.resize(n, INF);
-        }
-        if self.in_frontier.len() < n {
-            self.in_frontier.resize(n, false);
-        }
-    }
-}
-
 /// Fused delta-stepping. Equivalent to [`crate::gblas_impl::sssp_delta_step`]
 /// but with dense state and fused loops.
 pub fn delta_stepping_fused(g: &CsrGraph, source: usize, delta: f64) -> SsspResult {
@@ -241,288 +169,17 @@ pub fn delta_stepping_fused_profiled(
 /// instead of panicking on a bad Δ or source, trips the epoch budget
 /// instead of looping forever on malformed weight data, and observes
 /// cancellation/deadlines at every epoch boundary — emitting a
-/// resumable [`Checkpoint`] inside the error when stopped.
+/// resumable [`crate::Checkpoint`] inside the error when stopped
+/// (continue it with [`crate::engine::SsspEngine::resume_stepping`]).
+/// The `A_L` / `A_H` matrix filter runs as one fused pass and is
+/// reported as the profile's `matrix_filter` time.
 pub fn delta_stepping_fused_checked(
     g: &CsrGraph,
     source: usize,
     delta: f64,
     budget: &mut RunBudget,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    // Matrix filtering phase: A_L / A_H in one fused pass.
-    let t0 = Instant::now();
-    let lh = LightHeavy::build(g, delta);
-    let filter_time = t0.elapsed();
-    let mut ws = FusedWorkspace::new(g.num_vertices());
-    let (result, mut profile) =
-        delta_stepping_fused_with(g, &lh, source, delta, budget, &mut ws)?;
-    profile.matrix_filter += filter_time;
-    Ok((result, profile))
-}
-
-/// The fused main loop over a **prebuilt** light/heavy split and a
-/// caller-owned workspace — the entry point [`crate::engine::SsspEngine`]'s
-/// split cache uses. The returned profile contains no `matrix_filter` time
-/// (the caller decides whether a cached split costs anything).
-pub fn delta_stepping_fused_with(
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-    ws: &mut FusedWorkspace,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    fused_loop(g, lh, source, delta, budget, ws, None)
-}
-
-/// Resume an interrupted fused run from a [`Checkpoint`], rebuilding the
-/// light/heavy split. The continued run is **bit-identical** (distances
-/// and [`crate::SsspStats`]) to an uninterrupted run — the checkpoint
-/// captures the loop state exactly at an epoch boundary, and the loop is
-/// deterministic from there.
-pub fn delta_stepping_fused_resume(
-    g: &CsrGraph,
-    cp: &Checkpoint,
-    budget: &mut RunBudget,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    cp.validate(g.num_vertices())?;
-    let t0 = Instant::now();
-    let lh = LightHeavy::build(g, cp.delta);
-    let filter_time = t0.elapsed();
-    let mut ws = FusedWorkspace::new(g.num_vertices());
-    let (result, mut profile) = delta_stepping_fused_resume_with(g, &lh, cp, budget, &mut ws)?;
-    profile.matrix_filter += filter_time;
-    Ok((result, profile))
-}
-
-/// [`delta_stepping_fused_resume`] over a prebuilt split and caller-owned
-/// workspace (the [`crate::engine::SsspEngine`] resume path).
-pub fn delta_stepping_fused_resume_with(
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    cp: &Checkpoint,
-    budget: &mut RunBudget,
-    ws: &mut FusedWorkspace,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    cp.validate(g.num_vertices())?;
-    if !cp.resumable {
-        return Err(SsspError::InvalidCheckpoint {
-            reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
-        });
-    }
-    fused_loop(g, lh, cp.source, cp.delta, budget, ws, Some(cp))
-}
-
-/// The fused main loop, optionally continuing from a checkpoint instead of
-/// starting at the source's bucket.
-fn fused_loop(
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-    ws: &mut FusedWorkspace,
-    resume: Option<&Checkpoint>,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    let n = g.num_vertices();
-    if source >= n {
-        return Err(SsspError::SourceOutOfBounds {
-            source,
-            num_vertices: n,
-        });
-    }
-    let mut result = SsspResult::init(n, source);
-    let mut profile = PhaseProfile::default();
-
-    ws.ensure(n);
-    let FusedWorkspace {
-        reqs,
-        frontier,
-        settled,
-        in_frontier,
-    } = ws;
-    frontier.clear();
-    settled.clear();
-
-    let mut i = bucket_of(0.0, delta); // source's bucket: 0
-    // Continuing mid-bucket re-enters the light-phase loop with the saved
-    // frontier/settled sets, skipping the outer boundary work (budget
-    // check, bucket scan, buckets_processed) that already happened before
-    // the interruption.
-    let mut entering_mid = false;
-    if let Some(cp) = resume {
-        result.dist.clone_from(&cp.dist);
-        result.stats = cp.stats.clone();
-        i = cp.bucket;
-        frontier.extend_from_slice(&cp.frontier);
-        settled.extend_from_slice(&cp.settled);
-        entering_mid = cp.stop_point == StopPoint::LightPhase;
-    }
-
-    let t = &mut result.dist;
-
-    loop {
-        if entering_mid {
-            entering_mid = false;
-        } else {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: "fused",
-                    source,
-                    delta,
-                    dist: t,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::BucketStart,
-                    frontier: &[],
-                    settled: &[],
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
-            // Vector phase: find the members of bucket i (one scan of t), or
-            // the next non-empty bucket if i is empty.
-            let t0 = Instant::now();
-            frontier.clear();
-            let mut next_bucket = usize::MAX;
-            for (v, &tv) in t.iter().enumerate() {
-                let b = bucket_of(tv, delta);
-                if b == i {
-                    frontier.push(v);
-                } else if b > i && b < next_bucket {
-                    next_bucket = b;
-                }
-            }
-            profile.vector_ops += t0.elapsed();
-            if frontier.is_empty() {
-                if next_bucket == usize::MAX {
-                    break; // no vertex at distance >= i*delta: done
-                }
-                i = next_bucket;
-                continue;
-            }
-
-            result.stats.buckets_processed += 1;
-            settled.clear();
-        }
-
-        // Light-edge phases until the bucket stops refilling.
-        while !frontier.is_empty() {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: "fused",
-                    source,
-                    delta,
-                    dist: t,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::LightPhase,
-                    frontier,
-                    settled,
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
-            result.stats.light_phases += 1;
-            // Fusion 1: t_Req = A_L^T (t ∘ t_Bi). Sparse frontiers run
-            // the fused scatter loop; dense ones (per the shared density
-            // oracle) pull the light in-edges against a frontier bitmap
-            // instead — the request vector is bit-identical either way
-            // (see [`crate::pull`]), only the traversal order changes.
-            let t0 = Instant::now();
-            let frontier_edges: usize = frontier
-                .iter()
-                .map(|&v| lh.light_off[v + 1] - lh.light_off[v])
-                .sum();
-            if direction::choose(frontier_edges, lh.num_light()) == Direction::Pull {
-                let mut lower = INF;
-                for &v in frontier.iter() {
-                    in_frontier[v] = true;
-                    if t[v] < lower {
-                        lower = t[v];
-                    }
-                }
-                pull::pull_light_sequential(
-                    lh.pull_index(),
-                    t,
-                    in_frontier,
-                    lower,
-                    &mut reqs.req,
-                    &mut reqs.touched,
-                );
-                for &v in frontier.iter() {
-                    in_frontier[v] = false;
-                }
-                // Push counts one relaxation per frontier light edge;
-                // the pull pass covers exactly that edge set.
-                result.stats.relaxations += frontier_edges as u64;
-            } else {
-                for &v in frontier.iter() {
-                    let tv = t[v];
-                    let (targets, weights) = lh.light(v);
-                    for (&u, &w) in targets.iter().zip(weights.iter()) {
-                        result.stats.relaxations += 1;
-                        reqs.offer(u, tv + w);
-                    }
-                }
-            }
-            profile.relaxation += t0.elapsed();
-
-            // Fusion 2: S ∪= frontier; t = min(t, t_Req); t_Bi =
-            // reintroduced vertices — one pass over the touched set.
-            let t0 = Instant::now();
-            settled.extend_from_slice(frontier);
-            frontier.clear();
-            for &u in &reqs.touched {
-                let cand = reqs.req[u];
-                reqs.req[u] = INF;
-                if cand < t[u] {
-                    result.stats.improvements += 1;
-                    t[u] = cand;
-                    if bucket_of(cand, delta) == i {
-                        frontier.push(u);
-                    }
-                }
-            }
-            reqs.touched.clear();
-            profile.vector_ops += t0.elapsed();
-        }
-
-        // Heavy phase over everything settled from bucket i.
-        result.stats.heavy_phases += 1;
-        let t0 = Instant::now();
-        for &v in settled.iter() {
-            let tv = t[v];
-            let (targets, weights) = lh.heavy(v);
-            for (&u, &w) in targets.iter().zip(weights.iter()) {
-                result.stats.relaxations += 1;
-                reqs.offer(u, tv + w);
-            }
-        }
-        profile.relaxation += t0.elapsed();
-
-        let t0 = Instant::now();
-        for &u in &reqs.touched {
-            let cand = reqs.req[u];
-            reqs.req[u] = INF;
-            if cand < t[u] {
-                result.stats.improvements += 1;
-                t[u] = cand;
-            }
-        }
-        reqs.touched.clear();
-        profile.vector_ops += t0.elapsed();
-
-        i += 1;
-    }
-    Ok((result, profile))
+    stepping_checked(g, source, delta, SteppingStrategy::Classic, None, budget)
 }
 
 #[cfg(test)]
@@ -645,59 +302,6 @@ mod tests {
         for (v, d) in cp.settled_distances() {
             assert_eq!(d.to_bits(), full.dist[v].to_bits(), "vertex {v}");
         }
-    }
-
-    #[test]
-    fn resume_is_bit_identical_at_every_cancellation_epoch() {
-        let g = CsrGraph::from_edge_list(&grid2d(7, 5)).unwrap();
-        let delta = 1.0;
-        let full = {
-            let mut b = RunBudget::unlimited();
-            delta_stepping_fused_checked(&g, 0, delta, &mut b).unwrap().0
-        };
-        // Count the epochs of the uninterrupted run, then cancel at each one.
-        let total_epochs = {
-            let mut b = RunBudget::unlimited();
-            delta_stepping_fused_checked(&g, 0, delta, &mut b).unwrap();
-            b.ticks()
-        };
-        for k in 0..total_epochs {
-            let err = delta_stepping_fused_checked(
-                &g,
-                0,
-                delta,
-                &mut RunBudget::unlimited().cancel_after(k),
-            )
-            .unwrap_err();
-            let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-            let (resumed, _) =
-                delta_stepping_fused_resume(&g, &cp, &mut RunBudget::unlimited()).unwrap();
-            assert_eq!(
-                resumed.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                full.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                "cancelled at epoch {k}"
-            );
-            assert_eq!(resumed.stats, full.stats, "cancelled at epoch {k}");
-        }
-    }
-
-    #[test]
-    fn resume_rejects_corrupt_and_foreign_checkpoints() {
-        let g = CsrGraph::from_edge_list(&path(8)).unwrap();
-        let err = delta_stepping_fused_checked(&g, 0, 1.0, &mut RunBudget::with_limit(2))
-            .unwrap_err();
-        let cp = err.into_checkpoint().unwrap();
-        let mut foreign = cp.clone();
-        foreign.resumable = false;
-        assert!(matches!(
-            delta_stepping_fused_resume(&g, &foreign, &mut RunBudget::unlimited()),
-            Err(SsspError::InvalidCheckpoint { .. })
-        ));
-        let other = CsrGraph::from_edge_list(&path(4)).unwrap();
-        assert!(matches!(
-            delta_stepping_fused_resume(&other, &cp, &mut RunBudget::unlimited()),
-            Err(SsspError::InvalidCheckpoint { .. })
-        ));
     }
 
     #[test]

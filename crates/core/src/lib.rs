@@ -11,12 +11,17 @@
 //! | [`fused`] | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) |
 //! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks + evenly-sized vector chunk tasks) |
 //! | [`parallel_improved`] | the paper's proposed improvement: fine-grained matrix filtering + contention-free request-buffer relaxation ([`reqbuf`]) |
-//! | [`parallel_atomic`] | the prior atomic-CAS relaxation scheme, kept as the before/after benchmark baseline |
-//! | [`dijkstra`], [`bellman_ford`] | classic baselines |
+//!
+//! `fused` and `parallel_improved` are front doors of **one** stepping loop
+//! ([`stepping`]): the classic strategy on its sequential and pooled
+//! relaxation kernels. The same loop runs ρ-stepping and Δ*-stepping
+//! ([`SteppingStrategy`]). [`dijkstra`] and [`bellman_ford`] are the
+//! classic baselines.
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
 //! which caches the light/heavy matrix split per `(graph, Δ)` and reuses
-//! relaxation workspaces across calls.
+//! the loop's workspace across calls: `run_stepping` is the one way to
+//! run, `resume_stepping` the one way to resume.
 //!
 //! All take a [`graphdata::CsrGraph`], a source vertex, and (where relevant)
 //! a Δ from [`delta::DeltaStrategy`], and return an [`SsspResult`] whose
@@ -53,7 +58,6 @@ pub mod gblas_select;
 pub mod guard;
 pub mod manifest;
 pub mod parallel;
-pub mod parallel_atomic;
 pub mod parallel_improved;
 pub mod pull;
 pub mod reqbuf;

@@ -1,6 +1,6 @@
 //! The improvement the paper predicts in Sec. VI-C — "parallelizing within
 //! the matrix-vector operations and splitting the filtering operations for
-//! `A_H` and `A_L` into smaller tasks" — rebuilt around **contention-free
+//! `A_H` and `A_L` into smaller tasks" — built on **contention-free
 //! per-task request buffers** ([`crate::reqbuf`]).
 //!
 //! Concretely, relative to [`crate::parallel`]:
@@ -10,35 +10,30 @@
 //! * the `(min,+)` relaxation runs as chunked producer tasks over the
 //!   frontier, each filling its own sparse request buffer; the buffers
 //!   merge deterministically at phase end — no atomic request vector, no
-//!   locked touched-list collection (that earlier design is preserved as
-//!   [`crate::parallel_atomic`] for before/after benchmarking).
+//!   locked touched-list collection.
 //!
-//! Results are bit-identical to the sequential fused implementation and
-//! across thread counts: the merge computes the same minima whatever the
-//! chunking, and the touched list is sorted on every path.
+//! The outer loop is the one stepping loop ([`crate::stepping`]); this
+//! module is its *pooled classic* front door plus the chunked split
+//! build. Results are bit-identical to the sequential fused front door
+//! and across thread counts: the merge computes the same minima whatever
+//! the chunking, and the touched list is sorted on every path.
 //!
 //! Repeated runs (multi-source queries, bench loops) should go through
 //! [`crate::engine::SsspEngine`], which caches the light/heavy split per
 //! `(graph, Δ)` — the paper measures that filter at 35–40 % of runtime —
-//! and reuses this module's workspaces across calls via
-//! [`delta_stepping_parallel_improved_with`].
+//! and reuses the loop's workspace across calls.
 
 use std::sync::OnceLock;
-use std::time::Instant;
 
-use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
 use taskpool::{scope_collect, split_evenly, ThreadPool};
 
 use crate::budget::RunBudget;
-use crate::checkpoint::{Checkpoint, LiveState, StopPoint};
-use crate::delta::bucket_of;
 use crate::fused::LightHeavy;
 use crate::guard::SsspError;
-use crate::reqbuf::{relax_buffered, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
-use crate::INF;
+use crate::stepping::{stepping_checked, SteppingStrategy};
 
 /// Build the light/heavy split with fine-grained row chunks — every thread
 /// participates (vs. the two coarse tasks of the paper's scheme). Chunk
@@ -111,40 +106,6 @@ pub fn split_light_heavy_chunked(pool: &ThreadPool, g: &CsrGraph, delta: f64) ->
     lh
 }
 
-/// Reusable per-run state: the relaxation workspace (dense request
-/// accumulator + per-task buffers) and the frontier/settled scratch
-/// vectors. Owned by callers that run many queries (the engine, bench
-/// loops) so per-bucket allocation disappears after the first run.
-#[derive(Debug, Default)]
-pub struct ImprovedWorkspace {
-    relax: RelaxWorkspace,
-    frontier: Vec<usize>,
-    settled: Vec<usize>,
-    /// Frontier bitmap for dense (pull) epochs — all-`false` between
-    /// phases, set and cleared by iterating the (sparse) frontier.
-    in_frontier: Vec<bool>,
-}
-
-impl ImprovedWorkspace {
-    /// Workspace sized for an `n`-vertex graph.
-    pub fn new(n: usize) -> Self {
-        ImprovedWorkspace {
-            relax: RelaxWorkspace::new(n),
-            frontier: Vec::new(),
-            settled: Vec::new(),
-            in_frontier: vec![false; n],
-        }
-    }
-
-    /// Grow (never shrink) to fit an `n`-vertex graph.
-    pub fn ensure(&mut self, n: usize) {
-        self.relax.ensure(n);
-        if self.in_frontier.len() < n {
-            self.in_frontier.resize(n, false);
-        }
-    }
-}
-
 /// Delta-stepping with the paper's proposed improvements (fine-grained
 /// matrix filtering + intra-relaxation parallelism) on the request-buffer
 /// core.
@@ -173,7 +134,8 @@ pub fn delta_stepping_parallel_improved_profiled(
 /// [`SsspError`] instead of panicking on a bad Δ or source, trips the
 /// epoch budget instead of looping forever on malformed weight data, and
 /// observes cancellation/deadlines at every epoch boundary — emitting a
-/// resumable [`Checkpoint`] inside the error when stopped.
+/// resumable [`crate::Checkpoint`] inside the error when stopped
+/// (continue it with [`crate::engine::SsspEngine::resume_stepping`]).
 /// Worker panics still propagate; wrap the call in
 /// [`taskpool::install_try`] (as [`crate::run::run_checked`] does) to
 /// convert them into errors.
@@ -184,265 +146,7 @@ pub fn delta_stepping_parallel_improved_checked(
     delta: f64,
     budget: &mut RunBudget,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    let t0 = Instant::now();
-    let lh = split_light_heavy_chunked(pool, g, delta);
-    let filter_time = t0.elapsed();
-    let mut ws = ImprovedWorkspace::new(g.num_vertices());
-    let (result, mut profile) =
-        delta_stepping_parallel_improved_with(pool, g, &lh, source, delta, budget, &mut ws)?;
-    profile.matrix_filter += filter_time;
-    Ok((result, profile))
-}
-
-/// The core loop over a **prebuilt** light/heavy split and a caller-owned
-/// workspace — the entry point the engine's split cache uses. The returned
-/// profile contains no `matrix_filter` time (the caller decides whether a
-/// cached split costs anything).
-pub fn delta_stepping_parallel_improved_with(
-    pool: &ThreadPool,
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-    ws: &mut ImprovedWorkspace,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    improved_loop(pool, g, lh, source, delta, budget, ws, None)
-}
-
-/// Resume an interrupted run from a [`Checkpoint`], rebuilding the
-/// light/heavy split in parallel. Accepts checkpoints from any of the
-/// frontier-family implementations (fused / parallel / improved / atomic
-/// — they are bit-identical step for step), and the continued run is
-/// **bit-identical** (distances and [`crate::SsspStats`]) to an
-/// uninterrupted run.
-pub fn delta_stepping_parallel_improved_resume(
-    pool: &ThreadPool,
-    g: &CsrGraph,
-    cp: &Checkpoint,
-    budget: &mut RunBudget,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    cp.validate(g.num_vertices())?;
-    let t0 = Instant::now();
-    let lh = split_light_heavy_chunked(pool, g, cp.delta);
-    let filter_time = t0.elapsed();
-    let mut ws = ImprovedWorkspace::new(g.num_vertices());
-    let (result, mut profile) =
-        delta_stepping_parallel_improved_resume_with(pool, g, &lh, cp, budget, &mut ws)?;
-    profile.matrix_filter += filter_time;
-    Ok((result, profile))
-}
-
-/// [`delta_stepping_parallel_improved_resume`] over a prebuilt split and
-/// caller-owned workspace (the [`crate::engine::SsspEngine`] resume path).
-pub fn delta_stepping_parallel_improved_resume_with(
-    pool: &ThreadPool,
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    cp: &Checkpoint,
-    budget: &mut RunBudget,
-    ws: &mut ImprovedWorkspace,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    cp.validate(g.num_vertices())?;
-    if !cp.resumable {
-        return Err(SsspError::InvalidCheckpoint {
-            reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
-        });
-    }
-    improved_loop(pool, g, lh, cp.source, cp.delta, budget, ws, Some(cp))
-}
-
-/// The improved main loop, optionally continuing from a checkpoint.
-#[allow(clippy::too_many_arguments)]
-fn improved_loop(
-    pool: &ThreadPool,
-    g: &CsrGraph,
-    lh: &LightHeavy,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-    ws: &mut ImprovedWorkspace,
-    resume: Option<&Checkpoint>,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    let n = g.num_vertices();
-    if source >= n {
-        return Err(SsspError::SourceOutOfBounds {
-            source,
-            num_vertices: n,
-        });
-    }
-    let mut result = SsspResult::init(n, source);
-    let mut profile = PhaseProfile::default();
-    ws.ensure(n);
-    let ImprovedWorkspace {
-        relax,
-        frontier,
-        settled,
-        in_frontier,
-    } = ws;
-    frontier.clear();
-    settled.clear();
-
-    let mut i = 0usize;
-    // Mid-bucket resumes re-enter the light-phase loop with the saved
-    // frontier/settled sets, skipping the outer boundary work that already
-    // happened before the interruption.
-    let mut entering_mid = false;
-    if let Some(cp) = resume {
-        result.dist.clone_from(&cp.dist);
-        result.stats = cp.stats.clone();
-        i = cp.bucket;
-        frontier.extend_from_slice(&cp.frontier);
-        settled.extend_from_slice(&cp.settled);
-        entering_mid = cp.stop_point == StopPoint::LightPhase;
-    }
-
-    loop {
-        if entering_mid {
-            entering_mid = false;
-        } else {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: "improved",
-                    source,
-                    delta,
-                    dist: &result.dist,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::BucketStart,
-                    frontier: &[],
-                    settled: &[],
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
-            let t0 = Instant::now();
-            let next =
-                crate::parallel::scan_bucket_parallel(pool, &result.dist, delta, i, frontier);
-            profile.vector_ops += t0.elapsed();
-            if frontier.is_empty() {
-                if next == usize::MAX {
-                    break;
-                }
-                i = next;
-                continue;
-            }
-            result.stats.buckets_processed += 1;
-            settled.clear();
-        }
-
-        while !frontier.is_empty() {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: "improved",
-                    source,
-                    delta,
-                    dist: &result.dist,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::LightPhase,
-                    frontier,
-                    settled,
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
-            result.stats.light_phases += 1;
-            // Sparse frontiers push through the request buffers; dense
-            // ones (per the shared density oracle) pull the light
-            // in-edges against a frontier bitmap — the request vector
-            // and the sorted touched list are bit-identical either way
-            // (see [`crate::pull`]).
-            let t0 = Instant::now();
-            let frontier_edges: usize = frontier
-                .iter()
-                .map(|&v| lh.light_off[v + 1] - lh.light_off[v])
-                .sum();
-            if direction::choose(frontier_edges, lh.num_light()) == Direction::Pull {
-                let mut lower = INF;
-                for &v in frontier.iter() {
-                    in_frontier[v] = true;
-                    if result.dist[v] < lower {
-                        lower = result.dist[v];
-                    }
-                }
-                relax.pull_light(pool, lh.pull_index(), &result.dist, in_frontier, lower);
-                for &v in frontier.iter() {
-                    in_frontier[v] = false;
-                }
-                // Push counts one relaxation per frontier light edge;
-                // the pull pass covers exactly that edge set.
-                result.stats.relaxations += frontier_edges as u64;
-            } else {
-                relax_buffered(
-                    pool,
-                    lh,
-                    &result.dist,
-                    frontier,
-                    true,
-                    relax,
-                    &mut result.stats.relaxations,
-                );
-            }
-            profile.relaxation += t0.elapsed();
-
-            let t0 = Instant::now();
-            settled.extend_from_slice(frontier);
-            frontier.clear();
-            let dist = &mut result.dist;
-            let stats = &mut result.stats;
-            relax.drain_requests(|u, cand| {
-                if cand < dist[u] {
-                    stats.improvements += 1;
-                    // Conflicts with the producer tasks' dist reads across
-                    // phases — the join edge must order them.
-                    #[cfg(feature = "racecheck")]
-                    racecheck::plain_write("sssp.dist", &dist[u] as *const f64);
-                    dist[u] = cand;
-                    if bucket_of(cand, delta) == i {
-                        frontier.push(u);
-                    }
-                }
-            });
-            profile.vector_ops += t0.elapsed();
-        }
-
-        result.stats.heavy_phases += 1;
-        let t0 = Instant::now();
-        relax_buffered(
-            pool,
-            lh,
-            &result.dist,
-            settled,
-            false,
-            relax,
-            &mut result.stats.relaxations,
-        );
-        profile.relaxation += t0.elapsed();
-        let t0 = Instant::now();
-        let dist = &mut result.dist;
-        let stats = &mut result.stats;
-        relax.drain_requests(|u, cand| {
-            if cand < dist[u] {
-                stats.improvements += 1;
-                #[cfg(feature = "racecheck")]
-                racecheck::plain_write("sssp.dist", &dist[u] as *const f64);
-                dist[u] = cand;
-            }
-        });
-        profile.vector_ops += t0.elapsed();
-
-        i += 1;
-    }
-    Ok((result, profile))
+    stepping_checked(g, source, delta, SteppingStrategy::Classic, Some(pool), budget)
 }
 
 #[cfg(test)]
@@ -510,57 +214,5 @@ mod tests {
         let b = delta_stepping_parallel_improved(&pool, &g, 0, 1.0);
         assert_eq!(a.dist, b.dist);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn workspace_reuse_across_sources_is_exact() {
-        let pool = ThreadPool::with_threads(4).unwrap();
-        let mut el = gen::gnm(400, 2500, 31);
-        el.symmetrize();
-        el.make_unit_weight();
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let lh = split_light_heavy_chunked(&pool, &g, 1.0);
-        let mut ws = ImprovedWorkspace::new(g.num_vertices());
-        for src in [0, 7, 113, 0] {
-            let (reused, _) = delta_stepping_parallel_improved_with(
-                &pool, &g, &lh, src, 1.0, &mut RunBudget::unlimited(), &mut ws,
-            )
-            .unwrap();
-            let fresh = delta_stepping_parallel_improved(&pool, &g, src, 1.0);
-            assert_eq!(reused.dist, fresh.dist, "source {src}");
-            assert_eq!(reused.stats, fresh.stats, "source {src}");
-        }
-    }
-
-    #[test]
-    fn cross_family_resume_from_a_fused_checkpoint_is_bit_identical() {
-        // The frontier-family implementations are bit-identical step for
-        // step, so a checkpoint cut by the sequential fused path must
-        // resume exactly on the parallel improved path (and vice versa).
-        let pool = ThreadPool::with_threads(4).unwrap();
-        let mut el = gen::gnm(300, 1800, 13);
-        el.symmetrize();
-        el.make_unit_weight();
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let full = delta_stepping_parallel_improved(&pool, &g, 0, 1.0);
-        for k in [0, 1, 3, 5] {
-            let err = crate::fused::delta_stepping_fused_checked(
-                &g,
-                0,
-                1.0,
-                &mut RunBudget::unlimited().cancel_after(k),
-            )
-            .unwrap_err();
-            let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-            let (resumed, _) = delta_stepping_parallel_improved_resume(
-                &pool,
-                &g,
-                &cp,
-                &mut RunBudget::unlimited(),
-            )
-            .unwrap();
-            assert_eq!(resumed.dist, full.dist, "cancelled at epoch {k}");
-            assert_eq!(resumed.stats, full.stats, "cancelled at epoch {k}");
-        }
     }
 }

@@ -11,9 +11,9 @@
 //! scatter, no merge, and the touched list comes out ascending for free.
 //!
 //! The direction decision itself lives in [`gblas::direction`] — one
-//! oracle shared by the fused loop, the request-buffer parallel loop,
-//! and the gblas `vxm` call site — so every consumer switches at the
-//! same deterministic boundary.
+//! oracle shared by the stepping loop (pooled and pool-less) and the
+//! gblas `vxm` call site — so every consumer switches at the same
+//! deterministic boundary.
 //!
 //! ## Bit-identity with push
 //!
@@ -176,8 +176,8 @@ fn pull_range(
     }
 }
 
-/// Sequential pull pass over all targets, for the fused loop and as the
-/// small-`n` fast path. `req` is the dense accumulator (≥ `n` long,
+/// Sequential pull pass over all targets, for the pool-less loop and as
+/// the small-`n` fast path. `req` is the dense accumulator (≥ `n` long,
 /// all-`∞` outside `touched`); touched targets append ascending.
 pub fn pull_light_sequential(
     idx: &PullIndex,

@@ -2,8 +2,8 @@
 //!
 //! Both earlier parallel schemes funneled every relaxation product through
 //! shared state: [`crate::parallel`] serializes the whole relaxation, and
-//! the original improved scheme (preserved as [`crate::parallel_atomic`])
-//! scatters into a dense `AtomicU64` request vector and collects touched
+//! the original improved scheme (deleted; DESIGN §9 keeps its numbers)
+//! scattered into a dense `AtomicU64` request vector and collected touched
 //! lists under a `Mutex`. This module is the rebuild both Kranjčević et
 //! al. ("Parallel Δ-Stepping for Shared Memory") and Dong et al.
 //! ("Efficient Stepping Algorithms") point to: **per-task sparse request
@@ -131,25 +131,37 @@ impl RelaxWorkspace {
     /// unchanged — `touched` comes out ascending and only touched entries
     /// ever need resetting — and the resulting request vector is
     /// bit-identical to [`relax_buffered`]'s over the same frontier.
+    /// Without a pool the scan is the sequential pass over the same
+    /// accumulator.
     pub fn pull_light(
         &mut self,
-        pool: &ThreadPool,
+        pool: Option<&ThreadPool>,
         idx: &crate::pull::PullIndex,
         dist: &[f64],
         in_frontier: &[bool],
         lower: f64,
     ) {
-        crate::pull::pull_light_parallel(
-            pool,
-            idx,
-            dist,
-            in_frontier,
-            lower,
-            &mut self.req,
-            &mut self.touched,
-            &mut self.pull_locals,
-            effective_threshold(crate::pull::SEQ_PULL_THRESHOLD),
-        );
+        match pool {
+            Some(pool) => crate::pull::pull_light_parallel(
+                pool,
+                idx,
+                dist,
+                in_frontier,
+                lower,
+                &mut self.req,
+                &mut self.touched,
+                &mut self.pull_locals,
+                effective_threshold(crate::pull::SEQ_PULL_THRESHOLD),
+            ),
+            None => crate::pull::pull_light_sequential(
+                idx,
+                dist,
+                in_frontier,
+                lower,
+                &mut self.req,
+                &mut self.touched,
+            ),
+        }
     }
 
     /// Debug invariant: the accumulator is all-`∞` when no phase is in

@@ -1,4 +1,4 @@
-//! The checked front door: one entry point wrapping all six
+//! The checked front door: one entry point wrapping all five
 //! delta-stepping implementations with preflight validation, a
 //! run budget (epoch limit + deadline + cancellation), and
 //! panic-isolating graceful degradation.
@@ -22,36 +22,37 @@ use taskpool::{install_try, PoolError, ThreadPool};
 use crate::budget::RunBudget;
 use crate::guard::{preflight, reject_zero_weights, GuardConfig, SsspError};
 use crate::result::SsspResult;
-use crate::{canonical, fused, gblas_impl, parallel, parallel_atomic, parallel_improved};
+use crate::{canonical, fused, gblas_impl, parallel, parallel_improved};
 
-/// The six guarded delta-stepping implementations.
+/// The five guarded delta-stepping implementations. `Fused` and
+/// `ParallelImproved` are the sequential and pooled classic front doors
+/// of the one stepping loop ([`crate::stepping`]); the other three are
+/// the paper-reproduction variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Implementation {
     /// Meyer–Sanders with explicit buckets ([`crate::canonical`]).
     Canonical,
-    /// The fused direct implementation ([`crate::fused`]).
+    /// The fused direct implementation ([`crate::fused`]): the stepping
+    /// loop, classic strategy, sequential kernels.
     Fused,
     /// The unfused GraphBLAS implementation ([`crate::gblas_impl`]).
     Gblas,
     /// The paper's task-parallel scheme ([`crate::parallel`]).
     Parallel,
     /// The improved parallel scheme on contention-free request buffers
-    /// ([`crate::parallel_improved`]).
+    /// ([`crate::parallel_improved`]): the stepping loop, classic
+    /// strategy, pooled kernels.
     ParallelImproved,
-    /// The prior atomic-CAS improved scheme, kept as the before/after
-    /// benchmark baseline ([`crate::parallel_atomic`]).
-    ParallelAtomic,
 }
 
 impl Implementation {
     /// All guarded implementations, for exhaustive test sweeps.
-    pub const ALL: [Implementation; 6] = [
+    pub const ALL: [Implementation; 5] = [
         Implementation::Canonical,
         Implementation::Fused,
         Implementation::Gblas,
         Implementation::Parallel,
         Implementation::ParallelImproved,
-        Implementation::ParallelAtomic,
     ];
 
     /// Parse a CLI-style name. `"delta"` is an alias for the canonical
@@ -66,7 +67,6 @@ impl Implementation {
             "gblas" => Some(Implementation::Gblas),
             "parallel" => Some(Implementation::Parallel),
             "improved" | "parallel-improved" => Some(Implementation::ParallelImproved),
-            "atomic" | "improved-atomic" => Some(Implementation::ParallelAtomic),
             _ => None,
         }
     }
@@ -80,18 +80,12 @@ impl Implementation {
             Implementation::Gblas => "gblas",
             Implementation::Parallel => "parallel",
             Implementation::ParallelImproved => "improved",
-            Implementation::ParallelAtomic => "improved-atomic",
         }
     }
 
     /// Whether this implementation runs tasks on a [`ThreadPool`].
     pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            Implementation::Parallel
-                | Implementation::ParallelImproved
-                | Implementation::ParallelAtomic
-        )
+        matches!(self, Implementation::Parallel | Implementation::ParallelImproved)
     }
 }
 
@@ -107,7 +101,7 @@ impl std::fmt::Display for UnknownImplementation {
         write!(
             f,
             "unknown implementation '{}' (expected one of: delta, canonical, fused, gblas, \
-             parallel, improved, parallel-improved, atomic, improved-atomic)",
+             parallel, improved, parallel-improved)",
             self.name
         )
     }
@@ -169,10 +163,9 @@ pub fn run_checked(
 ///
 /// When the budget stops the run, the returned [`SsspError`] carries a
 /// [`crate::checkpoint::Checkpoint`] with the partial distances and a
-/// `settled_below` certificate; checkpoints from the frontier family
-/// (fused, parallel, improved, atomic) can be continued via
-/// [`crate::engine::SsspEngine::resume_fused`] or
-/// [`crate::engine::SsspEngine::resume_parallel_improved`].
+/// `settled_below` certificate; resumable checkpoints (fused, parallel,
+/// improved) can be continued via
+/// [`crate::engine::SsspEngine::resume_stepping`].
 ///
 /// On a worker panic with [`GuardConfig::degrade_on_panic`] set, the
 /// sequential retry runs under [`RunBudget::retry_budget`]: watchdog
@@ -206,9 +199,7 @@ pub fn run_with_budget(
             reject_zero_weights(g, "gblas")?;
             gblas_impl::delta_stepping_gblas_checked(g, source, delta, budget).map(report)
         }
-        Implementation::Parallel
-        | Implementation::ParallelImproved
-        | Implementation::ParallelAtomic => {
+        Implementation::Parallel | Implementation::ParallelImproved => {
             let pool = match pool {
                 Some(p) => p,
                 None => taskpool::global(),
@@ -216,11 +207,6 @@ pub fn run_with_budget(
             let attempt = install_try(pool, || match implementation {
                 Implementation::Parallel => {
                     parallel::delta_stepping_parallel_checked(pool, g, source, delta, budget)
-                }
-                Implementation::ParallelAtomic => {
-                    parallel_atomic::delta_stepping_parallel_atomic_checked(
-                        pool, g, source, delta, budget,
-                    )
                 }
                 _ => parallel_improved::delta_stepping_parallel_improved_checked(
                     pool, g, source, delta, budget,
@@ -294,8 +280,6 @@ mod tests {
             "parallel",
             "improved",
             "parallel-improved",
-            "atomic",
-            "improved-atomic",
         ] {
             let via_parse = Implementation::parse(alias);
             let via_from_str = alias.parse::<Implementation>().ok();
@@ -304,7 +288,12 @@ mod tests {
         }
         let err = "dijkstra".parse::<Implementation>().unwrap_err();
         assert!(err.to_string().contains("dijkstra"));
-        assert!(err.to_string().contains("improved-atomic"));
+        assert!(err.to_string().contains("parallel-improved"));
+        // Names of deleted implementations are unknown like any other.
+        for gone in ["atomic", "improved-atomic"] {
+            assert_eq!(Implementation::parse(gone), None, "{gone}");
+            assert!(gone.parse::<Implementation>().is_err(), "{gone}");
+        }
     }
 
     #[test]
@@ -398,11 +387,10 @@ mod tests {
             };
             let expected_tag = match imp {
                 Implementation::Canonical => "canonical",
-                Implementation::Fused => "fused",
                 Implementation::Gblas => "gblas",
                 Implementation::Parallel => "parallel",
-                Implementation::ParallelImproved => "improved",
-                Implementation::ParallelAtomic => "atomic",
+                // Both front doors of the one loop.
+                Implementation::Fused | Implementation::ParallelImproved => "stepping",
             };
             assert_eq!(cp.implementation, expected_tag);
             assert!(cp.settled_below() >= 0.0, "{}", imp.name());

@@ -1,5 +1,5 @@
-//! The generalized stepping framework: classic Δ-stepping, ρ-stepping,
-//! and Δ*-stepping behind one frontier-extraction abstraction.
+//! The one stepping loop: classic Δ-stepping, ρ-stepping, and
+//! Δ*-stepping behind one frontier-extraction abstraction.
 //!
 //! Dong, Gu, Sun & Zhang ("Efficient Stepping Algorithms and
 //! Implementations for Parallel Shortest Paths", 2021) observe that
@@ -9,9 +9,11 @@
 //! (3) advances a certified settled bound. The members differ only in
 //! the extraction threshold:
 //!
-//! * **classic Δ** — the next non-empty bucket `[b·Δ, (b+1)·Δ)`
-//!   (the existing [`crate::fused`] / [`crate::parallel_improved`]
-//!   loops; [`SteppingStrategy::Classic`] dispatches to them);
+//! * **classic Δ** ([`SteppingStrategy::Classic`]) — the next non-empty
+//!   bucket `[b·Δ, (b+1)·Δ)`, the `k = 1` point of Δ*. This is the
+//!   paper's fused implementation ([`crate::fused`], pool-less) and its
+//!   proposed parallel improvement ([`crate::parallel_improved`],
+//!   pooled): two relaxation kernels of this loop;
 //! * **Δ\*** ([`SteppingStrategy::DeltaStar`]) — a *fused* bucket range
 //!   `[b·Δ, b·Δ + k·Δ)` covering `k` consecutive buckets per step, which
 //!   trades a few extra re-relaxations for far fewer heavy phases;
@@ -20,12 +22,14 @@
 //!   extraction), which approaches Dijkstra's settle-once behavior and
 //!   cuts total relaxations where classic Δ = 1 over-relaxes.
 //!
-//! The generalized loop here owns (2) and (3): ranges `[bound,
-//! threshold)` are drained with light-phase fixpoints (plus batched
-//! heavy phases for Δ*; ρ relaxes *all* out-edges of the frontier per
-//! round, so no separate heavy pass exists), and every improvement
-//! landing inside the open range re-enters the frontier — including
-//! heavy-edge improvements, which *can* land in-range once `k > 1`.
+//! The loop owns (2) and (3): ranges `[bound, threshold)` are drained
+//! with light-phase fixpoints (plus batched heavy phases for classic and
+//! Δ*; ρ relaxes *all* out-edges of the frontier per round, so no
+//! separate heavy pass exists), and every improvement landing inside the
+//! open range re-enters the frontier — including heavy-edge
+//! improvements, which *can* land in-range once `k > 1`. Each light
+//! round asks the shared [`gblas::direction`] oracle whether to push the
+//! frontier's out-edges or pull the light in-edges ([`crate::pull`]).
 //! When the range is empty the loop terminates with `bound` = ∞.
 //!
 //! Determinism: relaxation goes through the contention-free
@@ -34,23 +38,26 @@
 //! no float is produced that depends on thread count — distances *and*
 //! stats are bit-identical across 1/2/4 threads and the pool-less path.
 //!
-//! Checkpointing follows the classic contract ([`crate::checkpoint`])
-//! with the certified bound generalized: `settled_below` is the
-//! extracted-range bound carried in [`SteppingState`], not `bucket · Δ`.
-//! Stops happen at range starts ([`StopPoint::BucketStart`]) and
-//! light-round boundaries ([`StopPoint::LightPhase`]), and resuming is
-//! bit-identical, exactly as for the fused loop.
+//! Checkpointing follows [`crate::checkpoint`]: `settled_below` is the
+//! extracted-range bound carried in [`SteppingState`]. Stops happen at
+//! range starts ([`StopPoint::BucketStart`]) and light-round boundaries
+//! ([`StopPoint::LightPhase`]) — a budget epoch is one extraction or one
+//! light round — and resuming is bit-identical. A resumable checkpoint
+//! without a [`SteppingState`] (an older binary's classic loop, or
+//! [`crate::parallel`]) is read as classic with `bound = bucket·Δ`.
 
 use std::time::Instant;
 
+use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
 use taskpool::ThreadPool;
 
 use crate::budget::RunBudget;
 use crate::checkpoint::{Checkpoint, LiveState, SteppingState, StopPoint};
-use crate::delta::bucket_of;
+use crate::delta::{bucket_of, bucket_start, next_up};
 use crate::fused::LightHeavy;
 use crate::guard::SsspError;
+use crate::parallel_improved::split_light_heavy_chunked;
 use crate::reqbuf::{relax_buffered, relax_sequential, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
@@ -65,11 +72,11 @@ pub const DEFAULT_RHO: usize = 2048;
 /// each step drains four consecutive Δ-buckets.
 pub const DEFAULT_DELTA_STAR_FACTOR: f64 = 4.0;
 
-/// Frontier-extraction policy of the generalized stepping loop.
+/// Frontier-extraction policy of the stepping loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SteppingStrategy {
-    /// The existing bucket ring: dispatches to the battle-tested
-    /// fused/parallel-improved loops unchanged.
+    /// Meyer–Sanders Δ-stepping: extract the next non-empty bucket
+    /// `[b·Δ, (b+1)·Δ)` — Δ* with `k = 1`.
     Classic,
     /// Extract the ρ nearest tentative vertices per step (ties at the
     /// ρ-th value are all included, keeping extraction deterministic).
@@ -158,14 +165,19 @@ impl std::str::FromStr for SteppingStrategy {
     }
 }
 
-/// Reusable per-run state for the generalized loop: the request-buffer
-/// workspace plus frontier/settled scratch and the ρ selection scratch.
+/// Reusable per-run state for the loop: the request-buffer workspace,
+/// frontier/settled scratch, the dense-epoch frontier bitmap, and the ρ
+/// selection scratch. Callers that run many queries (the engine, bench
+/// loops) keep one so repeated runs allocate nothing.
 #[derive(Debug, Default)]
 pub struct SteppingWorkspace {
     relax: RelaxWorkspace,
     frontier: Vec<usize>,
     settled: Vec<usize>,
     scratch: Vec<f64>,
+    /// Frontier bitmap for dense (pull) epochs — all-`false` between
+    /// phases, set and cleared by iterating the (sparse) frontier.
+    in_frontier: Vec<bool>,
 }
 
 impl SteppingWorkspace {
@@ -173,51 +185,72 @@ impl SteppingWorkspace {
     pub fn new(n: usize) -> Self {
         SteppingWorkspace {
             relax: RelaxWorkspace::new(n),
-            frontier: Vec::new(),
-            settled: Vec::new(),
-            scratch: Vec::new(),
+            in_frontier: vec![false; n],
+            ..SteppingWorkspace::default()
         }
     }
 
     /// Grow (never shrink) to fit an `n`-vertex graph.
     pub fn ensure(&mut self, n: usize) {
         self.relax.ensure(n);
+        if self.in_frontier.len() < n {
+            self.in_frontier.resize(n, false);
+        }
     }
+}
+
+/// Build the light/heavy split (chunked on `pool` when one is given, in
+/// one sequential pass otherwise), then run `strategy` under `budget` on
+/// a fresh workspace. The one-shot front door behind
+/// [`crate::fused::delta_stepping_fused_checked`] and
+/// [`crate::parallel_improved::delta_stepping_parallel_improved_checked`];
+/// the split build is reported as `matrix_filter` time. Repeated runs
+/// should go through [`crate::engine::SsspEngine`], which caches the
+/// split and the workspace.
+pub fn stepping_checked(
+    g: &CsrGraph,
+    source: usize,
+    delta: f64,
+    strategy: SteppingStrategy,
+    pool: Option<&ThreadPool>,
+    budget: &mut RunBudget,
+) -> Result<(SsspResult, PhaseProfile), SsspError> {
+    if !(delta > 0.0 && delta.is_finite()) {
+        return Err(SsspError::InvalidDelta { delta });
+    }
+    let t0 = Instant::now();
+    let lh = match pool {
+        Some(pool) => split_light_heavy_chunked(pool, g, delta),
+        None => LightHeavy::build(g, delta),
+    };
+    let filter_time = t0.elapsed();
+    let mut ws = SteppingWorkspace::new(g.num_vertices());
+    let (result, mut profile) =
+        stepping_with(g, &lh, source, delta, strategy, pool, budget, &mut ws)?;
+    profile.matrix_filter += filter_time;
+    Ok((result, profile))
 }
 
 /// Convenience front door for tests and examples: build the split, run
 /// with an unlimited budget and no pool. Panics on invalid input — the
-/// checked path is [`stepping_with`].
+/// checked path is [`stepping_checked`].
 pub fn delta_stepping_strategy(
     g: &CsrGraph,
     source: usize,
     delta: f64,
     strategy: SteppingStrategy,
 ) -> SsspResult {
-    let lh = LightHeavy::build(g, delta);
-    let mut ws = SteppingWorkspace::new(g.num_vertices());
-    stepping_with(
-        g,
-        &lh,
-        source,
-        delta,
-        strategy,
-        None,
-        &mut RunBudget::unlimited(),
-        &mut ws,
-    )
-    .expect("inputs must be valid and the budget is unlimited")
-    .0
+    stepping_checked(g, source, delta, strategy, None, &mut RunBudget::unlimited())
+        .expect("inputs must be valid and the budget is unlimited")
+        .0
 }
 
-/// The generalized stepping loop over a prebuilt light/heavy split and a
+/// The stepping loop over a prebuilt light/heavy split and a
 /// caller-owned workspace — the [`crate::engine::SsspEngine`] entry
-/// point. `pool` of `None` runs the sequential relaxation path
-/// (bit-identical to every pooled thread count).
-///
-/// [`SteppingStrategy::Classic`] is *not* accepted here: the engine
-/// dispatches it to the fused/parallel-improved loops, which are the
-/// classic strategy's implementation.
+/// point. `pool` of `None` runs the sequential relaxation kernels
+/// (bit-identical to every pooled thread count). The returned profile
+/// contains no `matrix_filter` time: the caller decides whether a cached
+/// split costs anything.
 #[allow(clippy::too_many_arguments)]
 pub fn stepping_with(
     g: &CsrGraph,
@@ -232,10 +265,11 @@ pub fn stepping_with(
     stepping_loop(g, lh, source, delta, strategy, pool, budget, ws, None)
 }
 
-/// Resume an interrupted stepping run from its checkpoint. The strategy,
-/// bound, and in-flight range come from the checkpoint's
-/// [`SteppingState`]; the continued run is bit-identical (distances and
-/// stats) to an uninterrupted one.
+/// Resume an interrupted run from its checkpoint. The strategy, bound,
+/// and in-flight range come from the checkpoint's [`SteppingState`] (a
+/// checkpoint without one is classic at `bucket·Δ`); the continued run
+/// is bit-identical (distances and stats) to an uninterrupted one,
+/// whichever of the pooled and pool-less kernels either half ran on.
 pub fn stepping_resume_with(
     g: &CsrGraph,
     lh: &LightHeavy,
@@ -245,41 +279,13 @@ pub fn stepping_resume_with(
     ws: &mut SteppingWorkspace,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
     cp.validate(g.num_vertices())?;
-    let st = match (&cp.stepping, cp.resumable) {
-        (Some(st), true) => st,
-        (Some(_), false) => {
-            return Err(SsspError::InvalidCheckpoint {
-                reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
-            })
-        }
-        (None, _) => {
-            return Err(SsspError::InvalidCheckpoint {
-                reason: "checkpoint does not carry generalized-stepping state".to_string(),
-            })
-        }
-    };
-    stepping_loop(
-        g,
-        lh,
-        cp.source,
-        cp.delta,
-        st.strategy,
-        pool,
-        budget,
-        ws,
-        Some(cp),
-    )
-}
-
-/// The smallest f64 strictly greater than `x`, for non-negative finite
-/// `x` (distances are never negative). Local stand-in for
-/// `f64::next_up`, which this crate's minimum toolchain predates.
-fn next_up(x: f64) -> f64 {
-    if x == 0.0 {
-        f64::from_bits(1)
-    } else {
-        f64::from_bits(x.to_bits() + 1)
+    if !cp.resumable {
+        return Err(SsspError::InvalidCheckpoint {
+            reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
+        });
     }
+    let strategy = cp.stepping.map_or(SteppingStrategy::Classic, |st| st.strategy);
+    stepping_loop(g, lh, cp.source, cp.delta, strategy, pool, budget, ws, Some(cp))
 }
 
 /// Relax `frontier`'s light or heavy edges into the request workspace,
@@ -301,8 +307,69 @@ fn relax(
     }
 }
 
-/// The generalized loop: extract a range `[bound, threshold)` by the
-/// strategy's rule, drain it to a fixpoint, advance the bound, repeat.
+/// One light round's requests, `t_Req = A_L^T (t ∘ t_Bi)`: sparse
+/// frontiers push through the request buffers; dense ones (per the
+/// shared density oracle) pull the light in-edges against the frontier
+/// bitmap. The request vector is bit-identical either way (see
+/// [`crate::pull`]) — only the traversal order changes.
+fn relax_light(
+    pool: Option<&ThreadPool>,
+    lh: &LightHeavy,
+    dist: &[f64],
+    frontier: &[usize],
+    in_frontier: &mut [bool],
+    rws: &mut RelaxWorkspace,
+    relaxations: &mut u64,
+) {
+    let frontier_edges: usize = frontier
+        .iter()
+        .map(|&v| lh.light_off[v + 1] - lh.light_off[v])
+        .sum();
+    if direction::choose(frontier_edges, lh.num_light()) == Direction::Push {
+        return relax(pool, lh, dist, frontier, true, rws, relaxations);
+    }
+    let mut lower = INF;
+    for &v in frontier {
+        in_frontier[v] = true;
+        if dist[v] < lower {
+            lower = dist[v];
+        }
+    }
+    rws.pull_light(pool, lh.pull_index(), dist, in_frontier, lower);
+    for &v in frontier {
+        in_frontier[v] = false;
+    }
+    // Push counts one relaxation per frontier light edge; the pull pass
+    // covers exactly that edge set.
+    *relaxations += frontier_edges as u64;
+}
+
+/// Fold the pending requests into `t` (`t = min(t, t_Req)`), pushing
+/// every improvement that lands below `threshold` onto `frontier`.
+fn apply_requests(
+    rws: &mut RelaxWorkspace,
+    t: &mut [f64],
+    threshold: f64,
+    frontier: &mut Vec<usize>,
+    improvements: &mut u64,
+) {
+    rws.drain_requests(|u, cand| {
+        if cand < t[u] {
+            *improvements += 1;
+            // Conflicts with the producer tasks' dist reads across
+            // phases — the join edge must order them.
+            #[cfg(feature = "racecheck")]
+            racecheck::plain_write("sssp.dist", &t[u] as *const f64);
+            t[u] = cand;
+            if cand < threshold {
+                frontier.push(u);
+            }
+        }
+    });
+}
+
+/// The loop: extract a range `[bound, threshold)` by the strategy's
+/// rule, drain it to a fixpoint, advance the bound, repeat.
 #[allow(clippy::too_many_arguments)]
 fn stepping_loop(
     g: &CsrGraph,
@@ -316,12 +383,6 @@ fn stepping_loop(
     resume: Option<&Checkpoint>,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
     strategy.validate()?;
-    if strategy == SteppingStrategy::Classic {
-        return Err(SsspError::InvalidStrategy {
-            reason: "classic runs through the bucket implementations, not the generalized loop"
-                .to_string(),
-        });
-    }
     if !(delta > 0.0 && delta.is_finite()) {
         return Err(SsspError::InvalidDelta { delta });
     }
@@ -342,6 +403,7 @@ fn stepping_loop(
         frontier,
         settled,
         scratch,
+        in_frontier,
     } = ws;
     frontier.clear();
     settled.clear();
@@ -351,19 +413,28 @@ fn stepping_loop(
     // The range being drained; meaningful only between extraction and
     // the bound advance.
     let mut threshold = 0.0f64;
+    // Continuing mid-range re-enters the drain with the saved
+    // frontier/settled sets, skipping the boundary work (budget check,
+    // extraction, buckets_processed) that already happened before the
+    // interruption.
     let mut entering_mid = false;
     if let Some(cp) = resume {
-        let st = cp.stepping.as_ref().expect("caller validated stepping state");
         result.dist.clone_from(&cp.dist);
         result.stats = cp.stats.clone();
-        bound = st.bound;
-        threshold = st.threshold;
+        (bound, threshold) = match &cp.stepping {
+            Some(st) => (st.bound, st.threshold),
+            None => (
+                bucket_start(cp.bucket, delta),
+                bucket_start(cp.bucket.saturating_add(1), delta),
+            ),
+        };
         frontier.extend_from_slice(&cp.frontier);
         settled.extend_from_slice(&cp.settled);
         entering_mid = cp.stop_point == StopPoint::LightPhase;
     }
 
     let t = &mut result.dist;
+    let stats = &mut result.stats;
 
     loop {
         if entering_mid {
@@ -375,7 +446,7 @@ fn stepping_loop(
                     source,
                     delta,
                     dist: t,
-                    stats: &result.stats,
+                    stats,
                     bucket: bucket_of(bound, delta),
                     stop_point: StopPoint::BucketStart,
                     frontier: &[],
@@ -435,14 +506,15 @@ fn stepping_loop(
                         next
                     }
                 }
+                // The range starts at the first non-empty bucket (no
+                // empty-bucket skip iterations) and spans k bucket
+                // widths; classic is k = 1 with the edge placed exactly
+                // where `bucket_of` puts it, so the range test below is
+                // the bucket-membership test bit for bit.
+                SteppingStrategy::Classic => bucket_start(bucket_of(min_cand, delta) + 1, delta),
                 SteppingStrategy::DeltaStar(k) => {
-                    // The fused range starts at the first non-empty
-                    // bucket (subsuming classic's empty-bucket skip) and
-                    // spans k bucket widths.
-                    let b = bucket_of(min_cand, delta);
-                    (b as f64) * delta + k * delta
+                    (bucket_of(min_cand, delta) as f64) * delta + k * delta
                 }
-                SteppingStrategy::Classic => unreachable!("rejected above"),
             };
             if threshold <= min_cand {
                 // Float-rounding guard: the range must contain its
@@ -460,15 +532,15 @@ fn stepping_loop(
             frontier.retain(|&v| t[v] < threshold);
             profile.vector_ops += t0.elapsed();
 
-            result.stats.buckets_processed += 1;
+            stats.buckets_processed += 1;
             settled.clear();
         }
 
         // Drain `[bound, threshold)` to a fixpoint. ρ relaxes all
-        // out-edges per round; Δ* runs light-phase fixpoints with a
-        // batched heavy pass over each fixpoint's settled set (heavy
-        // improvements can land in-range when k > 1, refilling the
-        // frontier for another cycle).
+        // out-edges per round; classic and Δ* run light-phase fixpoints
+        // with a batched heavy pass over each fixpoint's settled set
+        // (heavy improvements can land in-range when k > 1, refilling
+        // the frontier for another cycle).
         loop {
             while !frontier.is_empty() {
                 if let Err(stop) = budget.check() {
@@ -477,7 +549,7 @@ fn stepping_loop(
                         source,
                         delta,
                         dist: t,
-                        stats: &result.stats,
+                        stats,
                         bucket: bucket_of(bound, delta),
                         stop_point: StopPoint::LightPhase,
                         frontier,
@@ -491,11 +563,11 @@ fn stepping_loop(
                     }
                     .stop(stop));
                 }
-                result.stats.light_phases += 1;
+                stats.light_phases += 1;
                 let t0 = Instant::now();
-                relax(pool, lh, t, frontier, true, rws, &mut result.stats.relaxations);
+                relax_light(pool, lh, t, frontier, in_frontier, rws, &mut stats.relaxations);
                 if matches!(strategy, SteppingStrategy::Rho(_)) {
-                    relax(pool, lh, t, frontier, false, rws, &mut result.stats.relaxations);
+                    relax(pool, lh, t, frontier, false, rws, &mut stats.relaxations);
                 } else {
                     settled.extend_from_slice(frontier);
                 }
@@ -503,36 +575,20 @@ fn stepping_loop(
 
                 let t0 = Instant::now();
                 frontier.clear();
-                rws.drain_requests(|u, cand| {
-                    if cand < t[u] {
-                        result.stats.improvements += 1;
-                        t[u] = cand;
-                        if cand < threshold {
-                            frontier.push(u);
-                        }
-                    }
-                });
+                apply_requests(rws, t, threshold, frontier, &mut stats.improvements);
                 profile.vector_ops += t0.elapsed();
             }
             if settled.is_empty() {
                 break; // ρ always lands here: no separate heavy pass
             }
-            result.stats.heavy_phases += 1;
+            stats.heavy_phases += 1;
             let t0 = Instant::now();
-            relax(pool, lh, t, settled, false, rws, &mut result.stats.relaxations);
+            relax(pool, lh, t, settled, false, rws, &mut stats.relaxations);
             settled.clear();
             profile.relaxation += t0.elapsed();
 
             let t0 = Instant::now();
-            rws.drain_requests(|u, cand| {
-                if cand < t[u] {
-                    result.stats.improvements += 1;
-                    t[u] = cand;
-                    if cand < threshold {
-                        frontier.push(u);
-                    }
-                }
-            });
+            apply_requests(rws, t, threshold, frontier, &mut stats.improvements);
             profile.vector_ops += t0.elapsed();
             if frontier.is_empty() {
                 break;
@@ -604,23 +660,21 @@ mod tests {
     }
 
     #[test]
-    fn classic_is_rejected_by_the_generalized_loop() {
+    fn classic_runs_through_the_loop_as_the_k_equals_one_case() {
         let g = CsrGraph::from_edge_list(&path(4)).unwrap();
         let lh = LightHeavy::build(&g, 1.0);
         let mut ws = SteppingWorkspace::new(4);
-        assert!(matches!(
-            stepping_with(
-                &g,
-                &lh,
-                0,
-                1.0,
-                SteppingStrategy::Classic,
-                None,
-                &mut RunBudget::unlimited(),
-                &mut ws
-            ),
-            Err(SsspError::InvalidStrategy { .. })
-        ));
+        let mut run = |strategy| {
+            stepping_with(&g, &lh, 0, 1.0, strategy, None, &mut RunBudget::unlimited(), &mut ws)
+                .unwrap()
+                .0
+        };
+        let classic = run(SteppingStrategy::Classic);
+        assert_eq!(classic.dist, vec![0.0, 1.0, 2.0, 3.0]);
+        // Four buckets, one light round and one heavy pass each.
+        assert_eq!(classic.stats.buckets_processed, 4);
+        assert_eq!(classic.stats.heavy_phases, 4);
+        assert_eq!(classic.stats, run(SteppingStrategy::DeltaStar(1.0)).stats);
     }
 
     #[test]
@@ -628,6 +682,7 @@ mod tests {
         let g = weighted_grid();
         let dj = dijkstra(&g, 0);
         for strategy in [
+            SteppingStrategy::Classic,
             SteppingStrategy::Rho(1),
             SteppingStrategy::Rho(7),
             SteppingStrategy::Rho(100_000),
@@ -677,7 +732,11 @@ mod tests {
     fn pooled_and_sequential_paths_are_bit_identical() {
         let g = weighted_grid();
         let lh = LightHeavy::build(&g, 0.5);
-        for strategy in [SteppingStrategy::Rho(5), SteppingStrategy::DeltaStar(3.0)] {
+        for strategy in [
+            SteppingStrategy::Classic,
+            SteppingStrategy::Rho(5),
+            SteppingStrategy::DeltaStar(3.0),
+        ] {
             let mut ws = SteppingWorkspace::new(g.num_vertices());
             let (seq, _) = stepping_with(
                 &g, &lh, 0, 0.5, strategy, None, &mut RunBudget::unlimited(), &mut ws,
@@ -711,76 +770,138 @@ mod tests {
         }
     }
 
+    /// The resume table: every strategy, cancelled at every budget
+    /// epoch on either kernel, resumed on either kernel.
     #[test]
     fn resume_is_bit_identical_at_every_cancellation_epoch() {
         let g = weighted_grid();
         let lh = LightHeavy::build(&g, 0.5);
-        for strategy in [SteppingStrategy::Rho(4), SteppingStrategy::DeltaStar(2.0)] {
-            let full = {
-                let mut ws = SteppingWorkspace::new(g.num_vertices());
-                stepping_with(
-                    &g, &lh, 0, 0.5, strategy, None, &mut RunBudget::unlimited(), &mut ws,
-                )
-                .unwrap()
-                .0
-            };
-            let total_epochs = {
-                let mut b = RunBudget::unlimited();
-                let mut ws = SteppingWorkspace::new(g.num_vertices());
-                stepping_with(&g, &lh, 0, 0.5, strategy, None, &mut b, &mut ws).unwrap();
-                b.ticks()
-            };
+        let pool = ThreadPool::with_threads(2).unwrap();
+        let mut ws = SteppingWorkspace::new(g.num_vertices());
+        for strategy in [
+            SteppingStrategy::Classic,
+            SteppingStrategy::Rho(4),
+            SteppingStrategy::DeltaStar(2.0),
+        ] {
+            let mut counting = RunBudget::unlimited();
+            let (full, _) =
+                stepping_with(&g, &lh, 0, 0.5, strategy, None, &mut counting, &mut ws).unwrap();
+            let total_epochs = counting.ticks();
             assert!(total_epochs > 2, "{strategy}: want multiple epochs");
-            for k in 0..total_epochs {
-                let mut ws = SteppingWorkspace::new(g.num_vertices());
-                let err = stepping_with(
-                    &g,
-                    &lh,
-                    0,
-                    0.5,
-                    strategy,
-                    None,
-                    &mut RunBudget::unlimited().cancel_after(k),
-                    &mut ws,
-                )
-                .unwrap_err();
-                let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-                assert_eq!(cp.implementation, "stepping");
-                cp.validate(g.num_vertices()).unwrap();
-                // Certified distances match the full run exactly.
-                for (v, d) in cp.settled_distances() {
-                    assert_eq!(d.to_bits(), full.dist[v].to_bits(), "{strategy} epoch {k}");
+            for cut_on in [None, Some(&pool)] {
+                for k in 0..total_epochs {
+                    let err = stepping_with(
+                        &g,
+                        &lh,
+                        0,
+                        0.5,
+                        strategy,
+                        cut_on,
+                        &mut RunBudget::unlimited().cancel_after(k),
+                        &mut ws,
+                    )
+                    .unwrap_err();
+                    let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
+                    assert_eq!(cp.implementation, "stepping");
+                    assert_eq!(cp.stepping.map(|st| st.strategy), Some(strategy));
+                    cp.validate(g.num_vertices()).unwrap();
+                    // Certified distances match the full run exactly.
+                    for (v, d) in cp.settled_distances() {
+                        assert_eq!(d.to_bits(), full.dist[v].to_bits(), "{strategy} epoch {k}");
+                    }
+                    for resume_on in [None, Some(&pool)] {
+                        let (resumed, _) = stepping_resume_with(
+                            &g,
+                            &lh,
+                            &cp,
+                            resume_on,
+                            &mut RunBudget::unlimited(),
+                            &mut ws,
+                        )
+                        .unwrap();
+                        let label = format!(
+                            "{strategy} cancelled at epoch {k} (pooled={}), resumed pooled={}",
+                            cut_on.is_some(),
+                            resume_on.is_some()
+                        );
+                        assert_eq!(
+                            resumed.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                            full.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                            "{label}"
+                        );
+                        assert_eq!(resumed.stats, full.stats, "{label}");
+                    }
                 }
-                let mut ws = SteppingWorkspace::new(g.num_vertices());
-                let (resumed, _) = stepping_resume_with(
-                    &g, &lh, &cp, None, &mut RunBudget::unlimited(), &mut ws,
-                )
-                .unwrap();
-                assert_eq!(
-                    resumed.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    full.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
-                    "{strategy} cancelled at epoch {k}"
-                );
-                assert_eq!(resumed.stats, full.stats, "{strategy} epoch {k}");
             }
         }
     }
 
     #[test]
-    fn resume_rejects_non_stepping_checkpoints() {
+    fn trailerless_checkpoints_resume_as_classic_from_their_bucket() {
+        // What an older binary's classic loops (and `parallel` today)
+        // write: the bucket index, no stepping section. Δ = 0.3 so the
+        // bucket edges are not exact products.
+        let g = weighted_grid();
+        let lh = LightHeavy::build(&g, 0.3);
+        let mut ws = SteppingWorkspace::new(g.num_vertices());
+        let classic = SteppingStrategy::Classic;
+        let mut counting = RunBudget::unlimited();
+        let (full, _) =
+            stepping_with(&g, &lh, 0, 0.3, classic, None, &mut counting, &mut ws).unwrap();
+        for k in 0..counting.ticks() {
+            let err = stepping_with(
+                &g,
+                &lh,
+                0,
+                0.3,
+                classic,
+                None,
+                &mut RunBudget::unlimited().cancel_after(k),
+                &mut ws,
+            )
+            .unwrap_err();
+            let mut cp = err.into_checkpoint().unwrap();
+            cp.implementation = "fused";
+            cp.stepping = None;
+            // Those loops record the bucket being drained; this one
+            // labels a mid-range stop with the bucket of its bound, which
+            // may be an empty bucket the extraction skipped.
+            if let Some(&v) = cp.frontier.first() {
+                cp.bucket = bucket_of(cp.dist[v], 0.3);
+            }
+            let (resumed, _) =
+                stepping_resume_with(&g, &lh, &cp, None, &mut RunBudget::unlimited(), &mut ws)
+                    .unwrap();
+            assert_eq!(resumed.dist, full.dist, "epoch {k}");
+            assert_eq!(resumed.stats, full.stats, "epoch {k}");
+        }
+    }
+
+    #[test]
+    fn resume_rejects_corrupt_and_foreign_checkpoints() {
         let g = CsrGraph::from_edge_list(&path(8)).unwrap();
         let lh = LightHeavy::build(&g, 1.0);
-        let err = crate::fused::delta_stepping_fused_checked(
+        let err = stepping_checked(
             &g,
             0,
             1.0,
+            SteppingStrategy::Classic,
+            None,
             &mut RunBudget::with_limit(2),
         )
         .unwrap_err();
         let cp = err.into_checkpoint().unwrap();
         let mut ws = SteppingWorkspace::new(8);
+        let mut foreign = cp.clone();
+        foreign.resumable = false;
         assert!(matches!(
-            stepping_resume_with(&g, &lh, &cp, None, &mut RunBudget::unlimited(), &mut ws),
+            stepping_resume_with(&g, &lh, &foreign, None, &mut RunBudget::unlimited(), &mut ws),
+            Err(SsspError::InvalidCheckpoint { .. })
+        ));
+        let other = CsrGraph::from_edge_list(&path(4)).unwrap();
+        let other_lh = LightHeavy::build(&other, 1.0);
+        assert!(matches!(
+            stepping_resume_with(&other, &other_lh, &cp, None, &mut RunBudget::unlimited(), &mut ws),
             Err(SsspError::InvalidCheckpoint { .. })
         ));
     }

@@ -2,8 +2,13 @@
 //! direct (non-GraphBLAS) SSSP implementations — the counterpart of the
 //! paper's "direct C" data layout.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::edge_list::EdgeList;
 use crate::error::GraphError;
+
+/// Content passes [`CsrGraph::fingerprint`] has made in this process.
+static FINGERPRINT_PASSES: AtomicU64 = AtomicU64::new(0);
 
 /// A weighted digraph in compressed sparse row form. Duplicate edges are
 /// collapsed to minimum weight at construction; self-loops are dropped
@@ -182,8 +187,10 @@ impl CsrGraph {
     /// graphs apart where a borrowed reference cannot — the same CSR
     /// content always hashes to the same value, in this process or the
     /// next. `O(|V| + |E|)`; callers are expected to compute it once and
-    /// keep it.
+    /// keep it ([`CsrGraph::fingerprint_passes`] counts the ones who
+    /// don't).
     pub fn fingerprint(&self) -> u64 {
+        FINGERPRINT_PASSES.fetch_add(1, Ordering::Relaxed);
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -204,6 +211,14 @@ impl CsrGraph {
             mix(w.to_bits());
         }
         h
+    }
+
+    /// How many times this process has paid for a full
+    /// [`CsrGraph::fingerprint`] pass, over all graphs. A probe for tests
+    /// that pin "hash once, then reuse": the pass is a byte-wise walk of
+    /// the whole CSR, so a per-request call is a per-request `O(|E|)`.
+    pub fn fingerprint_passes() -> u64 {
+        FINGERPRINT_PASSES.load(Ordering::Relaxed)
     }
 
     /// Iterate all `(src, dst, weight)` edges in row-major order.

@@ -803,7 +803,7 @@ mod tests {
 
     #[test]
     fn post_join_relaxed_access_is_ordered_by_the_join_edge() {
-        // The parallel_atomic bookkeeping pattern: workers RMW with
+        // The atomic-request-vector bookkeeping pattern: workers RMW with
         // AcqRel during the phase; after the join barrier the main task
         // reads and resets the cells with Relaxed — clean, because the
         // join edge already ordered the workers' accesses.

@@ -1155,6 +1155,9 @@ mod tests {
             ("SSSP zzz 0", "bad fingerprint"),
             ("SSSP 1f", "source"),
             ("SSSP 1f 0 impl=frobnicate", "unknown implementation"),
+            // Names of the deleted atomic-CAS scheme: unknown like any other.
+            ("SSSP 1f 0 impl=atomic", "unknown implementation 'atomic'"),
+            ("SSSP 1f 0 impl=improved-atomic", "unknown implementation"),
             ("SSSP 1f 0 strategy=bogus", "unknown strategy"),
             ("SSSP 1f 0 strategy=rho:0", "rho must be at least 1"),
             ("SSSP 1f 0 frob=1", "unknown SSSP option"),

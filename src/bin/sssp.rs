@@ -151,7 +151,7 @@ input (one of):
 options:
   --impl NAME              dijkstra | bellman-ford | delta/canonical | gblas |
                            gblas-select | gblas-parallel | fused (default) |
-                           parallel | improved | atomic
+                           parallel | improved
   --source V               source vertex (default 0)
   --sources V1,V2,...      run several sources through one engine (the
                            light/heavy split is built once and cached);
@@ -161,7 +161,7 @@ options:
                            the deadline reports a certified partial result
                            and exits 5. With --sources, selects batch mode
   --batch-workers N        run --sources through the resilient batch runner
-                           with N workers (any of the six --impl names;
+                           with N workers (any of the five --impl names;
                            panicking jobs retry once on sequential fused)
   --checkpoint-dir DIR     batch mode: persist budget-stopped jobs to
                            DIR/ckpt-<source>.bin and resume from existing
@@ -401,7 +401,7 @@ fn run(o: &Options, g: &CsrGraph, delta: f64) -> Result<SsspResult, Failure> {
             .map_err(sssp_failure)?;
         return Ok(result);
     }
-    // The six delta-stepping implementations go through the hardened
+    // The five delta-stepping implementations go through the hardened
     // front door: preflight validation, run budget (epoch limit plus the
     // --deadline-ms wall clock), panic degradation. Name parsing is the
     // shared sssp_core FromStr, so the CLI and bench accept identical
@@ -478,8 +478,6 @@ fn run_multi(o: &Options, g: &CsrGraph, delta: f64) -> Result<(), Failure> {
         let mut budget = RunBudget::for_run(g, delta, &cfg);
         let t1 = std::time::Instant::now();
         let (result, _) = match &mode {
-            // run_stepping dispatches Classic to the bucket loops, so the
-            // historical --sources behavior is unchanged byte-for-byte.
             Mode::Fused => engine.run_stepping(None, src, delta, o.strategy, &mut budget),
             Mode::Improved(pool) => {
                 engine.run_stepping(Some(pool), src, delta, o.strategy, &mut budget)

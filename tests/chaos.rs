@@ -2,14 +2,16 @@
 //!
 //! Three properties, exercised exhaustively rather than sampled:
 //!
-//! 1. **Cancellation at every epoch boundary** — for each of the six
-//!    implementations, cancel at epoch `k` for *every* `k` the full run
-//!    passes through. The checkpoint must validate, and every distance
+//! 1. **Cancellation at every epoch boundary** — for each of the five
+//!    implementations, and for every stepping strategy on the pooled
+//!    loop, cancel at epoch `k` for *every* `k` the full run passes
+//!    through. The checkpoint must validate, and every distance
 //!    it certifies (below `settled_below`) must bit-match the
 //!    uninterrupted run.
 //! 2. **Resume always reconverges** — every resumable checkpoint,
-//!    continued on both resume paths, must land on bit-identical
-//!    distances *and* stats versus the uninterrupted run.
+//!    continued on both kernels of the one loop (pool-less and pooled),
+//!    must land on bit-identical distances *and* stats versus the
+//!    uninterrupted run.
 //! 3. **Panic injection at every task boundary** — for the parallel
 //!    implementations, arm the taskpool fault hook at task `j` for a
 //!    sweep of `j` and demand the degraded run still produces exact
@@ -24,7 +26,7 @@ use std::sync::Mutex;
 use sssp_core::engine::SsspEngine;
 use sssp_core::{
     dijkstra::dijkstra, run_checked, run_with_budget, GuardConfig, Implementation, RunBudget,
-    SsspError,
+    SsspError, SsspResult, SteppingStrategy,
 };
 use taskpool::ThreadPool;
 
@@ -62,37 +64,68 @@ fn weighted_chaos_graph() -> CsrGraph {
     CsrGraph::from_edge_list(&el).unwrap()
 }
 
-/// Total budget checks an uninterrupted run of `imp` performs.
-fn total_epochs(
-    imp: Implementation,
-    g: &CsrGraph,
-    src: usize,
-    delta: f64,
-    pool: &ThreadPool,
-    cfg: &GuardConfig,
-) -> u64 {
-    let mut budget = RunBudget::unlimited();
-    run_with_budget(imp, g, src, delta, Some(pool), cfg, &mut budget).expect("valid input");
-    budget.ticks()
+/// What the cancel-at-every-epoch loop drives: one of the front-door
+/// implementations, or a strategy on the engine's pooled loop.
+#[derive(Clone, Copy)]
+enum Subject {
+    Impl(Implementation),
+    Strategy(SteppingStrategy),
+}
+
+impl Subject {
+    fn name(self) -> String {
+        match self {
+            Subject::Impl(imp) => imp.name().to_string(),
+            Subject::Strategy(strategy) => format!("stepping {strategy}"),
+        }
+    }
+
+    fn run(
+        self,
+        g: &CsrGraph,
+        src: usize,
+        delta: f64,
+        pool: &ThreadPool,
+        budget: &mut RunBudget,
+    ) -> Result<SsspResult, SsspError> {
+        match self {
+            Subject::Impl(imp) => {
+                run_with_budget(imp, g, src, delta, Some(pool), &GuardConfig::default(), budget)
+                    .map(|report| report.result)
+            }
+            Subject::Strategy(strategy) => SsspEngine::new(g)
+                .run_stepping(Some(pool), src, delta, strategy, budget)
+                .map(|(result, _)| result),
+        }
+    }
 }
 
 fn cancel_everywhere(g: &CsrGraph, src: usize, delta: f64) {
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
-    let cfg = GuardConfig::default();
-    for imp in Implementation::ALL {
-        let reference = run_checked(imp, g, src, delta, Some(&pool), &cfg)
-            .expect("valid input")
-            .result;
-        let epochs = total_epochs(imp, g, src, delta, &pool, &cfg);
-        assert!(epochs > 2, "{}: too few epochs to be interesting", imp.name());
+    let subjects = Implementation::ALL.into_iter().map(Subject::Impl).chain(
+        [
+            SteppingStrategy::Classic,
+            SteppingStrategy::Rho(16),
+            SteppingStrategy::DeltaStar(2.0),
+        ]
+        .into_iter()
+        .map(Subject::Strategy),
+    );
+    for subject in subjects {
+        let name = subject.name();
+        let mut counting = RunBudget::unlimited();
+        let reference = subject.run(g, src, delta, &pool, &mut counting).expect("valid input");
+        let epochs = counting.ticks();
+        assert!(epochs > 2, "{name}: too few epochs to be interesting");
         let mut engine = SsspEngine::new(g);
         for k in 0..epochs {
             let mut budget = RunBudget::unlimited().cancel_after(k);
-            let err = run_with_budget(imp, g, src, delta, Some(&pool), &cfg, &mut budget)
+            let err = subject
+                .run(g, src, delta, &pool, &mut budget)
                 .expect_err("cancel_after inside the run must stop it");
             let cp = match err {
                 SsspError::Cancelled { checkpoint } => *checkpoint,
-                other => panic!("{} epoch {k}: expected Cancelled, got {other}", imp.name()),
+                other => panic!("{name} epoch {k}: expected Cancelled, got {other}"),
             };
             cp.validate(g.num_vertices()).expect("checkpoint must validate");
             // Property 1: everything the checkpoint certifies is final.
@@ -100,28 +133,27 @@ fn cancel_everywhere(g: &CsrGraph, src: usize, delta: f64) {
                 assert_eq!(
                     d.to_bits(),
                     reference.dist[v].to_bits(),
-                    "{} epoch {k}: certified distance of vertex {v} is not final",
-                    imp.name()
+                    "{name} epoch {k}: certified distance of vertex {v} is not final"
                 );
             }
             // Property 2: resumable checkpoints reconverge bit-identically
-            // on both resume paths.
+            // on both kernels.
             if cp.resumable {
-                let (seq, _) = engine
-                    .resume_fused(&cp, &mut RunBudget::unlimited())
-                    .expect("resume must reconverge");
-                assert_eq!(bits(&seq.dist), bits(&reference.dist), "{} epoch {k}", imp.name());
-                assert_eq!(seq.stats, reference.stats, "{} epoch {k}", imp.name());
-                let (par, _) = engine
-                    .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
-                    .expect("resume must reconverge");
-                assert_eq!(bits(&par.dist), bits(&reference.dist), "{} epoch {k}", imp.name());
-                assert_eq!(par.stats, reference.stats, "{} epoch {k}", imp.name());
+                for resume_on in [None, Some(&pool)] {
+                    let (resumed, _) = engine
+                        .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
+                        .expect("resume must reconverge");
+                    let label = format!("{name} epoch {k}, pooled resume={}", resume_on.is_some());
+                    assert_eq!(bits(&resumed.dist), bits(&reference.dist), "{label}");
+                    assert_eq!(resumed.stats, reference.stats, "{label}");
+                }
             } else {
                 assert!(
-                    matches!(imp, Implementation::Canonical | Implementation::Gblas),
-                    "{}: only canonical/gblas may be non-resumable",
-                    imp.name()
+                    matches!(
+                        subject,
+                        Subject::Impl(Implementation::Canonical | Implementation::Gblas)
+                    ),
+                    "{name}: only canonical/gblas may be non-resumable"
                 );
             }
         }
@@ -149,11 +181,7 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
     let reference = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
     let cfg = GuardConfig::default(); // degrade_on_panic: true
-    for imp in [
-        Implementation::Parallel,
-        Implementation::ParallelImproved,
-        Implementation::ParallelAtomic,
-    ] {
+    for imp in [Implementation::Parallel, Implementation::ParallelImproved] {
         // Sweep the injection point across the first 24 spawned tasks;
         // beyond the run's task count the hook simply never fires.
         for j in 0..24 {
@@ -178,7 +206,7 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
 /// for a fresh process) reloads it and is killed again mid-resume; a
 /// third engine reloads *that* and runs to completion. The final
 /// distances and stats must bit-match the uninterrupted run on both
-/// resume paths, at whatever pool size `CHAOS_THREADS` selects (CI
+/// resume kernels, at whatever pool size `CHAOS_THREADS` selects (CI
 /// sweeps 1/2/4).
 #[test]
 fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
@@ -222,11 +250,8 @@ fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
             let mut engine = SsspEngine::new(&g);
             let cp = engine.load_checkpoint(&path).unwrap();
             let mut budget = RunBudget::unlimited().cancel_after(2);
-            let second = if parallel_resume {
-                engine.resume_parallel_improved(&pool, &cp, &mut budget)
-            } else {
-                engine.resume_fused(&cp, &mut budget)
-            };
+            let resume_on = parallel_resume.then_some(&pool);
+            let second = engine.resume_stepping(resume_on, &cp, &mut budget);
             let result = match second {
                 Ok((result, _)) => result,
                 Err(err) => {
@@ -236,12 +261,9 @@ fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
                     // and runs to completion.
                     let mut engine = SsspEngine::new(&g);
                     let cp = engine.load_checkpoint(&path).unwrap();
-                    let (result, _) = if parallel_resume {
-                        engine.resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
-                    } else {
-                        engine.resume_fused(&cp, &mut RunBudget::unlimited())
-                    }
-                    .expect("final resume must reconverge");
+                    let (result, _) = engine
+                        .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
+                        .expect("final resume must reconverge");
                     result
                 }
             };

@@ -280,10 +280,10 @@ fn batch_mode_with_expired_deadline_exits_5_with_certified_partials() {
 }
 
 #[test]
-fn batch_mode_accepts_any_of_the_six_implementations() {
+fn batch_mode_accepts_any_of_the_five_implementations() {
     // Unlike the engine-only --sources path (fused/improved), batch mode
     // takes every guarded implementation through the shared name parser.
-    for imp in ["canonical", "gblas", "parallel", "atomic", "fused", "improved"] {
+    for imp in ["canonical", "gblas", "parallel", "fused", "improved"] {
         let out = sssp(&[
             "--gen",
             "grid:6x6",
@@ -360,18 +360,30 @@ fn unwritable_checkpoint_dir_is_an_input_error() {
 
 #[test]
 fn batch_mode_rejects_non_solver_implementations_as_usage_error() {
-    let out = sssp(&[
-        "--gen",
-        "grid:4x4",
-        "--sources",
-        "0,1",
-        "--batch-workers",
-        "2",
-        "--impl",
-        "dijkstra",
-    ]);
+    // `atomic` / `improved-atomic` named an implementation that no
+    // longer exists: they get the same typed error as any unknown name,
+    // in batch mode and on a single run.
+    for imp in ["dijkstra", "atomic", "improved-atomic"] {
+        let out = sssp(&[
+            "--gen",
+            "grid:4x4",
+            "--sources",
+            "0,1",
+            "--batch-workers",
+            "2",
+            "--impl",
+            imp,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{imp}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains(&format!("unknown implementation '{imp}'")),
+            "{imp}: {}",
+            stderr(&out)
+        );
+    }
+    let out = sssp(&["--gen", "grid:4x4", "--impl", "atomic"]);
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
-    assert!(stderr(&out).contains("unknown implementation"), "{}", stderr(&out));
+    assert!(stderr(&out).contains("unknown --impl 'atomic'"), "{}", stderr(&out));
 }
 
 #[test]

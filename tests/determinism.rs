@@ -11,8 +11,8 @@ use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
 use sssp_core::result::SsspResult;
 use sssp_core::{
-    fused, gblas_parallel, parallel, parallel_atomic, parallel_improved, run_with_budget,
-    GuardConfig, Implementation, RunBudget,
+    fused, gblas_parallel, parallel, parallel_improved, run_with_budget, GuardConfig,
+    Implementation, RunBudget,
 };
 use taskpool::ThreadPool;
 
@@ -53,9 +53,6 @@ fn check_graph(name: &str, g: &CsrGraph, src: usize, delta: f64) {
     });
     assert_stable("parallel-improved", name, |pool| {
         parallel_improved::delta_stepping_parallel_improved(pool, g, src, delta)
-    });
-    assert_stable("parallel-atomic", name, |pool| {
-        parallel_atomic::delta_stepping_parallel_atomic(pool, g, src, delta)
     });
     assert_stable("gblas-parallel", name, |pool| {
         gblas_parallel::delta_stepping_gblas_parallel(pool, g, src, delta)
@@ -123,14 +120,7 @@ fn front_door_covers_every_impl_name_deterministically() {
     // and give deterministic bits for each: this literal list is what
     // `sssp-analyze`'s impl-coverage lint pins against `run.rs`, so a
     // new Implementation variant cannot ship without being added here.
-    const NAMES: [&str; 6] = [
-        "canonical",
-        "fused",
-        "gblas",
-        "parallel",
-        "improved",
-        "improved-atomic",
-    ];
+    const NAMES: [&str; 5] = ["canonical", "fused", "gblas", "parallel", "improved"];
     // Unit weights: the gblas implementation rejects zero-weight edges.
     let d = paper_suite(SuiteScale::Smoke).remove(1);
     let g = &d.graph;
@@ -167,10 +157,10 @@ fn front_door_covers_every_impl_name_deterministically() {
 
 #[test]
 fn cancelled_then_resumed_runs_are_bit_identical() {
-    // Determinism must survive interruption: cancel each frontier-family
+    // Determinism must survive interruption: cancel each resumable
     // implementation at a seeded pseudo-random epoch, resume the
-    // checkpoint on both resume paths (sequential fused and parallel
-    // improved), and demand bit-identical distances AND stats versus the
+    // checkpoint on both kernels of the one loop (pool-less and pooled),
+    // and demand bit-identical distances AND stats versus the
     // uninterrupted run — at every thread count.
     let d = paper_suite(SuiteScale::Smoke).remove(1);
     let g = &d.graph;
@@ -230,45 +220,21 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
                     )
                     .expect_err("cancel_after must stop the run"),
                 ),
-                (
-                    "atomic",
-                    parallel_atomic::delta_stepping_parallel_atomic_checked(
-                        &pool,
-                        g,
-                        src,
-                        delta,
-                        &mut RunBudget::unlimited().cancel_after(k),
-                    )
-                    .expect_err("cancel_after must stop the run"),
-                ),
             ];
             for (name, err) in cancelled {
                 let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-                assert!(cp.resumable, "{name}: frontier family must be resumable");
-                let (seq, _) = engine
-                    .resume_fused(&cp, &mut RunBudget::unlimited())
-                    .expect("resume must reconverge");
-                assert_eq!(
-                    bits(&seq.dist),
-                    bits(&reference.dist),
-                    "{name} -> fused resume diverged at {threads} thread(s), trial {trial}, epoch {k}"
-                );
-                assert_eq!(
-                    seq.stats, reference.stats,
-                    "{name} -> fused resume stats diverged at {threads} thread(s), trial {trial}, epoch {k}"
-                );
-                let (par, _) = engine
-                    .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
-                    .expect("resume must reconverge");
-                assert_eq!(
-                    bits(&par.dist),
-                    bits(&reference.dist),
-                    "{name} -> improved resume diverged at {threads} thread(s), trial {trial}, epoch {k}"
-                );
-                assert_eq!(
-                    par.stats, reference.stats,
-                    "{name} -> improved resume stats diverged at {threads} thread(s), trial {trial}, epoch {k}"
-                );
+                assert!(cp.resumable, "{name}: must be resumable");
+                for resume_on in [None, Some(&pool)] {
+                    let (resumed, _) = engine
+                        .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
+                        .expect("resume must reconverge");
+                    let label = format!(
+                        "{name} -> resume (pooled={}) at {threads} thread(s), trial {trial}, epoch {k}",
+                        resume_on.is_some()
+                    );
+                    assert_eq!(bits(&resumed.dist), bits(&reference.dist), "{label}");
+                    assert_eq!(resumed.stats, reference.stats, "{label}");
+                }
             }
         }
         // Every cancel/resume rode the one cached split.

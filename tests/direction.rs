@@ -1,8 +1,9 @@
 //! Direction-optimization suite: the dense pull pass must be an exact,
 //! invisible substitute for the sparse push scatter.
 //!
-//! The light-phase kernels (fused, parallel-improved, gblas `vxm`) share
-//! one density oracle that may flip any bucket epoch from push to pull.
+//! The light-phase kernels (the stepping loop's pool-less and pooled
+//! kernels — `fused` and `improved` — and the gblas `vxm`) share one
+//! density oracle that may flip any bucket epoch from push to pull.
 //! This suite pins the contract that makes the flip safe to take
 //! anywhere:
 //!
@@ -17,7 +18,7 @@
 //!    — both decision counters move — and the mixed-direction run still
 //!    lands on the push-only bits.
 //! 4. **Cancellation at every epoch boundary** across the switch, with
-//!    resume on both paths, reconverges bit-identically (the chaos
+//!    resume on both kernels, reconverges bit-identically (the chaos
 //!    property, rerun over the direction switch).
 //!
 //! The direction override and decision counters are process-global, so
@@ -31,6 +32,7 @@ use sssp_core::dijkstra::dijkstra;
 use sssp_core::engine::SsspEngine;
 use sssp_core::{
     run_checked, run_with_budget, GuardConfig, Implementation, RunBudget, SsspError,
+    SteppingStrategy,
 };
 use taskpool::ThreadPool;
 
@@ -125,11 +127,43 @@ fn check_directions(name: &str, g: &CsrGraph, src: usize, delta: f64) {
     }
 }
 
+/// The oracle sits in the loop's light round, so ρ and Δ* switch too:
+/// push and pull must agree bit-for-bit per strategy, pool-less and at
+/// every thread count.
+fn check_strategy_directions(name: &str, g: &CsrGraph, src: usize, delta: f64) {
+    for strategy in [SteppingStrategy::Rho(16), SteppingStrategy::DeltaStar(2.0)] {
+        let run = |pool: Option<&ThreadPool>| {
+            SsspEngine::new(g)
+                .run_stepping(pool, src, delta, strategy, &mut RunBudget::unlimited())
+                .expect("valid input")
+                .0
+        };
+        let reference = {
+            let _push = ForcedDirection::new(Some(Direction::Push));
+            run(None)
+        };
+        assert_eq!(reference.dist, dijkstra(g, src).dist, "{strategy}: push baseline on {name}");
+        let _forced = ForcedDirection::new(Some(Direction::Pull));
+        let pools: Vec<ThreadPool> =
+            THREADS.iter().map(|&t| ThreadPool::with_threads(t).expect("pool")).collect();
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let r = run(pool);
+            let label = format!(
+                "{strategy} on {name}: pull at {:?} thread(s)",
+                pool.map(ThreadPool::num_threads)
+            );
+            assert_eq!(bits(&r.dist), bits(&reference.dist), "{label}");
+            assert_eq!(r.stats, reference.stats, "{label}");
+        }
+    }
+}
+
 #[test]
 fn forced_pull_matches_push_bit_for_bit_on_unit_weights() {
     for d in paper_suite(SuiteScale::Smoke) {
         let src = d.graph.num_vertices() / 2;
         check_directions(&d.name, &d.graph, src, 1.0);
+        check_strategy_directions(&d.name, &d.graph, src, 1.0);
     }
 }
 
@@ -140,6 +174,7 @@ fn forced_pull_matches_push_bit_for_bit_on_real_weights() {
     // scatters, so the fold order cannot leak into the bits.
     for d in weighted_suite(SuiteScale::Smoke).into_iter().take(2) {
         check_directions(&d.name, &d.graph, 1, 0.25);
+        check_strategy_directions(&d.name, &d.graph, 1, 0.25);
     }
 }
 
@@ -200,7 +235,7 @@ fn auto_oracle_crosses_the_switch_boundary_and_stays_exact() {
 fn cancellation_at_every_epoch_across_the_switch_boundary() {
     // The chaos property, rerun over the direction switch: with the
     // oracle in automatic mode on a graph whose run crosses the push/pull
-    // boundary, cancel at every epoch, resume on both paths, and demand
+    // boundary, cancel at every epoch, resume on both kernels, and demand
     // bit-identical distances AND stats versus the uninterrupted run.
     let _auto = ForcedDirection::new(None);
     let mut el = graphdata::gen::gnm(150, 900, 11);
@@ -253,15 +288,13 @@ fn cancellation_at_every_epoch_across_the_switch_boundary() {
             other => panic!("epoch {k}: expected Cancelled, got {other}"),
         };
         cp.validate(g.num_vertices()).expect("checkpoint must validate");
-        let (seq, _) = engine
-            .resume_fused(&cp, &mut RunBudget::unlimited())
-            .expect("resume must reconverge");
-        assert_eq!(bits(&seq.dist), bits(&reference.dist), "fused resume, epoch {k}");
-        assert_eq!(seq.stats, reference.stats, "fused resume stats, epoch {k}");
-        let (par, _) = engine
-            .resume_parallel_improved(&pool, &cp, &mut RunBudget::unlimited())
-            .expect("resume must reconverge");
-        assert_eq!(bits(&par.dist), bits(&reference.dist), "improved resume, epoch {k}");
-        assert_eq!(par.stats, reference.stats, "improved resume stats, epoch {k}");
+        for resume_on in [None, Some(&pool)] {
+            let (resumed, _) = engine
+                .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
+                .expect("resume must reconverge");
+            let label = format!("epoch {k}, pooled resume={}", resume_on.is_some());
+            assert_eq!(bits(&resumed.dist), bits(&reference.dist), "{label}");
+            assert_eq!(resumed.stats, reference.stats, "{label}");
+        }
     }
 }

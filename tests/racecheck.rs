@@ -2,7 +2,8 @@
 //! both sides of the contract.
 //!
 //! Positive direction: every implementation dispatched by the shared
-//! front door stays race-free and bit-identical across seeded
+//! front door, and every stepping strategy on the production loop's
+//! pooled kernels, stays race-free and bit-identical across seeded
 //! adversarial schedules (including a cancel-then-resume split run).
 //! Negative direction: deliberately unsound fixtures — the old
 //! fully-`Relaxed` `atomic_min` and an overlapping-chunk partition —
@@ -26,8 +27,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use graphdata::gen::grid2d;
 use graphdata::CsrGraph;
 use racecheck::{Session, SyncOrd};
-use sssp_core::explore::{explore, explore_cancel_resume, ExploreConfig};
-use sssp_core::Implementation;
+use sssp_core::explore::{explore, explore_cancel_resume, explore_strategy, ExploreConfig};
+use sssp_core::{Implementation, SteppingStrategy};
 use taskpool::{scope, ThreadPool};
 
 fn env_config() -> ExploreConfig {
@@ -43,7 +44,7 @@ fn small_graph() -> CsrGraph {
 /// a negative fixture: a fully `Relaxed` CAS min. Under C11 this is not
 /// a data race, but it leaves sibling RMWs unordered — exactly the
 /// discipline violation the checker bans (and what the audit replaced
-/// with the acquire/release chain in `parallel_atomic::atomic_min_f64`).
+/// with the acquire/release chain of `atomic_min_acqrel` below).
 fn atomic_min_relaxed(cell: &AtomicU64, val: f64) {
     racecheck::atomic_rmw("fixture.req", cell as *const AtomicU64, SyncOrd::Relaxed);
     let mut cur = cell.load(Ordering::Relaxed);
@@ -213,6 +214,33 @@ fn all_implementations_are_race_free_across_schedules() {
     assert!(total_events > 0, "no shadow-state events recorded");
 }
 
+/// The strategies of the production loop. Their `sssp.dist` writes go
+/// through the one drain hook, so ρ and Δ* are as visible to the checker
+/// as classic.
+const STRATEGIES: [SteppingStrategy; 3] = [
+    SteppingStrategy::Classic,
+    SteppingStrategy::Rho(8),
+    SteppingStrategy::DeltaStar(2.0),
+];
+
+#[test]
+fn every_strategy_is_race_free_on_the_pooled_loop() {
+    let g = small_graph();
+    let cfg = env_config();
+    for strategy in STRATEGIES {
+        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg);
+        assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
+        assert!(
+            report.is_clean(),
+            "{strategy}: races {:?}, deadlocks {:?}, divergent seeds {:?}",
+            report.races,
+            report.deadlocks,
+            report.divergent_seeds
+        );
+        assert!(report.events > 0, "{strategy}: no shadow-state events recorded");
+    }
+}
+
 #[test]
 fn forced_pull_dense_kernel_is_race_free_across_schedules() {
     // Drive the dense-pull parallel kernel — not the push scatter — under
@@ -232,29 +260,33 @@ fn forced_pull_dense_kernel_is_race_free_across_schedules() {
 
     let g = small_graph();
     let cfg = env_config();
-    let report = explore(Implementation::ParallelImproved, &g, 0, 1.0, &cfg);
-    assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
-    assert!(
-        report.is_clean(),
-        "forced-pull improved: races {:?}, deadlocks {:?}, divergent seeds {:?}",
-        report.races,
-        report.deadlocks,
-        report.divergent_seeds
-    );
-    assert!(report.events > 0, "no shadow-state events recorded");
+    for strategy in STRATEGIES {
+        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg);
+        assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
+        assert!(
+            report.is_clean(),
+            "forced-pull {strategy}: races {:?}, deadlocks {:?}, divergent seeds {:?}",
+            report.races,
+            report.deadlocks,
+            report.divergent_seeds
+        );
+        assert!(report.events > 0, "{strategy}: no shadow-state events recorded");
+    }
 }
 
 #[test]
 fn cancel_then_resume_is_race_free_and_bit_identical() {
     let g = small_graph();
     let cfg = env_config();
-    let report = explore_cancel_resume(&g, 0, 1.0, 2, &cfg);
-    assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
-    assert!(
-        report.is_clean(),
-        "cancel/resume: races {:?}, deadlocks {:?}, divergent seeds {:?}",
-        report.races,
-        report.deadlocks,
-        report.divergent_seeds
-    );
+    for strategy in STRATEGIES {
+        let report = explore_cancel_resume(strategy, &g, 0, 1.0, 2, &cfg);
+        assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
+        assert!(
+            report.is_clean(),
+            "cancel/resume {strategy}: races {:?}, deadlocks {:?}, divergent seeds {:?}",
+            report.races,
+            report.deadlocks,
+            report.divergent_seeds
+        );
+    }
 }

@@ -6,22 +6,26 @@
 //!    factors all reproduce Dijkstra's distance vector bit-for-bit on
 //!    the paper suite and the weighted suite, sequentially and on
 //!    1/2/4-thread pools.
-//! 2. **Determinism across schedules** — for the generalized loop,
-//!    stats (not just distances) are identical between the pool-less
-//!    path and every pool width, across repeated runs.
-//! 3. **Cancellation chaos** — cancel ρ- and Δ*-stepping runs at
-//!    *every* budget epoch the uninterrupted run passes through: the
+//! 2. **Determinism across schedules** — for every strategy, stats
+//!    (not just distances) are identical between the pool-less path and
+//!    every pool width, across repeated runs.
+//! 3. **Same loop, same answers** — classic on the one loop reproduces,
+//!    bit for bit, the `SsspStats` the deleted `fused_loop` /
+//!    `improved_loop` produced at the parent commit (golden literals).
+//! 4. **Cancellation chaos** — cancel classic, ρ- and Δ*-stepping runs
+//!    at *every* budget epoch the uninterrupted run passes through: the
 //!    checkpoint validates, everything it certifies is final, and both
 //!    resume paths (sequential and pooled) reconverge bit-identically
 //!    in distances *and* stats.
-//! 4. **Disk round-trip** — a cancelled generalized run survives
+//! 5. **Disk round-trip** — a cancelled run of any strategy survives
 //!    save/load through the engine's checkpoint files and resumes to
-//!    the exact uninterrupted answer.
+//!    the exact uninterrupted answer; so does a trailer-less classic
+//!    checkpoint written by the parent commit's `fused` (byte fixture).
 
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::dijkstra::dijkstra;
 use sssp_core::engine::SsspEngine;
-use sssp_core::{RunBudget, SsspError, SteppingStrategy};
+use sssp_core::{RunBudget, SsspError, SsspStats, SteppingStrategy};
 use taskpool::ThreadPool;
 
 const RUNS: usize = 5;
@@ -82,17 +86,12 @@ fn check_exact(name: &str, g: &CsrGraph, src: usize, delta: f64) {
                     oracle,
                     "{strategy} on {name}: distances diverged at {threads} thread(s), rep {rep}"
                 );
-                // The generalized loop is one algorithm with two
-                // execution modes, so stats match the sequential run
-                // exactly; classic Δ dispatches to two *different*
-                // implementations (fused vs parallel-improved) whose
-                // phase accounting legitimately differs.
-                if strategy != SteppingStrategy::Classic {
-                    assert_eq!(
-                        par.stats, seq.stats,
-                        "{strategy} on {name}: stats diverged at {threads} thread(s), rep {rep}"
-                    );
-                }
+                // One algorithm with two execution modes: stats match
+                // the sequential run exactly, for every strategy.
+                assert_eq!(
+                    par.stats, seq.stats,
+                    "{strategy} on {name}: stats diverged at {threads} thread(s), rep {rep}"
+                );
             }
         }
     }
@@ -116,7 +115,106 @@ fn every_strategy_matches_dijkstra_on_real_weights() {
     }
 }
 
-/// Total budget checks an uninterrupted generalized run performs.
+/// The golden graph set: unit-weight grid, two real-weighted graphs, a
+/// tiny graph whose heavy jumps leave empty buckets between occupied
+/// ones, and a decimal-weighted graph whose distances land exactly on
+/// the edges of Δ = 0.1 / 0.3 buckets.
+fn golden_graphs() -> Vec<(&'static str, CsrGraph, usize)> {
+    use graphdata::gen;
+    let grid = CsrGraph::from_edge_list(&gen::grid2d(9, 7)).unwrap();
+    let mut el = gen::rmat(gen::RmatParams::graph500(8, 8), 17);
+    el.symmetrize();
+    graphdata::weights::assign_symmetric(
+        &mut el,
+        graphdata::WeightModel::UniformFloat { lo: 0.05, hi: 3.0 },
+        3,
+    );
+    let rmat = CsrGraph::from_edge_list(&el).unwrap();
+    let skips = CsrGraph::from_edge_list(&graphdata::EdgeList::from_triples(vec![
+        (0, 1, 10.5),
+        (1, 2, 0.5),
+        (2, 3, 0.05),
+        (0, 3, 12.0),
+        (3, 4, 0.3),
+    ]))
+    .unwrap();
+    let decimal = CsrGraph::from_edge_list(&graphdata::EdgeList::from_triples(
+        (0..40usize).flat_map(|i| {
+            let w = |k: usize| ((i * 7 + k) % 9 + 1) as f64 / 10.0;
+            [(i, (i + 1) % 40, w(0)), (i, (i + 3) % 40, w(4))]
+        }),
+    ))
+    .unwrap();
+    vec![
+        ("decimal-edges", decimal, 0),
+        ("grid-9x7-unit", grid, 0),
+        ("gnm-150-w", weighted_chaos_graph(), 1),
+        ("rmat-8-w", rmat, 0),
+        ("skips", skips, 0),
+    ]
+}
+
+#[test]
+fn classic_reproduces_the_deleted_loops_stats_bit_for_bit() {
+    // `[buckets_processed, light_phases, heavy_phases, relaxations,
+    // improvements]` recorded at the parent commit, where `fused_loop`
+    // (sequential) and `improved_loop` (1/2/4 threads, default and forced
+    // parallel relaxation) all agreed on each row. Δ = 0.1 and 0.3 are
+    // where `x < (b+1)·Δ` and `⌊x/Δ⌋ == b` part ways (0.6 / 0.1 is
+    // bucket 5, yet 0.6 < 5·0.1 + 0.1 is false), so the decimal-edges
+    // rows hold only while the loop's range test *is* the
+    // bucket-membership test.
+    const GOLDEN: [(&str, f64, [u64; 5]); 20] = [
+        ("decimal-edges", 0.1, [30, 30, 30, 80, 44]),
+        ("decimal-edges", 0.3, [19, 24, 19, 80, 43]),
+        ("decimal-edges", 1.0, [6, 21, 6, 82, 44]),
+        ("decimal-edges", 2.5, [3, 17, 3, 94, 49]),
+        ("grid-9x7-unit", 0.1, [15, 15, 15, 220, 62]),
+        ("grid-9x7-unit", 0.3, [15, 15, 15, 220, 62]),
+        ("grid-9x7-unit", 1.0, [15, 15, 15, 220, 62]),
+        ("grid-9x7-unit", 2.5, [6, 15, 6, 220, 62]),
+        ("gnm-150-w", 0.1, [19, 19, 19, 1768, 267]),
+        ("gnm-150-w", 0.3, [7, 12, 7, 1790, 235]),
+        ("gnm-150-w", 1.0, [2, 8, 2, 1990, 201]),
+        ("gnm-150-w", 2.5, [1, 8, 1, 3191, 283]),
+        ("rmat-8-w", 0.1, [28, 31, 28, 2506, 372]),
+        ("rmat-8-w", 0.3, [11, 18, 11, 2826, 295]),
+        ("rmat-8-w", 1.0, [4, 12, 4, 3977, 340]),
+        ("rmat-8-w", 2.5, [2, 9, 2, 5591, 473]),
+        ("skips", 0.1, [4, 5, 4, 5, 5]),
+        ("skips", 0.3, [4, 5, 4, 5, 5]),
+        ("skips", 1.0, [3, 5, 3, 5, 5]),
+        ("skips", 2.5, [2, 5, 2, 6, 6]),
+    ];
+    let graphs = golden_graphs();
+    let pools: Vec<ThreadPool> =
+        THREADS.iter().map(|&t| ThreadPool::with_threads(t).expect("pool")).collect();
+    for (name, delta, [buckets, light, heavy, relaxations, improvements]) in GOLDEN {
+        let (_, g, src) = graphs.iter().find(|(n, ..)| *n == name).expect("golden graph");
+        let golden = SsspStats {
+            buckets_processed: buckets as usize,
+            light_phases: light as usize,
+            heavy_phases: heavy as usize,
+            relaxations,
+            improvements,
+        };
+        let oracle = bits(&dijkstra(g, *src).dist);
+        let mut engine = SsspEngine::new(g);
+        for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+            let (r, _) = engine
+                .run_stepping(pool, *src, delta, SteppingStrategy::Classic, &mut RunBudget::unlimited())
+                .expect("valid input");
+            let label = format!(
+                "{name} Δ={delta} at {:?} thread(s)",
+                pool.map(ThreadPool::num_threads)
+            );
+            assert_eq!(r.stats, golden, "{label}");
+            assert_eq!(bits(&r.dist), oracle, "{label}");
+        }
+    }
+}
+
+/// Total budget checks an uninterrupted run performs.
 fn total_epochs(
     g: &CsrGraph,
     src: usize,
@@ -132,11 +230,15 @@ fn total_epochs(
 }
 
 #[test]
-fn cancelling_rho_and_delta_star_at_every_epoch_reconverges() {
+fn cancelling_every_strategy_at_every_epoch_reconverges() {
     let g = weighted_chaos_graph();
     let (src, delta) = (0, 0.5);
     let pool = ThreadPool::with_threads(2).expect("pool");
-    for strategy in [SteppingStrategy::Rho(16), SteppingStrategy::DeltaStar(2.0)] {
+    for strategy in [
+        SteppingStrategy::Classic,
+        SteppingStrategy::Rho(16),
+        SteppingStrategy::DeltaStar(2.0),
+    ] {
         let mut engine = SsspEngine::new(&g);
         let (reference, _) = engine
             .run_stepping(Some(&pool), src, delta, strategy, &mut RunBudget::unlimited())
@@ -153,9 +255,10 @@ fn cancelling_rho_and_delta_star_at_every_epoch_reconverges() {
                 other => panic!("{strategy} epoch {k}: expected Cancelled, got {other}"),
             };
             cp.validate(g.num_vertices()).expect("checkpoint must validate");
-            assert!(
-                cp.stepping.is_some(),
-                "{strategy} epoch {k}: generalized run must emit a stepping checkpoint"
+            assert_eq!(
+                cp.stepping.map(|st| st.strategy),
+                Some(strategy),
+                "{strategy} epoch {k}: the loop emits its stepping state for every strategy"
             );
             // Everything the checkpoint certifies is final.
             for (v, d) in cp.settled_distances() {
@@ -183,10 +286,15 @@ fn cancelling_rho_and_delta_star_at_every_epoch_reconverges() {
 }
 
 #[test]
-fn generalized_checkpoints_round_trip_through_disk() {
+fn checkpoints_round_trip_through_disk() {
+    for strategy in [SteppingStrategy::Classic, SteppingStrategy::Rho(16)] {
+        checkpoint_round_trips_through_disk(strategy);
+    }
+}
+
+fn checkpoint_round_trips_through_disk(strategy: SteppingStrategy) {
     let g = weighted_chaos_graph();
     let (src, delta) = (0, 0.5);
-    let strategy = SteppingStrategy::Rho(16);
     let mut engine = SsspEngine::new(&g);
     let (reference, _) = engine
         .run_stepping(None, src, delta, strategy, &mut RunBudget::unlimited())
@@ -202,9 +310,13 @@ fn generalized_checkpoints_round_trip_through_disk() {
     };
     assert!(cp.resumable && cp.stepping.is_some());
 
-    let dir = std::env::temp_dir().join(format!("sssp-stepping-it-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!(
+        "sssp-stepping-it-{}-{}",
+        strategy.name(),
+        std::process::id()
+    ));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("rho.ckpt");
+    let path = dir.join("cp.ckpt");
     engine.save_checkpoint(&cp, &path).expect("save");
     let loaded = engine.load_checkpoint(&path).expect("load");
     assert_eq!(loaded.stepping, cp.stepping, "stepping state must survive the disk");
@@ -215,4 +327,38 @@ fn generalized_checkpoints_round_trip_through_disk() {
     assert_eq!(bits(&resumed.dist), bits(&reference.dist));
     assert_eq!(resumed.stats, reference.stats);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trailerless_fixture_from_the_parent_commit_still_resumes() {
+    // `tests/fixtures/classic-trailerless.ckpt` was written by the parent
+    // commit's `SsspEngine::run_fused` + `save_checkpoint` on the
+    // gnm-150-w graph (source 1, Δ = 0.3), cancelled at epoch 11: a
+    // mid-bucket stop in bucket 3 with 11 frontier and 50 settled
+    // vertices, implementation tag `fused`, no stepping section.
+    let g = weighted_chaos_graph();
+    let mut engine = SsspEngine::new(&g);
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/classic-trailerless.ckpt");
+    let cp = engine.load_checkpoint(&path).expect("the old format still decodes");
+    assert_eq!(cp.implementation, "fused");
+    assert!(cp.stepping.is_none() && cp.resumable);
+    assert_eq!((cp.source, cp.delta, cp.bucket), (1, 0.3, 3));
+    assert_eq!((cp.frontier.len(), cp.settled.len()), (11, 50));
+
+    let oracle = dijkstra(&g, 1);
+    for (v, d) in cp.settled_distances() {
+        assert_eq!(d.to_bits(), oracle.dist[v].to_bits(), "certified vertex {v}");
+    }
+    let (full, _) = engine
+        .run_stepping(None, 1, 0.3, SteppingStrategy::Classic, &mut RunBudget::unlimited())
+        .expect("valid input");
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    for resume_on in [None, Some(&pool)] {
+        let (resumed, _) = engine
+            .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
+            .expect("a trailer-less checkpoint resumes as classic");
+        assert_eq!(bits(&resumed.dist), bits(&oracle.dist));
+        assert_eq!(resumed.stats, full.stats);
+    }
 }
