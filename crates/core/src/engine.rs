@@ -54,6 +54,13 @@ pub struct EngineStats {
     /// 1 across any number of checked runs on the same engine — the
     /// verdict is cached alongside the split cache.
     pub preflight_scans: usize,
+    /// Pending-set entries examined by the stepping loop's frontier
+    /// extractions, summed over every run and resume on this engine
+    /// (budget-stopped ones included). Deterministic — equal across
+    /// thread counts and the pool-less path — and O(n + improvements)
+    /// per solve on road-like graphs, where a scan of the whole distance
+    /// vector per step would be n × steps.
+    pub extraction_scanned: u64,
 }
 
 /// Per-graph SSSP engine with a Δ-keyed split cache and warm workspaces.
@@ -257,10 +264,9 @@ impl<'g> SsspEngine<'g> {
             return Err(SsspError::InvalidDelta { delta });
         }
         let (lh, filter_time) = self.split_for(pool, delta);
-        let (result, mut profile) =
-            stepping_with(self.g, &lh, source, delta, strategy, pool, budget, &mut self.ws)?;
-        profile.matrix_filter += filter_time;
-        Ok((result, profile))
+        let outcome =
+            stepping_with(self.g, &lh, source, delta, strategy, pool, budget, &mut self.ws);
+        self.finish_run(outcome, filter_time)
     }
 
     /// The one way to resume: continue any resumable checkpoint — from
@@ -275,8 +281,19 @@ impl<'g> SsspEngine<'g> {
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         cp.validate(self.g.num_vertices())?;
         let (lh, filter_time) = self.split_for(pool, cp.delta);
-        let (result, mut profile) =
-            stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.ws)?;
+        let outcome = stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.ws);
+        self.finish_run(outcome, filter_time)
+    }
+
+    /// Fold a run's extraction work into the counters (stopped runs did
+    /// the work too) and charge it the split build this engine paid.
+    fn finish_run(
+        &mut self,
+        outcome: Result<(SsspResult, PhaseProfile), SsspError>,
+        filter_time: Duration,
+    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
+        self.stats.extraction_scanned += self.ws.take_extraction_scanned();
+        let (result, mut profile) = outcome?;
         profile.matrix_filter += filter_time;
         Ok((result, profile))
     }
@@ -661,6 +678,59 @@ mod tests {
         assert!(path.exists());
         assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_workspace_drops_a_stopped_runs_pending_set() {
+        // A budget stop leaves its discovered-but-unsettled vertices in
+        // the workspace's pending set. The next run on the same engine —
+        // here from a six-vertex component the stopped run never reaches
+        // — must not see them, and neither must a later resume.
+        let mut el = gen::gnm(300, 2000, 42);
+        for v in 300..305 {
+            el.push(v, v + 1, 0.7);
+        }
+        el.symmetrize();
+        graphdata::weights::assign_symmetric(
+            &mut el,
+            graphdata::WeightModel::UniformFloat { lo: 0.1, hi: 2.5 },
+            7,
+        );
+        let g = CsrGraph::from_edge_list(&el).unwrap();
+        let mut engine = SsspEngine::new(&g);
+        let strategy = SteppingStrategy::Rho(8);
+        let full = engine
+            .run_stepping(None, 3, 1.0, strategy, &mut RunBudget::unlimited())
+            .unwrap()
+            .0;
+        assert_eq!(full.dist, crate::dijkstra::dijkstra(&g, 3).dist);
+
+        let cp = engine
+            .run_stepping(None, 3, 1.0, strategy, &mut RunBudget::unlimited().cancel_after(5))
+            .unwrap_err()
+            .into_checkpoint()
+            .unwrap();
+        let threshold = cp.stepping.unwrap().threshold;
+        let waiting = cp.dist.iter().filter(|d| d.is_finite() && **d >= threshold);
+        assert!(waiting.count() > 12, "the stop must leave a pending set behind");
+
+        let before = engine.stats().extraction_scanned;
+        // (An epoch limit, so leaked ∞-distance members fail the run
+        // instead of spinning it.)
+        let (small, _) = engine
+            .run_stepping(None, 302, 1.0, strategy, &mut RunBudget::with_limit(100))
+            .unwrap();
+        assert_eq!(small.dist, crate::dijkstra::dijkstra(&g, 302).dist);
+        assert_eq!(small.dist.iter().filter(|d| d.is_finite()).count(), 6);
+        // Six vertices, each pending once or twice: leaked members would
+        // be re-examined by every extraction.
+        assert!(engine.stats().extraction_scanned - before <= 12);
+
+        let (resumed, _) = engine
+            .resume_stepping(None, &cp, &mut RunBudget::unlimited())
+            .unwrap();
+        assert_eq!(resumed.dist, full.dist);
+        assert_eq!(resumed.stats, full.stats);
     }
 
     #[test]

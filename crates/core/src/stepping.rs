@@ -32,6 +32,16 @@
 //! frontier's out-edges or pull the light in-edges ([`crate::pull`]).
 //! When the range is empty the loop terminates with `bound` = ∞.
 //!
+//! Extraction (1) never reads the whole distance vector. It scans a
+//! **pending set** — the vertices whose tentative distance is finite and
+//! at or above the upcoming bound — that starts as `{source}`, gains a
+//! vertex only when `apply_requests` discovers it (∞ → finite) at or
+//! above the draining range's threshold, and sheds members lazily:
+//! entries improved below the bound are dropped by the next extraction.
+//! Each vertex joins at most once per run, so the pending values are the
+//! same multiset a scan of the vector would collect, and a step costs
+//! O(|pending|) — O(frontier) on road-like graphs.
+//!
 //! Determinism: relaxation goes through the contention-free
 //! [`crate::reqbuf`] request buffers (spawn-order merge, sorted touched
 //! lists), thresholds are pure functions of the distance multiset, and
@@ -42,11 +52,13 @@
 //! extracted-range bound carried in [`SteppingState`]. Stops happen at
 //! range starts ([`StopPoint::BucketStart`]) and light-round boundaries
 //! ([`StopPoint::LightPhase`]) — a budget epoch is one extraction or one
-//! light round — and resuming is bit-identical. A resumable checkpoint
-//! without a [`SteppingState`] (an older binary's classic loop, or
+//! light round — and resuming is bit-identical; the pending set is not
+//! checkpointed but rebuilt from `dist` and the bound in one O(n) pass,
+//! the only one in the loop. A resumable checkpoint without a
+//! [`SteppingState`] (an older binary's classic loop, or
 //! [`crate::parallel`]) is read as classic with `bound = bucket·Δ`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gblas::direction::{self, Direction};
 use graphdata::CsrGraph;
@@ -166,15 +178,24 @@ impl std::str::FromStr for SteppingStrategy {
 }
 
 /// Reusable per-run state for the loop: the request-buffer workspace,
-/// frontier/settled scratch, the dense-epoch frontier bitmap, and the ρ
-/// selection scratch. Callers that run many queries (the engine, bench
-/// loops) keep one so repeated runs allocate nothing.
+/// frontier/settled scratch, the pending set extraction scans, the
+/// dense-epoch frontier bitmap, and the ρ selection scratch. Callers that
+/// run many queries (the engine, bench loops) keep one so repeated runs
+/// allocate nothing.
 #[derive(Debug, Default)]
 pub struct SteppingWorkspace {
     relax: RelaxWorkspace,
     frontier: Vec<usize>,
     settled: Vec<usize>,
     scratch: Vec<f64>,
+    /// The pending set: every vertex whose tentative distance is finite
+    /// and at or above the upcoming bound, each at most once, plus stale
+    /// entries (improved below the bound since they joined) that the
+    /// next extraction drops. Rebuilt at every loop entry.
+    pending: Vec<usize>,
+    /// Pending entries examined by extractions since the last
+    /// [`SteppingWorkspace::take_extraction_scanned`].
+    extraction_scanned: u64,
     /// Frontier bitmap for dense (pull) epochs — all-`false` between
     /// phases, set and cleared by iterating the (sparse) frontier.
     in_frontier: Vec<bool>,
@@ -196,6 +217,14 @@ impl SteppingWorkspace {
         if self.in_frontier.len() < n {
             self.in_frontier.resize(n, false);
         }
+    }
+
+    /// Pending entries examined by extractions on this workspace since
+    /// the last call (finished and budget-stopped runs alike), resetting
+    /// the count — what [`crate::engine::EngineStats::extraction_scanned`]
+    /// accumulates.
+    pub(crate) fn take_extraction_scanned(&mut self) -> u64 {
+        std::mem::take(&mut self.extraction_scanned)
     }
 }
 
@@ -344,18 +373,23 @@ fn relax_light(
     *relaxations += frontier_edges as u64;
 }
 
-/// Fold the pending requests into `t` (`t = min(t, t_Req)`), pushing
-/// every improvement that lands below `threshold` onto `frontier`.
+/// Fold the outstanding requests into `t` (`t = min(t, t_Req)`), pushing
+/// every improvement that lands below `threshold` onto `frontier`. The
+/// only place a vertex joins `pending`: on its discovery (∞ → finite) at
+/// or above `threshold`. A vertex already finite there is a member
+/// already, so no vertex is ever listed twice.
 fn apply_requests(
     rws: &mut RelaxWorkspace,
     t: &mut [f64],
     threshold: f64,
     frontier: &mut Vec<usize>,
+    pending: &mut Vec<usize>,
     improvements: &mut u64,
 ) {
     rws.drain_requests(|u, cand| {
         if cand < t[u] {
             *improvements += 1;
+            let discovered = t[u] == INF;
             // Conflicts with the producer tasks' dist reads across
             // phases — the join edge must order them.
             #[cfg(feature = "racecheck")]
@@ -363,9 +397,103 @@ fn apply_requests(
             t[u] = cand;
             if cand < threshold {
                 frontier.push(u);
+            } else if discovered {
+                pending.push(u);
             }
         }
     });
+}
+
+/// Extraction: drop the stale members of `pending` (`t[v] < bound` —
+/// improved into an earlier range since they joined), pick the
+/// strategy's threshold from the tentative values that remain, and move
+/// the members of `[bound, threshold)` to `frontier` in ascending vertex
+/// order. Returns the threshold, or `None` when nothing is tentative at
+/// or above the bound. Reads `t` only through `pending`, so a step costs
+/// O(|pending|), never O(n).
+fn extract_frontier(
+    strategy: SteppingStrategy,
+    delta: f64,
+    t: &[f64],
+    bound: f64,
+    pending: &mut Vec<usize>,
+    frontier: &mut Vec<usize>,
+    scratch: &mut Vec<f64>,
+) -> Option<f64> {
+    frontier.clear();
+    let mut min_cand = INF;
+    pending.retain(|&v| {
+        let tv = t[v];
+        if tv < bound {
+            return false;
+        }
+        if tv < min_cand {
+            min_cand = tv;
+        }
+        true
+    });
+    if pending.is_empty() {
+        return None;
+    }
+    // The smallest pending value above `floor` (∞ when there is none).
+    let next_distinct = |floor: f64| {
+        pending
+            .iter()
+            .map(|&v| t[v])
+            .filter(|&x| x > floor)
+            .fold(INF, f64::min)
+    };
+    let mut threshold = match strategy {
+        SteppingStrategy::Rho(rho) => {
+            if pending.len() <= rho {
+                // Extract the whole candidate pool, but close the range
+                // just above its maximum: vertices *discovered* while
+                // draining stay out of this batch and wait for the next
+                // extraction (an ∞ threshold would drag the entire
+                // remaining graph into one chaotic-relaxation range).
+                next_up(pending.iter().map(|&v| t[v]).fold(min_cand, f64::max))
+            } else {
+                // The ρ-th smallest tentative value; every candidate
+                // tied with it joins the extraction, so the threshold is
+                // the next *distinct* value.
+                scratch.clear();
+                scratch.extend(pending.iter().map(|&v| t[v]));
+                let (_, pivot, _) = scratch.select_nth_unstable_by(rho - 1, |a, b| a.total_cmp(b));
+                next_distinct(*pivot)
+            }
+        }
+        // The range starts at the first non-empty bucket (no empty-bucket
+        // skip iterations) and spans k bucket widths; classic is k = 1
+        // with the edge placed exactly where `bucket_of` puts it, so the
+        // range test below is the bucket-membership test bit for bit.
+        SteppingStrategy::Classic => bucket_start(bucket_of(min_cand, delta) + 1, delta),
+        SteppingStrategy::DeltaStar(k) => (bucket_of(min_cand, delta) as f64) * delta + k * delta,
+    };
+    if threshold <= min_cand {
+        // Float-rounding guard: the range must contain its minimum, or
+        // the loop would spin. Fall back to the next distinct tentative
+        // value (∞ when all candidates tie).
+        threshold = next_distinct(min_cand);
+    }
+    pending.retain(|&v| {
+        let in_range = t[v] < threshold;
+        if in_range {
+            frontier.push(v);
+        }
+        !in_range
+    });
+    // Members joined in discovery order; the frontier (and with it every
+    // checkpoint) lists vertices ascending, as a scan of `t` would.
+    frontier.sort_unstable();
+    Some(threshold)
+}
+
+/// Close the phase that has been running since `lap` into `phase` and
+/// open the next one: one clock read per phase boundary.
+fn close_phase(lap: &mut Instant, phase: &mut Duration) {
+    let now = Instant::now();
+    *phase += now - *lap;
+    *lap = now;
 }
 
 /// The loop: extract a range `[bound, threshold)` by the strategy's
@@ -404,9 +532,14 @@ fn stepping_loop(
         settled,
         scratch,
         in_frontier,
+        pending,
+        extraction_scanned,
     } = ws;
     frontier.clear();
     settled.clear();
+    // A warm workspace may hold another run's members (another source or
+    // graph, or a budget stop mid-run).
+    pending.clear();
 
     // The certified bound (exclusive): every dist < bound is final.
     let mut bound = 0.0f64;
@@ -431,10 +564,20 @@ fn stepping_loop(
         frontier.extend_from_slice(&cp.frontier);
         settled.extend_from_slice(&cp.settled);
         entering_mid = cp.stop_point == StopPoint::LightPhase;
+        // Membership is a function of `dist` and the bound the next
+        // extraction will see, so the checkpoint does not carry it: one
+        // O(n) pass rebuilds it. Mid-range, `[bound, threshold)` is in
+        // flight (frontier, settled, or already drained) and the next
+        // bound is `threshold`.
+        let floor = if entering_mid { threshold } else { bound };
+        pending.extend((0..n).filter(|&v| cp.dist[v].is_finite() && cp.dist[v] >= floor));
+    } else {
+        pending.push(source);
     }
 
     let t = &mut result.dist;
     let stats = &mut result.stats;
+    let mut lap = Instant::now();
 
     loop {
         if entering_mid {
@@ -460,77 +603,13 @@ fn stepping_loop(
                 }
                 .stop(stop));
             }
-            // Extraction: collect the candidates (finite, not yet
-            // certified) in one scan, then pick the strategy's threshold.
-            let t0 = Instant::now();
-            frontier.clear();
-            let mut min_cand = INF;
-            for (v, &tv) in t.iter().enumerate() {
-                if tv.is_finite() && tv >= bound {
-                    frontier.push(v);
-                    if tv < min_cand {
-                        min_cand = tv;
-                    }
-                }
+            *extraction_scanned += pending.len() as u64;
+            let extracted = extract_frontier(strategy, delta, t, bound, pending, frontier, scratch);
+            close_phase(&mut lap, &mut profile.vector_ops);
+            match extracted {
+                Some(next) => threshold = next,
+                None => break, // nothing tentative at or above the bound: done
             }
-            if frontier.is_empty() {
-                profile.vector_ops += t0.elapsed();
-                break; // nothing tentative at or above the bound: done
-            }
-            threshold = match strategy {
-                SteppingStrategy::Rho(rho) => {
-                    if frontier.len() <= rho {
-                        // Extract the whole candidate pool, but close the
-                        // range just above its maximum: vertices
-                        // *discovered* while draining stay out of this
-                        // batch and wait for the next extraction (an ∞
-                        // threshold would drag the entire remaining graph
-                        // into one chaotic-relaxation range).
-                        let max_cand = frontier.iter().map(|&v| t[v]).fold(min_cand, f64::max);
-                        next_up(max_cand)
-                    } else {
-                        // The ρ-th smallest tentative value; every
-                        // candidate tied with it joins the extraction, so
-                        // the threshold is the next *distinct* value.
-                        scratch.clear();
-                        scratch.extend(frontier.iter().map(|&v| t[v]));
-                        let (_, pivot, _) =
-                            scratch.select_nth_unstable_by(rho - 1, |a, b| a.total_cmp(b));
-                        let pivot = *pivot;
-                        let mut next = INF;
-                        for &x in scratch.iter() {
-                            if x > pivot && x < next {
-                                next = x;
-                            }
-                        }
-                        next
-                    }
-                }
-                // The range starts at the first non-empty bucket (no
-                // empty-bucket skip iterations) and spans k bucket
-                // widths; classic is k = 1 with the edge placed exactly
-                // where `bucket_of` puts it, so the range test below is
-                // the bucket-membership test bit for bit.
-                SteppingStrategy::Classic => bucket_start(bucket_of(min_cand, delta) + 1, delta),
-                SteppingStrategy::DeltaStar(k) => {
-                    (bucket_of(min_cand, delta) as f64) * delta + k * delta
-                }
-            };
-            if threshold <= min_cand {
-                // Float-rounding guard: the range must contain its
-                // minimum, or the loop would spin. Fall back to the next
-                // distinct tentative value (∞ when all candidates tie).
-                let mut next = INF;
-                for &v in frontier.iter() {
-                    let x = t[v];
-                    if x > min_cand && x < next {
-                        next = x;
-                    }
-                }
-                threshold = next;
-            }
-            frontier.retain(|&v| t[v] < threshold);
-            profile.vector_ops += t0.elapsed();
 
             stats.buckets_processed += 1;
             settled.clear();
@@ -564,32 +643,28 @@ fn stepping_loop(
                     .stop(stop));
                 }
                 stats.light_phases += 1;
-                let t0 = Instant::now();
                 relax_light(pool, lh, t, frontier, in_frontier, rws, &mut stats.relaxations);
                 if matches!(strategy, SteppingStrategy::Rho(_)) {
                     relax(pool, lh, t, frontier, false, rws, &mut stats.relaxations);
                 } else {
                     settled.extend_from_slice(frontier);
                 }
-                profile.relaxation += t0.elapsed();
+                close_phase(&mut lap, &mut profile.relaxation);
 
-                let t0 = Instant::now();
                 frontier.clear();
-                apply_requests(rws, t, threshold, frontier, &mut stats.improvements);
-                profile.vector_ops += t0.elapsed();
+                apply_requests(rws, t, threshold, frontier, pending, &mut stats.improvements);
+                close_phase(&mut lap, &mut profile.vector_ops);
             }
             if settled.is_empty() {
                 break; // ρ always lands here: no separate heavy pass
             }
             stats.heavy_phases += 1;
-            let t0 = Instant::now();
             relax(pool, lh, t, settled, false, rws, &mut stats.relaxations);
             settled.clear();
-            profile.relaxation += t0.elapsed();
+            close_phase(&mut lap, &mut profile.relaxation);
 
-            let t0 = Instant::now();
-            apply_requests(rws, t, threshold, frontier, &mut stats.improvements);
-            profile.vector_ops += t0.elapsed();
+            apply_requests(rws, t, threshold, frontier, pending, &mut stats.improvements);
+            close_phase(&mut lap, &mut profile.vector_ops);
             if frontier.is_empty() {
                 break;
             }
@@ -657,6 +732,48 @@ mod tests {
         assert!(SteppingStrategy::Classic.validate().is_ok());
         assert!(SteppingStrategy::Rho(1).validate().is_ok());
         assert!(SteppingStrategy::DeltaStar(1.0).validate().is_ok());
+    }
+
+    #[test]
+    fn extraction_rules_hold_over_the_pending_multiset() {
+        // Vertex 3 is undiscovered, vertex 6 is stale (improved below the
+        // bound since it joined), and members sit in discovery order.
+        let t = [0.5, 3.0, 1.0, INF, 1.0, 2.0, 0.2, 1.0];
+        let members = [7, 5, 1, 4, 2, 0, 6];
+        let extract = |strategy, t: &[f64], members: &[usize], bound| {
+            let mut pending = members.to_vec();
+            let (mut frontier, mut scratch) = (vec![99], Vec::new());
+            let threshold =
+                extract_frontier(strategy, 1.0, t, bound, &mut pending, &mut frontier, &mut scratch);
+            (threshold, frontier, pending)
+        };
+        // ρ = 2: the 2nd smallest value is 1.0 and all three ties join, so
+        // the range closes at the next distinct value.
+        assert_eq!(
+            extract(SteppingStrategy::Rho(2), &t, &members, 0.5),
+            (Some(2.0), vec![0, 2, 4, 7], vec![5, 1])
+        );
+        // ρ ≥ |pending|: everything, closed just above the maximum.
+        assert_eq!(
+            extract(SteppingStrategy::Rho(6), &t, &members, 0.5),
+            (Some(next_up(3.0)), vec![0, 1, 2, 4, 5, 7], vec![])
+        );
+        assert_eq!(
+            extract(SteppingStrategy::Classic, &t, &members, 0.5),
+            (Some(1.0), vec![0], vec![7, 5, 1, 4, 2])
+        );
+        assert_eq!(
+            extract(SteppingStrategy::DeltaStar(2.0), &t, &members, 0.5),
+            (Some(2.0), vec![0, 2, 4, 7], vec![5, 1])
+        );
+        // Nothing at or above the bound: the run is over.
+        assert_eq!(extract(SteppingStrategy::Classic, &t, &members, 3.5), (None, vec![], vec![]));
+        // Float guard: at 1e17 one bucket width vanishes in rounding, so
+        // the range edge lands on the minimum; the next distinct pending
+        // value takes over (∞ when every candidate ties).
+        let far = SteppingStrategy::DeltaStar(1.0);
+        assert_eq!(extract(far, &[2e17, 1e17], &[0, 1], 0.0), (Some(2e17), vec![1], vec![0]));
+        assert_eq!(extract(far, &[1e17, 1e17], &[1, 0], 0.0), (Some(INF), vec![0, 1], vec![]));
     }
 
     #[test]

@@ -21,11 +21,16 @@
 //!    save/load through the engine's checkpoint files and resumes to
 //!    the exact uninterrupted answer; so does a trailer-less classic
 //!    checkpoint written by the parent commit's `fused` (byte fixture).
+//! 6. **Extraction scans the pending set** — resuming rebuilds the set
+//!    from `dist` and the checkpoint's bound/threshold so that every later
+//!    checkpoint (ascending frontier included) equals the uninterrupted
+//!    run's, and `EngineStats::extraction_scanned` stays
+//!    O(n + improvements) where a full-vector scan would be n × steps.
 
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::dijkstra::dijkstra;
 use sssp_core::engine::SsspEngine;
-use sssp_core::{RunBudget, SsspError, SsspStats, SteppingStrategy};
+use sssp_core::{Checkpoint, RunBudget, SsspError, SsspStats, SteppingStrategy, StopPoint};
 use taskpool::ThreadPool;
 
 const RUNS: usize = 5;
@@ -360,5 +365,128 @@ fn trailerless_fixture_from_the_parent_commit_still_resumes() {
             .expect("a trailer-less checkpoint resumes as classic");
         assert_eq!(bits(&resumed.dist), bits(&oracle.dist));
         assert_eq!(resumed.stats, full.stats);
+    }
+}
+
+/// The checkpoint a run cancelled after `k` budget epochs carries.
+fn checkpoint_at(
+    engine: &mut SsspEngine,
+    pool: Option<&ThreadPool>,
+    src: usize,
+    delta: f64,
+    strategy: SteppingStrategy,
+    k: u64,
+) -> Checkpoint {
+    engine
+        .run_stepping(pool, src, delta, strategy, &mut RunBudget::unlimited().cancel_after(k))
+        .expect_err("cancel_after inside the run must stop it")
+        .into_checkpoint()
+        .expect("cancellation carries a checkpoint")
+}
+
+#[test]
+fn resume_rebuilds_the_pending_set_from_dist_and_bound() {
+    // The checkpoint does not carry the pending set. A resume rebuilds it
+    // from `dist`: at or above `threshold` when it re-enters a range
+    // mid-drain, at or above `bound` at a range start. Either floor wrong
+    // and the next extraction's candidates — so its threshold and
+    // frontier — part ways with the uninterrupted run's.
+    let g = weighted_chaos_graph();
+    let (src, delta) = (0, 0.5);
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    // How many later stops of the same run each resume is followed to.
+    const FOLLOW: u64 = 4;
+    for strategy in [
+        SteppingStrategy::Classic,
+        SteppingStrategy::Rho(16),
+        SteppingStrategy::DeltaStar(2.0),
+    ] {
+        let mut engine = SsspEngine::new(&g);
+        let epochs = total_epochs(&g, src, delta, strategy, &pool);
+        let reference: Vec<Checkpoint> = (0..epochs)
+            .map(|k| checkpoint_at(&mut engine, None, src, delta, strategy, k))
+            .collect();
+        let (mut mid_range_with_pending, mut range_starts) = (0, 0);
+        for (k, cp) in reference.iter().enumerate() {
+            assert!(
+                cp.frontier.windows(2).all(|w| w[0] < w[1]),
+                "{strategy} epoch {k}: frontier must be ascending"
+            );
+            let st = cp.stepping.expect("the loop emits its stepping state");
+            match cp.stop_point {
+                StopPoint::LightPhase => {
+                    let above = cp.dist.iter().filter(|d| d.is_finite() && **d >= st.threshold);
+                    mid_range_with_pending += usize::from(above.count() > 0);
+                }
+                StopPoint::BucketStart => range_starts += 1,
+            }
+            let pooled_cut = checkpoint_at(&mut engine, Some(&pool), src, delta, strategy, k as u64);
+            assert_eq!(&pooled_cut, cp, "{strategy} epoch {k}: the pooled kernels stop elsewhere");
+            for resume_on in [None, Some(&pool)] {
+                // Epoch m of the resumed run is epoch k + m of the
+                // uninterrupted one: its stop must be that run's stop.
+                for m in 1..=FOLLOW.min(epochs - 1 - k as u64) {
+                    let next = engine
+                        .resume_stepping(resume_on, cp, &mut RunBudget::unlimited().cancel_after(m))
+                        .expect_err("cancel_after inside the run must stop it")
+                        .into_checkpoint()
+                        .expect("cancellation carries a checkpoint");
+                    assert_eq!(
+                        next,
+                        reference[k + m as usize],
+                        "{strategy}: cut at epoch {k}, resumed pooled={} for {m} epoch(s)",
+                        resume_on.is_some()
+                    );
+                }
+            }
+        }
+        assert!(
+            mid_range_with_pending > 0 && range_starts > 0,
+            "{strategy}: want stops mid-range with vertices waiting above the threshold \
+             ({mid_range_with_pending}) and at range starts ({range_starts})"
+        );
+    }
+}
+
+#[test]
+fn extraction_work_is_linear_in_vertices_and_improvements() {
+    // Long, thin graphs: ~1000 and 50 000 steps of a handful of vertices
+    // each. Extraction reads only the pending set, so its total work is
+    // O(n + improvements); one pass over the distance vector per step
+    // would be n × steps.
+    use graphdata::gen;
+    let grid = CsrGraph::from_edge_list(&gen::grid2d(8, 1024)).unwrap();
+    let path = CsrGraph::from_edge_list(&gen::path(50_000)).unwrap();
+    let pools: Vec<ThreadPool> =
+        THREADS.iter().map(|&t| ThreadPool::with_threads(t).expect("pool")).collect();
+    for (name, g) in [("grid-8x1024", &grid), ("path-50k", &path)] {
+        let n = g.num_vertices() as u64;
+        for strategy in [
+            SteppingStrategy::Classic,
+            SteppingStrategy::Rho(64),
+            SteppingStrategy::DeltaStar(4.0),
+        ] {
+            let mut scanned_by_kernel = Vec::new();
+            for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                let mut engine = SsspEngine::new(g);
+                let (r, _) = engine
+                    .run_stepping(pool, 0, 1.0, strategy, &mut RunBudget::unlimited())
+                    .expect("valid input");
+                let scanned = engine.stats().extraction_scanned;
+                let steps = r.stats.buckets_processed as u64;
+                assert!(steps >= 250, "{strategy} on {name}: only {steps} steps");
+                assert!(
+                    scanned >= steps && scanned <= 4 * (n + r.stats.improvements),
+                    "{strategy} on {name}: scanned {scanned} pending entries over {steps} steps \
+                     (n = {n}, {} improvements)",
+                    r.stats.improvements
+                );
+                scanned_by_kernel.push(scanned);
+            }
+            assert!(
+                scanned_by_kernel.windows(2).all(|w| w[0] == w[1]),
+                "{strategy} on {name}: extraction work differs across kernels: {scanned_by_kernel:?}"
+            );
+        }
     }
 }
