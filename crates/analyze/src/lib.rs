@@ -17,7 +17,10 @@
 //!    are out of scope by construction.
 //! 3. **`hot-path-lock`** — no `Mutex`/`RwLock` in the relaxation hot
 //!    paths (`crates/core/src/parallel*`, `crates/core/src/reqbuf.rs`,
-//!    `crates/gblas/src/parallel/`) or the resident service
+//!    `crates/core/src/pull.rs`, `crates/core/src/stepping.rs`,
+//!    `crates/core/src/fused.rs` — the light/heavy split and its chunked
+//!    build — `crates/gblas/src/parallel*`,
+//!    `crates/gblas/src/direction.rs`) or the resident service
 //!    (`crates/serve/src/`). Deliberate uses are suppressed with a
 //!    `lint:allow(hot-path-lock): <reason>` comment on the same or the
 //!    preceding line.
@@ -435,7 +438,8 @@ const HOT_PATH_SUPPRESSION: &str = "lint:allow(hot-path-lock)";
 
 /// Hot-path modules where a blocking lock is a design violation: the
 /// request-buffer relaxation core, the parallel kernels, the
-/// generalized stepping loop, and the resident service (whose locks
+/// generalized stepping loop, the light/heavy split it runs over (built
+/// in row chunks on the pool), and the resident service (whose locks
 /// must all be request-rate control state, never per-edge — each
 /// deliberate one carries its reason).
 pub fn is_hot_path(rel: &str) -> bool {
@@ -443,6 +447,7 @@ pub fn is_hot_path(rel: &str) -> bool {
         || rel == "crates/core/src/reqbuf.rs"
         || rel == "crates/core/src/pull.rs"
         || rel == "crates/core/src/stepping.rs"
+        || rel == "crates/core/src/fused.rs"
         || rel.starts_with("crates/gblas/src/parallel")
         || rel == "crates/gblas/src/direction.rs"
         || rel.starts_with("crates/serve/src/")
@@ -1533,7 +1538,7 @@ reason = "heuristic counter, never load-acquired"
         assert!(fs.iter().all(|f| f.lint == "hot-path-lock"));
 
         let ok = sf(
-            "crates/core/src/parallel_improved.rs",
+            "crates/core/src/parallel.rs",
             "// lint:allow(hot-path-lock): cold merge path only\nuse parking_lot::Mutex;\n",
         );
         assert!(lint_hot_path_locks(&ok).is_empty());
@@ -1551,6 +1556,9 @@ reason = "heuristic counter, never load-acquired"
         // strategy framework: its extraction scan is per-vertex work.
         let stepping = sf("crates/core/src/stepping.rs", "use std::sync::Mutex;\n");
         assert_eq!(lint_hot_path_locks(&stepping).len(), 1);
+        // So did the split module, with the chunked split build.
+        let split = sf("crates/core/src/fused.rs", "use std::sync::Mutex;\n");
+        assert_eq!(lint_hot_path_locks(&split).len(), 1);
     }
 
     // -- lint 4 ----------------------------------------------------------

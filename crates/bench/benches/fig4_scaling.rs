@@ -5,7 +5,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use graphdata::{paper_suite, SuiteScale};
 use sssp_bench::bench_source;
-use sssp_core::{fused, parallel, parallel_improved};
+use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
+use sssp_core::{fused, parallel};
 use taskpool::ThreadPool;
 
 fn fig4(c: &mut Criterion) {
@@ -35,8 +36,12 @@ fn fig4(c: &mut Criterion) {
             BenchmarkId::new(format!("improved_{threads}t"), &d.name),
             |b| {
                 b.iter(|| {
-                    std::hint::black_box(parallel_improved::delta_stepping_parallel_improved(
-                        &pool, g, src, 1.0,
+                    std::hint::black_box(delta_stepping_strategy(
+                        g,
+                        src,
+                        1.0,
+                        SteppingStrategy::Classic,
+                        Some(&pool),
                     ))
                 });
             },

@@ -15,8 +15,9 @@
 //!                       BENCH_sssp.json; suppressed in --check mode
 //!                       unless given explicitly)
 //!   --check PATH        compare this run against a committed baseline;
-//!                       exits non-zero if any entry's ratio-vs-fused
-//!                       regresses by more than 25%
+//!                       exits non-zero if a deterministic SsspStats
+//!                       counter drifted or a baseline row is missing
+//!                       (wall times are information, never compared)
 //!   --refresh-results   also regenerate the results/*.csv and
 //!                       results/*.json files for every experiment at the
 //!                       scale in effect, so they can't go stale
@@ -57,7 +58,7 @@ fn main() {
     let mut entries = Vec::new();
     for &scale in scales {
         // Smoke graphs finish in microseconds, so medians there need many
-        // more samples to be stable enough for the 25% regression check.
+        // more samples to mean anything.
         let reps = match scale {
             SuiteScale::Smoke => Reps { warmup: 3, samples: 15 },
             _ => Reps { warmup: 1, samples: 3 },
@@ -68,8 +69,7 @@ fn main() {
     println!("{}", markdown_table(&baseline::HEADER, &table));
 
     // Headline: per-graph speedup of the direction oracle over forced
-    // push at the same thread count (minima: stable on shared machines,
-    // see the check's doc).
+    // push at the same thread count (minima: stable on shared machines).
     for chunk in entries.chunks(3) {
         let (push, improved) = (&chunk[1], &chunk[2]);
         if improved.min_ms > 0.0 {
@@ -127,18 +127,11 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
         let report = baseline::check_against(&doc, &entries);
         if report.passed() {
-            println!(
-                "\ncheck against {path}: OK ({} timing datapoint(s) within {:.0}%, \
-                 {} sub-{}ms datapoint(s) stats-checked only)",
-                report.timed,
-                baseline::TOLERANCE * 100.0,
-                report.skipped,
-                baseline::MIN_TIMED_MS,
-            );
+            println!("\ncheck against {path}: OK (stats and row presence; no timings compared)");
         } else {
             println!("\ncheck against {path}: FAILED");
             for f in &report.failures {
-                println!("  regression: {f}");
+                println!("  drift: {f}");
             }
             std::process::exit(1);
         }

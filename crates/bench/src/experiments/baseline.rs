@@ -5,9 +5,7 @@
 //! [`gate_extras`] road graphs) across three entries — the one stepping
 //! loop's classic strategy on its sequential and pooled kernels:
 //!
-//! * `fused` — the sequential fused reference; every other entry is
-//!   normalized against it, so the regression check compares
-//!   machine-independent ratios rather than raw milliseconds;
+//! * `fused` — the sequential fused reference;
 //! * `improved-push` — the request-buffer path with the density oracle
 //!   pinned to push: the pre-direction-optimization behaviour, kept so
 //!   the oracle's win (or cost) per graph is a committed datapoint;
@@ -17,7 +15,10 @@
 //!
 //! All three are cross-checked for identical distances and stats (the
 //! kernels and the direction switch must be invisible) before anything
-//! is timed.
+//! is timed. The committed file is a **stats** baseline: `--check`
+//! compares the deterministic counters and row presence only, and the
+//! wall times ride along as information — timing is `BENCHMARK.json`'s
+//! job.
 
 use gblas::direction::{self, Direction};
 use graphdata::suite::Dataset;
@@ -51,21 +52,13 @@ pub struct BenchEntry {
     pub threads: usize,
     /// Median wall time, milliseconds.
     pub median_ms: f64,
-    /// Minimum wall time, milliseconds. The regression check compares
-    /// minima: external interference only ever *adds* time, so the
-    /// minimum is the stable estimator on shared/loaded machines.
+    /// Minimum wall time, milliseconds: external interference only ever
+    /// *adds* time, so the minimum is the stable estimator on
+    /// shared/loaded machines.
     pub min_ms: f64,
     /// Run statistics (identical across implementations by construction;
     /// recorded so a stats drift fails the regression check too).
     pub stats: SsspStats,
-    /// `true` when this graph's fused run finished under
-    /// [`MIN_TIMED_MS`] at *measurement* time: the entry is recorded as
-    /// `"timing": "stats-only"` in `BENCH_sssp.json` and the regression
-    /// check never compares its wall times, only its counters. Decided
-    /// when the baseline is generated — not re-derived from fresh
-    /// timings — so a graph near the floor cannot flap in and out of the
-    /// timing gate between CI runs.
-    pub stats_only: bool,
     /// For the auto-direction `improved` entry: how many light epochs the
     /// density oracle sent each way, `(push, pull)`, observed on the
     /// correctness-gate run. `None` for entries that never consult the
@@ -84,10 +77,6 @@ impl ToJson for BenchEntry {
             ("threads", self.threads.to_json()),
             ("median_ms", self.median_ms.to_json()),
             ("min_ms", self.min_ms.to_json()),
-            (
-                "timing",
-                if self.stats_only { "stats-only" } else { "timed" }.to_json(),
-            ),
             ("relaxations", self.stats.relaxations.to_json()),
             ("improvements", self.stats.improvements.to_json()),
             ("buckets_processed", self.stats.buckets_processed.to_json()),
@@ -177,16 +166,12 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
             (med.as_secs_f64() * 1e3, min.as_secs_f64() * 1e3)
         };
 
-        // Measure fused first: its minimum decides — once, at baseline
-        // generation — whether this graph's entries are timing-eligible
-        // or stats-only.
         let fused_t = ms(measure_median_min(
             || {
                 std::hint::black_box(fused::delta_stepping_fused(g, src, DELTA));
             },
             reps,
         ));
-        let stats_only = fused_t.1 < MIN_TIMED_MS;
 
         let entry = |impl_name: &str,
                      threads: usize,
@@ -201,7 +186,6 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
             median_ms,
             min_ms,
             stats,
-            stats_only,
             directions: None,
         };
 
@@ -293,29 +277,15 @@ pub fn to_table(entries: &[BenchEntry]) -> Vec<Vec<String>> {
 /// Console/CSV header matching [`to_table`].
 pub const HEADER: [&str; 6] = ["scale", "graph", "impl", "threads", "median_ms", "relaxations"];
 
-/// Maximum allowed regression of the fused-normalized ratio before the
-/// check fails (25 %).
-pub const TOLERANCE: f64 = 0.25;
-
-/// Fused-time floor (milliseconds) for *timing* comparison. Below it a
-/// run finishes in microseconds and even minimum-of-N wall times jitter
-/// several-fold on a shared core, so those datapoints are only checked
-/// for presence and stats equality, never for speed.
-pub const MIN_TIMED_MS: f64 = 1.0;
-
 /// What [`check_against`] concluded.
 #[derive(Debug, Default)]
 pub struct CheckReport {
     /// Human-readable failure lines (empty = check passed).
     pub failures: Vec<String>,
-    /// Datapoints whose timing ratio was actually compared.
-    pub timed: usize,
-    /// Datapoints skipped as sub-[`MIN_TIMED_MS`] (still stats-checked).
-    pub skipped: usize,
 }
 
 impl CheckReport {
-    /// True when nothing regressed.
+    /// True when nothing drifted.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
@@ -323,26 +293,14 @@ impl CheckReport {
 
 /// Compare a fresh run against a parsed `BENCH_sssp.json` document.
 ///
-/// Two independent gates:
-///
 /// * **Stats** — the counters ([`SsspStats`]) are bit-deterministic, so
 ///   any `(scale, graph, impl)` present on both sides must match
 ///   *exactly*; a drift means the algorithm changed behaviour.
-/// * **Timing** — raw times are machine-dependent, so each parallel
-///   entry is normalized to the *same run's* fused time on the same
-///   graph, and the fresh ratio must not exceed the baseline ratio by
-///   more than [`TOLERANCE`]. Minima (not medians) are compared —
-///   interference only ever adds time, so the minimum is far more
-///   stable on shared machines. Graphs the baseline marks
-///   `"timing": "stats-only"` are never time-compared — the decision was
-///   made once when the baseline was generated, so a graph near the
-///   [`MIN_TIMED_MS`] floor cannot flake in and out of the gate as CI
-///   machines speed up or slow down. The dynamic floor still applies on
-///   top, for baselines predating the marker.
+/// * **Presence** — a datapoint the baseline has but the fresh run is
+///   missing fails when the fresh run covered that scale at all (a
+///   `--smoke` run legitimately skips the default-scale section).
 ///
-/// Datapoints the baseline has but the fresh run is missing fail only
-/// when the fresh run covered that scale at all (a `--smoke` run
-/// legitimately skips the default-scale section).
+/// Wall times are never compared.
 pub fn check_against(baseline: &Json, fresh: &[BenchEntry]) -> CheckReport {
     let mut report = CheckReport::default();
 
@@ -350,8 +308,10 @@ pub fn check_against(baseline: &Json, fresh: &[BenchEntry]) -> CheckReport {
         report.failures.push("baseline has no \"entries\" array".into());
         return report;
     };
+    fn field<'a>(b: &'a Json, name: &str) -> Option<&'a str> {
+        b.get(name).and_then(Json::as_str)
+    }
 
-    // Stats gate: exact counter equality wherever both sides have data.
     const COUNTERS: [&str; 5] = [
         "relaxations",
         "improvements",
@@ -359,12 +319,21 @@ pub fn check_against(baseline: &Json, fresh: &[BenchEntry]) -> CheckReport {
         "light_phases",
         "heavy_phases",
     ];
-    for e in fresh {
-        let Some(base) = entries.iter().find(|b| {
-            b.get("scale").and_then(Json::as_str) == Some(&e.scale)
-                && b.get("graph").and_then(Json::as_str) == Some(&e.graph)
-                && b.get("impl").and_then(Json::as_str) == Some(&e.impl_name)
-        }) else {
+    for base in entries {
+        let (Some(scale), Some(graph), Some(impl_name)) =
+            (field(base, "scale"), field(base, "graph"), field(base, "impl"))
+        else {
+            continue;
+        };
+        let Some(e) = fresh
+            .iter()
+            .find(|e| e.scale == scale && e.graph == graph && e.impl_name == impl_name)
+        else {
+            if fresh.iter().any(|e| e.scale == scale) {
+                report
+                    .failures
+                    .push(format!("{scale}/{graph}/{impl_name}: missing from fresh run"));
+            }
             continue;
         };
         let fresh_counters = [
@@ -378,102 +347,14 @@ pub fn check_against(baseline: &Json, fresh: &[BenchEntry]) -> CheckReport {
             if let Some(want) = base.get(name).and_then(Json::as_u64) {
                 if want != have {
                     report.failures.push(format!(
-                        "{}/{}/{}: {} drifted from {} to {} (stats are deterministic)",
-                        e.scale, e.graph, e.impl_name, name, want, have
+                        "{scale}/{graph}/{impl_name}: {name} drifted from {want} to {have} \
+                         (stats are deterministic)"
                     ));
                 }
             }
         }
     }
-
-    // Graphs the baseline pinned as stats-only: timing never applies.
-    let base_stats_only: std::collections::BTreeSet<(String, String)> = entries
-        .iter()
-        .filter_map(|e| {
-            if e.get("timing").and_then(Json::as_str) != Some("stats-only") {
-                return None;
-            }
-            Some((
-                e.get("scale").and_then(Json::as_str)?.to_string(),
-                e.get("graph").and_then(Json::as_str)?.to_string(),
-            ))
-        })
-        .collect();
-
-    // Timing gate on fused-normalized minima.
-    let fresh_ratios = ratio_map(
-        fresh
-            .iter()
-            .map(|e| (e.scale.clone(), e.graph.clone(), e.impl_name.clone(), e.min_ms)),
-    );
-    let base_iter = entries.iter().filter_map(|e| {
-        Some((
-            e.get("scale").and_then(Json::as_str)?.to_string(),
-            e.get("graph").and_then(Json::as_str)?.to_string(),
-            e.get("impl").and_then(Json::as_str)?.to_string(),
-            e.get("min_ms").or_else(|| e.get("median_ms")).and_then(Json::as_f64)?,
-        ))
-    });
-    let base_ratios = ratio_map(base_iter);
-
-    for ((scale, graph, impl_name), (base_ratio, base_fused_ms)) in &base_ratios {
-        let Some((fresh_ratio, fused_ms)) =
-            fresh_ratios.get(&(scale.clone(), graph.clone(), impl_name.clone()))
-        else {
-            if fresh.iter().any(|e| &e.scale == scale) {
-                report
-                    .failures
-                    .push(format!("{scale}/{graph}/{impl_name}: missing from fresh run"));
-            }
-            continue;
-        };
-        if base_stats_only.contains(&(scale.clone(), graph.clone()))
-            || *fused_ms < MIN_TIMED_MS
-            || *base_fused_ms < MIN_TIMED_MS
-        {
-            report.skipped += 1;
-            continue;
-        }
-        report.timed += 1;
-        if *fresh_ratio > base_ratio * (1.0 + TOLERANCE) {
-            report.failures.push(format!(
-                "{scale}/{graph}/{impl_name}: ratio-vs-fused {fresh_ratio:.3} exceeds \
-                 baseline {base_ratio:.3} by more than {:.0}%",
-                TOLERANCE * 100.0
-            ));
-        }
-    }
     report
-}
-
-type RatioKey = (String, String, String);
-
-/// Normalize each entry's time to the fused time on the same
-/// (scale, graph); fused rows themselves are excluded (always 1.0). The
-/// fused time rides along so the caller can scale its tolerance.
-fn ratio_map(
-    entries: impl Iterator<Item = (String, String, String, f64)>,
-) -> std::collections::BTreeMap<RatioKey, (f64, f64)> {
-    let rows: Vec<_> = entries.collect();
-    let mut fused: std::collections::BTreeMap<(String, String), f64> =
-        std::collections::BTreeMap::new();
-    for (scale, graph, impl_name, ms) in &rows {
-        if impl_name == "fused" {
-            fused.insert((scale.clone(), graph.clone()), *ms);
-        }
-    }
-    let mut out = std::collections::BTreeMap::new();
-    for (scale, graph, impl_name, ms) in rows {
-        if impl_name == "fused" {
-            continue;
-        }
-        if let Some(&f) = fused.get(&(scale.clone(), graph.clone())) {
-            if f > 0.0 {
-                out.insert((scale, graph, impl_name), (ms / f, f));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -511,9 +392,8 @@ mod tests {
         assert!(report.passed(), "{:?}", report.failures);
     }
 
-    #[test]
-    fn check_flags_regressions_and_gaps() {
-        let mk = |impl_name: &str, ms: f64| BenchEntry {
+    fn mk(impl_name: &str, ms: f64, relaxations: u64) -> BenchEntry {
+        BenchEntry {
             scale: "smoke".into(),
             graph: "g".into(),
             nv: 10,
@@ -522,107 +402,31 @@ mod tests {
             threads: 2,
             median_ms: ms,
             min_ms: ms,
-            stats: SsspStats::default(),
-            stats_only: false,
+            stats: SsspStats { relaxations, ..SsspStats::default() },
             directions: None,
-        };
-        let baseline_doc = to_document(&[mk("fused", 1.0), mk("improved", 2.0)]);
-        // Fresh ratio 4.0 vs baseline 2.0: > 25% regression.
-        let report = check_against(&baseline_doc, &[mk("fused", 1.0), mk("improved", 4.0)]);
-        assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
-        assert!(report.failures[0].contains("ratio-vs-fused"));
-        assert_eq!(report.timed, 1);
-        // Within tolerance passes.
-        let ok = check_against(&baseline_doc, &[mk("fused", 1.0), mk("improved", 2.3)]);
-        assert!(ok.passed(), "{:?}", ok.failures);
+        }
+    }
+
+    #[test]
+    fn check_ignores_wall_times_and_flags_gaps() {
+        let baseline_doc = to_document(&[mk("fused", 1.0, 100), mk("improved", 2.0, 100)]);
+        // A 20x slower fresh run is not this gate's business.
+        let slow =
+            check_against(&baseline_doc, &[mk("fused", 1.0, 100), mk("improved", 40.0, 100)]);
+        assert!(slow.passed(), "{:?}", slow.failures);
         // Fresh run covering the scale but missing the impl is flagged.
-        let gap = check_against(&baseline_doc, &[mk("fused", 1.0)]);
+        let gap = check_against(&baseline_doc, &[mk("fused", 1.0, 100)]);
         assert_eq!(gap.failures.len(), 1);
         assert!(gap.failures[0].contains("missing"));
+        // A scale the fresh run did not cover at all is not.
+        assert!(check_against(&baseline_doc, &[]).passed());
     }
 
     #[test]
-    fn check_skips_timing_for_sub_millisecond_graphs() {
-        let mk = |impl_name: &str, ms: f64| BenchEntry {
-            scale: "smoke".into(),
-            graph: "tiny".into(),
-            nv: 10,
-            ne: 20,
-            impl_name: impl_name.into(),
-            threads: 2,
-            median_ms: ms,
-            min_ms: ms,
-            stats: SsspStats::default(),
-            stats_only: false,
-            directions: None,
-        };
-        // Fused under MIN_TIMED_MS: even a 5x ratio blow-up is ignored —
-        // microsecond wall times on a shared core are pure noise.
-        let baseline_doc = to_document(&[mk("fused", 0.5), mk("improved", 1.0)]);
-        let report = check_against(&baseline_doc, &[mk("fused", 0.5), mk("improved", 5.0)]);
-        assert!(report.passed(), "{:?}", report.failures);
-        assert_eq!(report.skipped, 1);
-        assert_eq!(report.timed, 0);
-    }
-
-    #[test]
-    fn baseline_stats_only_marker_pins_the_skip_regardless_of_fresh_times() {
-        let mk = |impl_name: &str, ms: f64, stats_only: bool| BenchEntry {
-            scale: "smoke".into(),
-            graph: "tiny".into(),
-            nv: 10,
-            ne: 20,
-            impl_name: impl_name.into(),
-            threads: 2,
-            median_ms: ms,
-            min_ms: ms,
-            stats: SsspStats::default(),
-            stats_only,
-            directions: None,
-        };
-        // The baseline recorded this graph as stats-only even though its
-        // times sit above the floor (say, the baseline machine was slow).
-        // A fresh run with any ratio — here a 10x blow-up on a fused time
-        // also above the floor — must still skip the timing gate: the
-        // marker, not the fresh measurement, decides.
-        let baseline_doc =
-            to_document(&[mk("fused", 2.0, true), mk("improved", 4.0, true)]);
-        let parsed = Json::parse(&baseline_doc.render()).unwrap();
-        let report = check_against(
-            &parsed,
-            &[mk("fused", 2.0, false), mk("improved", 40.0, false)],
-        );
-        assert!(report.passed(), "{:?}", report.failures);
-        assert_eq!(report.skipped, 1);
-        assert_eq!(report.timed, 0);
-        // And the marker round-trips through the JSON document.
-        let entries = parsed.get("entries").and_then(Json::as_arr).unwrap();
-        assert!(entries
-            .iter()
-            .all(|e| e.get("timing").and_then(Json::as_str) == Some("stats-only")));
-    }
-
-    #[test]
-    fn check_flags_stats_drift_even_when_timing_skipped() {
-        let mk = |impl_name: &str, relaxations: u64| BenchEntry {
-            scale: "smoke".into(),
-            graph: "tiny".into(),
-            nv: 10,
-            ne: 20,
-            impl_name: impl_name.into(),
-            threads: 2,
-            median_ms: 0.1,
-            min_ms: 0.1,
-            stats: SsspStats {
-                relaxations,
-                ..SsspStats::default()
-            },
-            stats_only: true,
-            directions: None,
-        };
-        let baseline_doc = to_document(&[mk("fused", 100), mk("improved", 100)]);
+    fn check_flags_stats_drift() {
+        let baseline_doc = to_document(&[mk("fused", 0.1, 100), mk("improved", 0.1, 100)]);
         let report =
-            check_against(&baseline_doc, &[mk("fused", 100), mk("improved", 101)]);
+            check_against(&baseline_doc, &[mk("fused", 0.1, 100), mk("improved", 0.1, 101)]);
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
         assert!(report.failures[0].contains("drifted"));
     }

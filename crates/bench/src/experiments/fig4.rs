@@ -20,7 +20,8 @@
 
 use graphdata::{paper_suite, SuiteScale};
 use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};
-use sssp_core::{fused, parallel, parallel_improved};
+use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
+use sssp_core::{fused, parallel};
 use taskpool::ThreadPool;
 
 use crate::experiments::geomean;
@@ -139,7 +140,9 @@ pub fn run_wallclock(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fi
             for pool in &pools {
                 let pr = parallel::delta_stepping_parallel(pool, g, src, delta);
                 assert_eq!(pr.dist, baseline.dist, "{}: parallel disagrees", d.name);
-                let pi = parallel_improved::delta_stepping_parallel_improved(pool, g, src, delta);
+                let improved =
+                    || delta_stepping_strategy(g, src, delta, SteppingStrategy::Classic, Some(pool));
+                let pi = improved();
                 assert_eq!(pi.dist, baseline.dist, "{}: improved disagrees", d.name);
 
                 let pt = measure_min(
@@ -153,11 +156,7 @@ pub fn run_wallclock(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fi
                 parallel_speedup.push(seq_t.as_secs_f64() / pt.as_secs_f64());
                 let it = measure_min(
                     || {
-                        std::hint::black_box(
-                            parallel_improved::delta_stepping_parallel_improved(
-                                pool, g, src, delta,
-                            ),
-                        );
+                        std::hint::black_box(improved());
                     },
                     reps,
                 );

@@ -4,7 +4,8 @@
 //! the fused implementation, per suite graph.
 
 use graphdata::{paper_suite, SuiteScale};
-use sssp_core::fused;
+use sssp_core::stepping::{stepping_checked, SteppingStrategy};
+use sssp_core::{fused, RunBudget};
 
 use crate::report::{Json, ToJson};
 use crate::bench_source;
@@ -49,7 +50,10 @@ pub fn run(scale: SuiteScale) -> Vec<ProfileRow> {
             let src = bench_source(g);
             // Warm-up run, then the measured run.
             let _ = fused::delta_stepping_fused(g, src, 1.0);
-            let (_, profile) = fused::delta_stepping_fused_profiled(g, src, 1.0);
+            let unlimited = &mut RunBudget::unlimited();
+            let (_, profile) =
+                stepping_checked(g, src, 1.0, SteppingStrategy::Classic, None, unlimited)
+                    .expect("suite graphs are valid");
             ProfileRow {
                 name: d.name,
                 nv: g.num_vertices(),

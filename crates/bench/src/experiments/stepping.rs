@@ -11,9 +11,9 @@
 //! generation time — a baseline that no longer shows the win cannot be
 //! produced.
 //!
-//! Entries reuse [`BenchEntry`], so they ride the same stats-drift and
-//! fused-normalized timing gates as the main baseline: each graph also
-//! records a sequential `fused` row for normalization.
+//! Entries reuse [`BenchEntry`], so they ride the same stats-drift gate
+//! as the main baseline; each graph also records a sequential `fused`
+//! row as the timing reference.
 
 use graphdata::suite::Dataset;
 use graphdata::{gen, SuiteScale, WeightModel};
@@ -21,7 +21,7 @@ use sssp_core::engine::SsspEngine;
 use sssp_core::{dijkstra, fused, RunBudget, SteppingStrategy};
 use taskpool::ThreadPool;
 
-use super::baseline::{scale_name, BenchEntry, MIN_TIMED_MS};
+use super::baseline::{scale_name, BenchEntry};
 use crate::bench_source;
 use crate::measure::{measure_median_min, Reps};
 
@@ -78,7 +78,7 @@ pub fn gate_graphs(scale: SuiteScale) -> Vec<Dataset> {
 }
 
 /// Run the strategy gate at `scale` with `threads` workers: per graph, a
-/// sequential `fused` normalization row plus one pooled row per
+/// sequential `fused` reference row plus one pooled row per
 /// strategy, every one cross-checked against Dijkstra before timing.
 pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
     let pool = ThreadPool::with_threads(threads).expect("thread count validated by CLI");
@@ -101,7 +101,6 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
             },
             reps,
         ));
-        let stats_only = fused_t.1 < MIN_TIMED_MS;
 
         let entry = |impl_name: &str,
                      threads: usize,
@@ -116,7 +115,6 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
             median_ms,
             min_ms,
             stats,
-            stats_only,
             directions: None,
         };
         entries.push(entry("fused", 1, fused_t, fu.stats.clone()));

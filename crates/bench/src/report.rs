@@ -139,16 +139,6 @@ impl Json {
         }
     }
 
-    /// Numeric value as `f64` (any of the three number variants).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::UInt(u) => Some(*u as f64),
-            Json::Int(i) => Some(*i as f64),
-            Json::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// Non-negative integer value.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
@@ -598,7 +588,7 @@ mod tests {
     #[test]
     fn parse_numbers_and_accessors() {
         let j = Json::parse(r#"{"a": 1e3, "b": -2.5, "c": 10, "d": -3, "s": "hi"}"#).unwrap();
-        assert_eq!(j.get("a").and_then(Json::as_f64), Some(1000.0));
+        assert_eq!(j.get("a"), Some(&Json::Float(1000.0)));
         assert_eq!(j.get("b"), Some(&Json::Float(-2.5)));
         assert_eq!(j.get("c"), Some(&Json::UInt(10)));
         assert_eq!(j.get("c").and_then(Json::as_u64), Some(10));

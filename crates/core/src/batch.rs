@@ -3,29 +3,37 @@
 //! worker engines that degrade instead of dying.
 //!
 //! [`BatchRunner`] is the multi-source counterpart of
-//! [`run_with_budget`](crate::run::run_with_budget). It owns a bounded
-//! job queue (admission control: jobs beyond the queue capacity are
-//! **rejected**, not silently queued forever), a small worker crew, and
-//! a per-job degradation ladder:
+//! [`run_with_budget`](crate::run::run_with_budget), over the one stepping
+//! loop only: a job has two axes, its [`SteppingStrategy`] and the
+//! [`Kernels`] it relaxes on. The runner owns a bounded job queue
+//! (admission control: jobs beyond the queue capacity are **rejected**,
+//! not silently queued forever), a small worker crew, and one per-job
+//! degradation ladder, the same for a fresh run (`preflight` +
+//! `run_stepping`) and a resume from a checkpoint (`resume_stepping`):
 //!
-//! 1. the requested implementation runs under a [`RunBudget`] carrying
+//! 1. rung 1 runs on the requested kernels under a [`RunBudget`] carrying
 //!    the per-job deadline and the batch-wide [`CancelToken`];
-//! 2. a budget stop (deadline, cancellation, watchdog) becomes
-//!    [`BatchOutcome::Partial`] carrying the certified
-//!    [`Checkpoint`] — partial work is reported, never discarded;
-//! 3. a worker panic is caught, and the job is retried **once** on the
-//!    sequential fused path under [`RunBudget::retry_budget`] (fresh
-//!    epoch allowance, same deadline/token — the job's SLO does not
-//!    reset because a worker died); only a second failure yields
-//!    [`BatchOutcome::Failed`].
+//! 2. a caught panic resets the engine's workspaces and rung 2 runs the
+//!    **same strategy** on the sequential kernels under
+//!    [`RunBudget::retry_budget`] (fresh epoch allowance, same
+//!    deadline/token — the job's SLO does not reset because a worker
+//!    died), completing with `degraded_by_panic = true`; pooled kernels
+//!    requested without a pool skip rung 1 and run rung 2 under the job
+//!    budget, completing with the `thread pool unavailable (…)` notice;
+//! 3. a second panic yields [`BatchOutcome::Failed`] carrying
+//!    [`SsspError::WorkerPanicked`];
+//! 4. on either rung a budget stop (deadline, cancellation, watchdog)
+//!    becomes [`BatchOutcome::Partial`] carrying the certified
+//!    [`Checkpoint`] — partial work is reported, never discarded — and
+//!    any other error fails the job with its typed [`SsspError`].
 //!
 //! One batch, one graph, **one split**: every worker drives an
 //! [`SsspEngine`] over a shared [`SplitCache`], so a same-Δ batch builds
 //! the light/heavy matrix split exactly once no matter how many workers
 //! drain the queue (the paper puts that filter at 35–40 % of runtime —
-//! it is the cost worth amortizing). Parallel implementations share one
+//! it is the cost worth amortizing). Pooled jobs share one
 //! [`ThreadPool`]; if pool creation fails, the batch does not silently
-//! fall back — every affected job completes on the sequential fused path
+//! fall back — every affected job completes on the sequential kernels
 //! with its `degraded` flag set and the failure is reported in
 //! [`BatchReport::pool_degraded`].
 //!
@@ -58,27 +66,56 @@ use crate::engine::SsspEngine;
 use crate::guard::{GuardConfig, SsspError};
 use crate::manifest::{CheckpointManifest, ManifestEntry};
 use crate::result::SsspResult;
-use crate::run::{run_with_budget, Implementation};
 use crate::split_cache::{SplitCache, SplitCacheStats};
 use crate::stepping::SteppingStrategy;
+
+/// The relaxation kernels a batched or served job runs on — the second
+/// axis of a job next to its [`SteppingStrategy`]. The `impl=` names of
+/// the wire and the CLIs are aliases for these two values (`fused`,
+/// `improved` / `parallel-improved`); every other name is the
+/// `unknown implementation '<name>'` error of its [`FromStr`](std::str::FromStr).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernels {
+    /// The sequential kernels (`fused`).
+    Sequential,
+    /// The request-buffer kernels on the shared [`ThreadPool`]
+    /// (`improved`); bit-identical to sequential at every thread count.
+    Pooled,
+}
+
+impl Kernels {
+    /// The canonical `impl=` token, as binary frames carry it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernels::Sequential => "fused",
+            Kernels::Pooled => "improved",
+        }
+    }
+}
+
+impl std::str::FromStr for Kernels {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Self, String> {
+        match name {
+            "fused" => Ok(Kernels::Sequential),
+            "improved" | "parallel-improved" => Ok(Kernels::Pooled),
+            _ => Err(format!("unknown implementation '{name}'")),
+        }
+    }
+}
 
 /// Configuration for a [`BatchRunner`].
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// Implementation every job runs on (first attempt; the panic-retry
-    /// ladder always falls back to sequential fused).
-    pub implementation: Implementation,
+    /// Kernels every job asks for (rung 1 of the ladder; rung 2 is always
+    /// sequential).
+    pub implementation: Kernels,
     /// Bucket width Δ for every job.
     pub delta: f64,
-    /// Frontier-extraction strategy for every job that runs on the
-    /// stepping loop: `Fused` / `ParallelImproved` under any strategy,
-    /// and every implementation under ρ / Δ* — pooled when
-    /// `implementation` is parallel, sequential otherwise, bit-identical
-    /// either way. Only `Classic` on a paper-reproduction variant
-    /// (canonical, gblas, parallel) runs that variant's own loop. The
-    /// panic-retry ladder falls back to the *sequential* path of the
-    /// same strategy, so a retried job still answers with the strategy
-    /// the caller asked for.
+    /// Frontier-extraction strategy for every job, on both rungs of the
+    /// ladder: a retried job still answers with the strategy the caller
+    /// asked for.
     pub strategy: SteppingStrategy,
     /// Worker threads draining the queue. Clamped to at least 1.
     pub workers: usize,
@@ -99,7 +136,7 @@ pub struct BatchConfig {
     /// Guard tunables for preflight and the epoch budget.
     pub guard: GuardConfig,
     /// Threads in the batch-shared [`ThreadPool`] used when
-    /// [`BatchConfig::implementation`] is parallel.
+    /// [`BatchConfig::implementation`] is [`Kernels::Pooled`].
     pub pool_threads: usize,
     /// When set, budget-stopped jobs persist their checkpoint to
     /// `<dir>/ckpt-<source>.bin` and later batches resume from those
@@ -110,7 +147,7 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         BatchConfig {
-            implementation: Implementation::Fused,
+            implementation: Kernels::Sequential,
             delta: 1.0,
             strategy: SteppingStrategy::Classic,
             workers: 2,
@@ -136,39 +173,41 @@ pub enum BatchOutcome {
         result: SsspResult,
         /// The Δ actually used (after any configured fallback).
         delta: f64,
-        /// `Some(reason)` when the result came from the sequential-fused
-        /// path instead of the requested implementation: a worker panic
-        /// message, or the pool-creation failure.
+        /// `Some(reason)` when the result came from rung 2 of the ladder
+        /// instead of the requested kernels: a worker panic message, or
+        /// the pool-creation failure.
         degraded: Option<String>,
         /// Whether the degradation was caused by a *caught worker panic*
         /// (as opposed to, say, an unavailable thread pool). This is the
         /// typed marker: callers deciding whether a worker is suspect
         /// must branch on it, never on the text of `degraded`.
         degraded_by_panic: bool,
+        /// Whether the job continued a persisted checkpoint (found
+        /// through the manifest or the conventional per-source file)
+        /// instead of starting from the source.
+        resumed: bool,
     },
     /// The job was stopped by its budget (deadline, cancellation, or
     /// epoch limit) and left a certified partial result behind.
     Partial {
-        /// Checkpoint with partial distances; every distance below
-        /// [`Checkpoint::settled_below`] is final.
-        checkpoint: Checkpoint,
-        /// Human-readable stop reason (the underlying error display).
+        /// The typed stop; owns the [`Checkpoint`] with the partial
+        /// distances (see [`BatchOutcome::checkpoint`]).
+        stop: SsspError,
+        /// Human-readable stop reason: the stop's display, plus a note
+        /// when persisting the checkpoint failed.
         reason: String,
         /// Where the checkpoint was persisted, when
         /// [`BatchConfig::checkpoint_dir`] is set and the save succeeded.
         saved_to: Option<PathBuf>,
     },
-    /// The job failed without a usable partial result (bad input, or a
-    /// panic that survived the sequential retry).
+    /// The job failed without a usable partial result: bad input, or a
+    /// panic that survived the sequential retry
+    /// ([`SsspError::WorkerPanicked`] — the typed marker for poisoning
+    /// decisions; error *messages* can legitimately contain the word
+    /// "panic" without any panic having happened).
     Failed {
-        /// Human-readable failure reason.
-        error: String,
-        /// Whether a caught worker panic was involved in the failure —
-        /// the typed marker for poisoning decisions. Error *messages*
-        /// can legitimately contain the word "panic" (a checkpoint path,
-        /// a user-supplied graph name) without any panic having
-        /// happened; only this flag says one did.
-        panicked: bool,
+        /// The typed failure.
+        error: SsspError,
     },
     /// Admission control refused the job: the queue was already at
     /// capacity when the batch was submitted.
@@ -189,10 +228,11 @@ impl BatchOutcome {
         matches!(self, BatchOutcome::Partial { .. })
     }
 
-    /// The checkpoint, when this outcome carries one.
+    /// The checkpoint, when this outcome carries one: every distance
+    /// below its [`Checkpoint::settled_below`] is final.
     pub fn checkpoint(&self) -> Option<&Checkpoint> {
         match self {
-            BatchOutcome::Partial { checkpoint, .. } => Some(checkpoint),
+            BatchOutcome::Partial { stop, .. } => stop.checkpoint(),
             _ => None,
         }
     }
@@ -205,8 +245,8 @@ pub struct BatchReport {
     /// `(source, outcome)` in submission order.
     pub jobs: Vec<(usize, BatchOutcome)>,
     /// `Some(error)` when the shared [`ThreadPool`] could not be created
-    /// for a parallel implementation: every job then ran on the
-    /// sequential fused path and carries its own `degraded` flag.
+    /// for pooled jobs: every job then ran on the sequential kernels and
+    /// carries its own `degraded` flag.
     pub pool_degraded: Option<String>,
     /// Counters of the batch-shared split cache — a same-Δ batch shows
     /// `builds == 1` here regardless of worker count. Under
@@ -311,15 +351,15 @@ impl BatchRunner {
     /// `queue_capacity` sources are accepted, the rest come back as
     /// [`BatchOutcome::Rejected`]. Accepted jobs are drained by
     /// `workers` threads, each driving an [`SsspEngine`] over one shared
-    /// [`SplitCache`] and (for parallel implementations) one shared
-    /// [`ThreadPool`]. A failed pool creation degrades every job to the
-    /// sequential fused path — visibly, via
-    /// [`BatchReport::pool_degraded`] and per-job `degraded` flags.
+    /// [`SplitCache`] and (for pooled jobs) one shared [`ThreadPool`]. A
+    /// failed pool creation degrades every job to the sequential
+    /// kernels — visibly, via [`BatchReport::pool_degraded`] and per-job
+    /// `degraded` flags.
     pub fn run(&self, g: &CsrGraph, sources: &[usize]) -> BatchReport {
         // One pool for the whole batch. Creation failure is surfaced,
-        // not swallowed: jobs still run (sequential fused) but each is
+        // not swallowed: jobs still run (sequentially) but each is
         // flagged degraded and the report carries the error.
-        let (pool, pool_degraded) = if self.cfg.implementation.is_parallel() {
+        let (pool, pool_degraded) = if self.cfg.implementation == Kernels::Pooled {
             match ThreadPool::with_threads(self.cfg.pool_threads) {
                 Ok(p) => (Some(p), None),
                 Err(e) => (None, Some(e.to_string())),
@@ -427,7 +467,7 @@ impl BatchRunner {
     /// One job: resume it from a persisted checkpoint when one exists —
     /// located through the manifest first, falling back to the
     /// conventional per-source file — otherwise run it fresh; either
-    /// way, persist a budget stop.
+    /// way through the ladder, and persist a budget stop.
     fn run_job(
         &self,
         engine: &mut SsspEngine<'_>,
@@ -455,8 +495,21 @@ impl BatchRunner {
                 .or_else(|| path.exists().then(|| path.clone()));
             if let Some(candidate) = candidate {
                 match engine.load_checkpoint(&candidate) {
+                    // The strategy comes from the checkpoint itself, so
+                    // mixed directories (a strategy change between
+                    // batches) resume every file correctly.
                     Ok(cp) if cp.resumable && cp.source == source => {
-                        let outcome = self.resume_job(engine, pool, &cp);
+                        let outcome = self.ladder(
+                            engine,
+                            pool,
+                            pool_unavailable,
+                            cp.delta,
+                            true,
+                            |engine, pool, budget| {
+                                let (result, _) = engine.resume_stepping(pool, &cp, budget)?;
+                                Ok((result, cp.delta))
+                            },
+                        );
                         return self.persist(engine, outcome, path, source, manifest);
                     }
                     // A foreign or non-resumable file is not fatal: the
@@ -474,203 +527,92 @@ impl BatchRunner {
                 }
             }
         }
-        let outcome = self.fresh_job(engine, pool, pool_unavailable, source);
+        let outcome = self.ladder(
+            engine,
+            pool,
+            pool_unavailable,
+            self.cfg.delta,
+            false,
+            |engine, pool, budget| {
+                let delta = engine.preflight(source, self.cfg.delta, &self.cfg.guard)?;
+                let (result, _) =
+                    engine.run_stepping(pool, source, delta, self.cfg.strategy, budget)?;
+                Ok((result, delta))
+            },
+        );
         match path {
             Some(path) => self.persist(engine, outcome, &path, source, manifest),
             None => outcome,
         }
     }
 
-    /// A fresh run through the degradation ladder.
-    fn fresh_job(
+    /// The two-rung degradation ladder (see the module docs) around
+    /// `call` — a fresh run or a resume, returning the result and the Δ it
+    /// used. Everything goes through the engine (cached split, warm
+    /// workspace), and both rungs land on bit-identical kernels of the
+    /// same strategy.
+    fn ladder(
         &self,
         engine: &mut SsspEngine<'_>,
         pool: Option<&ThreadPool>,
         pool_unavailable: Option<&str>,
-        source: usize,
+        retry_delta: f64,
+        resumed: bool,
+        call: impl Fn(
+            &mut SsspEngine<'_>,
+            Option<&ThreadPool>,
+            &mut RunBudget,
+        ) -> Result<(SsspResult, f64), SsspError>,
     ) -> BatchOutcome {
         let g = engine.graph();
         let mut budget = self.job_budget(g);
-
-        // Pool creation failed for a parallel implementation: complete
-        // the job sequentially, but say so.
-        if self.cfg.implementation.is_parallel() && pool.is_none() {
-            let message = format!(
+        let pooled = self.cfg.implementation == Kernels::Pooled;
+        let (degraded, degraded_by_panic) = if pooled && pool.is_none() {
+            // Pool creation failed: complete the job sequentially, under
+            // the job budget, but say so.
+            let notice = format!(
                 "thread pool unavailable ({}); ran on the sequential fused path",
                 pool_unavailable.unwrap_or("no pool")
             );
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.attempt(engine, None, Implementation::Fused, source, &self.cfg.guard, &mut budget)
-            }));
-            return match attempt {
-                Ok(Ok((result, delta, _))) => BatchOutcome::Complete {
-                    result,
-                    delta,
-                    degraded: Some(message),
-                    degraded_by_panic: false,
-                },
-                Ok(Err(err)) => Self::error_outcome(err),
-                Err(payload) => {
-                    engine.reset_workspaces();
-                    BatchOutcome::Failed {
-                        error: format!(
-                            "{message}; the fallback panicked ({})",
-                            panic_message(payload)
-                        ),
-                        panicked: true,
+            (notice, false)
+        } else {
+            let pool = pool.filter(|_| pooled);
+            match catch_unwind(AssertUnwindSafe(|| call(engine, pool, &mut budget))) {
+                Ok(Ok((result, delta))) => {
+                    return BatchOutcome::Complete {
+                        result,
+                        delta,
+                        degraded: None,
+                        degraded_by_panic: false,
+                        resumed,
                     }
                 }
-            };
-        }
-
-        // The ladder owns panic recovery: disable the front door's
-        // internal fused fallback so every panic surfaces here and the
-        // retry policy lives in exactly one place.
-        let first_cfg = GuardConfig {
-            degrade_on_panic: false,
-            ..self.cfg.guard.clone()
-        };
-        let first = catch_unwind(AssertUnwindSafe(|| {
-            self.attempt(engine, pool, self.cfg.implementation, source, &first_cfg, &mut budget)
-        }));
-        let panic_reason = match first {
-            Ok(Ok((result, delta, degraded))) => {
-                // The first attempt runs with `degrade_on_panic` off, so
-                // any `degraded` notice here is a non-panic one.
-                return BatchOutcome::Complete {
-                    result,
-                    delta,
-                    degraded,
-                    degraded_by_panic: false,
+                Ok(Err(err)) => return Self::error_outcome(err),
+                Err(payload) => {
+                    // The engine's workspaces may hold mid-run state.
+                    engine.reset_workspaces();
+                    budget = budget.retry_budget(g, retry_delta, &self.cfg.guard);
+                    (panic_message(payload), true)
                 }
             }
-            Ok(Err(SsspError::WorkerPanicked { message })) => message,
-            Ok(Err(other)) => return Self::error_outcome(other),
-            Err(payload) => {
-                // The engine's workspaces may hold mid-run state.
-                engine.reset_workspaces();
-                panic_message(payload)
-            }
         };
-        // Retry once on the sequential fused path: fresh epoch
-        // allowance, inherited deadline and cancellation token.
-        let mut retry = budget.retry_budget(g, self.cfg.delta, &self.cfg.guard);
-        let second = catch_unwind(AssertUnwindSafe(|| {
-            self.attempt(engine, None, Implementation::Fused, source, &self.cfg.guard, &mut retry)
-        }));
-        match second {
-            Ok(Ok((result, delta, _))) => BatchOutcome::Complete {
+        match catch_unwind(AssertUnwindSafe(|| call(engine, None, &mut budget))) {
+            Ok(Ok((result, delta))) => BatchOutcome::Complete {
                 result,
                 delta,
-                degraded: Some(panic_reason),
-                degraded_by_panic: true,
+                degraded: Some(degraded),
+                degraded_by_panic,
+                resumed,
             },
             Ok(Err(err)) => Self::error_outcome(err),
             Err(payload) => {
                 engine.reset_workspaces();
-                BatchOutcome::Failed {
-                    error: format!(
-                        "worker panicked ({panic_reason}); sequential retry also panicked ({})",
+                Self::error_outcome(SsspError::WorkerPanicked {
+                    message: format!(
+                        "{degraded}; sequential retry also panicked ({})",
                         panic_message(payload)
                     ),
-                    panicked: true,
-                }
-            }
-        }
-    }
-
-    /// One attempt of `implementation`. Everything the stepping loop
-    /// serves goes through the engine (cached split, warm workspace);
-    /// classic runs of the paper-reproduction variants go through the
-    /// checked front door with the shared pool.
-    #[allow(clippy::too_many_arguments)]
-    fn attempt(
-        &self,
-        engine: &mut SsspEngine<'_>,
-        pool: Option<&ThreadPool>,
-        implementation: Implementation,
-        source: usize,
-        cfg: &GuardConfig,
-        budget: &mut RunBudget,
-    ) -> Result<(SsspResult, f64, Option<String>), SsspError> {
-        let on_the_loop = self.cfg.strategy != SteppingStrategy::Classic
-            || matches!(
-                implementation,
-                Implementation::Fused | Implementation::ParallelImproved
-            );
-        if !on_the_loop {
-            return run_with_budget(
-                implementation,
-                engine.graph(),
-                source,
-                self.cfg.delta,
-                pool,
-                cfg,
-                budget,
-            )
-            .map(|r| (r.result, r.delta, r.degraded));
-        }
-        // Pooled or sequential by whether this attempt still has the pool
-        // (the retry ladder passes `None`, landing on the bit-identical
-        // sequential kernels of the *same* strategy).
-        let delta = engine.preflight(source, self.cfg.delta, cfg)?;
-        let pool = pool.filter(|_| implementation.is_parallel());
-        let (result, _) = engine.run_stepping(pool, source, delta, self.cfg.strategy, budget)?;
-        Ok((result, delta, None))
-    }
-
-    /// Continue a persisted checkpoint, with the same one-retry panic
-    /// ladder as a fresh run. Any resumable checkpoint continues on the
-    /// engine's stepping loop — bit-identical to the uninterrupted run.
-    fn resume_job(
-        &self,
-        engine: &mut SsspEngine<'_>,
-        pool: Option<&ThreadPool>,
-        cp: &Checkpoint,
-    ) -> BatchOutcome {
-        let g = engine.graph();
-        let mut budget = self.job_budget(g);
-        // The strategy comes from the checkpoint itself, so mixed
-        // directories (a strategy change between batches) resume every
-        // file correctly.
-        let pool = pool.filter(|_| self.cfg.implementation.is_parallel());
-        let first =
-            catch_unwind(AssertUnwindSafe(|| engine.resume_stepping(pool, cp, &mut budget)));
-        let panic_reason = match first {
-            Ok(Ok((result, _))) => {
-                return BatchOutcome::Complete {
-                    result,
-                    delta: cp.delta,
-                    degraded: None,
-                    degraded_by_panic: false,
-                }
-            }
-            Ok(Err(err)) => return Self::error_outcome(err),
-            Err(payload) => {
-                engine.reset_workspaces();
-                panic_message(payload)
-            }
-        };
-        let mut retry = budget.retry_budget(g, cp.delta, &self.cfg.guard);
-        let second =
-            catch_unwind(AssertUnwindSafe(|| engine.resume_stepping(None, cp, &mut retry)));
-        match second {
-            Ok(Ok((result, _))) => BatchOutcome::Complete {
-                result,
-                delta: cp.delta,
-                degraded: Some(panic_reason),
-                degraded_by_panic: true,
-            },
-            Ok(Err(err)) => Self::error_outcome(err),
-            Err(payload) => {
-                engine.reset_workspaces();
-                BatchOutcome::Failed {
-                    error: format!(
-                        "resume panicked ({panic_reason}); sequential retry also panicked ({})",
-                        panic_message(payload)
-                    ),
-                    panicked: true,
-                }
+                })
             }
         }
     }
@@ -691,31 +633,25 @@ impl BatchRunner {
     ) -> BatchOutcome {
         let fingerprint = engine.fingerprint();
         match outcome {
-            BatchOutcome::Partial {
-                checkpoint,
-                reason,
-                ..
-            } if checkpoint.resumable => match engine.save_checkpoint(&checkpoint, path) {
-                Ok(()) => {
-                    let reason = match manifest
-                        .map(|m| m.record(fingerprint, &checkpoint, path))
-                        .transpose()
-                    {
-                        Ok(_) => reason,
-                        Err(e) => format!("{reason}; manifest not updated: {e}"),
-                    };
-                    BatchOutcome::Partial {
-                        checkpoint,
-                        reason,
-                        saved_to: Some(path.to_path_buf()),
-                    }
-                }
-                Err(e) => BatchOutcome::Partial {
-                    checkpoint,
-                    reason: format!("{reason}; checkpoint not persisted: {e}"),
-                    saved_to: None,
-                },
-            },
+            BatchOutcome::Partial { stop, reason, .. } => {
+                let (reason, saved_to) = match stop.checkpoint().filter(|cp| cp.resumable) {
+                    // Nothing a later batch could continue.
+                    None => (reason, None),
+                    Some(checkpoint) => match engine.save_checkpoint(checkpoint, path) {
+                        Ok(()) => {
+                            let recorded =
+                                manifest.map(|m| m.record(fingerprint, checkpoint, path));
+                            let reason = match recorded {
+                                Some(Err(e)) => format!("{reason}; manifest not updated: {e}"),
+                                _ => reason,
+                            };
+                            (reason, Some(path.to_path_buf()))
+                        }
+                        Err(e) => (format!("{reason}; checkpoint not persisted: {e}"), None),
+                    },
+                };
+                BatchOutcome::Partial { stop, reason, saved_to }
+            }
             BatchOutcome::Complete { .. } => {
                 // A stale file must not resurrect a finished job. Drop
                 // the manifest entry first; if that durable step fails,
@@ -747,18 +683,13 @@ impl BatchRunner {
         }
     }
 
-    /// Budget stops become checkpointed partials; everything else fails,
-    /// carrying the typed panic marker when the error *is* a panic.
+    /// Budget stops become checkpointed partials; everything else fails
+    /// with its typed error.
     fn error_outcome(err: SsspError) -> BatchOutcome {
-        let reason = err.to_string();
-        let panicked = matches!(err, SsspError::WorkerPanicked { .. });
-        match err.into_checkpoint() {
-            Some(checkpoint) => BatchOutcome::Partial {
-                checkpoint,
-                reason,
-                saved_to: None,
-            },
-            None => BatchOutcome::Failed { error: reason, panicked },
+        if err.checkpoint().is_some() {
+            BatchOutcome::Partial { reason: err.to_string(), stop: err, saved_to: None }
+        } else {
+            BatchOutcome::Failed { error: err }
         }
     }
 }
@@ -875,7 +806,7 @@ mod tests {
     #[test]
     fn same_delta_batch_builds_the_split_exactly_once() {
         let g = CsrGraph::from_edge_list(&grid2d(20, 20)).unwrap();
-        for implementation in [Implementation::Fused, Implementation::ParallelImproved] {
+        for implementation in [Kernels::Sequential, Kernels::Pooled] {
             let runner = BatchRunner::new(BatchConfig {
                 implementation,
                 workers: 4,
@@ -914,7 +845,7 @@ mod tests {
     fn strategy_batches_complete_with_correct_distances() {
         let g = CsrGraph::from_edge_list(&grid2d(12, 12)).unwrap();
         let sources = [0usize, 77, 143];
-        for implementation in [Implementation::Fused, Implementation::ParallelImproved] {
+        for implementation in [Kernels::Sequential, Kernels::Pooled] {
             for strategy in [SteppingStrategy::Rho(32), SteppingStrategy::DeltaStar(4.0)] {
                 let report = BatchRunner::new(BatchConfig {
                     implementation,
@@ -991,28 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn strategy_panic_retries_sequentially_with_the_same_strategy() {
-        let g = grid();
-        let runner = BatchRunner::new(BatchConfig {
-            implementation: Implementation::ParallelImproved,
-            strategy: SteppingStrategy::DeltaStar(2.0),
-            workers: 1,
-            ..BatchConfig::default()
-        });
-        taskpool::fault::arm_panic_after(0);
-        let report = runner.run(&g, &[0]);
-        taskpool::fault::disarm();
-        match &report.jobs[0].1 {
-            BatchOutcome::Complete { result, degraded, degraded_by_panic, .. } => {
-                assert!(degraded.is_some());
-                assert!(degraded_by_panic);
-                assert_eq!(result.dist, dijkstra(&g, 0).dist);
-            }
-            other => panic!("expected degraded Complete, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn admission_control_rejects_beyond_capacity() {
         let g = grid();
         let runner = BatchRunner::new(BatchConfig {
@@ -1071,55 +980,121 @@ mod tests {
         }
     }
 
+    /// The ladder table: {fresh, resume} × {panic on rung 1, the same with
+    /// the token cancelled meanwhile, panic on both rungs, pooled without
+    /// a pool} × {classic, Δ*}. Rung-1 panics are the taskpool fault hook
+    /// firing inside the pooled split build; the sequential rung has no
+    /// hook, so its panic is raised by the call the ladder is handed.
     #[test]
-    fn injected_panic_retries_once_on_sequential_fused() {
-        let g = grid();
-        let runner = BatchRunner::new(BatchConfig {
-            implementation: Implementation::ParallelImproved,
-            workers: 1,
-            ..BatchConfig::default()
-        });
-        taskpool::fault::arm_panic_after(0);
-        let report = runner.run(&g, &[0]);
-        taskpool::fault::disarm();
-        match &report.jobs[0].1 {
-            BatchOutcome::Complete { result, degraded, degraded_by_panic, .. } => {
-                let message = degraded.as_ref().expect("job must be marked degraded");
-                assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
-                assert!(degraded_by_panic, "typed marker must identify the panic");
-                assert_eq!(result.dist, dijkstra(&g, 0).dist);
-            }
-            other => panic!("expected degraded Complete, got {other:?}"),
+    fn ladder_degrades_fresh_and_resumed_jobs_alike() {
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Fault {
+            Rung1,
+            Rung1ThenCancel,
+            BothRungs,
+            NoPool,
         }
-        assert_eq!(report.degraded(), 1);
+        let g = grid();
+        let expected = dijkstra(&g, 0).dist;
+        for strategy in [SteppingStrategy::Classic, SteppingStrategy::DeltaStar(2.0)] {
+            for resume in [false, true] {
+                use Fault::*;
+                for fault in [Rung1, Rung1ThenCancel, BothRungs, NoPool] {
+                    let label = format!("{strategy} resume={resume} {fault:?}");
+                    let token = CancelToken::new();
+                    let runner = BatchRunner::new(BatchConfig {
+                        implementation: Kernels::Pooled,
+                        strategy,
+                        deadline: Some(Duration::from_secs(3600)),
+                        cancel: Some(token.clone()),
+                        ..BatchConfig::default()
+                    });
+                    let pool = (fault != NoPool).then(|| ThreadPool::with_threads(2).unwrap());
+                    let mut engine = SsspEngine::new(&g);
+                    let cp = resume.then(|| {
+                        let cut = &mut RunBudget::unlimited().cancel_after(3);
+                        let err = engine.run_stepping(None, 0, 1.0, strategy, cut).unwrap_err();
+                        // The pooled rung must build the split again.
+                        engine.clear_cache();
+                        err.into_checkpoint().unwrap()
+                    });
+                    let calls = std::cell::Cell::new(0);
+                    let call = |engine: &mut SsspEngine<'_>,
+                                pool: Option<&ThreadPool>,
+                                budget: &mut RunBudget| {
+                        calls.set(calls.get() + 1);
+                        if pool.is_some() {
+                            // An epoch spent here is not charged to rung 2.
+                            budget.check().unwrap();
+                            taskpool::fault::arm_panic_after(0);
+                            if fault == Fault::Rung1ThenCancel {
+                                token.cancel();
+                            }
+                        } else {
+                            // Rung 2: fresh ticks, the job's deadline.
+                            assert_eq!(budget.ticks(), 0, "{label}");
+                            assert!(budget.remaining().is_some(), "{label}");
+                            assert!(fault != Fault::BothRungs, "rung 2 down");
+                        }
+                        let (result, _) = match &cp {
+                            Some(cp) => engine.resume_stepping(pool, cp, budget)?,
+                            None => engine.run_stepping(pool, 0, 1.0, strategy, budget)?,
+                        };
+                        Ok((result, 1.0))
+                    };
+                    let no_pool = Some("no threads");
+                    let outcome = runner.ladder(&mut engine, pool.as_ref(), no_pool, 1.0, resume, call);
+                    taskpool::fault::disarm();
+                    assert_eq!(calls.get(), if fault == Fault::NoPool { 1 } else { 2 }, "{label}");
+                    match (fault, outcome) {
+                        (
+                            Fault::Rung1 | Fault::NoPool,
+                            BatchOutcome::Complete { result, degraded, degraded_by_panic, resumed, .. },
+                        ) => {
+                            assert_eq!(result.dist, expected, "{label}");
+                            assert_eq!(resumed, resume, "{label}");
+                            let why = degraded.expect("rung 2 says why");
+                            let want = match fault {
+                                Fault::Rung1 => taskpool::fault::INJECTED_PANIC_MESSAGE,
+                                _ => "thread pool unavailable (no threads); ran on the sequential",
+                            };
+                            assert!(why.starts_with(want), "{label}: {why}");
+                            assert_eq!(degraded_by_panic, fault == Fault::Rung1, "{label}");
+                        }
+                        // The job's token reached rung 2.
+                        (Fault::Rung1ThenCancel, BatchOutcome::Partial { stop, .. }) => {
+                            assert!(matches!(stop, SsspError::Cancelled { .. }), "{label}: {stop}");
+                        }
+                        (
+                            Fault::BothRungs,
+                            BatchOutcome::Failed { error: SsspError::WorkerPanicked { message } },
+                        ) => assert!(
+                            message.starts_with(taskpool::fault::INJECTED_PANIC_MESSAGE)
+                                && message.contains("; sequential retry also panicked (rung 2 down"),
+                            "{label}: {message}"
+                        ),
+                        (_, other) => panic!("{label}: unexpected outcome {other:?}"),
+                    }
+                }
+            }
+        }
     }
 
+    /// What only [`BatchRunner::run`] does about a pool that cannot be
+    /// created; the per-job shapes are the `NoPool` rows above.
     #[test]
-    fn failed_pool_creation_is_surfaced_not_swallowed() {
-        let g = grid();
+    fn run_reports_a_failed_pool_creation() {
         let runner = BatchRunner::new(BatchConfig {
-            implementation: Implementation::ParallelImproved,
-            workers: 2,
+            implementation: Kernels::Pooled,
             ..BatchConfig::default()
         });
         taskpool::fault::arm_pool_creation_failure();
-        let report = runner.run(&g, &[0, 7, 35]);
+        let report = runner.run(&grid(), &[0, 7, 35]);
         taskpool::fault::disarm();
         let pool_error = report.pool_degraded.as_ref().expect("pool failure must be reported");
         assert!(pool_error.contains(taskpool::fault::INJECTED_POOL_FAILURE_MESSAGE));
-        // Every job still completes, correctly, and says it degraded.
         assert!(report.all_complete());
         assert_eq!(report.degraded(), report.jobs.len());
-        for (source, outcome) in &report.jobs {
-            match outcome {
-                BatchOutcome::Complete { result, degraded, degraded_by_panic, .. } => {
-                    assert!(degraded.as_ref().unwrap().contains("thread pool unavailable"));
-                    assert!(!degraded_by_panic, "a missing pool is not a panic");
-                    assert_eq!(result.dist, dijkstra(&g, *source).dist, "source {source}");
-                }
-                other => panic!("expected Complete, got {other:?}"),
-            }
-        }
     }
 
     #[test]
@@ -1271,9 +1246,8 @@ mod tests {
         assert_eq!(report.completed(), 2);
         assert_eq!(report.failed(), 1);
         match &report.jobs[1].1 {
-            BatchOutcome::Failed { error, panicked } => {
-                assert!(error.contains("out of bounds"));
-                assert!(!panicked, "a bad source is not a panic");
+            BatchOutcome::Failed { error } => {
+                assert!(matches!(error, SsspError::SourceOutOfBounds { source: 999, .. }));
             }
             other => panic!("expected Failed, got {other:?}"),
         }

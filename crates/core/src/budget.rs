@@ -109,11 +109,13 @@ pub enum BudgetStop {
 ///
 /// ```
 /// use graphdata::{gen::grid2d, CsrGraph};
-/// use sssp_core::{budget::RunBudget, fused, GuardConfig};
+/// use sssp_core::stepping::{stepping_checked, SteppingStrategy};
+/// use sssp_core::{budget::RunBudget, GuardConfig};
 ///
 /// let g = CsrGraph::from_edge_list(&grid2d(4, 4)).unwrap();
 /// let mut budget = RunBudget::for_run(&g, 1.0, &GuardConfig::default());
-/// let (r, _) = fused::delta_stepping_fused_checked(&g, 0, 1.0, &mut budget).unwrap();
+/// let (r, _) =
+///     stepping_checked(&g, 0, 1.0, SteppingStrategy::Classic, None, &mut budget).unwrap();
 /// assert_eq!(r.dist[15], 6.0);
 /// ```
 #[derive(Debug, Clone)]

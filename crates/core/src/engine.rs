@@ -35,7 +35,6 @@ use crate::budget::RunBudget;
 use crate::checkpoint::Checkpoint;
 use crate::fused::LightHeavy;
 use crate::guard::{self, GuardConfig, SsspError};
-use crate::parallel_improved::split_light_heavy_chunked;
 use crate::result::SsspResult;
 use crate::split_cache::SplitCache;
 use crate::stats::PhaseProfile;
@@ -206,7 +205,7 @@ impl<'g> SsspEngine<'g> {
         let g = self.g;
         let t0 = Instant::now();
         let (lh, built) = self.cache.get_or_build(self.fingerprint, key, || match pool {
-            Some(pool) => split_light_heavy_chunked(pool, g, delta),
+            Some(pool) => LightHeavy::build_chunked(pool, g, delta),
             None => LightHeavy::build(g, delta),
         });
         let filter_time = if built {
@@ -341,7 +340,7 @@ impl<'g> SsspEngine<'g> {
 mod tests {
     use super::*;
     use crate::fused::delta_stepping_fused;
-    use crate::parallel_improved::delta_stepping_parallel_improved;
+    use crate::stepping::delta_stepping_strategy;
     use graphdata::gen;
 
     fn test_graph() -> CsrGraph {
@@ -378,7 +377,8 @@ mod tests {
             let (cached, _) = engine
                 .run_parallel_improved(&pool, src, 1.0, &mut RunBudget::unlimited())
                 .unwrap();
-            let direct = delta_stepping_parallel_improved(&pool, &g, src, 1.0);
+            let direct =
+                delta_stepping_strategy(&g, src, 1.0, SteppingStrategy::Classic, Some(&pool));
             assert_eq!(cached.dist, direct.dist, "source {src}");
             assert_eq!(cached.stats, direct.stats, "source {src}");
         }

@@ -266,7 +266,7 @@ pub fn explore_strategy(
     delta: f64,
     cfg: &ExploreConfig,
 ) -> ExploreReport {
-    let reference = delta_stepping_strategy(g, source, delta, strategy);
+    let reference = delta_stepping_strategy(g, source, delta, strategy, None);
     explore_schedules(&reference, true, cfg, |pool| {
         SsspEngine::new(g)
             .run_stepping(Some(pool), source, delta, strategy, &mut RunBudget::unlimited())
@@ -288,7 +288,7 @@ pub fn explore_cancel_resume(
     cancel_epoch: u64,
     cfg: &ExploreConfig,
 ) -> ExploreReport {
-    let reference = delta_stepping_strategy(g, source, delta, strategy);
+    let reference = delta_stepping_strategy(g, source, delta, strategy, None);
     explore_schedules(&reference, true, cfg, |pool| {
         let mut engine = SsspEngine::new(g);
         let cancelled = engine.run_stepping(

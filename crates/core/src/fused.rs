@@ -3,8 +3,9 @@
 //! ~3.7× on average (Fig. 3).
 //!
 //! The two fusions the paper describes both live in the one stepping loop
-//! ([`crate::stepping`]); this module is that loop's *sequential classic*
-//! front door plus the [`LightHeavy`] split it runs over:
+//! ([`crate::stepping`]); this module holds the [`LightHeavy`] split that
+//! loop runs over — its sequential and row-chunked builders — and the
+//! one-call *sequential classic* door [`delta_stepping_fused`]:
 //!
 //! 1. *Hadamard ∘ vxm fusion*: `t_Req = A_L^T (t ∘ t_Bi)` runs as one
 //!    scatter loop over the current frontier — the bucket filter, the
@@ -20,13 +21,11 @@
 use std::sync::OnceLock;
 
 use graphdata::CsrGraph;
+use taskpool::{scope_collect, split_evenly, ThreadPool};
 
-use crate::budget::RunBudget;
-use crate::guard::SsspError;
 use crate::pull::PullIndex;
 use crate::result::SsspResult;
-use crate::stats::PhaseProfile;
-use crate::stepping::{stepping_checked, SteppingStrategy};
+use crate::stepping::{delta_stepping_strategy, SteppingStrategy};
 
 /// The light/heavy split in CSR form — built in a single fused pass over
 /// the adjacency (vs. the four `GrB_apply` calls of Fig. 2).
@@ -63,9 +62,8 @@ impl PartialEq for LightHeavy {
 }
 
 impl LightHeavy {
-    /// Split `g`'s adjacency at threshold `delta` in one pass.
-    pub fn build(g: &CsrGraph, delta: f64) -> Self {
-        let n = g.num_vertices();
+    /// An empty split with room for `n` rows' offsets.
+    fn with_rows(n: usize) -> Self {
         let mut lh = LightHeavy {
             light_off: Vec::with_capacity(n + 1),
             light_tgt: Vec::new(),
@@ -77,6 +75,13 @@ impl LightHeavy {
         };
         lh.light_off.push(0);
         lh.heavy_off.push(0);
+        lh
+    }
+
+    /// Split `g`'s adjacency at threshold `delta` in one pass.
+    pub fn build(g: &CsrGraph, delta: f64) -> Self {
+        let n = g.num_vertices();
+        let mut lh = LightHeavy::with_rows(n);
         for v in 0..n {
             let (targets, weights) = g.neighbors(v);
             for (&t, &w) in targets.iter().zip(weights.iter()) {
@@ -90,6 +95,68 @@ impl LightHeavy {
             }
             lh.light_off.push(lh.light_tgt.len());
             lh.heavy_off.push(lh.heavy_tgt.len());
+        }
+        lh
+    }
+
+    /// [`LightHeavy::build`] with fine-grained row chunks on `pool` — the
+    /// Sec. VI-C improvement: every thread filters, not the two coarse
+    /// tasks of [`crate::parallel`]. Chunk results come back in row order
+    /// from [`scope_collect`] (no lock, no sort) and concatenate into the
+    /// CSR pair, equal to the sequential build.
+    pub fn build_chunked(pool: &ThreadPool, g: &CsrGraph, delta: f64) -> Self {
+        let n = g.num_vertices();
+        if n == 0 {
+            return LightHeavy::build(g, delta);
+        }
+        // 4 chunks per thread: enough slack for load balancing on skewed rows.
+        let pieces = (pool.num_threads() * 4).min(n);
+        let ranges = split_evenly(0..n, pieces);
+
+        struct Chunk {
+            l_counts: Vec<usize>,
+            l_tgt: Vec<usize>,
+            l_w: Vec<f64>,
+            h_counts: Vec<usize>,
+            h_tgt: Vec<usize>,
+            h_w: Vec<f64>,
+        }
+        let parts = scope_collect(pool, ranges, |_, range| {
+            let mut c = Chunk {
+                l_counts: Vec::with_capacity(range.len()),
+                l_tgt: Vec::new(),
+                l_w: Vec::new(),
+                h_counts: Vec::with_capacity(range.len()),
+                h_tgt: Vec::new(),
+                h_w: Vec::new(),
+            };
+            for v in range {
+                let (targets, weights) = g.neighbors(v);
+                let (lb, hb) = (c.l_tgt.len(), c.h_tgt.len());
+                for (&t, &w) in targets.iter().zip(weights.iter()) {
+                    if w <= delta {
+                        c.l_tgt.push(t);
+                        c.l_w.push(w);
+                    } else {
+                        c.h_tgt.push(t);
+                        c.h_w.push(w);
+                    }
+                }
+                c.l_counts.push(c.l_tgt.len() - lb);
+                c.h_counts.push(c.h_tgt.len() - hb);
+            }
+            c
+        });
+        let mut lh = LightHeavy::with_rows(n);
+        for c in parts {
+            for k in 0..c.l_counts.len() {
+                lh.light_off.push(lh.light_off.last().unwrap() + c.l_counts[k]);
+                lh.heavy_off.push(lh.heavy_off.last().unwrap() + c.h_counts[k]);
+            }
+            lh.light_tgt.extend_from_slice(&c.l_tgt);
+            lh.light_w.extend_from_slice(&c.l_w);
+            lh.heavy_tgt.extend_from_slice(&c.h_tgt);
+            lh.heavy_w.extend_from_slice(&c.h_w);
         }
         lh
     }
@@ -147,48 +214,35 @@ impl LightHeavy {
     }
 }
 
-/// Fused delta-stepping. Equivalent to [`crate::gblas_impl::sssp_delta_step`]
-/// but with dense state and fused loops.
+/// Fused delta-stepping: the stepping loop's classic strategy on its
+/// sequential kernels. Equivalent to [`crate::gblas_impl::sssp_delta_step`]
+/// but with dense state and fused loops. Panics on invalid input; the
+/// checked door is [`crate::stepping::stepping_checked`].
 pub fn delta_stepping_fused(g: &CsrGraph, source: usize, delta: f64) -> SsspResult {
-    delta_stepping_fused_profiled(g, source, delta).0
-}
-
-/// Fused delta-stepping, also returning the per-phase time profile used by
-/// the ABL-OPS experiment.
-pub fn delta_stepping_fused_profiled(
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-) -> (SsspResult, PhaseProfile) {
-    assert!(delta > 0.0 && delta.is_finite(), "delta must be positive and finite");
-    delta_stepping_fused_checked(g, source, delta, &mut RunBudget::unlimited())
-        .expect("inputs asserted valid and the budget is unlimited")
-}
-
-/// [`delta_stepping_fused`] under a [`RunBudget`]: returns [`SsspError`]
-/// instead of panicking on a bad Δ or source, trips the epoch budget
-/// instead of looping forever on malformed weight data, and observes
-/// cancellation/deadlines at every epoch boundary — emitting a
-/// resumable [`crate::Checkpoint`] inside the error when stopped
-/// (continue it with [`crate::engine::SsspEngine::resume_stepping`]).
-/// The `A_L` / `A_H` matrix filter runs as one fused pass and is
-/// reported as the profile's `matrix_filter` time.
-pub fn delta_stepping_fused_checked(
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    stepping_checked(g, source, delta, SteppingStrategy::Classic, None, budget)
+    delta_stepping_strategy(g, source, delta, SteppingStrategy::Classic, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::RunBudget;
     use crate::canonical::delta_stepping_canonical;
     use crate::dijkstra::dijkstra;
+    use crate::guard::SsspError;
+    use crate::stats::PhaseProfile;
+    use crate::stepping::stepping_checked;
     use graphdata::gen::{grid2d, path};
     use graphdata::EdgeList;
+
+    /// The checked form of [`delta_stepping_fused`].
+    fn fused_checked(
+        g: &CsrGraph,
+        source: usize,
+        delta: f64,
+        budget: &mut RunBudget,
+    ) -> Result<(SsspResult, PhaseProfile), SsspError> {
+        stepping_checked(g, source, delta, SteppingStrategy::Classic, None, budget)
+    }
 
     #[test]
     fn light_heavy_split_counts() {
@@ -202,6 +256,21 @@ mod tests {
         assert_eq!(lw, &[0.5]);
         let (ht, _) = lh.heavy(0);
         assert_eq!(ht, &[2]);
+    }
+
+    #[test]
+    fn chunked_split_matches_sequential() {
+        let pool = ThreadPool::with_threads(4).unwrap();
+        let mut el = graphdata::gen::gnm(200, 1000, 3);
+        graphdata::weights::assign_symmetric(
+            &mut el,
+            graphdata::WeightModel::UniformFloat { lo: 0.1, hi: 2.0 },
+            9,
+        );
+        let g = CsrGraph::from_edge_list(&el).unwrap();
+        let par = LightHeavy::build_chunked(&pool, &g, 1.0);
+        let seq = LightHeavy::build(&g, 1.0);
+        assert_eq!(par, seq);
     }
 
     #[test]
@@ -246,7 +315,7 @@ mod tests {
     #[test]
     fn profile_accounts_time() {
         let g = CsrGraph::from_edge_list(&grid2d(40, 40)).unwrap();
-        let (r, profile) = delta_stepping_fused_profiled(&g, 0, 1.0);
+        let (r, profile) = fused_checked(&g, 0, 1.0, &mut RunBudget::unlimited()).unwrap();
         assert_eq!(r.dist[40 * 40 - 1], 78.0);
         assert!(profile.total().as_nanos() > 0);
     }
@@ -255,16 +324,16 @@ mod tests {
     fn checked_rejects_bad_inputs_and_trips_watchdog() {
         let g = CsrGraph::from_edge_list(&path(8)).unwrap();
         assert!(matches!(
-            delta_stepping_fused_checked(&g, 0, f64::NAN, &mut RunBudget::unlimited()),
+            fused_checked(&g, 0, f64::NAN, &mut RunBudget::unlimited()),
             Err(SsspError::InvalidDelta { .. })
         ));
         assert!(matches!(
-            delta_stepping_fused_checked(&g, 100, 1.0, &mut RunBudget::unlimited()),
+            fused_checked(&g, 100, 1.0, &mut RunBudget::unlimited()),
             Err(SsspError::SourceOutOfBounds { .. })
         ));
         let mut tight = RunBudget::with_limit(2);
         assert!(matches!(
-            delta_stepping_fused_checked(&g, 0, 1.0, &mut tight),
+            fused_checked(&g, 0, 1.0, &mut tight),
             Err(SsspError::IterationLimitExceeded { .. })
         ));
         // Negative-weight cycle: bucket 0 refills forever without a guard.
@@ -276,7 +345,7 @@ mod tests {
         );
         let mut budget = RunBudget::with_limit(1000);
         assert!(matches!(
-            delta_stepping_fused_checked(&cyc, 0, 1.0, &mut budget),
+            fused_checked(&cyc, 0, 1.0, &mut budget),
             Err(SsspError::IterationLimitExceeded { .. })
         ));
     }
@@ -286,14 +355,14 @@ mod tests {
         let g = CsrGraph::from_edge_list(&grid2d(6, 6)).unwrap();
         let plain = delta_stepping_fused(&g, 0, 1.0);
         let mut budget = RunBudget::for_run(&g, 1.0, &crate::guard::GuardConfig::default());
-        let (checked, _) = delta_stepping_fused_checked(&g, 0, 1.0, &mut budget).unwrap();
+        let (checked, _) = fused_checked(&g, 0, 1.0, &mut budget).unwrap();
         assert_eq!(plain.dist, checked.dist);
     }
 
     #[test]
     fn watchdog_trip_carries_a_checkpoint_with_partial_progress() {
         let g = CsrGraph::from_edge_list(&path(16)).unwrap();
-        let err = delta_stepping_fused_checked(&g, 0, 1.0, &mut RunBudget::with_limit(6))
+        let err = fused_checked(&g, 0, 1.0, &mut RunBudget::with_limit(6))
             .unwrap_err();
         let cp = err.checkpoint().expect("checked fused runs checkpoint on trip");
         assert!(cp.resumable);

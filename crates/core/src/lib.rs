@@ -8,20 +8,24 @@
 //! |---|---|
 //! | [`canonical`] | Meyer–Sanders delta-stepping with explicit buckets (Fig. 1, right) |
 //! | [`gblas_impl`] | the **unfused GraphBLAS** implementation (Fig. 2, call-for-call) |
-//! | [`fused`] | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) |
+//! | [`stepping`], no pool | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) over the [`fused::LightHeavy`] split |
 //! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks + evenly-sized vector chunk tasks) |
-//! | [`parallel_improved`] | the paper's proposed improvement: fine-grained matrix filtering + contention-free request-buffer relaxation ([`reqbuf`]) |
+//! | [`stepping`], pooled | the paper's proposed improvement: fine-grained matrix filtering ([`fused::LightHeavy::build_chunked`]) + contention-free request-buffer relaxation ([`reqbuf`]) |
 //!
-//! `fused` and `parallel_improved` are front doors of **one** stepping loop
-//! ([`stepping`]): the classic strategy on its sequential and pooled
-//! relaxation kernels. The same loop runs ρ-stepping and Δ*-stepping
-//! ([`SteppingStrategy`]). [`dijkstra`] and [`bellman_ford`] are the
-//! classic baselines.
+//! The third and fifth are **one** stepping loop ([`stepping`]): the
+//! classic strategy on its sequential and pooled relaxation kernels. The
+//! same loop runs ρ-stepping and Δ*-stepping ([`SteppingStrategy`]).
+//! [`run::run_with_budget`] is the checked single-run door to all five
+//! ([`Implementation`]); [`dijkstra`] and [`bellman_ford`] are the classic
+//! baselines.
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
 //! which caches the light/heavy matrix split per `(graph, Δ)` and reuses
 //! the loop's workspace across calls: `run_stepping` is the one way to
-//! run, `resume_stepping` the one way to resume.
+//! run, `resume_stepping` the one way to resume. [`batch::BatchRunner`]
+//! drives one engine per worker through its two-rung degradation ladder;
+//! a batched or served job is `{strategy, kernels}` ([`Kernels`]) — the
+//! repro variants are not reachable from there.
 //!
 //! All take a [`graphdata::CsrGraph`], a source vertex, and (where relevant)
 //! a Δ from [`delta::DeltaStrategy`], and return an [`SsspResult`] whose
@@ -58,7 +62,6 @@ pub mod gblas_select;
 pub mod guard;
 pub mod manifest;
 pub mod parallel;
-pub mod parallel_improved;
 pub mod pull;
 pub mod reqbuf;
 pub mod parallel_sim;
@@ -71,7 +74,7 @@ pub mod stats;
 pub mod stepping;
 pub mod validate;
 
-pub use batch::{BatchConfig, BatchOutcome, BatchReport, BatchRunner};
+pub use batch::{BatchConfig, BatchOutcome, BatchReport, BatchRunner, Kernels};
 pub use budget::{BudgetStop, CancelToken, ProgressGauge, RunBudget};
 pub use checkpoint::{Checkpoint, StopPoint};
 pub use guard::{GuardConfig, SsspError, Watchdog};

@@ -10,7 +10,7 @@
 //! * the relaxation products themselves stay sequential, as in the paper
 //!   ("parallelizing within the matrix-vector operations … would improve
 //!   performance and scalability" is future work there, and is implemented
-//!   here in [`crate::parallel_improved`]).
+//!   here by the pooled kernels of [`crate::stepping`]).
 
 use std::time::Instant;
 

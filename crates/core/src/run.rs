@@ -1,7 +1,12 @@
-//! The checked front door: one entry point wrapping all five
-//! delta-stepping implementations with preflight validation, a
-//! run budget (epoch limit + deadline + cancellation), and
-//! panic-isolating graceful degradation.
+//! The checked single-run front door: one entry point wrapping the five
+//! paper artifacts ([`Implementation`]) with preflight validation, a run
+//! budget (epoch limit + deadline + cancellation), and panic-isolating
+//! graceful degradation. `fused` and `improved` are
+//! [`crate::stepping::stepping_checked`] without and with a pool; the
+//! other three are the paper-reproduction loops. This is the library/CLI
+//! door for *one* run of *any* of the five — batches and the resident
+//! service take `{strategy, kernels}` jobs through [`crate::batch`] and
+//! never come here.
 //!
 //! [`run_checked`] never panics and never hangs on the inputs the
 //! robustness test-suite throws at it: NaN or negative weights,
@@ -22,7 +27,8 @@ use taskpool::{install_try, PoolError, ThreadPool};
 use crate::budget::RunBudget;
 use crate::guard::{preflight, reject_zero_weights, GuardConfig, SsspError};
 use crate::result::SsspResult;
-use crate::{canonical, fused, gblas_impl, parallel, parallel_improved};
+use crate::stepping::{stepping_checked, SteppingStrategy};
+use crate::{canonical, gblas_impl, parallel};
 
 /// The five guarded delta-stepping implementations. `Fused` and
 /// `ParallelImproved` are the sequential and pooled classic front doors
@@ -40,8 +46,8 @@ pub enum Implementation {
     /// The paper's task-parallel scheme ([`crate::parallel`]).
     Parallel,
     /// The improved parallel scheme on contention-free request buffers
-    /// ([`crate::parallel_improved`]): the stepping loop, classic
-    /// strategy, pooled kernels.
+    /// ([`crate::reqbuf`]): the stepping loop, classic strategy, pooled
+    /// kernels.
     ParallelImproved,
 }
 
@@ -193,8 +199,10 @@ pub fn run_with_budget(
         Implementation::Canonical => {
             canonical::delta_stepping_canonical_checked(g, source, delta, budget).map(report)
         }
-        Implementation::Fused => fused::delta_stepping_fused_checked(g, source, delta, budget)
-            .map(|(result, _)| report(result)),
+        Implementation::Fused => {
+            stepping_checked(g, source, delta, SteppingStrategy::Classic, None, budget)
+                .map(|(result, _)| report(result))
+        }
         Implementation::Gblas => {
             reject_zero_weights(g, "gblas")?;
             gblas_impl::delta_stepping_gblas_checked(g, source, delta, budget).map(report)
@@ -208,8 +216,13 @@ pub fn run_with_budget(
                 Implementation::Parallel => {
                     parallel::delta_stepping_parallel_checked(pool, g, source, delta, budget)
                 }
-                _ => parallel_improved::delta_stepping_parallel_improved_checked(
-                    pool, g, source, delta, budget,
+                _ => stepping_checked(
+                    g,
+                    source,
+                    delta,
+                    SteppingStrategy::Classic,
+                    Some(pool),
+                    budget,
                 ),
             });
             match attempt {
@@ -226,14 +239,13 @@ pub fn run_with_budget(
                     // Fresh epoch allowance, same deadline and token:
                     // the SLO does not reset because a worker died.
                     let mut retry = budget.retry_budget(g, delta, cfg);
-                    fused::delta_stepping_fused_checked(g, source, delta, &mut retry).map(
-                        |(result, _)| RunReport {
+                    stepping_checked(g, source, delta, SteppingStrategy::Classic, None, &mut retry)
+                        .map(|(result, _)| RunReport {
                             result,
                             delta,
                             implementation,
                             degraded: Some(message),
-                        },
-                    )
+                        })
                 }
                 Err(other) => Err(SsspError::WorkerPanicked {
                     message: other.to_string(),

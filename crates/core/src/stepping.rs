@@ -10,10 +10,11 @@
 //! the extraction threshold:
 //!
 //! * **classic Δ** ([`SteppingStrategy::Classic`]) — the next non-empty
-//!   bucket `[b·Δ, (b+1)·Δ)`, the `k = 1` point of Δ*. This is the
-//!   paper's fused implementation ([`crate::fused`], pool-less) and its
-//!   proposed parallel improvement ([`crate::parallel_improved`],
-//!   pooled): two relaxation kernels of this loop;
+//!   bucket `[b·Δ, (b+1)·Δ)`, the `k = 1` point of Δ*. Pool-less this is
+//!   the paper's fused implementation (Sec. VI-B), pooled its proposed
+//!   parallel improvement (Sec. VI-C): two relaxation kernels of this
+//!   loop, over a [`LightHeavy`] split built sequentially or in row
+//!   chunks;
 //! * **Δ\*** ([`SteppingStrategy::DeltaStar`]) — a *fused* bucket range
 //!   `[b·Δ, b·Δ + k·Δ)` covering `k` consecutive buckets per step, which
 //!   trades a few extra re-relaxations for far fewer heavy phases;
@@ -69,7 +70,6 @@ use crate::checkpoint::{Checkpoint, LiveState, SteppingState, StopPoint};
 use crate::delta::{bucket_of, bucket_start, next_up};
 use crate::fused::LightHeavy;
 use crate::guard::SsspError;
-use crate::parallel_improved::split_light_heavy_chunked;
 use crate::reqbuf::{relax_buffered, relax_sequential, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
@@ -230,12 +230,11 @@ impl SteppingWorkspace {
 
 /// Build the light/heavy split (chunked on `pool` when one is given, in
 /// one sequential pass otherwise), then run `strategy` under `budget` on
-/// a fresh workspace. The one-shot front door behind
-/// [`crate::fused::delta_stepping_fused_checked`] and
-/// [`crate::parallel_improved::delta_stepping_parallel_improved_checked`];
-/// the split build is reported as `matrix_filter` time. Repeated runs
-/// should go through [`crate::engine::SsspEngine`], which caches the
-/// split and the workspace.
+/// a fresh workspace. The one-shot checked front door — what
+/// [`crate::run::run_with_budget`] calls for `fused` (no pool) and
+/// `improved` (pooled); the split build is reported as `matrix_filter`
+/// time. Repeated runs should go through [`crate::engine::SsspEngine`],
+/// which caches the split and the workspace.
 pub fn stepping_checked(
     g: &CsrGraph,
     source: usize,
@@ -249,7 +248,7 @@ pub fn stepping_checked(
     }
     let t0 = Instant::now();
     let lh = match pool {
-        Some(pool) => split_light_heavy_chunked(pool, g, delta),
+        Some(pool) => LightHeavy::build_chunked(pool, g, delta),
         None => LightHeavy::build(g, delta),
     };
     let filter_time = t0.elapsed();
@@ -260,16 +259,17 @@ pub fn stepping_checked(
     Ok((result, profile))
 }
 
-/// Convenience front door for tests and examples: build the split, run
-/// with an unlimited budget and no pool. Panics on invalid input — the
-/// checked path is [`stepping_checked`].
+/// The one panicking convenience door, for tests, examples and bench
+/// loops: [`stepping_checked`] with an unlimited budget. Panics on
+/// invalid input.
 pub fn delta_stepping_strategy(
     g: &CsrGraph,
     source: usize,
     delta: f64,
     strategy: SteppingStrategy,
+    pool: Option<&ThreadPool>,
 ) -> SsspResult {
-    stepping_checked(g, source, delta, strategy, None, &mut RunBudget::unlimited())
+    stepping_checked(g, source, delta, strategy, pool, &mut RunBudget::unlimited())
         .expect("inputs must be valid and the budget is unlimited")
         .0
 }
@@ -807,7 +807,7 @@ mod tests {
             SteppingStrategy::DeltaStar(2.5),
             SteppingStrategy::DeltaStar(16.0),
         ] {
-            let r = delta_stepping_strategy(&g, 0, 0.5, strategy);
+            let r = delta_stepping_strategy(&g, 0, 0.5, strategy, None);
             assert_eq!(r.dist, dj.dist, "{strategy}");
         }
     }
@@ -820,7 +820,7 @@ mod tests {
         // Dijkstra's settle-once relaxation count.
         let g = weighted_grid();
         let classic = crate::fused::delta_stepping_fused(&g, 0, 1.0);
-        let rho = delta_stepping_strategy(&g, 0, 1.0, SteppingStrategy::Rho(1));
+        let rho = delta_stepping_strategy(&g, 0, 1.0, SteppingStrategy::Rho(1), None);
         assert_eq!(rho.dist, classic.dist);
         assert!(
             rho.stats.relaxations < classic.stats.relaxations,
@@ -835,7 +835,7 @@ mod tests {
     fn delta_star_fuses_buckets() {
         let g = weighted_grid();
         let classic = crate::fused::delta_stepping_fused(&g, 0, 0.25);
-        let fusedk = delta_stepping_strategy(&g, 0, 0.25, SteppingStrategy::DeltaStar(8.0));
+        let fusedk = delta_stepping_strategy(&g, 0, 0.25, SteppingStrategy::DeltaStar(8.0), None);
         assert_eq!(fusedk.dist, classic.dist);
         assert!(
             fusedk.stats.buckets_processed < classic.stats.buckets_processed,
@@ -1030,7 +1030,7 @@ mod tests {
         let g = CsrGraph::from_edge_list(&el).unwrap();
         let dj = dijkstra(&g, 0);
         for strategy in [SteppingStrategy::Rho(2), SteppingStrategy::DeltaStar(2.0)] {
-            let r = delta_stepping_strategy(&g, 0, 1.0, strategy);
+            let r = delta_stepping_strategy(&g, 0, 1.0, strategy, None);
             assert_eq!(r.dist, dj.dist, "{strategy}");
         }
     }

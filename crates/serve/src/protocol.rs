@@ -26,7 +26,7 @@
 //! PING
 //! LOAD GEN grid:40x40
 //! SSSP <fingerprint-hex> <source> [delta=F] [deadline_ms=N] [epochs=N]
-//!      [impl=NAME] [strategy=NAME[:PARAM]] [full]
+//!      [impl=fused|improved] [strategy=NAME[:PARAM]] [full]
 //! STATS
 //! HEALTH                  (supervision probe: worker health + drain state)
 //! HOLD | RELEASE | DRAIN  (only with --debug-commands)
@@ -40,7 +40,7 @@
 //! `wire-code-coverage` rejects a wildcard arm). Server-level conditions
 //! use codes ≥ 30 ([`code`] constants).
 
-use sssp_core::{Implementation, SsspError, SsspStats, SteppingStrategy};
+use sssp_core::{Kernels, SsspError, SsspStats, SteppingStrategy};
 
 /// First byte of every binary frame; doubles as the mode-sniffing byte.
 pub const FRAME_SOH: u8 = 0x01;
@@ -124,8 +124,10 @@ pub struct SsspRequest {
     /// Epoch budget (watchdog tick cap) — the deterministic way to stop
     /// a job mid-run with a certified partial.
     pub epochs: Option<u64>,
-    /// Implementation override; the server default applies when absent.
-    pub implementation: Option<Implementation>,
+    /// Kernel override — `impl=fused` (sequential) or `impl=improved` /
+    /// `impl=parallel-improved` (pooled), the only names a served job
+    /// accepts; the server default applies when absent.
+    pub implementation: Option<Kernels>,
     /// Stepping-strategy override (`classic`, `rho[:N]`,
     /// `delta-star[:K]`); the server default (classic) applies when
     /// absent.
@@ -398,10 +400,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     req.epochs =
                         Some(v.parse().map_err(|_| format!("bad epochs '{v}'"))?);
                 } else if let Some(v) = opt.strip_prefix("impl=") {
-                    req.implementation = Some(
-                        Implementation::parse(v)
-                            .ok_or_else(|| format!("unknown implementation '{v}'"))?,
-                    );
+                    req.implementation = Some(v.parse()?);
                 } else if let Some(v) = opt.strip_prefix("strategy=") {
                     req.strategy = Some(SteppingStrategy::parse(v)?);
                 } else {
@@ -677,11 +676,7 @@ pub fn decode_request(op: u8, payload: &[u8]) -> Result<Request, String> {
             let deadline_ms = (flags & 2 != 0).then(|| r.u64("deadline_ms")).transpose()?;
             let epochs = (flags & 4 != 0).then(|| r.u64("epochs")).transpose()?;
             let implementation = if flags & 8 != 0 {
-                let name = r.string("implementation")?;
-                Some(
-                    Implementation::parse(&name)
-                        .ok_or_else(|| format!("unknown implementation '{name}'"))?,
-                )
+                Some(r.string("implementation")?.parse()?)
             } else {
                 None
             };
@@ -971,7 +966,7 @@ mod tests {
             delta: Some(0.5),
             deadline_ms: Some(250),
             epochs: Some(3),
-            implementation: Some(Implementation::ParallelImproved),
+            implementation: Some(Kernels::Pooled),
             strategy: Some(SteppingStrategy::Rho(512)),
             full: true,
         })
@@ -1164,6 +1159,52 @@ mod tests {
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.contains(needle), "{line:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn impl_names_are_a_two_kernel_alias_in_text_and_binary() {
+        // The frame a client (or the parent commit) builds for `name`.
+        let frame = |name: &str| {
+            let mut payload = Vec::new();
+            push_u64(&mut payload, 0x1f);
+            push_u64(&mut payload, 0);
+            payload.push(8);
+            push_str(&mut payload, name);
+            payload
+        };
+        let kernels = |req: Result<Request, String>| {
+            req.map(|req| match req {
+                Request::Sssp(r) => r.implementation,
+                _ => None,
+            })
+        };
+        for (name, want) in [
+            ("fused", Kernels::Sequential),
+            ("improved", Kernels::Pooled),
+            ("parallel-improved", Kernels::Pooled),
+        ] {
+            let want_req = Ok(Some(want));
+            assert_eq!(kernels(parse_request(&format!("SSSP 1f 0 impl={name}"))), want_req);
+            assert_eq!(kernels(decode_request(opcode::SSSP, &frame(name))), want_req, "{name}");
+            // Encoding writes the canonical token: the same bytes as ever.
+            let req = Request::Sssp(SsspRequest {
+                fingerprint: 0x1f,
+                source: 0,
+                delta: None,
+                deadline_ms: None,
+                epochs: None,
+                implementation: Some(want),
+                strategy: None,
+                full: false,
+            });
+            assert_eq!(encode_request(&req), (opcode::SSSP, frame(want.name())));
+        }
+        // The paper-reproduction variants are not served.
+        for name in ["canonical", "delta", "gblas", "parallel"] {
+            let want = Err(format!("unknown implementation '{name}'"));
+            assert_eq!(kernels(parse_request(&format!("SSSP 1f 0 impl={name}"))), want);
+            assert_eq!(kernels(decode_request(opcode::SSSP, &frame(name))), want);
         }
     }
 

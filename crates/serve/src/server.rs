@@ -15,7 +15,7 @@
 //!   deterministic backoff hint (see [`crate::queue`]); admitted jobs
 //!   never wait behind an unbounded backlog.
 //! - Each job runs under the [`BatchRunner`] degradation ladder (panic →
-//!   one sequential-fused retry). A worker that observes a panic
+//!   one sequential retry of the same strategy). A worker that observes a panic
 //!   degradation marks itself **poisoned** and retires; the
 //!   [`Supervisor`] respawns the slot with a fresh engine worker after
 //!   an exponential-backoff cooldown, so a latent parallel bug costs a
@@ -55,10 +55,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graphdata::CsrGraph;
-use sssp_core::manifest::CheckpointManifest;
 use sssp_core::{
-    BatchConfig, BatchOutcome, BatchRunner, CancelToken, GuardConfig, Implementation,
-    ProgressGauge, SsspError, SteppingStrategy,
+    BatchConfig, BatchOutcome, BatchRunner, CancelToken, GuardConfig, Kernels, ProgressGauge,
+    SsspError, SteppingStrategy,
 };
 use taskpool::ThreadPool;
 
@@ -77,7 +76,7 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission bound: waiting jobs past this are shed, never queued.
     pub queue_capacity: usize,
-    /// Threads in the shared [`ThreadPool`] for parallel implementations.
+    /// Threads in the shared [`ThreadPool`] for pooled (`impl=improved`) jobs.
     pub pool_threads: usize,
     /// Graph registry bound; loads past it are refused.
     pub max_graphs: usize,
@@ -100,8 +99,8 @@ pub struct ServerConfig {
     pub guard: GuardConfig,
     /// Δ applied when a request does not name one.
     pub default_delta: f64,
-    /// Implementation applied when a request does not name one.
-    pub default_impl: Implementation,
+    /// Kernels applied when a request does not name an `impl=`.
+    pub default_impl: Kernels,
     /// Worker recycling and heartbeat-watchdog tunables.
     pub supervisor: SupervisorConfig,
 }
@@ -121,7 +120,7 @@ impl Default for ServerConfig {
             debug_commands: false,
             guard: GuardConfig::default(),
             default_delta: 1.0,
-            default_impl: Implementation::Fused,
+            default_impl: Kernels::Sequential,
             supervisor: SupervisorConfig::default(),
         }
     }
@@ -245,40 +244,6 @@ impl Shared {
     }
 }
 
-/// Map a stringified solver failure back to its wire code by the stable
-/// Display prefix. Jobs crossing the batch layer arrive as strings; the
-/// *typed* path ([`protocol::wire_code`]) covers errors the server still
-/// holds as values.
-fn classify_failure(message: &str) -> u8 {
-    // The three weight errors share the "edge …" prefix and split on
-    // their distinguishing word.
-    if message.starts_with("edge") {
-        return if message.contains("non-finite") {
-            10
-        } else if message.contains("negative") {
-            11
-        } else {
-            12
-        };
-    }
-    const PREFIXES: [(&str, u8); 8] = [
-        ("source vertex", 13),
-        ("delta must be positive", 14),
-        ("iteration watchdog", 15),
-        ("run cancelled", 16),
-        ("deadline exceeded", 17),
-        ("cannot resume from checkpoint", 18),
-        ("checkpoint I/O failed", 19),
-        ("parallel worker panicked", 20),
-    ];
-    for (prefix, c) in PREFIXES {
-        if message.starts_with(prefix) {
-            return c;
-        }
-    }
-    code::JOB_FAILED
-}
-
 /// Run one admitted job on a worker. `poisoned` is the worker's sticky
 /// degradation state; `slot`/`generation` identify the worker to the
 /// supervisor for heartbeat registration.
@@ -304,7 +269,7 @@ fn run_job(
     }
     let delta = req.delta.unwrap_or(shared.cfg.default_delta);
     let requested = req.implementation.unwrap_or(shared.cfg.default_impl);
-    let implementation = if poisoned.is_some() { Implementation::Fused } else { requested };
+    let implementation = if poisoned.is_some() { Kernels::Sequential } else { requested };
     // A poisoned worker also drops any generalized strategy: its pinned
     // sequential-fused path is the classic family.
     let strategy = if poisoned.is_some() {
@@ -336,13 +301,6 @@ fn run_job(
         }
         None => None,
     };
-    // A manifest entry for this (graph, source) means the run below is a
-    // resume, not a cold start.
-    let resuming = checkpoint_dir
-        .as_deref()
-        .and_then(|d| CheckpointManifest::load_or_default(d).ok())
-        .is_some_and(|m| m.find_source(req.fingerprint, req.source).is_some());
-
     // Register with the heartbeat watchdog: the run publishes epoch
     // progress through the gauge, and the token is the supervisor's
     // cancel lever (stall verdicts, graceful drain).
@@ -385,7 +343,7 @@ fn run_job(
             message: "batch returned no outcome".into(),
         };
     };
-    outcome_response(shared, req, resuming, poisoned, outcome)
+    outcome_response(shared, req, poisoned, outcome)
 }
 
 /// Map one settled [`BatchOutcome`] to its wire response, applying the
@@ -395,12 +353,11 @@ fn run_job(
 fn outcome_response(
     shared: &Shared,
     req: &SsspRequest,
-    resuming: bool,
     poisoned: &mut Option<String>,
     outcome: BatchOutcome,
 ) -> Response {
     match outcome {
-        BatchOutcome::Complete { result, delta, degraded, degraded_by_panic } => {
+        BatchOutcome::Complete { result, delta, degraded, degraded_by_panic, resumed } => {
             // A panic-degraded completion poisons this worker: all later
             // jobs run sequential-fused with the notice attached. The
             // batch layer's *typed* marker decides — a degradation
@@ -413,7 +370,7 @@ fn outcome_response(
             }
             let mut g_ = lock::recover("gauges", &shared.gauges);
             g_.jobs_completed += 1;
-            if resuming {
+            if resumed {
                 g_.jobs_resumed += 1;
             }
             drop(g_);
@@ -431,12 +388,13 @@ fn outcome_response(
                 full: req.full.then_some(result.dist),
             })
         }
-        BatchOutcome::Partial { checkpoint, reason, saved_to } => {
+        BatchOutcome::Partial { stop, reason, saved_to } => {
             lock::recover("gauges", &shared.gauges).jobs_partial += 1;
+            let checkpoint = stop.checkpoint().expect("a partial outcome owns its checkpoint");
             Response::Partial(Partial {
                 source: req.source,
                 delta: checkpoint.delta,
-                code: classify_failure(&reason),
+                code: protocol::wire_code(&stop),
                 settled: checkpoint.settled_count() as u64,
                 settled_below: checkpoint.settled_below(),
                 saved: saved_to
@@ -444,16 +402,16 @@ fn outcome_response(
                 reason,
             })
         }
-        BatchOutcome::Failed { error, panicked } => {
+        BatchOutcome::Failed { error } => {
             lock::recover("gauges", &shared.gauges).jobs_failed += 1;
             // Same typed-marker rule as above: an error whose *text*
             // contains "panic" (a checkpoint path, a user string) must
             // not poison a healthy worker.
-            if panicked && poisoned.is_none() {
-                *poisoned = Some(error.clone());
+            if let (SsspError::WorkerPanicked { message }, None) = (&error, &*poisoned) {
+                *poisoned = Some(message.clone());
                 lock::recover("gauges", &shared.gauges).degraded_workers += 1;
             }
-            Response::Error { code: classify_failure(&error), message: error }
+            Response::Error { code: protocol::wire_code(&error), message: error.to_string() }
         }
         // The queue's live backoff hint is always ≥ 1 ms, so this reply
         // can never collide with the shutdown sentinel `retry_after_ms
@@ -912,6 +870,7 @@ fn quarantine_scan(root: &std::path::Path) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sssp_core::manifest::CheckpointManifest;
 
     fn connect_text(addr: SocketAddr) -> TcpStream {
         TcpStream::connect(addr).expect("connect")
@@ -1064,6 +1023,15 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.get("jobs_resumed"), Some(1));
         assert_eq!(stats.get("jobs_partial"), Some(1));
+
+        // A checkpoint the manifest does not list is still resumed —
+        // through the conventional `ckpt-<source>.bin` name — to the same
+        // bits, and still counted.
+        let partial = ask(&mut c, &format!("SSSP {fp:016x} 0 epochs=3"));
+        assert!(partial[0].contains("saved=ckpt-0.bin"), "{partial:?}");
+        std::fs::remove_file(sub.join(CheckpointManifest::FILE_NAME)).unwrap();
+        assert_eq!(ask(&mut c, &format!("SSSP {fp:016x} 0")), ok);
+        assert_eq!(server.stats().get("jobs_resumed"), Some(2));
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1107,7 +1075,6 @@ mod tests {
         let resp = outcome_response(
             &shared,
             &dummy_request(),
-            false,
             &mut poisoned,
             BatchOutcome::Rejected { queue_capacity: 1 },
         );
@@ -1118,36 +1085,76 @@ mod tests {
         assert_eq!(retry_after_ms, shared.queue.retry_hint(), "hint comes from the queue formula");
     }
 
+    /// Every failure crossing the batch boundary answers with its solver
+    /// wire code and display, and only the typed panic marker poisons:
+    /// an error whose *text* says "panic" must not, and a job whose retry
+    /// also panicked is code 20 (before the boundary was typed it fell
+    /// through a prefix table to JOB_FAILED, 37).
     #[test]
-    fn non_panic_error_mentioning_panic_does_not_poison_the_worker() {
+    fn failed_outcomes_keep_their_wire_codes_and_only_typed_panics_poison() {
         let shared = bare_shared(1);
         let mut poisoned = None;
-        let resp = outcome_response(
-            &shared,
-            &dummy_request(),
-            false,
-            &mut poisoned,
-            BatchOutcome::Failed {
-                error: "checkpoint I/O failed at /srv/panic-drills/ckpt-0.bin: disk full".into(),
-                panicked: false,
-            },
-        );
-        assert!(matches!(resp, Response::Error { .. }));
-        assert!(poisoned.is_none(), "the word \"panic\" in an error message must not poison");
-        assert_eq!(lock::recover("gauges", &shared.gauges).degraded_workers, 0);
-
-        // The typed marker — and only it — poisons.
-        let _ = outcome_response(
-            &shared,
-            &dummy_request(),
-            false,
-            &mut poisoned,
-            BatchOutcome::Failed { error: "worker panicked (boom)".into(), panicked: true },
-        );
-        assert!(poisoned.is_some(), "a typed panic must poison the worker");
+        let cases = [
+            (
+                SsspError::CheckpointIo {
+                    path: "/srv/panic-drills/ckpt-0.bin".into(),
+                    message: "disk full".into(),
+                },
+                19,
+            ),
+            (SsspError::InvalidStrategy { reason: "rho must be at least 1, got 0".into() }, 21),
+            (
+                SsspError::WorkerPanicked {
+                    message: "boom; sequential retry also panicked (boom)".into(),
+                },
+                20,
+            ),
+        ];
+        for (error, code) in cases {
+            let message = error.to_string();
+            let resp = outcome_response(
+                &shared,
+                &dummy_request(),
+                &mut poisoned,
+                BatchOutcome::Failed { error },
+            );
+            assert_eq!(poisoned.is_some(), code == 20, "{message}");
+            assert_eq!(resp, Response::Error { code, message });
+        }
+        assert_eq!(poisoned.unwrap(), "boom; sequential retry also panicked (boom)");
         let g = lock::recover("gauges", &shared.gauges);
-        assert_eq!(g.degraded_workers, 1);
-        assert_eq!(g.jobs_failed, 2);
+        assert_eq!((g.degraded_workers, g.jobs_failed), (1, 3));
+    }
+
+    /// A poisoned worker answers a pooled request on the sequential
+    /// kernels with the sticky notice. On a pool-less server the ladder
+    /// says so whenever pooled kernels are asked for, so the missing
+    /// notice shows the poisoned worker never asked.
+    #[test]
+    fn poisoned_worker_answers_a_pooled_request_sequentially_with_the_sticky_notice() {
+        let shared = bare_shared(1);
+        let g = CsrGraph::from_edge_list(&graphdata::gen::grid2d(6, 6)).unwrap();
+        let req = SsspRequest {
+            fingerprint: g.fingerprint(),
+            implementation: Some(Kernels::Pooled),
+            ..dummy_request()
+        };
+        lock::recover("graphs", &shared.graphs).insert(req.fingerprint, Arc::new(g));
+        let summary = |poisoned: &mut Option<String>| {
+            match run_job(&shared, &req, poisoned, 0, 0) {
+                Response::Summary(s) => s,
+                other => panic!("expected a summary, got {other:?}"),
+            }
+        };
+        let healthy = summary(&mut None);
+        let notice = healthy.degraded.expect("pooled kernels were asked for, and missed");
+        assert!(notice.starts_with("thread pool unavailable (no pool)"), "{notice}");
+        let pinned = summary(&mut Some("boom".into()));
+        assert_eq!(
+            pinned.degraded.as_deref(),
+            Some("worker degraded to sequential-fused after panic: boom")
+        );
+        assert_eq!((pinned.reached, pinned.dist_fnv), (36, healthy.dist_fnv));
     }
 
     #[test]
@@ -1284,24 +1291,5 @@ mod tests {
         let stats = shared.stats();
         assert_eq!(stats.get("jobs_completed"), Some(7));
         assert_eq!(stats.get("files_quarantined"), Some(0));
-    }
-
-    #[test]
-    fn classify_failure_inverts_display_strings() {
-        let cases: [(SsspError, u8); 5] = [
-            (SsspError::InvalidDelta { delta: -1.0 }, 14),
-            (SsspError::SourceOutOfBounds { source: 9, num_vertices: 3 }, 13),
-            (SsspError::InvalidCheckpoint { reason: "x".into() }, 18),
-            (
-                SsspError::CheckpointIo { path: "p".into(), message: "m".into() },
-                19,
-            ),
-            (SsspError::WorkerPanicked { message: "boom".into() }, 20),
-        ];
-        for (err, want) in cases {
-            assert_eq!(classify_failure(&err.to_string()), want, "{err}");
-            assert_eq!(protocol::wire_code(&err), want, "typed path agrees: {err}");
-        }
-        assert_eq!(classify_failure("something else entirely"), code::JOB_FAILED);
     }
 }

@@ -11,7 +11,8 @@ use std::time::Instant;
 
 use graphdata::{gen, CsrGraph};
 use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};
-use sssp_core::{dijkstra, fused, parallel, parallel_improved};
+use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
+use sssp_core::{dijkstra, fused, parallel};
 use taskpool::ThreadPool;
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
     let pool = ThreadPool::with_threads(4).expect("pool");
     let pr = parallel::delta_stepping_parallel(&pool, &g, source, 1.0);
     assert_eq!(pr.dist, seq.dist);
-    let pi = parallel_improved::delta_stepping_parallel_improved(&pool, &g, source, 1.0);
+    let pi = delta_stepping_strategy(&g, source, 1.0, SteppingStrategy::Classic, Some(&pool));
     assert_eq!(pi.dist, seq.dist);
 
     // Scaling via the task-schedule simulation (meaningful even on a

@@ -6,7 +6,7 @@
 //!            [--threads N] [--cache-bytes N] [--checkpoint-dir DIR]
 //!            [--read-timeout-ms N] [--write-timeout-ms N]
 //!            [--max-graphs N] [--max-connections N]
-//!            [--delta F] [--impl NAME] [--debug-commands]
+//!            [--delta F] [--impl fused|improved] [--debug-commands]
 //! sssp-serve client ADDR [LINE]...
 //! ```
 //!
@@ -29,7 +29,6 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use sssp_core::Implementation;
 use sssp_serve::server::{start, ServerConfig};
 
 const USAGE: &str = "\
@@ -41,7 +40,7 @@ options:
   --listen ADDR          bind address (default 127.0.0.1:7464; port 0 = ephemeral)
   --workers N            engine worker threads (default 2)
   --queue-capacity N     admission bound; excess requests are shed (default 16)
-  --threads N            shared pool threads for parallel impls (default 2)
+  --threads N            shared pool threads for impl=improved jobs (default 2)
   --cache-bytes N        split-cache byte budget (default unbounded)
   --checkpoint-dir DIR   durable checkpoint root; enables crash-safe resume
   --read-timeout-ms N    per-connection read timeout (default none)
@@ -50,7 +49,8 @@ options:
   --max-graphs N         graph registry bound (default 8)
   --max-connections N    concurrent connection bound (default 64)
   --delta F              default bucket width (default 1.0)
-  --impl NAME            default implementation (default fused)
+  --impl NAME            default kernels for requests without impl=: fused
+                         (sequential, default) | improved (pooled)
   --drain-deadline-ms N  bound on the SIGTERM/SIGINT graceful drain
                          (default 5000)
   --debug-commands       honour HOLD/RELEASE/DRAIN (chaos-test levers)";
@@ -227,10 +227,10 @@ fn run_server(args: &[String]) -> ExitCode {
                 i += 1;
             }
             "--impl" => {
-                cfg.default_impl = match args.get(i + 1).and_then(|a| Implementation::parse(a))
-                {
-                    Some(imp) => imp,
-                    None => return fail("--impl needs a known implementation name"),
+                cfg.default_impl = match args.get(i + 1).map(|a| a.parse()) {
+                    Some(Ok(kernels)) => kernels,
+                    Some(Err(e)) => return fail(&format!("--impl: {e} (want fused or improved)")),
+                    None => return fail("--impl needs a value"),
                 };
                 i += 1;
             }

@@ -18,11 +18,10 @@ use std::time::Duration;
 use graphdata::{gen, io as gio, CsrGraph, EdgeList, WeightModel};
 use sssp_core::delta::DeltaStrategy;
 use sssp_core::engine::SsspEngine;
-use sssp_core::guard::preflight;
 use sssp_core::{
     bellman_ford, dijkstra, gblas_parallel, gblas_select, run_with_budget, validate, BatchConfig,
-    BatchOutcome, BatchRunner, GuardConfig, Implementation, RunBudget, SsspError, SsspResult,
-    SteppingStrategy,
+    BatchOutcome, BatchRunner, GuardConfig, Implementation, Kernels, RunBudget, SsspError,
+    SsspResult, SteppingStrategy,
 };
 use taskpool::ThreadPool;
 
@@ -109,23 +108,19 @@ struct Options {
     generate: Option<String>,
     implementation: String,
     source: usize,
-    /// Multi-source mode (`--sources`): run every listed source through
-    /// one [`SsspEngine`], so the light/heavy split is built once.
+    /// Multi-source mode (`--sources`): every listed source is a job on
+    /// the [`BatchRunner`], so the light/heavy split is built once.
     sources: Vec<usize>,
     delta: Option<DeltaArg>,
     /// Frontier-extraction strategy: classic Δ-buckets (default), or the
     /// generalized ρ-stepping / Δ*-stepping loops. Applies to the
-    /// stepping family (fused/improved) in single, multi-source, and
-    /// batch modes.
+    /// stepping family (fused/improved), single-source or `--sources`.
     strategy: SteppingStrategy,
-    /// Per-run (or per-job, in batch mode) wall-clock budget.
+    /// Per-run (or, with `--sources`, per-job) wall-clock budget.
     deadline_ms: Option<u64>,
-    /// `--sources` batch mode: worker threads for the [`BatchRunner`]
-    /// front door. Setting this (or `--deadline-ms`, or
-    /// `--checkpoint-dir`) routes `--sources` through the batch runner
-    /// instead of the single-engine loop.
-    batch_workers: Option<usize>,
-    /// Durable checkpoints: budget-stopped batch jobs persist to
+    /// `--sources`: worker threads draining the [`BatchRunner`] queue.
+    batch_workers: usize,
+    /// Durable checkpoints: budget-stopped `--sources` jobs persist to
     /// `<dir>/ckpt-<source>.bin` and a rerun resumes from those files.
     checkpoint_dir: Option<PathBuf>,
     threads: usize,
@@ -134,8 +129,8 @@ struct Options {
     random_weights: bool,
     validate: bool,
     summary: bool,
-    /// Extend the batch split-cache report with eviction count and
-    /// resident bytes.
+    /// Extend the `--sources` split-cache report with eviction count
+    /// and resident bytes.
     verbose: bool,
 }
 
@@ -153,17 +148,17 @@ options:
                            gblas-select | gblas-parallel | fused (default) |
                            parallel | improved
   --source V               source vertex (default 0)
-  --sources V1,V2,...      run several sources through one engine (the
-                           light/heavy split is built once and cached);
-                           prints a per-source summary. fused/improved only,
-                           unless batch mode is selected (see below)
+  --sources V1,V2,...      run several sources as one batch (the light/heavy
+                           split is built once and shared); prints a
+                           per-source summary. --impl fused or improved
+                           only; a panicking job retries once on the
+                           sequential kernels
   --deadline-ms MS         wall-clock budget per run/job; a run stopped by
                            the deadline reports a certified partial result
-                           and exits 5. With --sources, selects batch mode
-  --batch-workers N        run --sources through the resilient batch runner
-                           with N workers (any of the five --impl names;
-                           panicking jobs retry once on sequential fused)
-  --checkpoint-dir DIR     batch mode: persist budget-stopped jobs to
+                           and exits 5
+  --batch-workers N        --sources: worker threads draining the batch
+                           (default 2)
+  --checkpoint-dir DIR     --sources: persist budget-stopped jobs to
                            DIR/ckpt-<source>.bin and resume from existing
                            files, so a rerun finishes exactly where a
                            deadline-stopped run left off
@@ -181,7 +176,7 @@ options:
   --random-weights         uniform weights in [0.1, 1.0), symmetric
   --validate               check the SSSP optimality certificate
   --summary                print statistics instead of every distance
-  --verbose                batch mode: extend the split-cache report with
+  --verbose                --sources: extend the split-cache report with
                            eviction count and resident bytes
   --help                   this text
 
@@ -201,7 +196,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         delta: None,
         strategy: SteppingStrategy::Classic,
         deadline_ms: None,
-        batch_workers: None,
+        batch_workers: 2,
         checkpoint_dir: None,
         threads: 4,
         symmetrize: false,
@@ -264,7 +259,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 if n == 0 {
                     return Err("bad --batch-workers: need at least one worker".to_string());
                 }
-                o.batch_workers = Some(n);
+                o.batch_workers = n;
             }
             "--checkpoint-dir" => {
                 o.checkpoint_dir = Some(PathBuf::from(value(&mut i, "--checkpoint-dir")?));
@@ -440,94 +435,26 @@ fn run(o: &Options, g: &CsrGraph, delta: f64) -> Result<SsspResult, Failure> {
     })
 }
 
-/// `--sources` mode: every listed source runs through one [`SsspEngine`],
-/// so the light/heavy split (35–40 % of a cold run) is built once and the
-/// relaxation workspaces stay warm.
-fn run_multi(o: &Options, g: &CsrGraph, delta: f64) -> Result<(), Failure> {
-    enum Mode {
-        Fused,
-        Improved(ThreadPool),
-    }
-    let mode = match o.implementation.as_str() {
-        "fused" => Mode::Fused,
-        "improved" | "parallel-improved" => Mode::Improved(
-            ThreadPool::with_threads(o.threads).map_err(|e| Failure::Input(e.to_string()))?,
-        ),
-        other => {
-            return Err(Failure::Usage(format!(
-                "--sources supports --impl fused or improved, got '{other}'"
-            )))
-        }
-    };
-    let cfg = GuardConfig::default();
-    // One preflight covers weight and Δ validation for every run; the
-    // engine re-checks per-source bounds itself.
-    let delta = preflight(g, o.sources[0], delta, &cfg).map_err(Failure::Sssp)?;
-    for &src in &o.sources {
-        if src >= g.num_vertices() {
-            return Err(Failure::Sssp(SsspError::SourceOutOfBounds {
-                source: src,
-                num_vertices: g.num_vertices(),
-            }));
-        }
-    }
-
-    let mut engine = SsspEngine::new(g);
-    let t0 = std::time::Instant::now();
-    for &src in &o.sources {
-        let mut budget = RunBudget::for_run(g, delta, &cfg);
-        let t1 = std::time::Instant::now();
-        let (result, _) = match &mode {
-            Mode::Fused => engine.run_stepping(None, src, delta, o.strategy, &mut budget),
-            Mode::Improved(pool) => {
-                engine.run_stepping(Some(pool), src, delta, o.strategy, &mut budget)
-            }
-        }
-        .map_err(Failure::Sssp)?;
-        let elapsed = t1.elapsed();
-        if o.validate {
-            validate::check_certificate(g, &result, 1e-9)
-                .map_err(|e| Failure::Input(format!("validation failed for source {src}: {e:?}")))?;
-        }
-        println!(
-            "source {src}: reaches {} vertices, eccentricity {:?}, {} relaxations, {elapsed:?}",
-            result.reachable_count(),
-            result.eccentricity(),
-            result.stats.relaxations
-        );
-    }
-    let stats = engine.stats();
-    println!(
-        "total: {:?} over {} sources | split cache: {} build(s), {} hit(s)",
-        t0.elapsed(),
-        o.sources.len(),
-        stats.split_builds,
-        stats.split_hits
-    );
-    Ok(())
-}
-
-/// `--sources` batch mode (`--deadline-ms` and/or `--batch-workers`):
-/// every source becomes a job on the resilient [`BatchRunner`] front
-/// door — per-job deadline, panic-isolated workers with a one-shot
-/// sequential-fused retry, and checkpointed partial results instead of
-/// lost work. Exit code: 3 if any job failed outright, 5 if any job
-/// ended partial, 0 when everything completed.
+/// `--sources`: every source becomes a job on the resilient
+/// [`BatchRunner`] front door — one shared light/heavy split (35–40 % of
+/// a cold run), per-job deadline, panic-isolated workers with a one-shot
+/// sequential retry, and checkpointed partial results instead of lost
+/// work. Exit code: 3 if any job failed outright, 5 if any job ended
+/// partial, 0 when everything completed.
 fn run_batch(o: &Options, g: &CsrGraph, delta: f64) -> Result<ExitCode, Failure> {
-    let imp = o
-        .implementation
-        .parse::<Implementation>()
-        .map_err(|e| Failure::Usage(format!("batch mode: {e}\n\n{USAGE}")))?;
+    let kernels = o.implementation.parse::<Kernels>().map_err(|e| {
+        Failure::Usage(format!("--sources supports --impl fused or improved: {e}\n\n{USAGE}"))
+    })?;
     if let Some(dir) = &o.checkpoint_dir {
         std::fs::create_dir_all(dir).map_err(|e| {
             Failure::Input(format!("cannot create --checkpoint-dir {}: {e}", dir.display()))
         })?;
     }
     let runner = BatchRunner::new(BatchConfig {
-        implementation: imp,
+        implementation: kernels,
         delta,
         strategy: o.strategy,
-        workers: o.batch_workers.unwrap_or(2),
+        workers: o.batch_workers,
         queue_capacity: o.sources.len(),
         deadline: o.deadline_ms.map(Duration::from_millis),
         cancel: None,
@@ -562,7 +489,8 @@ fn run_batch(o: &Options, g: &CsrGraph, delta: f64) -> Result<ExitCode, Failure>
                     result.stats.relaxations
                 );
             }
-            BatchOutcome::Partial { checkpoint, reason, saved_to } => {
+            BatchOutcome::Partial { reason, saved_to, .. } => {
+                let checkpoint = outcome.checkpoint().expect("a partial job has a checkpoint");
                 println!(
                     "source {source}: PARTIAL — {} of {} distances certified below {} ({reason})",
                     checkpoint.settled_count(),
@@ -577,7 +505,7 @@ fn run_batch(o: &Options, g: &CsrGraph, delta: f64) -> Result<ExitCode, Failure>
                     );
                 }
             }
-            BatchOutcome::Failed { error, .. } => {
+            BatchOutcome::Failed { error } => {
                 println!("source {source}: FAILED — {error}");
             }
             BatchOutcome::Rejected { queue_capacity } => {
@@ -684,17 +612,8 @@ fn real_main() -> ExitCode {
     };
 
     if !o.sources.is_empty() {
-        // Deadline, explicit workers, or durable checkpoints => the
-        // resilient batch front door; otherwise the single-engine loop
-        // with its shared split cache.
-        if o.deadline_ms.is_some() || o.batch_workers.is_some() || o.checkpoint_dir.is_some() {
-            return match run_batch(&o, &g, delta) {
-                Ok(code) => code,
-                Err(f) => f.report(),
-            };
-        }
-        return match run_multi(&o, &g, delta) {
-            Ok(()) => ExitCode::SUCCESS,
+        return match run_batch(&o, &g, delta) {
+            Ok(code) => code,
             Err(f) => f.report(),
         };
     }

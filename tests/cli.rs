@@ -280,22 +280,27 @@ fn batch_mode_with_expired_deadline_exits_5_with_certified_partials() {
 }
 
 #[test]
-fn batch_mode_accepts_any_of_the_five_implementations() {
-    // Unlike the engine-only --sources path (fused/improved), batch mode
-    // takes every guarded implementation through the shared name parser.
-    for imp in ["canonical", "gblas", "parallel", "fused", "improved"] {
-        let out = sssp(&[
-            "--gen",
-            "grid:6x6",
-            "--sources",
-            "0,35",
-            "--batch-workers",
-            "1",
-            "--impl",
-            imp,
-        ]);
-        assert!(out.status.success(), "{imp}: {}", stderr(&out));
-        assert!(stdout(&out).contains("batch: 2 complete"), "{imp}");
+fn sources_mode_takes_fused_and_improved_and_rejects_the_repro_implementations() {
+    // A batched job runs on the one stepping loop: its sequential or its
+    // pooled kernels. The paper-reproduction variants are single-run only.
+    let run = |imp: &str, extra: &[&str]| {
+        sssp(&[&["--gen", "grid:6x6", "--sources", "0,35", "--impl", imp][..], extra].concat())
+    };
+    for imp in ["fused", "improved"] {
+        for extra in [&[][..], &["--batch-workers", "1"][..]] {
+            let out = run(imp, extra);
+            assert!(out.status.success(), "{imp}: {}", stderr(&out));
+            assert!(stdout(&out).contains("batch: 2 complete"), "{imp}");
+        }
+    }
+    for imp in ["canonical", "delta", "gblas", "parallel"] {
+        for extra in [&[][..], &["--batch-workers", "1"][..]] {
+            let out = run(imp, extra);
+            assert_eq!(out.status.code(), Some(1), "{imp}: {}", stderr(&out));
+            let err = stderr(&out);
+            assert!(err.contains("--sources supports --impl fused or improved"), "{imp}: {err}");
+            assert!(err.contains(&format!("unknown implementation '{imp}'")), "{imp}: {err}");
+        }
     }
 }
 

@@ -10,9 +10,9 @@ use std::str::FromStr;
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
 use sssp_core::result::SsspResult;
+use sssp_core::stepping::{delta_stepping_strategy, stepping_checked, SteppingStrategy};
 use sssp_core::{
-    fused, gblas_parallel, parallel, parallel_improved, run_with_budget, GuardConfig,
-    Implementation, RunBudget,
+    fused, gblas_parallel, parallel, run_with_budget, GuardConfig, Implementation, RunBudget,
 };
 use taskpool::ThreadPool;
 
@@ -52,7 +52,7 @@ fn check_graph(name: &str, g: &CsrGraph, src: usize, delta: f64) {
         parallel::delta_stepping_parallel(pool, g, src, delta)
     });
     assert_stable("parallel-improved", name, |pool| {
-        parallel_improved::delta_stepping_parallel_improved(pool, g, src, delta)
+        delta_stepping_strategy(g, src, delta, SteppingStrategy::Classic, Some(pool))
     });
     assert_stable("gblas-parallel", name, |pool| {
         gblas_parallel::delta_stepping_gblas_parallel(pool, g, src, delta)
@@ -96,7 +96,7 @@ fn engine_reuse_is_deterministic_and_matches_direct_calls() {
                     .run_parallel_improved(&pool, src, delta, &mut RunBudget::unlimited())
                     .expect("valid inputs");
                 let cold =
-                    parallel_improved::delta_stepping_parallel_improved(&pool, g, src, delta);
+                    delta_stepping_strategy(g, src, delta, SteppingStrategy::Classic, Some(&pool));
                 assert_eq!(
                     bits(&warm.dist),
                     bits(&cold.dist),
@@ -168,8 +168,9 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
     let src = g.num_vertices() / 2;
 
     let mut full_budget = RunBudget::unlimited();
+    let classic = SteppingStrategy::Classic;
     let (reference, _) =
-        fused::delta_stepping_fused_checked(g, src, delta, &mut full_budget).expect("valid input");
+        stepping_checked(g, src, delta, classic, None, &mut full_budget).expect("valid input");
     let total_epochs = full_budget.ticks();
     assert!(total_epochs > 1, "graph too small to interrupt");
 
@@ -190,10 +191,12 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
             let cancelled: Vec<(&str, sssp_core::SsspError)> = vec![
                 (
                     "fused",
-                    fused::delta_stepping_fused_checked(
+                    stepping_checked(
                         g,
                         src,
                         delta,
+                        classic,
+                        None,
                         &mut RunBudget::unlimited().cancel_after(k),
                     )
                     .expect_err("cancel_after must stop the run"),
@@ -211,11 +214,12 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
                 ),
                 (
                     "improved",
-                    parallel_improved::delta_stepping_parallel_improved_checked(
-                        &pool,
+                    stepping_checked(
                         g,
                         src,
                         delta,
+                        classic,
+                        Some(&pool),
                         &mut RunBudget::unlimited().cancel_after(k),
                     )
                     .expect_err("cancel_after must stop the run"),

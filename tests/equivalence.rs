@@ -5,9 +5,10 @@
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::delta::DeltaStrategy;
 use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};
+use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
 use sssp_core::{
     bellman_ford, canonical, dijkstra, fused, gblas_impl, gblas_parallel, gblas_select, parallel,
-    parallel_improved, validate,
+    validate,
 };
 use taskpool::ThreadPool;
 
@@ -52,7 +53,7 @@ fn all_implementations_agree_on_unit_weight_suite() {
                 assert_eq!(sim.dist, truth.dist, "{} src {src}: simulated", d.name);
             }
 
-            let pi = parallel_improved::delta_stepping_parallel_improved(&pool, g, src, 1.0);
+            let pi = delta_stepping_strategy(g, src, 1.0, SteppingStrategy::Classic, Some(&pool));
             assert_eq!(pi.dist, truth.dist, "{} src {src}: improved", d.name);
 
             let bf = bellman_ford::bellman_ford(g, src);
@@ -94,7 +95,7 @@ fn all_implementations_agree_on_weighted_suite_across_deltas() {
                 "{} delta {delta}: parallel",
                 d.name
             );
-            let pi = parallel_improved::delta_stepping_parallel_improved(&pool, g, src, delta);
+            let pi = delta_stepping_strategy(g, src, delta, SteppingStrategy::Classic, Some(&pool));
             assert!(
                 pi.approx_eq(&truth, 1e-9).is_ok(),
                 "{} delta {delta}: improved",
@@ -152,7 +153,7 @@ fn isolated_source_on_every_implementation() {
         expect
     );
     assert_eq!(
-        parallel_improved::delta_stepping_parallel_improved(&pool, &g, 0, 1.0).dist,
+        delta_stepping_strategy(&g, 0, 1.0, SteppingStrategy::Classic, Some(&pool)).dist,
         expect
     );
 }

@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use gblas::ops::{self, Min, Plus};
 use gblas::{Descriptor, Vector};
 use graphdata::{CsrGraph, EdgeList};
+use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
 use sssp_core::{
-    canonical, dijkstra, fused, gblas_impl, parallel_improved, run_checked, validate, GuardConfig,
-    Implementation,
+    canonical, dijkstra, fused, gblas_impl, run_checked, validate, GuardConfig, Implementation,
 };
 use taskpool::ThreadPool;
 
@@ -111,7 +111,7 @@ proptest! {
         let pool = ThreadPool::with_threads(3).unwrap();
         let g = CsrGraph::from_edge_list(&el).unwrap();
         let fu = fused::delta_stepping_fused(&g, 0, 1.0);
-        let pi = parallel_improved::delta_stepping_parallel_improved(&pool, &g, 0, 1.0);
+        let pi = delta_stepping_strategy(&g, 0, 1.0, SteppingStrategy::Classic, Some(&pool));
         prop_assert_eq!(fu.dist, pi.dist);
     }
 
