@@ -16,7 +16,7 @@
 //!    match arms (`Less`/`Equal`/`Greater`) never match the pattern and
 //!    are out of scope by construction.
 //! 3. **`hot-path-lock`** — no `Mutex`/`RwLock` in the relaxation hot
-//!    paths (`crates/core/src/parallel*`, `crates/core/src/reqbuf.rs`,
+//!    paths (`crates/core/src/repro/parallel*`, `crates/core/src/reqbuf.rs`,
 //!    `crates/core/src/pull.rs`, `crates/core/src/stepping.rs`,
 //!    `crates/core/src/fused.rs` — the light/heavy split and its chunked
 //!    build — `crates/gblas/src/parallel*`,
@@ -443,7 +443,7 @@ const HOT_PATH_SUPPRESSION: &str = "lint:allow(hot-path-lock)";
 /// must all be request-rate control state, never per-edge — each
 /// deliberate one carries its reason).
 pub fn is_hot_path(rel: &str) -> bool {
-    rel.starts_with("crates/core/src/parallel")
+    rel.starts_with("crates/core/src/repro/parallel")
         || rel == "crates/core/src/reqbuf.rs"
         || rel == "crates/core/src/pull.rs"
         || rel == "crates/core/src/stepping.rs"
@@ -1538,12 +1538,12 @@ reason = "heuristic counter, never load-acquired"
         assert!(fs.iter().all(|f| f.lint == "hot-path-lock"));
 
         let ok = sf(
-            "crates/core/src/parallel.rs",
+            "crates/core/src/repro/parallel.rs",
             "// lint:allow(hot-path-lock): cold merge path only\nuse parking_lot::Mutex;\n",
         );
         assert!(lint_hot_path_locks(&ok).is_empty());
 
-        let elsewhere = sf("crates/core/src/buckets.rs", "use std::sync::Mutex;\n");
+        let elsewhere = sf("crates/core/src/repro/buckets.rs", "use std::sync::Mutex;\n");
         assert!(lint_hot_path_locks(&elsewhere).is_empty());
 
         // The dense-pull kernel and the density oracle are hot paths too.

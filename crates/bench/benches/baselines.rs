@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use graphdata::{paper_suite, SuiteScale};
 use sssp_bench::bench_source;
-use sssp_core::{bellman_ford, canonical, dijkstra, fused, gblas_impl};
+use sssp_core::repro::{canonical, gblas_impl};
+use sssp_core::{bellman_ford, dijkstra, fused};
 
 fn baselines(c: &mut Criterion) {
     let mut group = c.benchmark_group("baselines");

@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use graphdata::{paper_suite, SuiteScale};
 use sssp_bench::bench_source;
-use sssp_core::{fused, gblas_impl, gblas_select};
+use sssp_core::fused;
+use sssp_core::repro::{gblas_impl, gblas_select};
 
 fn fig3(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig3_fusion");

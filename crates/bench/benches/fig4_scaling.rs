@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graphdata::{paper_suite, SuiteScale};
 use sssp_bench::bench_source;
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
-use sssp_core::{fused, parallel};
+use sssp_core::fused;
+use sssp_core::repro::parallel;
 use taskpool::ThreadPool;
 
 fn fig4(c: &mut Criterion) {

@@ -4,13 +4,14 @@
 //!
 //! Three points per graph:
 //!
-//! 1. `two_apply` — the Fig. 2 transcription ([`sssp_core::gblas_impl`]);
+//! 1. `two_apply` — the Fig. 2 transcription ([`sssp_core::repro::gblas_impl`]);
 //! 2. `select`   — same library-call structure with the paper's lessons
-//!    applied ([`sssp_core::gblas_select`]);
+//!    applied ([`sssp_core::repro::gblas_select`]);
 //! 3. `fused`    — the direct fused implementation ([`sssp_core::fused`]).
 
 use graphdata::{paper_suite, SuiteScale};
-use sssp_core::{fused, gblas_impl, gblas_select};
+use sssp_core::fused;
+use sssp_core::repro::{gblas_impl, gblas_select};
 
 use crate::experiments::geomean;
 use crate::measure::{measure_min, Reps};

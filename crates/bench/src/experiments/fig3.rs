@@ -2,13 +2,14 @@
 //! sequential C implementation over SuiteSparse … by fusing operations."
 //!
 //! We time the unfused GraphBLAS implementation
-//! ([`sssp_core::gblas_impl`], standing in for SuiteSparse) against the
+//! ([`sssp_core::repro::gblas_impl`], standing in for SuiteSparse) against the
 //! fused direct implementation ([`sssp_core::fused`]) on the suite graphs
 //! sorted by ascending node count, with Δ = 1 and unit weights — the
 //! paper's exact setting.
 
 use graphdata::{paper_suite, SuiteScale};
-use sssp_core::{fused, gblas_impl};
+use sssp_core::fused;
+use sssp_core::repro::gblas_impl;
 
 use crate::experiments::geomean;
 use crate::measure::{measure_min, Reps};

@@ -5,7 +5,7 @@
 //! **Measurement model.** The reproduction environment exposes a single
 //! CPU core, so thread speedup cannot appear as wall-clock time. The
 //! primary numbers therefore come from the task-schedule simulation
-//! ([`sssp_core::parallel_sim`]): the run executes the same code
+//! ([`sssp_core::repro::parallel_sim`]): the run executes the same code
 //! sequentially, records every task's duration and the barrier structure,
 //! and the makespan on `T` workers is computed with an LPT scheduler.
 //! Two series per graph:
@@ -19,9 +19,10 @@
 //! threaded implementations instead (also used by the Criterion bench).
 
 use graphdata::{paper_suite, SuiteScale};
-use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};
+use sssp_core::fused;
+use sssp_core::repro::parallel;
+use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
-use sssp_core::{fused, parallel};
 use taskpool::ThreadPool;
 
 use crate::experiments::geomean;
@@ -79,7 +80,7 @@ pub fn run(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
             // Record one trace per scheme per sample; keep the trace with
             // the least total work (least timer noise).
             let best_trace = |cfg: SimConfig| {
-                let mut best: Option<sssp_core::schedule::ScheduleTrace> = None;
+                let mut best: Option<sssp_core::repro::schedule::ScheduleTrace> = None;
                 for _ in 0..reps.samples.max(1) {
                     let (r, trace) = delta_stepping_simulated(g, src, delta, cfg);
                     assert_eq!(r.dist, baseline.dist, "{}: simulation disagrees", d.name);

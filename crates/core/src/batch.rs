@@ -1009,6 +1009,7 @@ mod tests {
                         cancel: Some(token.clone()),
                         ..BatchConfig::default()
                     });
+                    let _session = taskpool::fault::TestSession::begin();
                     let pool = (fault != NoPool).then(|| ThreadPool::with_threads(2).unwrap());
                     let mut engine = SsspEngine::new(&g);
                     let cp = resume.then(|| {
@@ -1044,7 +1045,6 @@ mod tests {
                     };
                     let no_pool = Some("no threads");
                     let outcome = runner.ladder(&mut engine, pool.as_ref(), no_pool, 1.0, resume, call);
-                    taskpool::fault::disarm();
                     assert_eq!(calls.get(), if fault == Fault::NoPool { 1 } else { 2 }, "{label}");
                     match (fault, outcome) {
                         (

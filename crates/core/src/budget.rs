@@ -144,7 +144,7 @@ impl RunBudget {
     }
 
     /// Wrap an existing watchdog.
-    pub fn from_watchdog(watchdog: Watchdog) -> Self {
+    fn from_watchdog(watchdog: Watchdog) -> Self {
         RunBudget {
             watchdog,
             deadline: None,

@@ -11,7 +11,7 @@
 //! answer.
 //!
 //! The stepping loop ([`crate::stepping`], every strategy, pooled or
-//! not) and the paper's task scheme ([`crate::parallel`]) additionally
+//! not) and the paper's task scheme ([`crate::repro::parallel`]) additionally
 //! capture the exact loop state (current range, pending frontier,
 //! settled set of the current range, counters), so
 //! [`crate::engine::SsspEngine::resume_stepping`] can continue the run

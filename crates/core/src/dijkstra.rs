@@ -65,58 +65,6 @@ pub fn dijkstra(g: &CsrGraph, source: usize) -> SsspResult {
     result
 }
 
-/// Dijkstra with parent tracking: returns the result and `parent[v]`
-/// (`usize::MAX` for the source and unreachable vertices). Used to
-/// reconstruct witness paths in examples and validation.
-pub fn dijkstra_with_parents(g: &CsrGraph, source: usize) -> (SsspResult, Vec<usize>) {
-    let mut result = SsspResult::init(g.num_vertices(), source);
-    let mut parent = vec![usize::MAX; g.num_vertices()];
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapItem {
-        dist: 0.0,
-        vertex: source,
-    });
-    while let Some(HeapItem { dist, vertex }) = heap.pop() {
-        if dist > result.dist[vertex] {
-            continue;
-        }
-        let (targets, weights) = g.neighbors(vertex);
-        for (&t, &w) in targets.iter().zip(weights.iter()) {
-            let cand = dist + w;
-            if cand < result.dist[t] {
-                result.dist[t] = cand;
-                parent[t] = vertex;
-                heap.push(HeapItem {
-                    dist: cand,
-                    vertex: t,
-                });
-            }
-        }
-    }
-    (result, parent)
-}
-
-/// Walk parents back from `target` to the source. Empty if unreachable.
-pub fn reconstruct_path(parent: &[usize], source: usize, target: usize) -> Vec<usize> {
-    if source == target {
-        return vec![source];
-    }
-    if parent[target] == usize::MAX {
-        return Vec::new();
-    }
-    let mut path = vec![target];
-    let mut cur = target;
-    while cur != source {
-        cur = parent[cur];
-        path.push(cur);
-        if path.len() > parent.len() {
-            unreachable!("parent chain longer than vertex count");
-        }
-    }
-    path.reverse();
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,28 +117,5 @@ mod tests {
         let g = CsrGraph::from_edge_list(&el).unwrap();
         let r = dijkstra(&g, 0);
         assert_eq!(r.dist, vec![0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn parents_reconstruct_shortest_path() {
-        let el = EdgeList::from_triples(vec![
-            (0, 1, 1.0),
-            (1, 2, 1.0),
-            (0, 2, 5.0),
-        ]);
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let (r, parent) = dijkstra_with_parents(&g, 0);
-        assert_eq!(r.dist[2], 2.0);
-        assert_eq!(reconstruct_path(&parent, 0, 2), vec![0, 1, 2]);
-        assert_eq!(reconstruct_path(&parent, 0, 0), vec![0]);
-    }
-
-    #[test]
-    fn path_empty_when_unreachable() {
-        let mut el = EdgeList::from_triples(vec![(0, 1, 1.0)]);
-        el.ensure_vertices(3);
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let (_, parent) = dijkstra_with_parents(&g, 0);
-        assert!(reconstruct_path(&parent, 0, 2).is_empty());
     }
 }

@@ -270,7 +270,7 @@ impl<'g> SsspEngine<'g> {
 
     /// The one way to resume: continue any resumable checkpoint — from
     /// this loop under any strategy, from an older binary's classic
-    /// loops, or from [`crate::parallel`] — through the split cache.
+    /// loops, or from [`crate::repro::parallel`] — through the split cache.
     /// Bit-identical to the uninterrupted run, pooled or not.
     pub fn resume_stepping(
         &mut self,

@@ -1,7 +1,7 @@
 //! Seeded bounded-preemption schedule exploration for the parallel
 //! implementations, driven by the `racecheck` happens-before tracker.
 //!
-//! [`crate::parallel_sim`] records the task decomposition a threaded run
+//! [`crate::repro::parallel_sim`] records the task decomposition a threaded run
 //! *would* create; this module goes one step further and actually
 //! **permutes** it: with [`taskpool::sched`] armed, every scoped task of
 //! a real run is executed under a controller that picks execution order
@@ -38,10 +38,16 @@
 //! ([`crate::reqbuf::set_relax_threshold_override`]) so that the fig-4
 //! sized graphs CI can afford still take the parallel producer/merge
 //! paths instead of short-circuiting to the sequential scatter.
+//!
+//! The schedule controller, the tracker and the threshold override are
+//! process-wide, so every entry point takes the caller's
+//! [`TestSession`]: explorations in one process run one at a time, and
+//! the controller acts only on the pool each exploration creates.
 
 use std::ops::Range;
 
 use graphdata::CsrGraph;
+use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
 
 use crate::budget::RunBudget;
@@ -184,6 +190,7 @@ fn explore_schedules(
     reference: &SsspResult,
     pin_stats: bool,
     cfg: &ExploreConfig,
+    _session: &TestSession,
     mut run: impl FnMut(&ThreadPool) -> Option<SsspResult>,
 ) -> ExploreReport {
     let ref_bits = bits(&reference.dist);
@@ -238,9 +245,10 @@ pub fn explore(
     source: usize,
     delta: f64,
     cfg: &ExploreConfig,
+    session: &TestSession,
 ) -> ExploreReport {
     let reference = crate::fused::delta_stepping_fused(g, source, delta);
-    explore_schedules(&reference, false, cfg, |pool| {
+    explore_schedules(&reference, false, cfg, session, |pool| {
         run_with_budget(
             imp,
             g,
@@ -265,9 +273,10 @@ pub fn explore_strategy(
     source: usize,
     delta: f64,
     cfg: &ExploreConfig,
+    session: &TestSession,
 ) -> ExploreReport {
     let reference = delta_stepping_strategy(g, source, delta, strategy, None);
-    explore_schedules(&reference, true, cfg, |pool| {
+    explore_schedules(&reference, true, cfg, session, |pool| {
         SsspEngine::new(g)
             .run_stepping(Some(pool), source, delta, strategy, &mut RunBudget::unlimited())
             .ok()
@@ -287,9 +296,10 @@ pub fn explore_cancel_resume(
     delta: f64,
     cancel_epoch: u64,
     cfg: &ExploreConfig,
+    session: &TestSession,
 ) -> ExploreReport {
     let reference = delta_stepping_strategy(g, source, delta, strategy, None);
-    explore_schedules(&reference, true, cfg, |pool| {
+    explore_schedules(&reference, true, cfg, session, |pool| {
         let mut engine = SsspEngine::new(g);
         let cancelled = engine.run_stepping(
             Some(pool),
@@ -321,7 +331,8 @@ mod tests {
             seeds: 0..3,
             ..ExploreConfig::default()
         };
-        let report = explore(Implementation::ParallelImproved, &g, 0, 1.0, &cfg);
+        let session = TestSession::begin();
+        let report = explore(Implementation::ParallelImproved, &g, 0, 1.0, &cfg, &session);
         assert_eq!(report.schedules, 3);
         assert!(
             report.is_clean(),
@@ -334,17 +345,17 @@ mod tests {
 
     #[test]
     fn smoke_strategy_and_cancel_resume_are_clean() {
-        // One schedule each: the scheduler and tracker are process-wide,
-        // so this stays short next to the other unit tests. The full
-        // strategy × seed matrix runs in `tests/racecheck.rs`.
+        // One schedule each: the full strategy × seed matrix runs in
+        // `tests/racecheck.rs`.
         let g = CsrGraph::from_edge_list(&grid2d(5, 5)).unwrap();
         let cfg = ExploreConfig {
             seeds: 0..1,
             ..ExploreConfig::default()
         };
+        let session = TestSession::begin();
         for report in [
-            explore_strategy(SteppingStrategy::DeltaStar(2.0), &g, 0, 1.0, &cfg),
-            explore_cancel_resume(SteppingStrategy::Rho(4), &g, 0, 1.0, 2, &cfg),
+            explore_strategy(SteppingStrategy::DeltaStar(2.0), &g, 0, 1.0, &cfg, &session),
+            explore_cancel_resume(SteppingStrategy::Rho(4), &g, 0, 1.0, 2, &cfg, &session),
         ] {
             assert_eq!(report.schedules, 1);
             assert!(

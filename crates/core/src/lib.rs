@@ -1,31 +1,40 @@
 //! # sssp-core — delta-stepping SSSP, from vertices and edges to GraphBLAS
 //!
-//! The paper's contribution, reproduced end to end. Five implementations of
-//! single-source shortest paths share one result type so they can be
-//! compared edge-for-edge:
+//! One crate, two halves, one line between them.
 //!
-//! | module | paper artifact |
+//! **The serving library** — what `sssp-serve`, the batch runner and the
+//! CLI's `--sources` mode execute. One stepping loop, its kernels, and
+//! the supervision around it:
+//!
+//! | module | role |
 //! |---|---|
-//! | [`canonical`] | Meyer–Sanders delta-stepping with explicit buckets (Fig. 1, right) |
-//! | [`gblas_impl`] | the **unfused GraphBLAS** implementation (Fig. 2, call-for-call) |
-//! | [`stepping`], no pool | the **fused direct-C** implementation (Sec. VI-B: Hadamard+vxm fusion, fused vector updates) over the [`fused::LightHeavy`] split |
-//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks + evenly-sized vector chunk tasks) |
-//! | [`stepping`], pooled | the paper's proposed improvement: fine-grained matrix filtering ([`fused::LightHeavy::build_chunked`]) + contention-free request-buffer relaxation ([`reqbuf`]) |
+//! | [`stepping`] | the one stepping loop: classic Δ-stepping (the paper's **fused direct-C** implementation, Sec. VI-B, without a pool; its proposed improvement with one), ρ-stepping and Δ*-stepping ([`SteppingStrategy`]) |
+//! | [`fused`] | the [`fused::LightHeavy`] split (`A_L` / `A_H`, fine-grained [`fused::LightHeavy::build_chunked`]) and the sequential classic front door |
+//! | [`reqbuf`], [`pull`] | the loop's relaxation kernels: contention-free request buffers (push) and the dense pull kernel |
+//! | [`engine`], [`split_cache`] | multi-run engine: the split cached per `(graph, Δ)`, the workspace reused across calls |
+//! | [`batch`] | many sources on one graph through a two-rung degradation ladder; a job is `{strategy, kernels}` ([`Kernels`]) |
+//! | [`budget`], [`guard`] | deadline / cancellation / epoch budgets, preflight validation, the error taxonomy |
+//! | [`checkpoint`], [`manifest`] | certified partial results and their durable index |
+//! | [`delta`], [`result`], [`stats`], [`validate`] | Δ selection, the shared result type, counters and phase timing, the optimality certificate |
+//! | [`dijkstra`], [`bellman_ford`] | the classic baselines every variant is validated against |
 //!
-//! The third and fifth are **one** stepping loop ([`stepping`]): the
-//! classic strategy on its sequential and pooled relaxation kernels. The
-//! same loop runs ρ-stepping and Δ*-stepping ([`SteppingStrategy`]).
-//! [`run::run_with_budget`] is the checked single-run door to all five
-//! ([`Implementation`]); [`dijkstra`] and [`bellman_ford`] are the classic
-//! baselines.
+//! **The paper reproduction** — [`repro`]: the canonical bucket algorithm
+//! (Fig. 1), the unfused GraphBLAS listing (Fig. 2) and its `select` /
+//! parallel-library variants, the OpenMP-task scheme (Sec. VI-C) and the
+//! Fig. 4 schedule simulator. The figures need every one of them; the
+//! serving half runs none. [`run::run_with_budget`] is the only module
+//! that crosses the line: the checked single-run door to the five-way
+//! [`Implementation`] (three `repro` variants plus the loop's sequential
+//! and pooled classic kernels), which [`explore`] permutes under the
+//! race checker. `canonical` and `gblas_impl` are also re-exported at
+//! the crate root, where the frozen benchmark harness names them.
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
 //! which caches the light/heavy matrix split per `(graph, Δ)` and reuses
 //! the loop's workspace across calls: `run_stepping` is the one way to
 //! run, `resume_stepping` the one way to resume. [`batch::BatchRunner`]
 //! drives one engine per worker through its two-rung degradation ladder;
-//! a batched or served job is `{strategy, kernels}` ([`Kernels`]) — the
-//! repro variants are not reachable from there.
+//! the repro variants are not reachable from there.
 //!
 //! All take a [`graphdata::CsrGraph`], a source vertex, and (where relevant)
 //! a Δ from [`delta::DeltaStrategy`], and return an [`SsspResult`] whose
@@ -47,32 +56,27 @@
 
 pub mod batch;
 pub mod bellman_ford;
-pub mod buckets;
 pub mod budget;
-pub mod canonical;
 pub mod checkpoint;
 pub mod delta;
 pub mod dijkstra;
 pub mod engine;
 pub mod explore;
 pub mod fused;
-pub mod gblas_impl;
-pub mod gblas_parallel;
-pub mod gblas_select;
 pub mod guard;
 pub mod manifest;
-pub mod parallel;
 pub mod pull;
+pub mod repro;
 pub mod reqbuf;
-pub mod parallel_sim;
-pub mod paths;
 pub mod result;
 pub mod run;
-pub mod schedule;
 pub mod split_cache;
 pub mod stats;
 pub mod stepping;
 pub mod validate;
+
+// The two repro paths the frozen benchmark harness pins.
+pub use repro::{canonical, gblas_impl};
 
 pub use batch::{BatchConfig, BatchOutcome, BatchReport, BatchRunner, Kernels};
 pub use budget::{BudgetStop, CancelToken, ProgressGauge, RunBudget};

@@ -79,9 +79,10 @@ impl BucketQueue {
         self.location[v].map(|(b, _)| b)
     }
 
-    /// Number of slots currently resident in the ring (test/stats
-    /// visibility for the recycling behaviour).
-    pub fn resident_slots(&self) -> usize {
+    /// Number of slots currently resident in the ring (how the unit
+    /// tests see the recycling behaviour).
+    #[cfg(test)]
+    fn resident_slots(&self) -> usize {
         self.rings.len()
     }
 

@@ -7,7 +7,7 @@
 
 use graphdata::CsrGraph;
 
-use crate::buckets::BucketQueue;
+use super::buckets::BucketQueue;
 use crate::budget::RunBudget;
 use crate::checkpoint::{LiveState, StopPoint};
 use crate::delta::bucket_of;

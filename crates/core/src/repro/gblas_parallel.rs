@@ -3,7 +3,7 @@
 //! within the context of GraphBLAS to achieve better parallelism".
 //!
 //! Structurally this is the select-based library formulation
-//! ([`crate::gblas_select`]), but the hot kernels come from
+//! ([`super::gblas_select`]), but the hot kernels come from
 //! [`gblas::parallel`]: the `A_L`/`A_H` filters run as chunked row tasks
 //! ([`gblas::parallel::par_select_matrix`]) and the `(min,+)` products as
 //! chunked frontier tasks with per-task accumulators
@@ -213,7 +213,7 @@ pub fn delta_stepping_gblas_parallel(
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
-    use crate::gblas_select::delta_stepping_gblas_select;
+    use crate::repro::gblas_select::delta_stepping_gblas_select;
     use graphdata::gen::{grid2d, path};
     use graphdata::EdgeList;
 
@@ -228,7 +228,7 @@ mod tests {
         );
         let a = el.to_adjacency();
         let par = split_light_heavy_parallel(&pool, &a, 1.0);
-        let seq = crate::gblas_select::split_light_heavy_select(&a, 1.0);
+        let seq = crate::repro::gblas_select::split_light_heavy_select(&a, 1.0);
         assert_eq!(par, seq);
     }
 

@@ -2,7 +2,7 @@
 //! a third point between the unfused Fig. 2 transcription and the fused
 //! direct code.
 //!
-//! Differences from [`crate::gblas_impl`] (all still *library calls*, no
+//! Differences from [`super::gblas_impl`] (all still *library calls*, no
 //! fusion into user code):
 //!
 //! * every two-`apply` filter becomes one `select` call (the single-pass
@@ -41,7 +41,7 @@ pub fn split_light_heavy_select(a: &Matrix<f64>, delta: f64) -> (Matrix<f64>, Ma
 }
 
 /// Select-based GraphBLAS delta-stepping. Unlike
-/// [`crate::gblas_impl::sssp_delta_step`], zero-weight edges are allowed
+/// [`super::gblas_impl::sssp_delta_step`], zero-weight edges are allowed
 /// (structural masks carry no value caveat).
 pub fn sssp_delta_step_select(a: &Matrix<f64>, delta: f64, src: usize) -> SsspResult {
     assert!(delta > 0.0 && delta.is_finite(), "delta must be positive and finite");
@@ -210,7 +210,7 @@ mod tests {
         let el = EdgeList::from_triples(vec![(0, 1, 0.5), (0, 2, 2.0), (1, 2, 1.0)]);
         let a = el.to_adjacency();
         let (al1, ah1) = split_light_heavy_select(&a, 1.0);
-        let (al2, ah2) = crate::gblas_impl::split_light_heavy_gblas(&a, 1.0);
+        let (al2, ah2) = crate::repro::gblas_impl::split_light_heavy_gblas(&a, 1.0);
         assert_eq!(al1, al2);
         assert_eq!(ah1, ah2);
     }
@@ -263,7 +263,7 @@ mod tests {
         );
         let g = CsrGraph::from_edge_list(&el).unwrap();
         let sel = delta_stepping_gblas_select(&g, 0, 0.75);
-        let two_apply = crate::gblas_impl::delta_stepping_gblas(&g, 0, 0.75);
+        let two_apply = crate::repro::gblas_impl::delta_stepping_gblas(&g, 0, 0.75);
         let fu = delta_stepping_fused(&g, 0, 0.75);
         assert_eq!(sel.dist, two_apply.dist);
         assert_eq!(sel.dist, fu.dist);

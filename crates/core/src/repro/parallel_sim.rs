@@ -25,7 +25,7 @@ use graphdata::CsrGraph;
 use crate::delta::bucket_of;
 use crate::fused::LightHeavy;
 use crate::result::SsspResult;
-use crate::schedule::ScheduleTrace;
+use super::schedule::ScheduleTrace;
 use crate::INF;
 
 /// Which task decomposition to record.
@@ -376,12 +376,18 @@ mod tests {
     #[test]
     fn improved_scales_at_least_as_well_as_paper_scheme() {
         let g = test_graph();
-        let (_, tp) = delta_stepping_simulated(&g, 0, 1.0, SimConfig::paper());
-        let (_, ti) = delta_stepping_simulated(&g, 0, 1.0, SimConfig::improved());
+        // The trace records wall-clock task durations, and this test
+        // shares its process with a parallel test runner: alternate the
+        // two schemes, so both sample the same load, and keep each one's
+        // best run, so a preempted run is not read as the scheme's cost.
+        let at_4 = |cfg| delta_stepping_simulated(&g, 0, 1.0, cfg).1.makespan(4).as_secs_f64();
+        let (mut p4, mut i4) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..9 {
+            p4 = p4.min(at_4(SimConfig::paper()));
+            i4 = i4.min(at_4(SimConfig::improved()));
+        }
         // At 4 workers the fine-grained decomposition must not be
         // meaningfully worse (allow 15% timing noise).
-        let p4 = tp.makespan(4).as_secs_f64();
-        let i4 = ti.makespan(4).as_secs_f64();
         assert!(
             i4 <= p4 * 1.15,
             "improved ({i4:.6}s) much worse than paper scheme ({p4:.6}s) at 4 workers"

@@ -3,7 +3,7 @@
 //!
 //! The reproduction environment has a single CPU core, so the thread
 //! scaling of Fig. 4 cannot be observed as wall-clock time. Instead, the
-//! simulated implementations ([`crate::parallel_sim`]) run the *same*
+//! simulated implementations ([`super::parallel_sim`]) run the *same*
 //! computation sequentially while recording the task structure the
 //! threaded schemes would create — serial segments and barrier-separated
 //! groups of independent tasks with their measured durations — and this

@@ -1,7 +1,7 @@
 //! The contention-free request-buffer relaxation core.
 //!
 //! Both earlier parallel schemes funneled every relaxation product through
-//! shared state: [`crate::parallel`] serializes the whole relaxation, and
+//! shared state: [`crate::repro::parallel`] serializes the whole relaxation, and
 //! the original improved scheme (deleted; DESIGN §9 keeps its numbers)
 //! scattered into a dense `AtomicU64` request vector and collected touched
 //! lists under a `Mutex`. This module is the rebuild both Kranjčević et
@@ -52,6 +52,8 @@ static SEQ_THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Override (or clear, with `None`) the sequential/parallel cut-over used
 /// by every relaxation path that does not pass an explicit threshold.
+/// Tests set it under a [`taskpool::fault::TestSession`], which keeps
+/// them from overlapping.
 pub fn set_relax_threshold_override(threshold: Option<usize>) {
     SEQ_THRESHOLD_OVERRIDE.store(threshold.unwrap_or(0), Ordering::Relaxed);
 }

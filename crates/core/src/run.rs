@@ -28,7 +28,7 @@ use crate::budget::RunBudget;
 use crate::guard::{preflight, reject_zero_weights, GuardConfig, SsspError};
 use crate::result::SsspResult;
 use crate::stepping::{stepping_checked, SteppingStrategy};
-use crate::{canonical, gblas_impl, parallel};
+use crate::repro::{canonical, gblas_impl, parallel};
 
 /// The five guarded delta-stepping implementations. `Fused` and
 /// `ParallelImproved` are the sequential and pooled classic front doors
@@ -36,14 +36,14 @@ use crate::{canonical, gblas_impl, parallel};
 /// the paper-reproduction variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Implementation {
-    /// Meyer–Sanders with explicit buckets ([`crate::canonical`]).
+    /// Meyer–Sanders with explicit buckets ([`crate::repro::canonical`]).
     Canonical,
     /// The fused direct implementation ([`crate::fused`]): the stepping
     /// loop, classic strategy, sequential kernels.
     Fused,
-    /// The unfused GraphBLAS implementation ([`crate::gblas_impl`]).
+    /// The unfused GraphBLAS implementation ([`crate::repro::gblas_impl`]).
     Gblas,
-    /// The paper's task-parallel scheme ([`crate::parallel`]).
+    /// The paper's task-parallel scheme ([`crate::repro::parallel`]).
     Parallel,
     /// The improved parallel scheme on contention-free request buffers
     /// ([`crate::reqbuf`]): the stepping loop, classic strategy, pooled
@@ -430,6 +430,7 @@ mod tests {
     #[test]
     fn injected_worker_panic_becomes_error_when_degradation_off() {
         let g = grid();
+        let _session = taskpool::fault::TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
         let cfg = GuardConfig {
             degrade_on_panic: false,
@@ -437,7 +438,6 @@ mod tests {
         };
         taskpool::fault::arm_panic_after(0);
         let outcome = run_checked(Implementation::Parallel, &g, 0, 1.0, Some(&pool), &cfg);
-        taskpool::fault::disarm();
         match outcome {
             Err(SsspError::WorkerPanicked { message }) => {
                 assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
@@ -450,13 +450,13 @@ mod tests {
     #[test]
     fn injected_worker_panic_degrades_to_certified_sequential_run() {
         let g = grid();
+        let _session = taskpool::fault::TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
         let cfg = GuardConfig::default(); // degrade_on_panic: true
         taskpool::fault::arm_panic_after(0);
         let report =
             run_checked(Implementation::ParallelImproved, &g, 0, 1.0, Some(&pool), &cfg)
                 .expect("degradation must rescue the run");
-        taskpool::fault::disarm();
         let message = report.degraded.expect("run must be marked degraded");
         assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
         // The fallback distances are not just plausible — they carry the
@@ -471,6 +471,7 @@ mod tests {
         // A cancelled token must stop the sequential retry too: the
         // deadline/token are an SLO on the whole job, not per attempt.
         let g = grid();
+        let _session = taskpool::fault::TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
         let cfg = GuardConfig::default();
         let token = crate::budget::CancelToken::new();
@@ -486,7 +487,6 @@ mod tests {
             &cfg,
             &mut budget,
         );
-        taskpool::fault::disarm();
         // The run stops with Cancelled — either before the panic fires
         // or on the retry path; both prove the token reached the loop.
         assert!(

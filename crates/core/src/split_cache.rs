@@ -122,11 +122,6 @@ impl SplitCache {
         SplitCache { inner: Mutex::default(), byte_budget: Some(bytes) }
     }
 
-    /// The configured byte budget, if any.
-    pub fn byte_budget(&self) -> Option<usize> {
-        self.byte_budget
-    }
-
     /// The split for `(fingerprint, delta_bits)`, running `build` if and
     /// only if this call is the first to want it. Returns the shared
     /// handle and whether *this* call built it (so callers can attribute

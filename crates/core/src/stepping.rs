@@ -57,7 +57,7 @@
 //! checkpointed but rebuilt from `dist` and the bound in one O(n) pass,
 //! the only one in the loop. A resumable checkpoint without a
 //! [`SteppingState`] (an older binary's classic loop, or
-//! [`crate::parallel`]) is read as classic with `bound = bucket·Δ`.
+//! [`crate::repro::parallel`]) is read as classic with `bound = bucket·Δ`.
 
 use std::time::{Duration, Instant};
 
@@ -847,6 +847,11 @@ mod tests {
 
     #[test]
     fn pooled_and_sequential_paths_are_bit_identical() {
+        // Force the parallel producer/merge path even on this small
+        // graph.
+        let mut session = taskpool::fault::TestSession::begin();
+        session.on_end(|| crate::reqbuf::set_relax_threshold_override(None));
+        crate::reqbuf::set_relax_threshold_override(Some(1));
         let g = weighted_grid();
         let lh = LightHeavy::build(&g, 0.5);
         for strategy in [
@@ -861,11 +866,8 @@ mod tests {
             .unwrap();
             for threads in [1, 2, 4] {
                 let pool = ThreadPool::with_threads(threads).unwrap();
-                // Force the parallel producer/merge path even on this
-                // small graph.
-                crate::reqbuf::set_relax_threshold_override(Some(1));
                 let mut ws = SteppingWorkspace::new(g.num_vertices());
-                let out = stepping_with(
+                let (par, _) = stepping_with(
                     &g,
                     &lh,
                     0,
@@ -874,9 +876,8 @@ mod tests {
                     Some(&pool),
                     &mut RunBudget::unlimited(),
                     &mut ws,
-                );
-                crate::reqbuf::set_relax_threshold_override(None);
-                let (par, _) = out.unwrap();
+                )
+                .unwrap();
                 assert_eq!(
                     seq.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
                     par.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use sssp_core::schedule::{lpt_makespan, ScheduleTrace, Segment};
+use sssp_core::repro::schedule::{lpt_makespan, ScheduleTrace, Segment};
 
 fn arb_tasks() -> impl Strategy<Value = Vec<Duration>> {
     proptest::collection::vec((1u64..10_000).prop_map(Duration::from_micros), 1..40)
@@ -81,7 +81,7 @@ proptest! {
 #[test]
 fn simulated_runs_match_fused_on_suite() {
     use graphdata::{paper_suite, SuiteScale};
-    use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};
+    use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
 
     for d in paper_suite(SuiteScale::Smoke) {
         let g = &d.graph;

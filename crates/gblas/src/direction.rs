@@ -61,8 +61,10 @@ static PULL_DECISIONS: AtomicU64 = AtomicU64::new(0);
 ///
 /// Process-wide, like `reqbuf::set_relax_threshold_override`: benchmarks
 /// use it to time forced-push vs forced-pull, and the direction-sweep
-/// test uses it to prove both kernels are bit-identical. No data is
-/// published through the flag, so `Relaxed` suffices.
+/// test uses it to prove both kernels are bit-identical (tests set it
+/// under a [`taskpool::fault::TestSession`], which keeps them from
+/// overlapping). No data is published through the flag, so `Relaxed`
+/// suffices.
 pub fn set_direction_override(forced: Option<Direction>) {
     let code = match forced {
         None => 0,
@@ -119,14 +121,15 @@ pub fn decision_counters() -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taskpool::fault::TestSession;
 
-    /// RAII reset so a failing assertion can't leak a forced direction
-    /// into other tests in the same process.
-    struct OverrideGuard;
-    impl Drop for OverrideGuard {
-        fn drop(&mut self) {
-            set_direction_override(None);
-        }
+    /// The override is process-wide: hold the session while it is set,
+    /// and clear it when the session ends so a failing assertion can't
+    /// leak a forced direction into other tests in the same process.
+    fn override_session() -> TestSession {
+        let mut session = TestSession::begin();
+        session.on_end(|| set_direction_override(None));
+        session
     }
 
     #[test]
@@ -146,7 +149,7 @@ mod tests {
 
     #[test]
     fn override_pins_both_ways_and_clears() {
-        let _guard = OverrideGuard;
+        let _session = override_session();
         set_direction_override(Some(Direction::Pull));
         assert_eq!(choose(0, 1_000_000), Direction::Pull);
         set_direction_override(Some(Direction::Push));
@@ -158,7 +161,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_monotonically() {
-        let _guard = OverrideGuard;
+        let _session = override_session();
         set_direction_override(None);
         let (push0, pull0) = decision_counters();
         choose(0, 100); // push

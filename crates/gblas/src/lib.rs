@@ -32,7 +32,7 @@
 //! | `GrB_mxv` | [`ops::mxv()`](ops::mxv()) |
 //! | `GrB_mxm` | [`ops::mxm()`](ops::mxm()) |
 //! | `GrB_reduce` | [`ops::reduce_matrix_to_vector`], [`ops::reduce_vector`], [`ops::reduce_matrix`] |
-//! | `GrB_extract` / `GrB_assign` | [`ops::extract_subvector`], [`ops::assign_subvector`], … |
+//! | `GrB_extract` | [`ops::extract_submatrix`], [`ops::extract::extract_subvector`], [`ops::extract::extract_element`] |
 //! | `GxB_select` | [`ops::select_vector`], [`ops::select_matrix`] |
 //! | `GrB_transpose` | [`ops::transpose()`](ops::transpose()) |
 //!

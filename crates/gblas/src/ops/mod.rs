@@ -4,14 +4,15 @@
 //! The submodules [`unary`], [`binary`], [`monoid`], and [`semiring`] define
 //! the algebraic objects; the remaining submodules implement the
 //! specification operations (`apply`, `eWiseAdd`/`eWiseMult`, `vxm`/`mxv`/
-//! `mxm`, `reduce`, `extract`/`assign`, `select`, `transpose`), all
-//! re-exported here.
+//! `mxm`, `reduce`, `extract`, `select`, `transpose`).
+//!
+//! Re-exported here, flat, is what code outside this crate names (CI
+//! checks that every name below has such a reference); the rest of each
+//! submodule's vocabulary — further operators, `extract_element`, the
+//! matrix `eWiseUnion`, … — is reached through the submodule.
 
 pub mod apply;
-pub mod apply_binop;
-pub mod assign;
 pub mod binary;
-pub mod concat_split;
 pub mod ewise;
 pub mod ewise_union;
 pub mod extract;
@@ -29,30 +30,18 @@ pub(crate) mod write;
 pub mod vxm;
 
 pub use apply::{matrix_apply, vector_apply};
-pub use apply_binop::{
-    matrix_apply_bind_first, matrix_apply_bind_second, vector_apply_bind_first,
-    vector_apply_bind_second,
-};
-pub use assign::{assign_element, assign_subvector, assign_vector_constant};
-pub use concat_split::{concat, split};
-pub use binary::{
-    BinaryOp, Eq, First, FnBinary, Ge, Gt, LAnd, LOr, LXor, Le, Lt, Max, Min, Minus, Ne,
-    Pair, Plus, PlusSat, Second, Times,
-};
+pub use binary::{BinaryOp, First, LOr, Lt, Min, Plus, Second, Times};
 pub use ewise::{ewise_add_matrix, ewise_add_vector, ewise_mult_matrix, ewise_mult_vector};
-pub use ewise_union::{ewise_union_matrix, ewise_union_vector};
-pub use extract::{extract_element, extract_submatrix, extract_subvector};
-pub use index_unary::{
-    matrix_apply_indexop, matrix_select_indexop, vector_apply_indexop, vector_select_indexop,
-    ColIndex, Diag, FnIndexUnary, IndexUnaryOp, OffDiag, RowIndex, Tril, Triu, ValueGt, ValueLe,
-};
+pub use ewise_union::ewise_union_vector;
+pub use extract::extract_submatrix;
+pub use index_unary::{matrix_select_indexop, vector_apply_indexop, FnIndexUnary, RowIndex};
 pub use kron::{kron, kron_power};
-pub use monoid::{CommutativeMonoid, Monoid};
+pub use monoid::Monoid;
 pub use mxm::mxm;
 pub use mxv::mxv;
 pub use reduce::{reduce_matrix, reduce_matrix_to_vector, reduce_vector};
 pub use select::{select_matrix, select_vector};
-pub use semiring::{Semiring, SemiringPair};
+pub use semiring::Semiring;
 pub use transpose::transpose;
-pub use unary::{AInv, FnUnary, Identity, LNot, MInv, One, UnaryOp};
+pub use unary::{FnUnary, Identity, One};
 pub use vxm::{vxm, vxm_pull};

@@ -115,7 +115,7 @@ impl<T: Num> UnaryOp<T, T> for One<T> {
 /// `delta_i_range`, and `delta_i_geq` threshold predicates.
 ///
 /// ```
-/// use gblas::ops::{FnUnary, UnaryOp};
+/// use gblas::ops::unary::{FnUnary, UnaryOp};
 /// let delta = 1.0f64;
 /// let delta_leq = FnUnary::new(move |w: f64| w > 0.0 && w <= delta);
 /// assert!(delta_leq.apply(0.5));

@@ -85,46 +85,6 @@ where
     assemble(nrows, a.ncols(), chunks)
 }
 
-/// Parallel value transform with unchanged pattern: `B[i,j] = f(A[i,j])`.
-pub fn par_matrix_apply_identity<T, U, F>(
-    pool: &ThreadPool,
-    a: &Matrix<T>,
-    grain: usize,
-    f: F,
-) -> Matrix<U>
-where
-    T: Scalar,
-    U: Scalar,
-    F: Fn(T) -> U + Send + Sync,
-{
-    let nrows = a.nrows();
-    if nrows == 0 {
-        return Matrix::new(0, a.ncols());
-    }
-    let pieces = if grain == 0 {
-        pool.num_threads()
-    } else {
-        nrows.div_ceil(grain)
-    };
-    let ranges = split_evenly(0..nrows, pieces);
-    let chunks = scope_collect(pool, ranges, |_, range| {
-        let mut rc = RowChunk {
-            first_row: range.start,
-            row_counts: Vec::with_capacity(range.len()),
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        };
-        for r in range {
-            let (cols, vals) = a.row(r);
-            rc.row_counts.push(cols.len());
-            rc.col_idx.extend_from_slice(cols);
-            rc.values.extend(vals.iter().map(|&v| f(v)));
-        }
-        rc
-    });
-    assemble(nrows, a.ncols(), chunks)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,17 +118,6 @@ mod tests {
         let coarse = par_select_matrix(&pool, &a, 0, |_, _, w| w > 1.0);
         let fine = par_select_matrix(&pool, &a, 8, |_, _, w| w > 1.0);
         assert_eq!(coarse, fine);
-    }
-
-    #[test]
-    fn par_apply_identity_transforms_values() {
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let a = weighted(100);
-        let doubled = par_matrix_apply_identity(&pool, &a, 0, |w| w * 2.0);
-        assert_eq!(doubled.nvals(), a.nvals());
-        for ((_, _, v1), (_, _, v2)) in a.iter().zip(doubled.iter()) {
-            assert_eq!(v2, v1 * 2.0);
-        }
     }
 
     #[test]

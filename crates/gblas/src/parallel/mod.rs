@@ -5,7 +5,7 @@
 //! 35–40 % of the runtime) and calls for "parallelizing within the
 //! matrix-vector operations and splitting the filtering operations into
 //! smaller tasks". This module is that extension: `vxm`, element-wise ops,
-//! matrix apply/select run as chunked tasks on a [`taskpool::ThreadPool`].
+//! matrix select run as chunked tasks on a [`taskpool::ThreadPool`].
 //!
 //! All functions are drop-in parallel counterparts of the sequential
 //! operations in [`crate::ops`] with identical semantics (the integration
@@ -16,5 +16,5 @@ mod matrix_par;
 mod vxm_par;
 
 pub use ewise::{par_ewise_add_vector, par_ewise_mult_vector, par_vector_apply};
-pub use matrix_par::{par_matrix_apply_identity, par_select_matrix};
+pub use matrix_par::par_select_matrix;
 pub use vxm_par::par_vxm;

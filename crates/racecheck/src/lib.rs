@@ -847,6 +847,8 @@ mod tests {
 
     #[test]
     fn hooks_are_noops_without_a_session() {
+        // Hold the lock a `Session` would, so none opens next to this.
+        let _no_session = unpoison(SESSION_LOCK.lock());
         assert!(!enabled());
         assert!(task_fork().is_none());
         let x = 0u64;

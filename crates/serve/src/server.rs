@@ -1232,6 +1232,8 @@ mod tests {
                 },
                 ..ServerConfig::default()
             };
+            // The daemon's pool is created by `start`, under the session.
+            let _session = taskpool::fault::TestSession::begin();
             let server = start(cfg, "127.0.0.1:0").unwrap();
             let mut c = connect_text(server.addr());
             let fp = load_grid(&mut c);

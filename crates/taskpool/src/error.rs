@@ -10,7 +10,7 @@ pub enum PoolError {
     /// The operating system refused to spawn a worker thread.
     SpawnFailed(String),
     /// A task panicked inside a fault-isolating scope
-    /// ([`crate::scope_try`] / [`crate::install_try`]). Carries the panic
+    /// ([`crate::install_try`]). Carries the panic
     /// message (or a placeholder for non-string payloads).
     TaskPanicked {
         /// Stringified panic payload.

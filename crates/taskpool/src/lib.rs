@@ -8,13 +8,16 @@
 //! * [`scope`] — structured (scoped) task spawning: tasks may borrow from the
 //!   enclosing stack frame; the scope does not return until every spawned task
 //!   has completed, and panics inside tasks are propagated to the caller.
-//! * [`parallel_for`] / [`parallel_for_chunks`] — chunked data-parallel loops,
-//!   mirroring the paper's "splitting the vector into evenly-sized tasks".
-//! * [`parallel_map_reduce`] — a chunked map + sequential tree reduce.
-//! * [`par_chunks_mut`] — data-parallel mutation over disjoint slice chunks.
-//! * [`scope_collect`] / [`scope_with_buffers`] — contention-free per-task
-//!   result slots and reusable per-task buffers: no shared lock on the
-//!   completion path, results deterministic in spawn order.
+//! * [`join`] — binary fork-join, the paper's two matrix-filter tasks.
+//! * [`split_evenly`] + [`scope_collect`] / [`scope_with_buffers`] — the
+//!   paper's "splitting the vector into evenly-sized tasks": one task per
+//!   sub-range, each with its own result slot or reusable buffer, so there
+//!   is no shared lock on the completion path and results come back
+//!   deterministically in spawn order.
+//! * [`install_try`] — the outermost safety net: a panic escaping a
+//!   pool-based computation becomes a [`PoolError`] value.
+//! * [`fault`] / [`sched`] — test hooks: injected faults and seeded
+//!   schedule control, scoped to a [`fault::TestSession`].
 //!
 //! Waiting threads *help*: while a scope waits for its tasks, the waiting
 //! thread (including pool workers running a task that opened a nested scope)
@@ -25,32 +28,29 @@
 //! use taskpool::ThreadPool;
 //!
 //! let pool = ThreadPool::with_threads(4).unwrap();
-//! let mut data = vec![0u64; 1024];
-//! taskpool::par_chunks_mut(&pool, &mut data, 64, |offset, chunk| {
-//!     for (i, x) in chunk.iter_mut().enumerate() {
-//!         *x = (offset + i) as u64 * 2;
-//!     }
-//! });
-//! assert_eq!(data[10], 20);
+//! let data: Vec<u64> = (0..1024).collect();
+//! // One task per evenly-sized chunk; partial sums come back in chunk order.
+//! let chunks = taskpool::split_evenly(0..data.len(), pool.num_threads());
+//! let sums = taskpool::scope_collect(&pool, chunks, |_, r| data[r].iter().sum::<u64>());
+//! assert_eq!(sums.len(), 4);
+//! assert_eq!(sums.iter().sum::<u64>(), 1023 * 1024 / 2);
 //! ```
 
 mod collect;
 mod error;
 pub mod fault;
 mod join;
-mod parallel_for;
 mod pool;
-mod reduce;
 pub mod sched;
 mod scope;
+mod split;
 
 pub use collect::{scope_collect, scope_with_buffers};
 pub use error::PoolError;
 pub use join::join;
-pub use parallel_for::{par_chunks_mut, parallel_for, parallel_for_chunks, split_evenly};
 pub use pool::{global, ThreadPool};
-pub use reduce::{parallel_map_reduce, parallel_sum_f64, parallel_sum_usize};
-pub use scope::{install_try, scope, scope_try, Scope};
+pub use scope::{install_try, scope, Scope};
+pub use split::split_evenly;
 
 #[cfg(test)]
 mod tests {

@@ -29,6 +29,10 @@ pub(crate) struct Shared {
     /// caught at the task boundary), so a non-zero count means degraded
     /// runs happened, not dead threads.
     panicked_tasks: AtomicUsize,
+    /// Created by the thread holding the [`crate::fault::TestSession`]:
+    /// the only pools the injected-panic countdown and the schedule
+    /// controller act on.
+    pub(crate) in_test_session: bool,
 }
 
 impl Shared {
@@ -114,6 +118,7 @@ impl ThreadPool {
             sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
             panicked_tasks: AtomicUsize::new(0),
+            in_test_session: crate::fault::in_session(),
         });
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
@@ -154,12 +159,6 @@ impl ThreadPool {
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }
-
-    /// Submit a detached `'static` job. Most callers should prefer
-    /// [`crate::scope`], which permits borrowing and waits for completion.
-    pub fn spawn_detached<F: FnOnce() + Send + 'static>(&self, f: F) {
-        self.shared.push(Box::new(f));
-    }
 }
 
 impl Drop for ThreadPool {
@@ -184,7 +183,6 @@ pub fn global() -> &'static ThreadPool {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc;
 
     #[test]
     fn zero_threads_rejected() {
@@ -201,29 +199,15 @@ mod tests {
     }
 
     #[test]
-    fn detached_jobs_run() {
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let (tx, rx) = mpsc::channel();
-        for i in 0..16 {
-            let tx = tx.clone();
-            pool.spawn_detached(move || tx.send(i).unwrap());
-        }
-        drop(tx);
-        let mut got: Vec<i32> = rx.iter().collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn drop_joins_workers() {
         let counter = Arc::new(AtomicUsize::new(0));
         {
             let pool = ThreadPool::with_threads(4).unwrap();
             for _ in 0..64 {
                 let c = Arc::clone(&counter);
-                pool.spawn_detached(move || {
+                pool.shared().push(Box::new(move || {
                     c.fetch_add(1, Ordering::SeqCst);
-                });
+                }));
             }
             // Dropping the pool must not lose queued work that is in flight;
             // workers drain until shutdown AND empty queue.

@@ -1,6 +1,7 @@
 //! Seeded bounded-preemption schedule control for scoped tasks.
 //!
-//! When **armed**, scoped spawns are not handed to the worker pool;
+//! When **armed**, scoped spawns on the pools of the arming
+//! [`crate::fault::TestSession`] are not handed to the worker pool;
 //! instead each scope collects its lifetime-erased jobs and runs them
 //! through [`run_deferred`], which executes them on *baton threads*: one
 //! OS thread per job, but with at most **one** job body running at any
@@ -45,10 +46,13 @@ fn unpoison<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arm the scheduler: scoped spawns defer onto baton threads, picks and
+/// Arm the scheduler: scoped spawns on the pools of the calling thread's
+/// [`crate::fault::TestSession`] defer onto baton threads, picks and
 /// preemptions are drawn from a xorshift RNG seeded with `seed`, and at
-/// most `preemption_budget` mid-task preemptions are taken.
+/// most `preemption_budget` mid-task preemptions are taken. Panics
+/// without a session: the controller state is process-wide.
 pub fn arm(seed: u64, preemption_budget: u32) {
+    assert!(crate::fault::in_session(), "sched::arm outside a TestSession");
     let mut st = unpoison(STATE.lock());
     st.rng = seed | 1; // xorshift state must be non-zero
     st.preempt_left = preemption_budget;
@@ -239,14 +243,12 @@ pub(crate) fn run_deferred(jobs: Vec<Job>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::TestSession;
     use crate::pool::ThreadPool;
     use crate::scope::scope;
     use std::sync::atomic::AtomicUsize;
 
-    /// Serializes the arm/disarm tests in this module (the scheduler is
-    /// process-global).
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
+    /// Call under a [`TestSession`].
     fn order_for_seed(seed: u64) -> Vec<usize> {
         let pool = ThreadPool::with_threads(2).unwrap();
         let order = Mutex::new(Vec::new());
@@ -266,7 +268,7 @@ mod tests {
 
     #[test]
     fn armed_schedules_are_deterministic_per_seed() {
-        let _g = unpoison(TEST_LOCK.lock());
+        let _session = TestSession::begin();
         let a = order_for_seed(42);
         let b = order_for_seed(42);
         assert_eq!(a, b, "same seed must replay the same schedule");
@@ -277,7 +279,7 @@ mod tests {
 
     #[test]
     fn different_seeds_explore_different_orders() {
-        let _g = unpoison(TEST_LOCK.lock());
+        let _session = TestSession::begin();
         // Across a handful of seeds at least one must differ from seed 1's
         // order (6! = 720 orders; the chance of 8 identical picks is nil,
         // and determinism means this can't flake — it either holds or not).
@@ -288,7 +290,7 @@ mod tests {
 
     #[test]
     fn disarmed_run_deferred_is_inert_and_tasks_go_to_pool() {
-        let _g = unpoison(TEST_LOCK.lock());
+        let _session = TestSession::begin();
         assert!(!armed());
         let pool = ThreadPool::with_threads(2).unwrap();
         let counter = AtomicUsize::new(0);
@@ -304,8 +306,26 @@ mod tests {
     }
 
     #[test]
+    fn armed_controller_leaves_a_neighbours_pool_to_its_workers() {
+        let neighbour = ThreadPool::with_threads(2).unwrap();
+        let _session = TestSession::begin();
+        arm(5, 4);
+        let on_baton = AtomicUsize::new(0);
+        scope(&neighbour, |s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    if std::thread::current().name() == Some("sched-baton") {
+                        on_baton.fetch_add(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(on_baton.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
     fn armed_nested_scopes_complete() {
-        let _g = unpoison(TEST_LOCK.lock());
+        let _session = TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
         let counter = AtomicUsize::new(0);
         arm(7, 8);
@@ -329,7 +349,7 @@ mod tests {
 
     #[test]
     fn armed_task_panic_still_propagates() {
-        let _g = unpoison(TEST_LOCK.lock());
+        let _session = TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
         arm(3, 2);
         let result = catch_unwind(AssertUnwindSafe(|| {

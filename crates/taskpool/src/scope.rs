@@ -68,23 +68,29 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         // Relaxed: the spawner-to-worker hand-off is ordered by the
         // injector push (or the deferred-queue mutex); this counter only
         // needs the barrier-side Release/Acquire pairing in
-        // `task_finished` / `scope_impl`.
+        // `task_finished` / `scope`.
         self.state.pending.fetch_add(1, Ordering::Relaxed);
+        let state = Arc::clone(&self.state);
+        let shared = Arc::clone(self.pool.shared());
+        // The test hooks — tracing, fault injection, schedule control —
+        // act on a `TestSession`'s own pools only, so a test running
+        // next to one in the same process is left alone.
+        let in_test_session = shared.in_test_session;
         // Fork edge: the child task's clock starts at the spawner's, so
         // everything the spawner did before this line happens-before the
         // task body.
-        let tid = racecheck::task_fork();
+        let tid = if in_test_session { racecheck::task_fork() } else { None };
         if let Some(t) = tid {
             self.state.traced.lock().push(t);
         }
-        let state = Arc::clone(&self.state);
-        let shared = Arc::clone(self.pool.shared());
         let task = move || {
             if let Some(t) = tid {
                 racecheck::task_begin(t);
             }
             let result = catch_unwind(AssertUnwindSafe(|| {
-                crate::fault::check_injected_fault();
+                if in_test_session {
+                    crate::fault::check_injected_fault();
+                }
                 f()
             }));
             if let Some(t) = tid {
@@ -104,7 +110,7 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         // SAFETY: `scope` blocks until `pending` reaches zero, so the closure
         // (and everything it borrows from `'env`) outlives its execution.
         let job: Job = unsafe { erase_lifetime(Box::new(task)) };
-        if crate::sched::armed() {
+        if in_test_session && crate::sched::armed() {
             // Schedule exploration: the barrier runs these under the
             // seeded controller instead of the pool's workers.
             self.state.deferred.lock().push(job);
@@ -133,13 +139,14 @@ unsafe fn erase_lifetime<'env>(f: Box<dyn FnOnce() + Send + 'env>) -> Job {
     std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(f)
 }
 
-/// Shared implementation of [`scope`] and [`scope_try`]: run `f` with a
-/// [`Scope`], wait for (and help with) all spawned tasks, and return `f`'s
-/// outcome plus the first captured task panic, if any.
-fn scope_impl<'env, F, R>(
-    pool: &ThreadPool,
-    f: F,
-) -> (Result<R, PanicPayload>, Option<PanicPayload>)
+/// Run `f` with a [`Scope`] on `pool`; wait for all spawned tasks, then
+/// return `f`'s result. If any task panicked, the first panic is resumed
+/// here — after the remaining tasks have run to completion, so the pool
+/// and its queue stay consistent.
+///
+/// While waiting, the calling thread helps execute queued tasks, so nesting
+/// `scope` inside a pool task cannot deadlock.
+pub fn scope<'env, F, R>(pool: &ThreadPool, f: F) -> R
 where
     F: FnOnce(&Scope<'_, 'env>) -> R,
 {
@@ -198,19 +205,6 @@ where
     }
 
     let task_panic = state.panic.lock().take();
-    (result, task_panic)
-}
-
-/// Run `f` with a [`Scope`] on `pool`; wait for all spawned tasks, then
-/// return `f`'s result. If any task panicked, the panic is resumed here.
-///
-/// While waiting, the calling thread helps execute queued tasks, so nesting
-/// `scope` inside a pool task cannot deadlock.
-pub fn scope<'env, F, R>(pool: &ThreadPool, f: F) -> R
-where
-    F: FnOnce(&Scope<'_, 'env>) -> R,
-{
-    let (result, task_panic) = scope_impl(pool, f);
     if let Some(payload) = task_panic {
         std::panic::resume_unwind(payload);
     }
@@ -220,33 +214,12 @@ where
     }
 }
 
-/// Fault-isolating variant of [`scope`]: identical task semantics (all
-/// spawned tasks are waited for, the waiting thread helps), but panics —
-/// whether from a spawned task or from `f` itself — are converted into
-/// [`PoolError::TaskPanicked`] instead of being resumed. The first panic
-/// wins; remaining tasks still run to completion, so the pool and its
-/// queue stay consistent.
-pub fn scope_try<'env, F, R>(pool: &ThreadPool, f: F) -> Result<R, PoolError>
-where
-    F: FnOnce(&Scope<'_, 'env>) -> R,
-{
-    let (result, task_panic) = scope_impl(pool, f);
-    if let Some(payload) = task_panic {
-        return Err(PoolError::TaskPanicked {
-            message: payload_message(payload.as_ref()),
-        });
-    }
-    result.map_err(|payload| PoolError::TaskPanicked {
-        message: payload_message(payload.as_ref()),
-    })
-}
-
 /// Run `f` (typically a pool-based parallel computation) and convert any
 /// panic escaping it into [`PoolError::TaskPanicked`]. The outermost
 /// safety net: wraps code that uses [`scope`] internally without requiring
-/// it to be restructured around [`scope_try`]. Scoped-task panics are
-/// already recorded in [`ThreadPool::panicked_tasks`] at the task
-/// boundary; this function only converts, it does not double-count.
+/// it to be restructured. Scoped-task panics are already recorded in
+/// [`ThreadPool::panicked_tasks`] at the task boundary; this function
+/// only converts, it does not double-count.
 pub fn install_try<F, R>(pool: &ThreadPool, f: F) -> Result<R, PoolError>
 where
     F: FnOnce() -> R,
@@ -337,6 +310,12 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(counter.load(Ordering::SeqCst), 8);
+        // The pool is still healthy for subsequent scopes.
+        let v = scope(&pool, |s| {
+            s.spawn(|| {});
+            7
+        });
+        assert_eq!(v, 7);
     }
 
     #[test]
@@ -356,71 +335,9 @@ mod tests {
     }
 
     #[test]
-    fn scope_try_converts_task_panic() {
+    fn install_try_converts_task_and_closure_panics() {
         let pool = ThreadPool::with_threads(2).unwrap();
         let before = pool.panicked_tasks();
-        let result = scope_try(&pool, |s| {
-            s.spawn(|| panic!("try boom"));
-        });
-        match result {
-            Err(PoolError::TaskPanicked { message }) => assert_eq!(message, "try boom"),
-            other => panic!("expected TaskPanicked, got {other:?}"),
-        }
-        assert_eq!(pool.panicked_tasks(), before + 1);
-    }
-
-    #[test]
-    fn scope_try_ok_passes_value_through() {
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let total = AtomicUsize::new(0);
-        let r = scope_try(&pool, |s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    total.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-            "done"
-        });
-        assert_eq!(r, Ok("done"));
-        assert_eq!(total.load(Ordering::SeqCst), 4);
-        assert_eq!(pool.panicked_tasks(), 0);
-    }
-
-    #[test]
-    fn scope_try_remaining_tasks_complete_after_panic() {
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let counter = AtomicUsize::new(0);
-        let result = scope_try(&pool, |s| {
-            s.spawn(|| panic!("first"));
-            for _ in 0..8 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(matches!(result, Err(PoolError::TaskPanicked { .. })));
-        assert_eq!(counter.load(Ordering::SeqCst), 8);
-        // The pool is still healthy for subsequent scopes.
-        let v = scope(&pool, |s| {
-            s.spawn(|| {});
-            7
-        });
-        assert_eq!(v, 7);
-    }
-
-    #[test]
-    fn scope_try_converts_closure_panic() {
-        let pool = ThreadPool::with_threads(1).unwrap();
-        let result: Result<(), _> = scope_try(&pool, |_| panic!("closure {}", "boom"));
-        match result {
-            Err(PoolError::TaskPanicked { message }) => assert_eq!(message, "closure boom"),
-            other => panic!("expected TaskPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn install_try_converts_nested_scope_panic() {
-        let pool = ThreadPool::with_threads(2).unwrap();
         let result = install_try(&pool, || {
             scope(&pool, |s| {
                 s.spawn(|| panic!("deep boom"));
@@ -431,18 +348,32 @@ mod tests {
             Err(PoolError::TaskPanicked { message }) => assert_eq!(message, "deep boom"),
             other => panic!("expected TaskPanicked, got {other:?}"),
         }
+        assert_eq!(pool.panicked_tasks(), before + 1);
+        let result: Result<(), _> = install_try(&pool, || panic!("closure {}", "boom"));
+        match result {
+            Err(PoolError::TaskPanicked { message }) => assert_eq!(message, "closure boom"),
+            other => panic!("expected TaskPanicked, got {other:?}"),
+        }
         let ok = install_try(&pool, || 42);
         assert_eq!(ok, Ok(42));
     }
 
     #[test]
-    fn injected_fault_surfaces_as_task_panicked() {
+    fn injected_fault_hits_the_sessions_pools_and_no_other() {
+        let neighbour = ThreadPool::with_threads(2).unwrap();
+        let _session = crate::fault::TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
         crate::fault::arm_panic_after(0);
-        let result = scope_try(&pool, |s| {
+        // A pool from outside the session runs next to the armed hook
+        // untouched, and does not consume the countdown.
+        scope(&neighbour, |s| {
             s.spawn(|| {});
         });
-        crate::fault::disarm();
+        let result = install_try(&pool, || {
+            scope(&pool, |s| {
+                s.spawn(|| {});
+            })
+        });
         match result {
             Err(PoolError::TaskPanicked { message }) => {
                 assert_eq!(message, crate::fault::INJECTED_PANIC_MESSAGE);

@@ -7,7 +7,8 @@
 
 use graphdata::{CsrGraph, EdgeList};
 use sssp_core::delta::DeltaStrategy;
-use sssp_core::{canonical, dijkstra, fused, gblas_impl, parallel, validate};
+use sssp_core::repro::{canonical, gblas_impl, parallel};
+use sssp_core::{dijkstra, fused, validate};
 use taskpool::ThreadPool;
 
 fn main() {

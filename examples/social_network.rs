@@ -10,9 +10,10 @@
 use std::time::Instant;
 
 use graphdata::{gen, CsrGraph};
-use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};
+use sssp_core::repro::parallel;
+use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
-use sssp_core::{dijkstra, fused, parallel};
+use sssp_core::{dijkstra, fused};
 use taskpool::ThreadPool;
 
 fn main() {
@@ -65,7 +66,7 @@ fn main() {
     assert_eq!(pi.dist, seq.dist);
 
     // Scaling via the task-schedule simulation (meaningful even on a
-    // single-core machine; see DESIGN.md and `sssp_core::schedule`).
+    // single-core machine; see DESIGN.md and `sssp_core::repro::schedule`).
     let (rp, trace_paper) = delta_stepping_simulated(&g, source, 1.0, SimConfig::paper());
     assert_eq!(rp.dist, seq.dist);
     let (ri, trace_improved) = delta_stepping_simulated(&g, source, 1.0, SimConfig::improved());

@@ -18,8 +18,9 @@ use std::time::Duration;
 use graphdata::{gen, io as gio, CsrGraph, EdgeList, WeightModel};
 use sssp_core::delta::DeltaStrategy;
 use sssp_core::engine::SsspEngine;
+use sssp_core::repro::{gblas_parallel, gblas_select};
 use sssp_core::{
-    bellman_ford, dijkstra, gblas_parallel, gblas_select, run_with_budget, validate, BatchConfig,
+    bellman_ford, dijkstra, run_with_budget, validate, BatchConfig,
     BatchOutcome, BatchRunner, GuardConfig, Implementation, Kernels, RunBudget, SsspError,
     SsspResult, SteppingStrategy,
 };

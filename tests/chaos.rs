@@ -22,18 +22,13 @@
 
 use graphdata::gen::grid2d;
 use graphdata::CsrGraph;
-use std::sync::Mutex;
 use sssp_core::engine::SsspEngine;
 use sssp_core::{
     dijkstra::dijkstra, run_checked, run_with_budget, GuardConfig, Implementation, RunBudget,
     SsspError, SsspResult, SteppingStrategy,
 };
+use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
-
-/// The taskpool fault hook is process-global: fault-armed tests must not
-/// overlap each other (or any test running pool tasks). Serialize every
-/// test in this binary through one lock.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
 fn pool_threads() -> usize {
     std::env::var("CHAOS_THREADS")
@@ -162,21 +157,21 @@ fn cancel_everywhere(g: &CsrGraph, src: usize, delta: f64) {
 
 #[test]
 fn cancellation_at_every_epoch_is_certified_and_resumable_unit_weights() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let g = chaos_graph();
     cancel_everywhere(&g, 0, 1.0);
 }
 
 #[test]
 fn cancellation_at_every_epoch_is_certified_and_resumable_real_weights() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let g = weighted_chaos_graph();
     cancel_everywhere(&g, 1, 0.5);
 }
 
 #[test]
 fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
+    // The fault hook fires on this session's pool only, so the rest of
+    // the suite runs next to it untouched.
+    let _session = TestSession::begin();
     let g = chaos_graph();
     let reference = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
@@ -210,7 +205,6 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
 /// sweeps 1/2/4).
 #[test]
 fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let g = weighted_chaos_graph();
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
     let cfg = GuardConfig::default();
@@ -283,7 +277,7 @@ fn panic_then_budget_stop_still_yields_a_certified_checkpoint() {
     // The degraded sequential retry runs under the job's surviving
     // budget: inject a panic AND cancel, and the partial result must
     // still come back certified (not lost to the panic path).
-    let _guard = CHAOS_LOCK.lock().unwrap();
+    let _session = TestSession::begin();
     let g = chaos_graph();
     let full = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
@@ -302,7 +296,6 @@ fn panic_then_budget_stop_still_yields_a_certified_checkpoint() {
         &mut budget,
     )
     .expect_err("pre-cancelled token must stop the run");
-    taskpool::fault::disarm();
     let cp = err.into_checkpoint().expect("budget stop carries a checkpoint");
     for (v, d) in cp.settled_distances() {
         assert_eq!(d.to_bits(), full.dist[v].to_bits(), "vertex {v}");

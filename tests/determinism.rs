@@ -9,10 +9,11 @@ use std::str::FromStr;
 
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
+use sssp_core::repro::{gblas_parallel, parallel};
 use sssp_core::result::SsspResult;
 use sssp_core::stepping::{delta_stepping_strategy, stepping_checked, SteppingStrategy};
 use sssp_core::{
-    fused, gblas_parallel, parallel, run_with_budget, GuardConfig, Implementation, RunBudget,
+    fused, run_with_budget, GuardConfig, Implementation, RunBudget,
 };
 use taskpool::ThreadPool;
 

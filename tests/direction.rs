@@ -22,9 +22,7 @@
 //!    property, rerun over the direction switch).
 //!
 //! The direction override and decision counters are process-global, so
-//! every test in this binary serializes on one lock.
-
-use std::sync::Mutex;
+//! every run in this binary happens under the one [`TestSession`].
 
 use gblas::direction::{self, Direction};
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
@@ -34,9 +32,8 @@ use sssp_core::{
     run_checked, run_with_budget, GuardConfig, Implementation, RunBudget, SsspError,
     SteppingStrategy,
 };
+use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
-
-static DIRECTION_LOCK: Mutex<()> = Mutex::new(());
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
@@ -47,41 +44,14 @@ const DIRECTED_IMPLS: [Implementation; 3] = [
     Implementation::Gblas,
 ];
 
-/// RAII: hold the suite lock and force (or clear) the direction for the
-/// scope, restoring automatic selection on drop (also on panic).
-struct ForcedDirection {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-impl ForcedDirection {
-    fn new(dir: Option<Direction>) -> ForcedDirection {
-        let lock = DIRECTION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        direction::set_direction_override(dir);
-        ForcedDirection { _lock: lock }
-    }
-}
-
-impl Drop for ForcedDirection {
-    fn drop(&mut self) {
-        direction::set_direction_override(None);
-    }
-}
-
-/// RAII: force the sequential/parallel cut-over (shared by the relax and
-/// pull kernels) to 1, so CI-sized graphs take the parallel branches.
-struct ThresholdGuard;
-
-impl ThresholdGuard {
-    fn set() -> ThresholdGuard {
-        sssp_core::reqbuf::set_relax_threshold_override(Some(1));
-        ThresholdGuard
-    }
-}
-
-impl Drop for ThresholdGuard {
-    fn drop(&mut self) {
-        sssp_core::reqbuf::set_relax_threshold_override(None);
-    }
+/// Hold the test session with the direction forced (or, with `None`,
+/// left to the oracle); automatic selection is restored when the session
+/// ends (also on panic).
+fn forced(dir: Option<Direction>) -> TestSession {
+    let mut session = TestSession::begin();
+    session.on_end(|| direction::set_direction_override(None));
+    direction::set_direction_override(dir);
+    session
 }
 
 fn bits(dist: &[f64]) -> Vec<u64> {
@@ -100,14 +70,14 @@ fn run(imp: Implementation, g: &CsrGraph, src: usize, delta: f64, pool: &ThreadP
 fn check_directions(name: &str, g: &CsrGraph, src: usize, delta: f64) {
     for imp in DIRECTED_IMPLS {
         let reference = {
-            let _push = ForcedDirection::new(Some(Direction::Push));
+            let _push = forced(Some(Direction::Push));
             let pool = ThreadPool::with_threads(1).expect("pool");
             run(imp, g, src, delta, &pool)
         };
         // Push is the long-standing baseline: it must still match Dijkstra.
         assert_eq!(reference.dist, dijkstra(g, src).dist, "{}: push baseline on {name}", imp.name());
         for dir in [Direction::Push, Direction::Pull] {
-            let _forced = ForcedDirection::new(Some(dir));
+            let _forced = forced(Some(dir));
             for &threads in &THREADS {
                 let pool = ThreadPool::with_threads(threads).expect("pool");
                 let r = run(imp, g, src, delta, &pool);
@@ -139,11 +109,11 @@ fn check_strategy_directions(name: &str, g: &CsrGraph, src: usize, delta: f64) {
                 .0
         };
         let reference = {
-            let _push = ForcedDirection::new(Some(Direction::Push));
+            let _push = forced(Some(Direction::Push));
             run(None)
         };
         assert_eq!(reference.dist, dijkstra(g, src).dist, "{strategy}: push baseline on {name}");
-        let _forced = ForcedDirection::new(Some(Direction::Pull));
+        let _forced = forced(Some(Direction::Pull));
         let pools: Vec<ThreadPool> =
             THREADS.iter().map(|&t| ThreadPool::with_threads(t).expect("pool")).collect();
         for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
@@ -188,12 +158,14 @@ fn parallel_pull_kernel_is_bit_identical_not_just_its_fallback() {
     let g = &d.graph;
     let src = g.num_vertices() / 2;
     let reference = {
-        let _push = ForcedDirection::new(Some(Direction::Push));
+        let _push = forced(Some(Direction::Push));
         let pool = ThreadPool::with_threads(1).expect("pool");
         run(Implementation::ParallelImproved, g, src, 1.0, &pool)
     };
-    let _forced = ForcedDirection::new(Some(Direction::Pull));
-    let _threshold = ThresholdGuard::set();
+    // The cut-over is shared by the relax and pull kernels.
+    let mut session = forced(Some(Direction::Pull));
+    session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
+    sssp_core::reqbuf::set_relax_threshold_override(Some(1));
     for threads in [2usize, 4] {
         let pool = ThreadPool::with_threads(threads).expect("pool");
         let r = run(Implementation::ParallelImproved, g, src, 1.0, &pool);
@@ -213,7 +185,7 @@ fn auto_oracle_crosses_the_switch_boundary_and_stays_exact() {
     // some are dense: the automatic oracle must take *both* branches over
     // the suite, and the mixed-direction runs must still produce the
     // push-only bits.
-    let _auto = ForcedDirection::new(None);
+    let _auto = forced(None);
     direction::reset_decision_counters();
     let pool = ThreadPool::with_threads(2).expect("pool");
     for d in paper_suite(SuiteScale::Smoke) {
@@ -237,7 +209,7 @@ fn cancellation_at_every_epoch_across_the_switch_boundary() {
     // oracle in automatic mode on a graph whose run crosses the push/pull
     // boundary, cancel at every epoch, resume on both kernels, and demand
     // bit-identical distances AND stats versus the uninterrupted run.
-    let _auto = ForcedDirection::new(None);
+    let _auto = forced(None);
     let mut el = graphdata::gen::gnm(150, 900, 11);
     el.symmetrize();
     graphdata::weights::assign_symmetric(

@@ -4,12 +4,10 @@
 
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::delta::DeltaStrategy;
-use sssp_core::parallel_sim::{delta_stepping_simulated, SimConfig};
+use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
+use sssp_core::repro::{canonical, gblas_impl, gblas_parallel, gblas_select, parallel};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
-use sssp_core::{
-    bellman_ford, canonical, dijkstra, fused, gblas_impl, gblas_parallel, gblas_select, parallel,
-    validate,
-};
+use sssp_core::{bellman_ford, dijkstra, fused, validate};
 use taskpool::ThreadPool;
 
 fn sources_for(g: &CsrGraph) -> Vec<usize> {
@@ -30,14 +28,18 @@ fn all_implementations_agree_on_unit_weight_suite() {
             validate::check_certificate(g, &truth, 1e-12)
                 .unwrap_or_else(|e| panic!("{} src {src}: dijkstra certificate: {e:?}", d.name));
 
-            let ca = canonical::delta_stepping_canonical(g, src, 1.0);
-            assert_eq!(ca.dist, truth.dist, "{} src {src}: canonical", d.name);
+            // Unit weights are exact at any Δ, so the canonical / fused
+            // pair is also held to bit equality off Δ = 1.
+            for delta in [0.5, 1.0, 4.0] {
+                let ca = canonical::delta_stepping_canonical(g, src, delta);
+                assert_eq!(ca.dist, truth.dist, "{} src {src} delta {delta}: canonical", d.name);
+
+                let fu = fused::delta_stepping_fused(g, src, delta);
+                assert_eq!(fu.dist, truth.dist, "{} src {src} delta {delta}: fused", d.name);
+            }
 
             let gb = gblas_impl::delta_stepping_gblas(g, src, 1.0);
             assert_eq!(gb.dist, truth.dist, "{} src {src}: gblas", d.name);
-
-            let fu = fused::delta_stepping_fused(g, src, 1.0);
-            assert_eq!(fu.dist, truth.dist, "{} src {src}: fused", d.name);
 
             let se = gblas_select::delta_stepping_gblas_select(g, src, 1.0);
             assert_eq!(se.dist, truth.dist, "{} src {src}: gblas-select", d.name);

@@ -169,7 +169,7 @@ fn zero_weight_edges_guarded_in_gblas_fine_in_fused() {
     let fused = sssp_core::fused::delta_stepping_fused(&g, 0, 1.0);
     assert_eq!(fused.dist, vec![0.0, 0.0, 1.0]);
     let panicked = std::panic::catch_unwind(|| {
-        sssp_core::gblas_impl::delta_stepping_gblas(&g, 0, 1.0)
+        sssp_core::repro::gblas_impl::delta_stepping_gblas(&g, 0, 1.0)
     });
     assert!(panicked.is_err(), "gblas version must refuse zero weights");
 }

@@ -7,9 +7,10 @@ use proptest::prelude::*;
 use gblas::ops::{self, Min, Plus};
 use gblas::{Descriptor, Vector};
 use graphdata::{CsrGraph, EdgeList};
+use sssp_core::repro::{canonical, gblas_impl};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
 use sssp_core::{
-    canonical, dijkstra, fused, gblas_impl, run_checked, validate, GuardConfig, Implementation,
+    dijkstra, fused, run_checked, validate, GuardConfig, Implementation,
 };
 use taskpool::ThreadPool;
 

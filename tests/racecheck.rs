@@ -13,10 +13,11 @@
 //! default stays small so plain `cargo test` wall-clock is unaffected);
 //! a failure names its schedule, and `RACECHECK_SCHEDULE=<seed>:<budget>`
 //! or `RACECHECK_SEED=<seed>` replays exactly that one (see
-//! [`ExploreConfig::from_env`]). Each test opens a
-//! [`racecheck::Session`], which serializes them on the tracker's global
-//! lock, so no `--test-threads` pinning is needed for correctness — CI
-//! still pins to 1 to keep timings stable.
+//! [`ExploreConfig::from_env`]). The tracker and the schedule controller
+//! are process-wide and act on a [`TestSession`]'s own pools only: each
+//! test opens one before it creates a pool, which also serializes them,
+//! so no `--test-threads` pinning is needed for correctness — CI still
+//! pins to 1 to keep timings stable.
 //!
 //! Fine-grained per-element hooks in the relaxation loops need the
 //! `racecheck` cargo feature; without it the exploration still permutes
@@ -29,6 +30,7 @@ use graphdata::CsrGraph;
 use racecheck::{Session, SyncOrd};
 use sssp_core::explore::{explore, explore_cancel_resume, explore_strategy, ExploreConfig};
 use sssp_core::{Implementation, SteppingStrategy};
+use taskpool::fault::TestSession;
 use taskpool::{scope, ThreadPool};
 
 fn env_config() -> ExploreConfig {
@@ -72,6 +74,7 @@ fn atomic_min_acqrel(cell: &AtomicU64, val: f64) {
 
 #[test]
 fn relaxed_atomic_min_fixture_is_flagged() {
+    let _test = TestSession::begin();
     let pool = ThreadPool::with_threads(2).expect("pool");
     let session = Session::new();
     let cell = AtomicU64::new(f64::INFINITY.to_bits());
@@ -91,6 +94,7 @@ fn relaxed_atomic_min_fixture_is_flagged() {
 
 #[test]
 fn acqrel_atomic_min_fixture_is_clean() {
+    let _test = TestSession::begin();
     let pool = ThreadPool::with_threads(2).expect("pool");
     let session = Session::new();
     let cell = AtomicU64::new(f64::INFINITY.to_bits());
@@ -125,6 +129,7 @@ fn overlapping_chunk_partition_is_flagged() {
     let b = cut..n;
     let cells: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
 
+    let _test = TestSession::begin();
     let pool = ThreadPool::with_threads(2).expect("pool");
     let session = Session::new();
     scope(&pool, |s| {
@@ -157,6 +162,7 @@ fn overlapping_chunk_partition_is_flagged() {
 #[test]
 fn ab_ba_lock_order_fixture_is_flagged_under_every_seed() {
     let cfg = env_config();
+    let _test = TestSession::begin();
     let pool = ThreadPool::with_threads(2).expect("pool");
     let session = Session::new();
     // Virtual addresses: distinct, stable, and backed by nothing.
@@ -194,11 +200,12 @@ fn ab_ba_lock_order_fixture_is_flagged_under_every_seed() {
 
 #[test]
 fn all_implementations_are_race_free_across_schedules() {
+    let session = TestSession::begin();
     let g = small_graph();
     let cfg = env_config();
     let mut total_events = 0u64;
     for imp in Implementation::ALL {
-        let report = explore(imp, &g, 0, 1.0, &cfg);
+        let report = explore(imp, &g, 0, 1.0, &cfg, &session);
         assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
         assert!(
             report.is_clean(),
@@ -225,10 +232,11 @@ const STRATEGIES: [SteppingStrategy; 3] = [
 
 #[test]
 fn every_strategy_is_race_free_on_the_pooled_loop() {
+    let session = TestSession::begin();
     let g = small_graph();
     let cfg = env_config();
     for strategy in STRATEGIES {
-        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg);
+        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg, &session);
         assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
         assert!(
             report.is_clean(),
@@ -249,19 +257,14 @@ fn forced_pull_dense_kernel_is_race_free_across_schedules() {
     // Pull puts every light phase on the chunked pull path, whose
     // per-element hooks (`sssp.dist` reads, `pull.req` writes) the
     // tracker then orders against the fork/join events.
-    struct PullGuard;
-    impl Drop for PullGuard {
-        fn drop(&mut self) {
-            gblas::direction::set_direction_override(None);
-        }
-    }
+    let mut session = TestSession::begin();
+    session.on_end(|| gblas::direction::set_direction_override(None));
     gblas::direction::set_direction_override(Some(gblas::Direction::Pull));
-    let _guard = PullGuard;
 
     let g = small_graph();
     let cfg = env_config();
     for strategy in STRATEGIES {
-        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg);
+        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg, &session);
         assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
         assert!(
             report.is_clean(),
@@ -276,10 +279,11 @@ fn forced_pull_dense_kernel_is_race_free_across_schedules() {
 
 #[test]
 fn cancel_then_resume_is_race_free_and_bit_identical() {
+    let session = TestSession::begin();
     let g = small_graph();
     let cfg = env_config();
     for strategy in STRATEGIES {
-        let report = explore_cancel_resume(strategy, &g, 0, 1.0, 2, &cfg);
+        let report = explore_cancel_resume(strategy, &g, 0, 1.0, 2, &cfg, &session);
         assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
         assert!(
             report.is_clean(),
