@@ -2,30 +2,39 @@
 //! graph with bounded admission, per-job deadlines, and panic-isolated
 //! worker engines that degrade instead of dying.
 //!
-//! [`BatchRunner`] is the multi-source counterpart of
-//! [`run_with_budget`](crate::run::run_with_budget), over the one stepping
-//! loop only: a job has two axes, its [`SteppingStrategy`] and the
-//! [`Kernels`] it relaxes on. The runner owns a bounded job queue
-//! (admission control: jobs beyond the queue capacity are **rejected**,
-//! not silently queued forever), a small worker crew, and one per-job
-//! degradation ladder, the same for a fresh run (`preflight` +
-//! `run_stepping`) and a resume from a checkpoint (`resume_stepping`):
+//! A job has two axes, its [`SteppingStrategy`] and the [`Kernels`] it
+//! relaxes on, and one door: [`run_job`] runs it on a caller-owned
+//! [`SsspEngine`], on the caller's thread. The door resumes the job from
+//! a persisted checkpoint when its directory holds one (`resume_stepping`)
+//! and runs it fresh otherwise (`preflight` + `run_stepping`), drives
+//! either through the degradation ladder, and persists a budget stop.
+//! The ladder is the one place a caught panic is handled — the pooled
+//! implementations of [`run_with_budget`](crate::run::run_with_budget)
+//! go through it too:
 //!
 //! 1. rung 1 runs on the requested kernels under a [`RunBudget`] carrying
-//!    the per-job deadline and the batch-wide [`CancelToken`];
-//! 2. a caught panic resets the engine's workspaces and rung 2 runs the
-//!    **same strategy** on the sequential kernels under
-//!    [`RunBudget::retry_budget`] (fresh epoch allowance, same
-//!    deadline/token — the job's SLO does not reset because a worker
-//!    died), completing with `degraded_by_panic = true`; pooled kernels
-//!    requested without a pool skip rung 1 and run rung 2 under the job
-//!    budget, completing with the `thread pool unavailable (…)` notice;
-//! 3. a second panic yields [`BatchOutcome::Failed`] carrying
+//!    the per-job deadline and [`CancelToken`];
+//! 2. a caught panic sends the job to rung 2: the **same strategy** on
+//!    the sequential kernels (the engine replaces the workspace the panic
+//!    left behind) under [`RunBudget::retry_budget`] (fresh epoch
+//!    allowance, same deadline/token — the job's SLO does not reset
+//!    because a worker died), completing with `degraded_by_panic = true`;
+//!    pooled kernels requested without a pool skip rung 1 and run rung 2
+//!    under the job budget, completing with the `thread pool unavailable
+//!    (…)` notice;
+//! 3. a second panic yields [`JobOutcome::Failed`] carrying
 //!    [`SsspError::WorkerPanicked`];
-//! 4. on either rung a budget stop (deadline, cancellation, watchdog)
-//!    becomes [`BatchOutcome::Partial`] carrying the certified
+//! 4. on either rung a budget stop (deadline, cancellation, epoch limit)
+//!    becomes [`JobOutcome::Partial`] carrying the certified
 //!    [`Checkpoint`] — partial work is reported, never discarded — and
 //!    any other error fails the job with its typed [`SsspError`].
+//!
+//! [`BatchRunner`] is the multi-source front end over that door: a
+//! bounded job queue (admission control: jobs beyond the queue capacity
+//! are **rejected**, not silently queued forever) drained by a small
+//! worker crew, each worker calling the door once per job. `sssp-serve`
+//! calls the door directly, once per request, on the worker thread that
+//! dequeued it.
 //!
 //! One batch, one graph, **one split**: every worker drives an
 //! [`SsspEngine`] over a shared [`SplitCache`], so a same-Δ batch builds
@@ -37,19 +46,17 @@
 //! with its `degraded` flag set and the failure is reported in
 //! [`BatchReport::pool_degraded`].
 //!
-//! With [`BatchConfig::checkpoint_dir`] set, budget-stopped jobs persist
-//! their checkpoint to disk (`ckpt-<source>.bin`, the
-//! [`Checkpoint::to_bytes`] format) and a later batch — same process or
-//! a fresh one — resumes each from its file, landing on distances and
-//! stats bit-identical to an uninterrupted run. The directory's
-//! [`CheckpointManifest`] (`manifest.bin`, the `GBSSMAN1` format) is
-//! kept in lockstep: a checkpoint file is written before its manifest
-//! entry, a completed job's entry is removed before its file is deleted,
-//! so a `kill -9` at any instant leaves at worst an orphaned checkpoint
-//! file — never a manifest entry pointing at a missing or torn file.
-//! Long-lived callers (the `sssp-serve` front end) drive the same
-//! machinery through [`BatchRunner::run_shared`], which reuses a
-//! caller-owned [`SplitCache`] and [`ThreadPool`] across batches.
+//! With a checkpoint directory, budget-stopped jobs persist their
+//! checkpoint to disk (`ckpt-<source>.bin`, the [`Checkpoint::to_bytes`]
+//! format) and a later job — same process or a fresh one — resumes from
+//! the file, landing on distances and stats bit-identical to an
+//! uninterrupted run. The directory's [`CheckpointManifest`]
+//! (`manifest.bin`, the `GBSSMAN1` format) is kept in lockstep through
+//! one [`ManifestState`] per directory, shared by every job that runs in
+//! it: a checkpoint file is written before its manifest entry, a
+//! completed job's entry is removed before its file is deleted, so a
+//! `kill -9` at any instant leaves at worst an orphaned checkpoint file
+//! — never a manifest entry pointing at a missing or torn file.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -196,8 +203,8 @@ pub enum BatchOutcome {
         /// Human-readable stop reason: the stop's display, plus a note
         /// when persisting the checkpoint failed.
         reason: String,
-        /// Where the checkpoint was persisted, when
-        /// [`BatchConfig::checkpoint_dir`] is set and the save succeeded.
+        /// Where the checkpoint was persisted, when the job ran with a
+        /// checkpoint directory and the save succeeded.
         saved_to: Option<PathBuf>,
     },
     /// The job failed without a usable partial result: bad input, or a
@@ -234,6 +241,36 @@ impl BatchOutcome {
         match self {
             BatchOutcome::Partial { stop, .. } => stop.checkpoint(),
             _ => None,
+        }
+    }
+}
+
+/// What [`run_job`] settles a job to: the [`BatchOutcome`] variant of the
+/// same name, whose docs describe each. Admission rejection is a batch's
+/// fourth case, one a job that ran never reaches.
+#[derive(Debug, Clone)]
+pub enum JobOutcome {
+    Complete {
+        result: SsspResult,
+        delta: f64,
+        degraded: Option<String>,
+        degraded_by_panic: bool,
+        resumed: bool,
+    },
+    Partial { stop: SsspError, reason: String, saved_to: Option<PathBuf> },
+    Failed { error: SsspError },
+}
+
+impl From<JobOutcome> for BatchOutcome {
+    fn from(outcome: JobOutcome) -> Self {
+        match outcome {
+            JobOutcome::Complete { result, delta, degraded, degraded_by_panic, resumed } => {
+                BatchOutcome::Complete { result, delta, degraded, degraded_by_panic, resumed }
+            }
+            JobOutcome::Partial { stop, reason, saved_to } => {
+                BatchOutcome::Partial { stop, reason, saved_to }
+            }
+            JobOutcome::Failed { error } => BatchOutcome::Failed { error },
         }
     }
 }
@@ -303,9 +340,76 @@ impl BatchReport {
     }
 }
 
+/// One job for [`run_job`]: what to solve and the limits it runs under.
+#[derive(Debug, Clone, Copy)]
+pub struct Job<'a> {
+    /// The source vertex.
+    pub source: usize,
+    /// Kernels rung 1 runs on (rung 2 is always sequential).
+    pub kernels: Kernels,
+    /// The requested bucket width Δ (preflight may substitute a fallback).
+    pub delta: f64,
+    /// Frontier-extraction strategy, on both rungs.
+    pub strategy: SteppingStrategy,
+    /// Guard tunables for preflight and the epoch budget.
+    pub guard: &'a GuardConfig,
+    /// Wall-clock budget, counted from the call to [`run_job`].
+    pub deadline: Option<Duration>,
+    /// Cancellation, observed at every epoch boundary of either rung.
+    pub cancel: Option<&'a CancelToken>,
+    /// Epoch-progress gauge the job's budget checks publish to.
+    pub progress: Option<&'a ProgressGauge>,
+}
+
+/// The one job door: run `job` on `engine`, on the calling thread. With
+/// `checkpoints`, resume the job from the checkpoint its directory holds
+/// for the source (the manifest's entry, else the conventional
+/// `ckpt-<source>.bin`), and persist a budget stop; without, always run
+/// fresh. Either way the run goes through the degradation ladder (see
+/// the module docs). `pool` serves pooled kernels; `pool_unavailable`
+/// says why there is none, for the rung-2 notice.
+pub fn run_job(
+    engine: &mut SsspEngine<'_>,
+    pool: Option<&ThreadPool>,
+    pool_unavailable: Option<&str>,
+    job: &Job<'_>,
+    checkpoints: Option<&ManifestState>,
+) -> JobOutcome {
+    let g = engine.graph();
+    let mut budget = RunBudget::for_job(g, job.delta, job.guard, job.deadline, job.cancel);
+    if let Some(gauge) = job.progress {
+        budget = budget.with_progress(gauge.clone());
+    }
+    // The strategy and Δ of a resume come from the checkpoint itself, so
+    // mixed directories (a strategy change between runs) resume every
+    // file correctly.
+    let resume = checkpoints.and_then(|c| c.resumable(engine, job.source));
+    let retry_delta = resume.as_ref().map_or(job.delta, |cp| cp.delta);
+    let outcome = ladder(
+        job.kernels,
+        pool,
+        pool_unavailable,
+        &mut budget,
+        |budget| budget.retry_budget(g, retry_delta, job.guard),
+        |pool, budget| match &resume {
+            Some(cp) => Ok((engine.resume_stepping(pool, cp, budget)?.0, cp.delta)),
+            None => {
+                let delta = engine.preflight(job.source, job.delta, job.guard)?;
+                let (result, _) =
+                    engine.run_stepping(pool, job.source, delta, job.strategy, budget)?;
+                Ok((result, delta))
+            }
+        },
+        resume.is_some(),
+    );
+    match checkpoints {
+        Some(checkpoints) => checkpoints.persist(engine, outcome, job.source),
+        None => outcome,
+    }
+}
+
 /// Multi-source SSSP front door with admission control, a shared split
-/// cache, and panic isolation. See the module docs for the degradation
-/// ladder.
+/// cache, and panic isolation: a worker crew over [`run_job`].
 ///
 /// ```
 /// use graphdata::{gen::grid2d, CsrGraph};
@@ -374,10 +478,8 @@ impl BatchRunner {
     /// [`BatchRunner::run`] against caller-owned shared resources: the
     /// split cache (possibly byte-budgeted, possibly warm from earlier
     /// batches against other graphs) and the thread pool survive this
-    /// call, which is what lets a resident front end keep splits hot
-    /// across requests. `pool_degraded` carries the caller's
-    /// pool-creation failure, if any, so jobs degrade identically to
-    /// [`BatchRunner::run`].
+    /// call. `pool_degraded` carries the caller's pool-creation failure,
+    /// if any, so jobs degrade identically to [`BatchRunner::run`].
     pub fn run_shared(
         &self,
         g: &CsrGraph,
@@ -402,25 +504,11 @@ impl BatchRunner {
         let queue = Mutex::new(queue);
         let outcomes = Mutex::new(outcomes);
 
-        // The durable job index for the checkpoint directory. A corrupt
-        // or unreadable manifest does not kill the batch: the torn index
-        // is quarantined and rebuilt from the surviving checkpoint files
-        // (each is self-describing), and the incident is reported, never
-        // swallowed.
         let (manifest, manifest_error) = match self.cfg.checkpoint_dir.as_deref() {
-            Some(dir) => match CheckpointManifest::load_or_default(dir) {
-                Ok(m) => (Some(ManifestState::new(dir, m, Vec::new())), None),
-                Err(e) => match crate::manifest::recover_directory(dir) {
-                    Ok(r) => (
-                        Some(ManifestState::new(dir, r.manifest, r.quarantined)),
-                        Some(e.to_string()),
-                    ),
-                    Err(recovery) => (
-                        Some(ManifestState::new(dir, CheckpointManifest::new(), Vec::new())),
-                        Some(format!("{e}; recovery failed: {recovery}")),
-                    ),
-                },
-            },
+            Some(dir) => {
+                let (state, error) = ManifestState::open(dir);
+                (Some(state), error)
+            }
             None => (None, None),
         };
 
@@ -435,14 +523,14 @@ impl BatchRunner {
                     loop {
                         let job = queue.lock().expect("queue lock").pop_front();
                         let Some((idx, source)) = job else { break };
-                        let outcome = self.run_job(
+                        let outcome = run_job(
                             &mut engine,
                             pool,
                             pool_degraded.as_deref(),
-                            source,
+                            &self.job(source),
                             manifest.as_ref(),
                         );
-                        outcomes.lock().expect("outcomes lock")[idx] = Some(outcome);
+                        outcomes.lock().expect("outcomes lock")[idx] = Some(outcome.into());
                     }
                 });
             }
@@ -458,162 +546,170 @@ impl BatchRunner {
             pool_degraded,
             split_cache: cache.stats(),
             manifest_error,
-            quarantined: manifest
-                .map(|m| m.quarantined.into_inner().expect("quarantine list lock"))
-                .unwrap_or_default(),
+            quarantined: manifest.map(|m| m.take_quarantined()).unwrap_or_default(),
         }
     }
 
-    /// One job: resume it from a persisted checkpoint when one exists —
-    /// located through the manifest first, falling back to the
-    /// conventional per-source file — otherwise run it fresh; either
-    /// way through the ladder, and persist a budget stop.
-    fn run_job(
-        &self,
-        engine: &mut SsspEngine<'_>,
-        pool: Option<&ThreadPool>,
-        pool_unavailable: Option<&str>,
-        source: usize,
-        manifest: Option<&ManifestState>,
-    ) -> BatchOutcome {
-        let path = self
-            .cfg
-            .checkpoint_dir
-            .as_deref()
-            .map(|dir| Self::checkpoint_path(dir, source));
-        if let Some(path) = &path {
-            let fingerprint = engine.fingerprint();
-            // The manifest names the live checkpoint for this job; a
-            // directory without one (pre-manifest layouts, or a manifest
-            // that failed to load) falls back to the conventional path.
-            let candidate = manifest
-                .and_then(|m| {
-                    let locked = m.manifest.lock().expect("manifest lock");
-                    locked.find_source(fingerprint, source).map(|e| m.dir.join(&e.file))
-                })
-                .filter(|p| p.exists())
-                .or_else(|| path.exists().then(|| path.clone()));
-            if let Some(candidate) = candidate {
-                match engine.load_checkpoint(&candidate) {
-                    // The strategy comes from the checkpoint itself, so
-                    // mixed directories (a strategy change between
-                    // batches) resume every file correctly.
-                    Ok(cp) if cp.resumable && cp.source == source => {
-                        let outcome = self.ladder(
-                            engine,
-                            pool,
-                            pool_unavailable,
-                            cp.delta,
-                            true,
-                            |engine, pool, budget| {
-                                let (result, _) = engine.resume_stepping(pool, &cp, budget)?;
-                                Ok((result, cp.delta))
-                            },
-                        );
-                        return self.persist(engine, outcome, path, source, manifest);
-                    }
-                    // A foreign or non-resumable file is not fatal: the
-                    // job simply runs fresh (and overwrites it).
-                    Ok(_) => {}
-                    // A torn or corrupt file is quarantined so the next
-                    // restart does not trip over it again; the job runs
-                    // fresh. Plain I/O errors leave the file in place.
-                    Err(SsspError::InvalidCheckpoint { .. }) => {
-                        if let Some(m) = manifest {
-                            m.quarantine(&candidate);
-                        }
-                    }
-                    Err(_) => {}
-                }
-            }
+    /// The job this batch runs for `source`.
+    fn job(&self, source: usize) -> Job<'_> {
+        Job {
+            source,
+            kernels: self.cfg.implementation,
+            delta: self.cfg.delta,
+            strategy: self.cfg.strategy,
+            guard: &self.cfg.guard,
+            deadline: self.cfg.deadline,
+            cancel: self.cfg.cancel.as_ref(),
+            progress: self.cfg.progress.as_ref(),
         }
-        let outcome = self.ladder(
-            engine,
-            pool,
-            pool_unavailable,
-            self.cfg.delta,
-            false,
-            |engine, pool, budget| {
-                let delta = engine.preflight(source, self.cfg.delta, &self.cfg.guard)?;
-                let (result, _) =
-                    engine.run_stepping(pool, source, delta, self.cfg.strategy, budget)?;
-                Ok((result, delta))
-            },
+    }
+}
+
+/// The two-rung degradation ladder (see the module docs) — the only code
+/// that catches a panic on a run. `call` runs the job on the pool it is
+/// handed, or on the sequential kernels for `None`, and returns the
+/// result with the Δ it used. Rung 1 calls it on `pool` when `kernels`
+/// is pooled (and on `None` when sequential) under `budget`; rung 2
+/// calls it on `None` under `retry(budget)` after a caught panic, or
+/// under `budget` itself when pooled kernels have no pool. `resumed`
+/// is passed through to a completion.
+pub(crate) fn ladder(
+    kernels: Kernels,
+    pool: Option<&ThreadPool>,
+    pool_unavailable: Option<&str>,
+    budget: &mut RunBudget,
+    retry: impl FnOnce(&RunBudget) -> RunBudget,
+    mut call: impl FnMut(
+        Option<&ThreadPool>,
+        &mut RunBudget,
+    ) -> Result<(SsspResult, f64), SsspError>,
+    resumed: bool,
+) -> JobOutcome {
+    let pooled = kernels == Kernels::Pooled;
+    let mut retried;
+    let (budget, degraded, degraded_by_panic) = if pooled && pool.is_none() {
+        let notice = format!(
+            "thread pool unavailable ({}); ran on the sequential fused path",
+            pool_unavailable.unwrap_or("no pool")
         );
-        match path {
-            Some(path) => self.persist(engine, outcome, &path, source, manifest),
-            None => outcome,
+        (budget, notice, false)
+    } else {
+        let pool = pool.filter(|_| pooled);
+        match catch_unwind(AssertUnwindSafe(|| call(pool, &mut *budget))) {
+            Ok(Ok((result, delta))) => {
+                return JobOutcome::Complete {
+                    result,
+                    delta,
+                    degraded: None,
+                    degraded_by_panic: false,
+                    resumed,
+                };
+            }
+            Ok(Err(err)) => return error_outcome(err),
+            Err(payload) => {
+                retried = retry(budget);
+                (&mut retried, panic_message(payload), true)
+            }
+        }
+    };
+    match catch_unwind(AssertUnwindSafe(|| call(None, budget))) {
+        Ok(Ok((result, delta))) => JobOutcome::Complete {
+            result,
+            delta,
+            degraded: Some(degraded),
+            degraded_by_panic,
+            resumed,
+        },
+        Ok(Err(err)) => error_outcome(err),
+        Err(payload) => error_outcome(SsspError::WorkerPanicked {
+            message: format!(
+                "{degraded}; sequential retry also panicked ({})",
+                panic_message(payload)
+            ),
+        }),
+    }
+}
+
+/// Budget stops become checkpointed partials; everything else fails
+/// the job with its typed [`SsspError`].
+fn error_outcome(err: SsspError) -> JobOutcome {
+    if err.checkpoint().is_some() {
+        JobOutcome::Partial { reason: err.to_string(), stop: err, saved_to: None }
+    } else {
+        JobOutcome::Failed { error: err }
+    }
+}
+
+/// The live view of one checkpoint directory's manifest, shared by every
+/// job that runs in the directory — a batch's workers, or every request
+/// a server runs on one graph. Record, clear and save happen under one
+/// lock, and every mutation re-saves the file, so the on-disk index is
+/// durable at each step (a `kill -9` between jobs must leave a
+/// trustworthy index) and concurrent jobs never save stale copies over
+/// each other's entries.
+#[derive(Debug)]
+pub struct ManifestState {
+    dir: PathBuf,
+    manifest: Mutex<CheckpointManifest>,
+    /// Files moved into `quarantine/` (opening recovery plus resume-time
+    /// torn-file discoveries) and not yet taken by
+    /// [`ManifestState::take_quarantined`].
+    quarantined: Mutex<Vec<PathBuf>>,
+}
+
+impl ManifestState {
+    /// Load `dir`'s manifest. A corrupt or unreadable manifest does not
+    /// stop the caller: the torn index is quarantined and rebuilt from
+    /// the surviving checkpoint files (each is self-describing), and the
+    /// incident comes back as the second value, never swallowed.
+    pub fn open(dir: &Path) -> (ManifestState, Option<String>) {
+        let state = |manifest, quarantined| ManifestState {
+            dir: dir.to_path_buf(),
+            manifest: Mutex::new(manifest),
+            quarantined: Mutex::new(quarantined),
+        };
+        match CheckpointManifest::load_or_default(dir) {
+            Ok(m) => (state(m, Vec::new()), None),
+            Err(e) => match crate::manifest::recover_directory(dir) {
+                Ok(r) => (state(r.manifest, r.quarantined), Some(e.to_string())),
+                Err(recovery) => (
+                    state(CheckpointManifest::new(), Vec::new()),
+                    Some(format!("{e}; recovery failed: {recovery}")),
+                ),
+            },
         }
     }
 
-    /// The two-rung degradation ladder (see the module docs) around
-    /// `call` — a fresh run or a resume, returning the result and the Δ it
-    /// used. Everything goes through the engine (cached split, warm
-    /// workspace), and both rungs land on bit-identical kernels of the
-    /// same strategy.
-    fn ladder(
-        &self,
-        engine: &mut SsspEngine<'_>,
-        pool: Option<&ThreadPool>,
-        pool_unavailable: Option<&str>,
-        retry_delta: f64,
-        resumed: bool,
-        call: impl Fn(
-            &mut SsspEngine<'_>,
-            Option<&ThreadPool>,
-            &mut RunBudget,
-        ) -> Result<(SsspResult, f64), SsspError>,
-    ) -> BatchOutcome {
-        let g = engine.graph();
-        let mut budget = self.job_budget(g);
-        let pooled = self.cfg.implementation == Kernels::Pooled;
-        let (degraded, degraded_by_panic) = if pooled && pool.is_none() {
-            // Pool creation failed: complete the job sequentially, under
-            // the job budget, but say so.
-            let notice = format!(
-                "thread pool unavailable ({}); ran on the sequential fused path",
-                pool_unavailable.unwrap_or("no pool")
-            );
-            (notice, false)
-        } else {
-            let pool = pool.filter(|_| pooled);
-            match catch_unwind(AssertUnwindSafe(|| call(engine, pool, &mut budget))) {
-                Ok(Ok((result, delta))) => {
-                    return BatchOutcome::Complete {
-                        result,
-                        delta,
-                        degraded: None,
-                        degraded_by_panic: false,
-                        resumed,
-                    }
-                }
-                Ok(Err(err)) => return Self::error_outcome(err),
-                Err(payload) => {
-                    // The engine's workspaces may hold mid-run state.
-                    engine.reset_workspaces();
-                    budget = budget.retry_budget(g, retry_delta, &self.cfg.guard);
-                    (panic_message(payload), true)
-                }
+    /// Drain the files quarantined since the last call.
+    pub fn take_quarantined(&self) -> Vec<PathBuf> {
+        std::mem::take(&mut *self.quarantined.lock().expect("quarantine list lock"))
+    }
+
+    /// The checkpoint `source`'s job should resume from: the manifest
+    /// names it, and a directory without an entry (pre-manifest layouts,
+    /// or a manifest that failed to load) falls back to the conventional
+    /// path. A foreign or non-resumable file is not fatal — the job runs
+    /// fresh and overwrites it; a torn or corrupt one is quarantined so
+    /// the next restart does not trip over it again. Plain I/O errors
+    /// leave the file in place.
+    fn resumable(&self, engine: &SsspEngine<'_>, source: usize) -> Option<Checkpoint> {
+        let listed = self
+            .manifest
+            .lock()
+            .expect("manifest lock")
+            .find_source(engine.fingerprint(), source)
+            .map(|e| self.dir.join(&e.file));
+        let path = listed.filter(|p| p.exists()).or_else(|| {
+            let path = BatchRunner::checkpoint_path(&self.dir, source);
+            path.exists().then_some(path)
+        })?;
+        match engine.load_checkpoint(&path) {
+            Ok(cp) if cp.resumable && cp.source == source => Some(cp),
+            Err(SsspError::InvalidCheckpoint { .. }) => {
+                self.quarantine(&path);
+                None
             }
-        };
-        match catch_unwind(AssertUnwindSafe(|| call(engine, None, &mut budget))) {
-            Ok(Ok((result, delta))) => BatchOutcome::Complete {
-                result,
-                delta,
-                degraded: Some(degraded),
-                degraded_by_panic,
-                resumed,
-            },
-            Ok(Err(err)) => Self::error_outcome(err),
-            Err(payload) => {
-                engine.reset_workspaces();
-                Self::error_outcome(SsspError::WorkerPanicked {
-                    message: format!(
-                        "{degraded}; sequential retry also panicked ({})",
-                        panic_message(payload)
-                    ),
-                })
-            }
+            _ => None,
         }
     }
 
@@ -623,97 +719,37 @@ impl BatchRunner {
     /// completes. The ordering is the crash contract from the
     /// [`crate::manifest`] docs: the manifest never points at a missing
     /// or torn checkpoint file.
-    fn persist(
-        &self,
-        engine: &SsspEngine<'_>,
-        outcome: BatchOutcome,
-        path: &Path,
-        source: usize,
-        manifest: Option<&ManifestState>,
-    ) -> BatchOutcome {
+    fn persist(&self, engine: &SsspEngine<'_>, outcome: JobOutcome, source: usize) -> JobOutcome {
+        let path = BatchRunner::checkpoint_path(&self.dir, source);
         let fingerprint = engine.fingerprint();
         match outcome {
-            BatchOutcome::Partial { stop, reason, .. } => {
+            JobOutcome::Partial { stop, reason, .. } => {
                 let (reason, saved_to) = match stop.checkpoint().filter(|cp| cp.resumable) {
-                    // Nothing a later batch could continue.
+                    // Nothing a later job could continue.
                     None => (reason, None),
-                    Some(checkpoint) => match engine.save_checkpoint(checkpoint, path) {
+                    Some(checkpoint) => match engine.save_checkpoint(checkpoint, &path) {
                         Ok(()) => {
-                            let recorded =
-                                manifest.map(|m| m.record(fingerprint, checkpoint, path));
-                            let reason = match recorded {
-                                Some(Err(e)) => format!("{reason}; manifest not updated: {e}"),
-                                _ => reason,
+                            let reason = match self.record(fingerprint, checkpoint, &path) {
+                                Err(e) => format!("{reason}; manifest not updated: {e}"),
+                                Ok(()) => reason,
                             };
-                            (reason, Some(path.to_path_buf()))
+                            (reason, Some(path))
                         }
                         Err(e) => (format!("{reason}; checkpoint not persisted: {e}"), None),
                     },
                 };
-                BatchOutcome::Partial { stop, reason, saved_to }
+                JobOutcome::Partial { stop, reason, saved_to }
             }
-            BatchOutcome::Complete { .. } => {
+            JobOutcome::Complete { .. } => {
                 // A stale file must not resurrect a finished job. Drop
                 // the manifest entry first; if that durable step fails,
                 // keep the file so the manifest never dangles.
-                let manifest_clean = match manifest.map(|m| m.clear(fingerprint, source)) {
-                    Some(result) => result.is_ok(),
-                    None => true,
-                };
-                if manifest_clean {
-                    let _ = std::fs::remove_file(path);
+                if self.clear(fingerprint, source).is_ok() {
+                    let _ = std::fs::remove_file(&path);
                 }
                 outcome
             }
-            other => other,
-        }
-    }
-
-    fn job_budget(&self, g: &CsrGraph) -> RunBudget {
-        let budget = RunBudget::for_job(
-            g,
-            self.cfg.delta,
-            &self.cfg.guard,
-            self.cfg.deadline,
-            self.cfg.cancel.as_ref(),
-        );
-        match &self.cfg.progress {
-            Some(gauge) => budget.with_progress(gauge.clone()),
-            None => budget,
-        }
-    }
-
-    /// Budget stops become checkpointed partials; everything else fails
-    /// with its typed error.
-    fn error_outcome(err: SsspError) -> BatchOutcome {
-        if err.checkpoint().is_some() {
-            BatchOutcome::Partial { reason: err.to_string(), stop: err, saved_to: None }
-        } else {
-            BatchOutcome::Failed { error: err }
-        }
-    }
-}
-
-/// The batch's live view of its checkpoint directory's manifest, shared
-/// across workers. Every mutation re-saves the file so the on-disk index
-/// is durable at each step, not just at batch exit (a `kill -9` between
-/// jobs must leave a trustworthy index).
-#[derive(Debug)]
-struct ManifestState {
-    dir: PathBuf,
-    manifest: Mutex<CheckpointManifest>,
-    /// Files this batch moved into `quarantine/` (startup recovery plus
-    /// resume-time torn-file discoveries), drained into
-    /// [`BatchReport::quarantined`].
-    quarantined: Mutex<Vec<PathBuf>>,
-}
-
-impl ManifestState {
-    fn new(dir: &Path, manifest: CheckpointManifest, quarantined: Vec<PathBuf>) -> Self {
-        ManifestState {
-            dir: dir.to_path_buf(),
-            manifest: Mutex::new(manifest),
-            quarantined: Mutex::new(quarantined),
+            JobOutcome::Failed { .. } => outcome,
         }
     }
 
@@ -984,7 +1020,9 @@ mod tests {
     /// the token cancelled meanwhile, panic on both rungs, pooled without
     /// a pool} × {classic, Δ*}. Rung-1 panics are the taskpool fault hook
     /// firing inside the pooled split build; the sequential rung has no
-    /// hook, so its panic is raised by the call the ladder is handed.
+    /// hook, so its panic is raised by the call the ladder is handed. The
+    /// repro `parallel` rung of `run_with_budget` has its row in
+    /// `run::tests::pooled_arms_degrade_to_classic_sequential_through_the_ladder`.
     #[test]
     fn ladder_degrades_fresh_and_resumed_jobs_alike() {
         #[derive(Debug, Clone, Copy, PartialEq)]
@@ -995,6 +1033,7 @@ mod tests {
             NoPool,
         }
         let g = grid();
+        let guard = GuardConfig::default();
         let expected = dijkstra(&g, 0).dist;
         for strategy in [SteppingStrategy::Classic, SteppingStrategy::DeltaStar(2.0)] {
             for resume in [false, true] {
@@ -1002,13 +1041,8 @@ mod tests {
                 for fault in [Rung1, Rung1ThenCancel, BothRungs, NoPool] {
                     let label = format!("{strategy} resume={resume} {fault:?}");
                     let token = CancelToken::new();
-                    let runner = BatchRunner::new(BatchConfig {
-                        implementation: Kernels::Pooled,
-                        strategy,
-                        deadline: Some(Duration::from_secs(3600)),
-                        cancel: Some(token.clone()),
-                        ..BatchConfig::default()
-                    });
+                    let deadline = Some(Duration::from_secs(3600));
+                    let mut budget = RunBudget::for_job(&g, 1.0, &guard, deadline, Some(&token));
                     let _session = taskpool::fault::TestSession::begin();
                     let pool = (fault != NoPool).then(|| ThreadPool::with_threads(2).unwrap());
                     let mut engine = SsspEngine::new(&g);
@@ -1020,9 +1054,7 @@ mod tests {
                         err.into_checkpoint().unwrap()
                     });
                     let calls = std::cell::Cell::new(0);
-                    let call = |engine: &mut SsspEngine<'_>,
-                                pool: Option<&ThreadPool>,
-                                budget: &mut RunBudget| {
+                    let call = |pool: Option<&ThreadPool>, budget: &mut RunBudget| {
                         calls.set(calls.get() + 1);
                         if pool.is_some() {
                             // An epoch spent here is not charged to rung 2.
@@ -1044,12 +1076,21 @@ mod tests {
                         Ok((result, 1.0))
                     };
                     let no_pool = Some("no threads");
-                    let outcome = runner.ladder(&mut engine, pool.as_ref(), no_pool, 1.0, resume, call);
+                    let retry = |b: &RunBudget| b.retry_budget(&g, 1.0, &guard);
+                    let outcome = ladder(
+                        Kernels::Pooled,
+                        pool.as_ref(),
+                        no_pool,
+                        &mut budget,
+                        retry,
+                        call,
+                        resume,
+                    );
                     assert_eq!(calls.get(), if fault == Fault::NoPool { 1 } else { 2 }, "{label}");
                     match (fault, outcome) {
                         (
                             Fault::Rung1 | Fault::NoPool,
-                            BatchOutcome::Complete { result, degraded, degraded_by_panic, resumed, .. },
+                            JobOutcome::Complete { result, degraded, degraded_by_panic, resumed, .. },
                         ) => {
                             assert_eq!(result.dist, expected, "{label}");
                             assert_eq!(resumed, resume, "{label}");
@@ -1062,12 +1103,12 @@ mod tests {
                             assert_eq!(degraded_by_panic, fault == Fault::Rung1, "{label}");
                         }
                         // The job's token reached rung 2.
-                        (Fault::Rung1ThenCancel, BatchOutcome::Partial { stop, .. }) => {
+                        (Fault::Rung1ThenCancel, JobOutcome::Partial { stop, .. }) => {
                             assert!(matches!(stop, SsspError::Cancelled { .. }), "{label}: {stop}");
                         }
                         (
                             Fault::BothRungs,
-                            BatchOutcome::Failed { error: SsspError::WorkerPanicked { message } },
+                            JobOutcome::Failed { error: SsspError::WorkerPanicked { message } },
                         ) => assert!(
                             message.starts_with(taskpool::fault::INJECTED_PANIC_MESSAGE)
                                 && message.contains("; sequential retry also panicked (rung 2 down"),

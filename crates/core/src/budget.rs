@@ -1,17 +1,16 @@
 //! Cooperative run budgets: deadline + cancellation + epoch limit.
 //!
-//! [`RunBudget`] generalizes the [`Watchdog`](crate::guard::Watchdog) of
-//! the hardened execution layer. Every delta-stepping implementation
-//! calls [`RunBudget::check`] once per outer bucket epoch and once per
-//! inner light-relaxation round — the same places the watchdog used to
-//! tick — so *all* stop conditions observe the same epoch granularity:
+//! Every delta-stepping implementation calls [`RunBudget::check`] once
+//! per outer bucket epoch and once per inner light-relaxation round, so
+//! *all* stop conditions observe the same epoch granularity:
 //!
 //! * **cancellation** — a [`CancelToken`] flipped from another thread
 //!   (an impatient caller, an admission controller shedding load);
 //! * **deadline** — a wall-clock [`Instant`] after which the run must
 //!   stop (latency SLOs);
-//! * **epoch budget** — the watchdog's iteration limit, still guarding
-//!   against malformed inputs that never converge.
+//! * **epoch budget** — an iteration limit derived from the theoretical
+//!   maximum for a valid input ([`RunBudget::for_run`]), guarding against
+//!   malformed inputs that never converge.
 //!
 //! A tripped budget does not discard the work done so far: the
 //! implementations catch the [`BudgetStop`] and wrap the run state into a
@@ -27,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use graphdata::CsrGraph;
 
-use crate::guard::{GuardConfig, Watchdog};
+use crate::guard::GuardConfig;
 
 /// A shareable cancellation flag. Cloning is cheap (one `Arc`); any clone
 /// can [`cancel`](CancelToken::cancel) and every holder observes it at
@@ -91,7 +90,7 @@ pub enum BudgetStop {
     Cancelled,
     /// The wall-clock deadline passed.
     DeadlineExceeded,
-    /// The epoch budget ran out (the classic watchdog trip).
+    /// The epoch budget ran out.
     IterationLimit {
         /// Epochs recorded when the budget tripped.
         ticks: u64,
@@ -101,11 +100,7 @@ pub enum BudgetStop {
 }
 
 /// Deadline + cancellation token + epoch budget, checked cooperatively at
-/// every bucket-epoch and light-phase boundary.
-///
-/// The epoch component reuses [`Watchdog`] unchanged; `RunBudget` is the
-/// watchdog plus the two wall-clock-facing stop conditions, so existing
-/// "unlimited"/"for_run" call shapes carry over:
+/// every bucket-epoch and light-phase boundary:
 ///
 /// ```
 /// use graphdata::{gen::grid2d, CsrGraph};
@@ -120,7 +115,11 @@ pub enum BudgetStop {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RunBudget {
-    watchdog: Watchdog,
+    /// Epochs recorded so far.
+    ticks: u64,
+    /// The epoch budget: [`RunBudget::check`] trips once `ticks` exceeds
+    /// it.
+    limit: u64,
     deadline: Option<Instant>,
     cancel: Option<CancelToken>,
     /// Deterministic cancellation for tests: report [`BudgetStop::Cancelled`]
@@ -135,18 +134,14 @@ impl RunBudget {
     /// A budget that never stops a run — the unchecked entry points'
     /// "garbage in, garbage out" contract.
     pub fn unlimited() -> Self {
-        RunBudget::from_watchdog(Watchdog::unlimited())
+        RunBudget::with_limit(u64::MAX)
     }
 
     /// A budget with only an epoch limit (no deadline, no cancellation).
     pub fn with_limit(limit: u64) -> Self {
-        RunBudget::from_watchdog(Watchdog::with_limit(limit))
-    }
-
-    /// Wrap an existing watchdog.
-    fn from_watchdog(watchdog: Watchdog) -> Self {
         RunBudget {
-            watchdog,
+            ticks: 0,
+            limit,
             deadline: None,
             cancel: None,
             cancel_after_ticks: None,
@@ -154,11 +149,22 @@ impl RunBudget {
         }
     }
 
-    /// The standard checked-run budget: epoch limit derived from the
-    /// theoretical maximum for `(g, delta)` (see [`Watchdog::for_run`]),
-    /// no deadline, no cancellation.
+    /// The standard checked-run budget: no deadline, no cancellation, and
+    /// an epoch limit derived from the theoretical maxima for running on
+    /// `g` with bucket width `delta`:
+    ///
+    /// * the largest finite distance is at most `(|V| − 1) · max_w`, so
+    ///   at most `⌈(|V| − 1) · max_w / Δ⌉ + 1` bucket indices exist (the
+    ///   unfused GraphBLAS loop visits every index up to the last
+    ///   non-empty one);
+    /// * each bucket is processed with one heavy phase and at most
+    ///   `|members| + 1` light phases, so light phases sum to at most
+    ///   `|V|` plus one per processed bucket.
+    ///
+    /// The combined bound, plus [`GuardConfig::tick_slack`], is clamped
+    /// to [`GuardConfig::max_ticks`].
     pub fn for_run(g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> Self {
-        RunBudget::from_watchdog(Watchdog::for_run(g, delta, cfg))
+        RunBudget::with_limit(epoch_limit(g, delta, cfg))
     }
 
     /// The standard *job* budget shared by the batch runner and the serve
@@ -226,7 +232,8 @@ impl RunBudget {
     /// because a worker panicked), but the epoch count restarts.
     pub fn retry_budget(&self, g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> Self {
         RunBudget {
-            watchdog: Watchdog::for_run(g, delta, cfg),
+            ticks: 0,
+            limit: epoch_limit(g, delta, cfg),
             deadline: self.deadline,
             cancel: self.cancel.clone(),
             cancel_after_ticks: None,
@@ -241,11 +248,9 @@ impl RunBudget {
     /// tests; `Instant::now()` is only taken when a deadline exists.
     #[inline]
     pub fn check(&mut self) -> Result<(), BudgetStop> {
-        // Reuse the watchdog's tick counter as the epoch count; evaluate
-        // its verdict last so cancellation/deadline win ties.
-        let epoch_verdict = self.watchdog.tick();
+        self.ticks += 1;
         if let Some(gauge) = &self.progress {
-            gauge.publish(self.watchdog.ticks());
+            gauge.publish(self.ticks);
         }
         if let Some(token) = &self.cancel {
             if token.is_cancelled() {
@@ -253,7 +258,7 @@ impl RunBudget {
             }
         }
         if let Some(n) = self.cancel_after_ticks {
-            if self.watchdog.ticks() > n {
+            if self.ticks > n {
                 return Err(BudgetStop::Cancelled);
             }
         }
@@ -262,10 +267,11 @@ impl RunBudget {
                 return Err(BudgetStop::DeadlineExceeded);
             }
         }
-        if epoch_verdict.is_err() {
+        // Last, so cancellation and the deadline win ties.
+        if self.ticks > self.limit {
             return Err(BudgetStop::IterationLimit {
-                ticks: self.watchdog.ticks(),
-                limit: self.watchdog.limit(),
+                ticks: self.ticks,
+                limit: self.limit,
             });
         }
         Ok(())
@@ -273,12 +279,12 @@ impl RunBudget {
 
     /// Epochs recorded so far.
     pub fn ticks(&self) -> u64 {
-        self.watchdog.ticks()
+        self.ticks
     }
 
     /// The epoch budget.
     pub fn limit(&self) -> u64 {
-        self.watchdog.limit()
+        self.limit
     }
 
     /// Time remaining before the deadline (`None` when no deadline is
@@ -287,6 +293,28 @@ impl RunBudget {
         self.deadline
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
+}
+
+/// The derived epoch limit of [`RunBudget::for_run`].
+fn epoch_limit(g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> u64 {
+    let n = g.num_vertices() as u64;
+    let max_path = g.num_vertices().saturating_sub(1) as f64 * g.max_weight();
+    let buckets = if delta > 0.0 && max_path.is_finite() {
+        let b = (max_path / delta).ceil();
+        if b >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            b as u64 + 1
+        }
+    } else {
+        u64::MAX
+    };
+    // Outer epochs + heavy phases + light phases, generously.
+    let derived = buckets
+        .saturating_mul(3)
+        .saturating_add(n)
+        .saturating_add(cfg.tick_slack);
+    derived.min(cfg.max_ticks)
 }
 
 #[cfg(test)]
@@ -304,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_limit_trips_like_the_watchdog() {
+    fn epoch_limit_trips_on_the_check_past_it() {
         let mut b = RunBudget::with_limit(3);
         assert!(b.check().is_ok());
         assert!(b.check().is_ok());
@@ -313,6 +341,19 @@ mod tests {
             b.check(),
             Err(BudgetStop::IterationLimit { ticks: 4, limit: 3 })
         );
+        assert_eq!(b.ticks(), 4);
+    }
+
+    #[test]
+    fn for_run_derives_the_limit_and_clamps_it_to_max_ticks() {
+        use graphdata::gen::path;
+        // A path graph maximises bucket count: n - 1 buckets at delta 1.
+        let g = CsrGraph::from_edge_list(&path(64)).unwrap();
+        let b = RunBudget::for_run(&g, 1.0, &GuardConfig::default());
+        assert!(b.limit() >= 3 * 64, "limit {} too small", b.limit());
+        // Tiny delta explodes the derived bound; the hard cap clamps it.
+        let b = RunBudget::for_run(&g, 1e-300, &GuardConfig::default());
+        assert_eq!(b.limit(), GuardConfig::default().max_ticks);
     }
 
     #[test]

@@ -94,6 +94,11 @@ pub struct SsspEngine<'g> {
     /// most, so a linear scan beats a hash map here.
     local: Vec<(u64, Arc<LightHeavy>)>,
     ws: SteppingWorkspace,
+    /// Set while a run is inside `ws`. A run that finds it still set
+    /// follows one that panicked mid-run, whose request buffers may
+    /// break their "all-INF when idle" invariant, so it starts on a fresh
+    /// workspace. Cached splits are immutable once built and survive.
+    ws_in_use: bool,
     /// Cached verdict of the `O(|V| + |E|)` weight scan. The engine
     /// borrows the graph immutably for its whole lifetime, so the verdict
     /// can never go stale.
@@ -120,6 +125,7 @@ impl<'g> SsspEngine<'g> {
             cache,
             local: Vec::new(),
             ws: SteppingWorkspace::new(n),
+            ws_in_use: false,
             weights_verdict: None,
             stats: EngineStats::default(),
         }
@@ -153,15 +159,6 @@ impl<'g> SsspEngine<'g> {
     pub fn clear_cache(&mut self) {
         self.local.clear();
         self.cache.purge_fingerprint(self.fingerprint);
-    }
-
-    /// Re-allocate the run workspace. Panic-isolating callers (the batch
-    /// runner) use this after catching a panic mid-run: the workspace may
-    /// hold half-updated request buffers whose "all-INF when idle"
-    /// invariant no longer holds, and a fresh allocation is the cheap way
-    /// to restore it. Cached splits are immutable once built and survive.
-    pub fn reset_workspaces(&mut self) {
-        self.ws = SteppingWorkspace::new(self.g.num_vertices());
     }
 
     /// [`guard::preflight`] with the weight scan cached: the first call
@@ -263,8 +260,9 @@ impl<'g> SsspEngine<'g> {
             return Err(SsspError::InvalidDelta { delta });
         }
         let (lh, filter_time) = self.split_for(pool, delta);
-        let outcome =
-            stepping_with(self.g, &lh, source, delta, strategy, pool, budget, &mut self.ws);
+        let g = self.g;
+        let ws = self.workspace();
+        let outcome = stepping_with(g, &lh, source, delta, strategy, pool, budget, ws);
         self.finish_run(outcome, filter_time)
     }
 
@@ -280,8 +278,20 @@ impl<'g> SsspEngine<'g> {
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
         cp.validate(self.g.num_vertices())?;
         let (lh, filter_time) = self.split_for(pool, cp.delta);
-        let outcome = stepping_resume_with(self.g, &lh, cp, pool, budget, &mut self.ws);
+        let g = self.g;
+        let ws = self.workspace();
+        let outcome = stepping_resume_with(g, &lh, cp, pool, budget, ws);
         self.finish_run(outcome, filter_time)
+    }
+
+    /// The workspace for the run about to start: a fresh one when the
+    /// previous run never reached [`SsspEngine::finish_run`] (it
+    /// panicked), the warm one otherwise.
+    fn workspace(&mut self) -> &mut SteppingWorkspace {
+        if std::mem::replace(&mut self.ws_in_use, true) {
+            self.ws = SteppingWorkspace::new(self.g.num_vertices());
+        }
+        &mut self.ws
     }
 
     /// Fold a run's extraction work into the counters (stopped runs did
@@ -291,6 +301,7 @@ impl<'g> SsspEngine<'g> {
         outcome: Result<(SsspResult, PhaseProfile), SsspError>,
         filter_time: Duration,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
+        self.ws_in_use = false;
         self.stats.extraction_scanned += self.ws.take_extraction_scanned();
         let (result, mut profile) = outcome?;
         profile.matrix_filter += filter_time;
@@ -731,6 +742,30 @@ mod tests {
             .unwrap();
         assert_eq!(resumed.dist, full.dist);
         assert_eq!(resumed.stats, full.stats);
+    }
+
+    #[test]
+    fn a_run_after_a_panicked_one_starts_on_a_fresh_workspace() {
+        let g = test_graph();
+        let unlimited = &mut RunBudget::unlimited();
+        let reference = SsspEngine::new(&g).run_fused(7, 1.0, unlimited).unwrap().0;
+        let _session = taskpool::fault::TestSession::begin();
+        let pool = ThreadPool::with_threads(2).unwrap();
+        let mut engine = SsspEngine::new(&g);
+        // Build the split first, so the injected fault lands mid-run,
+        // inside the pooled relaxation kernels.
+        engine.run_parallel_improved(&pool, 0, 1.0, &mut RunBudget::unlimited()).unwrap();
+        for after in [0, 3, 9] {
+            taskpool::fault::arm_panic_after(after);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                engine.run_parallel_improved(&pool, 0, 1.0, &mut RunBudget::unlimited())
+            }));
+            taskpool::fault::disarm();
+            assert!(panicked.is_err(), "fault after {after} tasks must fire");
+            let (r, _) = engine.run_fused(7, 1.0, &mut RunBudget::unlimited()).unwrap();
+            assert_eq!(r.dist, reference.dist, "fault after {after} tasks");
+            assert_eq!(r.stats, reference.stats, "fault after {after} tasks");
+        }
     }
 
     #[test]

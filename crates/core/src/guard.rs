@@ -1,5 +1,5 @@
-//! The hardened execution layer: error taxonomy, preflight input
-//! validation, and the non-termination watchdog.
+//! The hardened execution layer: error taxonomy and preflight input
+//! validation.
 //!
 //! The five delta-stepping implementations in this crate follow the
 //! paper's contract — finite non-negative weights, an in-range source,
@@ -12,12 +12,13 @@
 //! * [`preflight`] scans the CSR once (`O(|V| + |E|)`) and rejects bad
 //!   weights, sources, and Δ before any work starts, optionally deriving
 //!   a fallback Δ for degenerate requests;
-//! * [`Watchdog`] bounds the number of bucket epochs and light-relaxation
-//!   rounds by the theoretical maximum for a valid input, so malformed
-//!   state surfaces as [`SsspError::IterationLimitExceeded`] instead of a
-//!   hang.
+//! * [`GuardConfig`] tunes both, and the epoch limit with which
+//!   [`RunBudget::for_run`](crate::budget::RunBudget::for_run) bounds
+//!   bucket epochs and light-relaxation rounds by the theoretical maximum
+//!   for a valid input, so malformed state surfaces as
+//!   [`SsspError::IterationLimitExceeded`] instead of a hang.
 //!
-//! [`crate::run::run_checked`] wires all three in front of every
+//! [`crate::run::run_checked`] wires them in front of every
 //! implementation.
 
 use std::fmt;
@@ -78,18 +79,16 @@ pub enum SsspError {
         /// What was wrong with the requested strategy.
         reason: String,
     },
-    /// The watchdog tripped: the run exceeded the epoch budget derived
-    /// from the theoretical maximum for a valid input. Indicates
-    /// malformed state (e.g. a negative-weight cycle smuggled past
-    /// validation) or a Δ so small the run is impractical.
+    /// The epoch budget tripped: the run exceeded the limit derived from
+    /// the theoretical maximum for a valid input. Indicates malformed
+    /// state (e.g. a negative-weight cycle smuggled past validation) or a
+    /// Δ so small the run is impractical.
     IterationLimitExceeded {
         /// Epochs (bucket + light-phase rounds) executed before tripping.
         ticks: u64,
         /// The budget that was exceeded.
         limit: u64,
-        /// Partial-result checkpoint captured at the trip point (absent
-        /// only when the bare [`Watchdog`] is used outside a
-        /// checkpoint-aware loop).
+        /// Partial-result checkpoint captured at the trip point.
         checkpoint: Option<Box<Checkpoint>>,
     },
     /// The run's [`CancelToken`](crate::budget::CancelToken) was flipped.
@@ -121,8 +120,8 @@ pub enum SsspError {
         /// The underlying I/O error.
         message: String,
     },
-    /// A worker task panicked during a parallel run and degradation to
-    /// the sequential path was disabled.
+    /// A run panicked on both rungs of the degradation ladder: the
+    /// requested kernels and the sequential retry.
     WorkerPanicked {
         /// Stringified panic payload.
         message: String,
@@ -131,8 +130,7 @@ pub enum SsspError {
 
 impl SsspError {
     /// The partial-result checkpoint carried by this error, when one was
-    /// captured (cancellation, deadline, and checkpoint-aware watchdog
-    /// trips).
+    /// captured (cancellation, deadline, and epoch-budget trips).
     pub fn checkpoint(&self) -> Option<&Checkpoint> {
         match self {
             SsspError::Cancelled { checkpoint } | SsspError::DeadlineExceeded { checkpoint } => {
@@ -232,7 +230,8 @@ impl fmt::Display for SsspError {
 
 impl std::error::Error for SsspError {}
 
-/// Tunables for [`preflight`] and [`Watchdog::for_run`].
+/// Tunables for [`preflight`] and
+/// [`RunBudget::for_run`](crate::budget::RunBudget::for_run).
 #[derive(Debug, Clone)]
 pub struct GuardConfig {
     /// When the caller's Δ is degenerate (zero, negative, NaN, infinite),
@@ -240,11 +239,7 @@ pub struct GuardConfig {
     /// with [`SsspError::InvalidDelta`]. Off by default: a garbage Δ
     /// usually signals a caller bug worth surfacing.
     pub delta_fallback: bool,
-    /// When a worker panics in a parallel implementation, re-run on the
-    /// sequential fused path instead of returning
-    /// [`SsspError::WorkerPanicked`]. On by default.
-    pub degrade_on_panic: bool,
-    /// Hard upper bound on watchdog epochs regardless of the derived
+    /// Hard upper bound on budget epochs regardless of the derived
     /// theoretical limit. Guards against Δ so small that the "valid"
     /// epoch count is itself astronomical.
     pub max_ticks: u64,
@@ -257,7 +252,6 @@ impl Default for GuardConfig {
     fn default() -> Self {
         GuardConfig {
             delta_fallback: false,
-            degrade_on_panic: true,
             max_ticks: 10_000_000,
             tick_slack: 64,
         }
@@ -326,93 +320,10 @@ pub fn reject_zero_weights(g: &CsrGraph, implementation: &'static str) -> Result
     Ok(())
 }
 
-/// An epoch counter with a budget. The delta-stepping loops call
-/// [`Watchdog::tick`] once per outer bucket epoch and once per inner
-/// light-relaxation round; on a valid input the total is bounded (see
-/// [`Watchdog::for_run`]), so exceeding the budget means the run cannot
-/// be making progress.
-#[derive(Debug, Clone)]
-pub struct Watchdog {
-    limit: u64,
-    ticks: u64,
-}
-
-impl Watchdog {
-    /// A watchdog with an explicit epoch budget.
-    pub fn with_limit(limit: u64) -> Self {
-        Watchdog { limit, ticks: 0 }
-    }
-
-    /// A watchdog that never trips — used by the unchecked entry points,
-    /// which keep their historical "garbage in, garbage out" contract.
-    pub fn unlimited() -> Self {
-        Watchdog::with_limit(u64::MAX)
-    }
-
-    /// Derive the epoch budget for running on `g` with bucket width
-    /// `delta`, from the theoretical maxima:
-    ///
-    /// * the largest finite distance is at most `(|V| − 1) · max_w`, so
-    ///   at most `⌈(|V| − 1) · max_w / Δ⌉ + 1` bucket indices exist (the
-    ///   unfused GraphBLAS loop visits every index up to the last
-    ///   non-empty one);
-    /// * each bucket is processed with one heavy phase and at most
-    ///   `|members| + 1` light phases, so light phases sum to at most
-    ///   `|V|` plus one per processed bucket.
-    ///
-    /// The combined bound, plus [`GuardConfig::tick_slack`], is clamped
-    /// to [`GuardConfig::max_ticks`].
-    pub fn for_run(g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> Self {
-        let n = g.num_vertices() as u64;
-        let max_path = g.num_vertices().saturating_sub(1) as f64 * g.max_weight();
-        let buckets = if delta > 0.0 && max_path.is_finite() {
-            let b = (max_path / delta).ceil();
-            if b >= u64::MAX as f64 {
-                u64::MAX
-            } else {
-                b as u64 + 1
-            }
-        } else {
-            u64::MAX
-        };
-        // Outer epochs + heavy phases + light phases, generously.
-        let derived = buckets
-            .saturating_mul(3)
-            .saturating_add(n)
-            .saturating_add(cfg.tick_slack);
-        Watchdog::with_limit(derived.min(cfg.max_ticks))
-    }
-
-    /// Record one epoch; fails once the budget is exhausted.
-    #[inline]
-    pub fn tick(&mut self) -> Result<(), SsspError> {
-        self.ticks += 1;
-        if self.ticks > self.limit {
-            Err(SsspError::IterationLimitExceeded {
-                ticks: self.ticks,
-                limit: self.limit,
-                checkpoint: None,
-            })
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Epochs recorded so far.
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// The epoch budget.
-    pub fn limit(&self) -> u64 {
-        self.limit
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphdata::gen::{grid2d, path};
+    use graphdata::gen::grid2d;
 
     fn grid() -> CsrGraph {
         CsrGraph::from_edge_list(&grid2d(4, 4)).unwrap()
@@ -493,35 +404,6 @@ mod tests {
         );
         let positive = CsrGraph::from_edge_list(&grid2d(3, 3)).unwrap();
         assert!(reject_zero_weights(&positive, "gblas").is_ok());
-    }
-
-    #[test]
-    fn watchdog_trips_at_limit() {
-        let mut wd = Watchdog::with_limit(3);
-        assert!(wd.tick().is_ok());
-        assert!(wd.tick().is_ok());
-        assert!(wd.tick().is_ok());
-        let err = wd.tick().unwrap_err();
-        assert_eq!(
-            err,
-            SsspError::IterationLimitExceeded {
-                ticks: 4,
-                limit: 3,
-                checkpoint: None
-            }
-        );
-        assert_eq!(wd.ticks(), 4);
-    }
-
-    #[test]
-    fn derived_limit_covers_real_runs() {
-        // A path graph maximises bucket count: n - 1 buckets at delta 1.
-        let g = CsrGraph::from_edge_list(&path(64)).unwrap();
-        let wd = Watchdog::for_run(&g, 1.0, &GuardConfig::default());
-        assert!(wd.limit() >= 3 * 64, "limit {} too small", wd.limit());
-        // Tiny delta explodes the derived bound; the hard cap clamps it.
-        let wd = Watchdog::for_run(&g, 1e-300, &GuardConfig::default());
-        assert_eq!(wd.limit(), GuardConfig::default().max_ticks);
     }
 
     #[test]

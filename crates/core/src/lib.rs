@@ -12,7 +12,7 @@
 //! | [`fused`] | the [`fused::LightHeavy`] split (`A_L` / `A_H`, fine-grained [`fused::LightHeavy::build_chunked`]) and the sequential classic front door |
 //! | [`reqbuf`], [`pull`] | the loop's relaxation kernels: contention-free request buffers (push) and the dense pull kernel |
 //! | [`engine`], [`split_cache`] | multi-run engine: the split cached per `(graph, Δ)`, the workspace reused across calls |
-//! | [`batch`] | many sources on one graph through a two-rung degradation ladder; a job is `{strategy, kernels}` ([`Kernels`]) |
+//! | [`batch`] | the one job door ([`batch::run_job`]: resume-or-fresh, the two-rung degradation ladder, checkpoint persistence; a job is `{strategy, kernels}`, [`Kernels`]) and the multi-source [`BatchRunner`] over it |
 //! | [`budget`], [`guard`] | deadline / cancellation / epoch budgets, preflight validation, the error taxonomy |
 //! | [`checkpoint`], [`manifest`] | certified partial results and their durable index |
 //! | [`delta`], [`result`], [`stats`], [`validate`] | Δ selection, the shared result type, counters and phase timing, the optimality certificate |
@@ -32,9 +32,12 @@
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
 //! which caches the light/heavy matrix split per `(graph, Δ)` and reuses
 //! the loop's workspace across calls: `run_stepping` is the one way to
-//! run, `resume_stepping` the one way to resume. [`batch::BatchRunner`]
-//! drives one engine per worker through its two-rung degradation ladder;
-//! the repro variants are not reachable from there.
+//! run, `resume_stepping` the one way to resume. [`batch::run_job`] runs
+//! one job on a caller's engine through the two-rung degradation ladder
+//! (the one place a run's panic is caught — `run_with_budget`'s pooled
+//! implementations use it too); [`batch::BatchRunner`] drives one engine
+//! per worker through it, and the repro variants are not reachable from
+//! there.
 //!
 //! All take a [`graphdata::CsrGraph`], a source vertex, and (where relevant)
 //! a Δ from [`delta::DeltaStrategy`], and return an [`SsspResult`] whose
@@ -81,7 +84,7 @@ pub use repro::{canonical, gblas_impl};
 pub use batch::{BatchConfig, BatchOutcome, BatchReport, BatchRunner, Kernels};
 pub use budget::{BudgetStop, CancelToken, ProgressGauge, RunBudget};
 pub use checkpoint::{Checkpoint, StopPoint};
-pub use guard::{GuardConfig, SsspError, Watchdog};
+pub use guard::{GuardConfig, SsspError};
 pub use manifest::{CheckpointManifest, ManifestEntry};
 pub use result::SsspResult;
 pub use run::{run_checked, run_with_budget, Implementation, RunReport};

@@ -140,9 +140,9 @@ pub fn delta_stepping_parallel_profiled(
 /// observes cancellation/deadlines at every epoch boundary, emitting a
 /// resumable checkpoint (this implementation is bit-identical to the
 /// fused loop, so its checkpoints resume on the fused/improved paths).
-/// Worker panics still propagate; wrap the call in
-/// [`taskpool::install_try`] (as [`crate::run::run_checked`] does) to
-/// convert them into errors.
+/// Worker panics still propagate; [`crate::run::run_checked`] runs this
+/// on the degradation ladder, which turns them into a classic sequential
+/// re-run.
 pub fn delta_stepping_parallel_checked(
     pool: &ThreadPool,
     g: &CsrGraph,

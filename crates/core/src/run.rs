@@ -10,10 +10,11 @@
 //!
 //! [`run_checked`] never panics and never hangs on the inputs the
 //! robustness test-suite throws at it: NaN or negative weights,
-//! out-of-range sources, degenerate Δ, and injected worker panics all
-//! come back as [`SsspError`] values (or, for worker panics with
-//! [`GuardConfig::degrade_on_panic`] set, as a successful run on the
-//! sequential fused fallback path, reported in [`RunReport::degraded`]).
+//! out-of-range sources and degenerate Δ come back as [`SsspError`]
+//! values, and the two pooled implementations run through the batch
+//! layer's degradation ladder, so a worker panic becomes a successful run
+//! on classic sequential stepping, reported in [`RunReport::degraded`]
+//! (or [`SsspError::WorkerPanicked`] if that panics too).
 //! [`run_with_budget`] is the same door with a caller-supplied
 //! [`RunBudget`], so deadlines and cancellation tokens reach every
 //! epoch boundary; when the budget stops a run mid-flight the error
@@ -22,8 +23,9 @@
 use std::str::FromStr;
 
 use graphdata::CsrGraph;
-use taskpool::{install_try, PoolError, ThreadPool};
+use taskpool::ThreadPool;
 
+use crate::batch::{ladder, JobOutcome, Kernels};
 use crate::budget::RunBudget;
 use crate::guard::{preflight, reject_zero_weights, GuardConfig, SsspError};
 use crate::result::SsspResult;
@@ -134,7 +136,7 @@ pub struct RunReport {
     /// The implementation requested.
     pub implementation: Implementation,
     /// `Some(panic message)` when a worker panicked and the run was
-    /// completed on the sequential fused fallback path instead.
+    /// completed on classic sequential stepping instead.
     pub degraded: Option<String>,
 }
 
@@ -145,9 +147,10 @@ pub struct RunReport {
 ///    fallback Δ when configured);
 /// 2. a [`RunBudget`] sized by [`RunBudget::for_run`] bounds bucket
 ///    epochs and light-relaxation rounds;
-/// 3. parallel implementations run inside [`taskpool::install_try`], so
-///    a panicking worker task becomes either a sequential fused re-run
-///    (default) or [`SsspError::WorkerPanicked`].
+/// 3. the two pooled implementations run on the batch layer's
+///    degradation ladder, so a panicking worker task becomes a re-run on
+///    classic sequential stepping, or [`SsspError::WorkerPanicked`] if
+///    the re-run panics too.
 ///
 /// `pool` is used only by the parallel implementations; `None` selects
 /// the process-global pool.
@@ -173,11 +176,10 @@ pub fn run_checked(
 /// improved) can be continued via
 /// [`crate::engine::SsspEngine::resume_stepping`].
 ///
-/// On a worker panic with [`GuardConfig::degrade_on_panic`] set, the
-/// sequential retry runs under [`RunBudget::retry_budget`]: watchdog
-/// ticks reset (the fallback gets a fresh epoch allowance) but the
-/// deadline and cancellation token carry over — a deadline is an SLO on
-/// the whole job, not per attempt.
+/// On a worker panic the sequential retry runs under
+/// [`RunBudget::retry_budget`]: epoch ticks reset (the fallback gets a
+/// fresh epoch allowance) but the deadline and cancellation token carry
+/// over — a deadline is an SLO on the whole job, not per attempt.
 #[allow(clippy::too_many_arguments)]
 pub fn run_with_budget(
     implementation: Implementation,
@@ -212,47 +214,49 @@ pub fn run_with_budget(
                 Some(p) => p,
                 None => taskpool::global(),
             };
-            let attempt = install_try(pool, || match implementation {
-                Implementation::Parallel => {
-                    parallel::delta_stepping_parallel_checked(pool, g, source, delta, budget)
+            match pooled_ladder(implementation, g, source, delta, pool, cfg, budget) {
+                JobOutcome::Complete { result, degraded, .. } => {
+                    Ok(RunReport { result, delta, implementation, degraded })
                 }
-                _ => stepping_checked(
-                    g,
-                    source,
-                    delta,
-                    SteppingStrategy::Classic,
-                    Some(pool),
-                    budget,
-                ),
-            });
-            match attempt {
-                Ok(inner) => inner.map(|(result, _)| report(result)),
-                Err(PoolError::TaskPanicked { message }) => {
-                    if !cfg.degrade_on_panic {
-                        return Err(SsspError::WorkerPanicked { message });
-                    }
-                    eprintln!(
-                        "sssp: worker panicked during '{}' run ({message}); \
-                         degrading to the sequential fused path",
-                        implementation.name()
-                    );
-                    // Fresh epoch allowance, same deadline and token:
-                    // the SLO does not reset because a worker died.
-                    let mut retry = budget.retry_budget(g, delta, cfg);
-                    stepping_checked(g, source, delta, SteppingStrategy::Classic, None, &mut retry)
-                        .map(|(result, _)| RunReport {
-                            result,
-                            delta,
-                            implementation,
-                            degraded: Some(message),
-                        })
+                JobOutcome::Partial { stop: error, .. } | JobOutcome::Failed { error } => {
+                    Err(error)
                 }
-                Err(other) => Err(SsspError::WorkerPanicked {
-                    message: other.to_string(),
-                }),
             }
         }
     }
+}
+
+/// The pooled arms on the degradation ladder: rung 1 is `implementation`
+/// on `pool` — the paper's task-parallel scheme or the loop's pooled
+/// kernels — and rung 2 is classic sequential stepping.
+fn pooled_ladder(
+    implementation: Implementation,
+    g: &CsrGraph,
+    source: usize,
+    delta: f64,
+    pool: &ThreadPool,
+    cfg: &GuardConfig,
+    budget: &mut RunBudget,
+) -> JobOutcome {
+    ladder(
+        Kernels::Pooled,
+        Some(pool),
+        None,
+        budget,
+        |budget| budget.retry_budget(g, delta, cfg),
+        |pool, budget| {
+            let (result, _) = match (implementation, pool) {
+                (Implementation::Parallel, Some(pool)) => {
+                    parallel::delta_stepping_parallel_checked(pool, g, source, delta, budget)?
+                }
+                (_, pool) => {
+                    stepping_checked(g, source, delta, SteppingStrategy::Classic, pool, budget)?
+                }
+            };
+            Ok((result, delta))
+        },
+        false,
+    )
 }
 
 #[cfg(test)]
@@ -428,31 +432,11 @@ mod tests {
     }
 
     #[test]
-    fn injected_worker_panic_becomes_error_when_degradation_off() {
-        let g = grid();
-        let _session = taskpool::fault::TestSession::begin();
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig {
-            degrade_on_panic: false,
-            ..GuardConfig::default()
-        };
-        taskpool::fault::arm_panic_after(0);
-        let outcome = run_checked(Implementation::Parallel, &g, 0, 1.0, Some(&pool), &cfg);
-        match outcome {
-            Err(SsspError::WorkerPanicked { message }) => {
-                assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-        assert!(pool.panicked_tasks() >= 1);
-    }
-
-    #[test]
     fn injected_worker_panic_degrades_to_certified_sequential_run() {
         let g = grid();
         let _session = taskpool::fault::TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig::default(); // degrade_on_panic: true
+        let cfg = GuardConfig::default();
         taskpool::fault::arm_panic_after(0);
         let report =
             run_checked(Implementation::ParallelImproved, &g, 0, 1.0, Some(&pool), &cfg)
@@ -464,6 +448,43 @@ mod tests {
         crate::validate::check_certificate(&g, &report.result, 1e-12)
             .expect("degraded result must still be optimal");
         assert_eq!(report.result.dist, dijkstra(&g, 0).dist);
+    }
+
+    /// The repro `parallel` row of
+    /// `batch::tests::ladder_degrades_fresh_and_resumed_jobs_alike` (only
+    /// this module may name `repro`), next to the loop's pooled kernels:
+    /// a pool panic on rung 1 lands on classic sequential stepping — its
+    /// stats, not just Dijkstra's distances — marked as a panic.
+    #[test]
+    fn pooled_arms_degrade_to_classic_sequential_through_the_ladder() {
+        let g = grid();
+        let cfg = GuardConfig::default();
+        let sequential = stepping_checked(
+            &g,
+            0,
+            1.0,
+            SteppingStrategy::Classic,
+            None,
+            &mut RunBudget::unlimited(),
+        )
+        .unwrap()
+        .0;
+        let _session = taskpool::fault::TestSession::begin();
+        let pool = ThreadPool::with_threads(2).unwrap();
+        for imp in [Implementation::Parallel, Implementation::ParallelImproved] {
+            taskpool::fault::arm_panic_after(0);
+            let mut budget = RunBudget::for_run(&g, 1.0, &cfg);
+            let outcome = pooled_ladder(imp, &g, 0, 1.0, &pool, &cfg, &mut budget);
+            taskpool::fault::disarm();
+            let JobOutcome::Complete { result, degraded, degraded_by_panic, .. } = outcome else {
+                panic!("{}: expected a degraded completion, got {outcome:?}", imp.name());
+            };
+            assert!(degraded_by_panic, "{}", imp.name());
+            let why = degraded.expect("rung 2 says why");
+            assert!(why.starts_with(taskpool::fault::INJECTED_PANIC_MESSAGE), "{why}");
+            assert_eq!(result.dist, sequential.dist, "{}", imp.name());
+            assert_eq!(result.stats, sequential.stats, "{}", imp.name());
+        }
     }
 
     #[test]

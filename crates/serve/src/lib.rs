@@ -1,8 +1,9 @@
-//! Resident SSSP service: a long-lived TCP front end over the batch
-//! engine ([`sssp_core::BatchRunner`]), where graphs are loaded once and
+//! Resident SSSP service: a long-lived TCP front end over the job door
+//! ([`sssp_core::batch::run_job`]), where graphs are loaded once and
 //! addressed by [`graphdata::CsrGraph::fingerprint`] across many
 //! requests — so the expensive artifacts (CSR build, light/heavy splits)
-//! amortise across a workload instead of being rebuilt per process.
+//! amortise across a workload instead of being rebuilt per process. Each
+//! request runs as one job on the engine worker that dequeued it.
 //!
 //! The crate is organised around a robustness spine:
 //!

@@ -14,9 +14,10 @@
 //!   [`AdmissionQueue`]. Overload is shed at submission time with a
 //!   deterministic backoff hint (see [`crate::queue`]); admitted jobs
 //!   never wait behind an unbounded backlog.
-//! - Each job runs under the [`BatchRunner`] degradation ladder (panic →
-//!   one sequential retry of the same strategy). A worker that observes a panic
-//!   degradation marks itself **poisoned** and retires; the
+//! - Each job runs through the job door [`batch::run_job`], on the
+//!   worker's own thread, under its degradation ladder (panic → one
+//!   sequential retry of the same strategy). A worker that observes a
+//!   panic degradation marks itself **poisoned** and retires; the
 //!   [`Supervisor`] respawns the slot with a fresh engine worker after
 //!   an exponential-backoff cooldown, so a latent parallel bug costs a
 //!   cooldown instead of degrading the slot for the process lifetime.
@@ -35,11 +36,14 @@
 //!
 //! With a checkpoint directory configured, each graph gets the subdir
 //! `<dir>/<fingerprint-hex>/` holding its `ckpt-<source>.bin` files and
-//! the `GBSSMAN1` manifest maintained in lockstep by the batch layer. A
-//! killed server restarted on the same directory resumes interrupted
-//! jobs from their manifests bit-identically — certified by matching
-//! [`crate::protocol::dist_digest`] values. Startup (and every resume)
-//! runs checkpoint **quarantine**: a torn manifest or corrupt
+//! the `GBSSMAN1` manifest, kept in lockstep with them through one live
+//! [`ManifestState`] per graph: its registry entry creates both on the
+//! graph's first job and every later job, on any worker, records into
+//! that one index. A killed server restarted on the same directory
+//! resumes interrupted jobs from their manifests bit-identically —
+//! certified by matching [`crate::protocol::dist_digest`] values.
+//! Startup (and every resume) runs checkpoint **quarantine**: a torn
+//! manifest or corrupt
 //! `ckpt-*.bin` is moved into the graph's `quarantine/` subdirectory
 //! and the manifest is rebuilt from the surviving valid files, so
 //! corruption costs one file, never the service.
@@ -47,18 +51,17 @@
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 // lint:allow(hot-path-lock): service control state is request-rate, not per-edge
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graphdata::CsrGraph;
-use sssp_core::{
-    BatchConfig, BatchOutcome, BatchRunner, CancelToken, GuardConfig, Kernels, ProgressGauge,
-    SsspError, SteppingStrategy,
-};
+use sssp_core::batch::{self, JobOutcome, ManifestState};
+use sssp_core::engine::SsspEngine;
+use sssp_core::{CancelToken, GuardConfig, Kernels, ProgressGauge, SsspError, SteppingStrategy};
 use taskpool::ThreadPool;
 
 use crate::lock;
@@ -143,6 +146,35 @@ struct Gauges {
     files_quarantined: u64,
 }
 
+/// A registry entry: a loaded graph and, under a checkpoint root, its
+/// checkpoint state — created by the graph's first job that needs it
+/// and shared by every later one, so concurrent workers record into one
+/// manifest instead of each saving its own copy over the others'.
+struct GraphEntry {
+    graph: CsrGraph,
+    checkpoints: OnceLock<ManifestState>,
+}
+
+impl GraphEntry {
+    fn new(graph: CsrGraph) -> Self {
+        GraphEntry { graph, checkpoints: OnceLock::new() }
+    }
+
+    /// The graph's checkpoint state: the subdir `<root>/<fingerprint-hex>/`
+    /// (fingerprints keep `ckpt-<source>.bin` names from colliding across
+    /// graphs) and its live manifest, created on first use. A directory
+    /// that cannot be created fails this job and is retried by the next.
+    fn checkpoints(&self, root: &Path, fingerprint: u64) -> Result<&ManifestState, String> {
+        if let Some(state) = self.checkpoints.get() {
+            return Ok(state);
+        }
+        let dir = root.join(format!("{fingerprint:016x}"));
+        std::fs::create_dir_all(&dir)
+            .map_err(|e| format!("cannot create checkpoint dir {}: {e}", dir.display()))?;
+        Ok(self.checkpoints.get_or_init(|| ManifestState::open(&dir).0))
+    }
+}
+
 /// One admitted job: the request plus the channel its handler waits on.
 struct Job {
     request: SsspRequest,
@@ -153,7 +185,7 @@ struct Shared {
     cfg: ServerConfig,
     // Registry reads/writes happen per request, never per edge.
     // lint:allow(hot-path-lock): graph registry is request-rate control state
-    graphs: Mutex<HashMap<u64, Arc<CsrGraph>>>,
+    graphs: Mutex<HashMap<u64, Arc<GraphEntry>>>,
     cache: Arc<sssp_core::SplitCache>,
     pool: Option<ThreadPool>,
     pool_degraded: Option<String>,
@@ -244,9 +276,10 @@ impl Shared {
     }
 }
 
-/// Run one admitted job on a worker. `poisoned` is the worker's sticky
-/// degradation state; `slot`/`generation` identify the worker to the
-/// supervisor for heartbeat registration.
+/// Run one admitted job on a worker, through the job door on this
+/// thread. `poisoned` is the worker's sticky degradation state;
+/// `slot`/`generation` identify the worker to the supervisor for
+/// heartbeat registration.
 fn run_job(
     shared: &Shared,
     req: &SsspRequest,
@@ -254,12 +287,13 @@ fn run_job(
     slot: usize,
     generation: u64,
 ) -> Response {
-    let Some(g) = lock::recover("graphs", &shared.graphs).get(&req.fingerprint).cloned() else {
+    let Some(entry) = lock::recover("graphs", &shared.graphs).get(&req.fingerprint).cloned() else {
         return Response::Error {
             code: code::UNKNOWN_GRAPH,
             message: format!("no loaded graph has fingerprint {:016x}", req.fingerprint),
         };
     };
+    let g = &entry.graph;
     if req.source >= g.num_vertices() {
         let err = SsspError::SourceOutOfBounds {
             source: req.source,
@@ -269,7 +303,7 @@ fn run_job(
     }
     let delta = req.delta.unwrap_or(shared.cfg.default_delta);
     let requested = req.implementation.unwrap_or(shared.cfg.default_impl);
-    let implementation = if poisoned.is_some() { Kernels::Sequential } else { requested };
+    let kernels = if poisoned.is_some() { Kernels::Sequential } else { requested };
     // A poisoned worker also drops any generalized strategy: its pinned
     // sequential-fused path is the classic family.
     let strategy = if poisoned.is_some() {
@@ -285,20 +319,11 @@ fn run_job(
     if let Some(epochs) = req.epochs {
         guard.max_ticks = epochs.max(1);
     }
-    // Per-graph checkpoint subdir: fingerprints keep `ckpt-<source>.bin`
-    // names from colliding across graphs, and each subdir carries its
-    // own manifest.
-    let checkpoint_dir = match shared.cfg.checkpoint_dir.as_ref() {
-        Some(root) => {
-            let dir = root.join(format!("{:016x}", req.fingerprint));
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                return Response::Error {
-                    code: code::JOB_FAILED,
-                    message: format!("cannot create checkpoint dir {}: {e}", dir.display()),
-                };
-            }
-            Some(dir)
-        }
+    let checkpoints = match shared.cfg.checkpoint_dir.as_deref() {
+        Some(root) => match entry.checkpoints(root, req.fingerprint) {
+            Ok(state) => Some(state),
+            Err(message) => return Response::Error { code: code::JOB_FAILED, message },
+        },
         None => None,
     };
     // Register with the heartbeat watchdog: the run publishes epoch
@@ -306,61 +331,43 @@ fn run_job(
     // cancel lever (stall verdicts, graceful drain).
     let token = CancelToken::new();
     let gauge = ProgressGauge::new();
-    shared.supervisor.job_started(
-        slot,
-        generation,
-        token.clone(),
-        gauge.clone(),
-        req.deadline_ms.map(Duration::from_millis),
-    );
+    let deadline = req.deadline_ms.map(Duration::from_millis);
+    shared.supervisor.job_started(slot, generation, token.clone(), gauge.clone(), deadline);
 
-    let runner = BatchRunner::new(BatchConfig {
-        implementation,
+    let job = batch::Job {
+        source: req.source,
+        kernels,
         delta,
         strategy,
-        workers: 1,
-        queue_capacity: 1,
-        deadline: req.deadline_ms.map(Duration::from_millis),
-        cancel: Some(token),
-        guard,
-        pool_threads: shared.cfg.pool_threads,
-        checkpoint_dir,
-        progress: Some(gauge),
-    });
-    let report = runner.run_shared(
-        &g,
-        &[req.source],
-        &shared.cache,
-        shared.pool.as_ref(),
-        shared.pool_degraded.clone(),
-    );
-    if !report.quarantined.is_empty() {
-        lock::recover("gauges", &shared.gauges).files_quarantined += report.quarantined.len() as u64;
-    }
-    let Some((_, outcome)) = report.jobs.into_iter().next() else {
-        return Response::Error {
-            code: code::JOB_FAILED,
-            message: "batch returned no outcome".into(),
-        };
+        guard: &guard,
+        deadline,
+        cancel: Some(&token),
+        progress: Some(&gauge),
     };
+    let mut engine = SsspEngine::with_cache(g, Arc::clone(&shared.cache));
+    let (pool, pool_unavailable) = (shared.pool.as_ref(), shared.pool_degraded.as_deref());
+    let outcome = batch::run_job(&mut engine, pool, pool_unavailable, &job, checkpoints);
+    if let Some(moved) = checkpoints.map(|c| c.take_quarantined().len()).filter(|&n| n > 0) {
+        lock::recover("gauges", &shared.gauges).files_quarantined += moved as u64;
+    }
     outcome_response(shared, req, poisoned, outcome)
 }
 
-/// Map one settled [`BatchOutcome`] to its wire response, applying the
+/// Map one settled [`JobOutcome`] to its wire response, applying the
 /// worker-poisoning policy and bumping the job gauges. Split from
-/// [`run_job`] so the poisoning and overload edges are unit-testable
-/// without driving a live engine into them.
+/// [`run_job`] so the poisoning edges are unit-testable without driving
+/// a live engine into them.
 fn outcome_response(
     shared: &Shared,
     req: &SsspRequest,
     poisoned: &mut Option<String>,
-    outcome: BatchOutcome,
+    outcome: JobOutcome,
 ) -> Response {
     match outcome {
-        BatchOutcome::Complete { result, delta, degraded, degraded_by_panic, resumed } => {
+        JobOutcome::Complete { result, delta, degraded, degraded_by_panic, resumed } => {
             // A panic-degraded completion poisons this worker: all later
             // jobs run sequential-fused with the notice attached. The
-            // batch layer's *typed* marker decides — a degradation
+            // ladder's *typed* marker decides — a degradation
             // notice that merely mentions "panic" must not poison.
             if degraded_by_panic && poisoned.is_none() {
                 if let Some(msg) = &degraded {
@@ -388,7 +395,7 @@ fn outcome_response(
                 full: req.full.then_some(result.dist),
             })
         }
-        BatchOutcome::Partial { stop, reason, saved_to } => {
+        JobOutcome::Partial { stop, reason, saved_to } => {
             lock::recover("gauges", &shared.gauges).jobs_partial += 1;
             let checkpoint = stop.checkpoint().expect("a partial outcome owns its checkpoint");
             Response::Partial(Partial {
@@ -402,7 +409,7 @@ fn outcome_response(
                 reason,
             })
         }
-        BatchOutcome::Failed { error } => {
+        JobOutcome::Failed { error } => {
             lock::recover("gauges", &shared.gauges).jobs_failed += 1;
             // Same typed-marker rule as above: an error whose *text*
             // contains "panic" (a checkpoint path, a user string) must
@@ -412,12 +419,6 @@ fn outcome_response(
                 lock::recover("gauges", &shared.gauges).degraded_workers += 1;
             }
             Response::Error { code: protocol::wire_code(&error), message: error.to_string() }
-        }
-        // The queue's live backoff hint is always ≥ 1 ms, so this reply
-        // can never collide with the shutdown sentinel `retry_after_ms
-        // == 0` the dispatch path reserves (see `dispatch`).
-        BatchOutcome::Rejected { .. } => {
-            Response::Overloaded { retry_after_ms: shared.queue.retry_hint() }
         }
     }
 }
@@ -446,7 +447,7 @@ fn handle_load(shared: &Shared, spec: &str) -> Response {
                 ),
             };
         }
-        graphs.insert(fingerprint, Arc::new(g));
+        graphs.insert(fingerprint, Arc::new(GraphEntry::new(g)));
     }
     Response::Loaded { fingerprint, vertices, edges }
 }
@@ -1068,23 +1069,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rejected_outcome_replies_with_a_live_hint_not_the_shutdown_sentinel() {
-        let shared = bare_shared(1);
-        let mut poisoned = None;
-        let resp = outcome_response(
-            &shared,
-            &dummy_request(),
-            &mut poisoned,
-            BatchOutcome::Rejected { queue_capacity: 1 },
-        );
-        let Response::Overloaded { retry_after_ms } = resp else {
-            panic!("expected Overloaded, got {resp:?}");
-        };
-        assert!(retry_after_ms >= 1, "0 is the shutdown sentinel; a rejection must never use it");
-        assert_eq!(retry_after_ms, shared.queue.retry_hint(), "hint comes from the queue formula");
-    }
-
     /// Every failure crossing the batch boundary answers with its solver
     /// wire code and display, and only the typed panic marker poisons:
     /// an error whose *text* says "panic" must not, and a job whose retry
@@ -1116,7 +1100,7 @@ mod tests {
                 &shared,
                 &dummy_request(),
                 &mut poisoned,
-                BatchOutcome::Failed { error },
+                JobOutcome::Failed { error },
             );
             assert_eq!(poisoned.is_some(), code == 20, "{message}");
             assert_eq!(resp, Response::Error { code, message });
@@ -1139,7 +1123,8 @@ mod tests {
             implementation: Some(Kernels::Pooled),
             ..dummy_request()
         };
-        lock::recover("graphs", &shared.graphs).insert(req.fingerprint, Arc::new(g));
+        let entry = Arc::new(GraphEntry::new(g));
+        lock::recover("graphs", &shared.graphs).insert(req.fingerprint, entry);
         let summary = |poisoned: &mut Option<String>| {
             match run_job(&shared, &req, poisoned, 0, 0) {
                 Response::Summary(s) => s,

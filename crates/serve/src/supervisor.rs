@@ -14,8 +14,8 @@
 //!
 //! * **healthy** — the worker serves the requested implementation.
 //! * **poisoned** — the worker saw a typed panic marker
-//!   ([`BatchOutcome`](sssp_core::BatchOutcome) `degraded_by_panic` /
-//!   `panicked`) and retired itself; no thread serves the slot while the
+//!   ([`JobOutcome`](sssp_core::batch::JobOutcome) `degraded_by_panic` /
+//!   `WorkerPanicked`) and retired itself; no thread serves the slot while the
 //!   exponential-backoff cooldown runs.
 //! * **recycled** — the supervisor spawned a fresh worker thread (new
 //!   generation) into the slot; service of the requested implementation

@@ -14,8 +14,6 @@
 //!   sub-range, each with its own result slot or reusable buffer, so there
 //!   is no shared lock on the completion path and results come back
 //!   deterministically in spawn order.
-//! * [`install_try`] — the outermost safety net: a panic escaping a
-//!   pool-based computation becomes a [`PoolError`] value.
 //! * [`fault`] / [`sched`] — test hooks: injected faults and seeded
 //!   schedule control, scoped to a [`fault::TestSession`].
 //!
@@ -49,7 +47,7 @@ pub use collect::{scope_collect, scope_with_buffers};
 pub use error::PoolError;
 pub use join::join;
 pub use pool::{global, ThreadPool};
-pub use scope::{install_try, scope, Scope};
+pub use scope::{scope, Scope};
 pub use split::split_evenly;
 
 #[cfg(test)]

@@ -15,7 +15,6 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::error::PoolError;
 use crate::pool::{Job, ThreadPool};
 
 /// A captured panic payload, as produced by [`catch_unwind`].
@@ -214,34 +213,6 @@ where
     }
 }
 
-/// Run `f` (typically a pool-based parallel computation) and convert any
-/// panic escaping it into [`PoolError::TaskPanicked`]. The outermost
-/// safety net: wraps code that uses [`scope`] internally without requiring
-/// it to be restructured. Scoped-task panics are already recorded in
-/// [`ThreadPool::panicked_tasks`] at the task boundary; this function
-/// only converts, it does not double-count.
-pub fn install_try<F, R>(pool: &ThreadPool, f: F) -> Result<R, PoolError>
-where
-    F: FnOnce() -> R,
-{
-    let _ = pool;
-    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| PoolError::TaskPanicked {
-        message: payload_message(payload.as_ref()),
-    })
-}
-
-/// Extract a human-readable message from a panic payload (`&str` and
-/// `String` payloads cover `panic!`, `assert!`, and friends).
-fn payload_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,30 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn install_try_converts_task_and_closure_panics() {
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let before = pool.panicked_tasks();
-        let result = install_try(&pool, || {
-            scope(&pool, |s| {
-                s.spawn(|| panic!("deep boom"));
-            });
-            42
-        });
-        match result {
-            Err(PoolError::TaskPanicked { message }) => assert_eq!(message, "deep boom"),
-            other => panic!("expected TaskPanicked, got {other:?}"),
-        }
-        assert_eq!(pool.panicked_tasks(), before + 1);
-        let result: Result<(), _> = install_try(&pool, || panic!("closure {}", "boom"));
-        match result {
-            Err(PoolError::TaskPanicked { message }) => assert_eq!(message, "closure boom"),
-            other => panic!("expected TaskPanicked, got {other:?}"),
-        }
-        let ok = install_try(&pool, || 42);
-        assert_eq!(ok, Ok(42));
-    }
-
-    #[test]
     fn injected_fault_hits_the_sessions_pools_and_no_other() {
         let neighbour = ThreadPool::with_threads(2).unwrap();
         let _session = crate::fault::TestSession::begin();
@@ -369,17 +316,16 @@ mod tests {
         scope(&neighbour, |s| {
             s.spawn(|| {});
         });
-        let result = install_try(&pool, || {
+        let payload = catch_unwind(AssertUnwindSafe(|| {
             scope(&pool, |s| {
                 s.spawn(|| {});
             })
-        });
-        match result {
-            Err(PoolError::TaskPanicked { message }) => {
-                assert_eq!(message, crate::fault::INJECTED_PANIC_MESSAGE);
-            }
-            other => panic!("expected injected TaskPanicked, got {other:?}"),
-        }
+        }))
+        .expect_err("the session's pool takes the injected panic");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some(crate::fault::INJECTED_PANIC_MESSAGE)
+        );
     }
 
     #[test]

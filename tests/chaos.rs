@@ -175,7 +175,7 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
     let g = chaos_graph();
     let reference = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
-    let cfg = GuardConfig::default(); // degrade_on_panic: true
+    let cfg = GuardConfig::default();
     for imp in [Implementation::Parallel, Implementation::ParallelImproved] {
         // Sweep the injection point across the first 24 spawned tasks;
         // beyond the run's task count the hook simply never fires.
