@@ -25,10 +25,11 @@
 //!    `lint:allow(hot-path-lock): <reason>` comment on the same or the
 //!    preceding line.
 //! 4. **`impl-coverage`** — every name accepted by
-//!    `Implementation::parse` maps to a variant dispatched inside
-//!    `run_with_budget`, and every canonical `name()` string appears as
-//!    a literal in `tests/determinism.rs`, so no implementation can be
-//!    reachable from the CLI without being in the determinism suite.
+//!    `Implementation::parse` maps to a variant dispatched inside the
+//!    figure door `run_checked`, and every canonical `name()` string
+//!    appears as a literal in `tests/determinism.rs`, so no figure
+//!    variant can be reachable from the CLI without being in the
+//!    determinism suite.
 //! 5. **`wire-code-coverage`** — the resident service's
 //!    `SsspError`-to-wire-code mapping (`wire_code` in
 //!    `crates/serve/src/protocol.rs`) names every `SsspError` variant
@@ -557,7 +558,7 @@ fn arm_literals(block: &str) -> Vec<(Vec<String>, String)> {
 /// determinism suite:
 ///
 /// - every enum variant is dispatched (`Implementation::<V>` appears in
-///   the `run_with_budget` body);
+///   the `run_checked` body);
 /// - every `parse()` alias maps to a dispatched variant;
 /// - every canonical `name()` literal appears quoted in
 ///   `tests/determinism.rs`.
@@ -575,7 +576,7 @@ pub fn lint_impl_coverage(run_rs: &SourceFile, determinism_src: &str) -> Vec<Fin
         });
     };
     let enum_line = marker_line(run_rs, "pub enum Implementation");
-    let dispatch_line = marker_line(run_rs, "pub fn run_with_budget");
+    let dispatch_line = marker_line(run_rs, "pub fn run_checked");
     let parse_line = marker_line(run_rs, "pub fn parse");
     let name_line = marker_line(run_rs, "pub fn name");
 
@@ -597,15 +598,15 @@ pub fn lint_impl_coverage(run_rs: &SourceFile, determinism_src: &str) -> Vec<Fin
     }
 
     // Dispatch body.
-    let dispatch = block_after(run_rs, "pub fn run_with_budget");
+    let dispatch = block_after(run_rs, "pub fn run_checked");
     if dispatch.is_empty() {
-        finding(dispatch_line, "could not locate `pub fn run_with_budget`".to_string());
+        finding(dispatch_line, "could not locate `pub fn run_checked`".to_string());
         return out;
     }
     for v in &variants {
         if !has_word(&dispatch, &format!("Implementation::{v}")) {
             finding(dispatch_line, format!(
-                "variant `{v}` is not dispatched inside run_with_budget"
+                "variant `{v}` is not dispatched inside run_checked"
             ));
         }
     }
@@ -630,7 +631,7 @@ pub fn lint_impl_coverage(run_rs: &SourceFile, determinism_src: &str) -> Vec<Fin
             ));
         } else if !has_word(&dispatch, &format!("Implementation::{v}")) {
             finding(parse_line, format!(
-                "parse() aliases {aliases:?} reach `{v}`, which run_with_budget never dispatches"
+                "parse() aliases {aliases:?} reach `{v}`, which run_checked never dispatches"
             ));
         }
     }
@@ -1543,7 +1544,7 @@ reason = "heuristic counter, never load-acquired"
         );
         assert!(lint_hot_path_locks(&ok).is_empty());
 
-        let elsewhere = sf("crates/core/src/repro/buckets.rs", "use std::sync::Mutex;\n");
+        let elsewhere = sf("crates/core/src/repro/canonical/buckets.rs", "use std::sync::Mutex;\n");
         assert!(lint_hot_path_locks(&elsewhere).is_empty());
 
         // The dense-pull kernel and the density oracle are hot paths too.
@@ -1566,27 +1567,27 @@ reason = "heuristic counter, never load-acquired"
     const MINI_RUN_RS: &str = r#"
 pub enum Implementation {
     Canonical,
-    Fused,
+    Parallel,
 }
 impl Implementation {
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "delta" | "canonical" => Some(Implementation::Canonical),
-            "fused" => Some(Implementation::Fused),
+            "parallel" => Some(Implementation::Parallel),
             _ => None,
         }
     }
     pub fn name(self) -> &'static str {
         match self {
             Implementation::Canonical => "canonical",
-            Implementation::Fused => "fused",
+            Implementation::Parallel => "parallel",
         }
     }
 }
-pub fn run_with_budget(imp: Implementation) {
+pub fn run_checked(imp: Implementation) {
     match imp {
         Implementation::Canonical => {}
-        Implementation::Fused => {}
+        Implementation::Parallel => {}
     }
 }
 "#;
@@ -1594,14 +1595,14 @@ pub fn run_with_budget(imp: Implementation) {
     #[test]
     fn impl_coverage_clean_on_complete_front_door() {
         let run = sf("crates/core/src/run.rs", MINI_RUN_RS);
-        let det = "let names = [\"canonical\", \"fused\"];";
+        let det = "let names = [\"canonical\", \"parallel\"];";
         assert!(lint_impl_coverage(&run, det).is_empty());
     }
 
     #[test]
     fn impl_coverage_flags_missing_dispatch_and_missing_test_literal() {
         let broken = MINI_RUN_RS.replace(
-            "        Implementation::Fused => {}\n    }\n}",
+            "        Implementation::Parallel => {}\n    }\n}",
             "        _ => {}\n    }\n}",
         );
         let run = sf("crates/core/src/run.rs", &broken);
@@ -1609,12 +1610,12 @@ pub fn run_with_budget(imp: Implementation) {
         let fs = lint_impl_coverage(&run, det);
         assert!(
             fs.iter()
-                .any(|f| f.message.contains("`Fused` is not dispatched")),
+                .any(|f| f.message.contains("`Parallel` is not dispatched")),
             "{fs:?}"
         );
         assert!(
             fs.iter()
-                .any(|f| f.message.contains("\"fused\" is not covered")),
+                .any(|f| f.message.contains("\"parallel\" is not covered")),
             "{fs:?}"
         );
     }

@@ -25,7 +25,7 @@ use graphdata::suite::Dataset;
 use graphdata::{gen, paper_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
 use sssp_core::stats::SsspStats;
-use sssp_core::{dijkstra, fused, Implementation, RunBudget};
+use sssp_core::{dijkstra, fused, Kernels, RunBudget};
 use taskpool::ThreadPool;
 
 use crate::bench_source;
@@ -189,7 +189,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
             directions: None,
         };
 
-        entries.push(entry(Implementation::Fused.name(), 1, fused_t, fu.stats.clone()));
+        entries.push(entry(Kernels::Sequential.name(), 1, fused_t, fu.stats.clone()));
 
         // Forced-push "before" datapoint: the same engine/cache-hot path
         // with the oracle pinned to push, so the auto row's win (or
@@ -226,12 +226,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
             },
             reps,
         );
-        let mut auto_entry = entry(
-            Implementation::ParallelImproved.name(),
-            threads,
-            ms(t),
-            im.stats.clone(),
-        );
+        let mut auto_entry = entry(Kernels::Pooled.name(), threads, ms(t), im.stats.clone());
         auto_entry.directions = Some(decisions);
         entries.push(auto_entry);
     }

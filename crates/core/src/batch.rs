@@ -8,9 +8,8 @@
 //! a persisted checkpoint when its directory holds one (`resume_stepping`)
 //! and runs it fresh otherwise (`preflight` + `run_stepping`), drives
 //! either through the degradation ladder, and persists a budget stop.
-//! The ladder is the one place a caught panic is handled — the pooled
-//! implementations of [`run_with_budget`](crate::run::run_with_budget)
-//! go through it too:
+//! The ladder is the one place a caught panic is handled, and the door
+//! is its only caller:
 //!
 //! 1. rung 1 runs on the requested kernels under a [`RunBudget`] carrying
 //!    the per-job deadline and [`CancelToken`];
@@ -34,7 +33,8 @@
 //! are **rejected**, not silently queued forever) drained by a small
 //! worker crew, each worker calling the door once per job. `sssp-serve`
 //! calls the door directly, once per request, on the worker thread that
-//! dequeued it.
+//! dequeued it, and the `sssp` CLI runs a single `fused` / `improved`
+//! source as one job through it, without a checkpoint directory.
 //!
 //! One batch, one graph, **one split**: every worker drives an
 //! [`SsspEngine`] over a shared [`SplitCache`], so a same-Δ batch builds
@@ -573,7 +573,7 @@ impl BatchRunner {
 /// calls it on `None` under `retry(budget)` after a caught panic, or
 /// under `budget` itself when pooled kernels have no pool. `resumed`
 /// is passed through to a completion.
-pub(crate) fn ladder(
+fn ladder(
     kernels: Kernels,
     pool: Option<&ThreadPool>,
     pool_unavailable: Option<&str>,
@@ -1020,9 +1020,7 @@ mod tests {
     /// the token cancelled meanwhile, panic on both rungs, pooled without
     /// a pool} × {classic, Δ*}. Rung-1 panics are the taskpool fault hook
     /// firing inside the pooled split build; the sequential rung has no
-    /// hook, so its panic is raised by the call the ladder is handed. The
-    /// repro `parallel` rung of `run_with_budget` has its row in
-    /// `run::tests::pooled_arms_degrade_to_classic_sequential_through_the_ladder`.
+    /// hook, so its panic is raised by the call the ladder is handed.
     #[test]
     fn ladder_degrades_fresh_and_resumed_jobs_alike() {
         #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,8 +1,8 @@
 //! Cooperative run budgets: deadline + cancellation + epoch limit.
 //!
-//! Every delta-stepping implementation calls [`RunBudget::check`] once
-//! per outer bucket epoch and once per inner light-relaxation round, so
-//! *all* stop conditions observe the same epoch granularity:
+//! The stepping loop calls [`RunBudget::check`] once per extraction and
+//! once per light-relaxation round, so *all* stop conditions observe the
+//! same epoch granularity:
 //!
 //! * **cancellation** — a [`CancelToken`] flipped from another thread
 //!   (an impatient caller, an admission controller shedding load);
@@ -12,13 +12,13 @@
 //!   maximum for a valid input ([`RunBudget::for_run`]), guarding against
 //!   malformed inputs that never converge.
 //!
-//! A tripped budget does not discard the work done so far: the
-//! implementations catch the [`BudgetStop`] and wrap the run state into a
+//! A tripped budget does not discard the work done so far: the loop
+//! catches the [`BudgetStop`] and wraps its state into a
 //! [`Checkpoint`](crate::checkpoint::Checkpoint) carried inside the
 //! returned [`SsspError`](crate::guard::SsspError), certifying every
-//! distance below the current bucket boundary as final (the
-//! delta-stepping settled-bucket invariant) and — on the frontier-based
-//! implementations — allowing a bit-identical resume.
+//! distance below the current bound as final (the delta-stepping
+//! settled-bucket invariant) and allowing a bit-identical resume. The
+//! paper-figure variants take no budget (see [`crate::run`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -154,9 +154,7 @@ impl RunBudget {
     /// `g` with bucket width `delta`:
     ///
     /// * the largest finite distance is at most `(|V| − 1) · max_w`, so
-    ///   at most `⌈(|V| − 1) · max_w / Δ⌉ + 1` bucket indices exist (the
-    ///   unfused GraphBLAS loop visits every index up to the last
-    ///   non-empty one);
+    ///   at most `⌈(|V| − 1) · max_w / Δ⌉ + 1` bucket indices exist;
     /// * each bucket is processed with one heavy phase and at most
     ///   `|members| + 1` light phases, so light phases sum to at most
     ///   `|V|` plus one per processed bucket.

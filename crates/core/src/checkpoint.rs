@@ -10,17 +10,17 @@
 //! records that bound, turning a partial run into a certified partial
 //! answer.
 //!
-//! The stepping loop ([`crate::stepping`], every strategy, pooled or
-//! not) and the paper's task scheme ([`crate::repro::parallel`]) additionally
-//! capture the exact loop state (current range, pending frontier,
-//! settled set of the current range, counters), so
+//! Every checkpoint a run emits comes from the one stepping loop
+//! ([`crate::stepping`], every strategy, pooled or not): it captures the
+//! exact loop state (current range, pending frontier, settled set of the
+//! current range, counters), so
 //! [`crate::engine::SsspEngine::resume_stepping`] can continue the run
 //! and land on **bit-identical distances and stats** versus an
-//! uninterrupted run. The canonical and GraphBLAS implementations emit
-//! distance-only checkpoints (`resumable == false`): their internal
-//! state (bucket queue, masked GraphBLAS vectors) does not map onto the
-//! frontier loop, so a resume could reproduce the distances but not
-//! their exact counter provenance.
+//! uninterrupted run. The format still carries an implementation tag and
+//! a `resumable` flag because files on disk do: older binaries wrote
+//! classic-loop checkpoints without a stepping section (still resumed, as
+//! classic from `bucket·Δ`) and distance-only ones (`resumable == false`)
+//! that the resume entry points refuse.
 
 use graphdata::io::bytes::ByteReader;
 
@@ -59,9 +59,9 @@ pub enum StopPoint {
 
 /// Loop state of the stepping loop (`crate::stepping`): the extraction
 /// strategy, the certified settled bound, and the current range's
-/// exclusive threshold. Checkpoints without one (`parallel`, canonical,
-/// gblas, and files from older binaries) are bounded by `bucket · Δ`;
-/// a resumable one is continued as classic from that bound.
+/// exclusive threshold. Checkpoints without one (files from older
+/// binaries) are bounded by `bucket · Δ`; a resumable one is continued
+/// as classic from that bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteppingState {
     /// The frontier-extraction strategy the run was using.
@@ -113,10 +113,10 @@ pub struct Checkpoint {
     /// [`StopPoint::BucketStart`]).
     pub settled: Vec<usize>,
     /// Whether the stepping loop can be resumed bit-identically from this
-    /// checkpoint (true for the loop itself and for `parallel`).
+    /// checkpoint: always for the loop's own, not for the distance-only
+    /// files older binaries wrote.
     pub resumable: bool,
-    /// Stepping-loop state; `None` for the other implementations and for
-    /// files written by older binaries.
+    /// Stepping-loop state; `None` for files written by older binaries.
     pub stepping: Option<SteppingState>,
 }
 
@@ -451,12 +451,11 @@ pub(crate) fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> std::io::Res
     Ok(())
 }
 
-/// Borrowed view of a running implementation's state, used to build a
-/// [`Checkpoint`] at the instant a [`BudgetStop`] fires.
+/// Borrowed view of the stepping loop's state, used to build a
+/// [`Checkpoint`] at the instant a [`BudgetStop`] fires. Its checkpoints
+/// are tagged `stepping` and always resumable.
 #[derive(Debug, Clone, Copy)]
 pub struct LiveState<'a> {
-    /// Emitting implementation's canonical name.
-    pub implementation: &'static str,
     /// Run source.
     pub source: usize,
     /// Run Δ.
@@ -473,18 +472,15 @@ pub struct LiveState<'a> {
     pub frontier: &'a [usize],
     /// Settled set of the current bucket (empty at bucket start).
     pub settled: &'a [usize],
-    /// Whether this implementation's checkpoints support bit-identical
-    /// resume.
-    pub resumable: bool,
-    /// Stepping-loop state (`None` for the other implementations).
-    pub stepping: Option<SteppingState>,
+    /// Strategy, certified bound and current range of the loop.
+    pub stepping: SteppingState,
 }
 
 impl LiveState<'_> {
     /// Snapshot the live state into an owned [`Checkpoint`].
     pub fn capture(&self) -> Checkpoint {
         Checkpoint {
-            implementation: self.implementation,
+            implementation: "stepping",
             source: self.source,
             delta: self.delta,
             dist: self.dist.to_vec(),
@@ -493,8 +489,8 @@ impl LiveState<'_> {
             stop_point: self.stop_point,
             frontier: self.frontier.to_vec(),
             settled: self.settled.to_vec(),
-            resumable: self.resumable,
-            stepping: self.stepping,
+            resumable: true,
+            stepping: Some(self.stepping),
         }
     }
 
@@ -717,7 +713,6 @@ mod tests {
         let frontier = [2usize];
         let settled = [1usize];
         let live = LiveState {
-            implementation: "improved",
             source: 0,
             delta: 1.0,
             dist: &dist,
@@ -726,8 +721,11 @@ mod tests {
             stop_point: StopPoint::LightPhase,
             frontier: &frontier,
             settled: &settled,
-            resumable: true,
-            stepping: None,
+            stepping: SteppingState {
+                strategy: SteppingStrategy::Classic,
+                bound: 1.0,
+                threshold: 2.0,
+            },
         };
         match live.stop(BudgetStop::Cancelled) {
             SsspError::Cancelled { checkpoint } => {
@@ -740,7 +738,8 @@ mod tests {
         }
         match live.stop(BudgetStop::IterationLimit { ticks: 7, limit: 6 }) {
             SsspError::IterationLimitExceeded { ticks: 7, limit: 6, checkpoint: Some(cp) } => {
-                assert_eq!(cp.implementation, "improved");
+                assert_eq!(cp.implementation, "stepping");
+                assert!(cp.resumable);
             }
             other => panic!("expected IterationLimitExceeded, got {other:?}"),
         }

@@ -54,7 +54,7 @@ use crate::budget::RunBudget;
 use crate::engine::SsspEngine;
 use crate::guard::{GuardConfig, SsspError};
 use crate::result::SsspResult;
-use crate::run::{run_with_budget, Implementation};
+use crate::run::{run_checked, Implementation};
 use crate::stats::SsspStats;
 use crate::stepping::{delta_stepping_strategy, SteppingStrategy};
 
@@ -185,7 +185,7 @@ fn bits(dist: &[f64]) -> Vec<u64> {
 /// every schedule. `reference` was computed outside the tracing session
 /// with the scheduler disarmed; with `pin_stats` its counters are part
 /// of the contract, otherwise stats only have to agree across seeds.
-/// `run` returns `None` when the run failed or degraded.
+/// `run` returns `None` when the run failed.
 fn explore_schedules(
     reference: &SsspResult,
     pin_stats: bool,
@@ -234,11 +234,12 @@ fn explore_schedules(
     report
 }
 
-/// Every implementation behind the checked front door: distances must
-/// equal the sequential fused reference bit for bit on every schedule,
-/// and stats must agree across seeds (the paper-reproduction variants
-/// count phases differently from fused, so the reference's counters are
-/// not pinned here).
+/// Every figure variant behind [`run_checked`]: distances must equal the
+/// sequential fused reference bit for bit on every schedule, and stats
+/// must agree across seeds (the figure variants count phases differently
+/// from fused, so the reference's counters are not pinned here). The two
+/// pooled variants are concurrent code whoever calls them; the stepping
+/// loop's pooled kernels are [`explore_strategy`]'s.
 pub fn explore(
     imp: Implementation,
     g: &CsrGraph,
@@ -249,18 +250,9 @@ pub fn explore(
 ) -> ExploreReport {
     let reference = crate::fused::delta_stepping_fused(g, source, delta);
     explore_schedules(&reference, false, cfg, session, |pool| {
-        run_with_budget(
-            imp,
-            g,
-            source,
-            delta,
-            Some(pool),
-            &GuardConfig::default(),
-            &mut RunBudget::unlimited(),
-        )
-        .ok()
-        .filter(|rep| rep.degraded.is_none())
-        .map(|rep| rep.result)
+        run_checked(imp, g, source, delta, Some(pool), &GuardConfig::default())
+            .ok()
+            .map(|(result, _)| result)
     })
 }
 
@@ -325,14 +317,14 @@ mod tests {
     use graphdata::gen::grid2d;
 
     #[test]
-    fn smoke_explore_improved_is_clean() {
+    fn smoke_explore_parallel_is_clean() {
         let g = CsrGraph::from_edge_list(&grid2d(5, 5)).unwrap();
         let cfg = ExploreConfig {
             seeds: 0..3,
             ..ExploreConfig::default()
         };
         let session = TestSession::begin();
-        let report = explore(Implementation::ParallelImproved, &g, 0, 1.0, &cfg, &session);
+        let report = explore(Implementation::Parallel, &g, 0, 1.0, &cfg, &session);
         assert_eq!(report.schedules, 3);
         assert!(
             report.is_clean(),

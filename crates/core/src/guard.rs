@@ -1,7 +1,7 @@
 //! The hardened execution layer: error taxonomy and preflight input
 //! validation.
 //!
-//! The five delta-stepping implementations in this crate follow the
+//! The delta-stepping implementations in this crate follow the
 //! paper's contract — finite non-negative weights, an in-range source,
 //! and a positive finite Δ — and historically enforced it with `assert!`
 //! (or, for inputs that slip past the asserts, by looping forever: a
@@ -18,8 +18,9 @@
 //!   for a valid input, so malformed state surfaces as
 //!   [`SsspError::IterationLimitExceeded`] instead of a hang.
 //!
-//! [`crate::run::run_checked`] wires them in front of every
-//! implementation.
+//! Both single-run doors wire them in: [`crate::batch::run_job`] in
+//! front of the stepping loop, [`crate::run::run_checked`] in front of
+//! the paper-figure variants.
 
 use std::fmt;
 

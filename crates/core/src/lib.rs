@@ -21,23 +21,24 @@
 //! **The paper reproduction** — [`repro`]: the canonical bucket algorithm
 //! (Fig. 1), the unfused GraphBLAS listing (Fig. 2) and its `select` /
 //! parallel-library variants, the OpenMP-task scheme (Sec. VI-C) and the
-//! Fig. 4 schedule simulator. The figures need every one of them; the
-//! serving half runs none. [`run::run_with_budget`] is the only module
-//! that crosses the line: the checked single-run door to the five-way
-//! [`Implementation`] (three `repro` variants plus the loop's sequential
-//! and pooled classic kernels), which [`explore`] permutes under the
-//! race checker. `canonical` and `gblas_impl` are also re-exported at
-//! the crate root, where the frozen benchmark harness names them.
+//! Fig. 4 schedule simulator. This is figure code: the figures need every
+//! one of them, the serving half runs none, and none takes a budget,
+//! emits a checkpoint or degrades. [`run`] is the only module that
+//! crosses the line: [`run::run_checked`] is the figure door to the five
+//! variants the CLI can name ([`Implementation`]), which [`explore`]
+//! permutes under the race checker. `canonical` and `gblas_impl` are
+//! also re-exported at the crate root, where the frozen benchmark harness
+//! names them.
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
 //! which caches the light/heavy matrix split per `(graph, Δ)` and reuses
 //! the loop's workspace across calls: `run_stepping` is the one way to
 //! run, `resume_stepping` the one way to resume. [`batch::run_job`] runs
 //! one job on a caller's engine through the two-rung degradation ladder
-//! (the one place a run's panic is caught — `run_with_budget`'s pooled
-//! implementations use it too); [`batch::BatchRunner`] drives one engine
-//! per worker through it, and the repro variants are not reachable from
-//! there.
+//! (the one place a run's panic is caught); [`batch::BatchRunner`] drives
+//! one engine per worker through it, the CLI runs a single `fused` /
+//! `improved` source as one job through it, and the repro variants are
+//! not reachable from there.
 //!
 //! All take a [`graphdata::CsrGraph`], a source vertex, and (where relevant)
 //! a Δ from [`delta::DeltaStrategy`], and return an [`SsspResult`] whose
@@ -87,7 +88,7 @@ pub use checkpoint::{Checkpoint, StopPoint};
 pub use guard::{GuardConfig, SsspError};
 pub use manifest::{CheckpointManifest, ManifestEntry};
 pub use result::SsspResult;
-pub use run::{run_checked, run_with_budget, Implementation, RunReport};
+pub use run::{run_checked, Implementation};
 pub use split_cache::{SplitCache, SplitCacheStats};
 pub use stats::SsspStats;
 pub use stepping::SteppingStrategy;

@@ -7,12 +7,11 @@
 
 use graphdata::CsrGraph;
 
-use super::buckets::BucketQueue;
-use crate::budget::RunBudget;
-use crate::checkpoint::{LiveState, StopPoint};
+use self::buckets::BucketQueue;
 use crate::delta::bucket_of;
-use crate::guard::SsspError;
 use crate::result::SsspResult;
+
+mod buckets;
 
 /// Per-vertex light/heavy adjacency (the `light(v)` / `heavy(v)` sets of
 /// Sec. III-A).
@@ -60,34 +59,8 @@ fn relax(
 /// Meyer–Sanders delta-stepping with explicit buckets.
 pub fn delta_stepping_canonical(g: &CsrGraph, source: usize, delta: f64) -> SsspResult {
     assert!(delta > 0.0 && delta.is_finite(), "delta must be positive and finite");
-    delta_stepping_canonical_checked(g, source, delta, &mut RunBudget::unlimited())
-        .expect("inputs asserted valid and the budget is unlimited")
-}
-
-/// [`delta_stepping_canonical`] under a [`RunBudget`]: returns
-/// [`SsspError`] instead of panicking on a bad Δ or source, trips the
-/// epoch budget instead of looping forever on malformed weight data, and
-/// observes cancellation/deadlines at every epoch boundary. Checkpoints
-/// carry the `settled_below` certificate but are **not resumable**: the
-/// canonical formulation counts work differently from the frontier
-/// family (relaxations per request), so its counters cannot be continued
-/// on the fused loop.
-pub fn delta_stepping_canonical_checked(
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-) -> Result<SsspResult, SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
     let n = g.num_vertices();
-    if source >= n {
-        return Err(SsspError::SourceOutOfBounds {
-            source,
-            num_vertices: n,
-        });
-    }
+    assert!(source < n, "source out of bounds");
     let adj = SplitAdjacency::build(g, delta);
     let mut result = SsspResult::init(n, source);
     let mut buckets = BucketQueue::new(n);
@@ -96,22 +69,6 @@ pub fn delta_stepping_canonical_checked(
 
     let mut requests: Vec<(usize, f64)> = Vec::new();
     while let Some(i) = buckets.min_bucket() {
-        if let Err(stop) = budget.check() {
-            return Err(LiveState {
-                implementation: "canonical",
-                source,
-                delta,
-                dist: &result.dist,
-                stats: &result.stats,
-                bucket: i,
-                stop_point: StopPoint::BucketStart,
-                frontier: &[],
-                settled: &[],
-                resumable: false,
-                stepping: None,
-            }
-            .stop(stop));
-        }
         result.stats.buckets_processed += 1;
         // S: vertices that have left bucket i this round (deleted set).
         let mut settled: Vec<usize> = Vec::new();
@@ -120,25 +77,6 @@ pub fn delta_stepping_canonical_checked(
             let batch = buckets.take_bucket(i);
             if batch.is_empty() {
                 break;
-            }
-            if let Err(stop) = budget.check() {
-                // The batch has already left the bucket queue, so this
-                // checkpoint is informational only (not resumable) — but
-                // the distances and the settled_below bound stay valid.
-                return Err(LiveState {
-                    implementation: "canonical",
-                    source,
-                    delta,
-                    dist: &result.dist,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::LightPhase,
-                    frontier: &batch,
-                    settled: &settled,
-                    resumable: false,
-                    stepping: None,
-                }
-                .stop(stop));
             }
             result.stats.light_phases += 1;
             // Req = {(w, tent(v) + c(v, w)) : v ∈ B[i], (v, w) light}
@@ -167,7 +105,7 @@ pub fn delta_stepping_canonical_checked(
             relax(v, x, delta, &mut result, &mut buckets);
         }
     }
-    Ok(result)
+    result
 }
 
 #[cfg(test)]
@@ -242,64 +180,6 @@ mod tests {
     fn rejects_bad_delta() {
         let g = CsrGraph::from_edge_list(&path(2)).unwrap();
         delta_stepping_canonical(&g, 0, 0.0);
-    }
-
-    #[test]
-    fn checked_rejects_bad_inputs_and_trips_watchdog() {
-        let g = CsrGraph::from_edge_list(&path(8)).unwrap();
-        let budget = &mut RunBudget::unlimited();
-        assert!(matches!(
-            delta_stepping_canonical_checked(&g, 0, 0.0, budget),
-            Err(SsspError::InvalidDelta { .. })
-        ));
-        assert!(matches!(
-            delta_stepping_canonical_checked(&g, 42, 1.0, budget),
-            Err(SsspError::SourceOutOfBounds { .. })
-        ));
-        // A path of 8 vertices needs 7 bucket epochs at delta 1; budget 2
-        // cannot cover it.
-        let mut tight = RunBudget::with_limit(2);
-        assert!(matches!(
-            delta_stepping_canonical_checked(&g, 0, 1.0, &mut tight),
-            Err(SsspError::IterationLimitExceeded { .. })
-        ));
-        // A negative-weight cycle (inexpressible via from_edge_list) would
-        // otherwise loop forever: distances keep improving.
-        let cyc = CsrGraph::from_raw_parts_unchecked(
-            2,
-            vec![0, 1, 2],
-            vec![1, 0],
-            vec![1.0, -2.0],
-        );
-        let mut budget = RunBudget::with_limit(1000);
-        assert!(matches!(
-            delta_stepping_canonical_checked(&cyc, 0, 1.0, &mut budget),
-            Err(SsspError::IterationLimitExceeded { .. })
-        ));
-    }
-
-    #[test]
-    fn checked_matches_unchecked_on_valid_input() {
-        let g = CsrGraph::from_edge_list(&grid2d(5, 5)).unwrap();
-        let plain = delta_stepping_canonical(&g, 0, 1.0);
-        let mut budget = RunBudget::for_run(&g, 1.0, &crate::guard::GuardConfig::default());
-        let checked = delta_stepping_canonical_checked(&g, 0, 1.0, &mut budget).unwrap();
-        assert_eq!(plain.dist, checked.dist);
-        assert!(budget.ticks() > 0);
-    }
-
-    #[test]
-    fn cancellation_checkpoint_is_certified_but_not_resumable() {
-        let g = CsrGraph::from_edge_list(&path(10)).unwrap();
-        let full = delta_stepping_canonical(&g, 0, 1.0);
-        let err =
-            delta_stepping_canonical_checked(&g, 0, 1.0, &mut RunBudget::unlimited().cancel_after(5))
-                .unwrap_err();
-        let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-        assert!(!cp.resumable);
-        for (v, d) in cp.settled_distances() {
-            assert_eq!(d.to_bits(), full.dist[v].to_bits(), "vertex {v}");
-        }
     }
 
     #[test]

@@ -59,7 +59,8 @@ impl BucketQueue {
     }
 
     /// True when no bucket holds any vertex.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.queued == 0
     }
 
@@ -75,7 +76,8 @@ impl BucketQueue {
     }
 
     /// Whether vertex `v` is currently queued, and where.
-    pub fn bucket_of(&self, v: usize) -> Option<usize> {
+    #[cfg(test)]
+    fn bucket_of(&self, v: usize) -> Option<usize> {
         self.location[v].map(|(b, _)| b)
     }
 
@@ -180,7 +182,8 @@ impl BucketQueue {
     }
 
     /// Number of queued vertices across all buckets.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.queued
     }
 }

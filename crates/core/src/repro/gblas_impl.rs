@@ -22,9 +22,6 @@ use gblas::ops::{self, semiring, FnUnary, Identity, LOr, Lt, Min};
 use gblas::{Descriptor, Matrix, Vector};
 use graphdata::CsrGraph;
 
-use crate::budget::RunBudget;
-use crate::checkpoint::{LiveState, StopPoint};
-use crate::guard::SsspError;
 use crate::result::SsspResult;
 
 /// Build `A_L` and `A_H` from the adjacency matrix with the two-apply
@@ -80,33 +77,6 @@ pub fn sssp_delta_step(a: &Matrix<f64>, delta: f64, src: usize) -> SsspResult {
         "gblas delta-stepping requires strictly positive weights \
          (t_Req is used as a value mask, Sec. V-B)"
     );
-    sssp_delta_step_checked(a, delta, src, &mut RunBudget::unlimited())
-        .expect("inputs asserted valid and the budget is unlimited")
-}
-
-/// [`sssp_delta_step`] under a [`RunBudget`]: returns [`SsspError`]
-/// instead of panicking on a bad Δ or source, and observes
-/// cancellation/deadlines at every epoch boundary. The outer loop of
-/// Fig. 2 visits *every* bucket index up to the last non-empty one, so an
-/// impractically small Δ trips the epoch budget here even on valid
-/// inputs. Checkpoints carry the `settled_below` certificate but are
-/// **not resumable**: the GraphBLAS formulation's masked-vector state and
-/// nvals-based counters do not map onto the frontier loop.
-pub fn sssp_delta_step_checked(
-    a: &Matrix<f64>,
-    delta: f64,
-    src: usize,
-    budget: &mut RunBudget,
-) -> Result<SsspResult, SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    if a.nrows() != a.ncols() || src >= a.nrows() {
-        return Err(SsspError::SourceOutOfBounds {
-            source: src,
-            num_vertices: a.nrows().min(a.ncols()),
-        });
-    }
     let n = a.nrows();
     let clear = Descriptor::replace(); // the paper's clear_desc
     let null = Descriptor::new(); // GrB_NULL descriptor
@@ -132,41 +102,12 @@ pub fn sssp_delta_step_checked(
     // init i = 0 (line 24).
     let mut i: usize = 0;
 
-    // Outer loop: while (t .>= i*delta) != 0 (lines 27-30).
-    // Snapshot the sparse t over the dense init state for checkpointing.
-    let stop_with = |stop: crate::budget::BudgetStop,
-                     t: &Vector<f64>,
-                     result: &SsspResult,
-                     bucket: usize,
-                     stop_point: StopPoint| {
-        let mut dist = result.dist.clone();
-        for (v, d) in t.iter() {
-            dist[v] = d;
-        }
-        LiveState {
-            implementation: "gblas",
-            source: src,
-            delta,
-            dist: &dist,
-            stats: &result.stats,
-            bucket,
-            stop_point,
-            frontier: &[],
-            settled: &[],
-            resumable: false,
-            stepping: None,
-        }
-        .stop(stop)
-    };
-
     let min_plus = semiring::min_plus_f64();
     // Pre-transposed A_L for dense (pull) epochs — built lazily on the
     // first pull decision and reused for the rest of the run.
     let mut alt: Option<Matrix<f64>> = None;
+    // Outer loop: while (t .>= i*delta) != 0 (lines 27-30).
     loop {
-        if let Err(stop) = budget.check() {
-            return Err(stop_with(stop, &t, &result, i, StopPoint::BucketStart));
-        }
         let i_delta = i as f64 * delta;
         let delta_i_geq = FnUnary::new(move |x: f64| x >= i_delta);
         ops::vector_apply(&mut t_geq, None, None, &delta_i_geq, &t, clear).expect("sized alike");
@@ -204,9 +145,6 @@ pub fn sssp_delta_step_checked(
 
         // Inner loop: while tBi != 0 (lines 40-57).
         while t_masked.nvals() > 0 {
-            if let Err(stop) = budget.check() {
-                return Err(stop_with(stop, &t, &result, i, StopPoint::LightPhase));
-            }
             result.stats.light_phases += 1;
             // tReq = A_L' (min.+) (t .* tBi)  (line 43). Sparse frontiers
             // run the push `vxm`; dense ones (per the shared density
@@ -299,25 +237,13 @@ pub fn sssp_delta_step_checked(
     for (v, d) in t.iter() {
         result.dist[v] = d;
     }
-    Ok(result)
+    result
 }
 
 /// Convenience wrapper taking a [`CsrGraph`] like the other implementations.
 pub fn delta_stepping_gblas(g: &CsrGraph, source: usize, delta: f64) -> SsspResult {
     let a = g.to_adjacency();
     sssp_delta_step(&a, delta, source)
-}
-
-/// [`delta_stepping_gblas`] under a [`RunBudget`].
-pub fn delta_stepping_gblas_checked(
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-) -> Result<SsspResult, SsspError> {
-    crate::guard::reject_zero_weights(g, "gblas")?;
-    let a = g.to_adjacency();
-    sssp_delta_step_checked(&a, delta, source, budget)
 }
 
 #[cfg(test)]
@@ -400,53 +326,6 @@ mod tests {
         let el = EdgeList::from_triples(vec![(0, 1, 0.0)]);
         let g = CsrGraph::from_edge_list(&el).unwrap();
         delta_stepping_gblas(&g, 0, 1.0);
-    }
-
-    #[test]
-    fn checked_rejects_bad_inputs_and_trips_watchdog() {
-        let g = CsrGraph::from_edge_list(&path(8)).unwrap();
-        assert!(matches!(
-            delta_stepping_gblas_checked(&g, 0, -1.0, &mut RunBudget::unlimited()),
-            Err(SsspError::InvalidDelta { .. })
-        ));
-        assert!(matches!(
-            delta_stepping_gblas_checked(&g, 8, 1.0, &mut RunBudget::unlimited()),
-            Err(SsspError::SourceOutOfBounds { .. })
-        ));
-        let zero = CsrGraph::from_edge_list(&EdgeList::from_triples(vec![(0, 1, 0.0)])).unwrap();
-        assert!(matches!(
-            delta_stepping_gblas_checked(&zero, 0, 1.0, &mut RunBudget::unlimited()),
-            Err(SsspError::ZeroWeightUnsupported { .. })
-        ));
-        let mut tight = RunBudget::with_limit(2);
-        assert!(matches!(
-            delta_stepping_gblas_checked(&g, 0, 1.0, &mut tight),
-            Err(SsspError::IterationLimitExceeded { .. })
-        ));
-    }
-
-    #[test]
-    fn checked_matches_unchecked_on_valid_input() {
-        let g = CsrGraph::from_edge_list(&grid2d(4, 4)).unwrap();
-        let plain = delta_stepping_gblas(&g, 0, 1.0);
-        let mut budget = RunBudget::for_run(&g, 1.0, &crate::guard::GuardConfig::default());
-        let checked = delta_stepping_gblas_checked(&g, 0, 1.0, &mut budget).unwrap();
-        assert_eq!(plain.dist, checked.dist);
-    }
-
-    #[test]
-    fn cancellation_checkpoint_certifies_settled_distances() {
-        let g = CsrGraph::from_edge_list(&path(10)).unwrap();
-        let full = delta_stepping_gblas(&g, 0, 1.0);
-        let err =
-            delta_stepping_gblas_checked(&g, 0, 1.0, &mut RunBudget::unlimited().cancel_after(6))
-                .unwrap_err();
-        let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
-        assert!(!cp.resumable);
-        assert!(cp.settled_count() > 0);
-        for (v, d) in cp.settled_distances() {
-            assert_eq!(d.to_bits(), full.dist[v].to_bits(), "vertex {v}");
-        }
     }
 
     #[test]

@@ -17,11 +17,8 @@ use std::time::Instant;
 use graphdata::CsrGraph;
 use taskpool::{join, scope_collect, split_evenly, ThreadPool};
 
-use crate::budget::RunBudget;
-use crate::checkpoint::{LiveState, StopPoint};
 use crate::delta::bucket_of;
 use crate::fused::LightHeavy;
-use crate::guard::SsspError;
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
 use crate::INF;
@@ -122,7 +119,8 @@ pub fn delta_stepping_parallel(
     delta_stepping_parallel_profiled(pool, g, source, delta).0
 }
 
-/// [`delta_stepping_parallel`] with phase timing.
+/// [`delta_stepping_parallel`] with phase timing. A worker panic
+/// propagates to the caller.
 pub fn delta_stepping_parallel_profiled(
     pool: &ThreadPool,
     g: &CsrGraph,
@@ -130,36 +128,8 @@ pub fn delta_stepping_parallel_profiled(
     delta: f64,
 ) -> (SsspResult, PhaseProfile) {
     assert!(delta > 0.0 && delta.is_finite(), "delta must be positive and finite");
-    delta_stepping_parallel_checked(pool, g, source, delta, &mut RunBudget::unlimited())
-        .expect("inputs asserted valid and the budget is unlimited")
-}
-
-/// [`delta_stepping_parallel`] under a [`RunBudget`]: returns
-/// [`SsspError`] instead of panicking on a bad Δ or source, trips the
-/// epoch budget instead of looping forever on malformed weight data, and
-/// observes cancellation/deadlines at every epoch boundary, emitting a
-/// resumable checkpoint (this implementation is bit-identical to the
-/// fused loop, so its checkpoints resume on the fused/improved paths).
-/// Worker panics still propagate; [`crate::run::run_checked`] runs this
-/// on the degradation ladder, which turns them into a classic sequential
-/// re-run.
-pub fn delta_stepping_parallel_checked(
-    pool: &ThreadPool,
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-    budget: &mut RunBudget,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
     let n = g.num_vertices();
-    if source >= n {
-        return Err(SsspError::SourceOutOfBounds {
-            source,
-            num_vertices: n,
-        });
-    }
+    assert!(source < n, "source out of bounds");
     let mut result = SsspResult::init(n, source);
     let mut profile = PhaseProfile::default();
 
@@ -174,22 +144,6 @@ pub fn delta_stepping_parallel_checked(
 
     let mut i = 0usize;
     loop {
-        if let Err(stop) = budget.check() {
-            return Err(LiveState {
-                implementation: "parallel",
-                source,
-                delta,
-                dist: &result.dist,
-                stats: &result.stats,
-                bucket: i,
-                stop_point: StopPoint::BucketStart,
-                frontier: &[],
-                settled: &[],
-                resumable: true,
-                stepping: None,
-            }
-            .stop(stop));
-        }
         let t0 = Instant::now();
         let next = scan_bucket_parallel(pool, &result.dist, delta, i, &mut frontier);
         profile.vector_ops += t0.elapsed();
@@ -204,22 +158,6 @@ pub fn delta_stepping_parallel_checked(
         settled.clear();
 
         while !frontier.is_empty() {
-            if let Err(stop) = budget.check() {
-                return Err(LiveState {
-                    implementation: "parallel",
-                    source,
-                    delta,
-                    dist: &result.dist,
-                    stats: &result.stats,
-                    bucket: i,
-                    stop_point: StopPoint::LightPhase,
-                    frontier: &frontier,
-                    settled: &settled,
-                    resumable: true,
-                    stepping: None,
-                }
-                .stop(stop));
-            }
             result.stats.light_phases += 1;
             // Sequential relaxation (the paper's scheme).
             let t0 = Instant::now();
@@ -288,7 +226,7 @@ pub fn delta_stepping_parallel_checked(
 
         i += 1;
     }
-    Ok((result, profile))
+    (result, profile)
 }
 
 #[cfg(test)]

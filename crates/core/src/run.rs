@@ -1,80 +1,74 @@
-//! The checked single-run front door: one entry point wrapping the five
-//! paper artifacts ([`Implementation`]) with preflight validation, a run
-//! budget (epoch limit + deadline + cancellation), and panic-isolating
-//! graceful degradation. `fused` and `improved` are
-//! [`crate::stepping::stepping_checked`] without and with a pool; the
-//! other three are the paper-reproduction loops. This is the library/CLI
-//! door for *one* run of *any* of the five — batches and the resident
-//! service take `{strategy, kernels}` jobs through [`crate::batch`] and
-//! never come here.
+//! The figure door: one checked entry point to the five paper-figure
+//! variants the CLI can name ([`Implementation`]). The `fused` and
+//! `improved` names are not here — they are the two [`Kernels`] of the
+//! stepping loop, and a single run of either is one job through
+//! [`crate::batch::run_job`], the door batches and the resident service
+//! use.
 //!
-//! [`run_checked`] never panics and never hangs on the inputs the
-//! robustness test-suite throws at it: NaN or negative weights,
-//! out-of-range sources and degenerate Δ come back as [`SsspError`]
-//! values, and the two pooled implementations run through the batch
-//! layer's degradation ladder, so a worker panic becomes a successful run
-//! on classic sequential stepping, reported in [`RunReport::degraded`]
-//! (or [`SsspError::WorkerPanicked`] if that panics too).
-//! [`run_with_budget`] is the same door with a caller-supplied
-//! [`RunBudget`], so deadlines and cancellation tokens reach every
-//! epoch boundary; when the budget stops a run mid-flight the error
-//! carries a [`crate::checkpoint::Checkpoint`] with the partial result.
-
-use std::str::FromStr;
+//! [`run_checked`] is preflight plus a plain call. Before the variant
+//! runs it checks, in order:
+//!
+//! 1. [`preflight`]: finite non-negative weights, an in-range source and
+//!    a positive finite Δ (or the configured fallback Δ);
+//! 2. for `gblas`, [`reject_zero_weights`] — the Fig. 2 listing uses
+//!    `t_Req` as a value mask (Sec. V-B);
+//! 3. the bucket-index check: every distance is at most `(n−1)·max_w`,
+//!    so no bucket index exceeds `(n−1)·max_w/Δ`, and a Δ that puts it
+//!    at or beyond 2^53 — where `i as f64 * Δ` is no longer exact and
+//!    `bucket_of` saturates — is rejected as
+//!    [`SsspError::IterationLimitExceeded`] after zero epochs and without
+//!    a checkpoint.
+//!
+//! Then the variant runs to completion: figure code has no budget, so it
+//! is never cancelled, never checkpointed and never degraded, and a
+//! worker panic propagates. The three checks are what make every figure
+//! loop terminate on every input it accepts.
+//!
+//! [`Kernels`]: crate::batch::Kernels
 
 use graphdata::CsrGraph;
 use taskpool::ThreadPool;
 
-use crate::batch::{ladder, JobOutcome, Kernels};
-use crate::budget::RunBudget;
 use crate::guard::{preflight, reject_zero_weights, GuardConfig, SsspError};
+use crate::repro::{canonical, gblas_impl, gblas_parallel, gblas_select, parallel};
 use crate::result::SsspResult;
-use crate::stepping::{stepping_checked, SteppingStrategy};
-use crate::repro::{canonical, gblas_impl, parallel};
 
-/// The five guarded delta-stepping implementations. `Fused` and
-/// `ParallelImproved` are the sequential and pooled classic front doors
-/// of the one stepping loop ([`crate::stepping`]); the other three are
-/// the paper-reproduction variants.
+/// The five paper-figure variants of [`crate::repro`] a CLI run can name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Implementation {
     /// Meyer–Sanders with explicit buckets ([`crate::repro::canonical`]).
     Canonical,
-    /// The fused direct implementation ([`crate::fused`]): the stepping
-    /// loop, classic strategy, sequential kernels.
-    Fused,
     /// The unfused GraphBLAS implementation ([`crate::repro::gblas_impl`]).
     Gblas,
+    /// Fig. 2 with single-pass `select` filters ([`crate::repro::gblas_select`]).
+    GblasSelect,
+    /// The select formulation on parallel library kernels
+    /// ([`crate::repro::gblas_parallel`]).
+    GblasParallel,
     /// The paper's task-parallel scheme ([`crate::repro::parallel`]).
     Parallel,
-    /// The improved parallel scheme on contention-free request buffers
-    /// ([`crate::reqbuf`]): the stepping loop, classic strategy, pooled
-    /// kernels.
-    ParallelImproved,
 }
 
 impl Implementation {
-    /// All guarded implementations, for exhaustive test sweeps.
+    /// Every figure variant, for exhaustive test sweeps.
     pub const ALL: [Implementation; 5] = [
         Implementation::Canonical,
-        Implementation::Fused,
         Implementation::Gblas,
+        Implementation::GblasSelect,
+        Implementation::GblasParallel,
         Implementation::Parallel,
-        Implementation::ParallelImproved,
     ];
 
     /// Parse a CLI-style name. `"delta"` is an alias for the canonical
     /// vertex/edge formulation. This is the single source of truth for
-    /// implementation names: the CLI and the bench harness both go
-    /// through it (via [`FromStr`]), so a name accepted by one is
-    /// accepted by the other.
+    /// figure-variant names.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "delta" | "canonical" => Some(Implementation::Canonical),
-            "fused" => Some(Implementation::Fused),
             "gblas" => Some(Implementation::Gblas),
+            "gblas-select" => Some(Implementation::GblasSelect),
+            "gblas-parallel" => Some(Implementation::GblasParallel),
             "parallel" => Some(Implementation::Parallel),
-            "improved" | "parallel-improved" => Some(Implementation::ParallelImproved),
             _ => None,
         }
     }
@@ -84,76 +78,28 @@ impl Implementation {
     pub fn name(self) -> &'static str {
         match self {
             Implementation::Canonical => "canonical",
-            Implementation::Fused => "fused",
             Implementation::Gblas => "gblas",
+            Implementation::GblasSelect => "gblas-select",
+            Implementation::GblasParallel => "gblas-parallel",
             Implementation::Parallel => "parallel",
-            Implementation::ParallelImproved => "improved",
         }
     }
 
-    /// Whether this implementation runs tasks on a [`ThreadPool`].
+    /// Whether this variant runs tasks on a [`ThreadPool`].
     pub fn is_parallel(self) -> bool {
-        matches!(self, Implementation::Parallel | Implementation::ParallelImproved)
+        matches!(self, Implementation::GblasParallel | Implementation::Parallel)
     }
 }
 
-/// The error type of [`Implementation::from_str`]: the rejected name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownImplementation {
-    /// The name that failed to parse.
-    pub name: String,
-}
+/// Bucket indices at or beyond 2^53 are where `i as f64 * Δ` stops being
+/// exact.
+const MAX_BUCKET_INDEX: u64 = 1 << 53;
 
-impl std::fmt::Display for UnknownImplementation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown implementation '{}' (expected one of: delta, canonical, fused, gblas, \
-             parallel, improved, parallel-improved)",
-            self.name
-        )
-    }
-}
-
-impl std::error::Error for UnknownImplementation {}
-
-impl FromStr for Implementation {
-    type Err = UnknownImplementation;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Implementation::parse(s).ok_or_else(|| UnknownImplementation { name: s.to_string() })
-    }
-}
-
-/// Outcome of a successful [`run_checked`].
-#[derive(Debug, Clone)]
-pub struct RunReport {
-    /// Distances and counters.
-    pub result: SsspResult,
-    /// The Δ actually used (differs from the request when
-    /// [`GuardConfig::delta_fallback`] replaced a degenerate value).
-    pub delta: f64,
-    /// The implementation requested.
-    pub implementation: Implementation,
-    /// `Some(panic message)` when a worker panicked and the run was
-    /// completed on classic sequential stepping instead.
-    pub degraded: Option<String>,
-}
-
-/// Run `implementation` on `g` from `source` with bucket width `delta`,
-/// behind the full hardened execution layer:
-///
-/// 1. [`preflight`] validates weights, source, and Δ (deriving a
-///    fallback Δ when configured);
-/// 2. a [`RunBudget`] sized by [`RunBudget::for_run`] bounds bucket
-///    epochs and light-relaxation rounds;
-/// 3. the two pooled implementations run on the batch layer's
-///    degradation ladder, so a panicking worker task becomes a re-run on
-///    classic sequential stepping, or [`SsspError::WorkerPanicked`] if
-///    the re-run panics too.
-///
-/// `pool` is used only by the parallel implementations; `None` selects
-/// the process-global pool.
+/// Run `implementation` on `g` from `source` with bucket width `delta`
+/// behind the checks of the module docs, returning the distances and the
+/// Δ actually used (the fallback when [`GuardConfig::delta_fallback`]
+/// replaced a degenerate request). `pool` serves the two pooled variants;
+/// `None` selects the process-global pool.
 pub fn run_checked(
     implementation: Implementation,
     g: &CsrGraph,
@@ -161,154 +107,56 @@ pub fn run_checked(
     delta: f64,
     pool: Option<&ThreadPool>,
     cfg: &GuardConfig,
-) -> Result<RunReport, SsspError> {
-    let mut budget = RunBudget::for_run(g, delta, cfg);
-    run_with_budget(implementation, g, source, delta, pool, cfg, &mut budget)
-}
-
-/// [`run_checked`] with a caller-supplied [`RunBudget`], so deadlines
-/// and [`crate::budget::CancelToken`]s reach every bucket-epoch and
-/// light-phase boundary of every implementation.
-///
-/// When the budget stops the run, the returned [`SsspError`] carries a
-/// [`crate::checkpoint::Checkpoint`] with the partial distances and a
-/// `settled_below` certificate; resumable checkpoints (fused, parallel,
-/// improved) can be continued via
-/// [`crate::engine::SsspEngine::resume_stepping`].
-///
-/// On a worker panic the sequential retry runs under
-/// [`RunBudget::retry_budget`]: epoch ticks reset (the fallback gets a
-/// fresh epoch allowance) but the deadline and cancellation token carry
-/// over — a deadline is an SLO on the whole job, not per attempt.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_budget(
-    implementation: Implementation,
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-    pool: Option<&ThreadPool>,
-    cfg: &GuardConfig,
-    budget: &mut RunBudget,
-) -> Result<RunReport, SsspError> {
+) -> Result<(SsspResult, f64), SsspError> {
     let delta = preflight(g, source, delta, cfg)?;
-    let report = |result: SsspResult| RunReport {
-        result,
-        delta,
-        implementation,
-        degraded: None,
-    };
-    match implementation {
-        Implementation::Canonical => {
-            canonical::delta_stepping_canonical_checked(g, source, delta, budget).map(report)
-        }
-        Implementation::Fused => {
-            stepping_checked(g, source, delta, SteppingStrategy::Classic, None, budget)
-                .map(|(result, _)| report(result))
-        }
-        Implementation::Gblas => {
-            reject_zero_weights(g, "gblas")?;
-            gblas_impl::delta_stepping_gblas_checked(g, source, delta, budget).map(report)
-        }
-        Implementation::Parallel | Implementation::ParallelImproved => {
-            let pool = match pool {
-                Some(p) => p,
-                None => taskpool::global(),
-            };
-            match pooled_ladder(implementation, g, source, delta, pool, cfg, budget) {
-                JobOutcome::Complete { result, degraded, .. } => {
-                    Ok(RunReport { result, delta, implementation, degraded })
-                }
-                JobOutcome::Partial { stop: error, .. } | JobOutcome::Failed { error } => {
-                    Err(error)
-                }
-            }
-        }
+    if implementation == Implementation::Gblas {
+        reject_zero_weights(g, "gblas")?;
     }
-}
-
-/// The pooled arms on the degradation ladder: rung 1 is `implementation`
-/// on `pool` — the paper's task-parallel scheme or the loop's pooled
-/// kernels — and rung 2 is classic sequential stepping.
-fn pooled_ladder(
-    implementation: Implementation,
-    g: &CsrGraph,
-    source: usize,
-    delta: f64,
-    pool: &ThreadPool,
-    cfg: &GuardConfig,
-    budget: &mut RunBudget,
-) -> JobOutcome {
-    ladder(
-        Kernels::Pooled,
-        Some(pool),
-        None,
-        budget,
-        |budget| budget.retry_budget(g, delta, cfg),
-        |pool, budget| {
-            let (result, _) = match (implementation, pool) {
-                (Implementation::Parallel, Some(pool)) => {
-                    parallel::delta_stepping_parallel_checked(pool, g, source, delta, budget)?
-                }
-                (_, pool) => {
-                    stepping_checked(g, source, delta, SteppingStrategy::Classic, pool, budget)?
-                }
-            };
-            Ok((result, delta))
-        },
-        false,
-    )
+    let last_bucket = g.num_vertices().saturating_sub(1) as f64 * g.max_weight() / delta;
+    if last_bucket >= MAX_BUCKET_INDEX as f64 {
+        return Err(SsspError::IterationLimitExceeded {
+            ticks: 0,
+            limit: MAX_BUCKET_INDEX,
+            checkpoint: None,
+        });
+    }
+    let pool = || match pool {
+        Some(pool) => pool,
+        None => taskpool::global(),
+    };
+    let result = match implementation {
+        Implementation::Canonical => canonical::delta_stepping_canonical(g, source, delta),
+        Implementation::Gblas => gblas_impl::delta_stepping_gblas(g, source, delta),
+        Implementation::GblasSelect => gblas_select::delta_stepping_gblas_select(g, source, delta),
+        Implementation::GblasParallel => {
+            gblas_parallel::delta_stepping_gblas_parallel(pool(), g, source, delta)
+        }
+        Implementation::Parallel => parallel::delta_stepping_parallel(pool(), g, source, delta),
+    };
+    Ok((result, delta))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
-    use graphdata::gen::grid2d;
+    use graphdata::gen::{grid2d, path};
+    use graphdata::EdgeList;
 
     fn grid() -> CsrGraph {
         CsrGraph::from_edge_list(&grid2d(6, 6)).unwrap()
     }
 
     #[test]
-    fn parse_names() {
-        assert_eq!(Implementation::parse("delta"), Some(Implementation::Canonical));
-        assert_eq!(Implementation::parse("canonical"), Some(Implementation::Canonical));
-        assert_eq!(Implementation::parse("improved"), Some(Implementation::ParallelImproved));
-        assert_eq!(Implementation::parse("dijkstra"), None);
+    fn parse_round_trips_every_name_and_alias() {
         for imp in Implementation::ALL {
             assert_eq!(Implementation::parse(imp.name()), Some(imp));
         }
-    }
-
-    #[test]
-    fn from_str_round_trips_every_name_and_alias() {
-        // The canonical name of every implementation round-trips.
-        for imp in Implementation::ALL {
-            assert_eq!(imp.name().parse::<Implementation>(), Ok(imp), "{}", imp.name());
-        }
-        // Every documented alias resolves, and FromStr agrees with
-        // parse() on all of them (the CLI and bench share this path).
-        for alias in [
-            "delta",
-            "canonical",
-            "fused",
-            "gblas",
-            "parallel",
-            "improved",
-            "parallel-improved",
-        ] {
-            let via_parse = Implementation::parse(alias);
-            let via_from_str = alias.parse::<Implementation>().ok();
-            assert_eq!(via_parse, via_from_str, "{alias}");
-            assert!(via_parse.is_some(), "{alias} must be accepted");
-        }
-        let err = "dijkstra".parse::<Implementation>().unwrap_err();
-        assert!(err.to_string().contains("dijkstra"));
-        assert!(err.to_string().contains("parallel-improved"));
-        // Names of deleted implementations are unknown like any other.
-        for gone in ["atomic", "improved-atomic"] {
-            assert_eq!(Implementation::parse(gone), None, "{gone}");
-            assert!(gone.parse::<Implementation>().is_err(), "{gone}");
+        assert_eq!(Implementation::parse("delta"), Some(Implementation::Canonical));
+        // The stepping loop's names are kernels, not figure variants, and
+        // names of deleted implementations are unknown like any other.
+        for other in ["fused", "improved", "parallel-improved", "atomic", "dijkstra"] {
+            assert_eq!(Implementation::parse(other), None, "{other}");
         }
     }
 
@@ -318,14 +166,15 @@ mod tests {
         let dj = dijkstra(&g, 0);
         let pool = ThreadPool::with_threads(2).unwrap();
         for imp in Implementation::ALL {
-            let report =
+            let (result, delta) =
                 run_checked(imp, &g, 0, 1.0, Some(&pool), &GuardConfig::default()).unwrap();
-            assert_eq!(report.result.dist, dj.dist, "{}", imp.name());
-            assert!(report.degraded.is_none());
-            assert_eq!(report.delta, 1.0);
+            assert_eq!(result.dist, dj.dist, "{}", imp.name());
+            assert_eq!(delta, 1.0);
         }
     }
 
+    /// The bad-input half of the deleted per-variant `checked_*` tests,
+    /// now one row per figure variant.
     #[test]
     fn every_implementation_rejects_every_bad_input() {
         let g = grid();
@@ -333,27 +182,54 @@ mod tests {
             CsrGraph::from_raw_parts_unchecked(2, vec![0, 1, 1], vec![1], vec![f64::NAN]);
         let neg_graph =
             CsrGraph::from_raw_parts_unchecked(2, vec![0, 1, 1], vec![1], vec![-1.0]);
+        let zero_graph =
+            CsrGraph::from_edge_list(&EdgeList::from_triples(vec![(0, 1, 0.0)])).unwrap();
         let pool = ThreadPool::with_threads(2).unwrap();
         let cfg = GuardConfig::default();
         for imp in Implementation::ALL {
-            assert!(matches!(
-                run_checked(imp, &nan_graph, 0, 1.0, Some(&pool), &cfg),
-                Err(SsspError::NonFiniteWeight { .. })
-            ));
-            assert!(matches!(
-                run_checked(imp, &neg_graph, 0, 1.0, Some(&pool), &cfg),
-                Err(SsspError::NegativeWeight { .. })
-            ));
-            assert!(matches!(
-                run_checked(imp, &g, 999, 1.0, Some(&pool), &cfg),
-                Err(SsspError::SourceOutOfBounds { .. })
-            ));
-            for bad_delta in [0.0, f64::NAN, f64::INFINITY] {
-                assert!(matches!(
-                    run_checked(imp, &g, 0, bad_delta, Some(&pool), &cfg),
-                    Err(SsspError::InvalidDelta { .. })
-                ));
+            let run = |g: &CsrGraph, source: usize, delta: f64| {
+                run_checked(imp, g, source, delta, Some(&pool), &cfg)
+            };
+            assert!(matches!(run(&nan_graph, 0, 1.0), Err(SsspError::NonFiniteWeight { .. })));
+            assert!(matches!(run(&neg_graph, 0, 1.0), Err(SsspError::NegativeWeight { .. })));
+            assert!(matches!(run(&g, 999, 1.0), Err(SsspError::SourceOutOfBounds { .. })));
+            for bad_delta in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                assert!(
+                    matches!(run(&g, 0, bad_delta), Err(SsspError::InvalidDelta { .. })),
+                    "{} delta {bad_delta}",
+                    imp.name()
+                );
             }
+            // Only the Fig. 2 value mask cannot carry a stored zero.
+            let zero = run(&zero_graph, 0, 1.0);
+            if imp == Implementation::Gblas {
+                assert!(matches!(zero, Err(SsspError::ZeroWeightUnsupported { .. })));
+            } else {
+                assert_eq!(zero.unwrap().0.dist, vec![0.0, 0.0], "{}", imp.name());
+            }
+        }
+    }
+
+    #[test]
+    fn a_delta_past_exact_bucket_indices_is_rejected_before_the_run() {
+        let g = CsrGraph::from_edge_list(&path(6)).unwrap();
+        let cfg = GuardConfig::default();
+        for imp in Implementation::ALL {
+            match run_checked(imp, &g, 0, 1e-300, None, &cfg) {
+                Err(SsspError::IterationLimitExceeded { ticks: 0, limit, checkpoint: None }) => {
+                    assert_eq!(limit, MAX_BUCKET_INDEX, "{}", imp.name());
+                }
+                other => panic!("{}: expected the bucket-index check, got {other:?}", imp.name()),
+            }
+        }
+        // 5 / 1e-12 buckets is well inside the exact range: the variants
+        // that skip empty buckets answer exactly (Fig. 2 would visit all
+        // of them).
+        let dj = dijkstra(&g, 0);
+        for imp in [Implementation::Canonical, Implementation::GblasSelect, Implementation::Parallel]
+        {
+            let (result, _) = run_checked(imp, &g, 0, 1e-12, None, &cfg).unwrap();
+            assert_eq!(result.dist, dj.dist, "{}", imp.name());
         }
     }
 
@@ -364,155 +240,24 @@ mod tests {
             delta_fallback: true,
             ..GuardConfig::default()
         };
-        let report = run_checked(Implementation::Fused, &g, 0, f64::NAN, None, &cfg).unwrap();
-        assert!(report.delta.is_finite() && report.delta > 0.0);
-        assert_eq!(report.result.dist, dijkstra(&g, 0).dist);
+        let (result, delta) =
+            run_checked(Implementation::Canonical, &g, 0, f64::NAN, None, &cfg).unwrap();
+        assert!(delta.is_finite() && delta > 0.0);
+        assert_eq!(result.dist, dijkstra(&g, 0).dist);
     }
 
+    /// Figure code never degrades: a worker panic in the task-parallel
+    /// scheme reaches the caller.
     #[test]
-    fn watchdog_cap_surfaces_as_error() {
-        let g = CsrGraph::from_edge_list(&graphdata::gen::path(64)).unwrap();
-        let cfg = GuardConfig {
-            max_ticks: 4,
-            ..GuardConfig::default()
-        };
-        for imp in Implementation::ALL {
-            assert!(
-                matches!(
-                    run_checked(imp, &g, 0, 1.0, None, &cfg),
-                    Err(SsspError::IterationLimitExceeded { .. })
-                ),
-                "{}",
-                imp.name()
-            );
-        }
-    }
-
-    #[test]
-    fn cancellation_surfaces_a_checkpoint_from_every_implementation() {
-        let g = CsrGraph::from_edge_list(&graphdata::gen::path(32)).unwrap();
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig::default();
-        for imp in Implementation::ALL {
-            let mut budget = RunBudget::for_run(&g, 1.0, &cfg).cancel_after(3);
-            let err = run_with_budget(imp, &g, 0, 1.0, Some(&pool), &cfg, &mut budget)
-                .expect_err("cancel_after(3) must stop a 31-epoch run");
-            let cp = match &err {
-                SsspError::Cancelled { checkpoint } => checkpoint,
-                other => panic!("{}: expected Cancelled, got {other:?}", imp.name()),
-            };
-            let expected_tag = match imp {
-                Implementation::Canonical => "canonical",
-                Implementation::Gblas => "gblas",
-                Implementation::Parallel => "parallel",
-                // Both front doors of the one loop.
-                Implementation::Fused | Implementation::ParallelImproved => "stepping",
-            };
-            assert_eq!(cp.implementation, expected_tag);
-            assert!(cp.settled_below() >= 0.0, "{}", imp.name());
-            cp.validate(g.num_vertices())
-                .expect("checkpoint must be well-formed");
-        }
-    }
-
-    #[test]
-    fn deadline_in_the_past_stops_immediately_with_checkpoint() {
-        let g = grid();
-        let cfg = GuardConfig::default();
-        let mut budget = RunBudget::for_run(&g, 1.0, &cfg)
-            .with_deadline(std::time::Instant::now() - std::time::Duration::from_millis(1));
-        let err = run_with_budget(Implementation::Fused, &g, 0, 1.0, None, &cfg, &mut budget)
-            .expect_err("expired deadline must stop the run");
-        match err {
-            SsspError::DeadlineExceeded { checkpoint } => {
-                assert_eq!(checkpoint.settled_count(), 0);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn injected_worker_panic_degrades_to_certified_sequential_run() {
+    fn a_worker_panic_in_a_figure_variant_propagates() {
         let g = grid();
         let _session = taskpool::fault::TestSession::begin();
         let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig::default();
         taskpool::fault::arm_panic_after(0);
-        let report =
-            run_checked(Implementation::ParallelImproved, &g, 0, 1.0, Some(&pool), &cfg)
-                .expect("degradation must rescue the run");
-        let message = report.degraded.expect("run must be marked degraded");
-        assert!(message.contains(taskpool::fault::INJECTED_PANIC_MESSAGE));
-        // The fallback distances are not just plausible — they carry the
-        // full SSSP optimality certificate and match Dijkstra.
-        crate::validate::check_certificate(&g, &report.result, 1e-12)
-            .expect("degraded result must still be optimal");
-        assert_eq!(report.result.dist, dijkstra(&g, 0).dist);
-    }
-
-    /// The repro `parallel` row of
-    /// `batch::tests::ladder_degrades_fresh_and_resumed_jobs_alike` (only
-    /// this module may name `repro`), next to the loop's pooled kernels:
-    /// a pool panic on rung 1 lands on classic sequential stepping — its
-    /// stats, not just Dijkstra's distances — marked as a panic.
-    #[test]
-    fn pooled_arms_degrade_to_classic_sequential_through_the_ladder() {
-        let g = grid();
-        let cfg = GuardConfig::default();
-        let sequential = stepping_checked(
-            &g,
-            0,
-            1.0,
-            SteppingStrategy::Classic,
-            None,
-            &mut RunBudget::unlimited(),
-        )
-        .unwrap()
-        .0;
-        let _session = taskpool::fault::TestSession::begin();
-        let pool = ThreadPool::with_threads(2).unwrap();
-        for imp in [Implementation::Parallel, Implementation::ParallelImproved] {
-            taskpool::fault::arm_panic_after(0);
-            let mut budget = RunBudget::for_run(&g, 1.0, &cfg);
-            let outcome = pooled_ladder(imp, &g, 0, 1.0, &pool, &cfg, &mut budget);
-            taskpool::fault::disarm();
-            let JobOutcome::Complete { result, degraded, degraded_by_panic, .. } = outcome else {
-                panic!("{}: expected a degraded completion, got {outcome:?}", imp.name());
-            };
-            assert!(degraded_by_panic, "{}", imp.name());
-            let why = degraded.expect("rung 2 says why");
-            assert!(why.starts_with(taskpool::fault::INJECTED_PANIC_MESSAGE), "{why}");
-            assert_eq!(result.dist, sequential.dist, "{}", imp.name());
-            assert_eq!(result.stats, sequential.stats, "{}", imp.name());
-        }
-    }
-
-    #[test]
-    fn degraded_retry_inherits_cancellation_not_ticks() {
-        // A cancelled token must stop the sequential retry too: the
-        // deadline/token are an SLO on the whole job, not per attempt.
-        let g = grid();
-        let _session = taskpool::fault::TestSession::begin();
-        let pool = ThreadPool::with_threads(2).unwrap();
-        let cfg = GuardConfig::default();
-        let token = crate::budget::CancelToken::new();
-        token.cancel();
-        let mut budget = RunBudget::for_run(&g, 1.0, &cfg).with_cancel(token);
-        taskpool::fault::arm_panic_after(0);
-        let outcome = run_with_budget(
-            Implementation::ParallelImproved,
-            &g,
-            0,
-            1.0,
-            Some(&pool),
-            &cfg,
-            &mut budget,
-        );
-        // The run stops with Cancelled — either before the panic fires
-        // or on the retry path; both prove the token reached the loop.
-        assert!(
-            matches!(outcome, Err(SsspError::Cancelled { .. })),
-            "got {outcome:?}"
-        );
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_checked(Implementation::Parallel, &g, 0, 1.0, Some(&pool), &GuardConfig::default())
+        }));
+        taskpool::fault::disarm();
+        assert!(outcome.is_err(), "the injected panic must propagate");
     }
 }

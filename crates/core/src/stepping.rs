@@ -56,8 +56,8 @@
 //! light round — and resuming is bit-identical; the pending set is not
 //! checkpointed but rebuilt from `dist` and the bound in one O(n) pass,
 //! the only one in the loop. A resumable checkpoint without a
-//! [`SteppingState`] (an older binary's classic loop, or
-//! [`crate::repro::parallel`]) is read as classic with `bound = bucket·Δ`.
+//! [`SteppingState`] (written by an older binary's classic or
+//! task-parallel loop) is read as classic with `bound = bucket·Δ`.
 
 use std::time::{Duration, Instant};
 
@@ -230,11 +230,10 @@ impl SteppingWorkspace {
 
 /// Build the light/heavy split (chunked on `pool` when one is given, in
 /// one sequential pass otherwise), then run `strategy` under `budget` on
-/// a fresh workspace. The one-shot checked front door — what
-/// [`crate::run::run_with_budget`] calls for `fused` (no pool) and
-/// `improved` (pooled); the split build is reported as `matrix_filter`
-/// time. Repeated runs should go through [`crate::engine::SsspEngine`],
-/// which caches the split and the workspace.
+/// a fresh workspace: the one-shot checked door for tests, examples and
+/// bench loops; the split build is reported as `matrix_filter` time.
+/// Repeated runs should go through [`crate::engine::SsspEngine`], which
+/// caches the split and the workspace.
 pub fn stepping_checked(
     g: &CsrGraph,
     source: usize,
@@ -585,7 +584,6 @@ fn stepping_loop(
         } else {
             if let Err(stop) = budget.check() {
                 return Err(LiveState {
-                    implementation: "stepping",
                     source,
                     delta,
                     dist: t,
@@ -594,12 +592,11 @@ fn stepping_loop(
                     stop_point: StopPoint::BucketStart,
                     frontier: &[],
                     settled: &[],
-                    resumable: true,
-                    stepping: Some(SteppingState {
+                    stepping: SteppingState {
                         strategy,
                         bound,
                         threshold: bound,
-                    }),
+                    },
                 }
                 .stop(stop));
             }
@@ -624,7 +621,6 @@ fn stepping_loop(
             while !frontier.is_empty() {
                 if let Err(stop) = budget.check() {
                     return Err(LiveState {
-                        implementation: "stepping",
                         source,
                         delta,
                         dist: t,
@@ -633,12 +629,11 @@ fn stepping_loop(
                         stop_point: StopPoint::LightPhase,
                         frontier,
                         settled,
-                        resumable: true,
-                        stepping: Some(SteppingState {
+                        stepping: SteppingState {
                             strategy,
                             bound,
                             threshold,
-                        }),
+                        },
                     }
                     .stop(stop));
                 }

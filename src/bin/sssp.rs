@@ -2,7 +2,10 @@
 //!
 //! Loads a graph (Matrix Market, SNAP TSV, or the crate's binary format,
 //! chosen by extension or `--format`), runs the selected implementation,
-//! and prints distances (or a summary).
+//! and prints distances (or a summary). A run takes one of two doors:
+//! `fused` / `improved`, with any `--strategy`, run as one job through
+//! `sssp_core::batch::run_job` (the door `--sources` and `sssp-serve`
+//! use); the paper-figure names run through `sssp_core::run_checked`.
 //!
 //! ```bash
 //! sssp --gen grid:64x64 --impl fused --source 0 --summary
@@ -16,13 +19,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use graphdata::{gen, io as gio, CsrGraph, EdgeList, WeightModel};
+use sssp_core::batch::{run_job, Job, JobOutcome};
 use sssp_core::delta::DeltaStrategy;
 use sssp_core::engine::SsspEngine;
-use sssp_core::repro::{gblas_parallel, gblas_select};
 use sssp_core::{
-    bellman_ford, dijkstra, run_with_budget, validate, BatchConfig,
-    BatchOutcome, BatchRunner, GuardConfig, Implementation, Kernels, RunBudget, SsspError,
-    SsspResult, SteppingStrategy,
+    bellman_ford, dijkstra, run_checked, validate, BatchConfig, BatchOutcome, BatchRunner,
+    GuardConfig, Implementation, Kernels, SsspError, SsspResult, SteppingStrategy,
 };
 use taskpool::ThreadPool;
 
@@ -81,16 +83,6 @@ impl Failure {
     }
 }
 
-/// Budget stops that carry a checkpoint are partial results (exit 5);
-/// everything else is a solver rejection (exit 3).
-fn sssp_failure(e: SsspError) -> Failure {
-    if e.checkpoint().is_some() {
-        Failure::Partial(e)
-    } else {
-        Failure::Sssp(e)
-    }
-}
-
 /// `--delta` argument: an explicit width (including degenerate values the
 /// solver will reject) or the Meyer–Sanders rule, resolved once the graph
 /// is loaded. A distinct variant — not a NaN sentinel — so a user-typed
@@ -117,7 +109,8 @@ struct Options {
     /// generalized ρ-stepping / Δ*-stepping loops. Applies to the
     /// stepping family (fused/improved), single-source or `--sources`.
     strategy: SteppingStrategy,
-    /// Per-run (or, with `--sources`, per-job) wall-clock budget.
+    /// Per-run (or, with `--sources`, per-job) wall-clock budget of the
+    /// stepping door: `fused` / `improved` only.
     deadline_ms: Option<u64>,
     /// `--sources`: worker threads draining the [`BatchRunner`] queue.
     batch_workers: usize,
@@ -154,12 +147,13 @@ options:
                            per-source summary. --impl fused or improved
                            only; a panicking job retries once on the
                            sequential kernels
-  --deadline-ms MS         wall-clock budget per run/job; a run stopped by
-                           the deadline reports a certified partial result
-                           and exits 5
+  --deadline-ms MS         wall-clock budget per run/job of --impl fused or
+                           improved (or --sources); a run stopped by the
+                           deadline reports a certified partial result and
+                           exits 5
   --batch-workers N        --sources: worker threads draining the batch
                            (default 2)
-  --checkpoint-dir DIR     --sources: persist budget-stopped jobs to
+  --checkpoint-dir DIR     --sources only: persist budget-stopped jobs to
                            DIR/ckpt-<source>.bin and resume from existing
                            files, so a rerun finishes exactly where a
                            deadline-stopped run left off
@@ -289,6 +283,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if o.input.is_none() && o.generate.is_none() {
         return Err(format!("no input given\n\n{USAGE}"));
     }
+    if o.checkpoint_dir.is_some() && o.sources.is_empty() {
+        return Err("--checkpoint-dir applies to --sources runs only".to_string());
+    }
     Ok(o)
 }
 
@@ -365,75 +362,75 @@ fn load(path: &str, format: Option<&str>) -> Result<EdgeList, String> {
     }
 }
 
+/// One source, one of two doors: `fused` / `improved` (any `--strategy`)
+/// run as one job on the job door, the figure names through
+/// `run_checked`; the two baselines are plain calls.
 fn run(o: &Options, g: &CsrGraph, delta: f64) -> Result<SsspResult, Failure> {
-    // Generalized strategies (rho / delta-star) run through the engine's
-    // stepping entry point — sequential for fused, pooled for improved —
-    // with the same preflight and budget discipline as the classic path.
-    if o.strategy != SteppingStrategy::Classic {
-        let owned_pool;
-        let pool = match o.implementation.as_str() {
-            "fused" => None,
-            "improved" | "parallel-improved" => {
-                owned_pool = ThreadPool::with_threads(o.threads)
-                    .map_err(|e| Failure::Input(e.to_string()))?;
-                Some(&owned_pool)
-            }
-            other => {
-                return Err(Failure::Usage(format!(
-                    "--strategy {} supports --impl fused or improved, got '{other}'",
-                    o.strategy
-                )))
-            }
-        };
-        let cfg = GuardConfig::default();
-        let mut engine = SsspEngine::new(g);
-        let delta = engine.preflight(o.source, delta, &cfg).map_err(Failure::Sssp)?;
-        let mut budget = RunBudget::for_run(g, delta, &cfg);
-        if let Some(ms) = o.deadline_ms {
-            budget = budget.with_timeout(Duration::from_millis(ms));
-        }
-        let (result, _) = engine
-            .run_stepping(pool, o.source, delta, o.strategy, &mut budget)
-            .map_err(sssp_failure)?;
-        return Ok(result);
+    if let Ok(kernels) = o.implementation.parse::<Kernels>() {
+        return run_stepping_job(o, g, delta, kernels);
     }
-    // The five delta-stepping implementations go through the hardened
-    // front door: preflight validation, run budget (epoch limit plus the
-    // --deadline-ms wall clock), panic degradation. Name parsing is the
-    // shared sssp_core FromStr, so the CLI and bench accept identical
-    // names.
-    if let Ok(imp) = o.implementation.parse::<Implementation>() {
-        let owned_pool;
-        let pool = if imp.is_parallel() {
-            owned_pool = ThreadPool::with_threads(o.threads)
-                .map_err(|e| Failure::Input(e.to_string()))?;
-            Some(&owned_pool)
-        } else {
-            None
-        };
+    if o.strategy != SteppingStrategy::Classic {
+        return Err(Failure::Usage(format!(
+            "--strategy {} supports --impl fused or improved, got '{}'",
+            o.strategy, o.implementation
+        )));
+    }
+    if o.deadline_ms.is_some() {
+        return Err(Failure::Usage(format!(
+            "--deadline-ms applies to --impl fused or improved (or --sources), got '{}'",
+            o.implementation
+        )));
+    }
+    if let Some(imp) = Implementation::parse(&o.implementation) {
+        let pool = imp.is_parallel().then(|| thread_pool(o)).transpose()?;
         let cfg = GuardConfig::default();
-        let mut budget = RunBudget::for_run(g, delta, &cfg);
-        if let Some(ms) = o.deadline_ms {
-            budget = budget.with_timeout(Duration::from_millis(ms));
-        }
-        let report = run_with_budget(imp, g, o.source, delta, pool, &cfg, &mut budget)
-            .map_err(sssp_failure)?;
-        if let Some(msg) = report.degraded {
-            eprintln!("warning: run degraded to the sequential fused path ({msg})");
-        }
-        return Ok(report.result);
+        let (result, _) =
+            run_checked(imp, g, o.source, delta, pool.as_ref(), &cfg).map_err(Failure::Sssp)?;
+        return Ok(result);
     }
     Ok(match o.implementation.as_str() {
         "dijkstra" => dijkstra::dijkstra(g, o.source),
         "bellman-ford" => bellman_ford::bellman_ford(g, o.source),
-        "gblas-select" => gblas_select::delta_stepping_gblas_select(g, o.source, delta),
-        "gblas-parallel" => {
-            let pool =
-                ThreadPool::with_threads(o.threads).map_err(|e| Failure::Input(e.to_string()))?;
-            gblas_parallel::delta_stepping_gblas_parallel(&pool, g, o.source, delta)
-        }
         other => return Err(Failure::Usage(format!("unknown --impl '{other}'\n\n{USAGE}"))),
     })
+}
+
+/// The `--threads` pool of a pooled run.
+fn thread_pool(o: &Options) -> Result<ThreadPool, Failure> {
+    ThreadPool::with_threads(o.threads).map_err(|e| Failure::Input(e.to_string()))
+}
+
+/// A single-source `fused` / `improved` run: one job on the job door —
+/// the degradation ladder and the `--deadline-ms` budget — without a
+/// checkpoint directory.
+fn run_stepping_job(
+    o: &Options,
+    g: &CsrGraph,
+    delta: f64,
+    kernels: Kernels,
+) -> Result<SsspResult, Failure> {
+    let pool = (kernels == Kernels::Pooled).then(|| thread_pool(o)).transpose()?;
+    let guard = GuardConfig::default();
+    let job = Job {
+        source: o.source,
+        kernels,
+        delta,
+        strategy: o.strategy,
+        guard: &guard,
+        deadline: o.deadline_ms.map(Duration::from_millis),
+        cancel: None,
+        progress: None,
+    };
+    match run_job(&mut SsspEngine::new(g), pool.as_ref(), None, &job, None) {
+        JobOutcome::Complete { result, degraded, .. } => {
+            if let Some(msg) = degraded {
+                eprintln!("warning: run degraded to the sequential fused path ({msg})");
+            }
+            Ok(result)
+        }
+        JobOutcome::Partial { stop, .. } => Err(Failure::Partial(stop)),
+        JobOutcome::Failed { error } => Err(Failure::Sssp(error)),
+    }
 }
 
 /// `--sources`: every source becomes a job on the resilient

@@ -1,31 +1,32 @@
-//! Chaos suite: deterministic fault injection at every boundary.
+//! Chaos suite: deterministic fault injection at every boundary of the
+//! stepping door — the one loop every batched, served or single-source
+//! `fused` / `improved` run executes.
 //!
 //! Three properties, exercised exhaustively rather than sampled:
 //!
-//! 1. **Cancellation at every epoch boundary** — for each of the five
-//!    implementations, and for every stepping strategy on the pooled
-//!    loop, cancel at epoch `k` for *every* `k` the full run passes
-//!    through. The checkpoint must validate, and every distance
-//!    it certifies (below `settled_below`) must bit-match the
-//!    uninterrupted run.
-//! 2. **Resume always reconverges** — every resumable checkpoint,
-//!    continued on both kernels of the one loop (pool-less and pooled),
-//!    must land on bit-identical distances *and* stats versus the
-//!    uninterrupted run.
-//! 3. **Panic injection at every task boundary** — for the parallel
-//!    implementations, arm the taskpool fault hook at task `j` for a
-//!    sweep of `j` and demand the degraded run still produces exact
-//!    distances.
+//! 1. **Cancellation at every epoch boundary** — for every stepping
+//!    strategy on both kernels (sequential and pooled), cancel at epoch
+//!    `k` for *every* `k` the full run passes through. The checkpoint
+//!    must validate, and every distance it certifies (below
+//!    `settled_below`) must bit-match the uninterrupted run.
+//! 2. **Resume always reconverges** — every checkpoint, continued on
+//!    both kernels of the one loop (pool-less and pooled), must land on
+//!    bit-identical distances *and* stats versus the uninterrupted run.
+//! 3. **Panic injection at every task boundary** — for every strategy on
+//!    the pooled kernels, arm the taskpool fault hook at task `j` for a
+//!    sweep of `j`, run the job through `batch::run_job`, and demand the
+//!    degraded run still produces exact distances.
 //!
 //! The worker-pool size is taken from `CHAOS_THREADS` (default 2) so CI
 //! can sweep 1/2/4 without recompiling.
 
 use graphdata::gen::grid2d;
 use graphdata::CsrGraph;
+use sssp_core::batch::{run_job, Job, JobOutcome, ManifestState};
 use sssp_core::engine::SsspEngine;
 use sssp_core::{
-    dijkstra::dijkstra, run_checked, run_with_budget, GuardConfig, Implementation, RunBudget,
-    SsspError, SsspResult, SteppingStrategy,
+    dijkstra::dijkstra, BatchRunner, CancelToken, GuardConfig, Kernels, RunBudget, SsspError,
+    SsspResult, SteppingStrategy,
 };
 use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
@@ -46,8 +47,7 @@ fn chaos_graph() -> CsrGraph {
     CsrGraph::from_edge_list(&grid2d(10, 10)).unwrap()
 }
 
-/// Weighted graph with several buckets' worth of work and no zero
-/// weights (so the gblas implementation can run it too).
+/// Weighted graph with several buckets' worth of work.
 fn weighted_chaos_graph() -> CsrGraph {
     let mut el = graphdata::gen::gnm(150, 900, 11);
     el.symmetrize();
@@ -59,81 +59,64 @@ fn weighted_chaos_graph() -> CsrGraph {
     CsrGraph::from_edge_list(&el).unwrap()
 }
 
-/// What the cancel-at-every-epoch loop drives: one of the front-door
-/// implementations, or a strategy on the engine's pooled loop.
-#[derive(Clone, Copy)]
-enum Subject {
-    Impl(Implementation),
-    Strategy(SteppingStrategy),
+const STRATEGIES: [SteppingStrategy; 3] = [
+    SteppingStrategy::Classic,
+    SteppingStrategy::Rho(16),
+    SteppingStrategy::DeltaStar(2.0),
+];
+
+/// One job on the stepping door: `source` on `kernels` with `strategy`.
+fn job<'a>(
+    source: usize,
+    kernels: Kernels,
+    delta: f64,
+    strategy: SteppingStrategy,
+    guard: &'a GuardConfig,
+    cancel: Option<&'a CancelToken>,
+) -> Job<'a> {
+    Job { source, kernels, delta, strategy, guard, deadline: None, cancel, progress: None }
 }
 
-impl Subject {
-    fn name(self) -> String {
-        match self {
-            Subject::Impl(imp) => imp.name().to_string(),
-            Subject::Strategy(strategy) => format!("stepping {strategy}"),
-        }
-    }
-
-    fn run(
-        self,
-        g: &CsrGraph,
-        src: usize,
-        delta: f64,
-        pool: &ThreadPool,
-        budget: &mut RunBudget,
-    ) -> Result<SsspResult, SsspError> {
-        match self {
-            Subject::Impl(imp) => {
-                run_with_budget(imp, g, src, delta, Some(pool), &GuardConfig::default(), budget)
-                    .map(|report| report.result)
-            }
-            Subject::Strategy(strategy) => SsspEngine::new(g)
-                .run_stepping(Some(pool), src, delta, strategy, budget)
-                .map(|(result, _)| result),
-        }
+fn complete(outcome: JobOutcome, label: &str) -> SsspResult {
+    match outcome {
+        JobOutcome::Complete { result, .. } => result,
+        other => panic!("{label}: expected a completed job, got {other:?}"),
     }
 }
 
 fn cancel_everywhere(g: &CsrGraph, src: usize, delta: f64) {
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
-    let subjects = Implementation::ALL.into_iter().map(Subject::Impl).chain(
-        [
-            SteppingStrategy::Classic,
-            SteppingStrategy::Rho(16),
-            SteppingStrategy::DeltaStar(2.0),
-        ]
-        .into_iter()
-        .map(Subject::Strategy),
-    );
-    for subject in subjects {
-        let name = subject.name();
-        let mut counting = RunBudget::unlimited();
-        let reference = subject.run(g, src, delta, &pool, &mut counting).expect("valid input");
-        let epochs = counting.ticks();
-        assert!(epochs > 2, "{name}: too few epochs to be interesting");
-        let mut engine = SsspEngine::new(g);
-        for k in 0..epochs {
-            let mut budget = RunBudget::unlimited().cancel_after(k);
-            let err = subject
-                .run(g, src, delta, &pool, &mut budget)
-                .expect_err("cancel_after inside the run must stop it");
-            let cp = match err {
-                SsspError::Cancelled { checkpoint } => *checkpoint,
-                other => panic!("{name} epoch {k}: expected Cancelled, got {other}"),
+    for strategy in STRATEGIES {
+        for kernels in [Kernels::Sequential, Kernels::Pooled] {
+            let name = format!("{strategy} on {kernels:?}");
+            let on = (kernels == Kernels::Pooled).then_some(&pool);
+            let run = |budget: &mut RunBudget| {
+                SsspEngine::new(g).run_stepping(on, src, delta, strategy, budget)
             };
-            cp.validate(g.num_vertices()).expect("checkpoint must validate");
-            // Property 1: everything the checkpoint certifies is final.
-            for (v, d) in cp.settled_distances() {
-                assert_eq!(
-                    d.to_bits(),
-                    reference.dist[v].to_bits(),
-                    "{name} epoch {k}: certified distance of vertex {v} is not final"
-                );
-            }
-            // Property 2: resumable checkpoints reconverge bit-identically
-            // on both kernels.
-            if cp.resumable {
+            let mut counting = RunBudget::unlimited();
+            let (reference, _) = run(&mut counting).expect("valid input");
+            let epochs = counting.ticks();
+            assert!(epochs > 2, "{name}: too few epochs to be interesting");
+            let mut engine = SsspEngine::new(g);
+            for k in 0..epochs {
+                let err = run(&mut RunBudget::unlimited().cancel_after(k))
+                    .expect_err("cancel_after inside the run must stop it");
+                let cp = match err {
+                    SsspError::Cancelled { checkpoint } => *checkpoint,
+                    other => panic!("{name} epoch {k}: expected Cancelled, got {other}"),
+                };
+                cp.validate(g.num_vertices()).expect("checkpoint must validate");
+                // Property 1: everything the checkpoint certifies is final.
+                for (v, d) in cp.settled_distances() {
+                    assert_eq!(
+                        d.to_bits(),
+                        reference.dist[v].to_bits(),
+                        "{name} epoch {k}: certified distance of vertex {v} is not final"
+                    );
+                }
+                // Property 2: the checkpoint reconverges bit-identically on
+                // both kernels.
+                assert!(cp.resumable, "{name} epoch {k}");
                 for resume_on in [None, Some(&pool)] {
                     let (resumed, _) = engine
                         .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
@@ -142,14 +125,6 @@ fn cancel_everywhere(g: &CsrGraph, src: usize, delta: f64) {
                     assert_eq!(bits(&resumed.dist), bits(&reference.dist), "{label}");
                     assert_eq!(resumed.stats, reference.stats, "{label}");
                 }
-            } else {
-                assert!(
-                    matches!(
-                        subject,
-                        Subject::Impl(Implementation::Canonical | Implementation::Gblas)
-                    ),
-                    "{name}: only canonical/gblas may be non-resumable"
-                );
             }
         }
     }
@@ -175,22 +150,26 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
     let g = chaos_graph();
     let reference = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
-    let cfg = GuardConfig::default();
-    for imp in [Implementation::Parallel, Implementation::ParallelImproved] {
+    let guard = GuardConfig::default();
+    for strategy in STRATEGIES {
         // Sweep the injection point across the first 24 spawned tasks;
         // beyond the run's task count the hook simply never fires.
         for j in 0..24 {
+            let label = format!("{strategy} with fault at task {j}");
             taskpool::fault::arm_panic_after(j);
-            let outcome = run_checked(imp, &g, 0, 1.0, Some(&pool), &cfg);
+            let outcome = run_job(
+                &mut SsspEngine::new(&g),
+                Some(&pool),
+                None,
+                &job(0, Kernels::Pooled, 1.0, strategy, &guard, None),
+                None,
+            );
             taskpool::fault::disarm();
-            let report = outcome.unwrap_or_else(|e| {
-                panic!("{} with fault at task {j}: degradation failed: {e}", imp.name())
-            });
+            let result = complete(outcome, &label);
             assert_eq!(
-                bits(&report.result.dist),
+                bits(&result.dist),
                 bits(&reference.dist),
-                "{} with fault at task {j}: degraded distances diverged",
-                imp.name()
+                "{label}: degraded distances diverged"
             );
         }
     }
@@ -199,72 +178,84 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
 /// Property 2, through disk and across "processes": a run killed at an
 /// epoch boundary serializes its checkpoint; a fresh engine (standing in
 /// for a fresh process) reloads it and is killed again mid-resume; a
-/// third engine reloads *that* and runs to completion. The final
-/// distances and stats must bit-match the uninterrupted run on both
-/// resume kernels, at whatever pool size `CHAOS_THREADS` selects (CI
-/// sweeps 1/2/4).
+/// third process runs the job through the stepping door, which resumes
+/// it from the directory. The final distances and stats must bit-match
+/// the uninterrupted job on both resume kernels, at whatever pool size
+/// `CHAOS_THREADS` selects (CI sweeps 1/2/4).
 #[test]
 fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
     let g = weighted_chaos_graph();
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
-    let cfg = GuardConfig::default();
-    let (src, delta) = (1usize, 0.5);
+    let guard = GuardConfig::default();
+    let (src, delta, classic) = (1usize, 0.5, SteppingStrategy::Classic);
+    let pooled = job(src, Kernels::Pooled, delta, classic, &guard, None);
     let reference =
-        run_checked(Implementation::ParallelImproved, &g, src, delta, Some(&pool), &cfg)
-            .expect("valid input")
-            .result;
+        complete(run_job(&mut SsspEngine::new(&g), Some(&pool), None, &pooled, None), "reference");
     let dir = std::env::temp_dir().join(format!(
         "sssp-chaos-ckpt-{}-t{}",
         std::process::id(),
         pool_threads()
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cycle.bin");
+    let path = BatchRunner::checkpoint_path(&dir, src);
 
     for first_kill in [1u64, 3, 7] {
         for parallel_resume in [false, true] {
+            let label = format!(
+                "kill at {first_kill}, parallel_resume={parallel_resume}, threads={}",
+                pool_threads()
+            );
             // "Process 1": killed at epoch `first_kill`, saves, dies.
-            let mut budget = RunBudget::unlimited().cancel_after(first_kill);
-            let err = run_with_budget(
-                Implementation::ParallelImproved,
-                &g,
-                src,
-                delta,
-                Some(&pool),
-                &cfg,
-                &mut budget,
-            )
-            .expect_err("cancel inside the run must stop it");
+            let mut engine = SsspEngine::new(&g);
+            let err = engine
+                .run_stepping(
+                    Some(&pool),
+                    src,
+                    delta,
+                    classic,
+                    &mut RunBudget::unlimited().cancel_after(first_kill),
+                )
+                .expect_err("cancel inside the run must stop it");
             let cp = err.into_checkpoint().expect("budget stop carries a checkpoint");
             assert!(cp.resumable);
-            SsspEngine::new(&g).save_checkpoint(&cp, &path).unwrap();
+            engine.save_checkpoint(&cp, &path).unwrap();
 
             // "Process 2": reloads, gets killed again mid-resume (or
             // finishes, if little work remained).
             let mut engine = SsspEngine::new(&g);
             let cp = engine.load_checkpoint(&path).unwrap();
-            let mut budget = RunBudget::unlimited().cancel_after(2);
             let resume_on = parallel_resume.then_some(&pool);
-            let second = engine.resume_stepping(resume_on, &cp, &mut budget);
+            let second =
+                engine.resume_stepping(resume_on, &cp, &mut RunBudget::unlimited().cancel_after(2));
             let result = match second {
-                Ok((result, _)) => result,
+                Ok((result, _)) => {
+                    std::fs::remove_file(&path).unwrap();
+                    result
+                }
                 Err(err) => {
                     let cp = err.into_checkpoint().expect("mid-resume stop carries a checkpoint");
                     engine.save_checkpoint(&cp, &path).unwrap();
-                    // "Process 3": reloads the twice-interrupted state
-                    // and runs to completion.
-                    let mut engine = SsspEngine::new(&g);
-                    let cp = engine.load_checkpoint(&path).unwrap();
-                    let (result, _) = engine
-                        .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
-                        .expect("final resume must reconverge");
-                    result
+                    // "Process 3": the stepping door finds the file in
+                    // its directory and resumes it to completion.
+                    let (checkpoints, error) = ManifestState::open(&dir);
+                    assert!(error.is_none(), "{label}: {error:?}");
+                    let kernels =
+                        if parallel_resume { Kernels::Pooled } else { Kernels::Sequential };
+                    let outcome = run_job(
+                        &mut SsspEngine::new(&g),
+                        Some(&pool),
+                        None,
+                        &job(src, kernels, delta, classic, &guard, None),
+                        Some(&checkpoints),
+                    );
+                    assert!(
+                        matches!(outcome, JobOutcome::Complete { resumed: true, .. }),
+                        "{label}: the door must resume the saved checkpoint"
+                    );
+                    assert!(!path.exists(), "{label}: completion removes the file");
+                    complete(outcome, &label)
                 }
             };
-            let label = format!(
-                "kill at {first_kill}, parallel_resume={parallel_resume}, threads={}",
-                pool_threads()
-            );
             assert_eq!(bits(&result.dist), bits(&reference.dist), "{label}");
             assert_eq!(result.stats, reference.stats, "{label}");
         }
@@ -281,23 +272,25 @@ fn panic_then_budget_stop_still_yields_a_certified_checkpoint() {
     let g = chaos_graph();
     let full = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
-    let cfg = GuardConfig::default();
-    let token = sssp_core::CancelToken::new();
+    let guard = GuardConfig::default();
+    let token = CancelToken::new();
     token.cancel();
-    let mut budget = RunBudget::for_run(&g, 1.0, &cfg).with_cancel(token);
-    taskpool::fault::arm_panic_after(0);
-    let err = run_with_budget(
-        Implementation::ParallelImproved,
-        &g,
-        0,
-        1.0,
-        Some(&pool),
-        &cfg,
-        &mut budget,
-    )
-    .expect_err("pre-cancelled token must stop the run");
-    let cp = err.into_checkpoint().expect("budget stop carries a checkpoint");
-    for (v, d) in cp.settled_distances() {
-        assert_eq!(d.to_bits(), full.dist[v].to_bits(), "vertex {v}");
+    for strategy in STRATEGIES {
+        taskpool::fault::arm_panic_after(0);
+        let outcome = run_job(
+            &mut SsspEngine::new(&g),
+            Some(&pool),
+            None,
+            &job(0, Kernels::Pooled, 1.0, strategy, &guard, Some(&token)),
+            None,
+        );
+        taskpool::fault::disarm();
+        let JobOutcome::Partial { stop, .. } = outcome else {
+            panic!("{strategy}: a pre-cancelled token must stop the job, got {outcome:?}");
+        };
+        let cp = stop.into_checkpoint().expect("budget stop carries a checkpoint");
+        for (v, d) in cp.settled_distances() {
+            assert_eq!(d.to_bits(), full.dist[v].to_bits(), "{strategy}: vertex {v}");
+        }
     }
 }

@@ -161,6 +161,8 @@ fn solver_errors_are_one_line_not_panics() {
         &["--gen", "path:4", "--impl", "gblas", "--delta", "inf"][..],
         &["--gen", "path:4", "--impl", "parallel", "--delta", "0"][..],
         &["--gen", "path:4", "--impl", "improved", "--delta", "0"][..],
+        &["--gen", "grid:4x4", "--impl", "gblas-select", "--delta", "0"][..],
+        &["--gen", "grid:4x4", "--impl", "gblas-parallel", "--delta", "0"][..],
     ] {
         let out = sssp(args);
         assert_eq!(out.status.code(), Some(3), "{args:?}: {}", stderr(&out));
@@ -404,4 +406,85 @@ fn symmetrize_and_unit_weights() {
     let out = sssp(&["--gen", "path:4", "--symmetrize", "--source", "3", "--summary"]);
     assert!(out.status.success());
     assert!(stdout(&out).contains("reaches 4 vertices"));
+}
+
+#[test]
+fn figure_variants_reject_a_delta_past_exact_bucket_indices() {
+    // Once (n−1)·max_w/Δ reaches 2^53, `i as f64 * Δ` is no longer exact
+    // and bucket indices saturate: gblas-select printed `inf` for
+    // reachable vertices and three variants failed the certificate. The
+    // figure door rejects such a Δ before the run.
+    let weighted = ["--symmetrize", "--random-weights", "--validate"];
+    for (gen, imp, delta, extra) in [
+        ("path:6", "gblas-select", "1e-300", &[][..]),
+        ("rmat:10,8", "gblas-select", "1e-15", &weighted[..]),
+        ("grid:30x30", "gblas-parallel", "1e-15", &weighted[..]),
+        ("er:2000,10000", "parallel", "1e-300", &weighted[..]),
+    ] {
+        let out = sssp(&[&["--gen", gen, "--impl", imp, "--delta", delta][..], extra].concat());
+        let label = format!("{imp} on {gen} at {delta}");
+        assert_eq!(out.status.code(), Some(3), "{label}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("delta is impractically small"), "{label}: {err}");
+        assert_eq!(err.trim().lines().count(), 1, "{label}: {err}");
+        assert!(stdout(&out).is_empty(), "{label}");
+    }
+    // The bound is the figure door's: the stepping loop answers exactly.
+    let out = sssp(&["--gen", "path:6", "--impl", "fused", "--delta", "1e-300"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines, vec!["0\t0", "1\t1", "2\t2", "3\t3", "4\t4", "5\t5"]);
+}
+
+#[test]
+fn deadline_and_checkpoint_dir_are_usage_errors_where_they_do_not_apply() {
+    // --deadline-ms budgets the stepping door; the figure and baseline
+    // names run to completion, so the flag would be silently ignored.
+    for imp in [
+        "canonical",
+        "gblas",
+        "gblas-select",
+        "gblas-parallel",
+        "parallel",
+        "dijkstra",
+        "bellman-ford",
+    ] {
+        let out = sssp(&["--gen", "grid:4x4", "--impl", imp, "--deadline-ms", "0"]);
+        assert_eq!(out.status.code(), Some(1), "{imp}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("--deadline-ms applies to --impl fused or improved"), "{imp}: {err}");
+        assert!(stdout(&out).is_empty(), "{imp}");
+    }
+    // --checkpoint-dir persists --sources jobs; a single run never
+    // touches it.
+    let dir = std::env::temp_dir().join(format!("sssp-cli-single-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    for imp in ["fused", "improved", "canonical"] {
+        let out =
+            sssp(&["--gen", "grid:4x4", "--impl", imp, "--checkpoint-dir", dir.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{imp}: {}", stderr(&out));
+        let err = stderr(&out);
+        assert!(err.contains("--checkpoint-dir applies to --sources"), "{imp}: {err}");
+        assert!(!dir.exists(), "{imp}: a usage error must not create the directory");
+    }
+}
+
+#[test]
+fn every_strategy_takes_the_job_door_on_both_kernels() {
+    for imp in ["fused", "improved"] {
+        for strategy in ["rho:16", "delta-star:2"] {
+            let base = ["--gen", "grid:20x20", "--impl", imp, "--strategy", strategy];
+            let out = sssp(&[&base[..], &["--validate", "--summary"]].concat());
+            assert!(out.status.success(), "{imp} {strategy}: {}", stderr(&out));
+            assert!(stderr(&out).contains("certificate: OK"), "{imp} {strategy}");
+            let out = sssp(&[&base[..], &["--deadline-ms", "0"]].concat());
+            assert_eq!(out.status.code(), Some(5), "{imp} {strategy}: {}", stderr(&out));
+            assert!(stderr(&out).contains("certified final"), "{imp} {strategy}");
+        }
+    }
+    // A figure name takes no strategy.
+    let out = sssp(&["--gen", "grid:4x4", "--impl", "gblas-select", "--strategy", "rho"]);
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert!(stderr(&out).contains("supports --impl fused or improved"), "{}", stderr(&out));
 }

@@ -5,16 +5,12 @@
 //! built to honour: requests are merged in spawn order, so no schedule
 //! interleaving can leak into the result.
 
-use std::str::FromStr;
-
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
 use sssp_core::repro::{gblas_parallel, parallel};
 use sssp_core::result::SsspResult;
 use sssp_core::stepping::{delta_stepping_strategy, stepping_checked, SteppingStrategy};
-use sssp_core::{
-    fused, run_with_budget, GuardConfig, Implementation, RunBudget,
-};
+use sssp_core::{fused, run_checked, GuardConfig, Implementation, RunBudget};
 use taskpool::ThreadPool;
 
 const RUNS: usize = 20;
@@ -117,11 +113,11 @@ fn engine_reuse_is_deterministic_and_matches_direct_calls() {
 
 #[test]
 fn front_door_covers_every_impl_name_deterministically() {
-    // The shared front door must accept every canonical `--impl` name
-    // and give deterministic bits for each: this literal list is what
+    // The figure door must accept every canonical figure name and give
+    // deterministic bits for each: this literal list is what
     // `sssp-analyze`'s impl-coverage lint pins against `run.rs`, so a
-    // new Implementation variant cannot ship without being added here.
-    const NAMES: [&str; 5] = ["canonical", "fused", "gblas", "parallel", "improved"];
+    // new figure variant cannot ship without being added here.
+    const NAMES: [&str; 5] = ["canonical", "gblas", "gblas-select", "gblas-parallel", "parallel"];
     // Unit weights: the gblas implementation rejects zero-weight edges.
     let d = paper_suite(SuiteScale::Smoke).remove(1);
     let g = &d.graph;
@@ -130,24 +126,16 @@ fn front_door_covers_every_impl_name_deterministically() {
     let reference = fused::delta_stepping_fused(g, src, delta);
 
     for name in NAMES {
-        let imp = Implementation::from_str(name).expect("front-door name must parse");
+        let imp = Implementation::parse(name).expect("figure name must parse");
         assert_eq!(imp.name(), name, "parse(name()) must round-trip");
         for &threads in &THREADS {
             let pool = ThreadPool::with_threads(threads).expect("pool");
             for rep in 0..3 {
-                let rep_out = run_with_budget(
-                    imp,
-                    g,
-                    src,
-                    delta,
-                    Some(&pool),
-                    &GuardConfig::default(),
-                    &mut RunBudget::unlimited(),
-                )
-                .expect("valid inputs");
-                assert!(rep_out.degraded.is_none(), "{name}: degraded run");
+                let (result, _) =
+                    run_checked(imp, g, src, delta, Some(&pool), &GuardConfig::default())
+                        .expect("valid inputs");
                 assert_eq!(
-                    bits(&rep_out.result.dist),
+                    bits(&result.dist),
                     bits(&reference.dist),
                     "{name}: distances diverged at {threads} thread(s), rep {rep}"
                 );
@@ -158,9 +146,9 @@ fn front_door_covers_every_impl_name_deterministically() {
 
 #[test]
 fn cancelled_then_resumed_runs_are_bit_identical() {
-    // Determinism must survive interruption: cancel each resumable
-    // implementation at a seeded pseudo-random epoch, resume the
-    // checkpoint on both kernels of the one loop (pool-less and pooled),
+    // Determinism must survive interruption: cancel the stepping loop on
+    // each kernel at a seeded pseudo-random epoch, resume the
+    // checkpoint on both kernels (pool-less and pooled),
     // and demand bit-identical distances AND stats versus the
     // uninterrupted run — at every thread count.
     let d = paper_suite(SuiteScale::Smoke).remove(1);
@@ -198,17 +186,6 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
                         delta,
                         classic,
                         None,
-                        &mut RunBudget::unlimited().cancel_after(k),
-                    )
-                    .expect_err("cancel_after must stop the run"),
-                ),
-                (
-                    "parallel",
-                    parallel::delta_stepping_parallel_checked(
-                        &pool,
-                        g,
-                        src,
-                        delta,
                         &mut RunBudget::unlimited().cancel_after(k),
                     )
                     .expect_err("cancel_after must stop the run"),

@@ -29,7 +29,7 @@ use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::dijkstra::dijkstra;
 use sssp_core::engine::SsspEngine;
 use sssp_core::{
-    run_checked, run_with_budget, GuardConfig, Implementation, RunBudget, SsspError,
+    run_checked, GuardConfig, Implementation, Kernels, RunBudget, SsspError, SsspResult,
     SteppingStrategy,
 };
 use taskpool::fault::TestSession;
@@ -37,12 +37,19 @@ use taskpool::ThreadPool;
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
-/// The implementations wired to the shared density oracle.
-const DIRECTED_IMPLS: [Implementation; 3] = [
-    Implementation::Fused,
-    Implementation::ParallelImproved,
-    Implementation::Gblas,
-];
+/// The light-phase kernels wired to the shared density oracle: the
+/// stepping loop's two kernels, through the engine, and the Fig. 2 `vxm`,
+/// through the figure door.
+#[derive(Debug, Clone, Copy)]
+enum Directed {
+    Kernels(Kernels),
+    Gblas,
+}
+
+const DIRECTED: [Directed; 3] =
+    [Directed::Kernels(Kernels::Sequential), Directed::Kernels(Kernels::Pooled), Directed::Gblas];
+
+const POOLED: Directed = Directed::Kernels(Kernels::Pooled);
 
 /// Hold the test session with the direction forced (or, with `None`,
 /// left to the oracle); automatic selection is restored when the session
@@ -58,39 +65,49 @@ fn bits(dist: &[f64]) -> Vec<u64> {
     dist.iter().map(|d| d.to_bits()).collect()
 }
 
-/// Run `imp` once under the already-set direction override.
-fn run(imp: Implementation, g: &CsrGraph, src: usize, delta: f64, pool: &ThreadPool) -> sssp_core::SsspResult {
-    run_checked(imp, g, src, delta, Some(pool), &GuardConfig::default())
-        .expect("valid input")
-        .result
+/// Run `subject` once (classic) under the already-set direction override.
+fn run(subject: Directed, g: &CsrGraph, src: usize, delta: f64, pool: &ThreadPool) -> SsspResult {
+    match subject {
+        Directed::Kernels(kernels) => {
+            let pool = (kernels == Kernels::Pooled).then_some(pool);
+            let classic = SteppingStrategy::Classic;
+            SsspEngine::new(g)
+                .run_stepping(pool, src, delta, classic, &mut RunBudget::unlimited())
+                .expect("valid input")
+                .0
+        }
+        Directed::Gblas => {
+            run_checked(Implementation::Gblas, g, src, delta, Some(pool), &GuardConfig::default())
+                .expect("valid input")
+                .0
+        }
+    }
 }
 
-/// Push and pull must agree bit-for-bit on `g`, per implementation, at
-/// every thread count.
+/// Push and pull must agree bit-for-bit on `g`, per kernel, at every
+/// thread count.
 fn check_directions(name: &str, g: &CsrGraph, src: usize, delta: f64) {
-    for imp in DIRECTED_IMPLS {
+    for subject in DIRECTED {
         let reference = {
             let _push = forced(Some(Direction::Push));
             let pool = ThreadPool::with_threads(1).expect("pool");
-            run(imp, g, src, delta, &pool)
+            run(subject, g, src, delta, &pool)
         };
         // Push is the long-standing baseline: it must still match Dijkstra.
-        assert_eq!(reference.dist, dijkstra(g, src).dist, "{}: push baseline on {name}", imp.name());
+        assert_eq!(reference.dist, dijkstra(g, src).dist, "{subject:?}: push baseline on {name}");
         for dir in [Direction::Push, Direction::Pull] {
             let _forced = forced(Some(dir));
             for &threads in &THREADS {
                 let pool = ThreadPool::with_threads(threads).expect("pool");
-                let r = run(imp, g, src, delta, &pool);
+                let r = run(subject, g, src, delta, &pool);
                 assert_eq!(
                     bits(&r.dist),
                     bits(&reference.dist),
-                    "{} on {name}: {dir:?} distances diverged at {threads} thread(s)",
-                    imp.name()
+                    "{subject:?} on {name}: {dir:?} distances diverged at {threads} thread(s)"
                 );
                 assert_eq!(
                     r.stats, reference.stats,
-                    "{} on {name}: {dir:?} stats diverged at {threads} thread(s)",
-                    imp.name()
+                    "{subject:?} on {name}: {dir:?} stats diverged at {threads} thread(s)"
                 );
             }
         }
@@ -160,7 +177,7 @@ fn parallel_pull_kernel_is_bit_identical_not_just_its_fallback() {
     let reference = {
         let _push = forced(Some(Direction::Push));
         let pool = ThreadPool::with_threads(1).expect("pool");
-        run(Implementation::ParallelImproved, g, src, 1.0, &pool)
+        run(POOLED, g, src, 1.0, &pool)
     };
     // The cut-over is shared by the relax and pull kernels.
     let mut session = forced(Some(Direction::Pull));
@@ -168,7 +185,7 @@ fn parallel_pull_kernel_is_bit_identical_not_just_its_fallback() {
     sssp_core::reqbuf::set_relax_threshold_override(Some(1));
     for threads in [2usize, 4] {
         let pool = ThreadPool::with_threads(threads).expect("pool");
-        let r = run(Implementation::ParallelImproved, g, src, 1.0, &pool);
+        let r = run(POOLED, g, src, 1.0, &pool);
         assert_eq!(
             bits(&r.dist),
             bits(&reference.dist),
@@ -190,7 +207,7 @@ fn auto_oracle_crosses_the_switch_boundary_and_stays_exact() {
     let pool = ThreadPool::with_threads(2).expect("pool");
     for d in paper_suite(SuiteScale::Smoke) {
         let src = d.graph.num_vertices() / 2;
-        let auto_run = run(Implementation::ParallelImproved, &d.graph, src, 1.0, &pool);
+        let auto_run = run(POOLED, &d.graph, src, 1.0, &pool);
         assert_eq!(
             auto_run.dist,
             dijkstra(&d.graph, src).dist,
@@ -220,41 +237,27 @@ fn cancellation_at_every_epoch_across_the_switch_boundary() {
     let g = CsrGraph::from_edge_list(&el).unwrap();
     let (src, delta) = (1usize, 0.5);
     let pool = ThreadPool::with_threads(2).expect("pool");
-    let cfg = GuardConfig::default();
+    let classic = SteppingStrategy::Classic;
 
     // The fixture must actually cross the boundary, or this test pins
     // nothing new.
     direction::reset_decision_counters();
-    let reference = run(Implementation::ParallelImproved, &g, src, delta, &pool);
+    let reference = run(POOLED, &g, src, delta, &pool);
     let (push, pull) = direction::decision_counters();
     assert!(push > 0 && pull > 0, "fixture does not cross the switch boundary ({push} push, {pull} pull)");
 
     let mut budget = RunBudget::unlimited();
-    run_with_budget(
-        Implementation::ParallelImproved,
-        &g,
-        src,
-        delta,
-        Some(&pool),
-        &cfg,
-        &mut budget,
-    )
-    .expect("valid input");
+    SsspEngine::new(&g)
+        .run_stepping(Some(&pool), src, delta, classic, &mut budget)
+        .expect("valid input");
     let epochs = budget.ticks();
     assert!(epochs > 2, "too few epochs to be interesting");
 
     let mut engine = SsspEngine::new(&g);
     for k in 0..epochs {
-        let err = run_with_budget(
-            Implementation::ParallelImproved,
-            &g,
-            src,
-            delta,
-            Some(&pool),
-            &cfg,
-            &mut RunBudget::unlimited().cancel_after(k),
-        )
-        .expect_err("cancel_after inside the run must stop it");
+        let err = SsspEngine::new(&g)
+            .run_stepping(Some(&pool), src, delta, classic, &mut RunBudget::unlimited().cancel_after(k))
+            .expect_err("cancel_after inside the run must stop it");
         let cp = match err {
             SsspError::Cancelled { checkpoint } => *checkpoint,
             other => panic!("epoch {k}: expected Cancelled, got {other}"),

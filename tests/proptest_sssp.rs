@@ -9,8 +9,10 @@ use gblas::{Descriptor, Vector};
 use graphdata::{CsrGraph, EdgeList};
 use sssp_core::repro::{canonical, gblas_impl};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
+use sssp_core::batch::{run_job, Job, JobOutcome};
+use sssp_core::engine::SsspEngine;
 use sssp_core::{
-    dijkstra, fused, run_checked, validate, GuardConfig, Implementation,
+    dijkstra, fused, run_checked, validate, GuardConfig, Implementation, Kernels, SsspResult,
 };
 use taskpool::ThreadPool;
 
@@ -68,6 +70,23 @@ fn csr_unchecked(n: usize, mut triples: Vec<(usize, usize, f64)>) -> CsrGraph {
     let targets = triples.iter().map(|t| t.1).collect();
     let weights = triples.iter().map(|t| t.2).collect();
     CsrGraph::from_raw_parts_unchecked(n, offsets, targets, weights)
+}
+
+/// One single-source job on the stepping door — the CLI's `fused` /
+/// `improved` run — on `kernels`.
+fn stepping_job(g: &CsrGraph, src: usize, delta: f64, kernels: Kernels, pool: &ThreadPool) -> JobOutcome {
+    let guard = GuardConfig::default();
+    let job = Job {
+        source: src,
+        kernels,
+        delta,
+        strategy: SteppingStrategy::Classic,
+        guard: &guard,
+        deadline: None,
+        cancel: None,
+        progress: None,
+    };
+    run_job(&mut SsspEngine::new(g), Some(pool), None, &job, None)
 }
 
 /// Sparse vector as (size, dense options).
@@ -256,25 +275,31 @@ proptest! {
     ) {
         let delta = [0.5, 1.0, 0.0, f64::NAN, f64::INFINITY, -1.0][delta_idx];
         let g = csr_unchecked(n, triples.clone());
+        // Whatever the input, both doors must return — no panic, no hang.
+        // A result is only legal when every input was actually valid; an
+        // error is a clean rejection — exactly what the guard is for.
+        let accepted = |name: &str, result: &SsspResult| {
+            prop_assert!(src < n, "{name}: accepted OOB source");
+            prop_assert!(delta.is_finite() && delta > 0.0, "{name}: accepted delta {delta}");
+            prop_assert!(
+                triples.iter().all(|t| t.2.is_finite() && t.2 >= 0.0),
+                "{name}: accepted an invalid weight"
+            );
+            prop_assert!(
+                validate::check_certificate(&g, result, 1e-9).is_ok(),
+                "{name}: accepted input but produced uncertified distances"
+            );
+        };
         let cfg = GuardConfig::default();
         for imp in Implementation::ALL {
-            // Whatever the input, run_checked must return — no panic, no
-            // hang. Ok is only legal when every input was actually valid.
-            // An Err is a clean rejection — exactly what the guard is for.
-            if let Ok(report) = run_checked(imp, &g, src, delta, None, &cfg) {
-                prop_assert!(src < n, "{}: accepted OOB source", imp.name());
-                prop_assert!(
-                    delta.is_finite() && delta > 0.0,
-                    "{}: accepted delta {delta}", imp.name()
-                );
-                prop_assert!(
-                    triples.iter().all(|t| t.2.is_finite() && t.2 >= 0.0),
-                    "{}: accepted an invalid weight", imp.name()
-                );
-                prop_assert!(
-                    validate::check_certificate(&g, &report.result, 1e-9).is_ok(),
-                    "{}: accepted input but produced uncertified distances", imp.name()
-                );
+            if let Ok((result, _)) = run_checked(imp, &g, src, delta, None, &cfg) {
+                accepted(imp.name(), &result);
+            }
+        }
+        let pool = ThreadPool::with_threads(2).unwrap();
+        for kernels in [Kernels::Sequential, Kernels::Pooled] {
+            if let JobOutcome::Complete { result, .. } = stepping_job(&g, src, delta, kernels, &pool) {
+                accepted(kernels.name(), &result);
             }
         }
     }
@@ -288,16 +313,25 @@ proptest! {
         let delta = [0.5, 1.0, 2.5][delta_idx];
         let truth = dijkstra::dijkstra(&g, 0);
         for imp in Implementation::ALL {
-            let report = run_checked(imp, &g, 0, delta, None, &GuardConfig::default());
-            match report {
-                Ok(r) => {
-                    prop_assert!(r.degraded.is_none(), "{}: spurious degradation", imp.name());
+            match run_checked(imp, &g, 0, delta, None, &GuardConfig::default()) {
+                Ok((result, _)) => prop_assert!(
+                    result.approx_eq(&truth, 1e-9).is_ok(),
+                    "{}: diverged from Dijkstra", imp.name()
+                ),
+                Err(e) => prop_assert!(false, "{}: rejected a valid graph: {e}", imp.name()),
+            }
+        }
+        let pool = ThreadPool::with_threads(2).unwrap();
+        for kernels in [Kernels::Sequential, Kernels::Pooled] {
+            match stepping_job(&g, 0, delta, kernels, &pool) {
+                JobOutcome::Complete { result, degraded, .. } => {
+                    prop_assert!(degraded.is_none(), "{}: spurious degradation", kernels.name());
                     prop_assert!(
-                        r.result.approx_eq(&truth, 1e-9).is_ok(),
-                        "{}: diverged from Dijkstra", imp.name()
+                        result.approx_eq(&truth, 1e-9).is_ok(),
+                        "{}: diverged from Dijkstra", kernels.name()
                     );
                 }
-                Err(e) => prop_assert!(false, "{}: rejected a valid graph: {e}", imp.name()),
+                other => prop_assert!(false, "{}: stopped on a valid graph: {other:?}", kernels.name()),
             }
         }
     }

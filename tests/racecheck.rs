@@ -1,8 +1,8 @@
 //! Concurrency soundness suite: the happens-before race checker against
 //! both sides of the contract.
 //!
-//! Positive direction: every implementation dispatched by the shared
-//! front door, and every stepping strategy on the production loop's
+//! Positive direction: every figure variant behind the figure door
+//! (`run_checked`), and every stepping strategy on the production loop's
 //! pooled kernels, stays race-free and bit-identical across seeded
 //! adversarial schedules (including a cancel-then-resume split run).
 //! Negative direction: deliberately unsound fixtures — the old
