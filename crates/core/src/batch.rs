@@ -36,11 +36,14 @@
 //! dequeued it, and the `sssp` CLI runs a single `fused` / `improved`
 //! source as one job through it, without a checkpoint directory.
 //!
-//! One batch, one graph, **one split**: every worker drives an
-//! [`SsspEngine`] over a shared [`SplitCache`], so a same-Δ batch builds
-//! the light/heavy matrix split exactly once no matter how many workers
-//! drain the queue (the paper puts that filter at 35–40 % of runtime —
-//! it is the cost worth amortizing). Pooled jobs share one
+//! One batch, one graph, **one preparation, one split**: the batch
+//! prepares its graph once ([`PreparedGraph`]: rows sorted by weight, the
+//! weight verdict and maximum weight, the fingerprint when something
+//! needs it) and every worker drives an [`SsspEngine`] view over it and a
+//! shared [`SplitCache`], so a same-Δ batch builds the light/heavy split
+//! exactly once no matter how many workers drain the queue (the paper
+//! puts that filter at 35–40 % of runtime — it is the cost worth
+//! amortizing). Pooled jobs share one
 //! [`ThreadPool`]; if pool creation fails, the batch does not silently
 //! fall back — every affected job completes on the sequential kernels
 //! with its `degraded` flag set and the failure is reported in
@@ -72,9 +75,10 @@ use crate::checkpoint::Checkpoint;
 use crate::engine::SsspEngine;
 use crate::guard::{GuardConfig, SsspError};
 use crate::manifest::{CheckpointManifest, ManifestEntry};
+use crate::prepared::PreparedGraph;
 use crate::result::SsspResult;
 use crate::split_cache::{SplitCache, SplitCacheStats};
-use crate::stepping::SteppingStrategy;
+use crate::stepping::{SteppingStrategy, SteppingWorkspace};
 
 /// The relaxation kernels a batched or served job runs on — the second
 /// axis of a job next to its [`SteppingStrategy`]. The `impl=` names of
@@ -367,7 +371,9 @@ pub struct Job<'a> {
 /// `ckpt-<source>.bin`), and persist a budget stop; without, always run
 /// fresh. Either way the run goes through the degradation ladder (see
 /// the module docs). `pool` serves pooled kernels; `pool_unavailable`
-/// says why there is none, for the rung-2 notice.
+/// says why there is none, for the rung-2 notice. Everything the job
+/// needs to know about the graph comes from the engine's
+/// [`PreparedGraph`]: no pass over the graph happens here.
 pub fn run_job(
     engine: &mut SsspEngine<'_>,
     pool: Option<&ThreadPool>,
@@ -375,8 +381,9 @@ pub fn run_job(
     job: &Job<'_>,
     checkpoints: Option<&ManifestState>,
 ) -> JobOutcome {
-    let g = engine.graph();
-    let mut budget = RunBudget::for_job(g, job.delta, job.guard, job.deadline, job.cancel);
+    let prep = engine.prepared();
+    let mut budget =
+        RunBudget::for_prepared_job(prep, job.delta, job.guard, job.deadline, job.cancel);
     if let Some(gauge) = job.progress {
         budget = budget.with_progress(gauge.clone());
     }
@@ -385,12 +392,13 @@ pub fn run_job(
     // file correctly.
     let resume = checkpoints.and_then(|c| c.resumable(engine, job.source));
     let retry_delta = resume.as_ref().map_or(job.delta, |cp| cp.delta);
+    let retry_limit = engine.prepared().epoch_limit(retry_delta, job.guard);
     let outcome = ladder(
         job.kernels,
         pool,
         pool_unavailable,
         &mut budget,
-        |budget| budget.retry_budget(g, retry_delta, job.guard),
+        |budget| budget.retry_budget(retry_limit),
         |pool, budget| match &resume {
             Some(cp) => Ok((engine.resume_stepping(pool, cp, budget)?.0, cp.delta)),
             None => {
@@ -454,8 +462,9 @@ impl BatchRunner {
     /// Admission is decided up front and deterministically: the first
     /// `queue_capacity` sources are accepted, the rest come back as
     /// [`BatchOutcome::Rejected`]. Accepted jobs are drained by
-    /// `workers` threads, each driving an [`SsspEngine`] over one shared
-    /// [`SplitCache`] and (for pooled jobs) one shared [`ThreadPool`]. A
+    /// `workers` threads, each driving an [`SsspEngine`] view over the
+    /// batch's one [`PreparedGraph`], one shared [`SplitCache`] and (for
+    /// pooled jobs) one shared [`ThreadPool`]. A
     /// failed pool creation degrades every job to the sequential
     /// kernels — visibly, via [`BatchReport::pool_degraded`] and per-job
     /// `degraded` flags.
@@ -513,13 +522,16 @@ impl BatchRunner {
         };
 
         let workers = self.cfg.workers.min(accepted.max(1));
+        let prep = PreparedGraph::new(g);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    // Per-worker engine over the shared split cache: warm
-                    // workspaces stay thread-private, the expensive split
-                    // is fetched (or built exactly once) from the cache.
-                    let mut engine = SsspEngine::with_cache(g, Arc::clone(cache));
+                    // Per-worker view over the batch's prepared graph and
+                    // the shared split cache: warm workspaces stay
+                    // thread-private, the split is fetched (or built
+                    // exactly once) from the cache.
+                    let mut ws = SteppingWorkspace::default();
+                    let mut engine = SsspEngine::over(&prep, Arc::clone(cache), &mut ws);
                     loop {
                         let job = queue.lock().expect("queue lock").pop_front();
                         let Some((idx, source)) = job else { break };
@@ -1019,8 +1031,9 @@ mod tests {
     /// The ladder table: {fresh, resume} × {panic on rung 1, the same with
     /// the token cancelled meanwhile, panic on both rungs, pooled without
     /// a pool} × {classic, Δ*}. Rung-1 panics are the taskpool fault hook
-    /// firing inside the pooled split build; the sequential rung has no
-    /// hook, so its panic is raised by the call the ladder is handed.
+    /// firing inside the pooled relaxation kernels (forced onto the pool
+    /// by the threshold override); the sequential rung has no hook, so
+    /// its panic is raised by the call the ladder is handed.
     #[test]
     fn ladder_degrades_fresh_and_resumed_jobs_alike() {
         #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1041,14 +1054,14 @@ mod tests {
                     let token = CancelToken::new();
                     let deadline = Some(Duration::from_secs(3600));
                     let mut budget = RunBudget::for_job(&g, 1.0, &guard, deadline, Some(&token));
-                    let _session = taskpool::fault::TestSession::begin();
+                    let mut session = taskpool::fault::TestSession::begin();
+                    session.on_end(|| crate::reqbuf::set_relax_threshold_override(None));
+                    crate::reqbuf::set_relax_threshold_override(Some(1));
                     let pool = (fault != NoPool).then(|| ThreadPool::with_threads(2).unwrap());
                     let mut engine = SsspEngine::new(&g);
                     let cp = resume.then(|| {
                         let cut = &mut RunBudget::unlimited().cancel_after(3);
                         let err = engine.run_stepping(None, 0, 1.0, strategy, cut).unwrap_err();
-                        // The pooled rung must build the split again.
-                        engine.clear_cache();
                         err.into_checkpoint().unwrap()
                     });
                     let calls = std::cell::Cell::new(0);
@@ -1058,14 +1071,17 @@ mod tests {
                             // An epoch spent here is not charged to rung 2.
                             budget.check().unwrap();
                             taskpool::fault::arm_panic_after(0);
-                            if fault == Fault::Rung1ThenCancel {
-                                token.cancel();
-                            }
                         } else {
                             // Rung 2: fresh ticks, the job's deadline.
                             assert_eq!(budget.ticks(), 0, "{label}");
                             assert!(budget.remaining().is_some(), "{label}");
                             assert!(fault != Fault::BothRungs, "rung 2 down");
+                            // Cancelled after the rung-1 panic, before
+                            // rung 2's first epoch: only the job's own
+                            // token can carry it there.
+                            if fault == Fault::Rung1ThenCancel {
+                                token.cancel();
+                            }
                         }
                         let (result, _) = match &cp {
                             Some(cp) => engine.resume_stepping(pool, cp, budget)?,
@@ -1074,7 +1090,8 @@ mod tests {
                         Ok((result, 1.0))
                     };
                     let no_pool = Some("no threads");
-                    let retry = |b: &RunBudget| b.retry_budget(&g, 1.0, &guard);
+                    let limit = RunBudget::for_run(&g, 1.0, &guard).limit();
+                    let retry = |b: &RunBudget| b.retry_budget(limit);
                     let outcome = ladder(
                         Kernels::Pooled,
                         pool.as_ref(),

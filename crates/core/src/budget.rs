@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use graphdata::CsrGraph;
 
 use crate::guard::GuardConfig;
+use crate::prepared::PreparedGraph;
 
 /// A shareable cancellation flag. Cloning is cheap (one `Arc`); any clone
 /// can [`cancel`](CancelToken::cancel) and every holder observes it at
@@ -162,7 +163,7 @@ impl RunBudget {
     /// The combined bound, plus [`GuardConfig::tick_slack`], is clamped
     /// to [`GuardConfig::max_ticks`].
     pub fn for_run(g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> Self {
-        RunBudget::with_limit(epoch_limit(g, delta, cfg))
+        RunBudget::with_limit(epoch_limit(g.num_vertices(), g.max_weight(), delta, cfg))
     }
 
     /// The standard *job* budget shared by the batch runner and the serve
@@ -177,14 +178,30 @@ impl RunBudget {
         deadline: Option<Duration>,
         cancel: Option<&CancelToken>,
     ) -> Self {
-        let mut budget = RunBudget::for_run(g, delta, cfg);
+        RunBudget::for_run(g, delta, cfg).with_job_stops(deadline, cancel)
+    }
+
+    /// [`RunBudget::for_job`] on a prepared graph: the epoch limit comes
+    /// from the maximum weight [`PreparedGraph`] took at preparation, so
+    /// building a job's budget makes no pass over the weights.
+    pub fn for_prepared_job(
+        prep: &PreparedGraph<'_>,
+        delta: f64,
+        cfg: &GuardConfig,
+        deadline: Option<Duration>,
+        cancel: Option<&CancelToken>,
+    ) -> Self {
+        RunBudget::with_limit(prep.epoch_limit(delta, cfg)).with_job_stops(deadline, cancel)
+    }
+
+    fn with_job_stops(mut self, deadline: Option<Duration>, cancel: Option<&CancelToken>) -> Self {
         if let Some(deadline) = deadline {
-            budget = budget.with_timeout(deadline);
+            self = self.with_timeout(deadline);
         }
         if let Some(token) = cancel {
-            budget = budget.with_cancel(token.clone());
+            self = self.with_cancel(token.clone());
         }
-        budget
+        self
     }
 
     /// Add an absolute wall-clock deadline.
@@ -227,11 +244,12 @@ impl RunBudget {
 
     /// A fresh budget for a degraded retry of the same run: the deadline
     /// and cancellation token carry over (the caller's SLO does not reset
-    /// because a worker panicked), but the epoch count restarts.
-    pub fn retry_budget(&self, g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> Self {
+    /// because a worker panicked), but the epoch count restarts under
+    /// `limit` (the run's [`PreparedGraph::epoch_limit`]).
+    pub fn retry_budget(&self, limit: u64) -> Self {
         RunBudget {
             ticks: 0,
-            limit: epoch_limit(g, delta, cfg),
+            limit,
             deadline: self.deadline,
             cancel: self.cancel.clone(),
             cancel_after_ticks: None,
@@ -293,10 +311,11 @@ impl RunBudget {
     }
 }
 
-/// The derived epoch limit of [`RunBudget::for_run`].
-fn epoch_limit(g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> u64 {
-    let n = g.num_vertices() as u64;
-    let max_path = g.num_vertices().saturating_sub(1) as f64 * g.max_weight();
+/// The derived epoch limit of [`RunBudget::for_run`] for a graph of
+/// `vertices` vertices whose largest weight is `max_weight`.
+pub(crate) fn epoch_limit(vertices: usize, max_weight: f64, delta: f64, cfg: &GuardConfig) -> u64 {
+    let n = vertices as u64;
+    let max_path = vertices.saturating_sub(1) as f64 * max_weight;
     let buckets = if delta > 0.0 && max_path.is_finite() {
         let b = (max_path / delta).ceil();
         if b >= u64::MAX as f64 {
@@ -411,9 +430,7 @@ mod tests {
         // The retry budget resets ticks but keeps publishing through the
         // same gauge, so the supervisor's view stays live across the
         // sequential-fused retry.
-        use graphdata::gen::grid2d;
-        let g = CsrGraph::from_edge_list(&grid2d(3, 3)).unwrap();
-        let mut retry = b.retry_budget(&g, 1.0, &GuardConfig::default());
+        let mut retry = b.retry_budget(64);
         retry.check().unwrap();
         assert_eq!(gauge.get(), 1);
     }
@@ -430,8 +447,11 @@ mod tests {
         for _ in 0..5 {
             b.check().unwrap();
         }
-        let retry = b.retry_budget(&g, 1.0, &cfg);
+        let limit = PreparedGraph::new(&g).epoch_limit(1.0, &cfg);
+        assert_eq!(limit, b.limit(), "a prepared graph derives the same limit");
+        let retry = b.retry_budget(limit);
         assert_eq!(retry.ticks(), 0);
+        assert_eq!(retry.limit(), limit);
         assert!(retry.deadline.is_some());
         token.cancel();
         let mut retry = retry;

@@ -47,17 +47,8 @@ impl DeltaStrategy {
                 }
             }
             DeltaStrategy::MeyerSanders => {
-                let d = g.mean_degree();
-                let w = g.max_weight();
-                if d <= 0.0 || w <= 0.0 {
-                    Ok(1.0)
-                } else {
-                    // Θ(1/d) target, floored at the smallest positive
-                    // weight: below that floor no edge is heavy anyway,
-                    // so shrinking Δ further only multiplies buckets.
-                    let floor = min_positive_weight(g).unwrap_or(1.0);
-                    Ok((w / d).max(floor.min(w)))
-                }
+                let scan = g.weight_scan();
+                Ok(meyer_sanders(g.mean_degree(), scan.max_weight, scan.min_positive_weight))
             }
             DeltaStrategy::Adaptive => Ok(adaptive_delta(g)),
         }
@@ -74,16 +65,18 @@ impl DeltaStrategy {
     }
 }
 
-/// The smallest strictly positive edge weight, or `None` on graphs with
-/// no positive weights at all.
-fn min_positive_weight(g: &CsrGraph) -> Option<f64> {
-    let mut min: Option<f64> = None;
-    for (_, _, w) in g.iter_edges() {
-        if w > 0.0 && min.is_none_or(|m| w < m) {
-            min = Some(w);
-        }
+/// The [`DeltaStrategy::MeyerSanders`] Δ of a graph with this mean
+/// out-degree, largest weight and smallest positive weight.
+pub(crate) fn meyer_sanders(mean_degree: f64, max_weight: f64, min_positive: Option<f64>) -> f64 {
+    if mean_degree <= 0.0 || max_weight <= 0.0 {
+        1.0
+    } else {
+        // Θ(1/d) target, floored at the smallest positive weight: below
+        // that floor no edge is heavy anyway, so shrinking Δ further only
+        // multiplies buckets.
+        let floor = min_positive.unwrap_or(1.0);
+        (max_weight / mean_degree).max(floor.min(max_weight))
     }
-    min
 }
 
 /// Δ for [`DeltaStrategy::Adaptive`]: stride-sample up to
@@ -214,7 +207,7 @@ mod tests {
     fn meyer_sanders_uses_weight_over_degree_with_floor() {
         let g = grid();
         let raw = g.max_weight() / g.mean_degree();
-        let floor = min_positive_weight(&g).unwrap().min(g.max_weight());
+        let floor = g.weight_scan().min_positive_weight.unwrap().min(g.max_weight());
         assert_eq!(
             DeltaStrategy::MeyerSanders.resolve(&g),
             Ok(raw.max(floor))

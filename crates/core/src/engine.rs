@@ -1,29 +1,41 @@
-//! Multi-run SSSP engine: a per-graph cache of light/heavy splits plus
-//! reusable relaxation workspaces.
+//! Multi-run SSSP engine: a prepared graph, a cache of light/heavy splits
+//! and a reusable relaxation workspace.
 //!
 //! The paper measures the matrix filtering phase (building `A_L` / `A_H`)
-//! at 35–40 % of total runtime. A single query cannot avoid that cost, but
-//! multi-source workloads (bench loops, all-pairs sampling, the CLI's
-//! `--sources` mode) re-split the *same* matrix at the *same* Δ on every
-//! call. [`SsspEngine`] builds each split once; the loop's workspace
-//! ([`SteppingWorkspace`]) rides along so repeated runs allocate nothing
-//! after the first.
+//! at 35–40 % of total runtime, and a served request used to pay more
+//! than its solve again in per-graph set-up. An engine runs over a
+//! [`PreparedGraph`] — rows sorted by weight, the weight verdict and the
+//! maximum weight taken in one pass, the fingerprint taken once — so a
+//! split is one partition point per row, built once per Δ, and the loop's
+//! workspace ([`SteppingWorkspace`]) rides along so repeated runs
+//! allocate nothing but their result.
 //!
-//! Splits live in a shared [`SplitCache`] keyed by
-//! `(graph fingerprint, Δ.to_bits())`: an engine created with
-//! [`SsspEngine::new`] gets a private cache and behaves exactly as
-//! before, while engines created with [`SsspEngine::with_cache`] (one per
-//! batch worker) share one `Arc`'d store, so a same-Δ multi-source batch
-//! filters `A_L`/`A_H` exactly once no matter how many workers drain it.
-//! The fingerprint in the key is what makes sharing sound: a bare
-//! `Δ.to_bits()` key was only correct while the cache could see a single
-//! graph.
+//! Three doors, one engine:
+//!
+//! * [`SsspEngine::new`] prepares a borrowed graph privately (one pass
+//!   over the weights, one weight-sorted copy of the adjacency) with a
+//!   private split cache and its own workspace — a one-off caller's
+//!   engine;
+//! * [`SsspEngine::with_cache`] does the same over a shared
+//!   [`SplitCache`];
+//! * [`SsspEngine::over`] is a view: a prepared graph someone else owns
+//!   (a server's registry entry, a batch's shared preparation), a shared
+//!   cache, and a borrowed workspace (a serve worker slot's, a batch
+//!   worker's). Building one costs nothing per graph.
+//!
+//! Splits live in a [`SplitCache`] keyed by `(graph fingerprint,
+//! Δ.to_bits())`, so engines over different graphs can share one store
+//! and a same-Δ multi-source batch builds each split exactly once. A
+//! private cache only ever sees one graph, so its key needs no
+//! fingerprint and the engine takes none until a checkpoint asks.
 //!
 //! Engines also speak the durable-checkpoint format:
 //! [`SsspEngine::save_checkpoint`] / [`SsspEngine::load_checkpoint`]
-//! persist a budget-stopped run to disk (bound to the graph by the same
-//! fingerprint) so a fresh process can resume it bit-identically.
+//! persist a budget-stopped run to disk (bound to the as-loaded graph by
+//! its fingerprint) so a fresh process can resume it bit-identically.
 
+use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,8 +45,8 @@ use taskpool::ThreadPool;
 
 use crate::budget::RunBudget;
 use crate::checkpoint::Checkpoint;
-use crate::fused::LightHeavy;
-use crate::guard::{self, GuardConfig, SsspError};
+use crate::guard::{GuardConfig, SsspError};
+use crate::prepared::{PreparedGraph, Split};
 use crate::result::SsspResult;
 use crate::split_cache::SplitCache;
 use crate::stats::PhaseProfile;
@@ -49,10 +61,6 @@ pub struct EngineStats {
     pub split_builds: usize,
     /// Runs served from a cached split.
     pub split_hits: usize,
-    /// `O(|V| + |E|)` weight-validation scans actually executed. Stays at
-    /// 1 across any number of checked runs on the same engine — the
-    /// verdict is cached alongside the split cache.
-    pub preflight_scans: usize,
     /// Pending-set entries examined by the stepping loop's frontier
     /// extractions, summed over every run and resume on this engine
     /// (budget-stopped ones included). Deterministic — equal across
@@ -62,7 +70,42 @@ pub struct EngineStats {
     pub extraction_scanned: u64,
 }
 
-/// Per-graph SSSP engine with a Δ-keyed split cache and warm workspaces.
+/// The workspace an engine runs in: its own, or one lent by a caller that
+/// keeps it across engines (a serve worker slot).
+#[derive(Debug)]
+enum Workspace<'g> {
+    Own(Box<SteppingWorkspace>),
+    Lent(&'g mut SteppingWorkspace),
+}
+
+impl Default for Workspace<'_> {
+    fn default() -> Self {
+        Workspace::Own(Box::default())
+    }
+}
+
+impl Deref for Workspace<'_> {
+    type Target = SteppingWorkspace;
+
+    fn deref(&self) -> &SteppingWorkspace {
+        match self {
+            Workspace::Own(ws) => ws,
+            Workspace::Lent(ws) => ws,
+        }
+    }
+}
+
+impl DerefMut for Workspace<'_> {
+    fn deref_mut(&mut self) -> &mut SteppingWorkspace {
+        match self {
+            Workspace::Own(ws) => ws,
+            Workspace::Lent(ws) => ws,
+        }
+    }
+}
+
+/// Per-graph SSSP engine: a prepared graph, Δ-keyed splits and a warm
+/// workspace.
 ///
 /// ```
 /// use graphdata::{gen::grid2d, CsrGraph};
@@ -82,64 +125,78 @@ pub struct EngineStats {
 /// ```
 #[derive(Debug)]
 pub struct SsspEngine<'g> {
-    g: &'g CsrGraph,
-    /// Content fingerprint of `g`, computed once at construction: the
-    /// graph half of every split-cache key and the binding stamp of
-    /// serialized checkpoints.
-    fingerprint: u64,
+    prep: Cow<'g, PreparedGraph<'g>>,
     /// The split store, possibly shared with other engines.
     cache: Arc<SplitCache>,
+    /// Whether `cache` is this engine's alone: then it only ever holds
+    /// this graph and its keys carry no fingerprint.
+    private_cache: bool,
     /// Δ-bits → shared split handles this engine already fetched, so the
     /// steady state costs no lock. Workloads use a handful of Δ values at
     /// most, so a linear scan beats a hash map here.
-    local: Vec<(u64, Arc<LightHeavy>)>,
-    ws: SteppingWorkspace,
-    /// Set while a run is inside `ws`. A run that finds it still set
-    /// follows one that panicked mid-run, whose request buffers may
-    /// break their "all-INF when idle" invariant, so it starts on a fresh
-    /// workspace. Cached splits are immutable once built and survive.
-    ws_in_use: bool,
-    /// Cached verdict of the `O(|V| + |E|)` weight scan. The engine
-    /// borrows the graph immutably for its whole lifetime, so the verdict
-    /// can never go stale.
-    weights_verdict: Option<Result<(), SsspError>>,
+    local: Vec<(u64, Arc<Split>)>,
+    ws: Workspace<'g>,
     stats: EngineStats,
 }
 
 impl<'g> SsspEngine<'g> {
-    /// An engine for `g` with a private split cache and workspaces sized
-    /// for `g`.
+    /// An engine for `g` with a private split cache and its own
+    /// workspace. Prepares `g`: one pass over the weights and one
+    /// weight-sorted copy of its adjacency.
     pub fn new(g: &'g CsrGraph) -> Self {
-        SsspEngine::with_cache(g, Arc::new(SplitCache::new()))
+        let cache = Arc::new(SplitCache::new());
+        SsspEngine::build(Cow::Owned(PreparedGraph::new(g)), cache, true, Workspace::default())
     }
 
     /// An engine for `g` borrowing splits from a shared `cache`. Entries
-    /// are keyed by `(g.fingerprint(), Δ.to_bits())`, so any number of
+    /// are keyed by `(fingerprint, Δ.to_bits())`, so any number of
     /// engines — even over different graphs — can share one store and a
-    /// same-Δ batch builds each split exactly once.
+    /// same-Δ batch builds each split exactly once. The key needs the
+    /// fingerprint, so this door takes it at construction.
     pub fn with_cache(g: &'g CsrGraph, cache: Arc<SplitCache>) -> Self {
-        let n = g.num_vertices();
+        let engine =
+            SsspEngine::build(Cow::Owned(PreparedGraph::new(g)), cache, false, Workspace::default());
+        engine.fingerprint();
+        engine
+    }
+
+    /// A view over a graph someone else prepared, a shared `cache` and a
+    /// lent workspace: no pass over the graph, no allocation. The caller
+    /// keeps `ws` across views; a view that panicked mid-run leaves it
+    /// marked, and the next run on it starts fresh.
+    pub fn over(
+        prep: &'g PreparedGraph<'g>,
+        cache: Arc<SplitCache>,
+        ws: &'g mut SteppingWorkspace,
+    ) -> Self {
+        SsspEngine::build(Cow::Borrowed(prep), cache, false, Workspace::Lent(ws))
+    }
+
+    fn build(
+        prep: Cow<'g, PreparedGraph<'g>>,
+        cache: Arc<SplitCache>,
+        private_cache: bool,
+        ws: Workspace<'g>,
+    ) -> Self {
         SsspEngine {
-            g,
-            fingerprint: g.fingerprint(),
+            prep,
             cache,
+            private_cache,
             local: Vec::new(),
-            ws: SteppingWorkspace::new(n),
-            ws_in_use: false,
-            weights_verdict: None,
+            ws,
             stats: EngineStats::default(),
         }
     }
 
-    /// The graph this engine serves.
-    pub fn graph(&self) -> &'g CsrGraph {
-        self.g
+    /// The prepared graph this engine runs on.
+    pub(crate) fn prepared(&self) -> &PreparedGraph<'g> {
+        &self.prep
     }
 
-    /// The graph's content fingerprint (the cache-key and checkpoint
-    /// binding value).
+    /// The as-loaded graph's content fingerprint (the shared-cache key
+    /// and checkpoint binding value), taken on first use.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.prep.fingerprint()
     }
 
     /// The split store this engine draws from.
@@ -152,59 +209,48 @@ impl<'g> SsspEngine<'g> {
         self.stats
     }
 
-    /// Drop this graph's cached splits, both the engine-local handles and
-    /// the shared entries under this fingerprint (the workspace is kept —
-    /// it is graph-sized, not Δ-dependent). The preflight verdict
-    /// survives: the graph cannot have changed under the engine's borrow.
-    pub fn clear_cache(&mut self) {
-        self.local.clear();
-        self.cache.purge_fingerprint(self.fingerprint);
+    /// The graph half of this engine's split-cache keys.
+    fn cache_key(&self) -> u64 {
+        if self.private_cache {
+            0
+        } else {
+            self.fingerprint()
+        }
     }
 
-    /// [`guard::preflight`] with the weight scan cached: the first call
-    /// pays `O(|V| + |E|)`, every later call on this engine only does the
-    /// `O(1)` source and Δ checks.
+    /// Drop this graph's cached splits, both the engine-local handles and
+    /// the shared entries under this graph's key (the workspace and the
+    /// prepared graph are kept — neither depends on Δ).
+    pub fn clear_cache(&mut self) {
+        self.local.clear();
+        self.cache.purge_fingerprint(self.cache_key());
+    }
+
+    /// [`crate::guard::preflight`] without a pass over the weights: the
+    /// source and Δ checks run per call, the weight verdict is the one the
+    /// prepared graph took once.
     pub fn preflight(
         &mut self,
         source: usize,
         delta: f64,
         cfg: &GuardConfig,
     ) -> Result<f64, SsspError> {
-        if source >= self.g.num_vertices() {
-            return Err(SsspError::SourceOutOfBounds {
-                source,
-                num_vertices: self.g.num_vertices(),
-            });
-        }
-        let verdict = match &self.weights_verdict {
-            Some(v) => v.clone(),
-            None => {
-                self.stats.preflight_scans += 1;
-                let v = guard::scan_weights(self.g);
-                self.weights_verdict = Some(v.clone());
-                v
-            }
-        };
-        verdict?;
-        guard::resolve_delta(self.g, delta, cfg)
+        self.prep.preflight(source, delta, cfg)
     }
 
-    /// The split for `delta`, fetched from the shared cache and built on a
-    /// miss (by this engine or a concurrent sharer — whoever asks first),
-    /// with the build time this engine actually paid (zero on a hit) —
-    /// what a run reports as `matrix_filter`.
-    fn split_for(&mut self, pool: Option<&ThreadPool>, delta: f64) -> (Arc<LightHeavy>, Duration) {
+    /// The split for `delta`, fetched from the cache and built on a miss
+    /// (by this engine or a concurrent sharer — whoever asks first), with
+    /// the build time this engine actually paid (zero on a hit) — what a
+    /// run reports as `matrix_filter`.
+    fn split_for(&mut self, delta: f64) -> (Arc<Split>, Duration) {
         let key = delta.to_bits();
-        if let Some((_, lh)) = self.local.iter().find(|(k, _)| *k == key) {
+        if let Some((_, split)) = self.local.iter().find(|(k, _)| *k == key) {
             self.stats.split_hits += 1;
-            return (Arc::clone(lh), Duration::ZERO);
+            return (Arc::clone(split), Duration::ZERO);
         }
-        let g = self.g;
         let t0 = Instant::now();
-        let (lh, built) = self.cache.get_or_build(self.fingerprint, key, || match pool {
-            Some(pool) => LightHeavy::build_chunked(pool, g, delta),
-            None => LightHeavy::build(g, delta),
-        });
+        let prep = &self.prep;
+        let (split, built) = self.cache.get_or_build(self.cache_key(), key, || prep.split(delta));
         let filter_time = if built {
             self.stats.split_builds += 1;
             t0.elapsed()
@@ -212,8 +258,8 @@ impl<'g> SsspEngine<'g> {
             self.stats.split_hits += 1;
             Duration::ZERO
         };
-        self.local.push((key, Arc::clone(&lh)));
-        (lh, filter_time)
+        self.local.push((key, Arc::clone(&split)));
+        (split, filter_time)
     }
 
     /// Sequential classic Δ-stepping (the paper's fused implementation):
@@ -259,10 +305,10 @@ impl<'g> SsspEngine<'g> {
         if !(delta > 0.0 && delta.is_finite()) {
             return Err(SsspError::InvalidDelta { delta });
         }
-        let (lh, filter_time) = self.split_for(pool, delta);
-        let g = self.g;
-        let ws = self.workspace();
-        let outcome = stepping_with(g, &lh, source, delta, strategy, pool, budget, ws);
+        let (split, filter_time) = self.split_for(delta);
+        let view = split.on(&self.prep);
+        let outcome =
+            stepping_with(view, source, delta, strategy, pool, budget, self.ws.begin_run());
         self.finish_run(outcome, filter_time)
     }
 
@@ -276,33 +322,22 @@ impl<'g> SsspEngine<'g> {
         cp: &Checkpoint,
         budget: &mut RunBudget,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        cp.validate(self.g.num_vertices())?;
-        let (lh, filter_time) = self.split_for(pool, cp.delta);
-        let g = self.g;
-        let ws = self.workspace();
-        let outcome = stepping_resume_with(g, &lh, cp, pool, budget, ws);
+        cp.validate(self.prep.num_vertices())?;
+        let (split, filter_time) = self.split_for(cp.delta);
+        let view = split.on(&self.prep);
+        let outcome = stepping_resume_with(view, cp, pool, budget, self.ws.begin_run());
         self.finish_run(outcome, filter_time)
     }
 
-    /// The workspace for the run about to start: a fresh one when the
-    /// previous run never reached [`SsspEngine::finish_run`] (it
-    /// panicked), the warm one otherwise.
-    fn workspace(&mut self) -> &mut SteppingWorkspace {
-        if std::mem::replace(&mut self.ws_in_use, true) {
-            self.ws = SteppingWorkspace::new(self.g.num_vertices());
-        }
-        &mut self.ws
-    }
-
-    /// Fold a run's extraction work into the counters (stopped runs did
-    /// the work too) and charge it the split build this engine paid.
+    /// Leave the workspace, fold the run's extraction work into the
+    /// counters (stopped runs did the work too) and charge it the split
+    /// build this engine paid.
     fn finish_run(
         &mut self,
         outcome: Result<(SsspResult, PhaseProfile), SsspError>,
         filter_time: Duration,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        self.ws_in_use = false;
-        self.stats.extraction_scanned += self.ws.take_extraction_scanned();
+        self.stats.extraction_scanned += self.ws.end_run();
         let (result, mut profile) = outcome?;
         profile.matrix_filter += filter_time;
         Ok((result, profile))
@@ -315,8 +350,8 @@ impl<'g> SsspEngine<'g> {
     /// the new one — never a torn checkpoint; a *failed* save cleans up
     /// its temp file before surfacing the original error.
     pub fn save_checkpoint(&self, cp: &Checkpoint, path: &Path) -> Result<(), SsspError> {
-        cp.validate(self.g.num_vertices())?;
-        let bytes = cp.to_bytes(self.fingerprint);
+        cp.validate(self.prep.num_vertices())?;
+        let bytes = cp.to_bytes(self.fingerprint());
         crate::checkpoint::atomic_write(path, &bytes).map_err(|e| SsspError::CheckpointIo {
             path: path.display().to_string(),
             message: e.to_string(),
@@ -333,16 +368,16 @@ impl<'g> SsspEngine<'g> {
             message: e.to_string(),
         })?;
         let (cp, fingerprint) = Checkpoint::from_bytes(&bytes)?;
-        if fingerprint != self.fingerprint {
+        if fingerprint != self.fingerprint() {
             return Err(SsspError::InvalidCheckpoint {
                 reason: format!(
                     "checkpoint was saved against graph fingerprint {fingerprint:#018x}, \
                      this engine's graph is {:#018x}",
-                    self.fingerprint
+                    self.fingerprint()
                 ),
             });
         }
-        cp.validate(self.g.num_vertices())?;
+        cp.validate(self.prep.num_vertices())?;
         Ok(cp)
     }
 }
@@ -449,7 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn preflight_scans_once_across_repeated_runs() {
+    fn preflight_reads_the_prepared_verdict_and_still_checks_each_call() {
         let g = test_graph();
         let mut engine = SsspEngine::new(&g);
         let cfg = GuardConfig::default();
@@ -457,7 +492,6 @@ mod tests {
             let delta = engine.preflight(src, 1.0, &cfg).unwrap();
             engine.run_fused(src, delta, &mut RunBudget::unlimited()).unwrap();
         }
-        assert_eq!(engine.stats().preflight_scans, 1);
         // The cached verdict still enforces the per-call O(1) checks.
         assert!(matches!(
             engine.preflight(10_000, 1.0, &cfg),
@@ -467,11 +501,10 @@ mod tests {
             engine.preflight(0, f64::NAN, &cfg),
             Err(SsspError::InvalidDelta { .. })
         ));
-        assert_eq!(engine.stats().preflight_scans, 1);
     }
 
     #[test]
-    fn preflight_cache_replays_a_bad_verdict() {
+    fn preflight_replays_a_bad_verdict() {
         let bad = CsrGraph::from_raw_parts_unchecked(2, vec![0, 1, 1], vec![1], vec![-3.0]);
         let mut engine = SsspEngine::new(&bad);
         let cfg = GuardConfig::default();
@@ -481,7 +514,44 @@ mod tests {
                 Err(SsspError::NegativeWeight { .. })
             ));
         }
-        assert_eq!(engine.stats().preflight_scans, 1);
+    }
+
+    #[test]
+    fn a_lent_workspace_serves_views_over_graphs_of_either_size() {
+        // One workspace, two prepared graphs, views alternating between
+        // them: each answer matches a fresh engine's, stats included, and
+        // a budget stop on the larger graph leaks nothing into the next
+        // run on the smaller one.
+        let big = test_graph();
+        let small = CsrGraph::from_edge_list(&gen::grid2d(6, 6)).unwrap();
+        let (big_prep, small_prep) = (PreparedGraph::new(&big), PreparedGraph::new(&small));
+        let cache = Arc::new(SplitCache::new());
+        let mut ws = SteppingWorkspace::default();
+        let strategy = SteppingStrategy::Rho(8);
+        for round in 0..3 {
+            for (prep, g, src) in [(&big_prep, &big, 3), (&small_prep, &small, 7)] {
+                let fresh = SsspEngine::new(g)
+                    .run_stepping(None, src, 1.0, strategy, &mut RunBudget::unlimited())
+                    .unwrap()
+                    .0;
+                let mut view = SsspEngine::over(prep, Arc::clone(&cache), &mut ws);
+                let (r, _) = view
+                    .run_stepping(None, src, 1.0, strategy, &mut RunBudget::unlimited())
+                    .unwrap();
+                assert_eq!(r.dist, fresh.dist, "round {round}");
+                assert_eq!(r.stats, fresh.stats, "round {round}");
+            }
+            let mut view = SsspEngine::over(&big_prep, Arc::clone(&cache), &mut ws);
+            let stopped = view.run_stepping(
+                None,
+                3,
+                1.0,
+                strategy,
+                &mut RunBudget::unlimited().cancel_after(3 + round),
+            );
+            assert!(stopped.unwrap_err().checkpoint().is_some());
+        }
+        assert_eq!(cache.stats().builds, 2, "one split per graph, shared by every view");
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! ~3.7× on average (Fig. 3).
 //!
 //! The two fusions the paper describes both live in the one stepping loop
-//! ([`crate::stepping`]); this module holds the [`LightHeavy`] split that
-//! loop runs over — its sequential and row-chunked builders — and the
-//! one-call *sequential classic* door [`delta_stepping_fused`]:
+//! ([`crate::stepping`]), which runs over a partition-point
+//! [`crate::prepared::Split`] of weight-sorted rows. This module holds the
+//! one-call *sequential classic* door [`delta_stepping_fused`] and the
+//! copied [`LightHeavy`] split the figure variants build (and the frozen
+//! benchmark harness sizes caches with):
 //!
 //! 1. *Hadamard ∘ vxm fusion*: `t_Req = A_L^T (t ∘ t_Bi)` runs as one
 //!    scatter loop over the current frontier — the bucket filter, the
@@ -18,18 +20,16 @@
 //! Unlike the GraphBLAS version, state lives in dense arrays (`Vec<f64>`,
 //! `Vec<bool>`) exactly like the paper's direct C implementation.
 
-use std::sync::OnceLock;
-
 use graphdata::CsrGraph;
-use taskpool::{scope_collect, split_evenly, ThreadPool};
 
-use crate::pull::PullIndex;
 use crate::result::SsspResult;
 use crate::stepping::{delta_stepping_strategy, SteppingStrategy};
 
-/// The light/heavy split in CSR form — built in a single fused pass over
-/// the adjacency (vs. the four `GrB_apply` calls of Fig. 2).
-#[derive(Debug, Clone)]
+/// The light/heavy split as a copy in CSR form — built in a single fused
+/// pass over the adjacency (vs. the four `GrB_apply` calls of Fig. 2).
+/// Figure code: the stepping loop reads a [`crate::prepared::Split`]
+/// instead, which holds `n` partition points rather than a copy of `E`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LightHeavy {
     /// Light-edge CSR offsets (`w ≤ Δ`), length `|V| + 1`.
     pub light_off: Vec<usize>,
@@ -43,27 +43,12 @@ pub struct LightHeavy {
     pub heavy_tgt: Vec<usize>,
     /// Heavy-edge weights.
     pub heavy_w: Vec<f64>,
-    /// Lazily built pull (CSC) index over the light edges, shared by
-    /// every frontier consumer of this split via [`Self::pull_index`].
-    pub(crate) pull: OnceLock<PullIndex>,
-}
-
-impl PartialEq for LightHeavy {
-    /// Split equality is CSR equality — the pull index is a cache
-    /// derived from the CSR fields and never participates.
-    fn eq(&self, other: &Self) -> bool {
-        self.light_off == other.light_off
-            && self.light_tgt == other.light_tgt
-            && self.light_w == other.light_w
-            && self.heavy_off == other.heavy_off
-            && self.heavy_tgt == other.heavy_tgt
-            && self.heavy_w == other.heavy_w
-    }
 }
 
 impl LightHeavy {
-    /// An empty split with room for `n` rows' offsets.
-    fn with_rows(n: usize) -> Self {
+    /// Split `g`'s adjacency at threshold `delta` in one pass.
+    pub fn build(g: &CsrGraph, delta: f64) -> Self {
+        let n = g.num_vertices();
         let mut lh = LightHeavy {
             light_off: Vec::with_capacity(n + 1),
             light_tgt: Vec::new(),
@@ -71,17 +56,9 @@ impl LightHeavy {
             heavy_off: Vec::with_capacity(n + 1),
             heavy_tgt: Vec::new(),
             heavy_w: Vec::new(),
-            pull: OnceLock::new(),
         };
         lh.light_off.push(0);
         lh.heavy_off.push(0);
-        lh
-    }
-
-    /// Split `g`'s adjacency at threshold `delta` in one pass.
-    pub fn build(g: &CsrGraph, delta: f64) -> Self {
-        let n = g.num_vertices();
-        let mut lh = LightHeavy::with_rows(n);
         for v in 0..n {
             let (targets, weights) = g.neighbors(v);
             for (&t, &w) in targets.iter().zip(weights.iter()) {
@@ -99,74 +76,8 @@ impl LightHeavy {
         lh
     }
 
-    /// [`LightHeavy::build`] with fine-grained row chunks on `pool` — the
-    /// Sec. VI-C improvement: every thread filters, not the two coarse
-    /// tasks of [`crate::repro::parallel`]. Chunk results come back in row order
-    /// from [`scope_collect`] (no lock, no sort) and concatenate into the
-    /// CSR pair, equal to the sequential build.
-    pub fn build_chunked(pool: &ThreadPool, g: &CsrGraph, delta: f64) -> Self {
-        let n = g.num_vertices();
-        if n == 0 {
-            return LightHeavy::build(g, delta);
-        }
-        // 4 chunks per thread: enough slack for load balancing on skewed rows.
-        let pieces = (pool.num_threads() * 4).min(n);
-        let ranges = split_evenly(0..n, pieces);
-
-        struct Chunk {
-            l_counts: Vec<usize>,
-            l_tgt: Vec<usize>,
-            l_w: Vec<f64>,
-            h_counts: Vec<usize>,
-            h_tgt: Vec<usize>,
-            h_w: Vec<f64>,
-        }
-        let parts = scope_collect(pool, ranges, |_, range| {
-            let mut c = Chunk {
-                l_counts: Vec::with_capacity(range.len()),
-                l_tgt: Vec::new(),
-                l_w: Vec::new(),
-                h_counts: Vec::with_capacity(range.len()),
-                h_tgt: Vec::new(),
-                h_w: Vec::new(),
-            };
-            for v in range {
-                let (targets, weights) = g.neighbors(v);
-                let (lb, hb) = (c.l_tgt.len(), c.h_tgt.len());
-                for (&t, &w) in targets.iter().zip(weights.iter()) {
-                    if w <= delta {
-                        c.l_tgt.push(t);
-                        c.l_w.push(w);
-                    } else {
-                        c.h_tgt.push(t);
-                        c.h_w.push(w);
-                    }
-                }
-                c.l_counts.push(c.l_tgt.len() - lb);
-                c.h_counts.push(c.h_tgt.len() - hb);
-            }
-            c
-        });
-        let mut lh = LightHeavy::with_rows(n);
-        for c in parts {
-            for k in 0..c.l_counts.len() {
-                lh.light_off.push(lh.light_off.last().unwrap() + c.l_counts[k]);
-                lh.heavy_off.push(lh.heavy_off.last().unwrap() + c.h_counts[k]);
-            }
-            lh.light_tgt.extend_from_slice(&c.l_tgt);
-            lh.light_w.extend_from_slice(&c.l_w);
-            lh.heavy_tgt.extend_from_slice(&c.h_tgt);
-            lh.heavy_w.extend_from_slice(&c.h_w);
-        }
-        lh
-    }
-
-    /// Heap bytes this split holds resident — what a byte-budgeted
-    /// [`crate::split_cache::SplitCache`] charges for the entry. Never
-    /// zero for a built split: `light_off`/`heavy_off` always hold
-    /// `|V| + 1 ≥ 1` entries each. The lazily built pull index is *not*
-    /// included — the cache charges entries at build time, so it is
-    /// reported separately via [`Self::pull_bytes`].
+    /// Heap bytes this split holds resident. Never zero:
+    /// `light_off`/`heavy_off` always hold `|V| + 1 ≥ 1` entries each.
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.light_off.len() + self.heavy_off.len() + self.light_tgt.len() + self.heavy_tgt.len())
@@ -198,19 +109,6 @@ impl LightHeavy {
     /// Total heavy edges.
     pub fn num_heavy(&self) -> usize {
         self.heavy_tgt.len()
-    }
-
-    /// The pull (CSC) index over the light edges, built on the first
-    /// dense epoch and cached for the lifetime of the split — repeated
-    /// runs and the split cache amortize it like the split itself.
-    pub fn pull_index(&self) -> &PullIndex {
-        self.pull.get_or_init(|| PullIndex::build(self))
-    }
-
-    /// Heap bytes held by the pull index (0 until a dense epoch builds
-    /// it). Reported by split-cache stats alongside [`Self::resident_bytes`].
-    pub fn pull_bytes(&self) -> usize {
-        self.pull.get().map_or(0, PullIndex::resident_bytes)
     }
 }
 
@@ -255,21 +153,6 @@ mod tests {
         assert_eq!(lw, &[0.5]);
         let (ht, _) = lh.heavy(0);
         assert_eq!(ht, &[2]);
-    }
-
-    #[test]
-    fn chunked_split_matches_sequential() {
-        let pool = ThreadPool::with_threads(4).unwrap();
-        let mut el = graphdata::gen::gnm(200, 1000, 3);
-        graphdata::weights::assign_symmetric(
-            &mut el,
-            graphdata::WeightModel::UniformFloat { lo: 0.1, hi: 2.0 },
-            9,
-        );
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let par = LightHeavy::build_chunked(&pool, &g, 1.0);
-        let seq = LightHeavy::build(&g, 1.0);
-        assert_eq!(par, seq);
     }
 
     #[test]

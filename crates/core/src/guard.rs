@@ -27,7 +27,7 @@ use std::fmt;
 use graphdata::CsrGraph;
 
 use crate::checkpoint::Checkpoint;
-use crate::delta::DeltaStrategy;
+use crate::delta::meyer_sanders;
 
 /// Everything that can go wrong in a checked SSSP run.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,41 +268,45 @@ pub fn preflight(
     delta: f64,
     cfg: &GuardConfig,
 ) -> Result<f64, SsspError> {
-    if source >= g.num_vertices() {
-        return Err(SsspError::SourceOutOfBounds {
-            source,
-            num_vertices: g.num_vertices(),
-        });
-    }
-    scan_weights(g)?;
-    resolve_delta(g, delta, cfg)
+    let scan = g.weight_scan();
+    let fallback = meyer_sanders(g.mean_degree(), scan.max_weight, scan.min_positive_weight);
+    check_inputs(g.num_vertices(), &weights_verdict(&scan), fallback, source, delta, cfg)
 }
 
-/// The `O(|V| + |E|)` weight-validation scan of [`preflight`], exposed
-/// separately so callers with a per-graph lifetime — the
-/// [`crate::engine::SsspEngine`] — can run it once and cache the verdict
-/// across repeated runs on the same graph.
-pub fn scan_weights(g: &CsrGraph) -> Result<(), SsspError> {
-    for (src, dst, weight) in g.iter_edges() {
-        if !weight.is_finite() {
-            return Err(SsspError::NonFiniteWeight { src, dst, weight });
-        }
-        if weight < 0.0 {
-            return Err(SsspError::NegativeWeight { src, dst, weight });
-        }
+/// [`preflight`]'s checks over what a weight scan learned — `weights`,
+/// its verdict, and `fallback`, the Meyer–Sanders Δ — so a caller that
+/// scanned once ([`crate::prepared::PreparedGraph`]) checks every run
+/// without rescanning: the source, then the weights, then Δ.
+pub(crate) fn check_inputs(
+    num_vertices: usize,
+    weights: &Result<(), SsspError>,
+    fallback: f64,
+    source: usize,
+    delta: f64,
+    cfg: &GuardConfig,
+) -> Result<f64, SsspError> {
+    if source >= num_vertices {
+        return Err(SsspError::SourceOutOfBounds { source, num_vertices });
     }
-    Ok(())
-}
-
-/// The Δ-resolution half of [`preflight`]: accept a positive finite Δ,
-/// or (with [`GuardConfig::delta_fallback`]) derive a replacement.
-pub fn resolve_delta(g: &CsrGraph, delta: f64, cfg: &GuardConfig) -> Result<f64, SsspError> {
+    weights.clone()?;
     if delta.is_finite() && delta > 0.0 {
         Ok(delta)
     } else if cfg.delta_fallback {
-        DeltaStrategy::MeyerSanders.resolve(g)
+        Ok(fallback)
     } else {
         Err(SsspError::InvalidDelta { delta })
+    }
+}
+
+/// The typed verdict on a [`graphdata::WeightScan`]: its first invalid
+/// edge, if any, as the error [`preflight`] reports for it.
+pub(crate) fn weights_verdict(scan: &graphdata::WeightScan) -> Result<(), SsspError> {
+    match scan.first_invalid {
+        None => Ok(()),
+        Some((src, dst, weight)) if !weight.is_finite() => {
+            Err(SsspError::NonFiniteWeight { src, dst, weight })
+        }
+        Some((src, dst, weight)) => Err(SsspError::NegativeWeight { src, dst, weight }),
     }
 }
 

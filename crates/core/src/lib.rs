@@ -9,9 +9,10 @@
 //! | module | role |
 //! |---|---|
 //! | [`stepping`] | the one stepping loop: classic Δ-stepping (the paper's **fused direct-C** implementation, Sec. VI-B, without a pool; its proposed improvement with one), ρ-stepping and Δ*-stepping ([`SteppingStrategy`]) |
-//! | [`fused`] | the [`fused::LightHeavy`] split (`A_L` / `A_H`, fine-grained [`fused::LightHeavy::build_chunked`]) and the sequential classic front door |
+//! | [`prepared`] | the per-graph state every run reads: rows sorted by weight, the fingerprint, the weight verdict and maximum weight — and the [`prepared::Split`], `A_L` / `A_H` as one partition point per row |
+//! | [`fused`] | the sequential classic front door, and the copied [`fused::LightHeavy`] split the figure variants use |
 //! | [`reqbuf`], [`pull`] | the loop's relaxation kernels: contention-free request buffers (push) and the dense pull kernel |
-//! | [`engine`], [`split_cache`] | multi-run engine: the split cached per `(graph, Δ)`, the workspace reused across calls |
+//! | [`engine`], [`split_cache`] | multi-run engine over a prepared graph: the split cached per `(graph, Δ)`, the workspace reused across calls (or lent by a serve worker slot) |
 //! | [`batch`] | the one job door ([`batch::run_job`]: resume-or-fresh, the two-rung degradation ladder, checkpoint persistence; a job is `{strategy, kernels}`, [`Kernels`]) and the multi-source [`BatchRunner`] over it |
 //! | [`budget`], [`guard`] | deadline / cancellation / epoch budgets, preflight validation, the error taxonomy |
 //! | [`checkpoint`], [`manifest`] | certified partial results and their durable index |
@@ -31,8 +32,8 @@
 //! names them.
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
-//! which caches the light/heavy matrix split per `(graph, Δ)` and reuses
-//! the loop's workspace across calls: `run_stepping` is the one way to
+//! which runs over a [`PreparedGraph`], caches the light/heavy split per
+//! `(graph, Δ)` and reuses the loop's workspace across calls: `run_stepping` is the one way to
 //! run, `resume_stepping` the one way to resume. [`batch::run_job`] runs
 //! one job on a caller's engine through the two-rung degradation ladder
 //! (the one place a run's panic is caught); [`batch::BatchRunner`] drives
@@ -69,6 +70,7 @@ pub mod explore;
 pub mod fused;
 pub mod guard;
 pub mod manifest;
+pub mod prepared;
 pub mod pull;
 pub mod repro;
 pub mod reqbuf;
@@ -87,6 +89,7 @@ pub use budget::{BudgetStop, CancelToken, ProgressGauge, RunBudget};
 pub use checkpoint::{Checkpoint, StopPoint};
 pub use guard::{GuardConfig, SsspError};
 pub use manifest::{CheckpointManifest, ManifestEntry};
+pub use prepared::PreparedGraph;
 pub use result::SsspResult;
 pub use run::{run_checked, Implementation};
 pub use split_cache::{SplitCache, SplitCacheStats};

@@ -38,7 +38,7 @@
 
 use taskpool::{scope_with_buffers, split_evenly, ThreadPool};
 
-use crate::fused::LightHeavy;
+use crate::prepared::SplitView;
 use crate::INF;
 
 /// Vertex count below which the sequential scan beats task setup. The
@@ -51,8 +51,8 @@ pub const SEQ_PULL_THRESHOLD: usize = 2_048;
 /// The light sub-graph transposed into CSC — for each target vertex, its
 /// light **in-edges** `(source, weight)` with sources ascending. Built
 /// once per `(graph, Δ)` split (lazily, on the first dense epoch) and
-/// cached inside [`LightHeavy`], so repeated runs and the split cache
-/// amortize it exactly like the split itself.
+/// cached inside the [`crate::prepared::Split`], so repeated runs and the
+/// split cache amortize it exactly like the split itself.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PullIndex {
     off: Vec<usize>,
@@ -66,15 +66,17 @@ pub struct PullIndex {
 }
 
 impl PullIndex {
-    /// Transpose the light CSR of `lh` by counting sort. Iterating
+    /// Transpose the light edges of `split` by counting sort. Iterating
     /// sources in ascending order fills each target's segment with
     /// ascending sources — deterministic by construction.
-    pub fn build(lh: &LightHeavy) -> PullIndex {
-        let n = lh.light_off.len() - 1;
-        let m = lh.light_tgt.len();
+    pub fn build(split: SplitView<'_>) -> PullIndex {
+        let n = split.num_vertices();
+        let m = split.num_light();
         let mut off = vec![0usize; n + 1];
-        for &t in &lh.light_tgt {
-            off[t + 1] += 1;
+        for u in 0..n {
+            for &(t, _) in split.light(u) {
+                off[t + 1] += 1;
+            }
         }
         for v in 0..n {
             off[v + 1] += off[v];
@@ -84,9 +86,7 @@ impl PullIndex {
         let mut cursor = off.clone();
         let mut min_w = INF;
         for u in 0..n {
-            for e in lh.light_off[u]..lh.light_off[u + 1] {
-                let t = lh.light_tgt[e];
-                let wt = lh.light_w[e];
+            for &(t, wt) in split.light(u) {
                 if wt < min_w {
                     min_w = wt;
                 }
@@ -239,10 +239,13 @@ pub fn pull_light_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::{PreparedGraph, Split};
     use crate::reqbuf::{relax_buffered_with_threshold, RelaxWorkspace};
     use graphdata::{gen, CsrGraph};
 
-    fn workload() -> (CsrGraph, LightHeavy, Vec<f64>, Vec<usize>) {
+    /// A weighted graph with its rows in weight order, its split at
+    /// Δ = 1, and a dist vector and frontier to relax.
+    fn workload() -> (PreparedGraph<'static>, Split, Vec<f64>, Vec<usize>) {
         let mut el = gen::gnm(600, 4_000, 13);
         el.symmetrize();
         graphdata::weights::assign_symmetric(
@@ -250,11 +253,11 @@ mod tests {
             graphdata::WeightModel::UniformFloat { lo: 0.05, hi: 2.5 },
             7,
         );
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let lh = LightHeavy::build(&g, 1.0);
+        let g = PreparedGraph::load(CsrGraph::from_edge_list(&el).unwrap());
+        let split = g.split(1.0);
         let dist: Vec<f64> = (0..g.num_vertices()).map(|v| (v % 17) as f64 * 0.3).collect();
         let frontier: Vec<usize> = (0..g.num_vertices()).step_by(3).collect();
-        (g, lh, dist, frontier)
+        (g, split, dist, frontier)
     }
 
     fn bitmap(n: usize, frontier: &[usize]) -> Vec<bool> {
@@ -273,13 +276,13 @@ mod tests {
     /// exactly once, sources ascending per target.
     #[test]
     fn index_is_exact_transpose_with_sorted_sources() {
-        let (g, lh, _, _) = workload();
-        let idx = PullIndex::build(&lh);
+        let (g, split, _, _) = workload();
+        let lh = split.on(&g);
+        let idx = PullIndex::build(lh);
         assert_eq!(idx.num_vertices(), g.num_vertices());
         let mut forward = Vec::new();
         for u in 0..g.num_vertices() {
-            let (tgts, ws) = lh.light(u);
-            for (&t, &w) in tgts.iter().zip(ws.iter()) {
+            for &(t, w) in lh.light(u) {
                 forward.push((t, u, w.to_bits()));
             }
         }
@@ -301,20 +304,21 @@ mod tests {
     /// list only ever omits push-touched entries that drain to no-ops.
     #[test]
     fn pull_matches_push_requests_bit_for_bit() {
-        let (g, lh, dist, frontier) = workload();
+        let (g, split, dist, frontier) = workload();
+        let lh = split.on(&g);
         let n = g.num_vertices();
         let pool = ThreadPool::with_threads(3).unwrap();
 
         let mut push_ws = RelaxWorkspace::new(n);
         let mut push_relax = 0u64;
         relax_buffered_with_threshold(
-            &pool, &lh, &dist, &frontier, true, &mut push_ws, &mut push_relax, 0,
+            &pool, lh, &dist, &frontier, true, &mut push_ws, &mut push_relax, 0,
         );
         let push_touched: Vec<usize> = push_ws.touched().to_vec();
         let mut push_req = vec![INF; n];
         push_ws.drain_requests(|u, c| push_req[u] = c);
 
-        let idx = PullIndex::build(&lh);
+        let idx = PullIndex::build(lh);
         let in_frontier = bitmap(n, &frontier);
         let lower = frontier_lower(&dist, &frontier);
         let mut pull_req = vec![INF; n];
@@ -339,9 +343,9 @@ mod tests {
     /// threads, including the touched order.
     #[test]
     fn parallel_pull_is_bit_identical_across_thread_counts() {
-        let (g, lh, dist, frontier) = workload();
+        let (g, split, dist, frontier) = workload();
         let n = g.num_vertices();
-        let idx = PullIndex::build(&lh);
+        let idx = PullIndex::build(split.on(&g));
         let in_frontier = bitmap(n, &frontier);
         let lower = frontier_lower(&dist, &frontier);
 
@@ -388,9 +392,9 @@ mod tests {
 
     #[test]
     fn empty_frontier_touches_nothing() {
-        let (g, lh, dist, _) = workload();
+        let (g, split, dist, _) = workload();
         let n = g.num_vertices();
-        let idx = PullIndex::build(&lh);
+        let idx = PullIndex::build(split.on(&g));
         let in_frontier = vec![false; n];
         let mut req = vec![INF; n];
         let mut touched = Vec::new();

@@ -56,7 +56,6 @@ pub fn split_light_heavy_two_tasks(pool: &ThreadPool, g: &CsrGraph, delta: f64) 
         heavy_off,
         heavy_tgt,
         heavy_w,
-        pull: std::sync::OnceLock::new(),
     }
 }
 

@@ -102,7 +102,6 @@ pub fn delta_stepping_simulated(
                 heavy_off: heavy.0,
                 heavy_tgt: heavy.1,
                 heavy_w: heavy.2,
-                pull: std::sync::OnceLock::new(),
             }
         }
         TaskScheme::Improved => {
@@ -115,7 +114,6 @@ pub fn delta_stepping_simulated(
                 heavy_off: Vec::with_capacity(n + 1),
                 heavy_tgt: Vec::new(),
                 heavy_w: Vec::new(),
-                pull: std::sync::OnceLock::new(),
             };
             lh.light_off.push(0);
             lh.heavy_off.push(0);

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use taskpool::{scope_with_buffers, split_evenly, ThreadPool};
 
-use crate::fused::LightHeavy;
+use crate::prepared::SplitView;
 use crate::INF;
 
 /// Edge-product count below which the sequential scatter beats task
@@ -191,7 +191,7 @@ fn offer(req: &mut [f64], touched: &mut Vec<usize>, u: usize, cand: f64) {
 /// `touched_order_identical_across_branches`), so a pool-less run and a
 /// pooled run of the same loop agree exactly.
 pub fn relax_sequential(
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     dist: &[f64],
     frontier: &[usize],
     use_light: bool,
@@ -200,11 +200,11 @@ pub fn relax_sequential(
 ) {
     for &v in frontier {
         let tv = dist[v];
-        let (targets, weights) = if use_light { lh.light(v) } else { lh.heavy(v) };
-        for (&u, &w) in targets.iter().zip(weights.iter()) {
+        let edges = if use_light { lh.light(v) } else { lh.heavy(v) };
+        for &(u, w) in edges {
             offer(&mut ws.req, &mut ws.touched, u, tv + w);
         }
-        *relaxations += targets.len() as u64;
+        *relaxations += edges.len() as u64;
     }
     ws.touched.sort_unstable();
 }
@@ -217,7 +217,7 @@ pub fn relax_sequential(
 /// completed.
 pub fn relax_buffered(
     pool: &ThreadPool,
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     dist: &[f64],
     frontier: &[usize],
     use_light: bool,
@@ -241,7 +241,7 @@ pub fn relax_buffered(
 #[allow(clippy::too_many_arguments)]
 pub fn relax_buffered_with_threshold(
     pool: &ThreadPool,
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     dist: &[f64],
     frontier: &[usize],
     use_light: bool,
@@ -256,20 +256,20 @@ pub fn relax_buffered_with_threshold(
             lh.heavy(v)
         }
     };
-    let nnz: usize = frontier.iter().map(|&v| edges(v).0.len()).sum();
+    let nnz: usize = frontier.iter().map(|&v| edges(v).len()).sum();
     if nnz == 0 {
         return;
     }
     if nnz < threshold || pool.num_threads() == 1 {
         for &v in frontier {
             let tv = dist[v];
-            let (targets, weights) = edges(v);
-            for (&u, &w) in targets.iter().zip(weights.iter()) {
+            let row = edges(v);
+            for &(u, w) in row {
                 offer(&mut ws.req, &mut ws.touched, u, tv + w);
             }
             // Counted per completed vertex, matching the parallel path's
             // per-completed-chunk accounting.
-            *relaxations += targets.len() as u64;
+            *relaxations += row.len() as u64;
         }
         ws.touched.sort_unstable();
         return;
@@ -295,12 +295,12 @@ pub fn relax_buffered_with_threshold(
                 racecheck::plain_read("sssp.dist", &dist[v] as *const f64);
             }
             let tv = dist[v];
-            let (targets, weights) = edges(v);
-            for (&u, &w) in targets.iter().zip(weights.iter()) {
+            let row = edges(v);
+            for &(u, w) in row {
                 buf.tgt.push(u);
                 buf.cand.push(tv + w);
             }
-            processed += targets.len() as u64;
+            processed += row.len() as u64;
         }
         buf.processed = processed;
     });
@@ -324,9 +324,12 @@ pub fn relax_buffered_with_threshold(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prepared::{PreparedGraph, Split};
     use graphdata::{gen, CsrGraph};
 
-    fn workload() -> (CsrGraph, LightHeavy, Vec<f64>, Vec<usize>) {
+    /// A weighted graph with its rows in weight order, its split at
+    /// Δ = 1, and a dist vector and frontier to relax.
+    fn workload() -> (PreparedGraph<'static>, Split, Vec<f64>, Vec<usize>) {
         let mut el = gen::gnm(600, 4_000, 13);
         el.symmetrize();
         graphdata::weights::assign_symmetric(
@@ -334,11 +337,11 @@ mod tests {
             graphdata::WeightModel::UniformFloat { lo: 0.05, hi: 2.5 },
             7,
         );
-        let g = CsrGraph::from_edge_list(&el).unwrap();
-        let lh = LightHeavy::build(&g, 1.0);
+        let g = PreparedGraph::load(CsrGraph::from_edge_list(&el).unwrap());
+        let split = g.split(1.0);
         let dist: Vec<f64> = (0..g.num_vertices()).map(|v| (v % 17) as f64 * 0.3).collect();
         let frontier: Vec<usize> = (0..g.num_vertices()).step_by(3).collect();
-        (g, lh, dist, frontier)
+        (g, split, dist, frontier)
     }
 
     /// The satellite bug this module closes: the sequential fast path and
@@ -347,7 +350,8 @@ mod tests {
     /// thread count.
     #[test]
     fn touched_order_identical_across_branches() {
-        let (_g, lh, dist, frontier) = workload();
+        let (g, split, dist, frontier) = workload();
+        let lh = split.on(&g);
         let pool = ThreadPool::with_threads(4).unwrap();
 
         for use_light in [true, false] {
@@ -355,14 +359,14 @@ mod tests {
             let mut seq_relax = 0u64;
             // Threshold usize::MAX forces the sequential branch.
             relax_buffered_with_threshold(
-                &pool, &lh, &dist, &frontier, use_light, &mut seq_ws, &mut seq_relax,
+                &pool, lh, &dist, &frontier, use_light, &mut seq_ws, &mut seq_relax,
                 usize::MAX,
             );
             let mut par_ws = RelaxWorkspace::new(dist.len());
             let mut par_relax = 0u64;
             // Threshold 0 forces the parallel branch.
             relax_buffered_with_threshold(
-                &pool, &lh, &dist, &frontier, use_light, &mut par_ws, &mut par_relax, 0,
+                &pool, lh, &dist, &frontier, use_light, &mut par_ws, &mut par_relax, 0,
             );
             assert_eq!(seq_ws.touched(), par_ws.touched(), "use_light={use_light}");
             assert_eq!(seq_relax, par_relax);
@@ -377,19 +381,19 @@ mod tests {
 
     #[test]
     fn matches_reference_min_fold() {
-        let (g, lh, dist, frontier) = workload();
+        let (g, split, dist, frontier) = workload();
+        let lh = split.on(&g);
         let n = g.num_vertices();
         let pool = ThreadPool::with_threads(3).unwrap();
         let mut ws = RelaxWorkspace::new(n);
         let mut relax = 0u64;
-        relax_buffered(&pool, &lh, &dist, &frontier, true, &mut ws, &mut relax);
+        relax_buffered(&pool, lh, &dist, &frontier, true, &mut ws, &mut relax);
 
         // Reference: dense min-fold.
         let mut expect = vec![INF; n];
         let mut expect_relax = 0u64;
         for &v in &frontier {
-            let (targets, weights) = lh.light(v);
-            for (&u, &w) in targets.iter().zip(weights.iter()) {
+            for &(u, w) in lh.light(v) {
                 expect_relax += 1;
                 let c = dist[v] + w;
                 if c < expect[u] {
@@ -405,14 +409,15 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        let (_g, lh, dist, frontier) = workload();
+        let (g, split, dist, frontier) = workload();
+        let lh = split.on(&g);
         let mut reference: Option<(Vec<usize>, Vec<u64>)> = None;
         for threads in [1, 2, 4] {
             let pool = ThreadPool::with_threads(threads).unwrap();
             let mut ws = RelaxWorkspace::new(dist.len());
             let mut relax = 0u64;
             relax_buffered_with_threshold(
-                &pool, &lh, &dist, &frontier, true, &mut ws, &mut relax, 0,
+                &pool, lh, &dist, &frontier, true, &mut ws, &mut relax, 0,
             );
             let touched = ws.touched().to_vec();
             let mut bits = Vec::new();
@@ -429,16 +434,17 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_clean_between_phases() {
-        let (_g, lh, dist, frontier) = workload();
+        let (g, split, dist, frontier) = workload();
+        let lh = split.on(&g);
         let pool = ThreadPool::with_threads(4).unwrap();
         let mut ws = RelaxWorkspace::new(dist.len());
         let mut relax = 0u64;
-        relax_buffered_with_threshold(&pool, &lh, &dist, &frontier, true, &mut ws, &mut relax, 0);
+        relax_buffered_with_threshold(&pool, lh, &dist, &frontier, true, &mut ws, &mut relax, 0);
         let mut first = Vec::new();
         ws.drain_requests(|u, c| first.push((u, c.to_bits())));
         assert!(ws.is_clean());
         // Second phase over the same inputs must see identical state.
-        relax_buffered_with_threshold(&pool, &lh, &dist, &frontier, true, &mut ws, &mut relax, 0);
+        relax_buffered_with_threshold(&pool, lh, &dist, &frontier, true, &mut ws, &mut relax, 0);
         let mut second = Vec::new();
         ws.drain_requests(|u, c| second.push((u, c.to_bits())));
         assert_eq!(first, second);
@@ -446,11 +452,12 @@ mod tests {
 
     #[test]
     fn empty_frontier_is_a_no_op() {
-        let (_g, lh, dist, _) = workload();
+        let (g, split, dist, _) = workload();
+        let lh = split.on(&g);
         let pool = ThreadPool::with_threads(2).unwrap();
         let mut ws = RelaxWorkspace::new(dist.len());
         let mut relax = 0u64;
-        relax_buffered(&pool, &lh, &dist, &[], true, &mut ws, &mut relax);
+        relax_buffered(&pool, lh, &dist, &[], true, &mut ws, &mut relax);
         assert_eq!(relax, 0);
         assert!(ws.touched().is_empty());
     }

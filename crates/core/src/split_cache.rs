@@ -1,14 +1,16 @@
 //! The shared, graph-aware light/heavy split cache.
 //!
 //! The paper measures building `A_L` / `A_H` at 35–40 % of sequential
-//! runtime, which makes the split the one artifact worth sharing across a
-//! multi-source batch: every worker engine relaxing the same graph at the
-//! same Δ wants the same split. [`SplitCache`] is that shared store —
-//! `Arc`-handled, keyed by **`(graph fingerprint, Δ bits)`** so distinct
-//! graphs can never collide on a Δ value (the bug an engine-private,
-//! Δ-only key used to hide), with build-once semantics: when several
-//! engines request a missing entry concurrently, exactly one runs the
-//! `O(|E|)` filter and the rest block briefly and then clone the handle.
+//! runtime. Over weight-sorted rows ([`crate::prepared`]) a split is one
+//! partition point per row — `n` words, built by a binary search per row
+//! — but every engine relaxing the same graph at the same Δ still wants
+//! the same one, and with it the lazily built pull index. [`SplitCache`]
+//! is that shared store — `Arc`-handled, keyed by **`(graph fingerprint,
+//! Δ bits)`** so distinct graphs can never collide on a Δ value (the bug
+//! an engine-private, Δ-only key used to hide), with build-once
+//! semantics: when several engines request a missing entry concurrently,
+//! exactly one builds it and the rest block briefly and then clone the
+//! handle.
 //!
 //! A cache built with [`SplitCache::with_byte_budget`] additionally runs
 //! an LRU eviction policy over the *built* entries: whenever accounting a
@@ -27,12 +29,12 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::fused::LightHeavy;
+use crate::prepared::Split;
 
 /// Cache-wide effectiveness counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SplitCacheStats {
-    /// Splits actually built (cache misses that ran the matrix filter).
+    /// Splits actually built (cache misses).
     pub builds: usize,
     /// Requests served from an already-built split.
     pub hits: usize,
@@ -44,15 +46,15 @@ pub struct SplitCacheStats {
     /// resident entries. Summed live at query time: an index appears on
     /// an entry's first dense (pull) epoch, after the entry itself was
     /// accounted, and the eviction budget deliberately charges only the
-    /// split CSR (`resident_bytes`) — evicting the entry frees its pull
-    /// index with it.
+    /// partition points (`resident_bytes`) — evicting the entry frees its
+    /// pull index with it.
     pub pull_bytes: usize,
 }
 
 /// One cache entry: a build-once cell the winning requester fills.
 #[derive(Debug, Default)]
 struct SplitSlot {
-    cell: OnceLock<Arc<LightHeavy>>,
+    cell: OnceLock<Arc<Split>>,
 }
 
 #[derive(Debug)]
@@ -62,10 +64,9 @@ struct Entry {
     /// Logical clock value of the most recent access (insert, hit, or
     /// build completion) — the LRU recency stamp.
     last_used: u64,
-    /// Resident size once the build completed; `0` while the build is
-    /// still in flight (a built split is never empty: `light_off` alone
-    /// holds `|V| + 1 ≥ 1` entries, so `0` is an unambiguous sentinel).
-    bytes: usize,
+    /// Resident size once the build completed; `None` while the build is
+    /// still in flight.
+    bytes: Option<usize>,
 }
 
 #[derive(Debug, Default)]
@@ -80,7 +81,7 @@ struct Inner {
 
 impl Inner {
     /// Evict least-recently-used **built** entries until the resident
-    /// total fits `budget`. In-flight entries (bytes == 0) are skipped:
+    /// total fits `budget`. In-flight entries (no bytes yet) are skipped:
     /// they hold no accounted bytes and other requesters may be parked
     /// on their `OnceLock`.
     fn evict_to_budget(&mut self, budget: usize) {
@@ -89,12 +90,12 @@ impl Inner {
                 .entries
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.bytes > 0)
+                .filter(|(_, e)| e.bytes.is_some())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i);
             let Some(i) = victim else { break };
             let evicted = self.entries.remove(i);
-            self.stats.resident_bytes -= evicted.bytes;
+            self.stats.resident_bytes -= evicted.bytes.unwrap_or(0);
             self.stats.evictions += 1;
         }
     }
@@ -125,13 +126,15 @@ impl SplitCache {
     /// The split for `(fingerprint, delta_bits)`, running `build` if and
     /// only if this call is the first to want it. Returns the shared
     /// handle and whether *this* call built it (so callers can attribute
-    /// the filter time to themselves).
-    pub fn get_or_build(
+    /// the filter time to themselves). `build` may also return a copied
+    /// [`crate::fused::LightHeavy`]; it is stored as the partition points
+    /// it implies.
+    pub fn get_or_build<S: Into<Split>>(
         &self,
         fingerprint: u64,
         delta_bits: u64,
-        build: impl FnOnce() -> LightHeavy,
-    ) -> (Arc<LightHeavy>, bool) {
+        build: impl FnOnce() -> S,
+    ) -> (Arc<Split>, bool) {
         let key = (fingerprint, delta_bits);
         let slot = {
             let mut inner = self.inner.lock().expect("split cache lock");
@@ -148,16 +151,16 @@ impl SplitCache {
                         key,
                         slot: Arc::clone(&slot),
                         last_used: tick,
-                        bytes: 0,
+                        bytes: None,
                     });
                     slot
                 }
             }
         };
         let mut built = false;
-        let lh = Arc::clone(slot.cell.get_or_init(|| {
+        let split = Arc::clone(slot.cell.get_or_init(|| {
             built = true;
-            Arc::new(build())
+            Arc::new(build().into())
         }));
         let mut inner = self.inner.lock().expect("split cache lock");
         if built {
@@ -167,9 +170,9 @@ impl SplitCache {
             // is nothing resident to charge for.
             inner.tick += 1;
             let tick = inner.tick;
-            let size = lh.resident_bytes();
+            let size = split.resident_bytes();
             if let Some(entry) = inner.entries.iter_mut().find(|e| e.key == key) {
-                entry.bytes = size;
+                entry.bytes = Some(size);
                 entry.last_used = tick;
                 inner.stats.resident_bytes += size;
                 if let Some(budget) = self.byte_budget {
@@ -179,11 +182,11 @@ impl SplitCache {
         } else {
             inner.stats.hits += 1;
         }
-        (lh, built)
+        (split, built)
     }
 
     /// Drop every entry belonging to `fingerprint` (an engine's
-    /// `clear_cache`). Outstanding `Arc<LightHeavy>` handles stay valid;
+    /// `clear_cache`). Outstanding `Arc<Split>` handles stay valid;
     /// the next request rebuilds. Purged bytes leave `resident_bytes`
     /// but are not counted as evictions — the caller asked.
     pub fn purge_fingerprint(&self, fingerprint: u64) {
@@ -191,7 +194,7 @@ impl SplitCache {
         let mut freed = 0usize;
         inner.entries.retain(|e| {
             if e.key.0 == fingerprint {
-                freed += e.bytes;
+                freed += e.bytes.unwrap_or(0);
                 false
             } else {
                 true
@@ -209,7 +212,7 @@ impl SplitCache {
             .entries
             .iter()
             .filter_map(|e| e.slot.cell.get())
-            .map(|lh| lh.pull_bytes())
+            .map(|split| split.pull_bytes())
             .sum();
         stats
     }
@@ -229,11 +232,25 @@ impl SplitCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::LightHeavy;
+    use crate::prepared::PreparedGraph;
     use graphdata::{gen::grid2d, CsrGraph};
     use proptest::prelude::*;
 
-    fn grid() -> CsrGraph {
-        CsrGraph::from_edge_list(&grid2d(4, 4)).unwrap()
+    /// A weighted 4x4 grid: every split at Δ ∈ [0.5, 2] has light and
+    /// heavy edges, so it stores its bounds (`2n + 1` words).
+    fn weighted_grid() -> CsrGraph {
+        let mut el = grid2d(4, 4);
+        graphdata::weights::assign_symmetric(
+            &mut el,
+            graphdata::WeightModel::UniformFloat { lo: 0.1, hi: 3.0 },
+            5,
+        );
+        CsrGraph::from_edge_list(&el).unwrap()
+    }
+
+    fn grid() -> PreparedGraph<'static> {
+        PreparedGraph::load(weighted_grid())
     }
 
     #[test]
@@ -241,12 +258,12 @@ mod tests {
         let g = grid();
         let fp = g.fingerprint();
         let cache = SplitCache::new();
-        let (a, built_a) = cache.get_or_build(fp, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
-        let (b, built_b) = cache.get_or_build(fp, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        let (a, built_a) = cache.get_or_build(fp, 1.0f64.to_bits(), || g.split(1.0));
+        let (b, built_b) = cache.get_or_build(fp, 1.0f64.to_bits(), || g.split(1.0));
         assert!(built_a);
         assert!(!built_b);
         assert!(Arc::ptr_eq(&a, &b));
-        cache.get_or_build(fp, 2.0f64.to_bits(), || LightHeavy::build(&g, 2.0));
+        cache.get_or_build(fp, 2.0f64.to_bits(), || g.split(2.0));
         let stats = cache.stats();
         assert_eq!((stats.builds, stats.hits, stats.evictions), (2, 1, 0));
         assert_eq!(stats.resident_bytes, a.resident_bytes() * 2, "two identical grid splits");
@@ -257,8 +274,8 @@ mod tests {
     fn distinct_fingerprints_do_not_collide_on_delta() {
         let g = grid();
         let cache = SplitCache::new();
-        let (_, first) = cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
-        let (_, second) = cache.get_or_build(2, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        let (_, first) = cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
+        let (_, second) = cache.get_or_build(2, 1.0f64.to_bits(), || g.split(1.0));
         assert!(first && second, "same Δ under different fingerprints must both build");
         assert_eq!(cache.stats().builds, 2);
     }
@@ -267,17 +284,17 @@ mod tests {
     fn purge_forces_rebuild_only_for_that_graph() {
         let g = grid();
         let cache = SplitCache::new();
-        cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
-        cache.get_or_build(2, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
+        cache.get_or_build(2, 1.0f64.to_bits(), || g.split(1.0));
         cache.purge_fingerprint(1);
         assert_eq!(cache.len(), 1);
-        let (_, rebuilt) = cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
-        let (_, cached) = cache.get_or_build(2, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        let (_, rebuilt) = cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
+        let (_, cached) = cache.get_or_build(2, 1.0f64.to_bits(), || g.split(1.0));
         assert!(rebuilt);
         assert!(!cached);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 0, "purges are not evictions");
-        let one = LightHeavy::build(&g, 1.0).resident_bytes();
+        let one = g.split(1.0).resident_bytes();
         assert_eq!(stats.resident_bytes, one * 2, "purged bytes released, rebuild re-accounted");
     }
 
@@ -292,7 +309,7 @@ mod tests {
                     let (cache, g) = (&cache, &g);
                     scope.spawn(move || {
                         let (_, built) =
-                            cache.get_or_build(fp, 1.0f64.to_bits(), || LightHeavy::build(g, 1.0));
+                            cache.get_or_build(fp, 1.0f64.to_bits(), || g.split(1.0));
                         usize::from(built)
                     })
                 })
@@ -307,22 +324,22 @@ mod tests {
     #[test]
     fn byte_budget_evicts_least_recently_used_first() {
         let g = grid();
-        let one = LightHeavy::build(&g, 1.0).resident_bytes();
+        let one = g.split(1.0).resident_bytes();
         // Room for exactly two grid splits.
         let cache = SplitCache::with_byte_budget(one * 2);
-        cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
-        cache.get_or_build(2, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
+        cache.get_or_build(2, 1.0f64.to_bits(), || g.split(1.0));
         // Touch 1 so 2 becomes the LRU entry, then overflow with 3.
-        cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
-        cache.get_or_build(3, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
+        cache.get_or_build(3, 1.0f64.to_bits(), || g.split(1.0));
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes <= one * 2);
-        let (_, rebuilt_2) = cache.get_or_build(2, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        let (_, rebuilt_2) = cache.get_or_build(2, 1.0f64.to_bits(), || g.split(1.0));
         assert!(rebuilt_2, "the stale entry (2) must have been the victim");
         // 1 was evicted to make room for 2's rebuild just now (LRU again),
         // so only 3 can still be hot.
-        let (_, rebuilt_3) = cache.get_or_build(3, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        let (_, rebuilt_3) = cache.get_or_build(3, 1.0f64.to_bits(), || g.split(1.0));
         assert!(!rebuilt_3, "the recently-touched entry (3) must have survived");
     }
 
@@ -330,7 +347,7 @@ mod tests {
     fn oversized_single_entry_evicts_itself_but_the_handle_stays_valid() {
         let g = grid();
         let cache = SplitCache::with_byte_budget(1);
-        let (lh, built) = cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        let (lh, built) = cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
         assert!(built);
         assert!(lh.resident_bytes() > 1);
         assert_eq!(cache.stats().pull_bytes, 0, "evicted entries report no pull bytes");
@@ -340,20 +357,41 @@ mod tests {
         assert_eq!(cache.len(), 0);
         // The returned split is still usable — the budget bounds the
         // cache, not handed-out handles.
-        assert_eq!(lh.light_off.len(), g.num_vertices() + 1);
+        assert_eq!(lh.on(&g).num_vertices(), g.num_vertices());
     }
 
     #[test]
     fn pull_bytes_reported_once_an_index_is_built() {
         let g = grid();
         let cache = SplitCache::new();
-        let (lh, _) = cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&g, 1.0));
+        let (lh, _) = cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
         assert_eq!(cache.stats().pull_bytes, 0, "no dense epoch yet");
-        let _ = lh.pull_index();
+        let _ = lh.on(&g).pull_index();
         assert!(lh.pull_bytes() > 0);
         assert_eq!(cache.stats().pull_bytes, lh.pull_bytes());
-        // The CSR accounting the eviction budget uses is unchanged.
+        // The accounting the eviction budget uses is unchanged.
         assert_eq!(cache.stats().resident_bytes, lh.resident_bytes());
+    }
+
+    #[test]
+    fn a_copied_split_is_stored_as_its_partition_points() {
+        let csr = weighted_grid();
+        let g = PreparedGraph::new(&csr);
+        let cache = SplitCache::new();
+        let (copied, built) =
+            cache.get_or_build(1, 1.0f64.to_bits(), || LightHeavy::build(&csr, 1.0));
+        assert!(built);
+        assert_eq!(*copied, g.split(1.0));
+        let (hit, built) = cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
+        assert!(!built && Arc::ptr_eq(&copied, &hit));
+        let words = 2 * g.num_vertices() + 1;
+        assert_eq!(cache.stats().resident_bytes, words * std::mem::size_of::<usize>());
+        // A split with no heavy edge stores no bounds at all.
+        let unit = CsrGraph::from_edge_list(&grid2d(4, 4)).unwrap();
+        let (all_light, _) =
+            cache.get_or_build(2, 1.0f64.to_bits(), || LightHeavy::build(&unit, 1.0));
+        assert_eq!(all_light.resident_bytes(), 0);
+        assert_eq!(*all_light, PreparedGraph::new(&unit).split(1.0));
     }
 
     proptest! {
@@ -366,7 +404,7 @@ mod tests {
             accesses in proptest::collection::vec((0u64..6, 0usize..3), 1..40),
         ) {
             let g = grid();
-            let one = LightHeavy::build(&g, 1.0).resident_bytes();
+            let one = g.split(1.0).resident_bytes();
             let deltas = [0.5f64, 1.0, 2.0];
             // Budgets from "nothing fits" to "most things fit".
             let budget = budget_splits * one + budget_splits;
@@ -374,7 +412,7 @@ mod tests {
             let total = accesses.len();
             for (fp, di) in accesses {
                 let delta = deltas[di];
-                cache.get_or_build(fp, delta.to_bits(), || LightHeavy::build(&g, delta));
+                cache.get_or_build(fp, delta.to_bits(), || g.split(delta));
                 let stats = cache.stats();
                 prop_assert!(
                     stats.resident_bytes <= budget,

@@ -13,8 +13,8 @@
 //!   bucket `[b·Δ, (b+1)·Δ)`, the `k = 1` point of Δ*. Pool-less this is
 //!   the paper's fused implementation (Sec. VI-B), pooled its proposed
 //!   parallel improvement (Sec. VI-C): two relaxation kernels of this
-//!   loop, over a [`LightHeavy`] split built sequentially or in row
-//!   chunks;
+//!   loop, over a [`Split`](crate::prepared::Split) of the weight-sorted
+//!   rows;
 //! * **Δ\*** ([`SteppingStrategy::DeltaStar`]) — a *fused* bucket range
 //!   `[b·Δ, b·Δ + k·Δ)` covering `k` consecutive buckets per step, which
 //!   trades a few extra re-relaxations for far fewer heavy phases;
@@ -68,8 +68,9 @@ use taskpool::ThreadPool;
 use crate::budget::RunBudget;
 use crate::checkpoint::{Checkpoint, LiveState, SteppingState, StopPoint};
 use crate::delta::{bucket_of, bucket_start, next_up};
-use crate::fused::LightHeavy;
+use crate::engine::SsspEngine;
 use crate::guard::SsspError;
+use crate::prepared::SplitView;
 use crate::reqbuf::{relax_buffered, relax_sequential, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
@@ -180,8 +181,11 @@ impl std::str::FromStr for SteppingStrategy {
 /// Reusable per-run state for the loop: the request-buffer workspace,
 /// frontier/settled scratch, the pending set extraction scans, the
 /// dense-epoch frontier bitmap, and the ρ selection scratch. Callers that
-/// run many queries (the engine, bench loops) keep one so repeated runs
-/// allocate nothing.
+/// run many queries keep one so repeated runs allocate nothing: an
+/// engine owns one, or borrows the one a serve worker slot keeps across
+/// its requests. It grows to the largest graph it has served
+/// ([`SteppingWorkspace::ensure`]); every run starts by clearing what a
+/// previous run left in it.
 #[derive(Debug, Default)]
 pub struct SteppingWorkspace {
     relax: RelaxWorkspace,
@@ -194,23 +198,19 @@ pub struct SteppingWorkspace {
     /// next extraction drops. Rebuilt at every loop entry.
     pending: Vec<usize>,
     /// Pending entries examined by extractions since the last
-    /// [`SteppingWorkspace::take_extraction_scanned`].
+    /// [`SteppingWorkspace::end_run`].
     extraction_scanned: u64,
     /// Frontier bitmap for dense (pull) epochs — all-`false` between
     /// phases, set and cleared by iterating the (sparse) frontier.
     in_frontier: Vec<bool>,
+    /// Set while an engine run is inside this workspace. A run that finds
+    /// it still set follows one that panicked mid-run, whose request
+    /// buffers may break their "all-INF when idle" invariant, so it
+    /// starts on a fresh workspace ([`SteppingWorkspace::begin_run`]).
+    in_use: bool,
 }
 
 impl SteppingWorkspace {
-    /// Workspace sized for an `n`-vertex graph.
-    pub fn new(n: usize) -> Self {
-        SteppingWorkspace {
-            relax: RelaxWorkspace::new(n),
-            in_frontier: vec![false; n],
-            ..SteppingWorkspace::default()
-        }
-    }
-
     /// Grow (never shrink) to fit an `n`-vertex graph.
     pub fn ensure(&mut self, n: usize) {
         self.relax.ensure(n);
@@ -219,21 +219,30 @@ impl SteppingWorkspace {
         }
     }
 
-    /// Pending entries examined by extractions on this workspace since
-    /// the last call (finished and budget-stopped runs alike), resetting
-    /// the count — what [`crate::engine::EngineStats::extraction_scanned`]
-    /// accumulates.
-    pub(crate) fn take_extraction_scanned(&mut self) -> u64 {
+    /// Enter a run: replace the workspace with a fresh one if the
+    /// previous run never reached [`SteppingWorkspace::end_run`] (it
+    /// panicked), whoever owns the workspace.
+    pub(crate) fn begin_run(&mut self) -> &mut Self {
+        if std::mem::replace(&mut self.in_use, true) {
+            *self = SteppingWorkspace { in_use: true, ..SteppingWorkspace::default() };
+        }
+        self
+    }
+
+    /// Leave a run (finished or budget-stopped), returning the pending
+    /// entries its extractions examined — what
+    /// [`crate::engine::EngineStats::extraction_scanned`] accumulates.
+    pub(crate) fn end_run(&mut self) -> u64 {
+        self.in_use = false;
         std::mem::take(&mut self.extraction_scanned)
     }
 }
 
-/// Build the light/heavy split (chunked on `pool` when one is given, in
-/// one sequential pass otherwise), then run `strategy` under `budget` on
-/// a fresh workspace: the one-shot checked door for tests, examples and
-/// bench loops; the split build is reported as `matrix_filter` time.
-/// Repeated runs should go through [`crate::engine::SsspEngine`], which
-/// caches the split and the workspace.
+/// Run `strategy` once under `budget` on a fresh
+/// [`crate::engine::SsspEngine`]: the one-shot checked door for tests,
+/// examples and bench loops; the split build is reported as
+/// `matrix_filter` time. Repeated runs should keep the engine, which
+/// caches the prepared graph, the split and the workspace.
 pub fn stepping_checked(
     g: &CsrGraph,
     source: usize,
@@ -242,20 +251,7 @@ pub fn stepping_checked(
     pool: Option<&ThreadPool>,
     budget: &mut RunBudget,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    if !(delta > 0.0 && delta.is_finite()) {
-        return Err(SsspError::InvalidDelta { delta });
-    }
-    let t0 = Instant::now();
-    let lh = match pool {
-        Some(pool) => LightHeavy::build_chunked(pool, g, delta),
-        None => LightHeavy::build(g, delta),
-    };
-    let filter_time = t0.elapsed();
-    let mut ws = SteppingWorkspace::new(g.num_vertices());
-    let (result, mut profile) =
-        stepping_with(g, &lh, source, delta, strategy, pool, budget, &mut ws)?;
-    profile.matrix_filter += filter_time;
-    Ok((result, profile))
+    SsspEngine::new(g).run_stepping(pool, source, delta, strategy, budget)
 }
 
 /// The one panicking convenience door, for tests, examples and bench
@@ -273,16 +269,13 @@ pub fn delta_stepping_strategy(
         .0
 }
 
-/// The stepping loop over a prebuilt light/heavy split and a
-/// caller-owned workspace — the [`crate::engine::SsspEngine`] entry
-/// point. `pool` of `None` runs the sequential relaxation kernels
-/// (bit-identical to every pooled thread count). The returned profile
-/// contains no `matrix_filter` time: the caller decides whether a cached
-/// split costs anything.
-#[allow(clippy::too_many_arguments)]
+/// The stepping loop over a prebuilt split and a caller-owned workspace
+/// — the [`crate::engine::SsspEngine`] entry point. `pool` of `None` runs
+/// the sequential relaxation kernels (bit-identical to every pooled
+/// thread count). The returned profile contains no `matrix_filter` time:
+/// the caller decides whether a cached split costs anything.
 pub fn stepping_with(
-    g: &CsrGraph,
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     source: usize,
     delta: f64,
     strategy: SteppingStrategy,
@@ -290,7 +283,7 @@ pub fn stepping_with(
     budget: &mut RunBudget,
     ws: &mut SteppingWorkspace,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    stepping_loop(g, lh, source, delta, strategy, pool, budget, ws, None)
+    stepping_loop(lh, source, delta, strategy, pool, budget, ws, None)
 }
 
 /// Resume an interrupted run from its checkpoint. The strategy, bound,
@@ -299,21 +292,20 @@ pub fn stepping_with(
 /// is bit-identical (distances and stats) to an uninterrupted one,
 /// whichever of the pooled and pool-less kernels either half ran on.
 pub fn stepping_resume_with(
-    g: &CsrGraph,
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     cp: &Checkpoint,
     pool: Option<&ThreadPool>,
     budget: &mut RunBudget,
     ws: &mut SteppingWorkspace,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    cp.validate(g.num_vertices())?;
+    cp.validate(lh.num_vertices())?;
     if !cp.resumable {
         return Err(SsspError::InvalidCheckpoint {
             reason: "checkpoint was emitted by a non-resumable implementation".to_string(),
         });
     }
     let strategy = cp.stepping.map_or(SteppingStrategy::Classic, |st| st.strategy);
-    stepping_loop(g, lh, cp.source, cp.delta, strategy, pool, budget, ws, Some(cp))
+    stepping_loop(lh, cp.source, cp.delta, strategy, pool, budget, ws, Some(cp))
 }
 
 /// Relax `frontier`'s light or heavy edges into the request workspace,
@@ -322,7 +314,7 @@ pub fn stepping_resume_with(
 /// vector is bit-identical either way.
 fn relax(
     pool: Option<&ThreadPool>,
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     dist: &[f64],
     frontier: &[usize],
     use_light: bool,
@@ -342,17 +334,14 @@ fn relax(
 /// [`crate::pull`]) — only the traversal order changes.
 fn relax_light(
     pool: Option<&ThreadPool>,
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     dist: &[f64],
     frontier: &[usize],
     in_frontier: &mut [bool],
     rws: &mut RelaxWorkspace,
     relaxations: &mut u64,
 ) {
-    let frontier_edges: usize = frontier
-        .iter()
-        .map(|&v| lh.light_off[v + 1] - lh.light_off[v])
-        .sum();
+    let frontier_edges: usize = frontier.iter().map(|&v| lh.light_degree(v)).sum();
     if direction::choose(frontier_edges, lh.num_light()) == Direction::Push {
         return relax(pool, lh, dist, frontier, true, rws, relaxations);
     }
@@ -499,8 +488,7 @@ fn close_phase(lap: &mut Instant, phase: &mut Duration) {
 /// rule, drain it to a fixpoint, advance the bound, repeat.
 #[allow(clippy::too_many_arguments)]
 fn stepping_loop(
-    g: &CsrGraph,
-    lh: &LightHeavy,
+    lh: SplitView<'_>,
     source: usize,
     delta: f64,
     strategy: SteppingStrategy,
@@ -513,7 +501,7 @@ fn stepping_loop(
     if !(delta > 0.0 && delta.is_finite()) {
         return Err(SsspError::InvalidDelta { delta });
     }
-    let n = g.num_vertices();
+    let n = lh.num_vertices();
     if source >= n {
         return Err(SsspError::SourceOutOfBounds {
             source,
@@ -533,6 +521,7 @@ fn stepping_loop(
         in_frontier,
         pending,
         extraction_scanned,
+        in_use: _,
     } = ws;
     frontier.clear();
     settled.clear();
@@ -654,6 +643,13 @@ fn stepping_loop(
                 break; // ρ always lands here: no separate heavy pass
             }
             stats.heavy_phases += 1;
+            // Heavy suffixes sit between light prefixes in one adjacency;
+            // walking the settled rows in ascending order lets those reads
+            // stream. Request order never changes a min-fold, so distances
+            // and stats are the unsorted walk's.
+            if lh.has_heavy_edges() {
+                settled.sort_unstable();
+            }
             relax(pool, lh, t, settled, false, rws, &mut stats.relaxations);
             settled.clear();
             close_phase(&mut lap, &mut profile.relaxation);
@@ -677,8 +673,17 @@ fn stepping_loop(
 mod tests {
     use super::*;
     use crate::dijkstra::dijkstra;
+    use crate::prepared::{PreparedGraph, Split};
     use graphdata::gen::{grid2d, path};
     use graphdata::{EdgeList, WeightModel};
+
+    /// `g` prepared, and its split at `delta`: view it with
+    /// `split.on(&prep)`.
+    fn prepared(g: &CsrGraph, delta: f64) -> (PreparedGraph<'_>, Split) {
+        let prep = PreparedGraph::new(g);
+        let split = prep.split(delta);
+        (prep, split)
+    }
 
     fn weighted_grid() -> CsrGraph {
         let mut el = grid2d(9, 7);
@@ -774,10 +779,11 @@ mod tests {
     #[test]
     fn classic_runs_through_the_loop_as_the_k_equals_one_case() {
         let g = CsrGraph::from_edge_list(&path(4)).unwrap();
-        let lh = LightHeavy::build(&g, 1.0);
-        let mut ws = SteppingWorkspace::new(4);
+        let (prep, split) = prepared(&g, 1.0);
+        let lh = split.on(&prep);
+        let mut ws = SteppingWorkspace::default();
         let mut run = |strategy| {
-            stepping_with(&g, &lh, 0, 1.0, strategy, None, &mut RunBudget::unlimited(), &mut ws)
+            stepping_with(lh, 0, 1.0, strategy, None, &mut RunBudget::unlimited(), &mut ws)
                 .unwrap()
                 .0
         };
@@ -848,23 +854,22 @@ mod tests {
         session.on_end(|| crate::reqbuf::set_relax_threshold_override(None));
         crate::reqbuf::set_relax_threshold_override(Some(1));
         let g = weighted_grid();
-        let lh = LightHeavy::build(&g, 0.5);
+        let (prep, split) = prepared(&g, 0.5);
+        let lh = split.on(&prep);
         for strategy in [
             SteppingStrategy::Classic,
             SteppingStrategy::Rho(5),
             SteppingStrategy::DeltaStar(3.0),
         ] {
-            let mut ws = SteppingWorkspace::new(g.num_vertices());
-            let (seq, _) = stepping_with(
-                &g, &lh, 0, 0.5, strategy, None, &mut RunBudget::unlimited(), &mut ws,
-            )
-            .unwrap();
+            let mut ws = SteppingWorkspace::default();
+            let (seq, _) =
+                stepping_with(lh, 0, 0.5, strategy, None, &mut RunBudget::unlimited(), &mut ws)
+                    .unwrap();
             for threads in [1, 2, 4] {
                 let pool = ThreadPool::with_threads(threads).unwrap();
-                let mut ws = SteppingWorkspace::new(g.num_vertices());
+                let mut ws = SteppingWorkspace::default();
                 let (par, _) = stepping_with(
-                    &g,
-                    &lh,
+                    lh,
                     0,
                     0.5,
                     strategy,
@@ -888,9 +893,10 @@ mod tests {
     #[test]
     fn resume_is_bit_identical_at_every_cancellation_epoch() {
         let g = weighted_grid();
-        let lh = LightHeavy::build(&g, 0.5);
+        let (prep, split) = prepared(&g, 0.5);
+        let lh = split.on(&prep);
         let pool = ThreadPool::with_threads(2).unwrap();
-        let mut ws = SteppingWorkspace::new(g.num_vertices());
+        let mut ws = SteppingWorkspace::default();
         for strategy in [
             SteppingStrategy::Classic,
             SteppingStrategy::Rho(4),
@@ -898,14 +904,13 @@ mod tests {
         ] {
             let mut counting = RunBudget::unlimited();
             let (full, _) =
-                stepping_with(&g, &lh, 0, 0.5, strategy, None, &mut counting, &mut ws).unwrap();
+                stepping_with(lh, 0, 0.5, strategy, None, &mut counting, &mut ws).unwrap();
             let total_epochs = counting.ticks();
             assert!(total_epochs > 2, "{strategy}: want multiple epochs");
             for cut_on in [None, Some(&pool)] {
                 for k in 0..total_epochs {
                     let err = stepping_with(
-                        &g,
-                        &lh,
+                        lh,
                         0,
                         0.5,
                         strategy,
@@ -924,8 +929,7 @@ mod tests {
                     }
                     for resume_on in [None, Some(&pool)] {
                         let (resumed, _) = stepping_resume_with(
-                            &g,
-                            &lh,
+                            lh,
                             &cp,
                             resume_on,
                             &mut RunBudget::unlimited(),
@@ -955,16 +959,16 @@ mod tests {
         // write: the bucket index, no stepping section. Δ = 0.3 so the
         // bucket edges are not exact products.
         let g = weighted_grid();
-        let lh = LightHeavy::build(&g, 0.3);
-        let mut ws = SteppingWorkspace::new(g.num_vertices());
+        let (prep, split) = prepared(&g, 0.3);
+        let lh = split.on(&prep);
+        let mut ws = SteppingWorkspace::default();
         let classic = SteppingStrategy::Classic;
         let mut counting = RunBudget::unlimited();
         let (full, _) =
-            stepping_with(&g, &lh, 0, 0.3, classic, None, &mut counting, &mut ws).unwrap();
+            stepping_with(lh, 0, 0.3, classic, None, &mut counting, &mut ws).unwrap();
         for k in 0..counting.ticks() {
             let err = stepping_with(
-                &g,
-                &lh,
+                lh,
                 0,
                 0.3,
                 classic,
@@ -983,7 +987,7 @@ mod tests {
                 cp.bucket = bucket_of(cp.dist[v], 0.3);
             }
             let (resumed, _) =
-                stepping_resume_with(&g, &lh, &cp, None, &mut RunBudget::unlimited(), &mut ws)
+                stepping_resume_with(lh, &cp, None, &mut RunBudget::unlimited(), &mut ws)
                     .unwrap();
             assert_eq!(resumed.dist, full.dist, "epoch {k}");
             assert_eq!(resumed.stats, full.stats, "epoch {k}");
@@ -993,7 +997,8 @@ mod tests {
     #[test]
     fn resume_rejects_corrupt_and_foreign_checkpoints() {
         let g = CsrGraph::from_edge_list(&path(8)).unwrap();
-        let lh = LightHeavy::build(&g, 1.0);
+        let (prep, split) = prepared(&g, 1.0);
+        let lh = split.on(&prep);
         let err = stepping_checked(
             &g,
             0,
@@ -1004,17 +1009,18 @@ mod tests {
         )
         .unwrap_err();
         let cp = err.into_checkpoint().unwrap();
-        let mut ws = SteppingWorkspace::new(8);
+        let mut ws = SteppingWorkspace::default();
         let mut foreign = cp.clone();
         foreign.resumable = false;
         assert!(matches!(
-            stepping_resume_with(&g, &lh, &foreign, None, &mut RunBudget::unlimited(), &mut ws),
+            stepping_resume_with(lh, &foreign, None, &mut RunBudget::unlimited(), &mut ws),
             Err(SsspError::InvalidCheckpoint { .. })
         ));
         let other = CsrGraph::from_edge_list(&path(4)).unwrap();
-        let other_lh = LightHeavy::build(&other, 1.0);
+        let (other_prep, other_split) = prepared(&other, 1.0);
+        let other_lh = other_split.on(&other_prep);
         assert!(matches!(
-            stepping_resume_with(&other, &other_lh, &cp, None, &mut RunBudget::unlimited(), &mut ws),
+            stepping_resume_with(other_lh, &cp, None, &mut RunBudget::unlimited(), &mut ws),
             Err(SsspError::InvalidCheckpoint { .. })
         ));
     }
@@ -1041,12 +1047,11 @@ mod tests {
             vec![1, 0],
             vec![0.5, -1.0],
         );
-        let lh = LightHeavy::build(&cyc, 1.0);
-        let mut ws = SteppingWorkspace::new(2);
+        let (prep, split) = prepared(&cyc, 1.0);
+        let mut ws = SteppingWorkspace::default();
         assert!(matches!(
             stepping_with(
-                &cyc,
-                &lh,
+                split.on(&prep),
                 0,
                 1.0,
                 SteppingStrategy::Rho(4),

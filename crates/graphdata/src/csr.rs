@@ -10,6 +10,36 @@ use crate::error::GraphError;
 /// Content passes [`CsrGraph::fingerprint`] has made in this process.
 static FINGERPRINT_PASSES: AtomicU64 = AtomicU64::new(0);
 
+/// Passes over the weight array [`CsrGraph::max_weight`] and
+/// [`CsrGraph::weight_scan`] have made in this process.
+static WEIGHT_PASSES: AtomicU64 = AtomicU64::new(0);
+
+/// The sort key of a weight in a weight-ordered row
+/// ([`CsrGraph::weight_sorted_adjacency`]): the order of [`f64::total_cmp`]
+/// with every NaN last, as an integer.
+#[inline]
+pub(crate) fn weight_key(w: f64) -> u64 {
+    if w.is_nan() {
+        return u64::MAX;
+    }
+    let bits = w.to_bits();
+    // Negative weights: flip the magnitude so larger magnitudes sort
+    // first; then the sign bit, so negatives sort below positives.
+    (bits ^ ((((bits as i64) >> 63) as u64) >> 1)) ^ (1 << 63)
+}
+
+/// What one [`CsrGraph::weight_scan`] pass learns about the weights.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeightScan {
+    /// The first edge `(src, dst, weight)` in row-major order whose weight
+    /// is NaN, infinite or negative.
+    pub first_invalid: Option<(usize, usize, f64)>,
+    /// [`CsrGraph::max_weight`], from the same pass.
+    pub max_weight: f64,
+    /// The smallest strictly positive weight (`None` when there is none).
+    pub min_positive_weight: Option<f64>,
+}
+
 /// A weighted digraph in compressed sparse row form. Duplicate edges are
 /// collapsed to minimum weight at construction; self-loops are dropped
 /// (simple graphs, Sec. II-A).
@@ -231,7 +261,87 @@ impl CsrGraph {
 
     /// Maximum edge weight (0 for an edgeless graph).
     pub fn max_weight(&self) -> f64 {
+        WEIGHT_PASSES.fetch_add(1, Ordering::Relaxed);
         self.weights.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// One pass over the weights: the first invalid edge, the largest
+    /// and the smallest positive weight — what a solver needs to know
+    /// about a graph's weights before its first run, without a second
+    /// pass for each.
+    pub fn weight_scan(&self) -> WeightScan {
+        WEIGHT_PASSES.fetch_add(1, Ordering::Relaxed);
+        let mut first_invalid = None;
+        let mut max_weight = 0.0f64;
+        let mut min_positive_weight: Option<f64> = None;
+        for (i, &w) in self.weights.iter().enumerate() {
+            if !(w.is_finite() && w >= 0.0) && first_invalid.is_none() {
+                first_invalid = Some(i);
+            }
+            max_weight = max_weight.max(w);
+            if w > 0.0 && min_positive_weight.is_none_or(|m| w < m) {
+                min_positive_weight = Some(w);
+            }
+        }
+        WeightScan {
+            first_invalid: first_invalid.map(|i| {
+                let src = self.offsets.partition_point(|&o| o <= i) - 1;
+                (src, self.targets[i], self.weights[i])
+            }),
+            max_weight,
+            min_positive_weight,
+        }
+    }
+
+    /// How many passes over the weight array ([`CsrGraph::max_weight`],
+    /// [`CsrGraph::weight_scan`]) this process has made, over all graphs:
+    /// the probe for tests that pin "scan once per graph, never per run".
+    pub fn weight_passes() -> u64 {
+        WEIGHT_PASSES.load(Ordering::Relaxed)
+    }
+
+    /// The adjacency as `(target, weight)` pairs, row after row as
+    /// [`CsrGraph::offsets`] delimits them, each row sorted by weight in
+    /// the order of [`f64::total_cmp`] with every NaN last, then by
+    /// target. In every row the edges with `w <= Δ` are then a prefix, for
+    /// every Δ: a light/heavy split is one partition point per row instead
+    /// of a copy of the edges. `total_cmp` keeps `-0.0` beside `+0.0` (raw
+    /// bits would sort it after every positive weight), and NaN-last keeps
+    /// the prefix property on the unvalidated graphs a NaN weight can
+    /// reach. Pairs keep an edge's target and weight on one cache line.
+    pub fn weight_sorted_adjacency(&self) -> Vec<(usize, f64)> {
+        let mut adj: Vec<(usize, f64)> =
+            self.targets.iter().copied().zip(self.weights.iter().copied()).collect();
+        let key = |&(t, w): &(usize, f64)| (weight_key(w), t);
+        // A row sorts as one integer per edge, `weight_key << 64 | target`,
+        // which decodes back to the exact weight bits for every weight but
+        // NaN; rows holding a NaN sort on the pair.
+        let mut packed: Vec<u128> = Vec::new();
+        for v in 0..self.num_vertices {
+            let row = &mut adj[self.offsets[v]..self.offsets[v + 1]];
+            if row.windows(2).all(|p| key(&p[0]) <= key(&p[1])) {
+                continue;
+            }
+            if row.iter().any(|&(_, w)| w.is_nan()) {
+                row.sort_unstable_by_key(key);
+                continue;
+            }
+            packed.clear();
+            packed.extend(row.iter().map(|&(t, w)| (u128::from(weight_key(w)) << 64) | t as u128));
+            packed.sort_unstable();
+            for (edge, &p) in row.iter_mut().zip(&packed) {
+                let k = (p >> 64) as u64;
+                // `weight_key` inverted: positive keys carry the sign bit.
+                let bits = if k >> 63 == 1 { k ^ (1 << 63) } else { !k };
+                *edge = (p as u64 as usize, f64::from_bits(bits));
+            }
+        }
+        adj
+    }
+
+    /// Take the graph apart: vertex count, offsets, targets, weights.
+    pub fn into_parts(self) -> (usize, Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.num_vertices, self.offsets, self.targets, self.weights)
     }
 
     /// Mean out-degree.
@@ -392,6 +502,71 @@ mod tests {
         triples[0].2 += 0.25;
         let reweighted = CsrGraph::from_edge_list(&EdgeList::from_triples(triples)).unwrap();
         assert_ne!(g.fingerprint(), reweighted.fingerprint());
+    }
+
+    #[test]
+    fn weight_scan_sees_the_first_invalid_edge_and_the_extremes() {
+        let g = sample();
+        let scan = g.weight_scan();
+        assert_eq!(scan.first_invalid, None);
+        assert_eq!(scan.max_weight, g.max_weight());
+        assert_eq!(scan.min_positive_weight, Some(0.5));
+
+        let bad = CsrGraph::from_raw_parts_unchecked(
+            3,
+            vec![0, 2, 3, 3],
+            vec![1, 2, 0],
+            vec![3.0, -1.0, f64::NAN],
+        );
+        let scan = bad.weight_scan();
+        assert_eq!(scan.first_invalid, Some((0, 2, -1.0)));
+        assert_eq!(scan.max_weight, 3.0);
+        assert_eq!(scan.min_positive_weight, Some(3.0));
+    }
+
+    #[test]
+    fn weight_keys_follow_total_cmp_with_nan_last() {
+        let ordered = [
+            f64::NEG_INFINITY,
+            -2.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            2.0,
+            f64::INFINITY,
+        ];
+        for pair in ordered.windows(2) {
+            assert!(weight_key(pair[0]) < weight_key(pair[1]), "{pair:?}");
+            assert_eq!(pair[0].total_cmp(&pair[1]), std::cmp::Ordering::Less);
+        }
+        assert_eq!(weight_key(f64::NAN), u64::MAX);
+        assert_eq!(weight_key(-f64::NAN), u64::MAX, "a negative NaN sorts last too");
+        assert!(weight_key(f64::INFINITY) < u64::MAX);
+    }
+
+    #[test]
+    fn sorted_adjacency_orders_rows_by_weight_then_target_with_nan_last() {
+        let g = CsrGraph::from_raw_parts_unchecked(
+            5,
+            vec![0, 6, 6, 7, 7, 7],
+            vec![4, 3, 1, 2, 0, 1, 4],
+            vec![f64::NAN, 2.0, 0.0, -0.0, 2.0, -f64::NAN, 9.0],
+        );
+        let adj = g.weight_sorted_adjacency();
+        let row = &adj[..6];
+        let targets: Vec<usize> = row.iter().map(|&(t, _)| t).collect();
+        assert_eq!(targets, [2, 1, 0, 3, 1, 4]);
+        let bits: Vec<u64> = row[..4].iter().map(|&(_, w)| w.to_bits()).collect();
+        assert_eq!(bits, [(-0.0f64).to_bits(), 0.0f64.to_bits(), 2.0f64.to_bits(), 2.0f64.to_bits()]);
+        assert!(row[4].1.is_nan() && row[5].1.is_nan());
+        assert_eq!(adj[6], (4, 9.0), "row 2 is its own row");
+        // Every Δ splits the row into a `w <= Δ` prefix and the rest.
+        for delta in [-1.0, 0.0, 1.0, 2.0, 3.0] {
+            let mid = row.partition_point(|&(_, w)| w <= delta);
+            assert_eq!(mid, row.iter().filter(|&&(_, w)| w <= delta).count(), "delta {delta}");
+        }
     }
 
     #[test]

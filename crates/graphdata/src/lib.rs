@@ -27,7 +27,7 @@ pub mod io;
 pub mod suite;
 pub mod weights;
 
-pub use csr::CsrGraph;
+pub use csr::{CsrGraph, WeightScan};
 pub use edge_list::{Edge, EdgeList};
 pub use error::GraphError;
 pub use suite::{paper_suite, Dataset, SuiteScale};

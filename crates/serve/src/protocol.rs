@@ -94,19 +94,25 @@ pub fn wire_code(err: &SsspError) -> u8 {
     }
 }
 
-/// FNV-1a over the little-endian bit patterns of `dist` — the compact
-/// bit-exactness certificate replies carry, so "resumed distances are
-/// bit-identical to the cold run" is assertable over the wire without
-/// shipping the whole vector.
+/// FNV-1a over the 64-bit bit patterns of `dist`, one word per step —
+/// the compact bit-exactness certificate replies carry, so "resumed
+/// distances are bit-identical to the cold run" is assertable over the
+/// wire without shipping the whole vector. Nothing persists a digest: it
+/// only ever compares values computed by this same function.
 pub fn dist_digest(dist: &[f64]) -> u64 {
+    digest_and_reach(dist).0
+}
+
+/// [`dist_digest`] and the number of finite (reached) entries, in one
+/// pass over `dist` — the two values a summary reply carries.
+pub fn digest_and_reach(dist: &[f64]) -> (u64, u64) {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut reached = 0u64;
     for d in dist {
-        for b in d.to_bits().to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h = (h ^ d.to_bits()).wrapping_mul(0x0000_0100_0000_01B3);
+        reached += u64::from(d.is_finite());
     }
-    h
+    (h, reached)
 }
 
 /// One SSSP query against a loaded graph.
@@ -1231,6 +1237,10 @@ mod tests {
         let b = dist_digest(&[0.0, 1.0 + f64::EPSILON, f64::INFINITY]);
         assert_ne!(a, b);
         assert_eq!(a, dist_digest(&[0.0, 1.0, f64::INFINITY]));
+        // Sign and order matter too, and the reach count rides along.
+        assert_ne!(dist_digest(&[0.0, 1.0]), dist_digest(&[-0.0, 1.0]));
+        assert_ne!(dist_digest(&[0.0, 1.0]), dist_digest(&[1.0, 0.0]));
+        assert_eq!(digest_and_reach(&[0.0, 1.0, f64::INFINITY]), (a, 2));
     }
 
     #[test]

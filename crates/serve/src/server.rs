@@ -16,7 +16,12 @@
 //!   never wait behind an unbounded backlog.
 //! - Each job runs through the job door [`batch::run_job`], on the
 //!   worker's own thread, under its degradation ladder (panic → one
-//!   sequential retry of the same strategy). A worker that observes a
+//!   sequential retry of the same strategy). The job's engine is a view:
+//!   the graph's [`PreparedGraph`] (rows sorted by weight, fingerprint,
+//!   weight verdict and maximum weight — all taken once, at `LOAD`), the
+//!   shared split cache, and the workspace the worker slot keeps across
+//!   its requests. A served request pays for its solve and its reply,
+//!   not for a pass over the graph. A worker that observes a
 //!   panic degradation marks itself **poisoned** and retires; the
 //!   [`Supervisor`] respawns the slot with a fresh engine worker after
 //!   an exponential-backoff cooldown, so a latent parallel bug costs a
@@ -61,12 +66,15 @@ use std::time::{Duration, Instant};
 use graphdata::CsrGraph;
 use sssp_core::batch::{self, JobOutcome, ManifestState};
 use sssp_core::engine::SsspEngine;
-use sssp_core::{CancelToken, GuardConfig, Kernels, ProgressGauge, SsspError, SteppingStrategy};
+use sssp_core::stepping::SteppingWorkspace;
+use sssp_core::{
+    CancelToken, GuardConfig, Kernels, PreparedGraph, ProgressGauge, SsspError, SteppingStrategy,
+};
 use taskpool::ThreadPool;
 
 use crate::lock;
 use crate::protocol::{
-    self, code, dist_digest, parse_gen_spec, HealthReport, Partial, Request, Response,
+    self, code, digest_and_reach, parse_gen_spec, HealthReport, Partial, Request, Response,
     ServerStats, SsspRequest, Summary, FRAME_SOH, TEXT_TERMINATOR,
 };
 use crate::queue::AdmissionQueue;
@@ -146,18 +154,19 @@ struct Gauges {
     files_quarantined: u64,
 }
 
-/// A registry entry: a loaded graph and, under a checkpoint root, its
-/// checkpoint state — created by the graph's first job that needs it
-/// and shared by every later one, so concurrent workers record into one
-/// manifest instead of each saving its own copy over the others'.
+/// A registry entry: a loaded graph, prepared once at `LOAD`, and, under
+/// a checkpoint root, its checkpoint state — created by the graph's first
+/// job that needs it and shared by every later one, so concurrent
+/// workers record into one manifest instead of each saving its own copy
+/// over the others'.
 struct GraphEntry {
-    graph: CsrGraph,
+    prepared: PreparedGraph<'static>,
     checkpoints: OnceLock<ManifestState>,
 }
 
 impl GraphEntry {
-    fn new(graph: CsrGraph) -> Self {
-        GraphEntry { graph, checkpoints: OnceLock::new() }
+    fn new(prepared: PreparedGraph<'static>) -> Self {
+        GraphEntry { prepared, checkpoints: OnceLock::new() }
     }
 
     /// The graph's checkpoint state: the subdir `<root>/<fingerprint-hex>/`
@@ -279,13 +288,15 @@ impl Shared {
 /// Run one admitted job on a worker, through the job door on this
 /// thread. `poisoned` is the worker's sticky degradation state;
 /// `slot`/`generation` identify the worker to the supervisor for
-/// heartbeat registration.
+/// heartbeat registration; `ws` is the slot's workspace, lent to the
+/// job's engine view.
 fn run_job(
     shared: &Shared,
     req: &SsspRequest,
     poisoned: &mut Option<String>,
     slot: usize,
     generation: u64,
+    ws: &mut SteppingWorkspace,
 ) -> Response {
     let Some(entry) = lock::recover("graphs", &shared.graphs).get(&req.fingerprint).cloned() else {
         return Response::Error {
@@ -293,11 +304,11 @@ fn run_job(
             message: format!("no loaded graph has fingerprint {:016x}", req.fingerprint),
         };
     };
-    let g = &entry.graph;
-    if req.source >= g.num_vertices() {
+    let prep = &entry.prepared;
+    if req.source >= prep.num_vertices() {
         let err = SsspError::SourceOutOfBounds {
             source: req.source,
-            num_vertices: g.num_vertices(),
+            num_vertices: prep.num_vertices(),
         };
         return Response::Error { code: protocol::wire_code(&err), message: err.to_string() };
     }
@@ -344,7 +355,7 @@ fn run_job(
         cancel: Some(&token),
         progress: Some(&gauge),
     };
-    let mut engine = SsspEngine::with_cache(g, Arc::clone(&shared.cache));
+    let mut engine = SsspEngine::over(prep, Arc::clone(&shared.cache), ws);
     let (pool, pool_unavailable) = (shared.pool.as_ref(), shared.pool_degraded.as_deref());
     let outcome = batch::run_job(&mut engine, pool, pool_unavailable, &job, checkpoints);
     if let Some(moved) = checkpoints.map(|c| c.take_quarantined().len()).filter(|&n| n > 0) {
@@ -384,13 +395,14 @@ fn outcome_response(
             let sticky = poisoned.as_ref().map(|why| {
                 format!("worker degraded to sequential-fused after panic: {why}")
             });
+            let (dist_fnv, reached) = digest_and_reach(&result.dist);
             Response::Summary(Summary {
                 fingerprint: req.fingerprint,
                 source: req.source,
                 delta,
-                reached: result.dist.iter().filter(|d| d.is_finite()).count() as u64,
+                reached,
                 stats: result.stats,
-                dist_fnv: dist_digest(&result.dist),
+                dist_fnv,
                 degraded: degraded.or(sticky),
                 full: req.full.then_some(result.dist),
             })
@@ -434,8 +446,11 @@ fn handle_load(shared: &Shared, spec: &str) -> Response {
             return Response::Error { code: code::LOAD_FAILED, message: e.to_string() }
         }
     };
-    let fingerprint = g.fingerprint();
-    let (vertices, edges) = (g.num_vertices() as u64, g.num_edges() as u64);
+    // The graph's one fingerprint pass, weight pass and row sort: every
+    // request on it reads the results.
+    let prepared = PreparedGraph::load(g);
+    let fingerprint = prepared.fingerprint();
+    let (vertices, edges) = (prepared.num_vertices() as u64, prepared.num_edges() as u64);
     let mut graphs = lock::recover("graphs", &shared.graphs);
     if !graphs.contains_key(&fingerprint) {
         if graphs.len() >= shared.cfg.max_graphs {
@@ -447,7 +462,7 @@ fn handle_load(shared: &Shared, spec: &str) -> Response {
                 ),
             };
         }
-        graphs.insert(fingerprint, Arc::new(GraphEntry::new(g)));
+        graphs.insert(fingerprint, Arc::new(GraphEntry::new(prepared)));
     }
     Response::Loaded { fingerprint, vertices, edges }
 }
@@ -508,17 +523,20 @@ fn dispatch(shared: &Shared, request: Request) -> (Response, bool) {
 }
 
 /// One engine worker generation serving `slot`. The sticky `poisoned`
-/// marker lives and dies with the thread: on a typed panic the worker
-/// reports to the supervisor and usually retires (the supervisor
-/// respawns the slot with a clean engine after its cooldown); only a
-/// permanently-degraded verdict keeps the marker — and the
-/// sequential-fused pinning — for the rest of the process.
+/// marker and the slot's workspace live and die with the thread: on a
+/// typed panic the worker reports to the supervisor and usually retires
+/// (the supervisor respawns the slot with a clean engine and a new
+/// workspace after its cooldown); only a permanently-degraded verdict
+/// keeps the marker — and the sequential-fused pinning — for the rest of
+/// the process.
 fn worker_loop(shared: &Shared, slot: usize, generation: u64) {
     let mut poisoned: Option<String> = None;
+    // Grown to the largest graph this slot serves, reused by every job.
+    let mut ws = SteppingWorkspace::default();
     while let Some(job) = shared.queue.pop() {
         let was_poisoned = poisoned.is_some();
         let started = Instant::now();
-        let response = run_job(shared, &job.request, &mut poisoned, slot, generation);
+        let response = run_job(shared, &job.request, &mut poisoned, slot, generation, &mut ws);
         shared.queue.finish(started.elapsed());
         // The watchdog's verdict on the job that just came back: a
         // cancelled heartbeat means this worker stalled mid-run and is
@@ -871,6 +889,7 @@ fn quarantine_scan(root: &std::path::Path) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::dist_digest;
     use sssp_core::manifest::CheckpointManifest;
 
     fn connect_text(addr: SocketAddr) -> TcpStream {
@@ -1123,10 +1142,11 @@ mod tests {
             implementation: Some(Kernels::Pooled),
             ..dummy_request()
         };
-        let entry = Arc::new(GraphEntry::new(g));
+        let entry = Arc::new(GraphEntry::new(PreparedGraph::load(g)));
         lock::recover("graphs", &shared.graphs).insert(req.fingerprint, entry);
-        let summary = |poisoned: &mut Option<String>| {
-            match run_job(&shared, &req, poisoned, 0, 0) {
+        let mut ws = SteppingWorkspace::default();
+        let mut summary = |poisoned: &mut Option<String>| {
+            match run_job(&shared, &req, poisoned, 0, 0, &mut ws) {
                 Response::Summary(s) => s,
                 other => panic!("expected a summary, got {other:?}"),
             }
@@ -1203,10 +1223,13 @@ mod tests {
     /// The recycling chaos test: a panic-injected worker serves its job
     /// degraded (sequential-fused retry), retires, and is replaced by a
     /// fresh worker that serves the *requested* implementation again —
-    /// at every pool width the service runs with.
+    /// at every pool width whose pooled kernels spawn pool tasks, the
+    /// only place the fault hook fires. A one-thread pool's kernels run
+    /// on the worker itself (see
+    /// `a_one_thread_pool_spawns_no_task_for_a_fault_to_land_in`).
     #[test]
     fn panic_poisoned_worker_is_recycled_and_serves_the_requested_impl_again() {
-        for pool_threads in [1usize, 2, 4] {
+        for pool_threads in [2usize, 4] {
             let cfg = ServerConfig {
                 workers: 1,
                 pool_threads,
@@ -1217,8 +1240,12 @@ mod tests {
                 },
                 ..ServerConfig::default()
             };
-            // The daemon's pool is created by `start`, under the session.
-            let _session = taskpool::fault::TestSession::begin();
+            // The daemon's pool is created by `start`, under the session;
+            // the threshold override sends even this small grid's pooled
+            // relaxations through pool tasks, where the hook fires.
+            let mut session = taskpool::fault::TestSession::begin();
+            session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
+            sssp_core::reqbuf::set_relax_threshold_override(Some(1));
             let server = start(cfg, "127.0.0.1:0").unwrap();
             let mut c = connect_text(server.addr());
             let fp = load_grid(&mut c);
@@ -1259,6 +1286,27 @@ mod tests {
             assert_eq!(server.health().status, "ok");
             server.shutdown();
         }
+    }
+
+    /// At pool width 1 the pooled kernels take their sequential branch on
+    /// the worker thread, so an armed task fault has nowhere to fire: the
+    /// job is answered undegraded and the worker keeps its slot.
+    #[test]
+    fn a_one_thread_pool_spawns_no_task_for_a_fault_to_land_in() {
+        let cfg = ServerConfig { workers: 1, pool_threads: 1, ..ServerConfig::default() };
+        let mut session = taskpool::fault::TestSession::begin();
+        session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
+        sssp_core::reqbuf::set_relax_threshold_override(Some(1));
+        let server = start(cfg, "127.0.0.1:0").unwrap();
+        let mut c = connect_text(server.addr());
+        let fp = load_grid(&mut c);
+        taskpool::fault::arm_panic_after(0);
+        let reply = ask(&mut c, &format!("SSSP {fp:016x} 0 impl=improved"));
+        taskpool::fault::disarm();
+        assert!(reply[0].starts_with("OK "), "{reply:?}");
+        assert_eq!(server.stats().get("worker_recycles"), Some(0));
+        assert_eq!(server.health().status, "ok");
+        server.shutdown();
     }
 
     /// Satellite regression: a handler that panics while holding a
