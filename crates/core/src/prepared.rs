@@ -70,7 +70,16 @@ impl PreparedGraph<'static> {
     /// per `LOAD`: fingerprint the rows as loaded, scan the weights, sort
     /// the adjacency, and keep only the offsets of the original.
     pub fn load(g: CsrGraph) -> Self {
-        let fingerprint = Fingerprint::Known(g.fingerprint());
+        let fingerprint = g.fingerprint();
+        PreparedGraph::load_with_fingerprint(g, fingerprint)
+    }
+
+    /// [`PreparedGraph::load`] for a caller that already took
+    /// `g.fingerprint()` — a registry decides whether to keep the graph
+    /// by its fingerprint before it pays for the rest. `fingerprint` must
+    /// be that value: checkpoints and manifests are bound to it.
+    pub fn load_with_fingerprint(g: CsrGraph, fingerprint: u64) -> Self {
+        let fingerprint = Fingerprint::Known(fingerprint);
         let prepared = PreparedGraph::prepare(&g, Cow::Owned(Vec::new()), fingerprint);
         let (_, offsets, _, _) = g.into_parts();
         PreparedGraph {
@@ -180,6 +189,7 @@ impl<'g> PreparedGraph<'g> {
 pub struct Split {
     /// `None` when no edge is heavy.
     bounds: Option<Vec<usize>>,
+    num_vertices: usize,
     num_light: usize,
     /// The pull (CSC) index over the light edges, built on the first
     /// dense epoch and kept for the split's lifetime.
@@ -190,7 +200,8 @@ impl PartialEq for Split {
     /// Split equality is partition-point equality; the pull index is a
     /// cache derived from them.
     fn eq(&self, other: &Self) -> bool {
-        (&self.bounds, self.num_light) == (&other.bounds, other.num_light)
+        (&self.bounds, self.num_vertices, self.num_light)
+            == (&other.bounds, other.num_vertices, other.num_light)
     }
 }
 
@@ -203,18 +214,28 @@ impl Split {
             .sum();
         let all_light = bounds.last() == Some(&num_light);
         Split {
+            num_vertices: bounds.len() / 2,
             bounds: (!all_light).then_some(bounds),
             num_light,
             pull: OnceLock::new(),
         }
     }
 
-    /// Heap bytes the partition points hold — what a byte-budgeted
-    /// [`crate::split_cache::SplitCache`] charges for the entry. The
-    /// lazily built pull index is reported separately
+    /// Heap bytes the partition points hold (0 when no edge is heavy).
+    /// The lazily built pull index is reported separately
     /// ([`Split::pull_bytes`]).
     pub fn resident_bytes(&self) -> usize {
         self.bounds.as_ref().map_or(0, |b| b.len() * std::mem::size_of::<usize>())
+    }
+
+    /// What a byte-budgeted [`crate::split_cache::SplitCache`] charges
+    /// for the entry: the partition points and the pull index the split
+    /// builds on its first dense epoch, whether or not it has yet. The
+    /// index is O(light edges) even when the points are nothing, so a
+    /// budget that charged the points alone would bound nothing on a
+    /// unit-weight graph.
+    pub fn charged_bytes(&self) -> usize {
+        self.resident_bytes() + PullIndex::bytes_for(self.num_vertices, self.num_light)
     }
 
     /// Heap bytes held by the pull index (0 until a dense epoch builds

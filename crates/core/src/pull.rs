@@ -115,6 +115,15 @@ impl PullIndex {
             + self.src.capacity() * std::mem::size_of::<usize>()
             + self.w.capacity() * std::mem::size_of::<f64>()
     }
+
+    /// The heap bytes [`PullIndex::build`] allocates for `n` vertices and
+    /// `num_light` light edges — known before the index exists, so a
+    /// byte-budgeted split cache can charge a split for the index it may
+    /// build.
+    pub fn bytes_for(n: usize, num_light: usize) -> usize {
+        (n + 1) * std::mem::size_of::<usize>()
+            + num_light * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
+    }
 }
 
 /// Scan targets `[start, start + req.len())`, folding frontier in-edges
@@ -210,7 +219,7 @@ pub fn pull_light_parallel(
     threshold: usize,
 ) {
     let n = idx.num_vertices();
-    if pool.num_threads() == 1 || n < threshold {
+    if n < threshold {
         pull_range(idx, dist, in_frontier, lower, 0, &mut req[..n], touched, false);
         return;
     }
@@ -298,6 +307,7 @@ mod tests {
         assert_eq!(forward, backward);
         assert!(idx.min_w >= 0.05 && idx.min_w <= 2.5);
         assert!(idx.resident_bytes() > 0);
+        assert_eq!(idx.resident_bytes(), PullIndex::bytes_for(idx.num_vertices(), idx.src.len()));
     }
 
     /// Pull produces the same request vector as push, and its touched

@@ -58,9 +58,14 @@ pub fn set_relax_threshold_override(threshold: Option<usize>) {
     SEQ_THRESHOLD_OVERRIDE.store(threshold.unwrap_or(0), Ordering::Relaxed);
 }
 
-/// The cut-over currently in force: the override if set, else `default`.
-pub(crate) fn effective_threshold(default: usize) -> usize {
+/// The cut-over currently in force on `pool`: the override if set, else
+/// `default` — or `usize::MAX` on a one-thread pool, whose tasks would
+/// only queue behind each other on its one thread. The override forces
+/// the task path at every width, so a fault armed at a pool task has a
+/// task to land in even there.
+pub(crate) fn effective_threshold(pool: &ThreadPool, default: usize) -> usize {
     match SEQ_THRESHOLD_OVERRIDE.load(Ordering::Relaxed) {
+        0 if pool.num_threads() == 1 => usize::MAX,
         0 => default,
         t => t,
     }
@@ -153,7 +158,7 @@ impl RelaxWorkspace {
                 &mut self.req,
                 &mut self.touched,
                 &mut self.pull_locals,
-                effective_threshold(crate::pull::SEQ_PULL_THRESHOLD),
+                effective_threshold(pool, crate::pull::SEQ_PULL_THRESHOLD),
             ),
             None => crate::pull::pull_light_sequential(
                 idx,
@@ -232,12 +237,12 @@ pub fn relax_buffered(
         use_light,
         ws,
         relaxations,
-        effective_threshold(SEQ_RELAX_THRESHOLD),
+        effective_threshold(pool, SEQ_RELAX_THRESHOLD),
     )
 }
 
-/// [`relax_buffered`] with an explicit sequential/parallel cut-over, so
-/// tests can force the same input down both branches.
+/// [`relax_buffered`] with an explicit sequential/parallel cut-over (at
+/// any pool width), so tests can force the same input down both branches.
 #[allow(clippy::too_many_arguments)]
 pub fn relax_buffered_with_threshold(
     pool: &ThreadPool,
@@ -260,7 +265,7 @@ pub fn relax_buffered_with_threshold(
     if nnz == 0 {
         return;
     }
-    if nnz < threshold || pool.num_threads() == 1 {
+    if nnz < threshold {
         for &v in frontier {
             let tv = dist[v];
             let row = edges(v);

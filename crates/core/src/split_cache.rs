@@ -14,8 +14,12 @@
 //!
 //! A cache built with [`SplitCache::with_byte_budget`] additionally runs
 //! an LRU eviction policy over the *built* entries: whenever accounting a
-//! finished build pushes the resident total past the budget,
+//! finished build pushes the charged total past the budget,
 //! least-recently-used built entries are dropped until the total fits.
+//! An entry is charged for everything it can pin
+//! ([`Split::charged_bytes`]): its partition points and the pull index
+//! it builds on its first dense epoch, so the budget bounds the indexes
+//! too, whichever Δ values clients ask for.
 //! Entries whose build is still in flight are never evicted (their slot
 //! is the rendezvous point other requesters are blocked on); a freshly
 //! built entry may evict itself when it alone exceeds the budget — the
@@ -40,14 +44,15 @@ pub struct SplitCacheStats {
     pub hits: usize,
     /// Built entries dropped by the byte-budget LRU policy.
     pub evictions: usize,
-    /// Bytes currently held by built, still-resident entries.
+    /// Bytes charged to built, still-resident entries
+    /// ([`Split::charged_bytes`]: partition points plus the pull index
+    /// each can build) — the total the byte budget bounds.
     pub resident_bytes: usize,
-    /// Bytes held by lazily built pull (CSC) indexes attached to
-    /// resident entries. Summed live at query time: an index appears on
-    /// an entry's first dense (pull) epoch, after the entry itself was
-    /// accounted, and the eviction budget deliberately charges only the
-    /// partition points (`resident_bytes`) — evicting the entry frees its
-    /// pull index with it.
+    /// Bytes of those charges held by pull (CSC) indexes already built.
+    /// Summed live at query time: an index appears on an entry's first
+    /// dense (pull) epoch, after the entry was charged for it, so this
+    /// never exceeds `resident_bytes`; evicting the entry frees its pull
+    /// index with it.
     pub pull_bytes: usize,
 }
 
@@ -64,7 +69,7 @@ struct Entry {
     /// Logical clock value of the most recent access (insert, hit, or
     /// build completion) — the LRU recency stamp.
     last_used: u64,
-    /// Resident size once the build completed; `None` while the build is
+    /// Charged size once the build completed; `None` while the build is
     /// still in flight.
     bytes: Option<usize>,
 }
@@ -80,7 +85,7 @@ struct Inner {
 }
 
 impl Inner {
-    /// Evict least-recently-used **built** entries until the resident
+    /// Evict least-recently-used **built** entries until the charged
     /// total fits `budget`. In-flight entries (no bytes yet) are skipped:
     /// they hold no accounted bytes and other requesters may be parked
     /// on their `OnceLock`.
@@ -118,7 +123,8 @@ impl SplitCache {
 
     /// An empty cache whose built entries are bounded by `bytes`: after
     /// every completed build, least-recently-used built entries are
-    /// evicted until `resident_bytes ≤ bytes`.
+    /// evicted until their charged total, `resident_bytes`, is at most
+    /// `bytes`.
     pub fn with_byte_budget(bytes: usize) -> Self {
         SplitCache { inner: Mutex::default(), byte_budget: Some(bytes) }
     }
@@ -170,7 +176,7 @@ impl SplitCache {
             // is nothing resident to charge for.
             inner.tick += 1;
             let tick = inner.tick;
-            let size = split.resident_bytes();
+            let size = split.charged_bytes();
             if let Some(entry) = inner.entries.iter_mut().find(|e| e.key == key) {
                 entry.bytes = Some(size);
                 entry.last_used = tick;
@@ -263,10 +269,10 @@ mod tests {
         assert!(built_a);
         assert!(!built_b);
         assert!(Arc::ptr_eq(&a, &b));
-        cache.get_or_build(fp, 2.0f64.to_bits(), || g.split(2.0));
+        let (c, _) = cache.get_or_build(fp, 2.0f64.to_bits(), || g.split(2.0));
         let stats = cache.stats();
         assert_eq!((stats.builds, stats.hits, stats.evictions), (2, 1, 0));
-        assert_eq!(stats.resident_bytes, a.resident_bytes() * 2, "two identical grid splits");
+        assert_eq!(stats.resident_bytes, a.charged_bytes() + c.charged_bytes());
         assert_eq!(cache.len(), 2);
     }
 
@@ -294,7 +300,7 @@ mod tests {
         assert!(!cached);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 0, "purges are not evictions");
-        let one = g.split(1.0).resident_bytes();
+        let one = g.split(1.0).charged_bytes();
         assert_eq!(stats.resident_bytes, one * 2, "purged bytes released, rebuild re-accounted");
     }
 
@@ -324,7 +330,7 @@ mod tests {
     #[test]
     fn byte_budget_evicts_least_recently_used_first() {
         let g = grid();
-        let one = g.split(1.0).resident_bytes();
+        let one = g.split(1.0).charged_bytes();
         // Room for exactly two grid splits.
         let cache = SplitCache::with_byte_budget(one * 2);
         cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
@@ -349,7 +355,7 @@ mod tests {
         let cache = SplitCache::with_byte_budget(1);
         let (lh, built) = cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
         assert!(built);
-        assert!(lh.resident_bytes() > 1);
+        assert!(lh.charged_bytes() > 1);
         assert_eq!(cache.stats().pull_bytes, 0, "evicted entries report no pull bytes");
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
@@ -369,8 +375,9 @@ mod tests {
         let _ = lh.on(&g).pull_index();
         assert!(lh.pull_bytes() > 0);
         assert_eq!(cache.stats().pull_bytes, lh.pull_bytes());
-        // The accounting the eviction budget uses is unchanged.
-        assert_eq!(cache.stats().resident_bytes, lh.resident_bytes());
+        // The entry was charged for its index when it was built.
+        assert_eq!(cache.stats().resident_bytes, lh.charged_bytes());
+        assert_eq!(lh.charged_bytes(), lh.resident_bytes() + lh.pull_bytes());
     }
 
     #[test]
@@ -385,13 +392,41 @@ mod tests {
         let (hit, built) = cache.get_or_build(1, 1.0f64.to_bits(), || g.split(1.0));
         assert!(!built && Arc::ptr_eq(&copied, &hit));
         let words = 2 * g.num_vertices() + 1;
-        assert_eq!(cache.stats().resident_bytes, words * std::mem::size_of::<usize>());
+        assert_eq!(copied.resident_bytes(), words * std::mem::size_of::<usize>());
+        assert_eq!(cache.stats().resident_bytes, copied.charged_bytes());
         // A split with no heavy edge stores no bounds at all.
         let unit = CsrGraph::from_edge_list(&grid2d(4, 4)).unwrap();
         let (all_light, _) =
             cache.get_or_build(2, 1.0f64.to_bits(), || LightHeavy::build(&unit, 1.0));
         assert_eq!(all_light.resident_bytes(), 0);
         assert_eq!(*all_light, PreparedGraph::new(&unit).split(1.0));
+    }
+
+    /// A budget bounds the pull indexes too: on a unit-weight graph no
+    /// split stores points, but each distinct Δ a client names builds its
+    /// own O(E) pull index on its first dense epoch. The entries are
+    /// charged for their indexes up front, so however many Δ values
+    /// arrive, the cache keeps no more than the budget's worth of them.
+    #[test]
+    fn a_budget_bounds_the_pull_indexes_of_many_deltas_on_a_unit_graph() {
+        let g = PreparedGraph::load(CsrGraph::from_edge_list(&grid2d(8, 8)).unwrap());
+        let one = g.split(1.0);
+        assert_eq!(one.resident_bytes(), 0, "unit weights at Δ ≥ 1: no heavy edge, no points");
+        let budget = 2 * one.charged_bytes();
+        let cache = SplitCache::with_byte_budget(budget);
+        for i in 0..32 {
+            let delta = 1.0 + f64::from(i) * 0.5;
+            let (split, _) = cache.get_or_build(7, delta.to_bits(), || g.split(delta));
+            // Every request on this split runs a dense epoch.
+            let _ = split.on(&g).pull_index();
+            let stats = cache.stats();
+            assert!(stats.resident_bytes <= budget, "Δ={delta}: {stats:?}");
+            assert!(stats.pull_bytes <= stats.resident_bytes, "Δ={delta}: {stats:?}");
+            assert!(cache.len() <= 2, "Δ={delta}: {} entries", cache.len());
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.builds, stats.evictions), (32, 30));
+        assert_eq!(stats.pull_bytes, budget, "the two resident entries hold their indexes");
     }
 
     proptest! {
@@ -404,7 +439,7 @@ mod tests {
             accesses in proptest::collection::vec((0u64..6, 0usize..3), 1..40),
         ) {
             let g = grid();
-            let one = g.split(1.0).resident_bytes();
+            let one = g.split(1.0).charged_bytes();
             let deltas = [0.5f64, 1.0, 2.0];
             // Budgets from "nothing fits" to "most things fit".
             let budget = budget_splits * one + budget_splits;

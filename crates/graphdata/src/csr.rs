@@ -312,29 +312,9 @@ impl CsrGraph {
     pub fn weight_sorted_adjacency(&self) -> Vec<(usize, f64)> {
         let mut adj: Vec<(usize, f64)> =
             self.targets.iter().copied().zip(self.weights.iter().copied()).collect();
-        let key = |&(t, w): &(usize, f64)| (weight_key(w), t);
-        // A row sorts as one integer per edge, `weight_key << 64 | target`,
-        // which decodes back to the exact weight bits for every weight but
-        // NaN; rows holding a NaN sort on the pair.
-        let mut packed: Vec<u128> = Vec::new();
         for v in 0..self.num_vertices {
-            let row = &mut adj[self.offsets[v]..self.offsets[v + 1]];
-            if row.windows(2).all(|p| key(&p[0]) <= key(&p[1])) {
-                continue;
-            }
-            if row.iter().any(|&(_, w)| w.is_nan()) {
-                row.sort_unstable_by_key(key);
-                continue;
-            }
-            packed.clear();
-            packed.extend(row.iter().map(|&(t, w)| (u128::from(weight_key(w)) << 64) | t as u128));
-            packed.sort_unstable();
-            for (edge, &p) in row.iter_mut().zip(&packed) {
-                let k = (p >> 64) as u64;
-                // `weight_key` inverted: positive keys carry the sign bit.
-                let bits = if k >> 63 == 1 { k ^ (1 << 63) } else { !k };
-                *edge = (p as u64 as usize, f64::from_bits(bits));
-            }
+            adj[self.offsets[v]..self.offsets[v + 1]]
+                .sort_unstable_by_key(|&(t, w)| (weight_key(w), t));
         }
         adj
     }

@@ -446,25 +446,37 @@ fn handle_load(shared: &Shared, spec: &str) -> Response {
             return Response::Error { code: code::LOAD_FAILED, message: e.to_string() }
         }
     };
-    // The graph's one fingerprint pass, weight pass and row sort: every
-    // request on it reads the results.
-    let prepared = PreparedGraph::load(g);
-    let fingerprint = prepared.fingerprint();
-    let (vertices, edges) = (prepared.num_vertices() as u64, prepared.num_edges() as u64);
+    // The graph's one fingerprint pass. The weight pass and the row sort
+    // run only for a graph the registry will keep, outside its lock;
+    // every request on it reads the results.
+    let fingerprint = g.fingerprint();
+    let (vertices, edges) = (g.num_vertices() as u64, g.num_edges() as u64);
+    let loaded = Response::Loaded { fingerprint, vertices, edges };
+    let max_graphs = shared.cfg.max_graphs;
+    let refused = || Response::Error {
+        code: code::GRAPH_TABLE_FULL,
+        message: format!("graph registry is at its bound of {max_graphs}; load refused"),
+    };
+    {
+        let graphs = lock::recover("graphs", &shared.graphs);
+        if graphs.contains_key(&fingerprint) {
+            return loaded;
+        }
+        if graphs.len() >= max_graphs {
+            return refused();
+        }
+    }
+    let prepared = PreparedGraph::load_with_fingerprint(g, fingerprint);
+    // A concurrent LOAD may have registered this graph, or filled the
+    // registry, while it was being prepared.
     let mut graphs = lock::recover("graphs", &shared.graphs);
     if !graphs.contains_key(&fingerprint) {
-        if graphs.len() >= shared.cfg.max_graphs {
-            return Response::Error {
-                code: code::GRAPH_TABLE_FULL,
-                message: format!(
-                    "graph registry is at its bound of {}; load refused",
-                    shared.cfg.max_graphs
-                ),
-            };
+        if graphs.len() >= max_graphs {
+            return refused();
         }
         graphs.insert(fingerprint, Arc::new(GraphEntry::new(prepared)));
     }
-    Response::Loaded { fingerprint, vertices, edges }
+    loaded
 }
 
 /// Dispatch one request from a connection handler. `Sssp` goes through
@@ -1223,13 +1235,10 @@ mod tests {
     /// The recycling chaos test: a panic-injected worker serves its job
     /// degraded (sequential-fused retry), retires, and is replaced by a
     /// fresh worker that serves the *requested* implementation again —
-    /// at every pool width whose pooled kernels spawn pool tasks, the
-    /// only place the fault hook fires. A one-thread pool's kernels run
-    /// on the worker itself (see
-    /// `a_one_thread_pool_spawns_no_task_for_a_fault_to_land_in`).
+    /// at every pool width the service runs with.
     #[test]
     fn panic_poisoned_worker_is_recycled_and_serves_the_requested_impl_again() {
-        for pool_threads in [2usize, 4] {
+        for pool_threads in [1usize, 2, 4] {
             let cfg = ServerConfig {
                 workers: 1,
                 pool_threads,
@@ -1242,7 +1251,8 @@ mod tests {
             };
             // The daemon's pool is created by `start`, under the session;
             // the threshold override sends even this small grid's pooled
-            // relaxations through pool tasks, where the hook fires.
+            // relaxations through pool tasks (at every width), where the
+            // hook fires.
             let mut session = taskpool::fault::TestSession::begin();
             session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
             sssp_core::reqbuf::set_relax_threshold_override(Some(1));
@@ -1286,27 +1296,6 @@ mod tests {
             assert_eq!(server.health().status, "ok");
             server.shutdown();
         }
-    }
-
-    /// At pool width 1 the pooled kernels take their sequential branch on
-    /// the worker thread, so an armed task fault has nowhere to fire: the
-    /// job is answered undegraded and the worker keeps its slot.
-    #[test]
-    fn a_one_thread_pool_spawns_no_task_for_a_fault_to_land_in() {
-        let cfg = ServerConfig { workers: 1, pool_threads: 1, ..ServerConfig::default() };
-        let mut session = taskpool::fault::TestSession::begin();
-        session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
-        sssp_core::reqbuf::set_relax_threshold_override(Some(1));
-        let server = start(cfg, "127.0.0.1:0").unwrap();
-        let mut c = connect_text(server.addr());
-        let fp = load_grid(&mut c);
-        taskpool::fault::arm_panic_after(0);
-        let reply = ask(&mut c, &format!("SSSP {fp:016x} 0 impl=improved"));
-        taskpool::fault::disarm();
-        assert!(reply[0].starts_with("OK "), "{reply:?}");
-        assert_eq!(server.stats().get("worker_recycles"), Some(0));
-        assert_eq!(server.health().status, "ok");
-        server.shutdown();
     }
 
     /// Satellite regression: a handler that panics while holding a

@@ -20,6 +20,8 @@
 //! The worker-pool size is taken from `CHAOS_THREADS` (default 2) so CI
 //! can sweep 1/2/4 without recompiling.
 
+use std::sync::Arc;
+
 use graphdata::gen::grid2d;
 use graphdata::CsrGraph;
 use sssp_core::batch::{run_job, Job, JobOutcome, ManifestState};
@@ -142,18 +144,30 @@ fn cancellation_at_every_epoch_is_certified_and_resumable_real_weights() {
     cancel_everywhere(&g, 1, 0.5);
 }
 
+/// Open the fault session of a panic-injection test. The hook fires on
+/// this session's pools only, so the rest of the suite runs next to it
+/// untouched; the threshold override sends even this small grid's pooled
+/// relaxations through pool tasks, at every pool width, so the hook has
+/// tasks to fire in.
+fn fault_session() -> TestSession {
+    let mut session = TestSession::begin();
+    session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
+    sssp_core::reqbuf::set_relax_threshold_override(Some(1));
+    session
+}
+
 #[test]
 fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
-    // The fault hook fires on this session's pool only, so the rest of
-    // the suite runs next to it untouched.
-    let _session = TestSession::begin();
+    let _session = fault_session();
     let g = chaos_graph();
     let reference = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
     let guard = GuardConfig::default();
     for strategy in STRATEGIES {
         // Sweep the injection point across the first 24 spawned tasks;
-        // beyond the run's task count the hook simply never fires.
+        // beyond the run's task count the hook simply never fires, so the
+        // points that degrade are a non-empty prefix of the sweep.
+        let mut fired = Vec::new();
         for j in 0..24 {
             let label = format!("{strategy} with fault at task {j}");
             taskpool::fault::arm_panic_after(j);
@@ -165,13 +179,22 @@ fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
                 None,
             );
             taskpool::fault::disarm();
-            let result = complete(outcome, &label);
+            let JobOutcome::Complete { result, degraded_by_panic, .. } = outcome else {
+                panic!("{label}: expected a completed job, got {outcome:?}");
+            };
+            fired.push(degraded_by_panic);
             assert_eq!(
                 bits(&result.dist),
                 bits(&reference.dist),
                 "{label}: degraded distances diverged"
             );
         }
+        let degraded = fired.iter().take_while(|&&f| f).count();
+        assert!(degraded > 0, "{strategy}: the fault at task 0 never fired: {fired:?}");
+        assert!(
+            fired[degraded..].iter().all(|&f| !f),
+            "{strategy}: the degraded points are not a prefix of the sweep: {fired:?}"
+        );
     }
 }
 
@@ -263,19 +286,31 @@ fn checkpoint_survives_kill_reload_resume_cycles_through_disk() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+type PanicHook = dyn Fn(&std::panic::PanicHookInfo<'_>) + Send + Sync;
+
 #[test]
 fn panic_then_budget_stop_still_yields_a_certified_checkpoint() {
     // The degraded sequential retry runs under the job's surviving
-    // budget: inject a panic AND cancel, and the partial result must
-    // still come back certified (not lost to the panic path).
-    let _session = TestSession::begin();
+    // budget: the injected panic cancels the job's token as it unwinds
+    // (through a panic hook), so the retry stops at its first epoch, and
+    // the partial result must still come back certified (not lost to the
+    // panic path).
+    let _session = fault_session();
     let g = chaos_graph();
     let full = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
     let guard = GuardConfig::default();
-    let token = CancelToken::new();
-    token.cancel();
     for strategy in STRATEGIES {
+        // Nothing but the injected panic cancels the token.
+        let token = CancelToken::new();
+        let previous: Arc<PanicHook> = Arc::from(std::panic::take_hook());
+        let (on_panic, chained) = (token.clone(), Arc::clone(&previous));
+        std::panic::set_hook(Box::new(move |info| {
+            if info.payload_as_str() == Some(taskpool::fault::INJECTED_PANIC_MESSAGE) {
+                on_panic.cancel();
+            }
+            chained(info);
+        }));
         taskpool::fault::arm_panic_after(0);
         let outcome = run_job(
             &mut SsspEngine::new(&g),
@@ -285,9 +320,13 @@ fn panic_then_budget_stop_still_yields_a_certified_checkpoint() {
             None,
         );
         taskpool::fault::disarm();
+        drop(std::panic::take_hook());
+        std::panic::set_hook(Box::new(move |info| previous(info)));
+        assert!(token.is_cancelled(), "{strategy}: the injected panic never fired");
         let JobOutcome::Partial { stop, .. } = outcome else {
-            panic!("{strategy}: a pre-cancelled token must stop the job, got {outcome:?}");
+            panic!("{strategy}: the cancelled retry must stop the job, got {outcome:?}");
         };
+        assert!(matches!(stop, SsspError::Cancelled { .. }), "{strategy}: {stop}");
         let cp = stop.into_checkpoint().expect("budget stop carries a checkpoint");
         for (v, d) in cp.settled_distances() {
             assert_eq!(d.to_bits(), full.dist[v].to_bits(), "{strategy}: vertex {v}");

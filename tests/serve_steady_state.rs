@@ -13,8 +13,11 @@
 //!   the reply's own `dist` — per request,
 //!
 //! and every reply must carry the digest, reach and stats of a fresh
-//! `SsspEngine::new` run. The pass counters and the allocation counter
-//! are process-global, so this file holds exactly one test.
+//! `SsspEngine::new` run. A repeated `LOAD` of a registered graph, and a
+//! `LOAD` the full registry refuses, each cost one fingerprint pass and
+//! no weight pass: the graph is prepared only when the registry keeps
+//! it. The pass counters and the allocation counter are process-global,
+//! so this file holds exactly one test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -25,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use graphdata::CsrGraph;
 use sssp_core::engine::SsspEngine;
 use sssp_core::{RunBudget, SteppingStrategy};
-use sssp_serve::protocol::{digest_and_reach, parse_gen_spec, TEXT_TERMINATOR};
+use sssp_serve::protocol::{code, digest_and_reach, parse_gen_spec, TEXT_TERMINATOR};
 use sssp_serve::server::{start, ServerConfig};
 
 /// `System`, counting allocations of at least [`BIG`] bytes while
@@ -178,6 +181,7 @@ fn a_warm_server_pays_only_for_the_solve() {
     let server = start(
         ServerConfig {
             workers: 1,
+            max_graphs: plan.len(),
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -232,6 +236,20 @@ fn a_warm_server_pays_only_for_the_solve() {
     );
     for (reply, (line, want)) in replies.iter().zip(&order) {
         check(reply, want, line);
+    }
+
+    // A LOAD the registry does not keep is one fingerprint pass.
+    for spec in [plan[0].0, "grid:5x5"] {
+        let (fingerprints, weight_scans) =
+            (CsrGraph::fingerprint_passes(), CsrGraph::weight_passes());
+        let reply = conn.ask(&format!("LOAD GEN {spec}"));
+        let want = match spec == plan[0].0 {
+            true => "LOADED".to_string(),
+            false => format!("ERROR code={} ", code::GRAPH_TABLE_FULL),
+        };
+        assert!(reply[0].starts_with(&want), "{spec}: {reply:?}");
+        assert_eq!(CsrGraph::fingerprint_passes() - fingerprints, 1, "{spec}: fingerprint passes");
+        assert_eq!(CsrGraph::weight_passes() - weight_scans, 0, "{spec}: weight scans");
     }
     server.shutdown();
 }
