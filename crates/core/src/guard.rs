@@ -69,6 +69,12 @@ pub enum SsspError {
         /// Number of vertices in the graph.
         num_vertices: usize,
     },
+    /// The graph has more vertices than the pull index's `u32` sources
+    /// can name ([`crate::pull::check_vertex_ids`]).
+    TooManyVertices {
+        /// Number of vertices in the graph.
+        num_vertices: usize,
+    },
     /// Δ is zero, negative, NaN, or infinite, and no fallback was allowed.
     InvalidDelta {
         /// The rejected Δ (may be NaN).
@@ -180,6 +186,10 @@ impl fmt::Display for SsspError {
                 "source vertex {source} out of bounds for a graph with \
                  {num_vertices} vertices"
             ),
+            SsspError::TooManyVertices { num_vertices } => write!(
+                f,
+                "a graph with {num_vertices} vertices has ids past u32; at most 2^32 are supported"
+            ),
             SsspError::InvalidDelta { delta } => {
                 write!(f, "delta must be positive and finite, got {delta}")
             }
@@ -276,7 +286,8 @@ pub fn preflight(
 /// [`preflight`]'s checks over what a weight scan learned — `weights`,
 /// its verdict, and `fallback`, the Meyer–Sanders Δ — so a caller that
 /// scanned once ([`crate::prepared::PreparedGraph`]) checks every run
-/// without rescanning: the source, then the weights, then Δ.
+/// without rescanning: the vertex count, the source, then the weights,
+/// then Δ.
 pub(crate) fn check_inputs(
     num_vertices: usize,
     weights: &Result<(), SsspError>,
@@ -285,6 +296,7 @@ pub(crate) fn check_inputs(
     delta: f64,
     cfg: &GuardConfig,
 ) -> Result<f64, SsspError> {
+    crate::pull::check_vertex_ids(num_vertices)?;
     if source >= num_vertices {
         return Err(SsspError::SourceOutOfBounds { source, num_vertices });
     }
@@ -357,6 +369,23 @@ mod tests {
             preflight(&empty, 0, 1.0, &GuardConfig::default()),
             Err(SsspError::SourceOutOfBounds { .. })
         ));
+    }
+
+    /// The checks a prepared graph's preflight runs refuse a vertex count
+    /// whose ids do not fit the pull index's `u32` sources, before the
+    /// source check (no such graph fits in a test's memory, so the count
+    /// is passed in).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn preflight_refuses_vertex_ids_past_u32() {
+        let cfg = GuardConfig::default();
+        let check = |n: usize, source: usize| check_inputs(n, &Ok(()), 1.0, source, 1.0, &cfg);
+        let two_32 = 1usize << 32;
+        assert_eq!(check(two_32, two_32 - 1), Ok(1.0));
+        for n in [two_32 + 1, usize::MAX] {
+            assert_eq!(check(n, 0), Err(SsspError::TooManyVertices { num_vertices: n }));
+            assert_eq!(check(n, n), Err(SsspError::TooManyVertices { num_vertices: n }));
+        }
     }
 
     #[test]

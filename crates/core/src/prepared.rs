@@ -13,6 +13,15 @@
 //! binary search per row, instead of a 16-byte-per-edge copy of `A_L` /
 //! `A_H` — and nothing at all when no edge is heavy.
 //!
+//! A split with no heavy edge (Δ at or above every weight: every served
+//! unit-weight graph at Δ = 1) *is* the graph, so the pull (CSC) index a
+//! dense epoch reads is the graph's own transpose, whatever the Δ. The
+//! prepared graph owns that one index ([`SplitView::pull_index`]): built
+//! on the first dense epoch on the graph, shared by every such Δ, every
+//! worker and every request, and counted in
+//! [`PreparedGraph::resident_bytes`] rather than charged to a split
+//! cache. A split with heavy edges keeps its own light-only index.
+//!
 //! Nothing a run computes depends on the order of a row's edges: `dist`
 //! is a min over the same multiset of candidates, `relaxations` counts
 //! edges and `improvements` is counted after the request merge, so
@@ -63,6 +72,9 @@ pub struct PreparedGraph<'g> {
     max_weight: f64,
     /// The Meyer–Sanders Δ, for [`GuardConfig::delta_fallback`].
     fallback_delta: f64,
+    /// The whole graph transposed: the pull index of every split with no
+    /// heavy edge, built on the first dense epoch that needs it.
+    transpose: OnceLock<PullIndex>,
 }
 
 impl PreparedGraph<'static> {
@@ -111,6 +123,7 @@ impl<'g> PreparedGraph<'g> {
                 scan.max_weight,
                 scan.min_positive_weight,
             ),
+            transpose: OnceLock::new(),
         }
     }
 
@@ -139,6 +152,16 @@ impl<'g> PreparedGraph<'g> {
         }
     }
 
+    /// Heap bytes the prepared graph holds: its offsets (borrowed ones
+    /// too), its sorted rows and, once a dense epoch has built it, its
+    /// transpose — graph state, bounded by how many graphs a registry
+    /// keeps, not by a split cache's byte budget.
+    pub fn resident_bytes(&self) -> usize {
+        self.offsets.len() * std::mem::size_of::<usize>()
+            + self.adj.capacity() * std::mem::size_of::<(usize, f64)>()
+            + self.transpose.get().map_or(0, PullIndex::resident_bytes)
+    }
+
     /// The largest edge weight, as [`CsrGraph::max_weight`] reports it.
     pub fn max_weight(&self) -> f64 {
         self.max_weight
@@ -163,8 +186,20 @@ impl<'g> PreparedGraph<'g> {
         budget::epoch_limit(self.num_vertices(), self.max_weight, delta, cfg)
     }
 
-    /// Build the split at `delta`: one binary search per row.
+    /// Build the split at `delta`. At or above the largest weight of a
+    /// graph whose weights passed preflight every edge is light, and the
+    /// split is the graph: no pass at all. Otherwise one binary search
+    /// per row — also for a NaN weight, which sorts last, as a heavy edge,
+    /// and which the maximum weight does not see.
     pub fn split(&self, delta: f64) -> Split {
+        if self.weights.is_ok() && delta >= self.max_weight {
+            return Split::all_light(self.num_vertices(), self.num_edges());
+        }
+        self.scan_split(delta)
+    }
+
+    /// [`PreparedGraph::split`] without the all-light shortcut.
+    fn scan_split(&self, delta: f64) -> Split {
         let n = self.num_vertices();
         let mut bounds = Vec::with_capacity(2 * n + 1);
         for v in 0..n {
@@ -183,16 +218,18 @@ impl<'g> PreparedGraph<'g> {
 /// and its heavy edges (`A_H`) from there to `bounds[2v + 2]`, the next
 /// row's start: `2n + 1` words whatever the edge count, and one cache line
 /// read per row in either phase. When every edge is light (Δ at or above
-/// every weight — unit weights at Δ = 1) the rows are the light edges and
-/// no point is stored.
+/// every weight — unit weights at Δ = 1) the rows are the light edges, no
+/// point is stored and the pull index is the prepared graph's transpose.
 #[derive(Debug)]
 pub struct Split {
     /// `None` when no edge is heavy.
     bounds: Option<Vec<usize>>,
     num_vertices: usize,
     num_light: usize,
-    /// The pull (CSC) index over the light edges, built on the first
-    /// dense epoch and kept for the split's lifetime.
+    /// The pull (CSC) index over the light edges of a split with heavy
+    /// edges, built on its first dense epoch and kept for the split's
+    /// lifetime. Never built when no edge is heavy: the graph's transpose
+    /// serves then.
     pull: OnceLock<PullIndex>,
 }
 
@@ -212,13 +249,20 @@ impl Split {
             .filter(|c| c.len() == 2)
             .map(|c| c[1] - c[0])
             .sum();
-        let all_light = bounds.last() == Some(&num_light);
+        if bounds.last() == Some(&num_light) {
+            return Split::all_light(bounds.len() / 2, num_light);
+        }
         Split {
             num_vertices: bounds.len() / 2,
-            bounds: (!all_light).then_some(bounds),
+            bounds: Some(bounds),
             num_light,
             pull: OnceLock::new(),
         }
+    }
+
+    /// The split of a graph with `n` vertices and `m` edges, all light.
+    fn all_light(n: usize, m: usize) -> Split {
+        Split { bounds: None, num_vertices: n, num_light: m, pull: OnceLock::new() }
     }
 
     /// Heap bytes the partition points hold (0 when no edge is heavy).
@@ -229,17 +273,23 @@ impl Split {
     }
 
     /// What a byte-budgeted [`crate::split_cache::SplitCache`] charges
-    /// for the entry: the partition points and the pull index the split
-    /// builds on its first dense epoch, whether or not it has yet. The
-    /// index is O(light edges) even when the points are nothing, so a
-    /// budget that charged the points alone would bound nothing on a
-    /// unit-weight graph.
+    /// for the entry: everything the entry can pin. A split with heavy
+    /// edges pins its partition points and the light-only pull index it
+    /// builds on its first dense epoch, whether or not it has yet —
+    /// `8(2n + 1) + 8(n + 1) + 12·|A_L|` bytes. A split with no heavy
+    /// edge pins nothing: it stores no point, and its pull index is the
+    /// prepared graph's transpose, graph state that outlives the entry.
     pub fn charged_bytes(&self) -> usize {
-        self.resident_bytes() + PullIndex::bytes_for(self.num_vertices, self.num_light)
+        match self.bounds {
+            Some(_) => {
+                self.resident_bytes() + PullIndex::bytes_for(self.num_vertices, self.num_light)
+            }
+            None => 0,
+        }
     }
 
-    /// Heap bytes held by the pull index (0 until a dense epoch builds
-    /// it).
+    /// Heap bytes held by the split's own pull index (0 until a dense
+    /// epoch builds it, and always 0 when no edge is heavy).
     pub fn pull_bytes(&self) -> usize {
         self.pull.get().map_or(0, PullIndex::resident_bytes)
     }
@@ -257,6 +307,7 @@ impl Split {
             offsets: &g.offsets,
             bounds: self.bounds.as_deref(),
             split: self,
+            transpose: &g.transpose,
         }
     }
 }
@@ -288,6 +339,8 @@ pub struct SplitView<'a> {
     /// The split's bounds; `None` when every edge is light.
     bounds: Option<&'a [usize]>,
     split: &'a Split,
+    /// The prepared graph's transpose cell.
+    transpose: &'a OnceLock<PullIndex>,
 }
 
 impl<'a> SplitView<'a> {
@@ -335,10 +388,18 @@ impl<'a> SplitView<'a> {
     }
 
     /// The pull (CSC) index over the light edges, built on the first
-    /// dense epoch and cached in the split, so repeated runs and the
-    /// split cache amortize it like the split itself.
+    /// dense epoch that needs it. When no edge is heavy the light edges
+    /// are the graph's, so the index is the prepared graph's transpose —
+    /// byte for byte what this split would build, sources ascending per
+    /// target — shared by every Δ at or above the largest weight. A split
+    /// with heavy edges builds and keeps its own, amortized by the split
+    /// cache like the split itself.
     pub fn pull_index(&self) -> &'a PullIndex {
-        self.split.pull.get_or_init(|| PullIndex::build(*self))
+        let owner = match self.bounds {
+            Some(_) => &self.split.pull,
+            None => self.transpose,
+        };
+        owner.get_or_init(|| PullIndex::build(*self))
     }
 }
 
@@ -383,6 +444,73 @@ mod tests {
             }
             assert_eq!(Split::from(lh), split, "delta {delta}");
         }
+    }
+
+    /// At or above the largest weight the split is all-light without a
+    /// scan, and it is the split the scan finds — below, at and above the
+    /// maximum, on unit and on real weights.
+    #[test]
+    fn the_all_light_shortcut_is_the_scanned_split() {
+        let unit = CsrGraph::from_edge_list(&gen::grid2d(6, 6)).unwrap();
+        for g in [unit, weighted()] {
+            let prep = PreparedGraph::new(&g);
+            let max = prep.max_weight();
+            for delta in [0.5 * max, max * (1.0 - f64::EPSILON), max, 1.5 * max, f64::MAX] {
+                assert_eq!(prep.split(delta), prep.scan_split(delta), "delta {delta}");
+            }
+            let all_light = prep.split(max);
+            assert!(all_light.bounds.is_none());
+            assert_eq!(all_light.num_light(), g.num_edges());
+        }
+    }
+
+    /// A NaN weight is invisible to the maximum weight but sorts last, as
+    /// a heavy edge: such a graph takes the scan even at Δ ≥ the maximum.
+    #[test]
+    fn a_nan_weight_graph_takes_the_scan() {
+        let nan = CsrGraph::from_raw_parts_unchecked(
+            3,
+            vec![0, 2, 3, 3],
+            vec![1, 2, 0],
+            vec![f64::NAN, 1.0, 1.0],
+        );
+        let prep = PreparedGraph::new(&nan);
+        assert_eq!(prep.max_weight(), 1.0);
+        for delta in [1.0, 2.0] {
+            let split = prep.split(delta);
+            assert_eq!(split, prep.scan_split(delta));
+            assert!(split.bounds.is_some(), "the NaN edge is heavy at Δ = {delta}");
+            assert_eq!(split.num_light(), 2);
+        }
+    }
+
+    /// Every all-light split reads the prepared graph's one transpose,
+    /// charges nothing and holds no index of its own; a split with heavy
+    /// edges builds and is charged for its own light-only index.
+    #[test]
+    fn all_light_splits_share_the_graphs_transpose() {
+        let unit = PreparedGraph::load(CsrGraph::from_edge_list(&gen::grid2d(8, 8)).unwrap());
+        let before = unit.resident_bytes();
+        let (one, two) = (unit.split(1.0), unit.split(2.5));
+        let index = one.on(&unit).pull_index();
+        assert!(std::ptr::eq(index, two.on(&unit).pull_index()));
+        assert_eq!(*index, PullIndex::build(one.on(&unit)));
+        for split in [&one, &two] {
+            assert_eq!((split.charged_bytes(), split.pull_bytes()), (0, 0));
+        }
+        assert_eq!(unit.resident_bytes(), before + index.resident_bytes());
+
+        let g = weighted();
+        let prep = PreparedGraph::new(&g);
+        let split = prep.split(1.0);
+        let own = split.on(&prep).pull_index();
+        assert!(prep.transpose.get().is_none(), "a split with heavy edges builds its own");
+        assert_eq!(split.pull_bytes(), own.resident_bytes());
+        assert_eq!(
+            split.charged_bytes(),
+            split.resident_bytes() + PullIndex::bytes_for(g.num_vertices(), split.num_light())
+        );
+        assert_eq!(split.pull_bytes(), PullIndex::bytes_for(g.num_vertices(), split.num_light()));
     }
 
     #[test]

@@ -36,8 +36,11 @@
 //! any negative weight (preflight normally rejects those, but the kernel
 //! must not *silently* corrupt on garbage), the skip is disabled.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use taskpool::{scope_with_buffers, split_evenly, ThreadPool};
 
+use crate::guard::SsspError;
 use crate::prepared::SplitView;
 use crate::INF;
 
@@ -48,15 +51,34 @@ use crate::INF;
 /// parallel branch here too.
 pub const SEQ_PULL_THRESHOLD: usize = 2_048;
 
+/// Pull index builds this process has made, over all graphs and splits.
+static BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Refuse a graph with `num_vertices` vertices unless every vertex id
+/// fits the `u32` sources of a [`PullIndex`]: ids run to
+/// `num_vertices - 1`, so `2^32` vertices fit and `2^32 + 1` do not. The
+/// one place this bound is decided: preflight runs it first, and a
+/// registry before it prepares a graph, so no index is ever built over
+/// ids it cannot hold.
+pub fn check_vertex_ids(num_vertices: usize) -> Result<(), SsspError> {
+    match num_vertices.checked_sub(1).is_none_or(|max_id| u32::try_from(max_id).is_ok()) {
+        true => Ok(()),
+        false => Err(SsspError::TooManyVertices { num_vertices }),
+    }
+}
+
 /// The light sub-graph transposed into CSC — for each target vertex, its
-/// light **in-edges** `(source, weight)` with sources ascending. Built
-/// once per `(graph, Δ)` split (lazily, on the first dense epoch) and
-/// cached inside the [`crate::prepared::Split`], so repeated runs and the
-/// split cache amortize it exactly like the split itself.
+/// light **in-edges** `(source, weight)` with sources ascending: `n + 1`
+/// offsets and 12 bytes per edge (a `u32` source, an `f64` weight).
+/// Built lazily, on the first dense epoch, and owned by whoever the light
+/// edges belong to (see [`crate::prepared::SplitView::pull_index`]): when
+/// every edge is light the split *is* the graph, and its index is the
+/// prepared graph's own transpose, shared by every such Δ; a split with
+/// heavy edges keeps its own light-only index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PullIndex {
     off: Vec<usize>,
-    src: Vec<usize>,
+    src: Vec<u32>,
     w: Vec<f64>,
     /// Minimum light weight (`∞` when there are no light edges). The
     /// settled-skip is only sound for non-negative weights; a negative
@@ -69,7 +91,8 @@ impl PullIndex {
     /// Transpose the light edges of `split` by counting sort. Iterating
     /// sources in ascending order fills each target's segment with
     /// ascending sources — deterministic by construction.
-    pub fn build(split: SplitView<'_>) -> PullIndex {
+    pub(crate) fn build(split: SplitView<'_>) -> PullIndex {
+        BUILDS.fetch_add(1, Ordering::Relaxed);
         let n = split.num_vertices();
         let m = split.num_light();
         let mut off = vec![0usize; n + 1];
@@ -81,21 +104,29 @@ impl PullIndex {
         for v in 0..n {
             off[v + 1] += off[v];
         }
-        let mut src = vec![0usize; m];
+        let mut src = vec![0u32; m];
         let mut w = vec![0.0f64; m];
         let mut cursor = off.clone();
         let mut min_w = INF;
         for u in 0..n {
+            let id = u32::try_from(u).expect("preflight refuses vertex ids past u32");
             for &(t, wt) in split.light(u) {
                 if wt < min_w {
                     min_w = wt;
                 }
-                src[cursor[t]] = u;
+                src[cursor[t]] = id;
                 w[cursor[t]] = wt;
                 cursor[t] += 1;
             }
         }
         PullIndex { off, src, w, min_w }
+    }
+
+    /// How many indexes this process has built, over all graphs and
+    /// splits. A probe for tests that pin "transpose once per graph":
+    /// a build is an `O(|E|)` pass inside a timed light phase.
+    pub fn builds() -> u64 {
+        BUILDS.load(Ordering::Relaxed)
     }
 
     /// Number of (target) vertices the index covers.
@@ -104,25 +135,25 @@ impl PullIndex {
     }
 
     /// The light in-edges of `v`: `(sources, weights)`, sources ascending.
-    pub fn in_edges(&self, v: usize) -> (&[usize], &[f64]) {
+    pub fn in_edges(&self, v: usize) -> (&[u32], &[f64]) {
         let (lo, hi) = (self.off[v], self.off[v + 1]);
         (&self.src[lo..hi], &self.w[lo..hi])
     }
 
-    /// Heap bytes held by the index (for split-cache stats reporting).
+    /// Heap bytes held by the index.
     pub fn resident_bytes(&self) -> usize {
         self.off.capacity() * std::mem::size_of::<usize>()
-            + self.src.capacity() * std::mem::size_of::<usize>()
+            + self.src.capacity() * std::mem::size_of::<u32>()
             + self.w.capacity() * std::mem::size_of::<f64>()
     }
 
-    /// The heap bytes [`PullIndex::build`] allocates for `n` vertices and
-    /// `num_light` light edges — known before the index exists, so a
-    /// byte-budgeted split cache can charge a split for the index it may
-    /// build.
+    /// The heap bytes a build allocates for `n` vertices and `num_light`
+    /// light edges, `8(n + 1) + 12·num_light` — known before the index
+    /// exists, so a byte-budgeted split cache can charge a split for the
+    /// index it may build.
     pub fn bytes_for(n: usize, num_light: usize) -> usize {
         (n + 1) * std::mem::size_of::<usize>()
-            + num_light * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
+            + num_light * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())
     }
 }
 
@@ -159,6 +190,7 @@ fn pull_range(
         }
         let (lo, hi) = (idx.off[v], idx.off[v + 1]);
         for (&u, &w) in idx.src[lo..hi].iter().zip(idx.w[lo..hi].iter()) {
+            let u = u as usize;
             if !in_frontier[u] {
                 continue;
             }
@@ -287,7 +319,7 @@ mod tests {
     fn index_is_exact_transpose_with_sorted_sources() {
         let (g, split, _, _) = workload();
         let lh = split.on(&g);
-        let idx = PullIndex::build(lh);
+        let idx = lh.pull_index();
         assert_eq!(idx.num_vertices(), g.num_vertices());
         let mut forward = Vec::new();
         for u in 0..g.num_vertices() {
@@ -301,7 +333,7 @@ mod tests {
             let (srcs, ws) = idx.in_edges(v);
             assert!(srcs.windows(2).all(|p| p[0] <= p[1]), "sources ascending");
             for (&u, &w) in srcs.iter().zip(ws.iter()) {
-                backward.push((v, u, w.to_bits()));
+                backward.push((v, u as usize, w.to_bits()));
             }
         }
         assert_eq!(forward, backward);
@@ -328,12 +360,12 @@ mod tests {
         let mut push_req = vec![INF; n];
         push_ws.drain_requests(|u, c| push_req[u] = c);
 
-        let idx = PullIndex::build(lh);
+        let idx = lh.pull_index();
         let in_frontier = bitmap(n, &frontier);
         let lower = frontier_lower(&dist, &frontier);
         let mut pull_req = vec![INF; n];
         let mut pull_touched = Vec::new();
-        pull_light_sequential(&idx, &dist, &in_frontier, lower, &mut pull_req, &mut pull_touched);
+        pull_light_sequential(idx, &dist, &in_frontier, lower, &mut pull_req, &mut pull_touched);
 
         for &v in &pull_touched {
             assert_eq!(pull_req[v].to_bits(), push_req[v].to_bits(), "v={v}");
@@ -355,13 +387,13 @@ mod tests {
     fn parallel_pull_is_bit_identical_across_thread_counts() {
         let (g, split, dist, frontier) = workload();
         let n = g.num_vertices();
-        let idx = PullIndex::build(split.on(&g));
+        let idx = split.on(&g).pull_index();
         let in_frontier = bitmap(n, &frontier);
         let lower = frontier_lower(&dist, &frontier);
 
         let mut seq_req = vec![INF; n];
         let mut seq_touched = Vec::new();
-        pull_light_sequential(&idx, &dist, &in_frontier, lower, &mut seq_req, &mut seq_touched);
+        pull_light_sequential(idx, &dist, &in_frontier, lower, &mut seq_req, &mut seq_touched);
 
         for threads in [1, 2, 4] {
             let pool = ThreadPool::with_threads(threads).unwrap();
@@ -369,7 +401,7 @@ mod tests {
             let mut touched = Vec::new();
             let mut locals = Vec::new();
             pull_light_parallel(
-                &pool, &idx, &dist, &in_frontier, lower, &mut req, &mut touched, &mut locals, 1,
+                &pool, idx, &dist, &in_frontier, lower, &mut req, &mut touched, &mut locals, 1,
             );
             assert_eq!(touched, seq_touched, "{threads} threads");
             let bits: Vec<u64> = req.iter().map(|x| x.to_bits()).collect();
@@ -404,12 +436,25 @@ mod tests {
     fn empty_frontier_touches_nothing() {
         let (g, split, dist, _) = workload();
         let n = g.num_vertices();
-        let idx = PullIndex::build(split.on(&g));
+        let idx = split.on(&g).pull_index();
         let in_frontier = vec![false; n];
         let mut req = vec![INF; n];
         let mut touched = Vec::new();
-        pull_light_sequential(&idx, &dist, &in_frontier, 0.0, &mut req, &mut touched);
+        pull_light_sequential(idx, &dist, &in_frontier, 0.0, &mut req, &mut touched);
         assert!(touched.is_empty());
         assert!(req.iter().all(|&x| x == INF));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn vertex_ids_fit_u32_up_to_two_to_the_32_vertices() {
+        let two_32 = 1usize << 32;
+        for fits in [0, 1, two_32 - 1, two_32] {
+            assert_eq!(check_vertex_ids(fits), Ok(()), "{fits} vertices: ids 0..=u32::MAX");
+        }
+        for past in [two_32 + 1, usize::MAX] {
+            let refused = SsspError::TooManyVertices { num_vertices: past };
+            assert_eq!(check_vertex_ids(past), Err(refused));
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! runtime. Over weight-sorted rows ([`crate::prepared`]) a split is one
 //! partition point per row — `n` words, built by a binary search per row
 //! — but every engine relaxing the same graph at the same Δ still wants
-//! the same one, and with it the lazily built pull index. [`SplitCache`]
+//! the same one, and with it, when the split has heavy edges, its lazily
+//! built light-only pull index. [`SplitCache`]
 //! is that shared store — `Arc`-handled, keyed by **`(graph fingerprint,
 //! Δ bits)`** so distinct graphs can never collide on a Δ value (the bug
 //! an engine-private, Δ-only key used to hide), with build-once
@@ -17,9 +18,14 @@
 //! finished build pushes the charged total past the budget,
 //! least-recently-used built entries are dropped until the total fits.
 //! An entry is charged for everything it can pin
-//! ([`Split::charged_bytes`]): its partition points and the pull index
-//! it builds on its first dense epoch, so the budget bounds the indexes
-//! too, whichever Δ values clients ask for.
+//! ([`Split::charged_bytes`]). A split with heavy edges pins its
+//! partition points and the light-only pull index it builds on its first
+//! dense epoch, `8(2n + 1) + 8(n + 1) + 12·|A_L|` bytes, so the budget
+//! bounds those indexes too, whichever Δ values clients ask for. A split
+//! with no heavy edge pins nothing and is charged 0: it stores no point,
+//! and its pull index is the prepared graph's transpose — graph state,
+//! one per graph whatever the Δ, bounded by how many graphs a registry
+//! keeps ([`crate::PreparedGraph::resident_bytes`]), not by this budget.
 //! Entries whose build is still in flight are never evicted (their slot
 //! is the rendezvous point other requesters are blocked on); a freshly
 //! built entry may evict itself when it alone exceeds the budget — the
@@ -45,14 +51,17 @@ pub struct SplitCacheStats {
     /// Built entries dropped by the byte-budget LRU policy.
     pub evictions: usize,
     /// Bytes charged to built, still-resident entries
-    /// ([`Split::charged_bytes`]: partition points plus the pull index
-    /// each can build) — the total the byte budget bounds.
+    /// ([`Split::charged_bytes`]: the partition points plus the pull
+    /// index each split with heavy edges can build) — the total the byte
+    /// budget bounds.
     pub resident_bytes: usize,
-    /// Bytes of those charges held by pull (CSC) indexes already built.
-    /// Summed live at query time: an index appears on an entry's first
-    /// dense (pull) epoch, after the entry was charged for it, so this
-    /// never exceeds `resident_bytes`; evicting the entry frees its pull
-    /// index with it.
+    /// Bytes of those charges held by the light-only pull (CSC) indexes
+    /// of splits with heavy edges, already built. Summed live at query
+    /// time: an index appears on an entry's first dense (pull) epoch,
+    /// after the entry was charged for it, so this never exceeds
+    /// `resident_bytes`; evicting the entry frees its pull index with it.
+    /// A graph's transpose, the index of its all-light splits, is not
+    /// here: the prepared graph owns it.
     pub pull_bytes: usize,
 }
 
@@ -240,6 +249,7 @@ mod tests {
     use super::*;
     use crate::fused::LightHeavy;
     use crate::prepared::PreparedGraph;
+    use crate::pull::PullIndex;
     use graphdata::{gen::grid2d, CsrGraph};
     use proptest::prelude::*;
 
@@ -402,31 +412,71 @@ mod tests {
         assert_eq!(*all_light, PreparedGraph::new(&unit).split(1.0));
     }
 
-    /// A budget bounds the pull indexes too: on a unit-weight graph no
-    /// split stores points, but each distinct Δ a client names builds its
-    /// own O(E) pull index on its first dense epoch. The entries are
-    /// charged for their indexes up front, so however many Δ values
-    /// arrive, the cache keeps no more than the budget's worth of them.
+    /// A budget bounds what entries can pin, and on a unit-weight graph
+    /// they pin nothing: every split at Δ ≥ 1 has no heavy edge, so its
+    /// pull index is the prepared graph's one transpose. However many Δ
+    /// values clients name, each with a dense epoch, the graph builds one
+    /// index, the entries are charged 0 bytes and nothing is evicted —
+    /// even under a budget too small for one per-Δ index.
     #[test]
     fn a_budget_bounds_the_pull_indexes_of_many_deltas_on_a_unit_graph() {
         let g = PreparedGraph::load(CsrGraph::from_edge_list(&grid2d(8, 8)).unwrap());
-        let one = g.split(1.0);
-        assert_eq!(one.resident_bytes(), 0, "unit weights at Δ ≥ 1: no heavy edge, no points");
-        let budget = 2 * one.charged_bytes();
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        let budget = PullIndex::bytes_for(n, m) - 1;
         let cache = SplitCache::with_byte_budget(budget);
+        let before = g.resident_bytes();
+        let mut transpose: Option<*const PullIndex> = None;
         for i in 0..32 {
             let delta = 1.0 + f64::from(i) * 0.5;
-            let (split, _) = cache.get_or_build(7, delta.to_bits(), || g.split(delta));
+            let (split, built) = cache.get_or_build(7, delta.to_bits(), || g.split(delta));
+            assert!(built, "Δ={delta}");
+            assert_eq!((split.resident_bytes(), split.charged_bytes()), (0, 0), "Δ={delta}");
             // Every request on this split runs a dense epoch.
+            let index: *const PullIndex = split.on(&g).pull_index();
+            assert_eq!(*transpose.get_or_insert(index), index, "Δ={delta}: one transpose");
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.builds, stats.evictions, cache.len()), (32, 0, 32));
+        assert_eq!((stats.resident_bytes, stats.pull_bytes), (0, 0));
+        assert_eq!(g.resident_bytes(), before + PullIndex::bytes_for(n, m));
+    }
+
+    /// The weighted twin: a split with heavy edges still owns a light-only
+    /// pull index, is charged `8(2n + 1) + 8(n + 1) + 12·|A_L|` for it up
+    /// front, and is evicted under the budget; the graph's transpose is
+    /// never built.
+    #[test]
+    fn a_budget_charges_and_evicts_the_pull_indexes_of_splits_with_heavy_edges() {
+        let mut el = grid2d(8, 8);
+        graphdata::weights::assign_symmetric(
+            &mut el,
+            graphdata::WeightModel::UniformFloat { lo: 0.1, hi: 3.0 },
+            5,
+        );
+        let g = PreparedGraph::load(CsrGraph::from_edge_list(&el).unwrap());
+        let n = g.num_vertices();
+        let deltas: Vec<f64> = (0..32).map(|i| 0.2 + f64::from(i) * 0.07).collect();
+        assert!(deltas.iter().all(|&d| d < g.max_weight()));
+        let budget = 2 * g.split(deltas[31]).charged_bytes();
+        let cache = SplitCache::with_byte_budget(budget);
+        let before = g.resident_bytes();
+        for &delta in &deltas {
+            let (split, _) = cache.get_or_build(7, delta.to_bits(), || g.split(delta));
+            assert!(split.resident_bytes() > 0, "Δ={delta}: heavy edges store points");
+            let words = 2 * n + 1 + n + 1;
+            assert_eq!(split.charged_bytes(), 8 * words + 12 * split.num_light(), "Δ={delta}");
             let _ = split.on(&g).pull_index();
+            assert_eq!(split.pull_bytes(), PullIndex::bytes_for(n, split.num_light()));
             let stats = cache.stats();
             assert!(stats.resident_bytes <= budget, "Δ={delta}: {stats:?}");
             assert!(stats.pull_bytes <= stats.resident_bytes, "Δ={delta}: {stats:?}");
-            assert!(cache.len() <= 2, "Δ={delta}: {} entries", cache.len());
         }
         let stats = cache.stats();
-        assert_eq!((stats.builds, stats.evictions), (32, 30));
-        assert_eq!(stats.pull_bytes, budget, "the two resident entries hold their indexes");
+        assert_eq!(stats.builds, 32);
+        assert!(cache.len() >= 2, "the budget holds two of the largest splits");
+        assert_eq!(stats.evictions, 32 - cache.len());
+        assert_eq!(stats.pull_bytes + cache.len() * 8 * (2 * n + 1), stats.resident_bytes);
+        assert_eq!(g.resident_bytes(), before, "no transpose for splits with heavy edges");
     }
 
     proptest! {

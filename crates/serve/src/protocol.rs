@@ -36,7 +36,7 @@
 //! ## Error codes
 //!
 //! Solver errors map 1:1 from [`SsspError`] through [`wire_code`]
-//! (codes 10–21, exhaustive by construction — the repo lint
+//! (codes 10–22, exhaustive by construction — the repo lint
 //! `wire-code-coverage` rejects a wildcard arm). Server-level conditions
 //! use codes ≥ 30 ([`code`] constants).
 
@@ -73,7 +73,7 @@ pub mod code {
     pub const JOB_FAILED: u8 = 37;
 }
 
-/// The exhaustive [`SsspError`] → wire-code mapping (codes 10–21). Every
+/// The exhaustive [`SsspError`] → wire-code mapping (codes 10–22). Every
 /// solver error a reply can carry has exactly one code; adding a variant
 /// to [`SsspError`] is a compile error here, not a silent `_ =>` bucket
 /// (and the repo lint checks no wildcard arm sneaks in).
@@ -91,6 +91,7 @@ pub fn wire_code(err: &SsspError) -> u8 {
         SsspError::CheckpointIo { .. } => 19,
         SsspError::WorkerPanicked { .. } => 20,
         SsspError::InvalidStrategy { .. } => 21,
+        SsspError::TooManyVertices { .. } => 22,
     }
 }
 
@@ -284,7 +285,7 @@ pub enum Response {
     Stats(ServerStats),
     /// Supervision snapshot.
     Health(HealthReport),
-    /// Typed failure (solver codes 10–20 via [`wire_code`], server codes
+    /// Typed failure (solver codes 10–22 via [`wire_code`], server codes
     /// ≥ 30 via [`code`]).
     Error {
         /// Error code.
@@ -1222,6 +1223,7 @@ mod tests {
             SsspError::InvalidCheckpoint { reason: "x".into() },
             SsspError::WorkerPanicked { message: "x".into() },
             SsspError::InvalidStrategy { reason: "x".into() },
+            SsspError::TooManyVertices { num_vertices: 9 },
         ];
         let codes: Vec<u8> = errs.iter().map(wire_code).collect();
         let mut unique = codes.clone();

@@ -99,7 +99,9 @@ pub struct ServerConfig {
     /// budget: a reader that stops draining loses its connection, not
     /// the server a worker.
     pub write_timeout: Option<Duration>,
-    /// Byte budget for the shared split cache (`None` = unbounded).
+    /// Byte budget for the shared split cache (`None` = unbounded): it
+    /// bounds per-Δ state, not a graph's transpose, which the prepared
+    /// graph owns (`graphs_resident_bytes` in STATS).
     pub cache_bytes: Option<usize>,
     /// Durable checkpoint root; per-graph subdirectories are created
     /// beneath it on demand.
@@ -216,12 +218,17 @@ impl Shared {
     fn stats(&self) -> ServerStats {
         let (waiting, running, shed, admitted) = self.queue.counters();
         let cache = self.cache.stats();
-        let graphs = lock::recover("graphs", &self.graphs).len() as u64;
+        let (graphs, graphs_bytes) = {
+            let graphs = lock::recover("graphs", &self.graphs);
+            let bytes = graphs.values().map(|e| e.prepared.resident_bytes()).sum::<usize>();
+            (graphs.len() as u64, bytes as u64)
+        };
         let health = self.supervisor.health();
         let g = lock::recover("gauges", &self.gauges);
         ServerStats {
             pairs: vec![
                 ("graphs_loaded".into(), graphs),
+                ("graphs_resident_bytes".into(), graphs_bytes),
                 ("jobs_completed".into(), g.jobs_completed),
                 ("jobs_partial".into(), g.jobs_partial),
                 ("jobs_failed".into(), g.jobs_failed),
@@ -440,6 +447,9 @@ fn handle_load(shared: &Shared, spec: &str) -> Response {
         Ok(el) => el,
         Err(e) => return Response::Error { code: code::LOAD_FAILED, message: e },
     };
+    if let Err(e) = sssp_core::pull::check_vertex_ids(el.num_vertices()) {
+        return Response::Error { code: code::LOAD_FAILED, message: e.to_string() };
+    }
     let g = match CsrGraph::from_edge_list(&el) {
         Ok(g) => g,
         Err(e) => {

@@ -41,7 +41,11 @@ options:
   --workers N            engine worker threads (default 2)
   --queue-capacity N     admission bound; excess requests are shed (default 16)
   --threads N            shared pool threads for impl=improved jobs (default 2)
-  --cache-bytes N        split-cache byte budget (default unbounded)
+  --cache-bytes N        split-cache byte budget (default unbounded): bounds
+                         per-delta state, the partition points and light-only
+                         pull index of splits with heavy edges; a graph's
+                         transpose is graph state, bounded by --max-graphs
+                         (STATS graphs_resident_bytes)
   --checkpoint-dir DIR   durable checkpoint root; enables crash-safe resume
   --read-timeout-ms N    per-connection read timeout (default none)
   --write-timeout-ms N   per-connection write timeout / slow-client budget
