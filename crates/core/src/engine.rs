@@ -25,7 +25,11 @@
 //!
 //! Splits live in a [`SplitCache`] keyed by `(graph fingerprint,
 //! Δ.to_bits())`, so engines over different graphs can share one store
-//! and a same-Δ multi-source batch builds each split exactly once. A
+//! and a same-Δ multi-source batch builds each split exactly once. Every
+//! Δ at or above a graph's largest weight names the same all-light split
+//! and shares one key ([`PreparedGraph::split_key`]), so the Δ values a
+//! client names cannot grow a cache's uncharged entries past one per
+//! graph. A
 //! private cache only ever sees one graph, so its key needs no
 //! fingerprint and the engine takes none until a checkpoint asks.
 //!
@@ -149,7 +153,8 @@ impl<'g> SsspEngine<'g> {
     }
 
     /// An engine for `g` borrowing splits from a shared `cache`. Entries
-    /// are keyed by `(fingerprint, Δ.to_bits())`, so any number of
+    /// are keyed by `(fingerprint, Δ.to_bits())` (one key for every
+    /// all-light Δ), so any number of
     /// engines — even over different graphs — can share one store and a
     /// same-Δ batch builds each split exactly once. The key needs the
     /// fingerprint, so this door takes it at construction.
@@ -243,7 +248,7 @@ impl<'g> SsspEngine<'g> {
     /// the build time this engine actually paid (zero on a hit) — what a
     /// run reports as `matrix_filter`.
     fn split_for(&mut self, delta: f64) -> (Arc<Split>, Duration) {
-        let key = delta.to_bits();
+        let key = self.prep.split_key(delta);
         if let Some((_, split)) = self.local.iter().find(|(k, _)| *k == key) {
             self.stats.split_hits += 1;
             return (Arc::clone(split), Duration::ZERO);
@@ -444,6 +449,37 @@ mod tests {
         engine.clear_cache();
         engine.run_fused(0, 0.5, budget).unwrap();
         assert_eq!(engine.stats().split_builds, 3);
+    }
+
+    /// Δ comes off the wire as any f64. On a unit-weight graph every
+    /// Δ ≥ 1 is all-light and charged nothing, so the cache could never
+    /// evict such entries: they share one key, one entry and one build,
+    /// however many distinct values clients send.
+    #[test]
+    fn every_all_light_delta_shares_one_cache_entry() {
+        let g = CsrGraph::from_edge_list(&gen::grid2d(8, 8)).unwrap();
+        let cache = Arc::new(SplitCache::with_byte_budget(1));
+        let budget = &mut RunBudget::unlimited();
+        let dijkstra = crate::dijkstra::dijkstra(&g, 0);
+        for i in 0..40 {
+            let mut engine = SsspEngine::with_cache(&g, Arc::clone(&cache));
+            let delta = 1.0 + f64::from(i) * 0.37;
+            let (r, _) = engine.run_fused(0, delta, budget).unwrap();
+            assert_eq!(r.dist, dijkstra.dist, "delta {delta}");
+        }
+        let stats = cache.stats();
+        assert_eq!((cache.len(), stats.builds, stats.hits), (1, 1, 39));
+        assert_eq!((stats.evictions, stats.resident_bytes), (0, 0));
+        // Below the unit weight every edge is heavy: a split of its own,
+        // charged and evicted under the one-byte budget, which leaves the
+        // all-light entry alone.
+        let mut engine = SsspEngine::with_cache(&g, Arc::clone(&cache));
+        engine.run_fused(0, 0.5, budget).unwrap();
+        let stats = cache.stats();
+        assert_eq!((cache.len(), stats.builds, stats.evictions), (1, 2, 1));
+        let mut engine = SsspEngine::with_cache(&g, Arc::clone(&cache));
+        engine.run_fused(0, 3.0, budget).unwrap();
+        assert_eq!(engine.stats().split_builds, 0, "the all-light entry survived");
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! unit-weight graph at Δ = 1) *is* the graph, so the pull (CSC) index a
 //! dense epoch reads is the graph's own transpose, whatever the Δ. The
 //! prepared graph owns that one index ([`SplitView::pull_index`]): built
-//! on the first dense epoch on the graph, shared by every such Δ, every
+//! on the first dense epoch on the graph, shared by every such Δ (which
+//! also share one split-cache key, [`PreparedGraph::split_key`]), every
 //! worker and every request, and counted in
 //! [`PreparedGraph::resident_bytes`] rather than charged to a split
 //! cache. A split with heavy edges keeps its own light-only index.
@@ -186,20 +187,23 @@ impl<'g> PreparedGraph<'g> {
         budget::epoch_limit(self.num_vertices(), self.max_weight, delta, cfg)
     }
 
-    /// Build the split at `delta`. At or above the largest weight of a
-    /// graph whose weights passed preflight every edge is light, and the
-    /// split is the graph: no pass at all. Otherwise one binary search
-    /// per row — also for a NaN weight, which sorts last, as a heavy edge,
-    /// and which the maximum weight does not see.
-    pub fn split(&self, delta: f64) -> Split {
+    /// The Δ half of this graph's split-cache key. Every Δ at or above
+    /// the largest weight of a graph whose weights passed preflight gives
+    /// the same split — all light, the graph itself — so they share one
+    /// key, and a cache holds one entry for them per graph however many
+    /// such Δ values clients name. A NaN weight, which the maximum weight
+    /// does not see, sorts last as a heavy edge: a graph with one keys
+    /// every Δ apart (and preflight refuses it anyway).
+    pub fn split_key(&self, delta: f64) -> u64 {
         if self.weights.is_ok() && delta >= self.max_weight {
-            return Split::all_light(self.num_vertices(), self.num_edges());
+            f64::INFINITY.to_bits()
+        } else {
+            delta.to_bits()
         }
-        self.scan_split(delta)
     }
 
-    /// [`PreparedGraph::split`] without the all-light shortcut.
-    fn scan_split(&self, delta: f64) -> Split {
+    /// Build the split at `delta`: one binary search per row.
+    pub fn split(&self, delta: f64) -> Split {
         let n = self.num_vertices();
         let mut bounds = Vec::with_capacity(2 * n + 1);
         for v in 0..n {
@@ -446,28 +450,34 @@ mod tests {
         }
     }
 
-    /// At or above the largest weight the split is all-light without a
-    /// scan, and it is the split the scan finds — below, at and above the
-    /// maximum, on unit and on real weights.
+    /// Every Δ under the all-light key gives the same all-light split, and
+    /// every other Δ keys by its own bits — below, at and above the
+    /// maximum weight, on unit and on real weights.
     #[test]
-    fn the_all_light_shortcut_is_the_scanned_split() {
+    fn the_all_light_key_names_one_split() {
         let unit = CsrGraph::from_edge_list(&gen::grid2d(6, 6)).unwrap();
         for g in [unit, weighted()] {
             let prep = PreparedGraph::new(&g);
             let max = prep.max_weight();
-            for delta in [0.5 * max, max * (1.0 - f64::EPSILON), max, 1.5 * max, f64::MAX] {
-                assert_eq!(prep.split(delta), prep.scan_split(delta), "delta {delta}");
-            }
             let all_light = prep.split(max);
             assert!(all_light.bounds.is_none());
             assert_eq!(all_light.num_light(), g.num_edges());
+            for delta in [max, 1.5 * max, f64::MAX, f64::INFINITY] {
+                assert_eq!(prep.split_key(delta), f64::INFINITY.to_bits(), "delta {delta}");
+                assert_eq!(prep.split(delta), all_light, "delta {delta}");
+            }
+            for delta in [0.5 * max, max * (1.0 - f64::EPSILON)] {
+                assert_eq!(prep.split_key(delta), delta.to_bits(), "delta {delta}");
+                assert!(prep.split(delta).bounds.is_some(), "delta {delta}");
+            }
         }
     }
 
     /// A NaN weight is invisible to the maximum weight but sorts last, as
-    /// a heavy edge: such a graph takes the scan even at Δ ≥ the maximum.
+    /// a heavy edge: such a graph keys each Δ apart even at Δ ≥ the
+    /// maximum.
     #[test]
-    fn a_nan_weight_graph_takes_the_scan() {
+    fn a_nan_weight_graph_keys_each_delta_apart() {
         let nan = CsrGraph::from_raw_parts_unchecked(
             3,
             vec![0, 2, 3, 3],
@@ -477,8 +487,8 @@ mod tests {
         let prep = PreparedGraph::new(&nan);
         assert_eq!(prep.max_weight(), 1.0);
         for delta in [1.0, 2.0] {
+            assert_eq!(prep.split_key(delta), delta.to_bits());
             let split = prep.split(delta);
-            assert_eq!(split, prep.scan_split(delta));
             assert!(split.bounds.is_some(), "the NaN edge is heavy at Δ = {delta}");
             assert_eq!(split.num_light(), 2);
         }

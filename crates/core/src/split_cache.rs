@@ -5,13 +5,14 @@
 //! partition point per row — `n` words, built by a binary search per row
 //! — but every engine relaxing the same graph at the same Δ still wants
 //! the same one, and with it, when the split has heavy edges, its lazily
-//! built light-only pull index. [`SplitCache`]
-//! is that shared store — `Arc`-handled, keyed by **`(graph fingerprint,
-//! Δ bits)`** so distinct graphs can never collide on a Δ value (the bug
-//! an engine-private, Δ-only key used to hide), with build-once
-//! semantics: when several engines request a missing entry concurrently,
-//! exactly one builds it and the rest block briefly and then clone the
-//! handle.
+//! built light-only pull index. [`SplitCache`] is that shared store —
+//! `Arc`-handled, keyed by **`(graph fingerprint, Δ bits)`** so distinct
+//! graphs can never collide on a Δ value (the bug an engine-private,
+//! Δ-only key used to hide), with build-once semantics: when several
+//! engines request a missing entry concurrently, exactly one builds it
+//! and the rest block briefly and then clone the handle. Every Δ at or
+//! above a graph's largest weight names the same all-light split and
+//! shares one key ([`crate::PreparedGraph::split_key`]).
 //!
 //! A cache built with [`SplitCache::with_byte_budget`] additionally runs
 //! an LRU eviction policy over the *built* entries: whenever accounting a
@@ -26,6 +27,8 @@
 //! and its pull index is the prepared graph's transpose — graph state,
 //! one per graph whatever the Δ, bounded by how many graphs a registry
 //! keeps ([`crate::PreparedGraph::resident_bytes`]), not by this budget.
+//! The budget never evicts such an entry, so the entries themselves are
+//! bounded by the key: all of a graph's all-light Δ values share one.
 //! Entries whose build is still in flight are never evicted (their slot
 //! is the rendezvous point other requesters are blocked on); a freshly
 //! built entry may evict itself when it alone exceeds the budget — the
@@ -97,14 +100,15 @@ impl Inner {
     /// Evict least-recently-used **built** entries until the charged
     /// total fits `budget`. In-flight entries (no bytes yet) are skipped:
     /// they hold no accounted bytes and other requesters may be parked
-    /// on their `OnceLock`.
+    /// on their `OnceLock`. Entries charged 0 are skipped too: dropping
+    /// one frees nothing the budget counts.
     fn evict_to_budget(&mut self, budget: usize) {
         while self.stats.resident_bytes > budget {
             let victim = self
                 .entries
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.bytes.is_some())
+                .filter(|(_, e)| e.bytes.is_some_and(|b| b > 0))
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i);
             let Some(i) = victim else { break };
@@ -414,10 +418,11 @@ mod tests {
 
     /// A budget bounds what entries can pin, and on a unit-weight graph
     /// they pin nothing: every split at Δ ≥ 1 has no heavy edge, so its
-    /// pull index is the prepared graph's one transpose. However many Δ
-    /// values clients name, each with a dense epoch, the graph builds one
-    /// index, the entries are charged 0 bytes and nothing is evicted —
-    /// even under a budget too small for one per-Δ index.
+    /// pull index is the prepared graph's one transpose, and every such Δ
+    /// shares one key ([`PreparedGraph::split_key`]). However many Δ
+    /// values clients name, each with a dense epoch, the graph holds one
+    /// entry, builds one split and one index, is charged 0 bytes and
+    /// evicts nothing — even under a budget too small for one per-Δ index.
     #[test]
     fn a_budget_bounds_the_pull_indexes_of_many_deltas_on_a_unit_graph() {
         let g = PreparedGraph::load(CsrGraph::from_edge_list(&grid2d(8, 8)).unwrap());
@@ -428,15 +433,15 @@ mod tests {
         let mut transpose: Option<*const PullIndex> = None;
         for i in 0..32 {
             let delta = 1.0 + f64::from(i) * 0.5;
-            let (split, built) = cache.get_or_build(7, delta.to_bits(), || g.split(delta));
-            assert!(built, "Δ={delta}");
+            let (split, built) = cache.get_or_build(7, g.split_key(delta), || g.split(delta));
+            assert_eq!(built, i == 0, "Δ={delta}");
             assert_eq!((split.resident_bytes(), split.charged_bytes()), (0, 0), "Δ={delta}");
             // Every request on this split runs a dense epoch.
             let index: *const PullIndex = split.on(&g).pull_index();
             assert_eq!(*transpose.get_or_insert(index), index, "Δ={delta}: one transpose");
         }
         let stats = cache.stats();
-        assert_eq!((stats.builds, stats.evictions, cache.len()), (32, 0, 32));
+        assert_eq!((stats.builds, stats.hits, stats.evictions, cache.len()), (1, 31, 0, 1));
         assert_eq!((stats.resident_bytes, stats.pull_bytes), (0, 0));
         assert_eq!(g.resident_bytes(), before + PullIndex::bytes_for(n, m));
     }
@@ -461,6 +466,7 @@ mod tests {
         let cache = SplitCache::with_byte_budget(budget);
         let before = g.resident_bytes();
         for &delta in &deltas {
+            assert_eq!(g.split_key(delta), delta.to_bits());
             let (split, _) = cache.get_or_build(7, delta.to_bits(), || g.split(delta));
             assert!(split.resident_bytes() > 0, "Δ={delta}: heavy edges store points");
             let words = 2 * n + 1 + n + 1;

@@ -100,8 +100,9 @@ pub struct ServerConfig {
     /// the server a worker.
     pub write_timeout: Option<Duration>,
     /// Byte budget for the shared split cache (`None` = unbounded): it
-    /// bounds per-Δ state, not a graph's transpose, which the prepared
-    /// graph owns (`graphs_resident_bytes` in STATS).
+    /// bounds per-Δ state, not a graph's one all-light split (every
+    /// Δ at or above its largest weight) or its transpose, which the
+    /// prepared graph owns (`graphs_resident_bytes` in STATS).
     pub cache_bytes: Option<usize>,
     /// Durable checkpoint root; per-graph subdirectories are created
     /// beneath it on demand.

@@ -43,9 +43,10 @@ options:
   --threads N            shared pool threads for impl=improved jobs (default 2)
   --cache-bytes N        split-cache byte budget (default unbounded): bounds
                          per-delta state, the partition points and light-only
-                         pull index of splits with heavy edges; a graph's
-                         transpose is graph state, bounded by --max-graphs
-                         (STATS graphs_resident_bytes)
+                         pull index of splits with heavy edges; every delta
+                         at or above a graph's largest weight shares one
+                         all-light split, and its transpose is graph state,
+                         bounded by --max-graphs (STATS graphs_resident_bytes)
   --checkpoint-dir DIR   durable checkpoint root; enables crash-safe resume
   --read-timeout-ms N    per-connection read timeout (default none)
   --write-timeout-ms N   per-connection write timeout / slow-client budget

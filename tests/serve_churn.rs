@@ -17,101 +17,16 @@
 //! `SsspEngine::new` run. The counters are process-global, so this file
 //! holds exactly one test.
 
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+mod common;
 
+use common::{check, request, Conn, Request};
 use gblas::direction::decision_counters;
 use graphdata::CsrGraph;
-use sssp_core::engine::SsspEngine;
 use sssp_core::fused::LightHeavy;
 use sssp_core::pull::PullIndex;
-use sssp_core::{RunBudget, SteppingStrategy};
-use sssp_serve::protocol::{digest_and_reach, parse_gen_spec, TEXT_TERMINATOR};
+use sssp_serve::protocol::parse_gen_spec;
 use sssp_serve::server::{start, ServerConfig};
 use sssp_serve::ServerHandle;
-
-/// One text connection, read through one buffer for its whole life.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Conn {
-    fn open(addr: std::net::SocketAddr) -> Conn {
-        let writer = TcpStream::connect(addr).expect("connect");
-        let reader = BufReader::new(writer.try_clone().expect("clone"));
-        Conn { reader, writer }
-    }
-
-    /// Send one request line; return the reply lines.
-    fn ask(&mut self, line: &str) -> Vec<String> {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("send");
-        let mut reply = Vec::new();
-        loop {
-            let mut l = String::new();
-            assert!(
-                self.reader.read_line(&mut l).expect("reply line") > 0,
-                "server hung up"
-            );
-            let l = l.trim_end();
-            if l == TEXT_TERMINATOR {
-                return reply;
-            }
-            reply.push(l.to_string());
-        }
-    }
-}
-
-/// A request line and the `key=value` fields its `OK` reply must carry.
-type Request = (String, HashMap<String, String>);
-
-/// Every request on `g` from `sources` at Δ = 1, with the answer a fresh
-/// engine gives.
-fn requests(g: &CsrGraph, sources: &[usize]) -> Vec<Request> {
-    let fp = g.fingerprint();
-    sources
-        .iter()
-        .map(|&source| {
-            let (fresh, _) = SsspEngine::new(g)
-                .run_stepping(
-                    None,
-                    source,
-                    1.0,
-                    SteppingStrategy::Classic,
-                    &mut RunBudget::unlimited(),
-                )
-                .unwrap();
-            let (dist_fnv, reached) = digest_and_reach(&fresh.dist);
-            let s = &fresh.stats;
-            let want = [
-                ("reached", reached.to_string()),
-                ("buckets", s.buckets_processed.to_string()),
-                ("light_phases", s.light_phases.to_string()),
-                ("heavy_phases", s.heavy_phases.to_string()),
-                ("relaxations", s.relaxations.to_string()),
-                ("improvements", s.improvements.to_string()),
-                ("dist_fnv", format!("{dist_fnv:016x}")),
-            ]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-            (format!("SSSP {fp:016x} {source} delta=1"), want)
-        })
-        .collect()
-}
-
-fn check(reply: &[String], (line, want): &Request) {
-    assert_eq!(reply.len(), 1, "{line}: {reply:?}");
-    assert!(reply[0].starts_with("OK "), "{line}: {}", reply[0]);
-    let got: HashMap<&str, &str> =
-        reply[0].split_whitespace().skip(1).filter_map(|kv| kv.split_once('=')).collect();
-    for (k, v) in want {
-        assert_eq!(got.get(k.as_str()), Some(&v.as_str()), "{line}: field {k} in {}", reply[0]);
-    }
-}
 
 fn stat(server: &ServerHandle, name: &str) -> u64 {
     server.stats().get(name).unwrap_or_else(|| panic!("STATS has no {name}"))
@@ -124,8 +39,11 @@ fn alternating_unit_graphs_share_their_transposes_and_build_nothing() {
         .iter()
         .map(|(spec, _)| CsrGraph::from_edge_list(&parse_gen_spec(spec).unwrap()).unwrap())
         .collect();
-    let per_graph: Vec<Vec<Request>> =
-        graphs.iter().zip(&plan).map(|(g, (_, sources))| requests(g, sources)).collect();
+    let per_graph: Vec<Vec<Request>> = graphs
+        .iter()
+        .zip(&plan)
+        .map(|(g, (_, sources))| sources.iter().map(|&s| request(g, s, 1.0)).collect())
+        .collect();
     let one_split = graphs
         .iter()
         .map(|g| LightHeavy::build(g, 1.0).resident_bytes())

@@ -19,16 +19,14 @@
 //! it. The pass counters and the allocation counter are process-global,
 //! so this file holds exactly one test.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use common::{check, request, Conn, Request};
 use graphdata::CsrGraph;
-use sssp_core::engine::SsspEngine;
-use sssp_core::{RunBudget, SteppingStrategy};
-use sssp_serve::protocol::{code, digest_and_reach, parse_gen_spec, TEXT_TERMINATOR};
+use sssp_serve::protocol::{code, parse_gen_spec};
 use sssp_serve::server::{start, ServerConfig};
 
 /// `System`, counting allocations of at least [`BIG`] bytes while
@@ -85,50 +83,6 @@ unsafe impl GlobalAlloc for BigAllocs {
 #[global_allocator]
 static ALLOCATOR: BigAllocs = BigAllocs;
 
-/// One text connection, read through one buffer for its whole life.
-struct Conn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Conn {
-    fn open(addr: std::net::SocketAddr) -> Conn {
-        let writer = TcpStream::connect(addr).expect("connect");
-        let reader = BufReader::new(writer.try_clone().expect("clone"));
-        Conn { reader, writer }
-    }
-
-    /// Send one request line; return the reply lines.
-    fn ask(&mut self, line: &str) -> Vec<String> {
-        self.writer
-            .write_all(format!("{line}\n").as_bytes())
-            .expect("send");
-        let mut reply = Vec::new();
-        loop {
-            let mut l = String::new();
-            assert!(
-                self.reader.read_line(&mut l).expect("reply line") > 0,
-                "server hung up"
-            );
-            let l = l.trim_end();
-            if l == TEXT_TERMINATOR {
-                return reply;
-            }
-            reply.push(l.to_string());
-        }
-    }
-}
-
-/// The `key=value` fields of an `OK` line.
-fn fields(line: &str) -> HashMap<String, String> {
-    assert!(line.starts_with("OK "), "{line}");
-    line.split_whitespace()
-        .skip(1)
-        .filter_map(|kv| kv.split_once('='))
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-}
-
 #[test]
 fn a_warm_server_pays_only_for_the_solve() {
     // (spec, sources): a 30x30 grid (900 vertices) and an RMAT graph of
@@ -144,37 +98,11 @@ fn a_warm_server_pays_only_for_the_solve() {
         .collect();
 
     // Every (graph, Δ, source) request of the plan with the answer a
-    // fresh engine gives: (line, reached, dist_fnv, stats fields).
-    let mut requests = Vec::new();
+    // fresh engine gives.
+    let mut requests: Vec<Request> = Vec::new();
     for (g, (_, sources)) in graphs.iter().zip(&plan) {
-        let fp = g.fingerprint();
         for &delta in &deltas {
-            for &source in sources {
-                let (fresh, _) = SsspEngine::new(g)
-                    .run_stepping(
-                        None,
-                        source,
-                        delta,
-                        SteppingStrategy::Classic,
-                        &mut RunBudget::unlimited(),
-                    )
-                    .unwrap();
-                let (dist_fnv, reached) = digest_and_reach(&fresh.dist);
-                let s = &fresh.stats;
-                let want: HashMap<String, String> = [
-                    ("reached", reached.to_string()),
-                    ("buckets", s.buckets_processed.to_string()),
-                    ("light_phases", s.light_phases.to_string()),
-                    ("heavy_phases", s.heavy_phases.to_string()),
-                    ("relaxations", s.relaxations.to_string()),
-                    ("improvements", s.improvements.to_string()),
-                    ("dist_fnv", format!("{dist_fnv:016x}")),
-                ]
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect();
-                requests.push((format!("SSSP {fp:016x} {source} delta={delta}"), want));
-            }
+            requests.extend(sources.iter().map(|&source| request(g, source, delta)));
         }
     }
 
@@ -192,25 +120,19 @@ fn a_warm_server_pays_only_for_the_solve() {
         let loaded = conn.ask(&format!("LOAD GEN {spec}"));
         assert!(loaded[0].starts_with("LOADED"), "{loaded:?}");
     }
-    // Warm-up: each request of the plan once, which builds each
-    // (graph, Δ) split and grows the worker's workspace to the larger
-    // graph.
-    let check = |reply: &[String], want: &HashMap<String, String>, label: &str| {
-        assert_eq!(reply.len(), 1, "{label}: {reply:?}");
-        let got = fields(&reply[0]);
-        for (k, v) in want {
-            assert_eq!(got.get(k), Some(v), "{label}: field {k} in {}", reply[0]);
-        }
-    };
-    for (line, want) in &requests {
-        check(&conn.ask(line), want, line);
+    // Warm-up: each request of the plan once, which builds each graph's
+    // split and grows the worker's workspace to the larger graph. Both
+    // graphs are unit-weight, so both Δ values are all-light and share
+    // one split per graph.
+    for request in &requests {
+        check(&conn.ask(&request.0), request);
     }
     let builds = |server: &sssp_serve::ServerHandle| server.stats().get("cache_builds");
-    assert_eq!(builds(&server), Some((graphs.len() * deltas.len()) as u64));
+    assert_eq!(builds(&server), Some(graphs.len() as u64));
 
     // Steady state: 200 requests alternating between the graphs.
     let per_graph = requests.len() / graphs.len();
-    let order: Vec<&(String, HashMap<String, String>)> = (0..200)
+    let order: Vec<&Request> = (0..200)
         .map(|i| &requests[(i % 2) * per_graph + (i / 2) % per_graph])
         .collect();
     let (fingerprints, weight_scans) = (CsrGraph::fingerprint_passes(), CsrGraph::weight_passes());
@@ -224,18 +146,14 @@ fn a_warm_server_pays_only_for_the_solve() {
         "fingerprint passes"
     );
     assert_eq!(CsrGraph::weight_passes() - weight_scans, 0, "weight scans");
-    assert_eq!(
-        builds(&server),
-        Some((graphs.len() * deltas.len()) as u64),
-        "split builds"
-    );
+    assert_eq!(builds(&server), Some(graphs.len() as u64), "split builds");
     assert_eq!(
         big_allocs,
         order.len() as u64,
         "one dist-sized allocation per request"
     );
-    for (reply, (line, want)) in replies.iter().zip(&order) {
-        check(reply, want, line);
+    for (reply, request) in replies.iter().zip(order) {
+        check(reply, request);
     }
 
     // A LOAD the registry does not keep is one fingerprint pass.
