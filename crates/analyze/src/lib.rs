@@ -18,8 +18,9 @@
 //! 3. **`hot-path-lock`** — no `Mutex`/`RwLock` in the relaxation hot
 //!    paths (`crates/core/src/repro/parallel*`, `crates/core/src/reqbuf.rs`,
 //!    `crates/core/src/pull.rs`, `crates/core/src/stepping.rs`,
-//!    `crates/core/src/fused.rs` — the light/heavy split and its chunked
-//!    build — `crates/gblas/src/parallel*`,
+//!    `crates/core/src/fused.rs`, `crates/core/src/prepared.rs` — the
+//!    prepared graph and the splits every run fetches from it —
+//!    `crates/gblas/src/parallel*`,
 //!    `crates/gblas/src/direction.rs`) or the resident service
 //!    (`crates/serve/src/`). Deliberate uses are suppressed with a
 //!    `lint:allow(hot-path-lock): <reason>` comment on the same or the
@@ -439,16 +440,17 @@ const HOT_PATH_SUPPRESSION: &str = "lint:allow(hot-path-lock)";
 
 /// Hot-path modules where a blocking lock is a design violation: the
 /// request-buffer relaxation core, the parallel kernels, the
-/// generalized stepping loop, the light/heavy split it runs over (built
-/// in row chunks on the pool), and the resident service (whose locks
-/// must all be request-rate control state, never per-edge — each
-/// deliberate one carries its reason).
+/// generalized stepping loop, the copied light/heavy split of the figure
+/// variants, the prepared graph whose splits every run fetches, and the
+/// resident service (whose locks must all be request-rate control state,
+/// never per-edge — each deliberate one carries its reason).
 pub fn is_hot_path(rel: &str) -> bool {
     rel.starts_with("crates/core/src/repro/parallel")
         || rel == "crates/core/src/reqbuf.rs"
         || rel == "crates/core/src/pull.rs"
         || rel == "crates/core/src/stepping.rs"
         || rel == "crates/core/src/fused.rs"
+        || rel == "crates/core/src/prepared.rs"
         || rel.starts_with("crates/gblas/src/parallel")
         || rel == "crates/gblas/src/direction.rs"
         || rel.starts_with("crates/serve/src/")
@@ -1557,9 +1559,12 @@ reason = "heuristic counter, never load-acquired"
         // strategy framework: its extraction scan is per-vertex work.
         let stepping = sf("crates/core/src/stepping.rs", "use std::sync::Mutex;\n");
         assert_eq!(lint_hot_path_locks(&stepping).len(), 1);
-        // So did the split module, with the chunked split build.
-        let split = sf("crates/core/src/fused.rs", "use std::sync::Mutex;\n");
-        assert_eq!(lint_hot_path_locks(&split).len(), 1);
+        // So did the copied-split module, and the prepared graph whose
+        // splits every run fetches.
+        for file in ["crates/core/src/fused.rs", "crates/core/src/prepared.rs"] {
+            let split = sf(file, "use std::sync::Mutex;\n");
+            assert_eq!(lint_hot_path_locks(&split).len(), 1, "{file}");
+        }
     }
 
     // -- lint 4 ----------------------------------------------------------

@@ -1,44 +1,36 @@
-//! Multi-run SSSP engine: a prepared graph, a cache of light/heavy splits
-//! and a reusable relaxation workspace.
+//! Multi-run SSSP engine: a prepared graph, the splits it owns and a
+//! reusable relaxation workspace.
 //!
 //! The paper measures the matrix filtering phase (building `A_L` / `A_H`)
 //! at 35–40 % of total runtime, and a served request used to pay more
 //! than its solve again in per-graph set-up. An engine runs over a
 //! [`PreparedGraph`] — rows sorted by weight, the weight verdict and the
-//! maximum weight taken in one pass, the fingerprint taken once — so a
-//! split is one partition point per row, built once per Δ, and the loop's
-//! workspace ([`SteppingWorkspace`]) rides along so repeated runs
-//! allocate nothing but their result.
+//! maximum weight taken in one pass, the fingerprint taken once — which
+//! owns its splits: one all-light split for every Δ at or above its
+//! largest weight, and one slot for the most recent Δ with heavy edges
+//! ([`PreparedGraph::split_for`]). The loop's workspace
+//! ([`SteppingWorkspace`]) rides along so repeated runs allocate nothing
+//! but their result.
 //!
-//! Three doors, one engine:
+//! Two doors, one engine:
 //!
 //! * [`SsspEngine::new`] prepares a borrowed graph privately (one pass
-//!   over the weights, one weight-sorted copy of the adjacency) with a
-//!   private split cache and its own workspace — a one-off caller's
-//!   engine;
-//! * [`SsspEngine::with_cache`] does the same over a shared
-//!   [`SplitCache`];
+//!   over the weights, one weight-sorted copy of the adjacency) with its
+//!   own workspace — a one-off caller's engine;
 //! * [`SsspEngine::over`] is a view: a prepared graph someone else owns
-//!   (a server's registry entry, a batch's shared preparation), a shared
-//!   cache, and a borrowed workspace (a serve worker slot's, a batch
-//!   worker's). Building one costs nothing per graph.
+//!   (a server's registry entry, a batch's shared preparation) and a
+//!   borrowed workspace (a serve worker slot's, a batch worker's).
+//!   Building one costs nothing per graph, and every view over one
+//!   prepared graph shares its splits.
 //!
-//! Splits live in a [`SplitCache`] keyed by `(graph fingerprint,
-//! Δ.to_bits())`, so engines over different graphs can share one store
-//! and a same-Δ multi-source batch builds each split exactly once. Every
-//! Δ at or above a graph's largest weight names the same all-light split
-//! and shares one key ([`PreparedGraph::split_key`]), so the Δ values a
-//! client names cannot grow a cache's uncharged entries past one per
-//! graph. A
-//! private cache only ever sees one graph, so its key needs no
-//! fingerprint and the engine takes none until a checkpoint asks.
+//! [`SsspEngine::with_cache`] is [`SsspEngine::new`] under the name the
+//! benchmark harness pins; its cache argument is inert.
 //!
 //! Engines also speak the durable-checkpoint format:
 //! [`SsspEngine::save_checkpoint`] / [`SsspEngine::load_checkpoint`]
 //! persist a budget-stopped run to disk (bound to the as-loaded graph by
 //! its fingerprint) so a fresh process can resume it bit-identically.
 
-use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::path::Path;
 use std::sync::Arc;
@@ -58,12 +50,14 @@ use crate::stepping::{
     stepping_resume_with, stepping_with, SteppingStrategy, SteppingWorkspace,
 };
 
-/// Cache effectiveness counters, exposed for tests and bench reporting.
+/// Split and extraction counters of one engine, exposed for tests and
+/// bench reporting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Splits built (cache misses).
+    /// Splits this engine built (a slot miss on its prepared graph).
     pub split_builds: usize,
-    /// Runs served from a cached split.
+    /// Runs on a split nobody had to build for them: the all-light
+    /// split, or the one already in the slot.
     pub split_hits: usize,
     /// Pending-set entries examined by the stepping loop's frontier
     /// extractions, summed over every run and resume on this engine
@@ -72,6 +66,25 @@ pub struct EngineStats {
     /// per solve on road-like graphs, where a scan of the whole distance
     /// vector per step would be n × steps.
     pub extraction_scanned: u64,
+}
+
+/// The prepared graph an engine runs on: its own, or one a caller keeps
+/// across engines (a registry entry, a batch).
+#[derive(Debug)]
+enum Prepared<'g> {
+    Own(Box<PreparedGraph<'g>>),
+    Lent(&'g PreparedGraph<'g>),
+}
+
+impl<'g> Deref for Prepared<'g> {
+    type Target = PreparedGraph<'g>;
+
+    fn deref(&self) -> &PreparedGraph<'g> {
+        match self {
+            Prepared::Own(prep) => prep,
+            Prepared::Lent(prep) => prep,
+        }
+    }
 }
 
 /// The workspace an engine runs in: its own, or one lent by a caller that
@@ -108,7 +121,7 @@ impl DerefMut for Workspace<'_> {
     }
 }
 
-/// Per-graph SSSP engine: a prepared graph, Δ-keyed splits and a warm
+/// Per-graph SSSP engine: a prepared graph with its splits, and a warm
 /// workspace.
 ///
 /// ```
@@ -123,72 +136,40 @@ impl DerefMut for Workspace<'_> {
 ///         .unwrap();
 ///     assert_eq!(r.dist[src], 0.0);
 /// }
-/// // One split served all three sources.
-/// assert_eq!(engine.stats().split_builds, 1);
-/// assert_eq!(engine.stats().split_hits, 2);
+/// // Unit weights at Δ = 1: every run read the graph's all-light split,
+/// // which nobody builds.
+/// assert_eq!(engine.stats().split_builds, 0);
+/// assert_eq!(engine.stats().split_hits, 3);
 /// ```
 #[derive(Debug)]
 pub struct SsspEngine<'g> {
-    prep: Cow<'g, PreparedGraph<'g>>,
-    /// The split store, possibly shared with other engines.
-    cache: Arc<SplitCache>,
-    /// Whether `cache` is this engine's alone: then it only ever holds
-    /// this graph and its keys carry no fingerprint.
-    private_cache: bool,
-    /// Δ-bits → shared split handles this engine already fetched, so the
-    /// steady state costs no lock. Workloads use a handful of Δ values at
-    /// most, so a linear scan beats a hash map here.
-    local: Vec<(u64, Arc<Split>)>,
+    prep: Prepared<'g>,
     ws: Workspace<'g>,
     stats: EngineStats,
 }
 
 impl<'g> SsspEngine<'g> {
-    /// An engine for `g` with a private split cache and its own
-    /// workspace. Prepares `g`: one pass over the weights and one
-    /// weight-sorted copy of its adjacency.
+    /// An engine for `g` with its own workspace. Prepares `g`: one pass
+    /// over the weights and one weight-sorted copy of its adjacency.
     pub fn new(g: &'g CsrGraph) -> Self {
-        let cache = Arc::new(SplitCache::new());
-        SsspEngine::build(Cow::Owned(PreparedGraph::new(g)), cache, true, Workspace::default())
+        let prep = Prepared::Own(Box::new(PreparedGraph::new(g)));
+        SsspEngine { prep, ws: Workspace::default(), stats: EngineStats::default() }
     }
 
-    /// An engine for `g` borrowing splits from a shared `cache`. Entries
-    /// are keyed by `(fingerprint, Δ.to_bits())` (one key for every
-    /// all-light Δ), so any number of
-    /// engines — even over different graphs — can share one store and a
-    /// same-Δ batch builds each split exactly once. The key needs the
-    /// fingerprint, so this door takes it at construction.
-    pub fn with_cache(g: &'g CsrGraph, cache: Arc<SplitCache>) -> Self {
-        let engine =
-            SsspEngine::build(Cow::Owned(PreparedGraph::new(g)), cache, false, Workspace::default());
-        engine.fingerprint();
-        engine
+    /// [`SsspEngine::new`], kept for the benchmark harness: `cache` is
+    /// inert — the engine's prepared graph owns its splits.
+    pub fn with_cache(g: &'g CsrGraph, _cache: Arc<SplitCache>) -> Self {
+        SsspEngine::new(g)
     }
 
-    /// A view over a graph someone else prepared, a shared `cache` and a
-    /// lent workspace: no pass over the graph, no allocation. The caller
-    /// keeps `ws` across views; a view that panicked mid-run leaves it
-    /// marked, and the next run on it starts fresh.
-    pub fn over(
-        prep: &'g PreparedGraph<'g>,
-        cache: Arc<SplitCache>,
-        ws: &'g mut SteppingWorkspace,
-    ) -> Self {
-        SsspEngine::build(Cow::Borrowed(prep), cache, false, Workspace::Lent(ws))
-    }
-
-    fn build(
-        prep: Cow<'g, PreparedGraph<'g>>,
-        cache: Arc<SplitCache>,
-        private_cache: bool,
-        ws: Workspace<'g>,
-    ) -> Self {
+    /// A view over a graph someone else prepared and a lent workspace: no
+    /// pass over the graph, no allocation. The caller keeps `ws` across
+    /// views; a view that panicked mid-run leaves it marked, and the next
+    /// run on it starts fresh.
+    pub fn over(prep: &'g PreparedGraph<'g>, ws: &'g mut SteppingWorkspace) -> Self {
         SsspEngine {
-            prep,
-            cache,
-            private_cache,
-            local: Vec::new(),
-            ws,
+            prep: Prepared::Lent(prep),
+            ws: Workspace::Lent(ws),
             stats: EngineStats::default(),
         }
     }
@@ -198,37 +179,15 @@ impl<'g> SsspEngine<'g> {
         &self.prep
     }
 
-    /// The as-loaded graph's content fingerprint (the shared-cache key
-    /// and checkpoint binding value), taken on first use.
+    /// The as-loaded graph's content fingerprint (the checkpoint binding
+    /// value), taken on first use.
     pub fn fingerprint(&self) -> u64 {
         self.prep.fingerprint()
     }
 
-    /// The split store this engine draws from.
-    pub fn cache(&self) -> &Arc<SplitCache> {
-        &self.cache
-    }
-
-    /// Cache counters so far.
+    /// Split and extraction counters so far.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// The graph half of this engine's split-cache keys.
-    fn cache_key(&self) -> u64 {
-        if self.private_cache {
-            0
-        } else {
-            self.fingerprint()
-        }
-    }
-
-    /// Drop this graph's cached splits, both the engine-local handles and
-    /// the shared entries under this graph's key (the workspace and the
-    /// prepared graph are kept — neither depends on Δ).
-    pub fn clear_cache(&mut self) {
-        self.local.clear();
-        self.cache.purge_fingerprint(self.cache_key());
     }
 
     /// [`crate::guard::preflight`] without a pass over the weights: the
@@ -243,28 +202,19 @@ impl<'g> SsspEngine<'g> {
         self.prep.preflight(source, delta, cfg)
     }
 
-    /// The split for `delta`, fetched from the cache and built on a miss
-    /// (by this engine or a concurrent sharer — whoever asks first), with
-    /// the build time this engine actually paid (zero on a hit) — what a
-    /// run reports as `matrix_filter`.
+    /// The split for `delta` from the prepared graph, with the build time
+    /// this engine paid (zero when it built nothing) — what a run reports
+    /// as `matrix_filter`.
     fn split_for(&mut self, delta: f64) -> (Arc<Split>, Duration) {
-        let key = self.prep.split_key(delta);
-        if let Some((_, split)) = self.local.iter().find(|(k, _)| *k == key) {
-            self.stats.split_hits += 1;
-            return (Arc::clone(split), Duration::ZERO);
-        }
         let t0 = Instant::now();
-        let prep = &self.prep;
-        let (split, built) = self.cache.get_or_build(self.cache_key(), key, || prep.split(delta));
-        let filter_time = if built {
+        let (split, built) = self.prep.split_for(delta);
+        if built {
             self.stats.split_builds += 1;
-            t0.elapsed()
+            (split, t0.elapsed())
         } else {
             self.stats.split_hits += 1;
-            Duration::ZERO
-        };
-        self.local.push((key, Arc::clone(&split)));
-        (split, filter_time)
+            (split, Duration::ZERO)
+        }
     }
 
     /// Sequential classic Δ-stepping (the paper's fused implementation):
@@ -292,12 +242,12 @@ impl<'g> SsspEngine<'g> {
         self.run_stepping(Some(pool), source, delta, SteppingStrategy::Classic, budget)
     }
 
-    /// The one way to run: any [`SteppingStrategy`] through the split
-    /// cache and the warm workspace, on the pooled relaxation kernels
+    /// The one way to run: any [`SteppingStrategy`] on the prepared
+    /// graph's split and the warm workspace, on the pooled relaxation kernels
     /// when `pool` is given and the sequential ones otherwise. Distances
     /// and stats are bit-identical across thread counts and the
     /// pool-less path for every strategy; the profile's `matrix_filter`
-    /// is zero whenever the split was already cached.
+    /// is zero whenever this engine built no split.
     pub fn run_stepping(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -319,7 +269,7 @@ impl<'g> SsspEngine<'g> {
 
     /// The one way to resume: continue any resumable checkpoint — from
     /// this loop under any strategy, or from an older binary's classic
-    /// loops — through the split cache.
+    /// loops — on the prepared graph's split.
     /// Bit-identical to the uninterrupted run, pooled or not.
     pub fn resume_stepping(
         &mut self,
@@ -437,49 +387,43 @@ mod tests {
     }
 
     #[test]
-    fn distinct_deltas_get_distinct_splits() {
+    fn alternating_deltas_rebuild_and_still_match_a_fresh_engine() {
         let g = test_graph();
         let mut engine = SsspEngine::new(&g);
         let budget = &mut RunBudget::unlimited();
-        engine.run_fused(0, 0.5, budget).unwrap();
-        engine.run_fused(0, 1.5, budget).unwrap();
-        engine.run_fused(0, 0.5, budget).unwrap();
-        assert_eq!(engine.stats().split_builds, 2);
-        assert_eq!(engine.stats().split_hits, 1);
-        engine.clear_cache();
-        engine.run_fused(0, 0.5, budget).unwrap();
+        for delta in [0.5, 1.5, 0.5, 0.5] {
+            let (r, _) = engine.run_fused(0, delta, budget).unwrap();
+            assert_eq!(r.dist, delta_stepping_fused(&g, 0, delta).dist, "delta {delta}");
+        }
+        // Both Δ values are below the largest weight: each flip replaces
+        // the graph's one slot, the repeat hits it.
         assert_eq!(engine.stats().split_builds, 3);
+        assert_eq!(engine.stats().split_hits, 1);
+        assert_eq!(engine.prepared().split_stats().replacements, 2);
     }
 
     /// Δ comes off the wire as any f64. On a unit-weight graph every
-    /// Δ ≥ 1 is all-light and charged nothing, so the cache could never
-    /// evict such entries: they share one key, one entry and one build,
-    /// however many distinct values clients send.
+    /// Δ ≥ 1 is all-light: however many distinct values clients send,
+    /// they all read the graph's one split and build nothing. A Δ below
+    /// the unit weight fills the slot and leaves the all-light split alone.
     #[test]
-    fn every_all_light_delta_shares_one_cache_entry() {
+    fn every_all_light_delta_reads_the_graphs_one_split() {
         let g = CsrGraph::from_edge_list(&gen::grid2d(8, 8)).unwrap();
-        let cache = Arc::new(SplitCache::with_byte_budget(1));
+        let prep = PreparedGraph::new(&g);
+        let mut ws = SteppingWorkspace::default();
         let budget = &mut RunBudget::unlimited();
         let dijkstra = crate::dijkstra::dijkstra(&g, 0);
         for i in 0..40 {
-            let mut engine = SsspEngine::with_cache(&g, Arc::clone(&cache));
             let delta = 1.0 + f64::from(i) * 0.37;
-            let (r, _) = engine.run_fused(0, delta, budget).unwrap();
+            let (r, _) = SsspEngine::over(&prep, &mut ws).run_fused(0, delta, budget).unwrap();
             assert_eq!(r.dist, dijkstra.dist, "delta {delta}");
         }
-        let stats = cache.stats();
-        assert_eq!((cache.len(), stats.builds, stats.hits), (1, 1, 39));
-        assert_eq!((stats.evictions, stats.resident_bytes), (0, 0));
-        // Below the unit weight every edge is heavy: a split of its own,
-        // charged and evicted under the one-byte budget, which leaves the
-        // all-light entry alone.
-        let mut engine = SsspEngine::with_cache(&g, Arc::clone(&cache));
-        engine.run_fused(0, 0.5, budget).unwrap();
-        let stats = cache.stats();
-        assert_eq!((cache.len(), stats.builds, stats.evictions), (1, 2, 1));
-        let mut engine = SsspEngine::with_cache(&g, Arc::clone(&cache));
-        engine.run_fused(0, 3.0, budget).unwrap();
-        assert_eq!(engine.stats().split_builds, 0, "the all-light entry survived");
+        let stats = prep.split_stats();
+        assert_eq!((stats.builds, stats.hits, stats.resident_bytes), (0, 40, 0));
+        let mut view = SsspEngine::over(&prep, &mut ws);
+        view.run_fused(0, 0.5, budget).unwrap();
+        view.run_fused(0, 3.0, budget).unwrap();
+        assert_eq!((view.stats().split_builds, view.stats().split_hits), (1, 1));
     }
 
     #[test]
@@ -561,7 +505,6 @@ mod tests {
         let big = test_graph();
         let small = CsrGraph::from_edge_list(&gen::grid2d(6, 6)).unwrap();
         let (big_prep, small_prep) = (PreparedGraph::new(&big), PreparedGraph::new(&small));
-        let cache = Arc::new(SplitCache::new());
         let mut ws = SteppingWorkspace::default();
         let strategy = SteppingStrategy::Rho(8);
         for round in 0..3 {
@@ -570,14 +513,14 @@ mod tests {
                     .run_stepping(None, src, 1.0, strategy, &mut RunBudget::unlimited())
                     .unwrap()
                     .0;
-                let mut view = SsspEngine::over(prep, Arc::clone(&cache), &mut ws);
+                let mut view = SsspEngine::over(prep, &mut ws);
                 let (r, _) = view
                     .run_stepping(None, src, 1.0, strategy, &mut RunBudget::unlimited())
                     .unwrap();
                 assert_eq!(r.dist, fresh.dist, "round {round}");
                 assert_eq!(r.stats, fresh.stats, "round {round}");
             }
-            let mut view = SsspEngine::over(&big_prep, Arc::clone(&cache), &mut ws);
+            let mut view = SsspEngine::over(&big_prep, &mut ws);
             let stopped = view.run_stepping(
                 None,
                 3,
@@ -587,60 +530,33 @@ mod tests {
             );
             assert!(stopped.unwrap_err().checkpoint().is_some());
         }
-        assert_eq!(cache.stats().builds, 2, "one split per graph, shared by every view");
+        // The weighted graph's split at Δ = 1 has heavy edges: one build,
+        // shared by every view. The unit grid's is all-light: none.
+        assert_eq!(big_prep.split_stats().builds, 1);
+        assert_eq!(small_prep.split_stats().builds, 0);
     }
 
     #[test]
-    fn two_graphs_sharing_a_cache_at_equal_delta_stay_correct() {
-        // Regression for the bare-Δ cache key: with the fingerprint
-        // missing from the key, the second engine would silently relax
-        // over the first graph's split and return wrong distances.
-        let g1 = test_graph();
-        let mut el = gen::gnm(300, 2000, 43); // different seed → different topology
-        el.symmetrize();
-        graphdata::weights::assign_symmetric(
-            &mut el,
-            graphdata::WeightModel::UniformFloat { lo: 0.1, hi: 2.5 },
-            9,
-        );
-        let g2 = CsrGraph::from_edge_list(&el).unwrap();
-        assert_ne!(g1.fingerprint(), g2.fingerprint());
-
-        let cache = std::sync::Arc::new(SplitCache::new());
-        let mut e1 = SsspEngine::with_cache(&g1, std::sync::Arc::clone(&cache));
-        let mut e2 = SsspEngine::with_cache(&g2, std::sync::Arc::clone(&cache));
-        let budget = &mut RunBudget::unlimited();
-        let (r1, _) = e1.run_fused(0, 1.0, budget).unwrap();
-        let (r2, _) = e2.run_fused(0, 1.0, budget).unwrap();
-        assert_eq!(r1.dist, crate::dijkstra::dijkstra(&g1, 0).dist);
-        assert_eq!(r2.dist, crate::dijkstra::dijkstra(&g2, 0).dist);
-        // Equal Δ, different graphs: two distinct cache entries, no
-        // cross-graph hit.
-        assert_eq!(cache.stats().builds, 2);
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn shared_cache_serves_a_sibling_engine_without_rebuilding() {
+    fn a_sibling_view_reads_the_split_without_rebuilding() {
         let g = test_graph();
-        let cache = std::sync::Arc::new(SplitCache::new());
-        let mut e1 = SsspEngine::with_cache(&g, std::sync::Arc::clone(&cache));
-        let mut e2 = SsspEngine::with_cache(&g, std::sync::Arc::clone(&cache));
+        let prep = PreparedGraph::new(&g);
+        let (mut ws1, mut ws2) = (SteppingWorkspace::default(), SteppingWorkspace::default());
+        let mut e1 = SsspEngine::over(&prep, &mut ws1);
+        let mut e2 = SsspEngine::over(&prep, &mut ws2);
         let budget = &mut RunBudget::unlimited();
         let (r1, _) = e1.run_fused(0, 1.0, budget).unwrap();
         let (r2, _) = e2.run_fused(0, 1.0, budget).unwrap();
         assert_eq!(r1.dist, r2.dist);
-        assert_eq!(cache.stats().builds, 1);
-        assert_eq!(cache.stats().hits, 1);
-        // The second engine records the shared fetch as its own hit.
+        let stats = prep.split_stats();
+        assert_eq!((stats.builds, stats.hits), (1, 1));
+        // The second view records the shared fetch as its own hit.
         assert_eq!(e1.stats().split_builds, 1);
         assert_eq!(e2.stats().split_builds, 0);
         assert_eq!(e2.stats().split_hits, 1);
     }
 
     #[test]
-    fn stepping_strategies_share_the_split_cache_and_match_dijkstra() {
+    fn stepping_strategies_share_the_split_and_match_dijkstra() {
         let g = test_graph();
         let pool = ThreadPool::with_threads(4).unwrap();
         let mut engine = SsspEngine::new(&g);
@@ -918,7 +834,7 @@ mod tests {
                 }
             }
         }
-        // Every run and resume reused the single cached split.
+        // Every run and resume reused the single split.
         assert_eq!(engine.stats().split_builds, 1);
     }
 }

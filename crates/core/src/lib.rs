@@ -9,10 +9,10 @@
 //! | module | role |
 //! |---|---|
 //! | [`stepping`] | the one stepping loop: classic Δ-stepping (the paper's **fused direct-C** implementation, Sec. VI-B, without a pool; its proposed improvement with one), ρ-stepping and Δ*-stepping ([`SteppingStrategy`]) |
-//! | [`prepared`] | the per-graph state every run reads: rows sorted by weight, the fingerprint, the weight verdict and maximum weight — and the [`prepared::Split`], `A_L` / `A_H` as one partition point per row |
+//! | [`prepared`] | the per-graph state every run reads: rows sorted by weight, the fingerprint, the weight verdict and maximum weight — and the graph's [`prepared::Split`]s, `A_L` / `A_H` as one partition point per row: one all-light split and one slot for the latest Δ with heavy edges |
 //! | [`fused`] | the sequential classic front door, and the copied [`fused::LightHeavy`] split the figure variants use |
 //! | [`reqbuf`], [`pull`] | the loop's relaxation kernels: contention-free request buffers (push) and the dense pull kernel |
-//! | [`engine`], [`split_cache`] | multi-run engine over a prepared graph: the split cached per `(graph, Δ)`, the workspace reused across calls (or lent by a serve worker slot) |
+//! | [`engine`] | multi-run engine over a prepared graph and its splits, the workspace reused across calls (or lent by a serve worker slot) |
 //! | [`batch`] | the one job door ([`batch::run_job`]: resume-or-fresh, the two-rung degradation ladder, checkpoint persistence; a job is `{strategy, kernels}`, [`Kernels`]) and the multi-source [`BatchRunner`] over it |
 //! | [`budget`], [`guard`] | deadline / cancellation / epoch budgets, preflight validation, the error taxonomy |
 //! | [`checkpoint`], [`manifest`] | certified partial results and their durable index |
@@ -29,11 +29,12 @@
 //! variants the CLI can name ([`Implementation`]), which [`explore`]
 //! permutes under the race checker. `canonical` and `gblas_impl` are
 //! also re-exported at the crate root, where the frozen benchmark harness
-//! names them.
+//! names them. [`split_cache`] is the hollow split cache the same harness
+//! still calls; nothing in the serving library uses it.
 //!
 //! Multi-source / repeated runs should go through [`engine::SsspEngine`],
-//! which runs over a [`PreparedGraph`], caches the light/heavy split per
-//! `(graph, Δ)` and reuses the loop's workspace across calls: `run_stepping` is the one way to
+//! which runs over a [`PreparedGraph`] and the light/heavy splits it owns
+//! and reuses the loop's workspace across calls: `run_stepping` is the one way to
 //! run, `resume_stepping` the one way to resume. [`batch::run_job`] runs
 //! one job on a caller's engine through the two-rung degradation ladder
 //! (the one place a run's panic is caught); [`batch::BatchRunner`] drives
@@ -89,10 +90,10 @@ pub use budget::{BudgetStop, CancelToken, ProgressGauge, RunBudget};
 pub use checkpoint::{Checkpoint, StopPoint};
 pub use guard::{GuardConfig, SsspError};
 pub use manifest::{CheckpointManifest, ManifestEntry};
-pub use prepared::PreparedGraph;
+pub use prepared::{PreparedGraph, SplitStats};
 pub use result::SsspResult;
 pub use run::{run_checked, Implementation};
-pub use split_cache::{SplitCache, SplitCacheStats};
+pub use split_cache::SplitCache;
 pub use stats::SsspStats;
 pub use stepping::SteppingStrategy;
 

@@ -13,15 +13,28 @@
 //! binary search per row, instead of a 16-byte-per-edge copy of `A_L` /
 //! `A_H` — and nothing at all when no edge is heavy.
 //!
-//! A split with no heavy edge (Δ at or above every weight: every served
-//! unit-weight graph at Δ = 1) *is* the graph, so the pull (CSC) index a
-//! dense epoch reads is the graph's own transpose, whatever the Δ. The
-//! prepared graph owns that one index ([`SplitView::pull_index`]): built
-//! on the first dense epoch on the graph, shared by every such Δ (which
-//! also share one split-cache key, [`PreparedGraph::split_key`]), every
-//! worker and every request, and counted in
-//! [`PreparedGraph::resident_bytes`] rather than charged to a split
-//! cache. A split with heavy edges keeps its own light-only index.
+//! The graph owns its splits ([`PreparedGraph::split_for`]):
+//!
+//! * **One all-light split**, made in O(1) at preparation when the weights
+//!   pass preflight. Every Δ at or above the largest weight (every served
+//!   unit-weight graph at Δ = 1) gets it: no heavy edge, no point stored,
+//!   and its pull (CSC) index, built on the first dense epoch, is the
+//!   graph's own transpose — one per graph, shared by every such Δ, every
+//!   worker and every request, and counted in
+//!   [`PreparedGraph::resident_bytes`]. A NaN weight, which the maximum
+//!   weight does not see, sorts last as a heavy edge; such a graph fails
+//!   preflight and never takes this path.
+//! * **One slot** for the most recent Δ whose split has heavy edges: its
+//!   partition points and, built lazily, its light-only pull index. The
+//!   first caller for a Δ builds it once, while concurrent same-Δ callers
+//!   wait on its cell; another Δ replaces it. A run keeps its own `Arc`,
+//!   so a replacement never pulls a split from under it.
+//!
+//! So split state is bounded by the graph itself: one transpose and one
+//! split with heavy edges per prepared graph, whatever Δ values clients
+//! name. The price is that alternating two Δ values below the largest
+//! weight rebuilds the split on every flip. [`SplitStats`] counts builds,
+//! hits, replacements and the slot's bytes.
 //!
 //! Nothing a run computes depends on the order of a row's edges: `dist`
 //! is a min over the same multiset of candidates, `relaxations` counts
@@ -35,10 +48,12 @@
 //! (fingerprint first; the graph's own edge arrays are dropped once the
 //! sorted adjacency is built); an engine over a borrowed graph uses
 //! [`PreparedGraph::new`], which takes the fingerprint lazily, on the
-//! first checkpoint or shared-cache lookup that needs it.
+//! first checkpoint that needs it.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicUsize, Ordering};
+// lint:allow(hot-path-lock): per-request, per-graph split slot
+use std::sync::{Arc, Mutex, OnceLock};
 
 use graphdata::CsrGraph;
 
@@ -49,7 +64,7 @@ use crate::guard::{self, GuardConfig, SsspError};
 use crate::pull::PullIndex;
 
 /// Where a prepared graph's as-loaded fingerprint comes from.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Fingerprint<'g> {
     /// Taken at [`PreparedGraph::load`], before the rows were sorted.
     Known(u64),
@@ -57,9 +72,43 @@ enum Fingerprint<'g> {
     Lazy(&'g CsrGraph, OnceLock<u64>),
 }
 
+/// What a prepared graph's splits have cost so far. A registry sums them
+/// ([`Sum`](std::iter::Sum)) into its `cache_*` STATS.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct SplitStats {
+    /// Splits with heavy edges built: the slot held another Δ, or none.
+    pub builds: usize,
+    /// Fetches that built nothing: the all-light split, or the slot's.
+    pub hits: usize,
+    /// Times the slot's split made way for another Δ's.
+    pub replacements: usize,
+    /// Heap bytes the slot's split holds: its partition points and, once
+    /// a dense epoch has built it, its light-only pull index.
+    pub resident_bytes: usize,
+}
+
+impl std::iter::Sum for SplitStats {
+    fn sum<I: Iterator<Item = SplitStats>>(iter: I) -> SplitStats {
+        iter.fold(SplitStats::default(), |a, b| SplitStats {
+            builds: a.builds + b.builds,
+            hits: a.hits + b.hits,
+            replacements: a.replacements + b.replacements,
+            resident_bytes: a.resident_bytes + b.resident_bytes,
+        })
+    }
+}
+
+/// The slot's Δ and the cell its one build fills.
+#[derive(Debug)]
+struct SlotEntry {
+    delta_bits: u64,
+    cell: Arc<OnceLock<Arc<Split>>>,
+}
+
 /// One graph, prepared for any number of runs: rows sorted by weight,
-/// the as-loaded fingerprint, the weight verdict and the maximum weight.
-#[derive(Debug, Clone)]
+/// the as-loaded fingerprint, the weight verdict, the maximum weight and
+/// the graph's splits.
+#[derive(Debug)]
 pub struct PreparedGraph<'g> {
     /// Row boundaries, as the graph's [`CsrGraph::offsets`].
     offsets: Cow<'g, [usize]>,
@@ -73,9 +122,15 @@ pub struct PreparedGraph<'g> {
     max_weight: f64,
     /// The Meyer–Sanders Δ, for [`GuardConfig::delta_fallback`].
     fallback_delta: f64,
-    /// The whole graph transposed: the pull index of every split with no
-    /// heavy edge, built on the first dense epoch that needs it.
-    transpose: OnceLock<PullIndex>,
+    /// The split of every Δ at or above `max_weight`, when the weights
+    /// passed preflight; its pull index is the whole graph transposed.
+    all_light: Option<Arc<Split>>,
+    /// The split of the most recent Δ with heavy edges.
+    // lint:allow(hot-path-lock): per-request, per-graph split slot
+    slot: Mutex<Option<SlotEntry>>,
+    builds: AtomicUsize,
+    hits: AtomicUsize,
+    replacements: AtomicUsize,
 }
 
 impl PreparedGraph<'static> {
@@ -113,18 +168,27 @@ impl<'g> PreparedGraph<'g> {
 
     fn prepare(g: &CsrGraph, offsets: Cow<'g, [usize]>, fingerprint: Fingerprint<'g>) -> Self {
         let scan = g.weight_scan();
+        let weights = guard::weights_verdict(&scan);
+        let all_light = weights
+            .is_ok()
+            .then(|| Arc::new(Split::all_light(g.num_vertices(), g.num_edges())));
         PreparedGraph {
             offsets,
             adj: g.weight_sorted_adjacency(),
             fingerprint,
-            weights: guard::weights_verdict(&scan),
+            weights,
             max_weight: scan.max_weight,
             fallback_delta: meyer_sanders(
                 g.mean_degree(),
                 scan.max_weight,
                 scan.min_positive_weight,
             ),
-            transpose: OnceLock::new(),
+            all_light,
+            // lint:allow(hot-path-lock): per-request, per-graph split slot
+            slot: Mutex::default(),
+            builds: AtomicUsize::new(0),
+            hits: AtomicUsize::new(0),
+            replacements: AtomicUsize::new(0),
         }
     }
 
@@ -143,9 +207,8 @@ impl<'g> PreparedGraph<'g> {
         &self.adj[self.offsets[v]..self.offsets[v + 1]]
     }
 
-    /// The as-loaded graph's content fingerprint: the graph half of
-    /// shared split-cache keys and the binding stamp of checkpoints and
-    /// manifests.
+    /// The as-loaded graph's content fingerprint: the binding stamp of
+    /// checkpoints and manifests.
     pub fn fingerprint(&self) -> u64 {
         match &self.fingerprint {
             Fingerprint::Known(fp) => *fp,
@@ -155,12 +218,12 @@ impl<'g> PreparedGraph<'g> {
 
     /// Heap bytes the prepared graph holds: its offsets (borrowed ones
     /// too), its sorted rows and, once a dense epoch has built it, its
-    /// transpose — graph state, bounded by how many graphs a registry
-    /// keeps, not by a split cache's byte budget.
+    /// transpose. The slot's split is reported by
+    /// [`PreparedGraph::split_stats`].
     pub fn resident_bytes(&self) -> usize {
         self.offsets.len() * std::mem::size_of::<usize>()
             + self.adj.capacity() * std::mem::size_of::<(usize, f64)>()
-            + self.transpose.get().map_or(0, PullIndex::resident_bytes)
+            + self.all_light.as_ref().map_or(0, |s| s.resident_bytes())
     }
 
     /// The largest edge weight, as [`CsrGraph::max_weight`] reports it.
@@ -187,22 +250,56 @@ impl<'g> PreparedGraph<'g> {
         budget::epoch_limit(self.num_vertices(), self.max_weight, delta, cfg)
     }
 
-    /// The Δ half of this graph's split-cache key. Every Δ at or above
-    /// the largest weight of a graph whose weights passed preflight gives
-    /// the same split — all light, the graph itself — so they share one
-    /// key, and a cache holds one entry for them per graph however many
-    /// such Δ values clients name. A NaN weight, which the maximum weight
-    /// does not see, sorts last as a heavy edge: a graph with one keys
-    /// every Δ apart (and preflight refuses it anyway).
-    pub fn split_key(&self, delta: f64) -> u64 {
-        if self.weights.is_ok() && delta >= self.max_weight {
-            f64::INFINITY.to_bits()
-        } else {
-            delta.to_bits()
+    /// The split at `delta` and whether this call built it: the graph's
+    /// all-light split when `delta` is at or above the largest weight,
+    /// the slot's split otherwise — built here when the slot holds
+    /// another Δ (which it then replaces) or none.
+    pub fn split_for(&self, delta: f64) -> (Arc<Split>, bool) {
+        if let Some(all_light) = self.all_light.as_ref().filter(|_| delta >= self.max_weight) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return (Arc::clone(all_light), false);
+        }
+        let bits = delta.to_bits();
+        let cell = {
+            let mut slot = self.slot.lock().expect("split slot lock");
+            match slot.as_ref() {
+                Some(entry) if entry.delta_bits == bits => Arc::clone(&entry.cell),
+                held => {
+                    if held.is_some() {
+                        self.replacements.fetch_add(1, Ordering::Relaxed);
+                    }
+                    let cell = Arc::new(OnceLock::new());
+                    *slot = Some(SlotEntry { delta_bits: bits, cell: Arc::clone(&cell) });
+                    cell
+                }
+            }
+        };
+        let mut built = false;
+        let split = Arc::clone(cell.get_or_init(|| {
+            built = true;
+            Arc::new(self.split(delta))
+        }));
+        let counter = if built { &self.builds } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (split, built)
+    }
+
+    /// This graph's split counters, and the bytes its slot holds.
+    pub fn split_stats(&self) -> SplitStats {
+        let slot = self.slot.lock().expect("split slot lock");
+        SplitStats {
+            builds: self.builds.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            replacements: self.replacements.load(Ordering::Relaxed),
+            resident_bytes: slot
+                .as_ref()
+                .and_then(|entry| entry.cell.get())
+                .map_or(0, |split| split.resident_bytes()),
         }
     }
 
-    /// Build the split at `delta`: one binary search per row.
+    /// Build the split at `delta`, one binary search per row, and keep it
+    /// nowhere: runs fetch theirs with [`PreparedGraph::split_for`].
     pub fn split(&self, delta: f64) -> Split {
         let n = self.num_vertices();
         let mut bounds = Vec::with_capacity(2 * n + 1);
@@ -222,18 +319,17 @@ impl<'g> PreparedGraph<'g> {
 /// and its heavy edges (`A_H`) from there to `bounds[2v + 2]`, the next
 /// row's start: `2n + 1` words whatever the edge count, and one cache line
 /// read per row in either phase. When every edge is light (Δ at or above
-/// every weight — unit weights at Δ = 1) the rows are the light edges, no
-/// point is stored and the pull index is the prepared graph's transpose.
+/// every weight — unit weights at Δ = 1) the rows are the light edges and
+/// no point is stored.
 #[derive(Debug)]
 pub struct Split {
     /// `None` when no edge is heavy.
     bounds: Option<Vec<usize>>,
     num_vertices: usize,
     num_light: usize,
-    /// The pull (CSC) index over the light edges of a split with heavy
-    /// edges, built on its first dense epoch and kept for the split's
-    /// lifetime. Never built when no edge is heavy: the graph's transpose
-    /// serves then.
+    /// The pull (CSC) index over the light edges, built on the split's
+    /// first dense epoch and kept for its lifetime. For a prepared
+    /// graph's all-light split this is the graph's transpose.
     pull: OnceLock<PullIndex>,
 }
 
@@ -269,33 +365,12 @@ impl Split {
         Split { bounds: None, num_vertices: n, num_light: m, pull: OnceLock::new() }
     }
 
-    /// Heap bytes the partition points hold (0 when no edge is heavy).
-    /// The lazily built pull index is reported separately
-    /// ([`Split::pull_bytes`]).
+    /// Heap bytes the split holds: its partition points (none when no
+    /// edge is heavy) and, once a dense epoch has built it, its pull
+    /// index.
     pub fn resident_bytes(&self) -> usize {
         self.bounds.as_ref().map_or(0, |b| b.len() * std::mem::size_of::<usize>())
-    }
-
-    /// What a byte-budgeted [`crate::split_cache::SplitCache`] charges
-    /// for the entry: everything the entry can pin. A split with heavy
-    /// edges pins its partition points and the light-only pull index it
-    /// builds on its first dense epoch, whether or not it has yet —
-    /// `8(2n + 1) + 8(n + 1) + 12·|A_L|` bytes. A split with no heavy
-    /// edge pins nothing: it stores no point, and its pull index is the
-    /// prepared graph's transpose, graph state that outlives the entry.
-    pub fn charged_bytes(&self) -> usize {
-        match self.bounds {
-            Some(_) => {
-                self.resident_bytes() + PullIndex::bytes_for(self.num_vertices, self.num_light)
-            }
-            None => 0,
-        }
-    }
-
-    /// Heap bytes held by the split's own pull index (0 until a dense
-    /// epoch builds it, and always 0 when no edge is heavy).
-    pub fn pull_bytes(&self) -> usize {
-        self.pull.get().map_or(0, PullIndex::resident_bytes)
+            + self.pull.get().map_or(0, PullIndex::resident_bytes)
     }
 
     /// Total light edges.
@@ -311,7 +386,6 @@ impl Split {
             offsets: &g.offsets,
             bounds: self.bounds.as_deref(),
             split: self,
-            transpose: &g.transpose,
         }
     }
 }
@@ -343,8 +417,6 @@ pub struct SplitView<'a> {
     /// The split's bounds; `None` when every edge is light.
     bounds: Option<&'a [usize]>,
     split: &'a Split,
-    /// The prepared graph's transpose cell.
-    transpose: &'a OnceLock<PullIndex>,
 }
 
 impl<'a> SplitView<'a> {
@@ -391,19 +463,12 @@ impl<'a> SplitView<'a> {
         self.bounds.is_some()
     }
 
-    /// The pull (CSC) index over the light edges, built on the first
-    /// dense epoch that needs it. When no edge is heavy the light edges
-    /// are the graph's, so the index is the prepared graph's transpose —
-    /// byte for byte what this split would build, sources ascending per
-    /// target — shared by every Δ at or above the largest weight. A split
-    /// with heavy edges builds and keeps its own, amortized by the split
-    /// cache like the split itself.
+    /// The split's pull (CSC) index over the light edges, built on the
+    /// first dense epoch that needs it. Over a prepared graph's all-light
+    /// split the light edges are the graph's, so this is the graph's
+    /// transpose, shared by every Δ at or above the largest weight.
     pub fn pull_index(&self) -> &'a PullIndex {
-        let owner = match self.bounds {
-            Some(_) => &self.split.pull,
-            None => self.transpose,
-        };
-        owner.get_or_init(|| PullIndex::build(*self))
+        self.split.pull.get_or_init(|| PullIndex::build(*self))
     }
 }
 
@@ -450,34 +515,37 @@ mod tests {
         }
     }
 
-    /// Every Δ under the all-light key gives the same all-light split, and
-    /// every other Δ keys by its own bits — below, at and above the
-    /// maximum weight, on unit and on real weights.
+    /// Every Δ at or above the maximum weight fetches the graph's one
+    /// all-light split, built by nobody and counted as a hit; every Δ
+    /// below it goes through the slot — on unit and on real weights.
     #[test]
-    fn the_all_light_key_names_one_split() {
+    fn every_delta_at_or_above_the_max_weight_fetches_the_one_all_light_split() {
         let unit = CsrGraph::from_edge_list(&gen::grid2d(6, 6)).unwrap();
         for g in [unit, weighted()] {
             let prep = PreparedGraph::new(&g);
             let max = prep.max_weight();
-            let all_light = prep.split(max);
-            assert!(all_light.bounds.is_none());
+            let (all_light, built) = prep.split_for(max);
+            assert!(!built && all_light.bounds.is_none());
             assert_eq!(all_light.num_light(), g.num_edges());
-            for delta in [max, 1.5 * max, f64::MAX, f64::INFINITY] {
-                assert_eq!(prep.split_key(delta), f64::INFINITY.to_bits(), "delta {delta}");
-                assert_eq!(prep.split(delta), all_light, "delta {delta}");
+            for delta in [max, 1.5 * max, f64::MAX] {
+                let (split, built) = prep.split_for(delta);
+                assert!(!built && Arc::ptr_eq(&split, &all_light), "delta {delta}");
+                assert_eq!(prep.split(delta), *all_light, "delta {delta}");
             }
             for delta in [0.5 * max, max * (1.0 - f64::EPSILON)] {
-                assert_eq!(prep.split_key(delta), delta.to_bits(), "delta {delta}");
-                assert!(prep.split(delta).bounds.is_some(), "delta {delta}");
+                let (split, built) = prep.split_for(delta);
+                assert!(built && split.bounds.is_some(), "delta {delta}");
             }
+            let stats = prep.split_stats();
+            assert_eq!((stats.builds, stats.hits, stats.replacements), (2, 4, 1));
         }
     }
 
     /// A NaN weight is invisible to the maximum weight but sorts last, as
-    /// a heavy edge: such a graph keys each Δ apart even at Δ ≥ the
-    /// maximum.
+    /// a heavy edge: such a graph never takes the all-light path, and each
+    /// Δ — even at or above the maximum — goes through the slot.
     #[test]
-    fn a_nan_weight_graph_keys_each_delta_apart() {
+    fn a_nan_weight_graph_never_takes_the_all_light_path() {
         let nan = CsrGraph::from_raw_parts_unchecked(
             3,
             vec![0, 2, 3, 3],
@@ -487,40 +555,82 @@ mod tests {
         let prep = PreparedGraph::new(&nan);
         assert_eq!(prep.max_weight(), 1.0);
         for delta in [1.0, 2.0] {
-            assert_eq!(prep.split_key(delta), delta.to_bits());
-            let split = prep.split(delta);
+            let (split, built) = prep.split_for(delta);
+            assert!(built, "Δ = {delta} builds its own split");
             assert!(split.bounds.is_some(), "the NaN edge is heavy at Δ = {delta}");
             assert_eq!(split.num_light(), 2);
         }
+        assert_eq!(prep.split_stats().replacements, 1);
     }
 
-    /// Every all-light split reads the prepared graph's one transpose,
-    /// charges nothing and holds no index of its own; a split with heavy
-    /// edges builds and is charged for its own light-only index.
+    /// Two views over one prepared graph alternating Δ = a, b, a below the
+    /// maximum weight: each flip replaces the slot and rebuilds, and the
+    /// rebuilt split equals the first. A repeated Δ is a hit, and a run
+    /// holding a replaced split keeps it.
     #[test]
-    fn all_light_splits_share_the_graphs_transpose() {
+    fn alternating_deltas_rebuild_the_one_slot_on_each_flip() {
+        let g = weighted();
+        let prep = PreparedGraph::new(&g);
+        let (a, b) = (0.5, 1.0);
+        let (first, built_a) = prep.split_for(a);
+        let (second, built_b) = prep.split_for(b);
+        let (third, rebuilt_a) = prep.split_for(a);
+        assert!(built_a && built_b && rebuilt_a, "every flip rebuilds");
+        assert!(!Arc::ptr_eq(&first, &third));
+        assert_eq!(*first, *third);
+        assert_ne!(*first, *second);
+        let (again, built) = prep.split_for(a);
+        assert!(!built && Arc::ptr_eq(&again, &third));
+        let stats = prep.split_stats();
+        assert_eq!((stats.builds, stats.hits, stats.replacements), (3, 1, 2));
+        assert_eq!(stats.resident_bytes, third.resident_bytes());
+        // The replaced splits are still whole for whoever holds them.
+        for split in [&first, &second] {
+            let view = split.on(&prep);
+            let light: usize = (0..g.num_vertices()).map(|v| view.light_degree(v)).sum();
+            assert_eq!(light, split.num_light());
+        }
+    }
+
+    #[test]
+    fn concurrent_same_key_requests_build_exactly_once() {
+        let g = weighted();
+        let prep = PreparedGraph::new(&g);
+        let builds: usize = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| scope.spawn(|| usize::from(prep.split_for(1.0).1)))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).sum()
+        });
+        assert_eq!(builds, 1);
+        let stats = prep.split_stats();
+        assert_eq!((stats.builds, stats.hits, stats.replacements), (1, 7, 0));
+    }
+
+    /// The all-light split's pull index is the graph's transpose: one for
+    /// every Δ at or above the maximum weight, counted in the graph's
+    /// bytes. A split with heavy edges builds its own light-only index,
+    /// counted in the slot's bytes.
+    #[test]
+    fn all_light_deltas_share_the_graphs_transpose() {
         let unit = PreparedGraph::load(CsrGraph::from_edge_list(&gen::grid2d(8, 8)).unwrap());
         let before = unit.resident_bytes();
-        let (one, two) = (unit.split(1.0), unit.split(2.5));
+        let (one, two) = (unit.split_for(1.0).0, unit.split_for(2.5).0);
         let index = one.on(&unit).pull_index();
         assert!(std::ptr::eq(index, two.on(&unit).pull_index()));
-        assert_eq!(*index, PullIndex::build(one.on(&unit)));
-        for split in [&one, &two] {
-            assert_eq!((split.charged_bytes(), split.pull_bytes()), (0, 0));
-        }
+        assert_eq!(*index, PullIndex::build(unit.split(1.0).on(&unit)));
         assert_eq!(unit.resident_bytes(), before + index.resident_bytes());
+        assert_eq!(unit.split_stats().resident_bytes, 0);
 
         let g = weighted();
         let prep = PreparedGraph::new(&g);
-        let split = prep.split(1.0);
+        let (split, _) = prep.split_for(1.0);
+        let points = split.resident_bytes();
+        assert_eq!(points, 8 * (2 * g.num_vertices() + 1));
         let own = split.on(&prep).pull_index();
-        assert!(prep.transpose.get().is_none(), "a split with heavy edges builds its own");
-        assert_eq!(split.pull_bytes(), own.resident_bytes());
-        assert_eq!(
-            split.charged_bytes(),
-            split.resident_bytes() + PullIndex::bytes_for(g.num_vertices(), split.num_light())
-        );
-        assert_eq!(split.pull_bytes(), PullIndex::bytes_for(g.num_vertices(), split.num_light()));
+        assert!(prep.all_light.as_ref().unwrap().pull.get().is_none(), "no transpose built");
+        assert_eq!(own.resident_bytes(), PullIndex::bytes_for(g.num_vertices(), split.num_light()));
+        assert_eq!(prep.split_stats().resident_bytes, points + own.resident_bytes());
     }
 
     #[test]

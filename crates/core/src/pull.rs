@@ -70,11 +70,11 @@ pub fn check_vertex_ids(num_vertices: usize) -> Result<(), SsspError> {
 /// The light sub-graph transposed into CSC — for each target vertex, its
 /// light **in-edges** `(source, weight)` with sources ascending: `n + 1`
 /// offsets and 12 bytes per edge (a `u32` source, an `f64` weight).
-/// Built lazily, on the first dense epoch, and owned by whoever the light
-/// edges belong to (see [`crate::prepared::SplitView::pull_index`]): when
-/// every edge is light the split *is* the graph, and its index is the
-/// prepared graph's own transpose, shared by every such Δ; a split with
-/// heavy edges keeps its own light-only index.
+/// Built lazily, on the first dense epoch, and owned by its split (see
+/// [`crate::prepared::SplitView::pull_index`]): a prepared graph's
+/// all-light split *is* the graph, so its index is the graph's own
+/// transpose, shared by every Δ at or above the largest weight; a split
+/// with heavy edges keeps its own light-only index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PullIndex {
     off: Vec<usize>,
@@ -149,8 +149,7 @@ impl PullIndex {
 
     /// The heap bytes a build allocates for `n` vertices and `num_light`
     /// light edges, `8(n + 1) + 12·num_light` — known before the index
-    /// exists, so a byte-budgeted split cache can charge a split for the
-    /// index it may build.
+    /// exists.
     pub fn bytes_for(n: usize, num_light: usize) -> usize {
         (n + 1) * std::mem::size_of::<usize>()
             + num_light * (std::mem::size_of::<u32>() + std::mem::size_of::<f64>())

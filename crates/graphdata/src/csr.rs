@@ -212,9 +212,9 @@ impl CsrGraph {
 
     /// Stable 64-bit content fingerprint: FNV-1a over the vertex count,
     /// the offset array, the target array, and the raw weight bits.
-    /// Caches keyed across graphs (the shared split cache in `sssp-core`,
-    /// on-disk checkpoints) use it to tell two structurally different
-    /// graphs apart where a borrowed reference cannot — the same CSR
+    /// Whatever is keyed across graphs (the server's registry in
+    /// `sssp-serve`, on-disk checkpoints) uses it to tell two structurally
+    /// different graphs apart where a borrowed reference cannot — the same CSR
     /// content always hashes to the same value, in this process or the
     /// next. `O(|V| + |E|)`; callers are expected to compute it once and
     /// keep it ([`CsrGraph::fingerprint_passes`] counts the ones who

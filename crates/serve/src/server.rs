@@ -18,9 +18,10 @@
 //!   worker's own thread, under its degradation ladder (panic → one
 //!   sequential retry of the same strategy). The job's engine is a view:
 //!   the graph's [`PreparedGraph`] (rows sorted by weight, fingerprint,
-//!   weight verdict and maximum weight — all taken once, at `LOAD`), the
-//!   shared split cache, and the workspace the worker slot keeps across
-//!   its requests. A served request pays for its solve and its reply,
+//!   weight verdict and maximum weight — all taken once, at `LOAD` — and
+//!   the graph's own splits: one all-light split and one slot for the
+//!   latest Δ with heavy edges), and the workspace the worker slot keeps
+//!   across its requests. A served request pays for its solve and its reply,
 //!   not for a pass over the graph. A worker that observes a
 //!   panic degradation marks itself **poisoned** and retires; the
 //!   [`Supervisor`] respawns the slot with a fresh engine worker after
@@ -68,7 +69,8 @@ use sssp_core::batch::{self, JobOutcome, ManifestState};
 use sssp_core::engine::SsspEngine;
 use sssp_core::stepping::SteppingWorkspace;
 use sssp_core::{
-    CancelToken, GuardConfig, Kernels, PreparedGraph, ProgressGauge, SsspError, SteppingStrategy,
+    CancelToken, GuardConfig, Kernels, PreparedGraph, ProgressGauge, SplitStats, SsspError,
+    SteppingStrategy,
 };
 use taskpool::ThreadPool;
 
@@ -99,10 +101,10 @@ pub struct ServerConfig {
     /// budget: a reader that stops draining loses its connection, not
     /// the server a worker.
     pub write_timeout: Option<Duration>,
-    /// Byte budget for the shared split cache (`None` = unbounded): it
-    /// bounds per-Δ state, not a graph's one all-light split (every
-    /// Δ at or above its largest weight) or its transpose, which the
-    /// prepared graph owns (`graphs_resident_bytes` in STATS).
+    /// Inert, kept for the benchmark harness: each prepared graph owns
+    /// its splits, one all-light split and one slot for the latest Δ with
+    /// heavy edges, so split state is bounded by `max_graphs` with no
+    /// budget to set.
     pub cache_bytes: Option<usize>,
     /// Durable checkpoint root; per-graph subdirectories are created
     /// beneath it on demand.
@@ -198,7 +200,6 @@ struct Shared {
     // Registry reads/writes happen per request, never per edge.
     // lint:allow(hot-path-lock): graph registry is request-rate control state
     graphs: Mutex<HashMap<u64, Arc<GraphEntry>>>,
-    cache: Arc<sssp_core::SplitCache>,
     pool: Option<ThreadPool>,
     pool_degraded: Option<String>,
     queue: AdmissionQueue<Job>,
@@ -218,11 +219,11 @@ impl Shared {
 
     fn stats(&self) -> ServerStats {
         let (waiting, running, shed, admitted) = self.queue.counters();
-        let cache = self.cache.stats();
-        let (graphs, graphs_bytes) = {
+        let (graphs, graphs_bytes, splits) = {
             let graphs = lock::recover("graphs", &self.graphs);
             let bytes = graphs.values().map(|e| e.prepared.resident_bytes()).sum::<usize>();
-            (graphs.len() as u64, bytes as u64)
+            let splits: SplitStats = graphs.values().map(|e| e.prepared.split_stats()).sum();
+            (graphs.len() as u64, bytes as u64, splits)
         };
         let health = self.supervisor.health();
         let g = lock::recover("gauges", &self.gauges);
@@ -242,10 +243,10 @@ impl Shared {
                 ("writer_timeouts".into(), g.writer_timeouts),
                 ("connections_open".into(), g.connections_open),
                 ("connections_total".into(), g.connections_total),
-                ("cache_builds".into(), cache.builds as u64),
-                ("cache_hits".into(), cache.hits as u64),
-                ("cache_evictions".into(), cache.evictions as u64),
-                ("cache_resident_bytes".into(), cache.resident_bytes as u64),
+                ("cache_builds".into(), splits.builds as u64),
+                ("cache_hits".into(), splits.hits as u64),
+                ("cache_evictions".into(), splits.replacements as u64),
+                ("cache_resident_bytes".into(), splits.resident_bytes as u64),
                 ("workers_healthy".into(), health.healthy),
                 ("workers_poisoned".into(), health.poisoned),
                 ("workers_permanently_degraded".into(), health.permanently_degraded),
@@ -363,7 +364,7 @@ fn run_job(
         cancel: Some(&token),
         progress: Some(&gauge),
     };
-    let mut engine = SsspEngine::over(prep, Arc::clone(&shared.cache), ws);
+    let mut engine = SsspEngine::over(prep, ws);
     let (pool, pool_unavailable) = (shared.pool.as_ref(), shared.pool_degraded.as_deref());
     let outcome = batch::run_job(&mut engine, pool, pool_unavailable, &job, checkpoints);
     if let Some(moved) = checkpoints.map(|c| c.take_quarantined().len()).filter(|&n| n > 0) {
@@ -765,10 +766,6 @@ pub fn start(cfg: ServerConfig, addr: impl ToSocketAddrs) -> std::io::Result<Ser
         Ok(p) => (Some(p), None),
         Err(e) => (None, Some(e.to_string())),
     };
-    let cache = match cfg.cache_bytes {
-        Some(bytes) => Arc::new(sssp_core::SplitCache::with_byte_budget(bytes)),
-        None => Arc::new(sssp_core::SplitCache::new()),
-    };
     // Startup quarantine pass: every per-graph checkpoint subdir is
     // checked, torn manifests and corrupt ckpt files are moved to
     // `quarantine/`, and the manifests are rebuilt from the survivors —
@@ -784,7 +781,6 @@ pub fn start(cfg: ServerConfig, addr: impl ToSocketAddrs) -> std::io::Result<Ser
         queue: AdmissionQueue::new(cfg.queue_capacity),
         // lint:allow(hot-path-lock): registry is touched once per request
         graphs: Mutex::new(HashMap::new()),
-        cache,
         pool,
         pool_degraded,
         // lint:allow(hot-path-lock): counters are touched per request/connection
@@ -1086,7 +1082,6 @@ mod tests {
             cfg: ServerConfig::default(),
             // lint:allow(hot-path-lock): test fixture mirroring the registry lock
             graphs: Mutex::new(HashMap::new()),
-            cache: Arc::new(sssp_core::SplitCache::new()),
             pool: None,
             pool_degraded: None,
             queue: AdmissionQueue::new(queue_capacity),

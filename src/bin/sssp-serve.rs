@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sssp-serve [--listen ADDR] [--workers N] [--queue-capacity N]
-//!            [--threads N] [--cache-bytes N] [--checkpoint-dir DIR]
+//!            [--threads N] [--checkpoint-dir DIR]
 //!            [--read-timeout-ms N] [--write-timeout-ms N]
 //!            [--max-graphs N] [--max-connections N]
 //!            [--delta F] [--impl fused|improved] [--debug-commands]
@@ -41,17 +41,12 @@ options:
   --workers N            engine worker threads (default 2)
   --queue-capacity N     admission bound; excess requests are shed (default 16)
   --threads N            shared pool threads for impl=improved jobs (default 2)
-  --cache-bytes N        split-cache byte budget (default unbounded): bounds
-                         per-delta state, the partition points and light-only
-                         pull index of splits with heavy edges; every delta
-                         at or above a graph's largest weight shares one
-                         all-light split, and its transpose is graph state,
-                         bounded by --max-graphs (STATS graphs_resident_bytes)
   --checkpoint-dir DIR   durable checkpoint root; enables crash-safe resume
   --read-timeout-ms N    per-connection read timeout (default none)
   --write-timeout-ms N   per-connection write timeout / slow-client budget
                          (default 10000)
-  --max-graphs N         graph registry bound (default 8)
+  --max-graphs N         graph registry bound (default 8); each graph holds its
+                         transpose and at most one split with heavy edges
   --max-connections N    concurrent connection bound (default 64)
   --delta F              default bucket width (default 1.0)
   --impl NAME            default kernels for requests without impl=: fused
@@ -178,13 +173,6 @@ fn run_server(args: &[String]) -> ExitCode {
             "--threads" => match num(args, i, "--threads") {
                 Ok(n) => {
                     cfg.pool_threads = n as usize;
-                    i += 1;
-                }
-                Err(e) => return fail(&e),
-            },
-            "--cache-bytes" => match num(args, i, "--cache-bytes") {
-                Ok(n) => {
-                    cfg.cache_bytes = Some(n as usize);
                     i += 1;
                 }
                 Err(e) => return fail(&e),

@@ -123,7 +123,7 @@ struct Options {
     random_weights: bool,
     validate: bool,
     summary: bool,
-    /// Extend the `--sources` split-cache report with eviction count
+    /// Extend the `--sources` split-cache report with slot replacements
     /// and resident bytes.
     verbose: bool,
 }
@@ -172,7 +172,7 @@ options:
   --validate               check the SSSP optimality certificate
   --summary                print statistics instead of every distance
   --verbose                --sources: extend the split-cache report with
-                           eviction count and resident bytes
+                           slot replacements and resident bytes
   --help                   this text
 
 exit codes:
@@ -513,8 +513,8 @@ fn run_batch(o: &Options, g: &CsrGraph, delta: f64) -> Result<ExitCode, Failure>
     }
     let cache_detail = if o.verbose {
         format!(
-            ", {} eviction(s), {} resident byte(s)",
-            report.split_cache.evictions, report.split_cache.resident_bytes
+            ", {} replacement(s), {} resident byte(s)",
+            report.split_cache.replacements, report.split_cache.resident_bytes
         )
     } else {
         String::new()

@@ -8,16 +8,13 @@
 //! a partial cut on one side resumes on the other.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use graphdata::CsrGraph;
 use sssp_core::batch::{run_job, Job, JobOutcome, ManifestState};
 use sssp_core::engine::SsspEngine;
 use sssp_core::manifest::CheckpointManifest;
 use sssp_core::stepping::SteppingWorkspace;
-use sssp_core::{
-    GuardConfig, Kernels, PreparedGraph, RunBudget, SplitCache, SsspResult, SteppingStrategy,
-};
+use sssp_core::{GuardConfig, Kernels, PreparedGraph, RunBudget, SsspResult, SteppingStrategy};
 use sssp_serve::protocol::parse_gen_spec;
 use sssp_serve::server::{start, ServerConfig};
 
@@ -154,7 +151,7 @@ fn a_checkpoint_cut_on_sorted_rows_resumes_on_the_as_loaded_graph() {
     for strategy in [SteppingStrategy::Classic, SteppingStrategy::Rho(16)] {
         let full = fresh(&g, 0, 0.5, strategy);
         for cut in [1, 4, 9] {
-            let mut served = SsspEngine::over(&registry, Arc::new(SplitCache::new()), &mut ws);
+            let mut served = SsspEngine::over(&registry, &mut ws);
             let cp = served
                 .run_stepping(
                     None,

@@ -102,12 +102,10 @@ fn engine_reuse_is_deterministic_and_matches_direct_calls() {
                 assert_eq!(warm.stats, cold.stats);
             }
         }
-        // One split build total, regardless of reps x sources.
-        assert_eq!(engine.stats().split_builds, 1);
-        assert_eq!(
-            engine.stats().split_hits as usize,
-            RUNS * sources.len() - 1
-        );
+        // No split build, regardless of reps x sources: the unit-weight
+        // graph's all-light split comes with its preparation.
+        assert_eq!(engine.stats().split_builds, 0);
+        assert_eq!(engine.stats().split_hits as usize, RUNS * sources.len());
     }
 }
 
@@ -219,7 +217,7 @@ fn cancelled_then_resumed_runs_are_bit_identical() {
                 }
             }
         }
-        // Every cancel/resume rode the one cached split.
-        assert_eq!(engine.stats().split_builds, 1);
+        // Every cancel/resume rode the graph's one all-light split.
+        assert_eq!(engine.stats().split_builds, 0);
     }
 }

@@ -1,15 +1,15 @@
-//! Churn steady state: two unit-weight graphs alternate on one worker
-//! under a split-cache budget sized for one copied split, as the
-//! `churn-rmat` benchmark workload runs them.
+//! Churn steady state: two unit-weight graphs alternate on one worker,
+//! as the `churn-rmat` benchmark workload runs them.
 //!
-//! Every split of a unit-weight graph at Δ = 1 has no heavy edge, so its
-//! pull index is the prepared graph's own transpose: built on the first
-//! dense epoch on each graph, counted in `graphs_resident_bytes` exactly
-//! once per graph, and charged nothing against the split budget. Once
-//! each graph has been answered, 200 alternating requests must make
+//! A unit-weight graph at Δ = 1 reads its prepared graph's all-light
+//! split, which nobody builds, and that split's pull index is the graph's
+//! own transpose: built on the first dense epoch on each graph and
+//! counted in `graphs_resident_bytes` exactly once per graph. Neither
+//! graph's split slot is ever filled. Once each graph has been answered,
+//! 200 alternating requests must make
 //!
-//! - no split build and no eviction (the daemon's `cache_builds`,
-//!   `cache_evictions`),
+//! - no split build and no slot replacement (the daemon's
+//!   `cache_builds`, `cache_evictions`),
 //! - no pull index build (`PullIndex::builds`), while the direction
 //!   oracle still picks pull (`decision_counters`),
 //!
@@ -22,7 +22,6 @@ mod common;
 use common::{check, request, Conn, Request};
 use gblas::direction::decision_counters;
 use graphdata::CsrGraph;
-use sssp_core::fused::LightHeavy;
 use sssp_core::pull::PullIndex;
 use sssp_serve::protocol::parse_gen_spec;
 use sssp_serve::server::{start, ServerConfig};
@@ -44,17 +43,10 @@ fn alternating_unit_graphs_share_their_transposes_and_build_nothing() {
         .zip(&plan)
         .map(|(g, (_, sources))| sources.iter().map(|&s| request(g, s, 1.0)).collect())
         .collect();
-    let one_split = graphs
-        .iter()
-        .map(|g| LightHeavy::build(g, 1.0).resident_bytes())
-        .max()
-        .unwrap();
-
     let server = start(
         ServerConfig {
             workers: 1,
             max_graphs: plan.len(),
-            cache_bytes: Some(one_split),
             ..ServerConfig::default()
         },
         "127.0.0.1:0",
@@ -79,8 +71,8 @@ fn alternating_unit_graphs_share_their_transposes_and_build_nothing() {
     }
     assert_eq!(PullIndex::builds() - transposes, graphs.len() as u64, "one transpose per graph");
     let (builds, evictions) = (stat(&server, "cache_builds"), stat(&server, "cache_evictions"));
-    assert_eq!((builds, evictions), (graphs.len() as u64, 0));
-    assert_eq!(stat(&server, "cache_resident_bytes"), 0, "all-light splits are charged nothing");
+    assert_eq!((builds, evictions), (0, 0));
+    assert_eq!(stat(&server, "cache_resident_bytes"), 0, "no split slot is filled");
 
     // Steady state: 200 requests alternating between the graphs.
     let order: Vec<&Request> =
@@ -90,7 +82,7 @@ fn alternating_unit_graphs_share_their_transposes_and_build_nothing() {
     assert_eq!(PullIndex::builds() - transposes, 0, "pull index builds");
     assert!(decision_counters().1 > pulls, "the dense epochs pulled");
     assert_eq!(stat(&server, "cache_builds"), builds, "split builds");
-    assert_eq!(stat(&server, "cache_evictions"), evictions, "split evictions");
+    assert_eq!(stat(&server, "cache_evictions"), evictions, "slot replacements");
     assert_eq!(stat(&server, "graphs_resident_bytes"), resident);
     for (reply, request) in replies.iter().zip(order) {
         check(reply, request);

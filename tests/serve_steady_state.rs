@@ -120,15 +120,14 @@ fn a_warm_server_pays_only_for_the_solve() {
         let loaded = conn.ask(&format!("LOAD GEN {spec}"));
         assert!(loaded[0].starts_with("LOADED"), "{loaded:?}");
     }
-    // Warm-up: each request of the plan once, which builds each graph's
-    // split and grows the worker's workspace to the larger graph. Both
-    // graphs are unit-weight, so both Δ values are all-light and share
-    // one split per graph.
+    // Warm-up: each request of the plan once, which grows the worker's
+    // workspace to the larger graph. Both graphs are unit-weight, so both
+    // Δ values read the graph's all-light split, which nobody builds.
     for request in &requests {
         check(&conn.ask(&request.0), request);
     }
     let builds = |server: &sssp_serve::ServerHandle| server.stats().get("cache_builds");
-    assert_eq!(builds(&server), Some(graphs.len() as u64));
+    assert_eq!(builds(&server), Some(0));
 
     // Steady state: 200 requests alternating between the graphs.
     let per_graph = requests.len() / graphs.len();
@@ -146,7 +145,7 @@ fn a_warm_server_pays_only_for_the_solve() {
         "fingerprint passes"
     );
     assert_eq!(CsrGraph::weight_passes() - weight_scans, 0, "weight scans");
-    assert_eq!(builds(&server), Some(graphs.len() as u64), "split builds");
+    assert_eq!(builds(&server), Some(0), "split builds");
     assert_eq!(
         big_allocs,
         order.len() as u64,
