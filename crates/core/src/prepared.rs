@@ -527,7 +527,7 @@ mod tests {
             let (all_light, built) = prep.split_for(max);
             assert!(!built && all_light.bounds.is_none());
             assert_eq!(all_light.num_light(), g.num_edges());
-            for delta in [max, 1.5 * max, f64::MAX] {
+            for delta in [max, 1.5 * max, f64::MAX, f64::INFINITY] {
                 let (split, built) = prep.split_for(delta);
                 assert!(!built && Arc::ptr_eq(&split, &all_light), "delta {delta}");
                 assert_eq!(prep.split(delta), *all_light, "delta {delta}");
@@ -537,7 +537,7 @@ mod tests {
                 assert!(built && split.bounds.is_some(), "delta {delta}");
             }
             let stats = prep.split_stats();
-            assert_eq!((stats.builds, stats.hits, stats.replacements), (2, 4, 1));
+            assert_eq!((stats.builds, stats.hits, stats.replacements), (2, 5, 1));
         }
     }
 
