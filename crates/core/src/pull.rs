@@ -17,24 +17,40 @@
 //!
 //! ## Bit-identity with push
 //!
-//! For each target `v`, the pull pass min-folds exactly the candidate
-//! multiset `{ dist[u] + w : (u, v, w) ∈ A_L, u ∈ frontier }` that the
-//! push pass offers — `min` over the same finite candidates is
-//! order-insensitive bit for bit, so the resulting request vector is
-//! identical. The only divergence is the *touched set*: pull may skip a
-//! settled target that push would have touched with an unimprovable
-//! candidate. Both drains treat such entries as no-ops, so `dist`,
-//! improvements, and every other [`crate::stats::SsspStats`] field stay
-//! bit-identical across directions and thread counts (asserted by
-//! `tests/direction.rs`).
+//! For each target `v`, the pull pass yields the minimum of exactly the
+//! candidate multiset `{ dist[u] + w : (u, v, w) ∈ A_L, u ∈ frontier }`
+//! that the push pass offers — `min` over the same finite candidates is
+//! order-insensitive bit for bit, and no unread candidate can beat the
+//! one a row stops at (the floor, below), so the resulting request
+//! vector is identical. The only divergence is the *touched set*: pull
+//! may skip a target at or below the floor that push would have touched
+//! with an unimprovable candidate. Both drains treat such entries as
+//! no-ops, so `dist`, improvements, and every other
+//! [`crate::stats::SsspStats`] field stay bit-identical across
+//! directions and thread counts (asserted by `tests/direction.rs`).
 //!
-//! The settled-skip is the float subtlety: we skip `v` iff
-//! `dist[v] <= lower`, where `lower` is the minimum frontier tentative
-//! distance. With non-negative weights, every candidate satisfies
-//! `dist[u] + w >= dist[u] >= lower` under round-to-nearest, so a
-//! skipped vertex could never have been improved. When the index holds
-//! any negative weight (preflight normally rejects those, but the kernel
-//! must not *silently* corrupt on garbage), the skip is disabled.
+//! The floor is the float subtlety. Every candidate for `v` is
+//! `dist[u] + w` with `dist[u] >= lower` (the minimum frontier tentative
+//! distance) and `w >= min_w` (the index's minimum weight), so with
+//! `floor = lower + min_w` rounded once in `f64`, monotone
+//! round-to-nearest puts every candidate at or above `floor` — even when
+//! the sum rounds back down to `lower` (at `2^53`, `lower + 1.0 ==
+//! lower`). Two cuts follow, both exact:
+//!
+//! - a target with `dist[v] <= floor` is skipped: no candidate can land
+//!   below its tentative distance;
+//! - a row stops at the first *accepted* candidate `<= floor`: no later
+//!   in-edge can beat it under the strict `<` fold.
+//!
+//! On a unit-weight graph at Δ = 1 every frontier vertex sits at
+//! `lower`, so this is Beamer's bottom-up step: each unvisited target
+//! stops at its first frontier parent, and targets already found this
+//! level are skipped. Neither cut changes a request, and `relaxations`
+//! counts the candidates offered rather than the edges read, so only the
+//! returned in-edge count (`PhaseProfile::edges_scanned`) moves. When
+//! the index holds any negative weight (preflight normally rejects
+//! those, but the kernel must not *silently* corrupt on garbage), the
+//! floor is `-∞` and both cuts are off.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -81,9 +97,9 @@ pub struct PullIndex {
     src: Vec<u32>,
     w: Vec<f64>,
     /// Minimum light weight (`∞` when there are no light edges). The
-    /// settled-skip is only sound for non-negative weights; a negative
-    /// minimum disables it rather than corrupt results on inputs the
-    /// preflight would normally reject.
+    /// floor's skip and early exit are only sound for non-negative
+    /// weights; a negative minimum disables them rather than corrupt
+    /// results on inputs the preflight would normally reject.
     min_w: f64,
 }
 
@@ -160,7 +176,9 @@ impl PullIndex {
 /// into the `req` slice (indexed relative to `start`) and appending
 /// touched targets (absolute indices, ascending) to `touched`. The
 /// per-target offer logic mirrors `reqbuf`'s `offer` exactly: touch on
-/// the first candidate, min-fold the rest.
+/// the first candidate, min-fold the rest. A target at or below the
+/// floor is skipped, and a row stops at the first accepted candidate
+/// that reaches it (see the module doc). Returns the in-edges read.
 #[allow(clippy::too_many_arguments)]
 fn pull_range(
     idx: &PullIndex,
@@ -171,8 +189,15 @@ fn pull_range(
     req: &mut [f64],
     touched: &mut Vec<usize>,
     hooked: bool,
-) {
-    let skip_settled = idx.min_w >= 0.0;
+) -> u64 {
+    // No candidate rounds below `floor`; a negative weight voids that
+    // bound, and `-∞` then turns both the skip and the exit off.
+    let floor = if idx.min_w >= 0.0 { lower + idx.min_w } else { f64::NEG_INFINITY };
+    // Edges read = the range's in-edges less what the cuts leave unread.
+    // Counting the cuts rather than the reads keeps the counter off the
+    // path of rows read in full, which weighted dense epochs take for
+    // nearly every row: a per-row count there measurably slowed them.
+    let mut unread = 0usize;
     for (j, slot) in req.iter_mut().enumerate() {
         let v = start + j;
         #[cfg(feature = "racecheck")]
@@ -184,11 +209,13 @@ fn pull_range(
         }
         #[cfg(not(feature = "racecheck"))]
         let _ = hooked;
-        if skip_settled && dist[v] <= lower {
+        let (lo, hi) = (idx.off[v], idx.off[v + 1]);
+        if dist[v] <= floor {
+            unread += hi - lo;
             continue;
         }
-        let (lo, hi) = (idx.off[v], idx.off[v + 1]);
-        for (&u, &w) in idx.src[lo..hi].iter().zip(idx.w[lo..hi].iter()) {
+        let mut edges = idx.src[lo..hi].iter().zip(idx.w[lo..hi].iter());
+        while let Some((&u, &w)) = edges.next() {
             let u = u as usize;
             if !in_frontier[u] {
                 continue;
@@ -205,20 +232,30 @@ fn pull_range(
                 }
                 touched.push(v);
                 *slot = cand;
+                if cand <= floor {
+                    unread += edges.len();
+                    break;
+                }
             } else if cand < *slot {
                 #[cfg(feature = "racecheck")]
                 if hooked {
                     racecheck::plain_write("pull.req", slot as *const f64);
                 }
                 *slot = cand;
+                if cand <= floor {
+                    unread += edges.len();
+                    break;
+                }
             }
         }
     }
+    (idx.off[start + req.len()] - idx.off[start] - unread) as u64
 }
 
 /// Sequential pull pass over all targets, for the pool-less loop and as
 /// the small-`n` fast path. `req` is the dense accumulator (≥ `n` long,
-/// all-`∞` outside `touched`); touched targets append ascending.
+/// all-`∞` outside `touched`); touched targets append ascending. Returns
+/// the in-edges read.
 pub fn pull_light_sequential(
     idx: &PullIndex,
     dist: &[f64],
@@ -226,17 +263,18 @@ pub fn pull_light_sequential(
     lower: f64,
     req: &mut [f64],
     touched: &mut Vec<usize>,
-) {
+) -> u64 {
     let n = idx.num_vertices();
-    pull_range(idx, dist, in_frontier, lower, 0, &mut req[..n], touched, false);
+    pull_range(idx, dist, in_frontier, lower, 0, &mut req[..n], touched, false)
 }
 
 /// Parallel pull pass: split the target range into contiguous chunks,
 /// hand each task a disjoint `&mut` slice of `req` (no atomics, no
 /// locks), and concatenate the per-chunk touched lists in range order —
 /// each is ascending over its own range, so the concatenation is
-/// globally ascending with **no merge and no sort**. Results are
-/// byte-identical to [`pull_light_sequential`] at any thread count.
+/// globally ascending with **no merge and no sort**. Results, the
+/// returned count of in-edges read included, are byte-identical to
+/// [`pull_light_sequential`] at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn pull_light_parallel(
     pool: &ThreadPool,
@@ -246,13 +284,12 @@ pub fn pull_light_parallel(
     lower: f64,
     req: &mut [f64],
     touched: &mut Vec<usize>,
-    locals: &mut Vec<Vec<usize>>,
+    locals: &mut Vec<(Vec<usize>, u64)>,
     threshold: usize,
-) {
+) -> u64 {
     let n = idx.num_vertices();
     if n < threshold {
-        pull_range(idx, dist, in_frontier, lower, 0, &mut req[..n], touched, false);
-        return;
+        return pull_range(idx, dist, in_frontier, lower, 0, &mut req[..n], touched, false);
     }
 
     let pieces = (pool.num_threads() * 4).min(n);
@@ -265,15 +302,18 @@ pub fn pull_light_parallel(
         inputs.push((range.start, head));
         rest = tail;
     }
-    scope_with_buffers(pool, locals, inputs, |_, local, (start, slice)| {
+    scope_with_buffers(pool, locals, inputs, |_, (local, scanned), (start, slice)| {
         local.clear();
-        pull_range(idx, dist, in_frontier, lower, start, slice, local, true);
+        *scanned = pull_range(idx, dist, in_frontier, lower, start, slice, local, true);
     });
-    for local in locals.iter().take(active) {
+    let mut scanned = 0u64;
+    for buf in locals.iter().take(active) {
         #[cfg(feature = "racecheck")]
-        racecheck::plain_read("scope_with_buffers.buf", &*local as *const Vec<usize>);
-        touched.extend_from_slice(local);
+        racecheck::plain_read("scope_with_buffers.buf", buf as *const (Vec<usize>, u64));
+        touched.extend_from_slice(&buf.0);
+        scanned += buf.1;
     }
+    scanned
 }
 
 #[cfg(test)]
@@ -281,7 +321,7 @@ mod tests {
     use super::*;
     use crate::prepared::{PreparedGraph, Split};
     use crate::reqbuf::{relax_buffered_with_threshold, RelaxWorkspace};
-    use graphdata::{gen, CsrGraph};
+    use graphdata::{gen, CsrGraph, EdgeList};
 
     /// A weighted graph with its rows in weight order, its split at
     /// Δ = 1, and a dist vector and frontier to relax.
@@ -341,47 +381,165 @@ mod tests {
         assert_eq!(idx.resident_bytes(), PullIndex::bytes_for(idx.num_vertices(), idx.src.len()));
     }
 
-    /// Pull produces the same request vector as push, and its touched
-    /// list only ever omits push-touched entries that drain to no-ops.
-    #[test]
-    fn pull_matches_push_requests_bit_for_bit() {
-        let (g, split, dist, frontier) = workload();
-        let lh = split.on(&g);
+    /// Push and pull `frontier` over `split`; assert the pull request
+    /// vector equals push's on every target pull touched, that a target
+    /// only push touched cannot improve, and that pull's touched list is
+    /// ascending. Returns pull's touched list and the in-edges it read.
+    fn assert_pull_matches_push(
+        g: &PreparedGraph<'_>,
+        split: &Split,
+        dist: &[f64],
+        frontier: &[usize],
+    ) -> (Vec<usize>, u64) {
+        let lh = split.on(g);
         let n = g.num_vertices();
         let pool = ThreadPool::with_threads(3).unwrap();
 
         let mut push_ws = RelaxWorkspace::new(n);
         let mut push_relax = 0u64;
         relax_buffered_with_threshold(
-            &pool, lh, &dist, &frontier, true, &mut push_ws, &mut push_relax, 0,
+            &pool, lh, dist, frontier, true, &mut push_ws, &mut push_relax, 0,
         );
         let push_touched: Vec<usize> = push_ws.touched().to_vec();
         let mut push_req = vec![INF; n];
         push_ws.drain_requests(|u, c| push_req[u] = c);
 
         let idx = lh.pull_index();
-        let in_frontier = bitmap(n, &frontier);
-        let lower = frontier_lower(&dist, &frontier);
+        let in_frontier = bitmap(n, frontier);
+        let lower = frontier_lower(dist, frontier);
         let mut pull_req = vec![INF; n];
         let mut pull_touched = Vec::new();
-        pull_light_sequential(idx, &dist, &in_frontier, lower, &mut pull_req, &mut pull_touched);
+        let scanned =
+            pull_light_sequential(idx, dist, &in_frontier, lower, &mut pull_req, &mut pull_touched);
 
         for &v in &pull_touched {
             assert_eq!(pull_req[v].to_bits(), push_req[v].to_bits(), "v={v}");
         }
         // Entries push touched but pull skipped must be unimprovable
-        // (settled at or below the frontier lower bound).
+        // (settled at or below the floor `lower + min_w`).
         for &v in &push_touched {
             if !pull_touched.contains(&v) {
-                assert!(dist[v] <= lower, "pull skipped improvable v={v}");
+                assert!(dist[v] <= lower + idx.min_w, "pull skipped improvable v={v}");
                 assert!(push_req[v] >= dist[v], "skipped entry would have improved");
             }
         }
         assert!(pull_touched.windows(2).all(|p| p[0] < p[1]), "ascending");
+        (pull_touched, scanned)
+    }
+
+    /// Pull produces the same request vector as push, and its touched
+    /// list only ever omits push-touched entries that drain to no-ops.
+    #[test]
+    fn pull_matches_push_requests_bit_for_bit() {
+        let (g, split, dist, frontier) = workload();
+        assert_pull_matches_push(&g, &split, &dist, &frontier);
+    }
+
+    /// The unit-weight twin, at a BFS level: every frontier vertex sits
+    /// at `lower`, so `floor = lower + 1` and each unvisited target stops
+    /// at its first frontier parent (Beamer's bottom-up step). Some of
+    /// the next level is already found at the floor, and skipped.
+    #[test]
+    fn unit_weight_pull_stops_at_the_first_frontier_parent() {
+        let mut el = gen::gnm(2_000, 12_000, 5);
+        el.symmetrize();
+        let g = PreparedGraph::load(CsrGraph::from_edge_list(&el).unwrap());
+        let split = g.split(1.0);
+        let lh = split.on(&g);
+        let n = g.num_vertices();
+        let mut level = vec![usize::MAX; n];
+        level[0] = 0;
+        let mut levels = vec![vec![0usize]];
+        while let Some(last) = levels.last().filter(|l| !l.is_empty()) {
+            let mut next = Vec::new();
+            for &u in last {
+                for &(v, _) in lh.light(u) {
+                    if level[v] == usize::MAX {
+                        level[v] = levels.len();
+                        next.push(v);
+                    }
+                }
+            }
+            next.sort_unstable();
+            levels.push(next);
+        }
+        let degree_sum = |l: &[usize]| l.iter().map(|&v| lh.light_degree(v)).sum::<usize>();
+        // The frontier before the widest level: the explosion epoch.
+        let at = (1..levels.len()).max_by_key(|&l| levels[l].len()).unwrap() - 1;
+        // Levels up to `at` settled, every third vertex of the next one
+        // already found, the rest unvisited.
+        let dist: Vec<f64> = (0..n)
+            .map(|v| match level[v] {
+                l if l <= at => l as f64,
+                l if l == at + 1 && v % 3 == 0 => l as f64,
+                _ => INF,
+            })
+            .collect();
+        let frontier = &levels[at];
+        let (touched, scanned) = assert_pull_matches_push(&g, &split, &dist, frontier);
+        assert!(touched.iter().all(|&v| dist[v] == INF), "found targets are skipped");
+        assert!(!touched.is_empty());
+        let offered = degree_sum(frontier) as u64;
+        assert!(scanned < offered, "read {scanned} in-edges of {offered} frontier edges");
+        // Short of every in-edge of the targets it did not skip, too.
+        let idx = lh.pull_index();
+        let rows: usize = (0..n).filter(|&v| dist[v] == INF).map(|v| idx.in_edges(v).0.len()).sum();
+        assert!(scanned * 2 < rows as u64, "read {scanned} of {rows} unskipped in-edges");
+    }
+
+    /// Push and pull the frontier `{1, 2, 3}` over hand-picked edges.
+    fn float_case(triples: &[(usize, usize, f64)], dist: &[f64]) -> (Vec<usize>, u64, f64) {
+        let el = EdgeList::from_triples(triples.iter().copied());
+        let g = PreparedGraph::load(CsrGraph::from_edge_list(&el).unwrap());
+        let split = g.split(f64::MAX);
+        let min_w = split.on(&g).pull_index().min_w;
+        let (touched, scanned) = assert_pull_matches_push(&g, &split, dist, &[1, 2, 3]);
+        (touched, scanned, min_w)
+    }
+
+    /// `lower + min_w` rounds down to `lower`: at `2^53`, adding 1 is a
+    /// tie that rounds to even. The floor is the rounded sum, and still
+    /// no candidate rounds below it.
+    #[test]
+    fn floor_that_rounds_to_lower_matches_push() {
+        let lower = 2f64.powi(53);
+        assert_eq!(lower + 1.0, lower);
+        let triples = [
+            (1, 0, 1.0), // reaches the floor: the row stops here
+            (2, 0, 1.0),
+            (2, 4, 1.0), // above the floor: read on
+            (3, 4, 1.0), // reaches it
+            (1, 5, 1.0), // 5 sits at the floor: skipped
+            (3, 6, 3.0),
+        ];
+        let dist = [INF, lower, lower + 2.0, lower, INF, lower, INF];
+        let (touched, scanned, min_w) = float_case(&triples, &dist);
+        assert_eq!(min_w, 1.0);
+        assert_eq!(touched, vec![0, 4, 6]);
+        assert_eq!(scanned, 1 + 2 + 1);
+    }
+
+    /// A zero-weight in-edge makes `min_w = 0`, so the floor is `lower`
+    /// itself: a target reached at `lower` stops, the rest fold on.
+    #[test]
+    fn zero_weight_in_edge_matches_push() {
+        let triples = [
+            (1, 0, 0.0), // reaches the floor
+            (2, 0, 0.5),
+            (2, 4, 0.0), // 2.0: above the floor
+            (3, 4, 0.25),
+            (1, 5, 0.5), // 5 sits at the floor: skipped
+            (2, 6, 1.0), // 3.0: no better than 6's 2.5, touched as push does
+        ];
+        let dist = [INF, 1.5, 2.0, 1.5, INF, 1.5, 2.5];
+        let (touched, scanned, min_w) = float_case(&triples, &dist);
+        assert_eq!(min_w, 0.0);
+        assert_eq!(touched, vec![0, 4, 6]);
+        assert_eq!(scanned, 1 + 2 + 1);
     }
 
     /// Parallel pull is byte-identical to sequential pull at 1/2/4
-    /// threads, including the touched order.
+    /// threads, including the touched order and the in-edges read.
     #[test]
     fn parallel_pull_is_bit_identical_across_thread_counts() {
         let (g, split, dist, frontier) = workload();
@@ -392,17 +550,19 @@ mod tests {
 
         let mut seq_req = vec![INF; n];
         let mut seq_touched = Vec::new();
-        pull_light_sequential(idx, &dist, &in_frontier, lower, &mut seq_req, &mut seq_touched);
+        let seq_scanned =
+            pull_light_sequential(idx, &dist, &in_frontier, lower, &mut seq_req, &mut seq_touched);
 
         for threads in [1, 2, 4] {
             let pool = ThreadPool::with_threads(threads).unwrap();
             let mut req = vec![INF; n];
             let mut touched = Vec::new();
             let mut locals = Vec::new();
-            pull_light_parallel(
+            let scanned = pull_light_parallel(
                 &pool, idx, &dist, &in_frontier, lower, &mut req, &mut touched, &mut locals, 1,
             );
             assert_eq!(touched, seq_touched, "{threads} threads");
+            assert_eq!(scanned, seq_scanned, "{threads} threads");
             let bits: Vec<u64> = req.iter().map(|x| x.to_bits()).collect();
             let seq_bits: Vec<u64> = seq_req.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, seq_bits, "{threads} threads");

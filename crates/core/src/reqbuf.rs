@@ -92,8 +92,9 @@ pub struct RelaxWorkspace {
     req: Vec<f64>,
     touched: Vec<usize>,
     bufs: Vec<RequestBuf>,
-    /// Per-task touched lists for the dense pull pass ([`Self::pull_light`]).
-    pull_locals: Vec<Vec<usize>>,
+    /// Per-task touched lists and in-edge counts for the dense pull pass
+    /// ([`Self::pull_light`]).
+    pull_locals: Vec<(Vec<usize>, u64)>,
 }
 
 impl RelaxWorkspace {
@@ -139,7 +140,7 @@ impl RelaxWorkspace {
     /// ever need resetting — and the resulting request vector is
     /// bit-identical to [`relax_buffered`]'s over the same frontier.
     /// Without a pool the scan is the sequential pass over the same
-    /// accumulator.
+    /// accumulator. Returns the in-edges the scan read.
     pub fn pull_light(
         &mut self,
         pool: Option<&ThreadPool>,
@@ -147,7 +148,7 @@ impl RelaxWorkspace {
         dist: &[f64],
         in_frontier: &[bool],
         lower: f64,
-    ) {
+    ) -> u64 {
         match pool {
             Some(pool) => crate::pull::pull_light_parallel(
                 pool,

@@ -19,8 +19,9 @@ pub struct SsspStats {
     pub improvements: u64,
 }
 
-/// Wall-clock time spent per algorithm phase (fused/parallel
-/// implementations fill this for the phase-profile experiment).
+/// Where a run spent its work: wall-clock time per algorithm phase
+/// (fused/parallel implementations fill this for the phase-profile
+/// experiment) and how many edges its light passes read.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseProfile {
     /// Building `A_L` and `A_H` (the matrix filtering the paper measures at
@@ -31,6 +32,12 @@ pub struct PhaseProfile {
     /// Vector filtering/bookkeeping (bucket detection, `t`/`t_Bi`/`S`
     /// updates).
     pub vector_ops: Duration,
+    /// Edges the light passes read: every frontier light edge of a push;
+    /// on a pull, no in-edge of a skipped target and each other row up to
+    /// where it stops at its floor. A count of work, not part of the [`SsspStats`] contract:
+    /// `relaxations` counts candidates offered and does not move with
+    /// it. Filled by the stepping loop; the figure variants leave it 0.
+    pub edges_scanned: u64,
 }
 
 impl PhaseProfile {
@@ -68,6 +75,7 @@ mod tests {
             matrix_filter: Duration::from_millis(40),
             relaxation: Duration::from_millis(50),
             vector_ops: Duration::from_millis(10),
+            edges_scanned: 0,
         };
         assert_eq!(p.total(), Duration::from_millis(100));
         assert!((p.matrix_filter_fraction() - 0.4).abs() < 1e-9);

@@ -331,7 +331,10 @@ fn relax(
 /// frontiers push through the request buffers; dense ones (per the
 /// shared density oracle) pull the light in-edges against the frontier
 /// bitmap. The request vector is bit-identical either way (see
-/// [`crate::pull`]) — only the traversal order changes.
+/// [`crate::pull`]) — only the traversal order changes. `edges_scanned`
+/// grows by the edges the pass read: the frontier's light edges on a
+/// push, the in-edges the scan reached on a pull.
+#[allow(clippy::too_many_arguments)]
 fn relax_light(
     pool: Option<&ThreadPool>,
     lh: SplitView<'_>,
@@ -340,9 +343,11 @@ fn relax_light(
     in_frontier: &mut [bool],
     rws: &mut RelaxWorkspace,
     relaxations: &mut u64,
+    edges_scanned: &mut u64,
 ) {
     let frontier_edges: usize = frontier.iter().map(|&v| lh.light_degree(v)).sum();
     if direction::choose(frontier_edges, lh.num_light()) == Direction::Push {
+        *edges_scanned += frontier_edges as u64;
         return relax(pool, lh, dist, frontier, true, rws, relaxations);
     }
     let mut lower = INF;
@@ -352,12 +357,14 @@ fn relax_light(
             lower = dist[v];
         }
     }
-    rws.pull_light(pool, lh.pull_index(), dist, in_frontier, lower);
+    *edges_scanned += rws.pull_light(pool, lh.pull_index(), dist, in_frontier, lower);
     for &v in frontier {
         in_frontier[v] = false;
     }
-    // Push counts one relaxation per frontier light edge; the pull pass
-    // covers exactly that edge set.
+    // A relaxation is a candidate offered, not an edge read: push offers
+    // one per frontier light edge, and the pull pass stands for that same
+    // candidate set, though it reads fewer edges whenever a row stops at
+    // its floor or a target is skipped.
     *relaxations += frontier_edges as u64;
 }
 
@@ -627,7 +634,16 @@ fn stepping_loop(
                     .stop(stop));
                 }
                 stats.light_phases += 1;
-                relax_light(pool, lh, t, frontier, in_frontier, rws, &mut stats.relaxations);
+                relax_light(
+                    pool,
+                    lh,
+                    t,
+                    frontier,
+                    in_frontier,
+                    rws,
+                    &mut stats.relaxations,
+                    &mut profile.edges_scanned,
+                );
                 if matches!(strategy, SteppingStrategy::Rho(_)) {
                     relax(pool, lh, t, frontier, false, rws, &mut stats.relaxations);
                 } else {
@@ -1061,5 +1077,45 @@ mod tests {
             ),
             Err(SsspError::IterationLimitExceeded { .. })
         ));
+    }
+
+    /// `edges_scanned` counts edges read. A thin grid only ever pushes,
+    /// so it reads every light edge it offers; a unit-weight rmat pulls
+    /// its dense epochs, whose rows stop at the first frontier parent,
+    /// so it reads fewer edges than the candidates `relaxations` counts.
+    #[test]
+    fn edges_scanned_counts_every_push_and_the_pull_cut() {
+        let grid = CsrGraph::from_edge_list(&grid2d(4, 256)).unwrap();
+        let (r, profile) = stepping_checked(
+            &grid,
+            0,
+            1.0,
+            SteppingStrategy::Classic,
+            None,
+            &mut RunBudget::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(profile.edges_scanned, r.stats.relaxations);
+
+        let el = graphdata::gen::rmat(graphdata::gen::RmatParams::graph500(10, 8), 3);
+        let g = CsrGraph::from_edge_list(&el).unwrap();
+        let source = (0..g.num_vertices()).max_by_key(|&v| g.out_degree(v)).unwrap();
+        let (r, profile) = stepping_checked(
+            &g,
+            source,
+            1.0,
+            SteppingStrategy::Classic,
+            None,
+            &mut RunBudget::unlimited(),
+        )
+        .unwrap();
+        assert_eq!(r.dist, dijkstra(&g, source).dist);
+        assert!(profile.edges_scanned > 0);
+        assert!(
+            profile.edges_scanned < r.stats.relaxations,
+            "read {} edges for {} relaxations",
+            profile.edges_scanned,
+            r.stats.relaxations
+        );
     }
 }

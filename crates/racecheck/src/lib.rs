@@ -936,9 +936,13 @@ mod tests {
 
     #[test]
     fn lock_hooks_are_noops_without_a_session() {
+        // Hold the lock a `Session` would, so none opens next to this;
+        // release it before opening our own.
+        let no_session = unpoison(SESSION_LOCK.lock());
         assert!(!enabled());
         lock_acquired("x", 0x7);
         lock_released(0x7); // must not panic, and must not leak held state
+        drop(no_session);
         let s = Session::new();
         lock_acquired("y", 0x8);
         lock_released(0x8);
