@@ -1,6 +1,6 @@
 //! Repo-invariant lints for the sssp workspace, enforced in CI.
 //!
-//! Seven invariants, all checked by plain line-level source scanning (no
+//! Eight invariants, all checked by plain line-level source scanning (no
 //! external parser — the scans are deliberately syntactic so the tool
 //! has zero dependencies and sub-second runtime):
 //!
@@ -50,6 +50,14 @@
 //!    a guard it already holds. Deliberate inversions carry a
 //!    `LOCKORDER: <reason>` comment. The static half of the deadlock
 //!    story — racecheck's acquisition-order graph is the dynamic half.
+//! 8. **`hot-path-static`** — no `static` atomic in the solve path
+//!    (`crates/core/src/{stepping,reqbuf,pull,prepared}.rs`,
+//!    `crates/gblas/src/direction.rs`): a run's counts and knobs belong
+//!    to the run, so a process-wide cell there is either shared memory
+//!    every concurrent run writes or a setting that steers runs it was
+//!    not set for. An audited exception carries a
+//!    `lint:allow(hot-path-static): <reason>` comment, with a reason, on
+//!    the same line or in the contiguous comment block above.
 //!
 //! Scanned roots: `crates/`, `src/`, `tests/`, `examples/`. Excluded:
 //! `vendor/` (third-party stubs), `target/`, and `crates/analyze` itself
@@ -1280,6 +1288,72 @@ pub fn lint_lock_order(files: &[SourceFile], order_src: &str) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
+// Lint 8: process-wide atomics on the solve path
+// ---------------------------------------------------------------------------
+
+const HOT_STATIC_SUPPRESSION: &str = "lint:allow(hot-path-static)";
+
+/// Modules every run executes per round or per prepared graph, where a
+/// `static` atomic is process-wide state that concurrent runs share.
+pub fn is_solve_path(rel: &str) -> bool {
+    matches!(
+        rel,
+        "crates/core/src/stepping.rs"
+            | "crates/core/src/reqbuf.rs"
+            | "crates/core/src/pull.rs"
+            | "crates/core/src/prepared.rs"
+            | "crates/gblas/src/direction.rs"
+    )
+}
+
+/// Whether `raw` carries the suppression marker followed by `: <reason>`.
+fn has_static_audit(raw: &str) -> bool {
+    raw.split_once(HOT_STATIC_SUPPRESSION)
+        .and_then(|(_, rest)| rest.strip_prefix(':'))
+        .is_some_and(|reason| !reason.trim().is_empty())
+}
+
+/// A `static` whose type names an atomic, in a solve-path file, must
+/// carry `lint:allow(hot-path-static): <reason>` on the same line or in
+/// the contiguous comment/attribute block directly above.
+pub fn lint_hot_path_statics(f: &SourceFile) -> Vec<Finding> {
+    if !is_solve_path(&f.rel) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (idx, raw) in f.lines.iter().enumerate() {
+        let code = code_portion(raw);
+        let decl = code.trim_start();
+        let decl = ["pub(crate) ", "pub "]
+            .into_iter()
+            .find_map(|vis| decl.strip_prefix(vis))
+            .unwrap_or(decl);
+        if !(decl.starts_with("static ") && code.contains("Atomic")) {
+            continue;
+        }
+        let mut audited = has_static_audit(raw);
+        let mut j = idx;
+        while !audited && j > 0 && is_comment_or_attr(&f.lines[j - 1]) {
+            j -= 1;
+            audited = has_static_audit(&f.lines[j]);
+        }
+        if !audited {
+            out.push(Finding {
+                file: f.rel.clone(),
+                line: idx + 1,
+                lint: "hot-path-static",
+                message: format!(
+                    "process-wide atomic in a solve-path module — count into the run's \
+                     profile or pass the setting to the run; add \
+                     `{HOT_STATIC_SUPPRESSION}: <reason>` if audited"
+                ),
+            });
+        }
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
 // Scanner + driver
 // ---------------------------------------------------------------------------
 
@@ -1345,6 +1419,7 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, String> {
     for f in &files {
         findings.extend(lint_safety(f));
         findings.extend(lint_hot_path_locks(f));
+        findings.extend(lint_hot_path_statics(f));
     }
     findings.extend(lint_atomics(&files, &allowlist));
     findings.extend(lint_lock_order(&files, &lock_order));
@@ -1565,6 +1640,56 @@ reason = "heuristic counter, never load-acquired"
             let split = sf(file, "use std::sync::Mutex;\n");
             assert_eq!(lint_hot_path_locks(&split).len(), 1, "{file}");
         }
+    }
+
+    // -- lint 8 ----------------------------------------------------------
+
+    #[test]
+    fn flags_static_atomics_on_the_solve_path_unless_audited() {
+        let bad = sf(
+            "crates/core/src/stepping.rs",
+            "use std::sync::atomic::AtomicU64;\n\
+             static ROUNDS: AtomicU64 = AtomicU64::new(0);\n\
+             pub(crate) static KNOB: AtomicUsize = AtomicUsize::new(0);\n",
+        );
+        let fs = lint_hot_path_statics(&bad);
+        assert_eq!(fs.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 3]);
+        assert!(fs.iter().all(|f| f.lint == "hot-path-static"));
+
+        // Audited on the line above (through a doc comment and a
+        // continued reason) or on the same line.
+        let ok = sf(
+            "crates/gblas/src/direction.rs",
+            "/// Doc.\n\
+             // lint:allow(hot-path-static): pinned shell, written once per run;\n\
+             // the reason may run on\n\
+             static A: AtomicU64 = AtomicU64::new(0);\n\
+             static B: AtomicU64 = AtomicU64::new(0); // lint:allow(hot-path-static): shell\n",
+        );
+        assert!(lint_hot_path_statics(&ok).is_empty());
+
+        // A marker without a reason is no audit, and one audit covers
+        // only the static it sits on.
+        let bare = sf(
+            "crates/core/src/pull.rs",
+            "// lint:allow(hot-path-static)\nstatic C: AtomicU64 = AtomicU64::new(0);\n\
+             // lint:allow(hot-path-static): one build per pass\n\
+             static D: AtomicU64 = AtomicU64::new(0);\n\
+             static E: AtomicU64 = AtomicU64::new(0);\n",
+        );
+        let fs = lint_hot_path_statics(&bare);
+        assert_eq!(fs.iter().map(|f| f.line).collect::<Vec<_>>(), [2, 5]);
+
+        // Plain statics and `'static` lifetimes pass, and so does an
+        // atomic outside the solve path.
+        let fine = sf(
+            "crates/core/src/prepared.rs",
+            "static NAMES: [&str; 1] = [\"a\"];\nimpl PreparedGraph<'static> {}\n",
+        );
+        assert!(lint_hot_path_statics(&fine).is_empty());
+        let elsewhere =
+            sf("crates/core/src/budget.rs", "static T: AtomicU64 = AtomicU64::new(0);\n");
+        assert!(lint_hot_path_statics(&elsewhere).is_empty());
     }
 
     // -- lint 4 ----------------------------------------------------------

@@ -120,23 +120,6 @@ pub fn gate_extras(scale: SuiteScale) -> Vec<Dataset> {
     }
 }
 
-/// Pins the density oracle for the duration of a measurement block and
-/// restores automatic selection even if a sample panics.
-struct ForcedDirection;
-
-impl ForcedDirection {
-    fn new(dir: Direction) -> Self {
-        direction::set_direction_override(Some(dir));
-        ForcedDirection
-    }
-}
-
-impl Drop for ForcedDirection {
-    fn drop(&mut self) {
-        direction::set_direction_override(None);
-    }
-}
-
 /// Run the baseline workloads at `scale` with `threads` workers.
 pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
     let pool = ThreadPool::with_threads(threads).expect("thread count validated by CLI");
@@ -151,13 +134,12 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
         let dj = dijkstra::dijkstra(g, src);
         let fu = fused::delta_stepping_fused(g, src, DELTA);
         let mut engine = SsspEngine::new(g);
-        direction::reset_decision_counters();
-        let (im, _) = engine
+        let (im, profile) = engine
             .run_parallel_improved(&pool, src, DELTA, &mut RunBudget::unlimited())
             .expect("suite graphs are valid");
         // One run's worth of oracle decisions, recorded on the auto entry
         // so the committed baseline shows which graphs actually switch.
-        let decisions = direction::decision_counters();
+        let decisions = (profile.push_epochs, profile.pull_epochs);
         assert_eq!(fu.dist, dj.dist, "{}: fused disagrees with Dijkstra", d.name);
         assert_eq!(im.dist, dj.dist, "{}: improved disagrees with Dijkstra", d.name);
         assert_eq!(im.stats, fu.stats, "{}: stats drift", d.name);
@@ -196,7 +178,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
         // cost) against the pre-direction-optimization behaviour is a
         // committed number per graph.
         {
-            let _pin = ForcedDirection::new(Direction::Push);
+            engine.force_direction(Some(Direction::Push));
             let (pu, _) = engine
                 .run_parallel_improved(&pool, src, DELTA, &mut RunBudget::unlimited())
                 .expect("already ran once above");
@@ -212,6 +194,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
                 reps,
             );
             entries.push(entry("improved-push", threads, ms(t), pu.stats.clone()));
+            engine.force_direction(None);
         }
 
         // The engine already holds the Δ=1 split from the correctness

@@ -1032,8 +1032,8 @@ mod tests {
     /// The ladder table: {fresh, resume} × {panic on rung 1, the same with
     /// the token cancelled meanwhile, panic on both rungs, pooled without
     /// a pool} × {classic, Δ*}. Rung-1 panics are the taskpool fault hook
-    /// firing inside the pooled relaxation kernels (forced onto the pool
-    /// by the threshold override); the sequential rung has no hook, so
+    /// firing inside the pooled relaxation kernels (a session's pool runs
+    /// them as tasks at every size); the sequential rung has no hook, so
     /// its panic is raised by the call the ladder is handed.
     #[test]
     fn ladder_degrades_fresh_and_resumed_jobs_alike() {
@@ -1055,9 +1055,7 @@ mod tests {
                     let token = CancelToken::new();
                     let deadline = Some(Duration::from_secs(3600));
                     let mut budget = RunBudget::for_job(&g, 1.0, &guard, deadline, Some(&token));
-                    let mut session = taskpool::fault::TestSession::begin();
-                    session.on_end(|| crate::reqbuf::set_relax_threshold_override(None));
-                    crate::reqbuf::set_relax_threshold_override(Some(1));
+                    let _session = taskpool::fault::TestSession::begin();
                     let pool = (fault != NoPool).then(|| ThreadPool::with_threads(2).unwrap());
                     let mut engine = SsspEngine::new(&g);
                     let cp = resume.then(|| {

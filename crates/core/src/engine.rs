@@ -36,6 +36,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use gblas::Direction;
 use graphdata::CsrGraph;
 use taskpool::ThreadPool;
 
@@ -47,11 +48,11 @@ use crate::result::SsspResult;
 use crate::split_cache::SplitCache;
 use crate::stats::PhaseProfile;
 use crate::stepping::{
-    stepping_resume_with, stepping_with, SteppingStrategy, SteppingWorkspace,
+    stepping_loop, stepping_resume_with, SteppingStrategy, SteppingWorkspace,
 };
 
-/// Split and extraction counters of one engine, exposed for tests and
-/// bench reporting.
+/// Split, extraction and direction counters of one engine, exposed for
+/// tests and bench reporting.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Splits this engine built (a slot miss on its prepared graph).
@@ -66,6 +67,10 @@ pub struct EngineStats {
     /// per solve on road-like graphs, where a scan of the whole distance
     /// vector per step would be n × steps.
     pub extraction_scanned: u64,
+    /// Light rounds that pushed and pulled, summed like
+    /// `extraction_scanned`: a budget-stopped run's rounds count too.
+    pub push_epochs: u64,
+    pub pull_epochs: u64,
 }
 
 /// The prepared graph an engine runs on: its own, or one a caller keeps
@@ -146,6 +151,8 @@ pub struct SsspEngine<'g> {
     prep: Prepared<'g>,
     ws: Workspace<'g>,
     stats: EngineStats,
+    /// Every run's light-round direction; `None` lets the oracle choose.
+    forced: Option<Direction>,
 }
 
 impl<'g> SsspEngine<'g> {
@@ -153,7 +160,7 @@ impl<'g> SsspEngine<'g> {
     /// over the weights and one weight-sorted copy of its adjacency.
     pub fn new(g: &'g CsrGraph) -> Self {
         let prep = Prepared::Own(Box::new(PreparedGraph::new(g)));
-        SsspEngine { prep, ws: Workspace::default(), stats: EngineStats::default() }
+        SsspEngine { prep, ws: Workspace::default(), stats: EngineStats::default(), forced: None }
     }
 
     /// [`SsspEngine::new`], kept for the benchmark harness: `cache` is
@@ -171,7 +178,16 @@ impl<'g> SsspEngine<'g> {
             prep: Prepared::Lent(prep),
             ws: Workspace::Lent(ws),
             stats: EngineStats::default(),
+            forced: None,
         }
+    }
+
+    /// Pin every light round of this engine's runs to `forced` (`None`:
+    /// the oracle chooses). Distances and stats stay the same; for
+    /// benchmarks and tests.
+    #[doc(hidden)]
+    pub fn force_direction(&mut self, forced: Option<Direction>) {
+        self.forced = forced;
     }
 
     /// The prepared graph this engine runs on.
@@ -262,8 +278,9 @@ impl<'g> SsspEngine<'g> {
         }
         let (split, filter_time) = self.split_for(delta);
         let view = split.on(&self.prep);
+        let ws = self.ws.begin_run();
         let outcome =
-            stepping_with(view, source, delta, strategy, pool, budget, self.ws.begin_run());
+            stepping_loop(view, source, delta, strategy, pool, self.forced, budget, ws, None);
         self.finish_run(outcome, filter_time)
     }
 
@@ -280,19 +297,25 @@ impl<'g> SsspEngine<'g> {
         cp.validate(self.prep.num_vertices())?;
         let (split, filter_time) = self.split_for(cp.delta);
         let view = split.on(&self.prep);
-        let outcome = stepping_resume_with(view, cp, pool, budget, self.ws.begin_run());
+        let ws = self.ws.begin_run();
+        let outcome = stepping_resume_with(view, cp, pool, self.forced, budget, ws);
         self.finish_run(outcome, filter_time)
     }
 
-    /// Leave the workspace, fold the run's extraction work into the
-    /// counters (stopped runs did the work too) and charge it the split
-    /// build this engine paid.
+    /// Leave the workspace, fold the run's extraction work and light
+    /// rounds into the counters (stopped runs did the work too), add its
+    /// rounds to the process-wide [`gblas::direction::decision_counters`]
+    /// once, and charge it the split build this engine paid.
     fn finish_run(
         &mut self,
         outcome: Result<(SsspResult, PhaseProfile), SsspError>,
         filter_time: Duration,
     ) -> Result<(SsspResult, PhaseProfile), SsspError> {
-        self.stats.extraction_scanned += self.ws.end_run();
+        let tally = self.ws.end_run();
+        self.stats.extraction_scanned += tally.extraction_scanned;
+        self.stats.push_epochs += tally.push_epochs;
+        self.stats.pull_epochs += tally.pull_epochs;
+        gblas::direction::add_run_decisions(tally.push_epochs, tally.pull_epochs);
         let (result, mut profile) = outcome?;
         profile.matrix_filter += filter_time;
         Ok((result, profile))
@@ -711,6 +734,56 @@ mod tests {
         assert!(path.exists());
         assert!(!tmp.exists());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A unit-weight rmat and its highest-degree source: a run whose
+    /// light rounds the oracle sends both ways.
+    fn switching_graph() -> (CsrGraph, usize) {
+        let g = CsrGraph::from_edge_list(&gen::rmat(gen::RmatParams::graph500(9, 8), 3)).unwrap();
+        let source = (0..g.num_vertices()).max_by_key(|&v| g.out_degree(v)).unwrap();
+        (g, source)
+    }
+
+    fn rounds(profile: &PhaseProfile) -> (u64, u64) {
+        (profile.push_epochs, profile.pull_epochs)
+    }
+
+    #[test]
+    fn a_forced_direction_pins_every_round_both_ways_and_clears() {
+        let (g, src) = switching_graph();
+        let mut engine = SsspEngine::new(&g);
+        let budget = &mut RunBudget::unlimited();
+        let (auto, auto_profile) = engine.run_fused(src, 1.0, budget).unwrap();
+        let (push, pull) = rounds(&auto_profile);
+        assert!(push > 0 && pull > 0, "the oracle must switch: {push} push, {pull} pull");
+        let light = auto.stats.light_phases as u64;
+        assert_eq!(push + pull, light);
+        for (dir, expect) in [(Direction::Push, (light, 0)), (Direction::Pull, (0, light))] {
+            engine.force_direction(Some(dir));
+            let (r, profile) = engine.run_fused(src, 1.0, budget).unwrap();
+            assert_eq!(rounds(&profile), expect, "{dir:?}");
+            assert_eq!((r.dist, r.stats), (auto.dist.clone(), auto.stats.clone()), "{dir:?}");
+        }
+        engine.force_direction(None);
+        assert_eq!(rounds(&engine.run_fused(src, 1.0, budget).unwrap().1), (push, pull));
+    }
+
+    #[test]
+    fn engine_stats_sum_every_runs_rounds_stopped_ones_included() {
+        let (g, src) = switching_graph();
+        let mut engine = SsspEngine::new(&g);
+        let (_, full) = engine.run_fused(src, 1.0, &mut RunBudget::unlimited()).unwrap();
+        let cp = engine
+            .run_fused(src, 1.0, &mut RunBudget::unlimited().cancel_after(3))
+            .unwrap_err()
+            .into_checkpoint()
+            .unwrap();
+        let (_, rest) = engine.resume_stepping(None, &cp, &mut RunBudget::unlimited()).unwrap();
+        let (push, pull) = rounds(&full);
+        assert!(rest.push_epochs + rest.pull_epochs < push + pull, "the cut run made rounds");
+        // The cut run and its resume make the full run's rounds again.
+        let stats = engine.stats();
+        assert_eq!((stats.push_epochs, stats.pull_epochs), (2 * push, 2 * pull));
     }
 
     #[test]

@@ -34,18 +34,19 @@
 //! (plus `RACECHECK_SEED` and `RACECHECK_SCHEDULES`) so a CI hit
 //! reproduces locally without bisection.
 //!
-//! Exploration forces the relaxation threshold to 1
-//! ([`crate::reqbuf::set_relax_threshold_override`]) so that the fig-4
-//! sized graphs CI can afford still take the parallel producer/merge
-//! paths instead of short-circuiting to the sequential scatter.
+//! Each exploration creates its pool under the caller's [`TestSession`],
+//! and such a pool takes the parallel producer/merge paths at every size
+//! (see [`crate::reqbuf`]), so the fig-4 sized graphs CI can afford do
+//! not short-circuit to the sequential scatter.
 //!
-//! The schedule controller, the tracker and the threshold override are
-//! process-wide, so every entry point takes the caller's
-//! [`TestSession`]: explorations in one process run one at a time, and
-//! the controller acts only on the pool each exploration creates.
+//! The schedule controller and the tracker are process-wide, so every
+//! entry point takes the caller's [`TestSession`]: explorations in one
+//! process run one at a time, and the controller acts only on the pool
+//! each exploration creates.
 
 use std::ops::Range;
 
+use gblas::Direction;
 use graphdata::CsrGraph;
 use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
@@ -159,23 +160,6 @@ fn replay_hint(what: &str, seed: u64, budget: u32) {
     );
 }
 
-/// RAII: force the sequential/parallel cut-over to 1 for the duration of
-/// an exploration, restoring the default on drop (also on panic).
-struct ThresholdGuard;
-
-impl ThresholdGuard {
-    fn set() -> ThresholdGuard {
-        crate::reqbuf::set_relax_threshold_override(Some(1));
-        ThresholdGuard
-    }
-}
-
-impl Drop for ThresholdGuard {
-    fn drop(&mut self) {
-        crate::reqbuf::set_relax_threshold_override(None);
-    }
-}
-
 fn bits(dist: &[f64]) -> Vec<u64> {
     dist.iter().map(|d| d.to_bits()).collect()
 }
@@ -195,7 +179,6 @@ fn explore_schedules(
 ) -> ExploreReport {
     let ref_bits = bits(&reference.dist);
     let pool = ThreadPool::with_threads(cfg.threads.max(2)).expect("pool");
-    let _threshold = ThresholdGuard::set();
     // One session across all seeds (the session lock is not reentrant);
     // per-seed isolation comes from `reset`.
     let session = racecheck::Session::new();
@@ -258,9 +241,12 @@ pub fn explore(
 
 /// The production loop's pooled kernels under any strategy: distances
 /// *and* stats must equal the pool-less run of the same strategy on
-/// every schedule.
+/// every schedule. `forced` pins every light round to one direction
+/// (`Some(Direction::Pull)` explores the chunked pull kernel), `None`
+/// leaves it to the density oracle.
 pub fn explore_strategy(
     strategy: SteppingStrategy,
+    forced: Option<Direction>,
     g: &CsrGraph,
     source: usize,
     delta: f64,
@@ -269,7 +255,9 @@ pub fn explore_strategy(
 ) -> ExploreReport {
     let reference = delta_stepping_strategy(g, source, delta, strategy, None);
     explore_schedules(&reference, true, cfg, session, |pool| {
-        SsspEngine::new(g)
+        let mut engine = SsspEngine::new(g);
+        engine.force_direction(forced);
+        engine
             .run_stepping(Some(pool), source, delta, strategy, &mut RunBudget::unlimited())
             .ok()
             .map(|(result, _)| result)
@@ -346,7 +334,7 @@ mod tests {
         };
         let session = TestSession::begin();
         for report in [
-            explore_strategy(SteppingStrategy::DeltaStar(2.0), &g, 0, 1.0, &cfg, &session),
+            explore_strategy(SteppingStrategy::DeltaStar(2.0), None, &g, 0, 1.0, &cfg, &session),
             explore_cancel_resume(SteppingStrategy::Rho(4), &g, 0, 1.0, 2, &cfg, &session),
         ] {
             assert_eq!(report.schedules, 1);

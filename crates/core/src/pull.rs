@@ -62,12 +62,13 @@ use crate::INF;
 
 /// Vertex count below which the sequential scan beats task setup. The
 /// pull pass is `O(n)` in scan cost regardless of frontier size, so the
-/// cut-over is on `n`, not on frontier edges. Shares the process-wide
-/// override with [`crate::reqbuf`] so the schedule explorer forces the
-/// parallel branch here too.
+/// cut-over is on `n`, not on frontier edges. A test session's pool
+/// takes the parallel branch at every `n`, as it does in
+/// [`crate::reqbuf`].
 pub const SEQ_PULL_THRESHOLD: usize = 2_048;
 
 /// Pull index builds this process has made, over all graphs and splits.
+// lint:allow(hot-path-static): one bump per O(E) build, by any caller
 static BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Refuse a graph with `num_vertices` vertices unless every vertex id

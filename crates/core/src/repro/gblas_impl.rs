@@ -18,6 +18,7 @@
 //!   Rust borrows do not, so those two calls clone the aliased operand
 //!   first. SuiteSparse does the same internally.
 
+use gblas::direction::{self, Direction};
 use gblas::ops::{self, semiring, FnUnary, Identity, LOr, Lt, Min};
 use gblas::{Descriptor, Matrix, Vector};
 use graphdata::CsrGraph;
@@ -69,6 +70,18 @@ pub fn split_light_heavy_gblas(a: &Matrix<f64>, delta: f64) -> (Matrix<f64>, Mat
 /// weights must be strictly positive (see the module notes on the
 /// zero-weight mask caveat).
 pub fn sssp_delta_step(a: &Matrix<f64>, delta: f64, src: usize) -> SsspResult {
+    sssp_delta_step_directed(a, delta, src, None)
+}
+
+/// [`sssp_delta_step`] with every light `vxm` pinned to `forced` (`None`:
+/// the oracle chooses), for tests proving both directions bit-identical.
+#[doc(hidden)]
+pub fn sssp_delta_step_directed(
+    a: &Matrix<f64>,
+    delta: f64,
+    src: usize,
+    forced: Option<Direction>,
+) -> SsspResult {
     assert!(delta > 0.0 && delta.is_finite(), "delta must be positive and finite");
     assert_eq!(a.nrows(), a.ncols(), "adjacency matrix must be square");
     assert!(src < a.nrows(), "source out of bounds");
@@ -148,18 +161,19 @@ pub fn sssp_delta_step(a: &Matrix<f64>, delta: f64, src: usize) -> SsspResult {
             result.stats.light_phases += 1;
             // tReq = A_L' (min.+) (t .* tBi)  (line 43). Sparse frontiers
             // run the push `vxm`; dense ones (per the shared density
-            // oracle) run the pull form over the pre-transposed A_L —
-            // bit-identical for the (min,+) semiring, so the nvals-based
-            // stats are unchanged by the switch.
+            // oracle, unless the caller pinned a direction) run the pull
+            // form over the pre-transposed A_L — bit-identical for the
+            // (min,+) semiring, so the nvals-based stats are unchanged by
+            // the switch.
             let frontier_edges: usize =
                 t_masked.iter().map(|(v, _)| al.row(v).0.len()).sum();
-            match gblas::direction::choose(frontier_edges, al.nvals()) {
-                gblas::Direction::Pull => {
+            match forced.unwrap_or_else(|| direction::decide(frontier_edges, al.nvals())) {
+                Direction::Pull => {
                     let at = alt.get_or_insert_with(|| ops::transpose(&al));
                     ops::vxm_pull(&mut t_req, None, None, &min_plus, &t_masked, at, clear)
                         .expect("square matrix");
                 }
-                gblas::Direction::Push => {
+                Direction::Push => {
                     ops::vxm(&mut t_req, None, None, &min_plus, &t_masked, &al, clear)
                         .expect("square matrix");
                 }

@@ -30,8 +30,13 @@
 //! Buffers and the dense accumulator live in a [`RelaxWorkspace`] owned by
 //! the caller, so multi-run users (the engine, bench loops) pay the
 //! allocations once.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//!
+//! Small phases skip the tasks: below [`SEQ_RELAX_THRESHOLD`] frontier
+//! edges (or on a one-thread pool) the scatter runs inline. The cut-over
+//! is a function of the pool alone, with no process-wide knob: a pool
+//! created under a [`taskpool::fault::TestSession`] always takes the task
+//! path, so fault injection and schedule exploration reach the producer
+//! and merge code on graphs of any size.
 
 use taskpool::{scope_with_buffers, split_evenly, ThreadPool};
 
@@ -42,32 +47,19 @@ use crate::INF;
 /// setup + merge.
 pub const SEQ_RELAX_THRESHOLD: usize = 512;
 
-/// Process-wide override of the sequential/parallel cut-over (0 = unset).
-/// The schedule explorer sets this to 1 so that even the fig-4-sized
-/// graphs it runs take the parallel producer/merge path — otherwise every
-/// explored schedule would short-circuit to the sequential branch and
-/// prove nothing. Relaxed: a plain configuration cell read at phase
-/// start; it carries no data.
-static SEQ_THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Override (or clear, with `None`) the sequential/parallel cut-over used
-/// by every relaxation path that does not pass an explicit threshold.
-/// Tests set it under a [`taskpool::fault::TestSession`], which keeps
-/// them from overlapping.
-pub fn set_relax_threshold_override(threshold: Option<usize>) {
-    SEQ_THRESHOLD_OVERRIDE.store(threshold.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The cut-over currently in force on `pool`: the override if set, else
-/// `default` — or `usize::MAX` on a one-thread pool, whose tasks would
-/// only queue behind each other on its one thread. The override forces
-/// the task path at every width, so a fault armed at a pool task has a
-/// task to land in even there.
+/// The cut-over in force on `pool`: `default`, or `usize::MAX` on a
+/// one-thread pool, whose tasks would only queue behind each other on its
+/// one thread — or 1 on a pool created under a
+/// [`taskpool::fault::TestSession`], which takes the task path at every
+/// width and size so that a fault or schedule hook armed at its tasks has
+/// tasks to land in.
 pub(crate) fn effective_threshold(pool: &ThreadPool, default: usize) -> usize {
-    match SEQ_THRESHOLD_OVERRIDE.load(Ordering::Relaxed) {
-        0 if pool.num_threads() == 1 => usize::MAX,
-        0 => default,
-        t => t,
+    if pool.in_test_session() {
+        1
+    } else if pool.num_threads() == 1 {
+        usize::MAX
+    } else {
+        default
     }
 }
 

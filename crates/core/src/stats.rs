@@ -38,6 +38,11 @@ pub struct PhaseProfile {
     /// `relaxations` counts candidates offered and does not move with
     /// it. Filled by the stepping loop; the figure variants leave it 0.
     pub edges_scanned: u64,
+    /// Light rounds this run (a resume: its own rounds only) pushed and
+    /// pulled; the same at every thread count and pool-less. Filled by
+    /// the stepping loop; the figure variants leave them 0.
+    pub push_epochs: u64,
+    pub pull_epochs: u64,
 }
 
 impl PhaseProfile {
@@ -75,7 +80,7 @@ mod tests {
             matrix_filter: Duration::from_millis(40),
             relaxation: Duration::from_millis(50),
             vector_ops: Duration::from_millis(10),
-            edges_scanned: 0,
+            ..PhaseProfile::default()
         };
         assert_eq!(p.total(), Duration::from_millis(100));
         assert!((p.matrix_filter_fraction() - 0.4).abs() < 1e-9);

@@ -29,8 +29,9 @@
 //! separate heavy pass exists), and every improvement landing inside the
 //! open range re-enters the frontier — including heavy-edge
 //! improvements, which *can* land in-range once `k > 1`. Each light
-//! round asks the shared [`gblas::direction`] oracle whether to push the
-//! frontier's out-edges or pull the light in-edges ([`crate::pull`]).
+//! round pushes the frontier's out-edges or pulls the light in-edges
+//! ([`crate::pull`]), as the run's caller pinned or the shared
+//! [`gblas::direction`] oracle decides, and counts which into the run.
 //! When the range is empty the loop terminates with `bound` = ∞.
 //!
 //! Extraction (1) never reads the whole distance vector. It scans a
@@ -197,9 +198,8 @@ pub struct SteppingWorkspace {
     /// entries (improved below the bound since they joined) that the
     /// next extraction drops. Rebuilt at every loop entry.
     pending: Vec<usize>,
-    /// Pending entries examined by extractions since the last
-    /// [`SteppingWorkspace::end_run`].
-    extraction_scanned: u64,
+    /// What the run in flight has done, cleared at every loop entry.
+    tally: RunTally,
     /// Frontier bitmap for dense (pull) epochs — all-`false` between
     /// phases, set and cleared by iterating the (sparse) frontier.
     in_frontier: Vec<bool>,
@@ -229,13 +229,22 @@ impl SteppingWorkspace {
         self
     }
 
-    /// Leave a run (finished or budget-stopped), returning the pending
-    /// entries its extractions examined — what
-    /// [`crate::engine::EngineStats::extraction_scanned`] accumulates.
-    pub(crate) fn end_run(&mut self) -> u64 {
+    /// Leave a run (finished or budget-stopped), returning what its loop
+    /// did — what [`crate::engine::EngineStats`] accumulates.
+    pub(crate) fn end_run(&mut self) -> RunTally {
         self.in_use = false;
-        std::mem::take(&mut self.extraction_scanned)
+        std::mem::take(&mut self.tally)
     }
+}
+
+/// One run's pending entries examined by extractions and light rounds
+/// pushed / pulled, kept in its workspace so that a budget-stopped run,
+/// which returns no profile, still reports them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct RunTally {
+    pub(crate) extraction_scanned: u64,
+    pub(crate) push_epochs: u64,
+    pub(crate) pull_epochs: u64,
 }
 
 /// Run `strategy` once under `budget` on a fresh
@@ -269,23 +278,6 @@ pub fn delta_stepping_strategy(
         .0
 }
 
-/// The stepping loop over a prebuilt split and a caller-owned workspace
-/// — the [`crate::engine::SsspEngine`] entry point. `pool` of `None` runs
-/// the sequential relaxation kernels (bit-identical to every pooled
-/// thread count). The returned profile contains no `matrix_filter` time:
-/// the caller decides whether a cached split costs anything.
-pub fn stepping_with(
-    lh: SplitView<'_>,
-    source: usize,
-    delta: f64,
-    strategy: SteppingStrategy,
-    pool: Option<&ThreadPool>,
-    budget: &mut RunBudget,
-    ws: &mut SteppingWorkspace,
-) -> Result<(SsspResult, PhaseProfile), SsspError> {
-    stepping_loop(lh, source, delta, strategy, pool, budget, ws, None)
-}
-
 /// Resume an interrupted run from its checkpoint. The strategy, bound,
 /// and in-flight range come from the checkpoint's [`SteppingState`] (a
 /// checkpoint without one is classic at `bucket·Δ`); the continued run
@@ -295,6 +287,7 @@ pub fn stepping_resume_with(
     lh: SplitView<'_>,
     cp: &Checkpoint,
     pool: Option<&ThreadPool>,
+    forced: Option<Direction>,
     budget: &mut RunBudget,
     ws: &mut SteppingWorkspace,
 ) -> Result<(SsspResult, PhaseProfile), SsspError> {
@@ -305,7 +298,7 @@ pub fn stepping_resume_with(
         });
     }
     let strategy = cp.stepping.map_or(SteppingStrategy::Classic, |st| st.strategy);
-    stepping_loop(lh, cp.source, cp.delta, strategy, pool, budget, ws, Some(cp))
+    stepping_loop(lh, cp.source, cp.delta, strategy, pool, forced, budget, ws, Some(cp))
 }
 
 /// Relax `frontier`'s light or heavy edges into the request workspace,
@@ -327,15 +320,16 @@ fn relax(
     }
 }
 
-/// One light round's requests, `t_Req = A_L^T (t ∘ t_Bi)`: sparse
-/// frontiers push through the request buffers; dense ones (per the
-/// shared density oracle) pull the light in-edges against the frontier
-/// bitmap. The request vector is bit-identical either way (see
-/// [`crate::pull`]) — only the traversal order changes. `edges_scanned`
-/// grows by the edges the pass read: the frontier's light edges on a
-/// push, the in-edges the scan reached on a pull.
+/// One light round's requests, `t_Req = A_L^T (t ∘ t_Bi)`, returning the
+/// direction taken: sparse frontiers push through the request buffers;
+/// dense ones (per the density oracle, unless `forced`) pull the light
+/// in-edges against the frontier bitmap. The request vector is
+/// bit-identical either way (see [`crate::pull`]). `edges_scanned` grows
+/// by the edges the pass read: the frontier's light edges on a push, the
+/// in-edges the scan reached on a pull.
 #[allow(clippy::too_many_arguments)]
 fn relax_light(
+    forced: Option<Direction>,
     pool: Option<&ThreadPool>,
     lh: SplitView<'_>,
     dist: &[f64],
@@ -344,11 +338,13 @@ fn relax_light(
     rws: &mut RelaxWorkspace,
     relaxations: &mut u64,
     edges_scanned: &mut u64,
-) {
+) -> Direction {
     let frontier_edges: usize = frontier.iter().map(|&v| lh.light_degree(v)).sum();
-    if direction::choose(frontier_edges, lh.num_light()) == Direction::Push {
+    let dir = forced.unwrap_or_else(|| direction::decide(frontier_edges, lh.num_light()));
+    if dir == Direction::Push {
         *edges_scanned += frontier_edges as u64;
-        return relax(pool, lh, dist, frontier, true, rws, relaxations);
+        relax(pool, lh, dist, frontier, true, rws, relaxations);
+        return dir;
     }
     let mut lower = INF;
     for &v in frontier {
@@ -366,6 +362,7 @@ fn relax_light(
     // candidate set, though it reads fewer edges whenever a row stops at
     // its floor or a target is skipped.
     *relaxations += frontier_edges as u64;
+    dir
 }
 
 /// Fold the outstanding requests into `t` (`t = min(t, t_Req)`), pushing
@@ -492,14 +489,21 @@ fn close_phase(lap: &mut Instant, phase: &mut Duration) {
 }
 
 /// The loop: extract a range `[bound, threshold)` by the strategy's
-/// rule, drain it to a fixpoint, advance the bound, repeat.
+/// rule, drain it to a fixpoint, advance the bound, repeat — over a
+/// prebuilt split and a caller-owned workspace, the
+/// [`crate::engine::SsspEngine`] entry point. `pool` of `None` runs the
+/// sequential relaxation kernels (bit-identical to every pooled thread
+/// count), `forced` of `None` lets the oracle pick directions. The
+/// returned profile contains no `matrix_filter` time: the caller decides
+/// whether a cached split costs anything.
 #[allow(clippy::too_many_arguments)]
-fn stepping_loop(
+pub(crate) fn stepping_loop(
     lh: SplitView<'_>,
     source: usize,
     delta: f64,
     strategy: SteppingStrategy,
     pool: Option<&ThreadPool>,
+    forced: Option<Direction>,
     budget: &mut RunBudget,
     ws: &mut SteppingWorkspace,
     resume: Option<&Checkpoint>,
@@ -527,9 +531,10 @@ fn stepping_loop(
         scratch,
         in_frontier,
         pending,
-        extraction_scanned,
+        tally,
         in_use: _,
     } = ws;
+    *tally = RunTally::default();
     frontier.clear();
     settled.clear();
     // A warm workspace may hold another run's members (another source or
@@ -596,7 +601,7 @@ fn stepping_loop(
                 }
                 .stop(stop));
             }
-            *extraction_scanned += pending.len() as u64;
+            tally.extraction_scanned += pending.len() as u64;
             let extracted = extract_frontier(strategy, delta, t, bound, pending, frontier, scratch);
             close_phase(&mut lap, &mut profile.vector_ops);
             match extracted {
@@ -634,7 +639,8 @@ fn stepping_loop(
                     .stop(stop));
                 }
                 stats.light_phases += 1;
-                relax_light(
+                let taken = relax_light(
+                    forced,
                     pool,
                     lh,
                     t,
@@ -644,6 +650,10 @@ fn stepping_loop(
                     &mut stats.relaxations,
                     &mut profile.edges_scanned,
                 );
+                match taken {
+                    Direction::Push => tally.push_epochs += 1,
+                    Direction::Pull => tally.pull_epochs += 1,
+                }
                 if matches!(strategy, SteppingStrategy::Rho(_)) {
                     relax(pool, lh, t, frontier, false, rws, &mut stats.relaxations);
                 } else {
@@ -682,6 +692,8 @@ fn stepping_loop(
         bound = threshold;
     }
 
+    profile.push_epochs = tally.push_epochs;
+    profile.pull_epochs = tally.pull_epochs;
     Ok((result, profile))
 }
 
@@ -799,7 +811,8 @@ mod tests {
         let lh = split.on(&prep);
         let mut ws = SteppingWorkspace::default();
         let mut run = |strategy| {
-            stepping_with(lh, 0, 1.0, strategy, None, &mut RunBudget::unlimited(), &mut ws)
+            let unlimited = &mut RunBudget::unlimited();
+            stepping_loop(lh, 0, 1.0, strategy, None, None, unlimited, &mut ws, None)
                 .unwrap()
                 .0
         };
@@ -864,11 +877,9 @@ mod tests {
 
     #[test]
     fn pooled_and_sequential_paths_are_bit_identical() {
-        // Force the parallel producer/merge path even on this small
-        // graph.
-        let mut session = taskpool::fault::TestSession::begin();
-        session.on_end(|| crate::reqbuf::set_relax_threshold_override(None));
-        crate::reqbuf::set_relax_threshold_override(Some(1));
+        // A session's pools take the parallel producer/merge path even
+        // on this small graph.
+        let _session = taskpool::fault::TestSession::begin();
         let g = weighted_grid();
         let (prep, split) = prepared(&g, 0.5);
         let lh = split.on(&prep);
@@ -878,20 +889,22 @@ mod tests {
             SteppingStrategy::DeltaStar(3.0),
         ] {
             let mut ws = SteppingWorkspace::default();
-            let (seq, _) =
-                stepping_with(lh, 0, 0.5, strategy, None, &mut RunBudget::unlimited(), &mut ws)
-                    .unwrap();
+            let unlimited = &mut RunBudget::unlimited();
+            let (seq, _) = stepping_loop(lh, 0, 0.5, strategy, None, None, unlimited, &mut ws, None)
+                .unwrap();
             for threads in [1, 2, 4] {
                 let pool = ThreadPool::with_threads(threads).unwrap();
                 let mut ws = SteppingWorkspace::default();
-                let (par, _) = stepping_with(
+                let (par, _) = stepping_loop(
                     lh,
                     0,
                     0.5,
                     strategy,
                     Some(&pool),
+                    None,
                     &mut RunBudget::unlimited(),
                     &mut ws,
+                    None,
                 )
                 .unwrap();
                 assert_eq!(
@@ -920,19 +933,22 @@ mod tests {
         ] {
             let mut counting = RunBudget::unlimited();
             let (full, _) =
-                stepping_with(lh, 0, 0.5, strategy, None, &mut counting, &mut ws).unwrap();
+                stepping_loop(lh, 0, 0.5, strategy, None, None, &mut counting, &mut ws, None)
+                    .unwrap();
             let total_epochs = counting.ticks();
             assert!(total_epochs > 2, "{strategy}: want multiple epochs");
             for cut_on in [None, Some(&pool)] {
                 for k in 0..total_epochs {
-                    let err = stepping_with(
+                    let err = stepping_loop(
                         lh,
                         0,
                         0.5,
                         strategy,
                         cut_on,
+                        None,
                         &mut RunBudget::unlimited().cancel_after(k),
                         &mut ws,
+                        None,
                     )
                     .unwrap_err();
                     let cp = err.into_checkpoint().expect("cancellation carries a checkpoint");
@@ -948,6 +964,7 @@ mod tests {
                             lh,
                             &cp,
                             resume_on,
+                            None,
                             &mut RunBudget::unlimited(),
                             &mut ws,
                         )
@@ -981,16 +998,18 @@ mod tests {
         let classic = SteppingStrategy::Classic;
         let mut counting = RunBudget::unlimited();
         let (full, _) =
-            stepping_with(lh, 0, 0.3, classic, None, &mut counting, &mut ws).unwrap();
+            stepping_loop(lh, 0, 0.3, classic, None, None, &mut counting, &mut ws, None).unwrap();
         for k in 0..counting.ticks() {
-            let err = stepping_with(
+            let err = stepping_loop(
                 lh,
                 0,
                 0.3,
                 classic,
                 None,
+                None,
                 &mut RunBudget::unlimited().cancel_after(k),
                 &mut ws,
+                None,
             )
             .unwrap_err();
             let mut cp = err.into_checkpoint().unwrap();
@@ -1003,7 +1022,7 @@ mod tests {
                 cp.bucket = bucket_of(cp.dist[v], 0.3);
             }
             let (resumed, _) =
-                stepping_resume_with(lh, &cp, None, &mut RunBudget::unlimited(), &mut ws)
+                stepping_resume_with(lh, &cp, None, None, &mut RunBudget::unlimited(), &mut ws)
                     .unwrap();
             assert_eq!(resumed.dist, full.dist, "epoch {k}");
             assert_eq!(resumed.stats, full.stats, "epoch {k}");
@@ -1029,14 +1048,14 @@ mod tests {
         let mut foreign = cp.clone();
         foreign.resumable = false;
         assert!(matches!(
-            stepping_resume_with(lh, &foreign, None, &mut RunBudget::unlimited(), &mut ws),
+            stepping_resume_with(lh, &foreign, None, None, &mut RunBudget::unlimited(), &mut ws),
             Err(SsspError::InvalidCheckpoint { .. })
         ));
         let other = CsrGraph::from_edge_list(&path(4)).unwrap();
         let (other_prep, other_split) = prepared(&other, 1.0);
         let other_lh = other_split.on(&other_prep);
         assert!(matches!(
-            stepping_resume_with(other_lh, &cp, None, &mut RunBudget::unlimited(), &mut ws),
+            stepping_resume_with(other_lh, &cp, None, None, &mut RunBudget::unlimited(), &mut ws),
             Err(SsspError::InvalidCheckpoint { .. })
         ));
     }
@@ -1066,15 +1085,16 @@ mod tests {
         let (prep, split) = prepared(&cyc, 1.0);
         let mut ws = SteppingWorkspace::default();
         assert!(matches!(
-            stepping_with(
+            stepping_loop(
                 split.on(&prep),
                 0,
                 1.0,
                 SteppingStrategy::Rho(4),
                 None,
+                None,
                 &mut RunBudget::with_limit(1000),
                 &mut ws
-            ),
+            , None),
             Err(SsspError::IterationLimitExceeded { .. })
         ));
     }

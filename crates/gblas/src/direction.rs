@@ -20,12 +20,20 @@
 //! The threshold is recorded in `BENCH_sssp.json` by the bench harness;
 //! see DESIGN.md §14 for the measurement behind the default.
 //!
-//! A process-wide override (mirroring `reqbuf`'s relaxation-threshold
-//! override) lets benchmarks and tests force either direction; both
-//! kernels must produce bit-identical results, so the override can never
-//! change observable output — only speed.
+//! The oracle is pure: its input (the frontier's edge count) and its
+//! answer belong to the run that asks. A caller that must pin a
+//! direction — a benchmark timing forced push, a test proving both
+//! kernels bit-identical — passes `Some(direction)` to its own loop
+//! instead of consulting [`decide`], and each loop counts its own push
+//! and pull rounds (`PhaseProfile::{push_epochs, pull_epochs}` in
+//! `sssp_core`). Both kernels produce bit-identical results, so a pinned
+//! direction can never change observable output — only speed.
+//!
+//! [`decision_counters`] survives for the benchmark harness that reads
+//! it: a process-wide sum that engine runs add their totals to once per
+//! run, never once per round.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which way to run a frontier relaxation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,36 +54,16 @@ pub enum Direction {
 /// `direction` block and DESIGN.md §14.
 pub const PULL_EDGE_FRACTION_DENOM: usize = 8;
 
-/// `0` = auto (density decides), `1` = force push, `2` = force pull.
-static DIRECTION_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Phase-decision counters (test/bench instrumentation): how many times
-/// the oracle answered push / pull since the last reset. Monotonic and
-/// process-wide; only ever read by tests asserting that a workload
-/// actually crossed the switch boundary.
+/// Push / pull rounds summed over every run reported through
+/// [`add_run_decisions`] since the last reset. A shell for the benchmark
+/// harness: the facts live in each run's profile.
+// lint:allow(hot-path-static): pinned harness shell, written once per run
 static PUSH_DECISIONS: AtomicU64 = AtomicU64::new(0);
+// lint:allow(hot-path-static): pinned harness shell, written once per run
 static PULL_DECISIONS: AtomicU64 = AtomicU64::new(0);
 
-/// Force every oracle consultation to answer `Some(direction)`, or
-/// restore density-based auto selection with `None`.
-///
-/// Process-wide, like `reqbuf::set_relax_threshold_override`: benchmarks
-/// use it to time forced-push vs forced-pull, and the direction-sweep
-/// test uses it to prove both kernels are bit-identical (tests set it
-/// under a [`taskpool::fault::TestSession`], which keeps them from
-/// overlapping). No data is published through the flag, so `Relaxed`
-/// suffices.
-pub fn set_direction_override(forced: Option<Direction>) {
-    let code = match forced {
-        None => 0,
-        Some(Direction::Push) => 1,
-        Some(Direction::Pull) => 2,
-    };
-    DIRECTION_OVERRIDE.store(code, Ordering::Relaxed);
-}
-
-/// The pure density rule, before any override: pull iff the frontier
-/// carries at least `1/`[`PULL_EDGE_FRACTION_DENOM`] of `total_edges`.
+/// The density rule: pull iff the frontier carries at least
+/// `1/`[`PULL_EDGE_FRACTION_DENOM`] of `total_edges`.
 pub fn decide(frontier_edges: usize, total_edges: usize) -> Direction {
     if total_edges > 0
         && frontier_edges.saturating_mul(PULL_EDGE_FRACTION_DENOM) >= total_edges
@@ -86,31 +74,24 @@ pub fn decide(frontier_edges: usize, total_edges: usize) -> Direction {
     }
 }
 
-/// What the consumers call once per frontier epoch: [`decide`] unless an
-/// override is pinned, plus decision accounting.
-pub fn choose(frontier_edges: usize, total_edges: usize) -> Direction {
-    let chosen = match DIRECTION_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Direction::Push,
-        2 => Direction::Pull,
-        _ => decide(frontier_edges, total_edges),
-    };
-    match chosen {
-        Direction::Push => PUSH_DECISIONS.fetch_add(1, Ordering::Relaxed),
-        Direction::Pull => PULL_DECISIONS.fetch_add(1, Ordering::Relaxed),
-    };
-    chosen
+/// Add one finished run's `(push, pull)` round counts to the
+/// process-wide sums [`decision_counters`] reads. Called once per run by
+/// the engine that ran it.
+#[doc(hidden)]
+pub fn add_run_decisions(push: u64, pull: u64) {
+    PUSH_DECISIONS.fetch_add(push, Ordering::Relaxed);
+    PULL_DECISIONS.fetch_add(pull, Ordering::Relaxed);
 }
 
-/// Zero the decision counters (test instrumentation).
+/// Zero the process-wide sums.
 pub fn reset_decision_counters() {
     PUSH_DECISIONS.store(0, Ordering::Relaxed);
     PULL_DECISIONS.store(0, Ordering::Relaxed);
 }
 
-/// `(push, pull)` decisions since the last reset. Process-wide: under a
-/// parallel test runner other suites may bump these concurrently, so
-/// assertions should be monotone ("pull fired at least once"), never
-/// exact counts.
+/// `(push, pull)` rounds of the runs reported since the last reset.
+/// Process-wide: every run in the process adds to them, so a reader that
+/// wants one run's counts reads that run's profile instead.
 pub fn decision_counters() -> (u64, u64) {
     (
         PUSH_DECISIONS.load(Ordering::Relaxed),
@@ -121,16 +102,6 @@ pub fn decision_counters() -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taskpool::fault::TestSession;
-
-    /// The override is process-wide: hold the session while it is set,
-    /// and clear it when the session ends so a failing assertion can't
-    /// leak a forced direction into other tests in the same process.
-    fn override_session() -> TestSession {
-        let mut session = TestSession::begin();
-        session.on_end(|| set_direction_override(None));
-        session
-    }
 
     #[test]
     fn decide_switches_on_edge_fraction() {
@@ -148,26 +119,13 @@ mod tests {
     }
 
     #[test]
-    fn override_pins_both_ways_and_clears() {
-        let _session = override_session();
-        set_direction_override(Some(Direction::Pull));
-        assert_eq!(choose(0, 1_000_000), Direction::Pull);
-        set_direction_override(Some(Direction::Push));
-        assert_eq!(choose(1_000_000, 1), Direction::Push);
-        set_direction_override(None);
-        assert_eq!(choose(0, 1_000_000), Direction::Push);
-        assert_eq!(choose(1_000_000, 1), Direction::Pull);
-    }
-
-    #[test]
-    fn counters_accumulate_monotonically() {
-        let _session = override_session();
-        set_direction_override(None);
-        let (push0, pull0) = decision_counters();
-        choose(0, 100); // push
-        choose(100, 100); // pull
-        let (push1, pull1) = decision_counters();
-        assert!(push1 > push0);
-        assert!(pull1 > pull0);
+    fn the_shells_sum_what_runs_report() {
+        // The only writer in this test binary.
+        reset_decision_counters();
+        add_run_decisions(3, 0);
+        add_run_decisions(2, 5);
+        assert_eq!(decision_counters(), (5, 5));
+        reset_decision_counters();
+        assert_eq!(decision_counters(), (0, 0));
     }
 }

@@ -103,8 +103,8 @@ where
 /// selected by `u` (push: scatter into a dense accumulator, then sort
 /// the touched list), this scans every row `j` of `at` — the in-edges
 /// of output position `j` — against a bitmap of `u`'s stored entries:
-/// sequential reads, output produced in ascending order, no sort. The
-/// direction to use is [`crate::direction::choose`]'s call, on frontier
+/// sequential reads, output produced in ascending order, no sort. Which
+/// direction to take is [`crate::direction::decide`]'s call, on frontier
 /// density.
 ///
 /// Equivalence caveat: push folds products in frontier order, pull folds

@@ -1255,13 +1255,10 @@ mod tests {
                 },
                 ..ServerConfig::default()
             };
-            // The daemon's pool is created by `start`, under the session;
-            // the threshold override sends even this small grid's pooled
-            // relaxations through pool tasks (at every width), where the
-            // hook fires.
-            let mut session = taskpool::fault::TestSession::begin();
-            session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
-            sssp_core::reqbuf::set_relax_threshold_override(Some(1));
+            // The daemon's pool is created by `start`, under the session,
+            // so even this small grid's pooled relaxations run as pool
+            // tasks (at every width), where the hook fires.
+            let _session = taskpool::fault::TestSession::begin();
             let server = start(cfg, "127.0.0.1:0").unwrap();
             let mut c = connect_text(server.addr());
             let fp = load_grid(&mut c);

@@ -58,13 +58,14 @@ thread_local! {
 /// countdown ([`arm_panic_after`]) and the schedule controller
 /// ([`crate::sched::arm`]). Both act only on pools created by the thread
 /// that holds the session, so create the pools under test *after*
-/// [`TestSession::begin`]. Dropping the session disarms every hook of
-/// this crate and runs the resets registered with [`TestSession::on_end`]
-/// — also when the test panics.
+/// [`TestSession::begin`]; such pools report
+/// [`ThreadPool::in_test_session`](crate::ThreadPool::in_test_session),
+/// and their callers take their task paths however small the input.
+/// Dropping the session disarms every hook of this crate — also when the
+/// test panics.
 ///
 /// Tests only: no production path begins a session.
 pub struct TestSession {
-    resets: Vec<fn()>,
     _lock: MutexGuard<'static, ()>,
 }
 
@@ -74,23 +75,12 @@ impl TestSession {
     pub fn begin() -> TestSession {
         let lock = SESSION.lock().unwrap_or_else(PoisonError::into_inner);
         IN_SESSION.with(|c| c.set(true));
-        TestSession { resets: Vec::new(), _lock: lock }
-    }
-
-    /// Run `reset` when the session ends. For process-wide test overrides
-    /// that live above this crate (the relaxation cut-over, the direction
-    /// oracle): set them under the session and register the call that
-    /// clears them.
-    pub fn on_end(&mut self, reset: fn()) {
-        self.resets.push(reset);
+        TestSession { _lock: lock }
     }
 }
 
 impl Drop for TestSession {
     fn drop(&mut self) {
-        for reset in &self.resets {
-            reset();
-        }
         disarm();
         crate::sched::disarm();
         IN_SESSION.with(|c| c.set(false));
@@ -230,19 +220,25 @@ mod tests {
     }
 
     #[test]
-    fn session_end_runs_registered_resets_even_on_panic() {
-        static RESETS: AtomicI64 = AtomicI64::new(0);
+    fn session_end_disarms_even_on_panic() {
         let unwound = std::panic::catch_unwind(|| {
-            let mut session = TestSession::begin();
-            session.on_end(|| {
-                RESETS.fetch_add(1, Ordering::SeqCst);
-            });
+            let _session = TestSession::begin();
+            arm_panic_after(5);
             panic!("test body failed");
         });
         assert!(unwound.is_err());
-        assert_eq!(RESETS.load(Ordering::SeqCst), 1);
+        assert!(!countdown_armed(), "the unwound session disarmed its countdown");
         // The poisoned session lock does not wedge the next session.
         drop(TestSession::begin());
+    }
+
+    #[test]
+    fn only_a_sessions_pools_are_marked() {
+        let outside = crate::ThreadPool::with_threads(1).unwrap();
+        let _session = TestSession::begin();
+        let inside = crate::ThreadPool::with_threads(1).unwrap();
+        assert!(!outside.in_test_session());
+        assert!(inside.in_test_session());
     }
 
     #[test]

@@ -156,6 +156,12 @@ impl ThreadPool {
         self.shared.panicked_tasks.load(Ordering::SeqCst)
     }
 
+    /// Created under a [`crate::fault::TestSession`]: the test hooks act
+    /// on this pool, so its callers take their task paths at every size.
+    pub fn in_test_session(&self) -> bool {
+        self.shared.in_test_session
+    }
+
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
     }

@@ -144,21 +144,13 @@ fn cancellation_at_every_epoch_is_certified_and_resumable_real_weights() {
     cancel_everywhere(&g, 1, 0.5);
 }
 
-/// Open the fault session of a panic-injection test. The hook fires on
-/// this session's pools only, so the rest of the suite runs next to it
-/// untouched; the threshold override sends even this small grid's pooled
-/// relaxations through pool tasks, at every pool width, so the hook has
-/// tasks to fire in.
-fn fault_session() -> TestSession {
-    let mut session = TestSession::begin();
-    session.on_end(|| sssp_core::reqbuf::set_relax_threshold_override(None));
-    sssp_core::reqbuf::set_relax_threshold_override(Some(1));
-    session
-}
-
 #[test]
 fn panic_injection_at_every_task_boundary_degrades_to_exact_distances() {
-    let _session = fault_session();
+    // The hook fires on this session's pools only, so the rest of the
+    // suite runs next to it untouched; a session's pool runs even this
+    // small grid's pooled relaxations as tasks, at every pool width, so
+    // the hook has tasks to fire in.
+    let _session = TestSession::begin();
     let g = chaos_graph();
     let reference = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();
@@ -295,7 +287,7 @@ fn panic_then_budget_stop_still_yields_a_certified_checkpoint() {
     // (through a panic hook), so the retry stops at its first epoch, and
     // the partial result must still come back certified (not lost to the
     // panic path).
-    let _session = fault_session();
+    let _session = TestSession::begin();
     let g = chaos_graph();
     let full = dijkstra(&g, 0);
     let pool = ThreadPool::with_threads(pool_threads()).unwrap();

@@ -1,9 +1,14 @@
-//! Compile-only: every path and signature the frozen `benchmark/`
-//! harness takes from `crates/` (ROADMAP, "API pinned by the frozen
-//! harness"), spelled the way the harness spells it. `benchmark/` is its
-//! own workspace, so without this a move or rename that breaks it would
-//! pass `cargo test` at the root and fail only in the `benchmark-harness`
-//! CI job.
+//! Every path and signature the frozen `benchmark/` harness takes from
+//! `crates/` (ROADMAP, "API pinned by the frozen harness"), spelled the
+//! way the harness spells it: type-checking `the_harness_calls` is the
+//! test. `benchmark/` is its own workspace, so without this a move or
+//! rename that breaks it would pass `cargo test` at the root and fail
+//! only in the `benchmark-harness` CI job.
+//!
+//! One pinned shell is also checked at run time: the process-wide
+//! decision counters the harness reads around one pooled run must equal
+//! that run's own counts. No other test in this binary runs an engine,
+//! so nothing else adds to them.
 
 #![allow(dead_code)]
 
@@ -111,3 +116,19 @@ fn the_harness_calls(g: &CsrGraph, pool: &ThreadPool) -> Result<(), SsspError> {
 
 #[test]
 fn every_path_the_frozen_harness_names_still_compiles() {}
+
+/// The harness's `core.parallel_improved.{push,pull}_epochs` rows: reset,
+/// one `run_parallel_improved`, read.
+#[test]
+fn the_decision_counters_hold_exactly_one_runs_rounds() {
+    let g = CsrGraph::from_edge_list(&rmat(RmatParams::graph500(10, 8), 3)).unwrap();
+    let source = (0..g.num_vertices()).max_by_key(|&v| g.out_degree(v)).unwrap();
+    let pool = ThreadPool::with_threads(2).unwrap();
+    let mut engine = SsspEngine::new(&g);
+    reset_decision_counters();
+    let (_, profile) =
+        engine.run_parallel_improved(&pool, source, 1.0, &mut RunBudget::unlimited()).unwrap();
+    let counted = decision_counters();
+    assert_eq!(counted, (profile.push_epochs, profile.pull_epochs));
+    assert!(counted.0 > 0 && counted.1 > 0, "the run crosses the switch: {counted:?}");
+}

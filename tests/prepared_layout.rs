@@ -11,10 +11,10 @@
 //! door, and the pooled kernels at 1, 2 and 4 threads — forced onto the
 //! pool, pushing and pulling — must reproduce the sequential run's stats.
 //!
-//! The relaxation-threshold and direction overrides are process-global,
-//! so every pooled run here happens under one `TestSession`.
+//! The pooled runs happen under a `TestSession`, whose pools run every
+//! phase as pool tasks however small; each run pins its own direction.
 
-use gblas::direction::{self, Direction};
+use gblas::Direction;
 use graphdata::CsrGraph;
 use sssp_core::batch::{run_job, Job, JobOutcome};
 use sssp_core::dijkstra::dijkstra;
@@ -137,8 +137,11 @@ fn run(
     pool: Option<&ThreadPool>,
     delta: f64,
     strategy: SteppingStrategy,
+    forced: Option<Direction>,
 ) -> SsspResult {
-    SsspEngine::new(g)
+    let mut engine = SsspEngine::new(g);
+    engine.force_direction(forced);
+    engine
         .run_stepping(pool, 0, delta, strategy, &mut RunBudget::unlimited())
         .expect("valid input, unlimited budget")
         .0
@@ -180,7 +183,7 @@ fn edge_cases_match_dijkstra_bit_for_bit_through_the_engine_and_the_job_door() {
         for delta in deltas {
             for strategy in STRATEGIES {
                 let label = format!("{name}, delta {delta}, {strategy}");
-                assert_eq!(bits(&run(&g, None, delta, strategy).dist), truth, "{label}");
+                assert_eq!(bits(&run(&g, None, delta, strategy, None).dist), truth, "{label}");
                 let job = Job {
                     source: 0,
                     kernels: Kernels::Sequential,
@@ -204,13 +207,8 @@ fn edge_cases_match_dijkstra_bit_for_bit_through_the_engine_and_the_job_door() {
 
 #[test]
 fn edge_cases_give_the_same_stats_on_every_kernel_and_direction() {
-    let mut session = TestSession::begin();
-    session.on_end(|| {
-        sssp_core::reqbuf::set_relax_threshold_override(None);
-        direction::set_direction_override(None);
-    });
     // Every pooled phase goes through pool tasks, however small.
-    sssp_core::reqbuf::set_relax_threshold_override(Some(1));
+    let _session = TestSession::begin();
     let pools: Vec<ThreadPool> = [1, 2, 4]
         .into_iter()
         .map(|t| ThreadPool::with_threads(t).unwrap())
@@ -218,16 +216,14 @@ fn edge_cases_give_the_same_stats_on_every_kernel_and_direction() {
     for (name, g, deltas) in cases() {
         for delta in deltas {
             for strategy in STRATEGIES {
-                direction::set_direction_override(Some(Direction::Push));
-                let reference = run(&g, None, delta, strategy);
+                let reference = run(&g, None, delta, strategy, Some(Direction::Push));
                 for forced in [Direction::Push, Direction::Pull] {
-                    direction::set_direction_override(Some(forced));
                     for pool in &pools {
                         let label = format!(
                             "{name}, delta {delta}, {strategy}, {forced:?}, {} threads",
                             pool.num_threads()
                         );
-                        let pooled = run(&g, Some(pool), delta, strategy);
+                        let pooled = run(&g, Some(pool), delta, strategy, Some(forced));
                         assert_eq!(bits(&pooled.dist), bits(&reference.dist), "{label}");
                         assert_eq!(pooled.stats, reference.stats, "{label}");
                     }

@@ -236,7 +236,7 @@ fn every_strategy_is_race_free_on_the_pooled_loop() {
     let g = small_graph();
     let cfg = env_config();
     for strategy in STRATEGIES {
-        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg, &session);
+        let report = explore_strategy(strategy, None, &g, 0, 1.0, &cfg, &session);
         assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
         assert!(
             report.is_clean(),
@@ -252,19 +252,17 @@ fn every_strategy_is_race_free_on_the_pooled_loop() {
 #[test]
 fn forced_pull_dense_kernel_is_race_free_across_schedules() {
     // Drive the dense-pull parallel kernel — not the push scatter — under
-    // adversarial schedules. The explore harness already forces the
-    // sequential/parallel cut-over to 1, so pinning the density oracle to
-    // Pull puts every light phase on the chunked pull path, whose
-    // per-element hooks (`sssp.dist` reads, `pull.req` writes) the
-    // tracker then orders against the fork/join events.
-    let mut session = TestSession::begin();
-    session.on_end(|| gblas::direction::set_direction_override(None));
-    gblas::direction::set_direction_override(Some(gblas::Direction::Pull));
-
+    // adversarial schedules. The session's pool already takes the
+    // parallel paths at every size, so pinning the runs to Pull puts
+    // every light phase on the chunked pull path, whose per-element hooks
+    // (`sssp.dist` reads, `pull.req` writes) the tracker then orders
+    // against the fork/join events.
+    let session = TestSession::begin();
     let g = small_graph();
     let cfg = env_config();
+    let pull = Some(gblas::Direction::Pull);
     for strategy in STRATEGIES {
-        let report = explore_strategy(strategy, &g, 0, 1.0, &cfg, &session);
+        let report = explore_strategy(strategy, pull, &g, 0, 1.0, &cfg, &session);
         assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
         assert!(
             report.is_clean(),
