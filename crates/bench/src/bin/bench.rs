@@ -16,7 +16,8 @@
 //!                       unless given explicitly)
 //!   --check PATH        compare this run against a committed baseline;
 //!                       exits non-zero if a deterministic SsspStats
-//!                       counter drifted or a baseline row is missing
+//!                       counter or push/pull epoch count drifted or a
+//!                       baseline row is missing
 //!                       (wall times are information, never compared)
 //!   --refresh-results   also regenerate the results/*.csv and
 //!                       results/*.json files for every experiment at the
@@ -127,7 +128,10 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot parse baseline {path}: {e}"));
         let report = baseline::check_against(&doc, &entries);
         if report.passed() {
-            println!("\ncheck against {path}: OK (stats and row presence; no timings compared)");
+            println!(
+                "\ncheck against {path}: OK (stats, direction counts and row presence; \
+                 no timings compared)"
+            );
         } else {
             println!("\ncheck against {path}: FAILED");
             for f in &report.failures {

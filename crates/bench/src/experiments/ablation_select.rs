@@ -141,7 +141,9 @@ mod tests {
 
     #[test]
     fn smoke_three_way() {
-        let rows = run(SuiteScale::Smoke, Reps { warmup: 0, samples: 1 });
+        // Best of five after a warm-up: one cold sample of a microsecond
+        // solve is at the mercy of whatever else the machine is doing.
+        let rows = run(SuiteScale::Smoke, Reps { warmup: 1, samples: 5 });
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.select_speedup > 0.0 && r.fused_speedup > 0.0);

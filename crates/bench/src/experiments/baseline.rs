@@ -16,7 +16,8 @@
 //! All three are cross-checked for identical distances and stats (the
 //! kernels and the direction switch must be invisible) before anything
 //! is timed. The committed file is a **stats** baseline: `--check`
-//! compares the deterministic counters and row presence only, and the
+//! compares the deterministic counters (the auto rows' push / pull epoch
+//! counts included) and row presence only, and the
 //! wall times ride along as information — timing is `BENCHMARK.json`'s
 //! job.
 
@@ -274,6 +275,9 @@ impl CheckReport {
 /// * **Stats** — the counters ([`SsspStats`]) are bit-deterministic, so
 ///   any `(scale, graph, impl)` present on both sides must match
 ///   *exactly*; a drift means the algorithm changed behaviour.
+/// * **Direction counts** — a row that carries `push_epochs` /
+///   `pull_epochs` (the auto-direction `improved` rows) must match them
+///   exactly too: the oracle's choices are as deterministic as the stats.
 /// * **Presence** — a datapoint the baseline has but the fresh run is
 ///   missing fails when the fresh run covered that scale at all (a
 ///   `--smoke` run legitimately skips the default-scale section).
@@ -329,6 +333,23 @@ pub fn check_against(baseline: &Json, fresh: &[BenchEntry]) -> CheckReport {
                          (stats are deterministic)"
                     ));
                 }
+            }
+        }
+        let fresh_directions =
+            e.directions.map_or([None, None], |(push, pull)| [Some(push), Some(pull)]);
+        for (name, have) in ["push_epochs", "pull_epochs"].iter().zip(fresh_directions) {
+            let Some(want) = base.get(name).and_then(Json::as_u64) else {
+                continue;
+            };
+            match have {
+                Some(have) if have == want => {}
+                Some(have) => report.failures.push(format!(
+                    "{scale}/{graph}/{impl_name}: {name} drifted from {want} to {have} \
+                     (direction choices are deterministic)"
+                )),
+                None => report.failures.push(format!(
+                    "{scale}/{graph}/{impl_name}: {name} missing from fresh run"
+                )),
             }
         }
     }
@@ -407,5 +428,24 @@ mod tests {
             check_against(&baseline_doc, &[mk("fused", 0.1, 100), mk("improved", 0.1, 101)]);
         assert_eq!(report.failures.len(), 1, "{:?}", report.failures);
         assert!(report.failures[0].contains("drifted"));
+    }
+
+    #[test]
+    fn check_flags_direction_count_drift() {
+        let with_directions = |directions| BenchEntry { directions, ..mk("improved", 0.1, 100) };
+        let baseline_doc = to_document(&[mk("fused", 0.1, 100), with_directions(Some((11, 2)))]);
+        let same =
+            check_against(&baseline_doc, &[mk("fused", 0.1, 100), with_directions(Some((11, 2)))]);
+        assert!(same.passed(), "{:?}", same.failures);
+        // Same stats, one more pull epoch: the direction oracle moved.
+        let moved =
+            check_against(&baseline_doc, &[mk("fused", 0.1, 100), with_directions(Some((10, 3)))]);
+        assert_eq!(moved.failures.len(), 2, "{:?}", moved.failures);
+        assert!(moved.failures[0].contains("push_epochs drifted from 11 to 10"));
+        assert!(moved.failures[1].contains("pull_epochs drifted from 2 to 3"));
+        // A row that stopped recording its directions is flagged too.
+        let lost = check_against(&baseline_doc, &[mk("fused", 0.1, 100), with_directions(None)]);
+        assert_eq!(lost.failures.len(), 2, "{:?}", lost.failures);
+        assert!(lost.failures.iter().all(|f| f.contains("missing")));
     }
 }

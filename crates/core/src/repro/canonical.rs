@@ -68,9 +68,13 @@ pub fn delta_stepping_canonical(g: &CsrGraph, source: usize, delta: f64) -> Sssp
     buckets.insert(source, 0);
 
     let mut requests: Vec<(usize, f64)> = Vec::new();
+    // Membership of S, all-false between buckets.
+    let mut in_settled = vec![false; n];
     while let Some(i) = buckets.min_bucket() {
         result.stats.buckets_processed += 1;
-        // S: vertices that have left bucket i this round (deleted set).
+        // S: vertices that have left bucket i this round (deleted set) —
+        // a set, `S ∪ B[i]`: a vertex that re-enters bucket i is listed
+        // once, so the heavy phase relaxes it once, at its final distance.
         let mut settled: Vec<usize> = Vec::new();
         // Inner loop: light-edge phases until B[i] stays empty.
         loop {
@@ -87,7 +91,11 @@ pub fn delta_stepping_canonical(g: &CsrGraph, source: usize, delta: f64) -> Sssp
                     requests.push((w, tv + c));
                 }
             }
-            settled.extend_from_slice(&batch);
+            for &v in &batch {
+                if !std::mem::replace(&mut in_settled[v], true) {
+                    settled.push(v);
+                }
+            }
             for &(v, x) in &requests {
                 relax(v, x, delta, &mut result, &mut buckets);
             }
@@ -96,6 +104,7 @@ pub fn delta_stepping_canonical(g: &CsrGraph, source: usize, delta: f64) -> Sssp
         result.stats.heavy_phases += 1;
         requests.clear();
         for &v in &settled {
+            in_settled[v] = false;
             let tv = result.dist[v];
             for &(w, c) in &adj.heavy[v] {
                 requests.push((w, tv + c));

@@ -22,6 +22,10 @@
 //!    so downstream bookkeeping order is identical whatever the frontier
 //!    size or thread count.
 //!
+//! A heavy row offers only the candidates that improve `dist[u]`, the
+//! test the drain applies anyway; a light row offers all of them (see
+//! `offer_row`).
+//!
 //! Distances are bit-identical across thread counts: candidates are
 //! `dist[v] + w` with finite non-negative weights (preflight rejects the
 //! rest), and `min` over the same multiset of finite candidates yields the
@@ -182,6 +186,36 @@ fn offer(req: &mut [f64], touched: &mut Vec<usize>, u: usize, cand: f64) {
     }
 }
 
+/// Emit `(u, tv + w)` for the edges of one light or heavy row. A heavy
+/// row emits only the candidates below `dist[u]`: that is the test
+/// `apply_requests` applies to the merged minimum, and `dist` does not
+/// move before the drain, so a dropped candidate was always a no-op. A
+/// light row emits every candidate. Either way the caller counts the
+/// whole row as relaxations.
+#[inline]
+fn offer_row(
+    row: &[(usize, f64)],
+    tv: f64,
+    dist: &[f64],
+    use_light: bool,
+    mut emit: impl FnMut(usize, f64),
+) {
+    if use_light {
+        for &(u, w) in row {
+            emit(u, tv + w);
+        }
+        return;
+    }
+    for &(u, w) in row {
+        let cand = tv + w;
+        #[cfg(feature = "racecheck")]
+        racecheck::plain_read("sssp.dist", &dist[u] as *const f64);
+        if cand < dist[u] {
+            emit(u, cand);
+        }
+    }
+}
+
 /// The sequential scatter alone, for callers without a thread pool (the
 /// generalized stepping loop's pool-less path). Identical output contract
 /// to [`relax_buffered`] — same offers into the accumulator, touched list
@@ -196,15 +230,13 @@ pub fn relax_sequential(
     ws: &mut RelaxWorkspace,
     relaxations: &mut u64,
 ) {
+    let RelaxWorkspace { req, touched, .. } = ws;
     for &v in frontier {
-        let tv = dist[v];
-        let edges = if use_light { lh.light(v) } else { lh.heavy(v) };
-        for &(u, w) in edges {
-            offer(&mut ws.req, &mut ws.touched, u, tv + w);
-        }
-        *relaxations += edges.len() as u64;
+        let row = if use_light { lh.light(v) } else { lh.heavy(v) };
+        offer_row(row, dist[v], dist, use_light, |u, c| offer(req, touched, u, c));
+        *relaxations += row.len() as u64;
     }
-    ws.touched.sort_unstable();
+    touched.sort_unstable();
 }
 
 /// Relax the light or heavy edges of `frontier` into the workspace's
@@ -259,17 +291,15 @@ pub fn relax_buffered_with_threshold(
         return;
     }
     if nnz < threshold {
+        let RelaxWorkspace { req, touched, .. } = ws;
         for &v in frontier {
-            let tv = dist[v];
             let row = edges(v);
-            for &(u, w) in row {
-                offer(&mut ws.req, &mut ws.touched, u, tv + w);
-            }
+            offer_row(row, dist[v], dist, use_light, |u, c| offer(req, touched, u, c));
             // Counted per completed vertex, matching the parallel path's
             // per-completed-chunk accounting.
             *relaxations += row.len() as u64;
         }
-        ws.touched.sort_unstable();
+        touched.sort_unstable();
         return;
     }
 
@@ -292,12 +322,11 @@ pub fn relax_buffered_with_threshold(
                 taskpool::sched::yield_point();
                 racecheck::plain_read("sssp.dist", &dist[v] as *const f64);
             }
-            let tv = dist[v];
             let row = edges(v);
-            for &(u, w) in row {
+            offer_row(row, dist[v], dist, use_light, |u, c| {
                 buf.tgt.push(u);
-                buf.cand.push(tv + w);
-            }
+                buf.cand.push(c);
+            });
             processed += row.len() as u64;
         }
         buf.processed = processed;
@@ -403,6 +432,48 @@ mod tests {
         let mut got = vec![INF; n];
         ws.drain_requests(|u, c| got[u] = c);
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn heavy_rows_offer_only_improving_candidates() {
+        let (g, split, dist, frontier) = workload();
+        let lh = split.on(&g);
+        let n = g.num_vertices();
+        // Reference: every heavy candidate folded, then the drain's test.
+        let mut expect = vec![INF; n];
+        let mut expect_relax = 0u64;
+        for &v in &frontier {
+            for &(u, w) in lh.heavy(v) {
+                expect_relax += 1;
+                expect[u] = expect[u].min(dist[v] + w);
+            }
+        }
+        let improving: Vec<(usize, u64)> = (0..n)
+            .filter(|&u| expect[u] < dist[u])
+            .map(|u| (u, expect[u].to_bits()))
+            .collect();
+        assert!(!improving.is_empty());
+        assert!(
+            (0..n).any(|u| expect[u] != INF && expect[u] >= dist[u]),
+            "want targets whose every heavy candidate is dropped"
+        );
+        let pool = ThreadPool::with_threads(4).unwrap();
+        for threshold in [None, Some(usize::MAX), Some(0)] {
+            let mut ws = RelaxWorkspace::new(n);
+            let mut relax = 0u64;
+            match threshold {
+                None => relax_sequential(lh, &dist, &frontier, false, &mut ws, &mut relax),
+                Some(t) => relax_buffered_with_threshold(
+                    &pool, lh, &dist, &frontier, false, &mut ws, &mut relax, t,
+                ),
+            }
+            // Every heavy edge still counts; only improving targets are
+            // touched, each with the full fold's minimum.
+            assert_eq!(relax, expect_relax, "{threshold:?}");
+            let mut got = Vec::new();
+            ws.drain_requests(|u, c| got.push((u, c.to_bits())));
+            assert_eq!(got, improving, "{threshold:?}");
+        }
     }
 
     #[test]

@@ -13,7 +13,12 @@ pub struct SsspStats {
     pub light_phases: usize,
     /// Heavy-edge relaxation phases (one per emptied bucket).
     pub heavy_phases: usize,
-    /// Individual edge relaxations attempted.
+    /// Individual edge relaxations attempted: one per light edge of each
+    /// frontier entry per light round, and one per heavy edge of each
+    /// *distinct* settled vertex per heavy pass (the settled set `S` is a
+    /// set, so a vertex that re-entered the frontier is counted once).
+    /// A heavy candidate that cannot improve its target is counted but
+    /// never offered to the request merge.
     pub relaxations: u64,
     /// Relaxations that improved a tentative distance.
     pub improvements: u64,

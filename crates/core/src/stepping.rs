@@ -672,9 +672,15 @@ pub(crate) fn stepping_loop(
             // Heavy suffixes sit between light prefixes in one adjacency;
             // walking the settled rows in ascending order lets those reads
             // stream. Request order never changes a min-fold, so distances
-            // and stats are the unsorted walk's.
+            // are the unsorted walk's. `S` is a set, as the paper's
+            // `s = s ∨ t_B` makes it: a vertex that re-entered this
+            // range's frontier offers its heavy edges once, at its final
+            // `t[v]`, which every copy would have read. A checkpoint taken
+            // before this point holds the multiset; the resumed run
+            // dedups it here the same way.
             if lh.has_heavy_edges() {
                 settled.sort_unstable();
+                settled.dedup();
             }
             relax(pool, lh, t, settled, false, rws, &mut stats.relaxations);
             settled.clear();

@@ -11,7 +11,11 @@
 //!    every pool width, across repeated runs.
 //! 3. **Same loop, same answers** — classic on the one loop reproduces,
 //!    bit for bit, the `SsspStats` the deleted `fused_loop` /
-//!    `improved_loop` produced at the parent commit (golden literals).
+//!    `improved_loop` produced at the parent commit (golden literals),
+//!    and agrees with the canonical Meyer–Sanders loop on every phase
+//!    count and on `relaxations`, whose heavy pass relaxes the settled
+//!    *set* once (a hand-built re-entry pins the exact count, across
+//!    cancel/resume at every epoch).
 //! 4. **Cancellation chaos** — cancel classic, ρ- and Δ*-stepping runs
 //!    at *every* budget epoch the uninterrupted run passes through: the
 //!    checkpoint validates, everything it certifies is final, and both
@@ -162,9 +166,11 @@ fn golden_graphs() -> Vec<(&'static str, CsrGraph, usize)> {
 #[test]
 fn classic_reproduces_the_deleted_loops_stats_bit_for_bit() {
     // `[buckets_processed, light_phases, heavy_phases, relaxations,
-    // improvements]` recorded at the parent commit, where `fused_loop`
-    // (sequential) and `improved_loop` (1/2/4 threads, default and forced
-    // parallel relaxation) all agreed on each row. Δ = 0.1 and 0.3 are
+    // improvements]` recorded where `fused_loop` (sequential) and
+    // `improved_loop` (1/2/4 threads, default and forced parallel
+    // relaxation) all agreed on each row. The `relaxations` column counts
+    // the heavy pass over the settled *set*, and is the canonical loop's
+    // (see `canonical_is_the_stats_oracle_for_classic`). Δ = 0.1 and 0.3 are
     // where `x < (b+1)·Δ` and `⌊x/Δ⌋ == b` part ways (0.6 / 0.1 is
     // bucket 5, yet 0.6 < 5·0.1 + 0.1 is false), so the decimal-edges
     // rows hold only while the loop's range test *is* the
@@ -179,13 +185,13 @@ fn classic_reproduces_the_deleted_loops_stats_bit_for_bit() {
         ("grid-9x7-unit", 1.0, [15, 15, 15, 220, 62]),
         ("grid-9x7-unit", 2.5, [6, 15, 6, 220, 62]),
         ("gnm-150-w", 0.1, [19, 19, 19, 1768, 267]),
-        ("gnm-150-w", 0.3, [7, 12, 7, 1790, 235]),
-        ("gnm-150-w", 1.0, [2, 8, 2, 1990, 201]),
+        ("gnm-150-w", 0.3, [7, 12, 7, 1773, 235]),
+        ("gnm-150-w", 1.0, [2, 8, 2, 1872, 201]),
         ("gnm-150-w", 2.5, [1, 8, 1, 3191, 283]),
         ("rmat-8-w", 0.1, [28, 31, 28, 2506, 372]),
-        ("rmat-8-w", 0.3, [11, 18, 11, 2826, 295]),
-        ("rmat-8-w", 1.0, [4, 12, 4, 3977, 340]),
-        ("rmat-8-w", 2.5, [2, 9, 2, 5591, 473]),
+        ("rmat-8-w", 0.3, [11, 18, 11, 2544, 295]),
+        ("rmat-8-w", 1.0, [4, 12, 4, 3027, 340]),
+        ("rmat-8-w", 2.5, [2, 9, 2, 5125, 473]),
         ("skips", 0.1, [4, 5, 4, 5, 5]),
         ("skips", 0.3, [4, 5, 4, 5, 5]),
         ("skips", 1.0, [3, 5, 3, 5, 5]),
@@ -217,6 +223,110 @@ fn classic_reproduces_the_deleted_loops_stats_bit_for_bit() {
             assert_eq!(bits(&r.dist), oracle, "{label}");
         }
     }
+}
+
+/// The counters the canonical loop and the classic strategy share: all
+/// but `improvements`, which canonical counts per sequential relax and
+/// the stepping loop per merged request.
+fn phase_counts(s: &SsspStats) -> [u64; 4] {
+    [s.buckets_processed as u64, s.light_phases as u64, s.heavy_phases as u64, s.relaxations]
+}
+
+#[test]
+fn canonical_is_the_stats_oracle_for_classic() {
+    // Two independent codings of one algorithm: explicit buckets and a
+    // settled set on one side, the pending-set loop over a weight-sorted
+    // split on the other. Both relax each settled vertex's heavy edges
+    // once per bucket, so their phase and relaxation counts must agree
+    // wherever vertices re-enter a bucket (small Δ, weighted graphs).
+    use sssp_core::repro::canonical::delta_stepping_canonical;
+    let pools: Vec<ThreadPool> =
+        THREADS.iter().map(|&t| ThreadPool::with_threads(t).expect("pool")).collect();
+    let graphs = golden_graphs();
+    for name in ["gnm-150-w", "rmat-8-w"] {
+        let (_, g, src) = graphs.iter().find(|(n, ..)| *n == name).expect("golden graph");
+        let oracle = bits(&dijkstra(g, *src).dist);
+        let mut engine = SsspEngine::new(g);
+        for delta in [0.05, 0.125, 0.3, 1.0] {
+            let canonical = delta_stepping_canonical(g, *src, delta);
+            assert_eq!(bits(&canonical.dist), oracle, "canonical on {name} Δ={delta}");
+            for pool in std::iter::once(None).chain(pools.iter().map(Some)) {
+                let (r, _) = engine
+                    .run_stepping(pool, *src, delta, SteppingStrategy::Classic, &mut RunBudget::unlimited())
+                    .expect("valid input");
+                let label =
+                    format!("{name} Δ={delta} at {:?} thread(s)", pool.map(ThreadPool::num_threads));
+                assert_eq!(phase_counts(&r.stats), phase_counts(&canonical.stats), "{label}");
+                assert_eq!(bits(&r.dist), oracle, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_re_entering_vertex_relaxes_its_heavy_edges_once_per_bucket() {
+    // Δ = 1. Bucket 0 drains in four light rounds: {0}, {1, 2}, {1}, {5}.
+    // Vertex 1 enters at 0.9, re-enters at 0.5 through 2, and its light
+    // edge then lowers 5 from 1.2 to 0.8, so the stop before the fourth
+    // round checkpoints the settled multiset [0, 1, 2, 1]. The heavy pass
+    // relaxes {0, 1, 2, 5}: 0's one heavy edge and 1's two, once each.
+    let g = CsrGraph::from_edge_list(&graphdata::EdgeList::from_triples(vec![
+        (0, 1, 0.9),
+        (0, 2, 0.2),
+        (2, 1, 0.3),
+        (1, 5, 0.3),
+        (0, 3, 7.0),
+        (1, 3, 5.5),
+        (1, 4, 2.0),
+        (4, 3, 0.6),
+    ]))
+    .unwrap();
+    let (src, delta) = (0, 1.0);
+    let oracle = bits(&dijkstra(&g, src).dist);
+    // Light rounds relax 2 + 2 + 1 + 0 edges in bucket 0 and one in
+    // bucket 2; the heavy pass 3, where one per settled entry would be 5.
+    let expect = SsspStats {
+        buckets_processed: 3,
+        light_phases: 6,
+        heavy_phases: 3,
+        relaxations: 9,
+        improvements: 8,
+    };
+    let canonical = sssp_core::repro::canonical::delta_stepping_canonical(&g, src, delta);
+    assert_eq!(phase_counts(&canonical.stats), phase_counts(&expect));
+    let pool = ThreadPool::with_threads(2).expect("pool");
+    let mut engine = SsspEngine::new(&g);
+    let mut counting = RunBudget::unlimited();
+    let (full, _) = engine
+        .run_stepping(None, src, delta, SteppingStrategy::Classic, &mut counting)
+        .expect("valid input");
+    assert_eq!(full.stats, expect);
+    assert_eq!(bits(&full.dist), oracle);
+    let (pooled, _) = engine
+        .run_stepping(Some(&pool), src, delta, SteppingStrategy::Classic, &mut RunBudget::unlimited())
+        .expect("valid input");
+    assert_eq!(pooled.stats, expect);
+
+    let mut stops_with_a_duplicate = 0;
+    for k in 0..counting.ticks() {
+        let cp = checkpoint_at(&mut engine, None, src, delta, SteppingStrategy::Classic, k);
+        let mut settled = cp.settled.clone();
+        settled.sort_unstable();
+        settled.dedup();
+        if settled.len() < cp.settled.len() {
+            assert_eq!(cp.stop_point, StopPoint::LightPhase, "epoch {k}");
+            stops_with_a_duplicate += 1;
+        }
+        for resume_on in [None, Some(&pool)] {
+            let (resumed, _) = engine
+                .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
+                .expect("resume must reconverge");
+            let label = format!("cut at epoch {k}, resumed pooled={}", resume_on.is_some());
+            assert_eq!(resumed.stats, expect, "{label}");
+            assert_eq!(bits(&resumed.dist), oracle, "{label}");
+        }
+    }
+    assert_eq!(stops_with_a_duplicate, 1, "one stop falls between the re-entry and the heavy pass");
 }
 
 /// Total budget checks an uninterrupted run performs.
