@@ -20,7 +20,9 @@ fn fig3(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(gblas_impl::sssp_delta_step(&a, 1.0, src)));
         });
         group.bench_with_input(BenchmarkId::new("select_gblas", &d.name), &d.name, |b, _| {
-            b.iter(|| std::hint::black_box(gblas_select::sssp_delta_step_select(&a, 1.0, src)));
+            b.iter(|| {
+                std::hint::black_box(gblas_select::sssp_delta_step_select(None, &a, 1.0, src))
+            });
         });
         group.bench_with_input(BenchmarkId::new("fused_direct", &d.name), &d.name, |b, _| {
             b.iter(|| std::hint::black_box(fused::delta_stepping_fused(g, src, 1.0)));

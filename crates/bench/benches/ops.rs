@@ -56,7 +56,7 @@ fn ops_bench(c: &mut Criterion) {
         let mut out = Vector::new(n);
         b.iter(|| {
             gblas::parallel::par_vxm(
-                &pool,
+                Some(&pool),
                 &mut out,
                 None,
                 None,
@@ -101,7 +101,7 @@ fn ops_bench(c: &mut Criterion) {
     group.bench_function("filter_par_select_4t", |b| {
         b.iter(|| {
             std::hint::black_box(gblas::parallel::par_select_matrix(
-                &pool,
+                Some(&pool),
                 &a,
                 0,
                 |_, _, w| w <= 1.0,

@@ -3,7 +3,7 @@
 //! improved-parallelism series (ABL-PARIMPROVED).
 //!
 //! By default the numbers come from the task-schedule simulation (see
-//! `sssp_core::repro::parallel_sim`), which is meaningful on any machine
+//! `sssp_core::repro::parallel`), which is meaningful on any machine
 //! including single-core containers. Pass `--wallclock` to time the real
 //! threaded implementations instead (needs actual cores).
 //!

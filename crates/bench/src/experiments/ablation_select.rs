@@ -61,7 +61,7 @@ pub fn run(scale: SuiteScale, reps: Reps) -> Vec<AblationRow> {
             let src = bench_source(g);
             let a = g.to_adjacency();
             let baseline = fused::delta_stepping_fused(g, src, delta);
-            let sel = gblas_select::sssp_delta_step_select(&a, delta, src);
+            let sel = gblas_select::sssp_delta_step_select(None, &a, delta, src);
             assert_eq!(sel.dist, baseline.dist, "{}: select disagrees", d.name);
             let two = gblas_impl::sssp_delta_step(&a, delta, src);
             assert_eq!(two.dist, baseline.dist, "{}: two-apply disagrees", d.name);
@@ -74,7 +74,8 @@ pub fn run(scale: SuiteScale, reps: Reps) -> Vec<AblationRow> {
             );
             let sel_t = measure_min(
                 || {
-                    std::hint::black_box(gblas_select::sssp_delta_step_select(&a, delta, src));
+                    let sel = gblas_select::sssp_delta_step_select(None, &a, delta, src);
+                    std::hint::black_box(sel);
                 },
                 reps,
             );

@@ -5,8 +5,9 @@
 //! **Measurement model.** The reproduction environment exposes a single
 //! CPU core, so thread speedup cannot appear as wall-clock time. The
 //! primary numbers therefore come from the task-schedule simulation
-//! ([`sssp_core::repro::parallel_sim`]): the run executes the same code
-//! sequentially, records every task's duration and the barrier structure,
+//! ([`sssp_core::repro::parallel::delta_stepping_simulated`]): the run
+//! executes the same loop one task after another, records every task's
+//! duration and the barrier structure,
 //! and the makespan on `T` workers is computed with an LPT scheduler.
 //! Two series per graph:
 //!
@@ -20,8 +21,7 @@
 
 use graphdata::{paper_suite, SuiteScale};
 use sssp_core::fused;
-use sssp_core::repro::parallel;
-use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
+use sssp_core::repro::parallel::{self, delta_stepping_simulated, TaskScheme};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
 use taskpool::ThreadPool;
 
@@ -79,10 +79,10 @@ pub fn run(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
 
             // Record one trace per scheme per sample; keep the trace with
             // the least total work (least timer noise).
-            let best_trace = |cfg: SimConfig| {
+            let best_trace = |scheme: TaskScheme| {
                 let mut best: Option<sssp_core::repro::schedule::ScheduleTrace> = None;
                 for _ in 0..reps.samples.max(1) {
-                    let (r, trace) = delta_stepping_simulated(g, src, delta, cfg);
+                    let (r, trace) = delta_stepping_simulated(g, src, delta, scheme);
                     assert_eq!(r.dist, baseline.dist, "{}: simulation disagrees", d.name);
                     let better = best
                         .as_ref()
@@ -93,8 +93,8 @@ pub fn run(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
                 }
                 best.expect("samples >= 1")
             };
-            let trace_paper = best_trace(SimConfig::paper());
-            let trace_improved = best_trace(SimConfig::improved());
+            let trace_paper = best_trace(TaskScheme::PaperTasks);
+            let trace_improved = best_trace(TaskScheme::Improved);
 
             let parallel_speedup = threads
                 .iter()

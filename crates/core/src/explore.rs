@@ -1,9 +1,9 @@
 //! Seeded bounded-preemption schedule exploration for the parallel
 //! implementations, driven by the `racecheck` happens-before tracker.
 //!
-//! [`crate::repro::parallel_sim`] records the task decomposition a threaded run
-//! *would* create; this module goes one step further and actually
-//! **permutes** it: with [`taskpool::sched`] armed, every scoped task of
+//! [`crate::repro::parallel::delta_stepping_simulated`] records the task
+//! decomposition a threaded run creates; this module goes one step further
+//! and actually **permutes** it: with [`taskpool::sched`] armed, every scoped task of
 //! a real run is executed under a controller that picks execution order
 //! (and, at instrumented chunk boundaries, mid-task preemption points)
 //! from a seeded RNG. Each `(seed, preemption budget)` pair is one

@@ -20,6 +20,8 @@
 //! Unlike the GraphBLAS version, state lives in dense arrays (`Vec<f64>`,
 //! `Vec<bool>`) exactly like the paper's direct C implementation.
 
+use std::ops::Range;
+
 use graphdata::CsrGraph;
 
 use crate::result::SsspResult;
@@ -48,32 +50,87 @@ pub struct LightHeavy {
 impl LightHeavy {
     /// Split `g`'s adjacency at threshold `delta` in one pass.
     pub fn build(g: &CsrGraph, delta: f64) -> Self {
-        let n = g.num_vertices();
+        Self::filter(g, delta, 0..g.num_vertices(), true, true)
+    }
+
+    /// The one light/heavy filter: the split of `rows` alone, keeping the
+    /// light side, the heavy side or both. A side not kept holds nothing,
+    /// offsets included, so [`Self::append`] skips it. [`Self::build`] is
+    /// the whole graph in one call; the Sec. VI-C loop
+    /// ([`crate::repro::parallel`]) runs it as tasks and appends the parts.
+    pub(crate) fn filter(
+        g: &CsrGraph,
+        delta: f64,
+        rows: Range<usize>,
+        light: bool,
+        heavy: bool,
+    ) -> Self {
+        let offsets = |kept: bool| {
+            let mut off = Vec::with_capacity(if kept { rows.len() + 1 } else { 0 });
+            if kept {
+                off.push(0);
+            }
+            off
+        };
         let mut lh = LightHeavy {
-            light_off: Vec::with_capacity(n + 1),
+            light_off: offsets(light),
             light_tgt: Vec::new(),
             light_w: Vec::new(),
-            heavy_off: Vec::with_capacity(n + 1),
+            heavy_off: offsets(heavy),
             heavy_tgt: Vec::new(),
             heavy_w: Vec::new(),
         };
-        lh.light_off.push(0);
-        lh.heavy_off.push(0);
-        for v in 0..n {
+        for v in rows {
             let (targets, weights) = g.neighbors(v);
             for (&t, &w) in targets.iter().zip(weights.iter()) {
                 if w <= delta {
-                    lh.light_tgt.push(t);
-                    lh.light_w.push(w);
-                } else {
+                    if light {
+                        lh.light_tgt.push(t);
+                        lh.light_w.push(w);
+                    }
+                } else if heavy {
                     lh.heavy_tgt.push(t);
                     lh.heavy_w.push(w);
                 }
             }
-            lh.light_off.push(lh.light_tgt.len());
-            lh.heavy_off.push(lh.heavy_tgt.len());
+            if light {
+                lh.light_off.push(lh.light_tgt.len());
+            }
+            if heavy {
+                lh.heavy_off.push(lh.heavy_tgt.len());
+            }
         }
         lh
+    }
+
+    /// Append the rows of `part` (a [`Self::filter`] of the rows that
+    /// follow this split's) side by side. A side `part` does not hold is
+    /// left as it is; a side with no rows yet takes `part`'s by move.
+    pub(crate) fn append(&mut self, part: LightHeavy) {
+        fn side(
+            (off, tgt, w): (&mut Vec<usize>, &mut Vec<usize>, &mut Vec<f64>),
+            (p_off, p_tgt, p_w): (Vec<usize>, Vec<usize>, Vec<f64>),
+        ) {
+            if p_off.is_empty() {
+                return;
+            }
+            if off.len() <= 1 {
+                (*off, *tgt, *w) = (p_off, p_tgt, p_w);
+                return;
+            }
+            let base = tgt.len();
+            off.extend(p_off[1..].iter().map(|o| o + base));
+            tgt.extend(p_tgt);
+            w.extend(p_w);
+        }
+        side(
+            (&mut self.light_off, &mut self.light_tgt, &mut self.light_w),
+            (part.light_off, part.light_tgt, part.light_w),
+        );
+        side(
+            (&mut self.heavy_off, &mut self.heavy_tgt, &mut self.heavy_w),
+            (part.heavy_off, part.heavy_tgt, part.heavy_w),
+        );
     }
 
     /// Heap bytes this split holds resident. Never zero:
@@ -153,6 +210,33 @@ mod tests {
         assert_eq!(lw, &[0.5]);
         let (ht, _) = lh.heavy(0);
         assert_eq!(ht, &[2]);
+    }
+
+    #[test]
+    fn filtered_parts_append_to_the_whole_split() {
+        let el = EdgeList::from_triples(vec![
+            (0, 1, 0.5),
+            (0, 2, 2.0),
+            (1, 2, 1.0),
+            (2, 0, 3.0),
+            (3, 1, 0.25),
+            (3, 0, 1.5),
+        ]);
+        let g = CsrGraph::from_edge_list(&el).unwrap();
+        let whole = LightHeavy::build(&g, 1.0);
+        let n = g.num_vertices();
+        // The paper's two tasks: one side each over every row.
+        let mut sides = LightHeavy::filter(&g, 1.0, 0..0, true, true);
+        sides.append(LightHeavy::filter(&g, 1.0, 0..n, true, false));
+        sides.append(LightHeavy::filter(&g, 1.0, 0..n, false, true));
+        assert_eq!(sides, whole);
+        // Row chunks: both sides over a few rows each.
+        let mut chunks = LightHeavy::filter(&g, 1.0, 0..0, true, true);
+        for rows in [0..1, 1..3, 3..3, 3..n] {
+            chunks.append(LightHeavy::filter(&g, 1.0, rows, true, true));
+        }
+        assert_eq!(chunks, whole);
+        assert_eq!(chunks.resident_bytes(), whole.resident_bytes());
     }
 
     #[test]

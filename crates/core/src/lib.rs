@@ -10,8 +10,8 @@
 //! |---|---|
 //! | [`stepping`] | the one stepping loop: classic Δ-stepping (the paper's **fused direct-C** implementation, Sec. VI-B, without a pool; its proposed improvement with one), ρ-stepping and Δ*-stepping ([`SteppingStrategy`]) |
 //! | [`prepared`] | the per-graph state every run reads: rows sorted by weight, the fingerprint, the weight verdict and maximum weight — and the graph's [`prepared::Split`]s, `A_L` / `A_H` as one partition point per row: one all-light split and one slot for the latest Δ with heavy edges |
-//! | [`fused`] | the sequential classic front door, and the copied [`fused::LightHeavy`] split the figure variants use |
-//! | [`reqbuf`], [`pull`] | the loop's relaxation kernels: contention-free request buffers (push) and the dense pull kernel |
+//! | [`fused`] | the sequential classic front door, and the copied [`fused::LightHeavy`] split (the one light/heavy filter of the figure variants) |
+//! | [`reqbuf`], [`pull`] | the loop's relaxation kernels: one push door over contention-free request buffers ([`reqbuf::relax`], pool or none) and the dense pull kernel |
 //! | [`engine`] | multi-run engine over a prepared graph and its splits, the workspace reused across calls (or lent by a serve worker slot) |
 //! | [`batch`] | the one job door ([`batch::run_job`]: resume-or-fresh, the two-rung degradation ladder, checkpoint persistence; a job is `{strategy, kernels}`, [`Kernels`]) and the multi-source [`BatchRunner`] over it |
 //! | [`budget`], [`guard`] | deadline / cancellation / epoch budgets, preflight validation, the error taxonomy |
@@ -19,10 +19,12 @@
 //! | [`delta`], [`result`], [`stats`], [`validate`] | Δ selection, the shared result type, counters and phase timing, the optimality certificate |
 //! | [`dijkstra`], [`bellman_ford`] | the classic baselines every variant is validated against |
 //!
-//! **The paper reproduction** — [`repro`]: the canonical bucket algorithm
-//! (Fig. 1), the unfused GraphBLAS listing (Fig. 2) and its `select` /
-//! parallel-library variants, the OpenMP-task scheme (Sec. VI-C) and the
-//! Fig. 4 schedule simulator. This is figure code: the figures need every
+//! **The paper reproduction** — [`repro`], one bucket loop per paper
+//! formulation: the canonical bucket algorithm (Fig. 1), the unfused
+//! GraphBLAS listing (Fig. 2), its `select` form (sequential, or on the
+//! parallel library kernels given a pool), and the OpenMP-task scheme
+//! (Sec. VI-C, run on a pool or recorded for the Fig. 4 schedule
+//! simulator). This is figure code: the figures need every
 //! one of them, the serving half runs none, and none takes a budget,
 //! emits a checkpoint or degrades. [`run`] is the only module that
 //! crosses the line: [`run::run_checked`] is the figure door to the five

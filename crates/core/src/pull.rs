@@ -321,7 +321,7 @@ pub fn pull_light_parallel(
 mod tests {
     use super::*;
     use crate::prepared::{PreparedGraph, Split};
-    use crate::reqbuf::{relax_buffered_with_threshold, RelaxWorkspace};
+    use crate::reqbuf::{relax, RelaxWorkspace};
     use graphdata::{gen, CsrGraph, EdgeList};
 
     /// A weighted graph with its rows in weight order, its split at
@@ -394,13 +394,10 @@ mod tests {
     ) -> (Vec<usize>, u64) {
         let lh = split.on(g);
         let n = g.num_vertices();
-        let pool = ThreadPool::with_threads(3).unwrap();
 
         let mut push_ws = RelaxWorkspace::new(n);
         let mut push_relax = 0u64;
-        relax_buffered_with_threshold(
-            &pool, lh, dist, frontier, true, &mut push_ws, &mut push_relax, 0,
-        );
+        relax(None, lh, dist, frontier, true, &mut push_ws, &mut push_relax);
         let push_touched: Vec<usize> = push_ws.touched().to_vec();
         let mut push_req = vec![INF; n];
         push_ws.drain_requests(|u, c| push_req[u] = c);

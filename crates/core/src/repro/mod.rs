@@ -1,14 +1,14 @@
 //! The paper-reproduction variants: every implementation a figure needs
 //! that the serving library does not run.
 //!
+//! One bucket loop per paper formulation:
+//!
 //! | module | paper artifact |
 //! |---|---|
 //! | [`canonical`] | Meyer–Sanders delta-stepping with explicit buckets (Fig. 1, right) |
 //! | [`gblas_impl`] | the **unfused GraphBLAS** implementation (Fig. 2, call-for-call) |
-//! | [`gblas_select`] | Fig. 2 with the Sec. VI-B single-pass `select` filter, still library calls |
-//! | [`gblas_parallel`] | the same formulation on the task-parallel kernels of [`gblas::parallel`] (Sec. VIII) |
-//! | [`parallel`] | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks + evenly-sized vector chunk tasks) |
-//! | [`parallel_sim`] (over [`schedule`]) | the Fig. 4 thread-scaling model: the task decomposition recorded, then replayed on `T` simulated workers |
+//! | [`gblas_select`] | Fig. 2 with the Sec. VI-B single-pass `select` filter, still library calls; given a pool, the same calls on the task-parallel kernels of [`gblas::parallel`] (Sec. VIII) |
+//! | [`parallel`] (over [`schedule`]) | the **OpenMP-task** parallel scheme (Sec. VI-C: 2 matrix-filter tasks + evenly-sized vector chunk tasks), run on a pool or recorded task by task for the Fig. 4 thread-scaling model, whose trace [`schedule`] replays on `T` simulated workers |
 //!
 //! This is figure code. A figure times a variant to completion and
 //! compares it with the reference, so nothing here takes a budget, emits
@@ -27,8 +27,6 @@
 
 pub mod canonical;
 pub mod gblas_impl;
-pub mod gblas_parallel;
 pub mod gblas_select;
 pub mod parallel;
-pub mod parallel_sim;
 pub mod schedule;

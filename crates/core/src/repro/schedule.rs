@@ -3,9 +3,9 @@
 //!
 //! The reproduction environment has a single CPU core, so the thread
 //! scaling of Fig. 4 cannot be observed as wall-clock time. Instead, the
-//! simulated implementations ([`super::parallel_sim`]) run the *same*
-//! computation sequentially while recording the task structure the
-//! threaded schemes would create — serial segments and barrier-separated
+//! Sec. VI-C loop ([`super::parallel::delta_stepping_simulated`]) runs the
+//! *same* computation one task after another while recording the task
+//! structure the threaded schemes create — serial segments and barrier-separated
 //! groups of independent tasks with their measured durations — and this
 //! module computes the makespan of that trace on any worker count with a
 //! longest-processing-time (LPT) greedy list scheduler (the classic

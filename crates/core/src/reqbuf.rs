@@ -1,10 +1,11 @@
 //! The contention-free request-buffer relaxation core.
 //!
 //! Both earlier parallel schemes funneled every relaxation product through
-//! shared state: [`crate::repro::parallel`] serializes the whole relaxation, and
-//! the original improved scheme (deleted; DESIGN §9 keeps its numbers)
-//! scattered into a dense `AtomicU64` request vector and collected touched
-//! lists under a `Mutex`. This module is the rebuild both Kranjčević et
+//! shared state: the paper's Sec. VI-C scheme ([`crate::repro::parallel`])
+//! serializes the whole relaxation, and the original improved scheme
+//! (deleted; DESIGN §9 keeps its numbers) scattered into a dense
+//! `AtomicU64` request vector and collected touched lists under a
+//! `Mutex`. This module is the rebuild both Kranjčević et
 //! al. ("Parallel Δ-Stepping for Shared Memory") and Dong et al.
 //! ("Efficient Stepping Algorithms") point to: **per-task sparse request
 //! buffers, merged deterministically at phase end**.
@@ -35,12 +36,14 @@
 //! the caller, so multi-run users (the engine, bench loops) pay the
 //! allocations once.
 //!
-//! Small phases skip the tasks: below [`SEQ_RELAX_THRESHOLD`] frontier
-//! edges (or on a one-thread pool) the scatter runs inline. The cut-over
-//! is a function of the pool alone, with no process-wide knob: a pool
-//! created under a [`taskpool::fault::TestSession`] always takes the task
-//! path, so fault injection and schedule exploration reach the producer
-//! and merge code on graphs of any size.
+//! One door, [`relax`], takes an `Option<&ThreadPool>`. Without a pool it
+//! is the sequential scatter and nothing else; with one, small phases
+//! skip the tasks too: below [`SEQ_RELAX_THRESHOLD`] frontier edges (or
+//! on a one-thread pool) the same scatter runs inline. The cut-over is a
+//! function of the pool alone, with no process-wide knob: a pool created
+//! under a [`taskpool::fault::TestSession`] always takes the task path,
+//! so fault injection and schedule exploration reach the producer and
+//! merge code on graphs of any size.
 
 use taskpool::{scope_with_buffers, split_evenly, ThreadPool};
 
@@ -134,7 +137,7 @@ impl RelaxWorkspace {
     /// frontier bitmap (see [`crate::pull`]). The drain-side contract is
     /// unchanged — `touched` comes out ascending and only touched entries
     /// ever need resetting — and the resulting request vector is
-    /// bit-identical to [`relax_buffered`]'s over the same frontier.
+    /// bit-identical to [`relax`]'s over the same frontier.
     /// Without a pool the scan is the sequential pass over the same
     /// accumulator. Returns the in-edges the scan read.
     pub fn pull_light(
@@ -216,68 +219,22 @@ fn offer_row(
     }
 }
 
-/// The sequential scatter alone, for callers without a thread pool (the
-/// generalized stepping loop's pool-less path). Identical output contract
-/// to [`relax_buffered`] — same offers into the accumulator, touched list
-/// sorted ascending — and bit-identical to both of its branches (see
-/// `touched_order_identical_across_branches`), so a pool-less run and a
-/// pooled run of the same loop agree exactly.
-pub fn relax_sequential(
-    lh: SplitView<'_>,
-    dist: &[f64],
-    frontier: &[usize],
-    use_light: bool,
-    ws: &mut RelaxWorkspace,
-    relaxations: &mut u64,
-) {
-    let RelaxWorkspace { req, touched, .. } = ws;
-    for &v in frontier {
-        let row = if use_light { lh.light(v) } else { lh.heavy(v) };
-        offer_row(row, dist[v], dist, use_light, |u, c| offer(req, touched, u, c));
-        *relaxations += row.len() as u64;
-    }
-    touched.sort_unstable();
-}
-
 /// Relax the light or heavy edges of `frontier` into the workspace's
-/// request accumulator using per-task sparse buffers.
-///
-/// On return `ws.touched()` lists the requested vertices in sorted order
-/// and `relaxations` has grown by the number of edge products actually
+/// request accumulator, the one push door of the stepping loop: the
+/// sequential scatter without a pool or below its cut-over, per-task
+/// sparse buffers merged in spawn order above it. Both make the same
+/// offers (see `touched_order_identical_across_branches`): on return
+/// `ws.touched()` lists the requested vertices in sorted order and
+/// `relaxations` has grown by the number of edge products actually
 /// completed.
-pub fn relax_buffered(
-    pool: &ThreadPool,
+pub fn relax(
+    pool: Option<&ThreadPool>,
     lh: SplitView<'_>,
     dist: &[f64],
     frontier: &[usize],
     use_light: bool,
     ws: &mut RelaxWorkspace,
     relaxations: &mut u64,
-) {
-    relax_buffered_with_threshold(
-        pool,
-        lh,
-        dist,
-        frontier,
-        use_light,
-        ws,
-        relaxations,
-        effective_threshold(pool, SEQ_RELAX_THRESHOLD),
-    )
-}
-
-/// [`relax_buffered`] with an explicit sequential/parallel cut-over (at
-/// any pool width), so tests can force the same input down both branches.
-#[allow(clippy::too_many_arguments)]
-pub fn relax_buffered_with_threshold(
-    pool: &ThreadPool,
-    lh: SplitView<'_>,
-    dist: &[f64],
-    frontier: &[usize],
-    use_light: bool,
-    ws: &mut RelaxWorkspace,
-    relaxations: &mut u64,
-    threshold: usize,
 ) {
     let edges = |v: usize| {
         if use_light {
@@ -286,23 +243,41 @@ pub fn relax_buffered_with_threshold(
             lh.heavy(v)
         }
     };
-    let nnz: usize = frontier.iter().map(|&v| edges(v).len()).sum();
-    if nnz == 0 {
-        return;
-    }
-    if nnz < threshold {
-        let RelaxWorkspace { req, touched, .. } = ws;
-        for &v in frontier {
-            let row = edges(v);
-            offer_row(row, dist[v], dist, use_light, |u, c| offer(req, touched, u, c));
-            // Counted per completed vertex, matching the parallel path's
-            // per-completed-chunk accounting.
-            *relaxations += row.len() as u64;
+    if let Some(pool) = pool {
+        let nnz: usize = frontier.iter().map(|&v| edges(v).len()).sum();
+        if nnz >= effective_threshold(pool, SEQ_RELAX_THRESHOLD) {
+            return relax_tasks(pool, lh, dist, frontier, use_light, ws, relaxations);
         }
-        touched.sort_unstable();
-        return;
     }
+    let RelaxWorkspace { req, touched, .. } = ws;
+    for &v in frontier {
+        let row = edges(v);
+        offer_row(row, dist[v], dist, use_light, |u, c| offer(req, touched, u, c));
+        // Counted per completed vertex, matching the parallel path's
+        // per-completed-chunk accounting.
+        *relaxations += row.len() as u64;
+    }
+    touched.sort_unstable();
+}
 
+/// [`relax`]'s task branch: produce into per-task buffers, merge them in
+/// spawn order.
+fn relax_tasks(
+    pool: &ThreadPool,
+    lh: SplitView<'_>,
+    dist: &[f64],
+    frontier: &[usize],
+    use_light: bool,
+    ws: &mut RelaxWorkspace,
+    relaxations: &mut u64,
+) {
+    let edges = |v: usize| {
+        if use_light {
+            lh.light(v)
+        } else {
+            lh.heavy(v)
+        }
+    };
     // Produce: one task per frontier chunk, each with an exclusive buffer.
     let pieces = (pool.num_threads() * 4).min(frontier.len());
     let ranges = split_evenly(0..frontier.len(), pieces);
@@ -353,6 +328,7 @@ mod tests {
     use super::*;
     use crate::prepared::{PreparedGraph, Split};
     use graphdata::{gen, CsrGraph};
+    use taskpool::fault::TestSession;
 
     /// A weighted graph with its rows in weight order, its split at
     /// Δ = 1, and a dist vector and frontier to relax.
@@ -371,38 +347,43 @@ mod tests {
         (g, split, dist, frontier)
     }
 
-    /// The satellite bug this module closes: the sequential fast path and
-    /// the parallel path must produce the *identically ordered* touched
-    /// list, so downstream bookkeeping cannot depend on frontier size or
-    /// thread count.
+    /// The pools that put [`relax`] on each of its pooled branches: a
+    /// one-thread pool made outside any session (it never spawns, so the
+    /// scatter runs inline), then a session and a `threads`-wide pool made
+    /// under it (it always spawns tasks). Hold the session while relaxing.
+    fn branch_pools(threads: usize) -> (ThreadPool, TestSession, ThreadPool) {
+        let inline = ThreadPool::with_threads(1).unwrap();
+        let session = TestSession::begin();
+        let tasks = ThreadPool::with_threads(threads).unwrap();
+        (inline, session, tasks)
+    }
+
+    /// The pool-less scatter, the inline branch and the task branch must
+    /// produce the *identically ordered* touched list, so downstream
+    /// bookkeeping cannot depend on frontier size or thread count.
     #[test]
     fn touched_order_identical_across_branches() {
         let (g, split, dist, frontier) = workload();
         let lh = split.on(&g);
-        let pool = ThreadPool::with_threads(4).unwrap();
+        let (inline, _session, tasks) = branch_pools(4);
 
         for use_light in [true, false] {
-            let mut seq_ws = RelaxWorkspace::new(dist.len());
-            let mut seq_relax = 0u64;
-            // Threshold usize::MAX forces the sequential branch.
-            relax_buffered_with_threshold(
-                &pool, lh, &dist, &frontier, use_light, &mut seq_ws, &mut seq_relax,
-                usize::MAX,
-            );
-            let mut par_ws = RelaxWorkspace::new(dist.len());
-            let mut par_relax = 0u64;
-            // Threshold 0 forces the parallel branch.
-            relax_buffered_with_threshold(
-                &pool, lh, &dist, &frontier, use_light, &mut par_ws, &mut par_relax, 0,
-            );
-            assert_eq!(seq_ws.touched(), par_ws.touched(), "use_light={use_light}");
-            assert_eq!(seq_relax, par_relax);
-            let mut seq_pairs = Vec::new();
-            seq_ws.drain_requests(|u, c| seq_pairs.push((u, c.to_bits())));
-            let mut par_pairs = Vec::new();
-            par_ws.drain_requests(|u, c| par_pairs.push((u, c.to_bits())));
-            assert_eq!(seq_pairs, par_pairs);
-            assert!(seq_ws.is_clean() && par_ws.is_clean());
+            let runs: Vec<_> = [None, Some(&inline), Some(&tasks)]
+                .into_iter()
+                .map(|pool| {
+                    let mut ws = RelaxWorkspace::new(dist.len());
+                    let mut relaxed = 0u64;
+                    relax(pool, lh, &dist, &frontier, use_light, &mut ws, &mut relaxed);
+                    let touched = ws.touched().to_vec();
+                    let mut pairs = Vec::new();
+                    ws.drain_requests(|u, c| pairs.push((u, c.to_bits())));
+                    assert!(ws.is_clean());
+                    (touched, relaxed, pairs)
+                })
+                .collect();
+            for run in &runs[1..] {
+                assert_eq!(run, &runs[0], "use_light={use_light}");
+            }
         }
     }
 
@@ -413,8 +394,8 @@ mod tests {
         let n = g.num_vertices();
         let pool = ThreadPool::with_threads(3).unwrap();
         let mut ws = RelaxWorkspace::new(n);
-        let mut relax = 0u64;
-        relax_buffered(&pool, lh, &dist, &frontier, true, &mut ws, &mut relax);
+        let mut relaxed = 0u64;
+        relax(Some(&pool), lh, &dist, &frontier, true, &mut ws, &mut relaxed);
 
         // Reference: dense min-fold.
         let mut expect = vec![INF; n];
@@ -428,7 +409,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(relax, expect_relax);
+        assert_eq!(relaxed, expect_relax);
         let mut got = vec![INF; n];
         ws.drain_requests(|u, c| got[u] = c);
         assert_eq!(got, expect);
@@ -457,22 +438,18 @@ mod tests {
             (0..n).any(|u| expect[u] != INF && expect[u] >= dist[u]),
             "want targets whose every heavy candidate is dropped"
         );
-        let pool = ThreadPool::with_threads(4).unwrap();
-        for threshold in [None, Some(usize::MAX), Some(0)] {
+        let (inline, _session, tasks) = branch_pools(4);
+        let branches = [("pool-less", None), ("inline", Some(&inline)), ("tasks", Some(&tasks))];
+        for (branch, pool) in branches {
             let mut ws = RelaxWorkspace::new(n);
-            let mut relax = 0u64;
-            match threshold {
-                None => relax_sequential(lh, &dist, &frontier, false, &mut ws, &mut relax),
-                Some(t) => relax_buffered_with_threshold(
-                    &pool, lh, &dist, &frontier, false, &mut ws, &mut relax, t,
-                ),
-            }
+            let mut relaxed = 0u64;
+            relax(pool, lh, &dist, &frontier, false, &mut ws, &mut relaxed);
             // Every heavy edge still counts; only improving targets are
             // touched, each with the full fold's minimum.
-            assert_eq!(relax, expect_relax, "{threshold:?}");
+            assert_eq!(relaxed, expect_relax, "{branch}");
             let mut got = Vec::new();
             ws.drain_requests(|u, c| got.push((u, c.to_bits())));
-            assert_eq!(got, improving, "{threshold:?}");
+            assert_eq!(got, improving, "{branch}");
         }
     }
 
@@ -481,13 +458,13 @@ mod tests {
         let (g, split, dist, frontier) = workload();
         let lh = split.on(&g);
         let mut reference: Option<(Vec<usize>, Vec<u64>)> = None;
+        // A session's pools take the task path at every width.
+        let _session = TestSession::begin();
         for threads in [1, 2, 4] {
             let pool = ThreadPool::with_threads(threads).unwrap();
             let mut ws = RelaxWorkspace::new(dist.len());
-            let mut relax = 0u64;
-            relax_buffered_with_threshold(
-                &pool, lh, &dist, &frontier, true, &mut ws, &mut relax, 0,
-            );
+            let mut relaxed = 0u64;
+            relax(Some(&pool), lh, &dist, &frontier, true, &mut ws, &mut relaxed);
             let touched = ws.touched().to_vec();
             let mut bits = Vec::new();
             ws.drain_requests(|_, c| bits.push(c.to_bits()));
@@ -505,15 +482,16 @@ mod tests {
     fn workspace_reuse_is_clean_between_phases() {
         let (g, split, dist, frontier) = workload();
         let lh = split.on(&g);
+        let _session = TestSession::begin();
         let pool = ThreadPool::with_threads(4).unwrap();
         let mut ws = RelaxWorkspace::new(dist.len());
-        let mut relax = 0u64;
-        relax_buffered_with_threshold(&pool, lh, &dist, &frontier, true, &mut ws, &mut relax, 0);
+        let mut relaxed = 0u64;
+        relax(Some(&pool), lh, &dist, &frontier, true, &mut ws, &mut relaxed);
         let mut first = Vec::new();
         ws.drain_requests(|u, c| first.push((u, c.to_bits())));
         assert!(ws.is_clean());
         // Second phase over the same inputs must see identical state.
-        relax_buffered_with_threshold(&pool, lh, &dist, &frontier, true, &mut ws, &mut relax, 0);
+        relax(Some(&pool), lh, &dist, &frontier, true, &mut ws, &mut relaxed);
         let mut second = Vec::new();
         ws.drain_requests(|u, c| second.push((u, c.to_bits())));
         assert_eq!(first, second);
@@ -525,9 +503,9 @@ mod tests {
         let lh = split.on(&g);
         let pool = ThreadPool::with_threads(2).unwrap();
         let mut ws = RelaxWorkspace::new(dist.len());
-        let mut relax = 0u64;
-        relax_buffered(&pool, lh, &dist, &[], true, &mut ws, &mut relax);
-        assert_eq!(relax, 0);
+        let mut relaxed = 0u64;
+        relax(Some(&pool), lh, &dist, &[], true, &mut ws, &mut relaxed);
+        assert_eq!(relaxed, 0);
         assert!(ws.touched().is_empty());
     }
 }

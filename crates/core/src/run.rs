@@ -30,7 +30,7 @@ use graphdata::CsrGraph;
 use taskpool::ThreadPool;
 
 use crate::guard::{preflight, reject_zero_weights, GuardConfig, SsspError};
-use crate::repro::{canonical, gblas_impl, gblas_parallel, gblas_select, parallel};
+use crate::repro::{canonical, gblas_impl, gblas_select, parallel};
 use crate::result::SsspResult;
 
 /// The five paper-figure variants of [`crate::repro`] a CLI run can name.
@@ -42,8 +42,8 @@ pub enum Implementation {
     Gblas,
     /// Fig. 2 with single-pass `select` filters ([`crate::repro::gblas_select`]).
     GblasSelect,
-    /// The select formulation on parallel library kernels
-    /// ([`crate::repro::gblas_parallel`]).
+    /// The select formulation on the parallel library kernels
+    /// ([`crate::repro::gblas_select`] given a pool).
     GblasParallel,
     /// The paper's task-parallel scheme ([`crate::repro::parallel`]).
     Parallel,
@@ -127,9 +127,11 @@ pub fn run_checked(
     let result = match implementation {
         Implementation::Canonical => canonical::delta_stepping_canonical(g, source, delta),
         Implementation::Gblas => gblas_impl::delta_stepping_gblas(g, source, delta),
-        Implementation::GblasSelect => gblas_select::delta_stepping_gblas_select(g, source, delta),
+        Implementation::GblasSelect => {
+            gblas_select::delta_stepping_gblas_select(None, g, source, delta)
+        }
         Implementation::GblasParallel => {
-            gblas_parallel::delta_stepping_gblas_parallel(pool(), g, source, delta)
+            gblas_select::delta_stepping_gblas_select(Some(pool()), g, source, delta)
         }
         Implementation::Parallel => parallel::delta_stepping_parallel(pool(), g, source, delta),
     };

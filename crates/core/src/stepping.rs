@@ -72,7 +72,7 @@ use crate::delta::{bucket_of, bucket_start, next_up};
 use crate::engine::SsspEngine;
 use crate::guard::SsspError;
 use crate::prepared::SplitView;
-use crate::reqbuf::{relax_buffered, relax_sequential, RelaxWorkspace};
+use crate::reqbuf::{relax, RelaxWorkspace};
 use crate::result::SsspResult;
 use crate::stats::PhaseProfile;
 use crate::INF;
@@ -299,25 +299,6 @@ pub fn stepping_resume_with(
     }
     let strategy = cp.stepping.map_or(SteppingStrategy::Classic, |st| st.strategy);
     stepping_loop(lh, cp.source, cp.delta, strategy, pool, forced, budget, ws, Some(cp))
-}
-
-/// Relax `frontier`'s light or heavy edges into the request workspace,
-/// through the pool when one is available. Both paths share the offer
-/// semantics and the sorted touched list, so the resulting request
-/// vector is bit-identical either way.
-fn relax(
-    pool: Option<&ThreadPool>,
-    lh: SplitView<'_>,
-    dist: &[f64],
-    frontier: &[usize],
-    use_light: bool,
-    rws: &mut RelaxWorkspace,
-    relaxations: &mut u64,
-) {
-    match pool {
-        Some(pool) => relax_buffered(pool, lh, dist, frontier, use_light, rws, relaxations),
-        None => relax_sequential(lh, dist, frontier, use_light, rws, relaxations),
-    }
 }
 
 /// One light round's requests, `t_Req = A_L^T (t ∘ t_Bi)`, returning the

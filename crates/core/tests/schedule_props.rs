@@ -81,13 +81,13 @@ proptest! {
 #[test]
 fn simulated_runs_match_fused_on_suite() {
     use graphdata::{paper_suite, SuiteScale};
-    use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
+    use sssp_core::repro::parallel::{delta_stepping_simulated, TaskScheme};
 
     for d in paper_suite(SuiteScale::Smoke) {
         let g = &d.graph;
         let fu = sssp_core::fused::delta_stepping_fused(g, 0, 1.0);
-        for cfg in [SimConfig::paper(), SimConfig::improved()] {
-            let (r, trace) = delta_stepping_simulated(g, 0, 1.0, cfg);
+        for scheme in [TaskScheme::PaperTasks, TaskScheme::Improved] {
+            let (r, trace) = delta_stepping_simulated(g, 0, 1.0, scheme);
             assert_eq!(r.dist, fu.dist, "{}", d.name);
             assert_eq!(r.stats, fu.stats, "{}", d.name);
             // The decomposition's work must cover a sane time span.

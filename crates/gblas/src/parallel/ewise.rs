@@ -40,10 +40,10 @@ fn concat_ordered<C: Scalar>(parts: Vec<SparseVec<C>>) -> SparseVec<C> {
     out
 }
 
-/// Parallel [`crate::ops::ewise_add_vector`].
+/// Parallel [`crate::ops::ewise_add_vector`]; without a pool, that kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn par_ewise_add_vector<A, B, C, Op>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     out: &mut Vector<C>,
     mask: Option<&VectorMask>,
     accum: Option<&dyn BinaryOp<C, C, C>>,
@@ -58,6 +58,9 @@ where
     C: Scalar,
     Op: BinaryOp<A, B, C> + Sync + ?Sized,
 {
+    let Some(pool) = pool else {
+        return crate::ops::ewise::ewise_add_vector(out, mask, accum, op, u, v, desc);
+    };
     out.check_same_size(u.size())?;
     out.check_same_size(v.size())?;
     if let Some(m) = mask {
@@ -92,10 +95,10 @@ where
     Ok(())
 }
 
-/// Parallel [`crate::ops::ewise_mult_vector`].
+/// Parallel [`crate::ops::ewise_mult_vector`]; without a pool, that kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn par_ewise_mult_vector<A, B, C, Op>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     out: &mut Vector<C>,
     mask: Option<&VectorMask>,
     accum: Option<&dyn BinaryOp<C, C, C>>,
@@ -110,6 +113,9 @@ where
     C: Scalar,
     Op: BinaryOp<A, B, C> + Sync + ?Sized,
 {
+    let Some(pool) = pool else {
+        return crate::ops::ewise::ewise_mult_vector(out, mask, accum, op, u, v, desc);
+    };
     out.check_same_size(u.size())?;
     out.check_same_size(v.size())?;
     if let Some(m) = mask {
@@ -143,9 +149,9 @@ where
     Ok(())
 }
 
-/// Parallel [`crate::ops::vector_apply`].
+/// Parallel [`crate::ops::vector_apply`]; without a pool, that kernel.
 pub fn par_vector_apply<A, B, Op>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     out: &mut Vector<B>,
     mask: Option<&VectorMask>,
     accum: Option<&dyn BinaryOp<B, B, B>>,
@@ -163,9 +169,10 @@ where
         out.check_same_size(m.size())?;
     }
     let nnz = input.nvals();
-    if nnz < 512 || pool.num_threads() == 1 {
-        return crate::ops::apply::vector_apply(out, mask, accum, op, input, desc);
-    }
+    let pool = match pool {
+        Some(pool) if nnz >= 512 && pool.num_threads() > 1 => pool,
+        _ => return crate::ops::apply::vector_apply(out, mask, accum, op, input, desc),
+    };
     let chunks = split_evenly(0..nnz, pool.num_threads());
     let parts = scope_collect(pool, chunks, |_, chunk| {
         let mut part = SparseVec::with_capacity(chunk.len());
@@ -210,7 +217,7 @@ mod tests {
         )
         .unwrap();
         let mut par = Vector::new(5000);
-        par_ewise_add_vector(&pool, &mut par, None, None, &Min::<f64>::new(), &u, &v, Descriptor::new())
+        par_ewise_add_vector(Some(&pool), &mut par, None, None, &Min::<f64>::new(), &u, &v, Descriptor::new())
             .unwrap();
         assert_eq!(seq, par);
     }
@@ -226,7 +233,7 @@ mod tests {
         .unwrap();
         let mut par = Vector::new(5000);
         par_ewise_mult_vector(
-            &pool, &mut par, None, None, &Plus::<f64>::new(), &u, &v, Descriptor::new(),
+            Some(&pool), &mut par, None, None, &Plus::<f64>::new(), &u, &v, Descriptor::new(),
         )
         .unwrap();
         assert_eq!(seq, par);
@@ -240,7 +247,7 @@ mod tests {
         let mut seq = Vector::new(5000);
         crate::ops::apply::vector_apply(&mut seq, None, None, &op, &u, Descriptor::new()).unwrap();
         let mut par = Vector::new(5000);
-        par_vector_apply(&pool, &mut par, None, None, &op, &u, Descriptor::new()).unwrap();
+        par_vector_apply(Some(&pool), &mut par, None, None, &op, &u, Descriptor::new()).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -250,7 +257,7 @@ mod tests {
         let u = Vector::from_entries(10, vec![(1, 1.0)]).unwrap();
         let v = Vector::from_entries(10, vec![(1, 2.0), (3, 3.0)]).unwrap();
         let mut out = Vector::new(10);
-        par_ewise_add_vector(&pool, &mut out, None, None, &Plus::<f64>::new(), &u, &v, Descriptor::new())
+        par_ewise_add_vector(Some(&pool), &mut out, None, None, &Plus::<f64>::new(), &u, &v, Descriptor::new())
             .unwrap();
         assert_eq!(out.get(1), Some(3.0));
         assert_eq!(out.get(3), Some(3.0));

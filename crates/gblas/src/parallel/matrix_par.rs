@@ -9,6 +9,7 @@
 
 use taskpool::{scope_collect, split_evenly, ThreadPool};
 
+use crate::descriptor::Descriptor;
 use crate::matrix::Matrix;
 use crate::types::Scalar;
 
@@ -40,10 +41,11 @@ fn assemble<T: Scalar>(nrows: usize, ncols: usize, chunks: Vec<RowChunk<T>>) -> 
 }
 
 /// Parallel single-pass filter: `select(A, pred)` with rows chunked into
-/// `grain`-row tasks (0 = one chunk per thread). The fused/parallel
+/// `grain`-row tasks (0 = one chunk per thread); without a pool, the
+/// sequential [`crate::ops::select_matrix`]. The select formulation of
 /// delta-stepping builds `A_L` and `A_H` with this.
 pub fn par_select_matrix<T, P>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     a: &Matrix<T>,
     grain: usize,
     pred: P,
@@ -53,6 +55,12 @@ where
     P: Fn(usize, usize, T) -> bool + Send + Sync,
 {
     let nrows = a.nrows();
+    let Some(pool) = pool else {
+        let mut out = Matrix::new(nrows, a.ncols());
+        crate::ops::select::select_matrix(&mut out, None, None, pred, a, Descriptor::new())
+            .expect("same dims");
+        return out;
+    };
     if nrows == 0 {
         return Matrix::new(0, a.ncols());
     }
@@ -89,7 +97,6 @@ where
 mod tests {
     use super::*;
     use crate::ops::select::select_matrix;
-    use crate::Descriptor;
 
     fn weighted(n: usize) -> Matrix<f64> {
         let mut triples = Vec::new();
@@ -104,7 +111,7 @@ mod tests {
     fn par_select_matches_sequential() {
         let pool = ThreadPool::with_threads(4).unwrap();
         let a = weighted(500);
-        let par = par_select_matrix(&pool, &a, 0, |_, _, w| w <= 1.0);
+        let par = par_select_matrix(Some(&pool), &a, 0, |_, _, w| w <= 1.0);
         let mut seq: Matrix<f64> = Matrix::new(500, 500);
         select_matrix(&mut seq, None, None, |_, _, w| w <= 1.0, &a, Descriptor::new()).unwrap();
         assert_eq!(par, seq);
@@ -115,8 +122,8 @@ mod tests {
     fn par_select_fine_grain() {
         let pool = ThreadPool::with_threads(4).unwrap();
         let a = weighted(97);
-        let coarse = par_select_matrix(&pool, &a, 0, |_, _, w| w > 1.0);
-        let fine = par_select_matrix(&pool, &a, 8, |_, _, w| w > 1.0);
+        let coarse = par_select_matrix(Some(&pool), &a, 0, |_, _, w| w > 1.0);
+        let fine = par_select_matrix(Some(&pool), &a, 8, |_, _, w| w > 1.0);
         assert_eq!(coarse, fine);
     }
 
@@ -124,7 +131,7 @@ mod tests {
     fn par_empty_matrix() {
         let pool = ThreadPool::with_threads(2).unwrap();
         let a: Matrix<f64> = Matrix::new(0, 0);
-        let out = par_select_matrix(&pool, &a, 0, |_, _, _| true);
+        let out = par_select_matrix(Some(&pool), &a, 0, |_, _, _| true);
         assert_eq!(out.nvals(), 0);
     }
 }

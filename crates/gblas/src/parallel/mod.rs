@@ -9,7 +9,9 @@
 //!
 //! All functions are drop-in parallel counterparts of the sequential
 //! operations in [`crate::ops`] with identical semantics (the integration
-//! tests check bit-for-bit agreement).
+//! tests check bit-for-bit agreement). Each takes an
+//! `Option<&ThreadPool>` and runs its sequential twin on `None`, so one
+//! sequence of library calls serves both a sequential and a pooled run.
 
 mod ewise;
 mod matrix_par;

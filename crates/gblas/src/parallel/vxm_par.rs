@@ -21,10 +21,11 @@ use crate::types::Scalar;
 use crate::vector::Vector;
 
 /// Parallel `out<mask> ⊙= u ⊕.⊗ A`; semantics identical to
-/// [`crate::ops::vxm()`](crate::ops::vxm()) (no `transpose_a` support — transpose up front).
+/// [`crate::ops::vxm()`](crate::ops::vxm()), which runs without a pool (no
+/// `transpose_a` support — transpose up front).
 #[allow(clippy::too_many_arguments)]
 pub fn par_vxm<UD, MD, C, S>(
-    pool: &ThreadPool,
+    pool: Option<&ThreadPool>,
     out: &mut Vector<C>,
     mask: Option<&VectorMask>,
     accum: Option<&dyn BinaryOp<C, C, C>>,
@@ -49,6 +50,9 @@ where
         check_dims("mask size", out.size(), m.size())?;
     }
 
+    let Some(pool) = pool else {
+        return crate::ops::vxm::vxm(out, mask, accum, semiring, u, a, desc);
+    };
     let nnz = u.nvals();
     let ncols = a.ncols();
     // Small frontiers are not worth the fork/merge overhead.
@@ -138,7 +142,7 @@ mod tests {
         let mut seq = Vector::new(10);
         vxm(&mut seq, None, None, &min_plus_f64(), &u, &a, Descriptor::new()).unwrap();
         let mut par = Vector::new(10);
-        par_vxm(&pool, &mut par, None, None, &min_plus_f64(), &u, &a, Descriptor::new()).unwrap();
+        par_vxm(Some(&pool), &mut par, None, None, &min_plus_f64(), &u, &a, Descriptor::new()).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -157,7 +161,7 @@ mod tests {
         let mut seq = Vector::new(n);
         vxm(&mut seq, None, None, &min_plus_f64(), &u, &a, Descriptor::new()).unwrap();
         let mut par = Vector::new(n);
-        par_vxm(&pool, &mut par, None, None, &min_plus_f64(), &u, &a, Descriptor::new()).unwrap();
+        par_vxm(Some(&pool), &mut par, None, None, &min_plus_f64(), &u, &a, Descriptor::new()).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -185,7 +189,7 @@ mod tests {
         .unwrap();
         let mut par = Vector::from_entries(n, vec![(0, -5.0)]).unwrap();
         par_vxm(
-            &pool,
+            Some(&pool),
             &mut par,
             Some(&mask),
             Some(&accum),

@@ -10,8 +10,7 @@
 use std::time::Instant;
 
 use graphdata::{gen, CsrGraph};
-use sssp_core::repro::parallel;
-use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
+use sssp_core::repro::parallel::{self, delta_stepping_simulated, TaskScheme};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
 use sssp_core::{dijkstra, fused};
 use taskpool::ThreadPool;
@@ -67,9 +66,9 @@ fn main() {
 
     // Scaling via the task-schedule simulation (meaningful even on a
     // single-core machine; see DESIGN.md and `sssp_core::repro::schedule`).
-    let (rp, trace_paper) = delta_stepping_simulated(&g, source, 1.0, SimConfig::paper());
+    let (rp, trace_paper) = delta_stepping_simulated(&g, source, 1.0, TaskScheme::PaperTasks);
     assert_eq!(rp.dist, seq.dist);
-    let (ri, trace_improved) = delta_stepping_simulated(&g, source, 1.0, SimConfig::improved());
+    let (ri, trace_improved) = delta_stepping_simulated(&g, source, 1.0, TaskScheme::Improved);
     assert_eq!(ri.dist, seq.dist);
     println!("\n{:<10} {:>16} {:>16}", "workers", "paper scheme", "improved scheme");
     for workers in [1usize, 2, 4, 8] {

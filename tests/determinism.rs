@@ -7,7 +7,7 @@
 
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::engine::SsspEngine;
-use sssp_core::repro::{gblas_parallel, parallel};
+use sssp_core::repro::{gblas_select, parallel};
 use sssp_core::result::SsspResult;
 use sssp_core::stepping::{delta_stepping_strategy, stepping_checked, SteppingStrategy};
 use sssp_core::{fused, run_checked, GuardConfig, Implementation, RunBudget};
@@ -52,7 +52,7 @@ fn check_graph(name: &str, g: &CsrGraph, src: usize, delta: f64) {
         delta_stepping_strategy(g, src, delta, SteppingStrategy::Classic, Some(pool))
     });
     assert_stable("gblas-parallel", name, |pool| {
-        gblas_parallel::delta_stepping_gblas_parallel(pool, g, src, delta)
+        gblas_select::delta_stepping_gblas_select(Some(pool), g, src, delta)
     });
 }
 

@@ -4,8 +4,8 @@
 
 use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
 use sssp_core::delta::DeltaStrategy;
-use sssp_core::repro::parallel_sim::{delta_stepping_simulated, SimConfig};
-use sssp_core::repro::{canonical, gblas_impl, gblas_parallel, gblas_select, parallel};
+use sssp_core::repro::parallel::{self, delta_stepping_simulated, TaskScheme};
+use sssp_core::repro::{canonical, gblas_impl, gblas_select};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
 use sssp_core::{bellman_ford, dijkstra, fused, validate};
 use taskpool::ThreadPool;
@@ -41,17 +41,17 @@ fn all_implementations_agree_on_unit_weight_suite() {
             let gb = gblas_impl::delta_stepping_gblas(g, src, 1.0);
             assert_eq!(gb.dist, truth.dist, "{} src {src}: gblas", d.name);
 
-            let se = gblas_select::delta_stepping_gblas_select(g, src, 1.0);
+            let se = gblas_select::delta_stepping_gblas_select(None, g, src, 1.0);
             assert_eq!(se.dist, truth.dist, "{} src {src}: gblas-select", d.name);
 
-            let gp = gblas_parallel::delta_stepping_gblas_parallel(&pool, g, src, 1.0);
+            let gp = gblas_select::delta_stepping_gblas_select(Some(&pool), g, src, 1.0);
             assert_eq!(gp.dist, truth.dist, "{} src {src}: gblas-parallel", d.name);
 
             let pa = parallel::delta_stepping_parallel(&pool, g, src, 1.0);
             assert_eq!(pa.dist, truth.dist, "{} src {src}: parallel", d.name);
 
-            for cfg in [SimConfig::paper(), SimConfig::improved()] {
-                let (sim, _) = delta_stepping_simulated(g, src, 1.0, cfg);
+            for scheme in [TaskScheme::PaperTasks, TaskScheme::Improved] {
+                let (sim, _) = delta_stepping_simulated(g, src, 1.0, scheme);
                 assert_eq!(sim.dist, truth.dist, "{} src {src}: simulated", d.name);
             }
 
@@ -91,22 +91,37 @@ fn all_implementations_agree_on_weighted_suite_across_deltas() {
                 "{} delta {delta}: gblas",
                 d.name
             );
+            // The Sec. VI-C loop is the fused algorithm, pooled or
+            // recorded: bit-identical distances and every counter,
+            // heavy-pass relaxations included.
             let pa = parallel::delta_stepping_parallel(&pool, g, src, delta);
-            assert!(
-                pa.approx_eq(&truth, 1e-9).is_ok(),
-                "{} delta {delta}: parallel",
-                d.name
-            );
+            assert_eq!(pa.dist, fu.dist, "{} delta {delta}: parallel", d.name);
+            assert_eq!(pa.stats, fu.stats, "{} delta {delta}: parallel stats", d.name);
+            for scheme in [TaskScheme::PaperTasks, TaskScheme::Improved] {
+                let (sim, _) = delta_stepping_simulated(g, src, delta, scheme);
+                assert_eq!(sim.dist, fu.dist, "{} delta {delta}: simulated {scheme:?}", d.name);
+                assert_eq!(
+                    sim.stats, fu.stats,
+                    "{} delta {delta}: simulated {scheme:?} stats",
+                    d.name
+                );
+            }
             let pi = delta_stepping_strategy(g, src, delta, SteppingStrategy::Classic, Some(&pool));
             assert!(
                 pi.approx_eq(&truth, 1e-9).is_ok(),
                 "{} delta {delta}: improved",
                 d.name
             );
-            let se = gblas_select::delta_stepping_gblas_select(g, src, delta);
+            let se = gblas_select::delta_stepping_gblas_select(None, g, src, delta);
             assert!(
                 se.approx_eq(&truth, 1e-9).is_ok(),
                 "{} delta {delta}: gblas-select",
+                d.name
+            );
+            let gp = gblas_select::delta_stepping_gblas_select(Some(&pool), g, src, delta);
+            assert!(
+                gp.approx_eq(&truth, 1e-9).is_ok(),
+                "{} delta {delta}: gblas-parallel",
                 d.name
             );
         }

@@ -26,7 +26,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use graphdata::gen::grid2d;
-use graphdata::CsrGraph;
+use graphdata::weights::assign_symmetric;
+use graphdata::{CsrGraph, WeightModel};
 use racecheck::{Session, SyncOrd};
 use sssp_core::explore::{explore, explore_cancel_resume, explore_strategy, ExploreConfig};
 use sssp_core::{Implementation, SteppingStrategy};
@@ -40,6 +41,15 @@ fn env_config() -> ExploreConfig {
 fn small_graph() -> CsrGraph {
     // Unit weights: the gblas implementation rejects zero-weight edges.
     CsrGraph::from_edge_list(&grid2d(6, 6)).expect("grid")
+}
+
+/// The same grid with positive real weights up to 2.5: explored at
+/// Δ = 1, a third of its edges are heavy, so every loop's heavy pass
+/// runs under the explorer too.
+fn small_weighted_graph() -> CsrGraph {
+    let mut el = grid2d(6, 6);
+    assign_symmetric(&mut el, WeightModel::UniformFloat { lo: 0.1, hi: 2.5 }, 11);
+    CsrGraph::from_edge_list(&el).expect("grid")
 }
 
 /// The pre-soundness-pass relaxation primitive, reintroduced verbatim as
@@ -201,21 +211,24 @@ fn ab_ba_lock_order_fixture_is_flagged_under_every_seed() {
 #[test]
 fn all_implementations_are_race_free_across_schedules() {
     let session = TestSession::begin();
-    let g = small_graph();
+    let weighted = small_weighted_graph();
+    assert!(weighted.max_weight() > 1.0, "Δ = 1 must leave heavy edges");
     let cfg = env_config();
     let mut total_events = 0u64;
-    for imp in Implementation::ALL {
-        let report = explore(imp, &g, 0, 1.0, &cfg, &session);
-        assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
-        assert!(
-            report.is_clean(),
-            "{}: races {:?}, deadlocks {:?}, divergent seeds {:?}",
-            imp.name(),
-            report.races,
-            report.deadlocks,
-            report.divergent_seeds
-        );
-        total_events += report.events;
+    for (graph, g) in [("unit grid", small_graph()), ("weighted grid", weighted)] {
+        for imp in Implementation::ALL {
+            let report = explore(imp, &g, 0, 1.0, &cfg, &session);
+            assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
+            assert!(
+                report.is_clean(),
+                "{} on the {graph}: races {:?}, deadlocks {:?}, divergent seeds {:?}",
+                imp.name(),
+                report.races,
+                report.deadlocks,
+                report.divergent_seeds
+            );
+            total_events += report.events;
+        }
     }
     // The parallel implementations must actually have been traced.
     assert!(total_events > 0, "no shadow-state events recorded");
