@@ -28,9 +28,9 @@
 //! 4. **`impl-coverage`** — every name accepted by
 //!    `Implementation::parse` maps to a variant dispatched inside the
 //!    figure door `run_checked`, and every canonical `name()` string
-//!    appears as a literal in `tests/determinism.rs`, so no figure
+//!    appears as a literal in `tests/differential.rs`, so no figure
 //!    variant can be reachable from the CLI without being in the
-//!    determinism suite.
+//!    differential harness.
 //! 5. **`wire-code-coverage`** — the resident service's
 //!    `SsspError`-to-wire-code mapping (`wire_code` in
 //!    `crates/serve/src/protocol.rs`) names every `SsspError` variant
@@ -499,7 +499,7 @@ pub fn lint_hot_path_locks(f: &SourceFile) -> Vec<Finding> {
 }
 
 // ---------------------------------------------------------------------------
-// Lint 4: implementation dispatch / determinism coverage
+// Lint 4: implementation dispatch / differential-harness coverage
 // ---------------------------------------------------------------------------
 
 /// 1-based line of the first line containing `marker`, or 0 when the
@@ -565,17 +565,17 @@ fn arm_literals(block: &str) -> Vec<(Vec<String>, String)> {
 }
 
 /// Check the `Implementation` front door in `run.rs` against the
-/// determinism suite:
+/// differential harness:
 ///
 /// - every enum variant is dispatched (`Implementation::<V>` appears in
 ///   the `run_checked` body);
 /// - every `parse()` alias maps to a dispatched variant;
 /// - every canonical `name()` literal appears quoted in
-///   `tests/determinism.rs`.
+///   `tests/differential.rs`.
 ///
 /// NB: `arm_literals` reads *raw* lines from the parse/name blocks, so
 /// this helper takes the raw source and re-slices it.
-pub fn lint_impl_coverage(run_rs: &SourceFile, determinism_src: &str) -> Vec<Finding> {
+pub fn lint_impl_coverage(run_rs: &SourceFile, harness_src: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut finding = |line: usize, message: String| {
         out.push(Finding {
@@ -649,7 +649,7 @@ pub fn lint_impl_coverage(run_rs: &SourceFile, determinism_src: &str) -> Vec<Fin
         finding(parse_line, "could not locate parse() name aliases".to_string());
     }
 
-    // name() canonical strings must be pinned in the determinism suite.
+    // name() canonical strings must be pinned in the differential harness.
     let name_raw = raw_block(&raw_src, "pub fn name");
     let mut any_name = false;
     for (lits, _) in arm_literals(&name_raw) {
@@ -666,9 +666,9 @@ pub fn lint_impl_coverage(run_rs: &SourceFile, determinism_src: &str) -> Vec<Fin
         let Some(close) = tail.find('"') else { continue };
         let name = &tail[..close];
         any_name = true;
-        if !determinism_src.contains(&format!("\"{name}\"")) {
+        if !harness_src.contains(&format!("\"{name}\"")) {
             finding(name_line, format!(
-                "canonical name \"{name}\" is not covered as a literal in tests/determinism.rs"
+                "canonical name \"{name}\" is not covered as a literal in tests/differential.rs"
             ));
         }
     }
@@ -1428,9 +1428,9 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, String> {
         .iter()
         .find(|f| f.rel == "crates/core/src/run.rs")
         .ok_or("crates/core/src/run.rs not found")?;
-    let determinism = fs::read_to_string(root.join("tests/determinism.rs"))
-        .map_err(|e| format!("tests/determinism.rs: {e}"))?;
-    findings.extend(lint_impl_coverage(run_rs, &determinism));
+    let harness = fs::read_to_string(root.join("tests/differential.rs"))
+        .map_err(|e| format!("tests/differential.rs: {e}"))?;
+    findings.extend(lint_impl_coverage(run_rs, &harness));
 
     let guard_rs = files
         .iter()

@@ -89,8 +89,10 @@ fn main() {
     // Generalized-stepping strategy gate: real-weighted rmat/er graphs,
     // one row per strategy. Grouped after the baseline headline so the
     // chunks(3) walk above only ever sees baseline rows.
+    let heavy = stepping::HEAVY_DELTA;
     println!(
-        "\nSTEPPING: fused vs classic vs rho:{} vs delta-star:{} (delta = {}, real weights)",
+        "\nSTEPPING: fused vs classic vs rho:{} vs delta-star:{} (delta = {}, and {heavy} on the \
+         @{heavy} rows; real weights)",
         stepping::RHO,
         stepping::DELTA_STAR_FACTOR,
         stepping::DELTA,
@@ -108,7 +110,7 @@ fn main() {
     for chunk in stepping_entries.chunks(4) {
         let (classic, rho) = (&chunk[1], &chunk[2]);
         println!(
-            "{}/{}: rho-stepping does {:.2}x the relaxations of classic delta=1{}",
+            "{}/{}: rho-stepping does {:.2}x the relaxations of classic at the same delta{}",
             rho.scale,
             rho.graph,
             rho.stats.relaxations as f64 / classic.stats.relaxations as f64,

@@ -13,7 +13,9 @@
 //!
 //! Entries reuse [`BenchEntry`], so they ride the same stats-drift gate
 //! as the main baseline; each graph also records a sequential `fused`
-//! row as the timing reference.
+//! row as the timing reference. Every graph runs twice: at Δ = 1, where
+//! every edge is light, and at [`HEAVY_DELTA`], whose rows (graph names
+//! suffixed `@0.25`) put heavy-pass `relaxations` under the gate.
 
 use graphdata::suite::Dataset;
 use graphdata::{gen, SuiteScale, WeightModel};
@@ -29,6 +31,10 @@ use crate::measure::{measure_median_min, Reps};
 /// paper's fig3/fig4 setting, kept so "strategy vs classic Δ = 1" is an
 /// apples-to-apples comparison with the main baseline.
 pub const DELTA: f64 = 1.0;
+
+/// The second Δ every gate graph runs at: below most of its weights, so
+/// the heavy passes relax edges and the drift gate diffs their counts.
+pub const HEAVY_DELTA: f64 = 0.25;
 
 /// ρ for the `stepping-rho` rows: small enough to batch the frontier on
 /// every gate graph, large enough to keep phase counts reasonable.
@@ -77,8 +83,8 @@ pub fn gate_graphs(scale: SuiteScale) -> Vec<Dataset> {
     }
 }
 
-/// Run the strategy gate at `scale` with `threads` workers: per graph, a
-/// sequential `fused` reference row plus one pooled row per
+/// Run the strategy gate at `scale` with `threads` workers: per graph and
+/// Δ, a sequential `fused` reference row plus one pooled row per
 /// strategy, every one cross-checked against Dijkstra before timing.
 pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
     let pool = ThreadPool::with_threads(threads).expect("thread count validated by CLI");
@@ -88,73 +94,75 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
         let g = &d.graph;
         let src = bench_source(g);
         let dj = dijkstra::dijkstra(g, src);
-
-        let ms = |(med, min): (std::time::Duration, std::time::Duration)| {
-            (med.as_secs_f64() * 1e3, min.as_secs_f64() * 1e3)
-        };
-
-        let fu = fused::delta_stepping_fused(g, src, DELTA);
-        assert_eq!(fu.dist, dj.dist, "{}: fused disagrees with Dijkstra", d.name);
-        let fused_t = ms(measure_median_min(
-            || {
-                std::hint::black_box(fused::delta_stepping_fused(g, src, DELTA));
-            },
-            reps,
-        ));
-
-        let entry = |impl_name: &str,
-                     threads: usize,
-                     (median_ms, min_ms): (f64, f64),
-                     stats: sssp_core::stats::SsspStats| BenchEntry {
-            scale: sname.to_string(),
-            graph: d.name.clone(),
-            nv: g.num_vertices(),
-            ne: g.num_edges(),
-            impl_name: impl_name.to_string(),
-            threads,
-            median_ms,
-            min_ms,
-            stats,
-            directions: None,
-        };
-        entries.push(entry("fused", 1, fused_t, fu.stats.clone()));
-
         let mut engine = SsspEngine::new(g);
-        let mut relaxations = Vec::new();
-        for (name, strategy) in strategies() {
-            let (r, _) = engine
-                .run_stepping(Some(&pool), src, DELTA, strategy, &mut RunBudget::unlimited())
-                .expect("gate graphs are valid");
-            assert_eq!(r.dist, dj.dist, "{}: {name} disagrees with Dijkstra", d.name);
-            relaxations.push(r.stats.relaxations);
-            let t = measure_median_min(
+        for delta in [DELTA, HEAVY_DELTA] {
+            let graph =
+                if delta == DELTA { d.name.clone() } else { format!("{}@{delta}", d.name) };
+            let ms = |(med, min): (std::time::Duration, std::time::Duration)| {
+                (med.as_secs_f64() * 1e3, min.as_secs_f64() * 1e3)
+            };
+
+            let fu = fused::delta_stepping_fused(g, src, delta);
+            assert_eq!(fu.dist, dj.dist, "{graph}: fused disagrees with Dijkstra");
+            let fused_t = ms(measure_median_min(
                 || {
-                    let (r, _) = engine
-                        .run_stepping(
-                            Some(&pool),
-                            src,
-                            DELTA,
-                            strategy,
-                            &mut RunBudget::unlimited(),
-                        )
-                        .expect("already ran once above");
-                    std::hint::black_box(r);
+                    std::hint::black_box(fused::delta_stepping_fused(g, src, delta));
                 },
                 reps,
+            ));
+
+            let entry = |impl_name: &str,
+                         threads: usize,
+                         (median_ms, min_ms): (f64, f64),
+                         stats: sssp_core::stats::SsspStats| BenchEntry {
+                scale: sname.to_string(),
+                graph: graph.clone(),
+                nv: g.num_vertices(),
+                ne: g.num_edges(),
+                impl_name: impl_name.to_string(),
+                threads,
+                median_ms,
+                min_ms,
+                stats,
+                directions: None,
+            };
+            entries.push(entry("fused", 1, fused_t, fu.stats.clone()));
+
+            let mut relaxations = Vec::new();
+            for (name, strategy) in strategies() {
+                let (r, _) = engine
+                    .run_stepping(Some(&pool), src, delta, strategy, &mut RunBudget::unlimited())
+                    .expect("gate graphs are valid");
+                assert_eq!(r.dist, dj.dist, "{graph}: {name} disagrees with Dijkstra");
+                relaxations.push(r.stats.relaxations);
+                let t = measure_median_min(
+                    || {
+                        let (r, _) = engine
+                            .run_stepping(
+                                Some(&pool),
+                                src,
+                                delta,
+                                strategy,
+                                &mut RunBudget::unlimited(),
+                            )
+                            .expect("already ran once above");
+                        std::hint::black_box(r);
+                    },
+                    reps,
+                );
+                entries.push(entry(name, threads, ms(t), r.stats.clone()));
+            }
+            // The headline claim, enforced where the baseline is born:
+            // ρ-stepping must do strictly less relaxation work than
+            // classic Δ = 1 on every weighted gate graph.
+            assert!(
+                delta != DELTA || relaxations[1] < relaxations[0],
+                "{graph}: stepping-rho did {} relaxations, classic only {} — the strategy \
+                 stopped paying for itself",
+                relaxations[1],
+                relaxations[0],
             );
-            entries.push(entry(name, threads, ms(t), r.stats.clone()));
         }
-        // The headline claim, enforced where the baseline is born:
-        // ρ-stepping must do strictly less relaxation work than classic
-        // Δ = 1 on every weighted gate graph.
-        assert!(
-            relaxations[1] < relaxations[0],
-            "{}: stepping-rho did {} relaxations, classic only {} — the strategy \
-             stopped paying for itself",
-            d.name,
-            relaxations[1],
-            relaxations[0],
-        );
     }
     entries
 }
@@ -169,8 +177,8 @@ mod tests {
         // run() itself asserts Dijkstra agreement and the relaxation
         // reduction; this test pins the document shape on top.
         let entries = run(SuiteScale::Smoke, 2, Reps { warmup: 0, samples: 1 });
-        // 2 weighted gate graphs x (fused + 3 strategies).
-        assert_eq!(entries.len(), 8);
+        // 2 weighted gate graphs x 2 deltas x (fused + 3 strategies).
+        assert_eq!(entries.len(), 16);
         for chunk in entries.chunks(4) {
             assert_eq!(chunk[0].impl_name, "fused");
             assert_eq!(chunk[1].impl_name, "stepping-classic");
@@ -179,6 +187,9 @@ mod tests {
             // Classic through the strategy front door is still the
             // classic algorithm: its counters match fused exactly.
             assert_eq!(chunk[0].stats, chunk[1].stats, "{}", chunk[0].graph);
+            if chunk[0].graph.ends_with("@0.25") {
+                continue; // the ρ claim is against classic Δ = 1
+            }
             assert!(
                 chunk[2].stats.relaxations < chunk[1].stats.relaxations,
                 "{}: rho {} vs classic {}",

@@ -21,7 +21,7 @@
 //!    reference bit for bit on *every* schedule, and stats must match
 //!    the reference (the stepping loop's pooled kernels, any strategy)
 //!    or the first explored seed (the repo-wide guarantee the
-//!    determinism suite checks per thread count, here checked per
+//!    differential harness checks per thread count, here checked per
 //!    schedule).
 //!
 //! Alongside races, each explored schedule drains the tracker's

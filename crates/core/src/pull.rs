@@ -27,7 +27,7 @@
 //! with an unimprovable candidate. Both drains treat such entries as
 //! no-ops, so `dist`, improvements, and every other
 //! [`crate::stats::SsspStats`] field stay bit-identical across
-//! directions and thread counts (asserted by `tests/direction.rs`).
+//! directions and thread counts (asserted by `tests/differential.rs`).
 //!
 //! The floor is the float subtlety. Every candidate for `v` is
 //! `dist[u] + w` with `dist[u] >= lower` (the minimum frontier tentative

@@ -14,8 +14,8 @@
 //! total edge count of the operand (for delta-stepping: the light
 //! sub-graph `A_L`). Both numbers are schedule-independent, so the
 //! chosen direction is a pure function of algorithm state — a
-//! requirement, because the determinism suite compares runs at 1/2/4
-//! threads bit for bit.
+//! requirement, because the differential harness (`tests/differential.rs`)
+//! compares runs at 1/2/4 threads bit for bit.
 //!
 //! The threshold is recorded in `BENCH_sssp.json` by the bench harness;
 //! see DESIGN.md §14 for the measurement behind the default.

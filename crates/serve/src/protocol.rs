@@ -298,57 +298,135 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------------
-// Gen-spec parsing (mirrors the CLI's `--gen` grammar)
+// Gen-spec parsing (the one `--gen` / `LOAD GEN` grammar)
 // ---------------------------------------------------------------------------
 
-/// Parse a CLI-style generator spec (`grid:WxH`, `er:N,M`,
-/// `rmat:SCALE,EDGEFACTOR`, `ba:N,M`, `path:N`, `cycle:N`) into an edge
-/// list, with the same fixed seeds as the `sssp` CLI so the two front
-/// ends agree on what e.g. `er:500,2000` means.
-pub fn parse_gen_spec(spec: &str) -> Result<graphdata::EdgeList, String> {
-    use graphdata::gen;
-    let (kind, params) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad gen spec '{spec}'"))?;
-    let nums = |sep: char| -> Result<Vec<usize>, String> {
-        params
-            .split(sep)
-            .map(|t| t.parse().map_err(|_| format!("bad number in '{spec}'")))
-            .collect()
-    };
-    match kind {
-        "grid" => {
-            let d = nums('x')?;
-            if d.len() != 2 {
-                return Err("grid needs WxH".into());
+/// The most vertices plus edges a generator spec may ask for (about 16.8
+/// M, so a generated edge list stays under half a gigabyte). A spec is
+/// sized before anything is allocated, so one past this bound is refused
+/// at the cost of parsing it.
+pub const MAX_GEN_ELEMENTS: u64 = 1 << 24;
+
+/// A parsed generator spec: the generator and its parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GenSpec {
+    Grid { width: usize, height: usize },
+    Er { n: usize, m: usize },
+    Rmat { scale: u32, edge_factor: usize },
+    Ba { n: usize, m: usize },
+    Path { n: usize },
+    Cycle { n: usize },
+}
+
+impl GenSpec {
+    fn parse(spec: &str) -> Result<GenSpec, String> {
+        let (kind, params) =
+            spec.split_once(':').ok_or_else(|| format!("bad gen spec '{spec}'"))?;
+        let nums = |sep: char, want: usize, shape: &str| -> Result<Vec<usize>, String> {
+            let d = params
+                .split(sep)
+                .map(|t| t.parse().map_err(|_| format!("bad number in '{spec}'")))
+                .collect::<Result<Vec<usize>, String>>()?;
+            if d.len() == want {
+                Ok(d)
+            } else {
+                Err(format!("{kind} needs {shape}"))
             }
-            Ok(gen::grid2d(d[0], d[1]))
-        }
-        "er" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("er needs N,M".into());
+        };
+        Ok(match kind {
+            "grid" => {
+                let d = nums('x', 2, "WxH")?;
+                GenSpec::Grid { width: d[0], height: d[1] }
             }
-            Ok(gen::gnm(d[0], d[1], 42))
-        }
-        "rmat" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("rmat needs SCALE,EDGEFACTOR".into());
+            "er" => {
+                let d = nums(',', 2, "N,M")?;
+                GenSpec::Er { n: d[0], m: d[1] }
             }
-            Ok(gen::rmat(gen::RmatParams::graph500(d[0] as u32, d[1]), 42))
-        }
-        "ba" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("ba needs N,M".into());
+            "rmat" => {
+                let d = nums(',', 2, "SCALE,EDGEFACTOR")?;
+                let scale = u32::try_from(d[0]).map_err(|_| format!("bad number in '{spec}'"))?;
+                GenSpec::Rmat { scale, edge_factor: d[1] }
             }
-            Ok(gen::barabasi_albert(d[0], d[1], 42))
-        }
-        "path" => Ok(gen::path(nums(',')?[0])),
-        "cycle" => Ok(gen::cycle(nums(',')?[0])),
-        other => Err(format!("unknown generator '{other}'")),
+            "ba" => {
+                let d = nums(',', 2, "N,M")?;
+                if d[1] == 0 {
+                    return Err("ba needs M >= 1 attachments per vertex".into());
+                }
+                GenSpec::Ba { n: d[0], m: d[1] }
+            }
+            "path" => GenSpec::Path { n: nums(',', 1, "N")?[0] },
+            "cycle" => GenSpec::Cycle { n: nums(',', 1, "N")?[0] },
+            other => return Err(format!("unknown generator '{other}'")),
+        })
     }
+
+    /// The vertex and edge counts the generator produces, or `None` where
+    /// they overflow a `u64`.
+    fn size(self) -> Option<(u64, u64)> {
+        let u = |x: usize| x as u64;
+        Some(match self {
+            GenSpec::Grid { width, height } => {
+                let (w, h) = (u(width), u(height));
+                let across = w.saturating_sub(1).checked_mul(h)?;
+                let down = w.checked_mul(h.saturating_sub(1))?;
+                (w.checked_mul(h)?, across.checked_add(down)?.checked_mul(2)?)
+            }
+            GenSpec::Er { n, m } => {
+                let possible = u(n).checked_mul(u(n).saturating_sub(1));
+                (u(n), possible.map_or(u(m), |p| p.min(u(m))))
+            }
+            GenSpec::Rmat { scale, edge_factor } => {
+                let n = 1u64.checked_shl(scale)?;
+                (n, n.checked_mul(u(edge_factor))?)
+            }
+            GenSpec::Ba { n, m } => {
+                // A clique on min(m, n) seeds, then m attachments each way
+                // per later vertex.
+                let seeds = u(m.min(n));
+                let clique = seeds.checked_mul(seeds.saturating_sub(1))?;
+                let later = u(n - m.min(n)).checked_mul(u(m))?.checked_mul(2)?;
+                (u(n), clique.checked_add(later)?)
+            }
+            GenSpec::Path { n } => (u(n), u(n).saturating_sub(1)),
+            GenSpec::Cycle { n } => (u(n), if n > 1 { u(n) } else { 0 }),
+        })
+    }
+
+    fn generate(self) -> graphdata::EdgeList {
+        use graphdata::gen;
+        match self {
+            GenSpec::Grid { width, height } => gen::grid2d(width, height),
+            GenSpec::Er { n, m } => gen::gnm(n, m, 42),
+            GenSpec::Rmat { scale, edge_factor } => {
+                gen::rmat(gen::RmatParams::graph500(scale, edge_factor), 42)
+            }
+            GenSpec::Ba { n, m } => gen::barabasi_albert(n, m, 42),
+            GenSpec::Path { n } => gen::path(n),
+            GenSpec::Cycle { n } => gen::cycle(n),
+        }
+    }
+}
+
+/// Parse a generator spec (`grid:WxH`, `er:N,M`, `rmat:SCALE,EDGEFACTOR`,
+/// `ba:N,M`, `path:N`, `cycle:N`) and generate its edge list, with fixed
+/// seeds, so the `sssp` CLI's `--gen` and `LOAD GEN` agree on what e.g.
+/// `er:500,2000` means. The spec is sized first, in checked arithmetic:
+/// one whose vertex ids a pull index cannot hold
+/// ([`sssp_core::pull::check_vertex_ids`]), or that asks for more than
+/// [`MAX_GEN_ELEMENTS`] vertices plus edges, is an `Err` before anything
+/// is allocated, like every malformed spec.
+pub fn parse_gen_spec(spec: &str) -> Result<graphdata::EdgeList, String> {
+    let gen = GenSpec::parse(spec)?;
+    let (vertices, edges) = gen.size().ok_or_else(|| format!("'{spec}' is too large to count"))?;
+    let ids = usize::try_from(vertices).map_err(|_| format!("'{spec}' is too large to count"))?;
+    sssp_core::pull::check_vertex_ids(ids).map_err(|e| e.to_string())?;
+    if vertices.saturating_add(edges) > MAX_GEN_ELEMENTS {
+        return Err(format!(
+            "'{spec}' asks for {vertices} vertices and {edges} edges, past the bound of \
+             {MAX_GEN_ELEMENTS} in all"
+        ));
+    }
+    Ok(gen.generate())
 }
 
 // ---------------------------------------------------------------------------
@@ -1246,14 +1324,56 @@ mod tests {
     }
 
     #[test]
-    fn gen_spec_matches_cli_grammar() {
-        let g = parse_gen_spec("grid:4x4").unwrap();
-        let csr = graphdata::CsrGraph::from_edge_list(&g).unwrap();
-        assert_eq!(csr.num_vertices(), 16);
-        assert!(parse_gen_spec("grid:4").is_err());
-        assert!(parse_gen_spec("nope:1,2").is_err());
-        assert!(parse_gen_spec("plain").is_err());
-        assert!(parse_gen_spec("er:50,200").is_ok());
-        assert!(parse_gen_spec("path:9").is_ok());
+    fn every_malformed_or_oversized_gen_spec_is_an_err() {
+        // Malformed specs, then specs whose generator would panic, whose
+        // scale `as u32` would truncate, or whose graph would take
+        // gigabytes: each is refused before anything is generated.
+        let past_usize = format!("{}0", usize::MAX);
+        let hostile = [
+            "plain".to_string(),
+            "nope:1,2".to_string(),
+            "grid:4".to_string(),
+            "ba:10,0".to_string(),
+            "grid:4x".to_string(),
+            "er:5".to_string(),
+            "path:".to_string(),
+            "cycle:1,2".to_string(),
+            "rmat:64,1".to_string(),
+            "rmat:40,8".to_string(),
+            "grid:100000x100000".to_string(),
+            format!("er:{},0", 1u64 << 32 | 1),
+            format!("path:{past_usize}"),
+            format!("er:10,{past_usize}"),
+            format!("rmat:{},8", 1u64 << 32 | 4),
+            format!("ba:{},{}", 1 << 20, 1 << 20),
+        ];
+        for spec in &hostile {
+            assert!(parse_gen_spec(spec).is_err(), "{spec}");
+        }
+    }
+
+    #[test]
+    fn gen_spec_sizes_match_what_the_generators_produce() {
+        let specs = ["grid:4x4", "grid:7x3", "grid:1x5", "grid:0x9", "er:50,200", "er:4,100"];
+        let more = ["rmat:6,3", "ba:50,3", "ba:3,5", "ba:0,2", "path:9", "path:0", "cycle:1", "cycle:6"];
+        for spec in specs.into_iter().chain(more) {
+            let el = parse_gen_spec(spec).unwrap();
+            let size = GenSpec::parse(spec).unwrap().size().unwrap();
+            assert_eq!(size, (el.num_vertices() as u64, el.num_edges() as u64), "{spec}");
+        }
+    }
+
+    #[test]
+    fn served_gen_specs_keep_their_fingerprints() {
+        // What `LOAD GEN` answered for the benchmark's graphs before the
+        // grammar was sized: the same seeds, the same graphs.
+        for (spec, fingerprint) in [
+            ("grid:8x1024", 0x5270_af61_1f07_9d29),
+            ("rmat:15,8", 0x3464_a560_112f_2ebf),
+            ("er:32768,220000", 0xbaa0_93de_1d7a_3dd2),
+        ] {
+            let g = graphdata::CsrGraph::from_edge_list(&parse_gen_spec(spec).unwrap()).unwrap();
+            assert_eq!(g.fingerprint(), fingerprint, "{spec}");
+        }
     }
 }

@@ -449,9 +449,6 @@ fn handle_load(shared: &Shared, spec: &str) -> Response {
         Ok(el) => el,
         Err(e) => return Response::Error { code: code::LOAD_FAILED, message: e },
     };
-    if let Err(e) = sssp_core::pull::check_vertex_ids(el.num_vertices()) {
-        return Response::Error { code: code::LOAD_FAILED, message: e.to_string() };
-    }
     let g = match CsrGraph::from_edge_list(&el) {
         Ok(g) => g,
         Err(e) => {
@@ -847,16 +844,24 @@ pub fn start(cfg: ServerConfig, addr: impl ToSocketAddrs) -> std::io::Result<Ser
                     );
                     continue;
                 }
-                let shared2 = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    handle_connection(&shared2, stream);
-                    lock::recover("gauges", &shared2.gauges).connections_open -= 1;
-                });
+                let slot = ConnectionSlot(Arc::clone(&shared));
+                std::thread::spawn(move || handle_connection(&slot.0, stream));
             }
         })
     };
 
     Ok(ServerHandle { addr, shared, accept: Some(accept), supervisor: Some(supervisor) })
+}
+
+/// A connection's slot under `max_connections`, given back when its
+/// thread ends — also when the thread unwinds, so a panic while serving
+/// one client cannot lock the next ones out.
+struct ConnectionSlot(Arc<Shared>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        lock::recover("gauges", &self.0.gauges).connections_open -= 1;
+    }
 }
 
 /// Spawn one engine worker generation into `slot` and record its handle

@@ -18,7 +18,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use graphdata::{gen, io as gio, CsrGraph, EdgeList, WeightModel};
+use graphdata::{io as gio, CsrGraph, EdgeList, WeightModel};
 use sssp_core::batch::{run_job, Job, JobOutcome};
 use sssp_core::delta::DeltaStrategy;
 use sssp_core::engine::SsspEngine;
@@ -123,9 +123,6 @@ struct Options {
     random_weights: bool,
     validate: bool,
     summary: bool,
-    /// Extend the `--sources` split-cache report with slot replacements
-    /// and resident bytes.
-    verbose: bool,
 }
 
 const USAGE: &str = "\
@@ -171,8 +168,6 @@ options:
   --random-weights         uniform weights in [0.1, 1.0), symmetric
   --validate               check the SSSP optimality certificate
   --summary                print statistics instead of every distance
-  --verbose                --sources: extend the split-cache report with
-                           slot replacements and resident bytes
   --help                   this text
 
 exit codes:
@@ -199,7 +194,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         random_weights: false,
         validate: false,
         summary: false,
-        verbose: false,
     };
     let mut i = 0;
     let value = |i: &mut usize, what: &str| -> Result<String, String> {
@@ -272,7 +266,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--random-weights" => o.random_weights = true,
             "--validate" => o.validate = true,
             "--summary" => o.summary = true,
-            "--verbose" => o.verbose = true,
             other if !other.starts_with('-') && o.input.is_none() => {
                 o.input = Some(other.to_string())
             }
@@ -287,51 +280,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         return Err("--checkpoint-dir applies to --sources runs only".to_string());
     }
     Ok(o)
-}
-
-fn generate(spec: &str) -> Result<EdgeList, String> {
-    let (kind, params) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("bad --gen spec '{spec}'"))?;
-    let nums = |sep: char| -> Result<Vec<usize>, String> {
-        params
-            .split(sep)
-            .map(|t| t.parse().map_err(|_| format!("bad number in '{spec}'")))
-            .collect()
-    };
-    match kind {
-        "grid" => {
-            let d = nums('x')?;
-            if d.len() != 2 {
-                return Err("grid needs WxH".into());
-            }
-            Ok(gen::grid2d(d[0], d[1]))
-        }
-        "er" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("er needs N,M".into());
-            }
-            Ok(gen::gnm(d[0], d[1], 42))
-        }
-        "rmat" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("rmat needs SCALE,EDGEFACTOR".into());
-            }
-            Ok(gen::rmat(gen::RmatParams::graph500(d[0] as u32, d[1]), 42))
-        }
-        "ba" => {
-            let d = nums(',')?;
-            if d.len() != 2 {
-                return Err("ba needs N,M".into());
-            }
-            Ok(gen::barabasi_albert(d[0], d[1], 42))
-        }
-        "path" => Ok(gen::path(nums(',')?[0])),
-        "cycle" => Ok(gen::cycle(nums(',')?[0])),
-        other => Err(format!("unknown generator '{other}'")),
-    }
 }
 
 fn load(path: &str, format: Option<&str>) -> Result<EdgeList, String> {
@@ -511,17 +459,9 @@ fn run_batch(o: &Options, g: &CsrGraph, delta: f64) -> Result<ExitCode, Failure>
             }
         }
     }
-    let cache_detail = if o.verbose {
-        format!(
-            ", {} replacement(s), {} resident byte(s)",
-            report.split_cache.replacements, report.split_cache.resident_bytes
-        )
-    } else {
-        String::new()
-    };
     println!(
         "batch: {} complete ({} degraded), {} partial, {} failed, {} rejected in {:?} \
-         | split cache: {} build(s), {} hit(s){cache_detail}",
+         | split cache: {} build(s), {} hit(s), {} replacement(s), {} resident byte(s)",
         report.completed(),
         report.degraded(),
         report.partial(),
@@ -529,7 +469,9 @@ fn run_batch(o: &Options, g: &CsrGraph, delta: f64) -> Result<ExitCode, Failure>
         report.rejected(),
         t0.elapsed(),
         report.split_cache.builds,
-        report.split_cache.hits
+        report.split_cache.hits,
+        report.split_cache.replacements,
+        report.split_cache.resident_bytes
     );
     Ok(if report.failed() > 0 || report.rejected() > 0 {
         ExitCode::from(EXIT_SSSP)
@@ -566,7 +508,7 @@ fn real_main() -> ExitCode {
         Err(msg) => return Failure::Usage(msg).report(),
     };
     let mut el = match (&o.generate, &o.input) {
-        (Some(spec), _) => match generate(spec) {
+        (Some(spec), _) => match sssp_serve::protocol::parse_gen_spec(spec) {
             Ok(el) => el,
             Err(e) => return Failure::Usage(format!("error: {e}")).report(),
         },

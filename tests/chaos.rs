@@ -1,21 +1,18 @@
 //! Chaos suite: deterministic fault injection at every boundary of the
 //! stepping door — the one loop every batched, served or single-source
-//! `fused` / `improved` run executes.
+//! `fused` / `improved` run executes. Cancellation at every epoch, with
+//! resume on both kernels, is a column of `tests/differential.rs`.
 //!
 //! Three properties, exercised exhaustively rather than sampled:
 //!
-//! 1. **Cancellation at every epoch boundary** — for every stepping
-//!    strategy on both kernels (sequential and pooled), cancel at epoch
-//!    `k` for *every* `k` the full run passes through. The checkpoint
-//!    must validate, and every distance it certifies (below
-//!    `settled_below`) must bit-match the uninterrupted run.
-//! 2. **Resume always reconverges** — every checkpoint, continued on
-//!    both kernels of the one loop (pool-less and pooled), must land on
-//!    bit-identical distances *and* stats versus the uninterrupted run.
-//! 3. **Panic injection at every task boundary** — for every strategy on
+//! 1. **Panic injection at every task boundary** — for every strategy on
 //!    the pooled kernels, arm the taskpool fault hook at task `j` for a
 //!    sweep of `j`, run the job through `batch::run_job`, and demand the
 //!    degraded run still produces exact distances.
+//! 2. **Kill, reload, resume** — a checkpoint survives being saved by one
+//!    "process", reloaded and cut again by a second and resumed from its
+//!    directory by a third, bit-identical to the uninterrupted job.
+//! 3. **A panic then a budget stop** still yields a certified checkpoint.
 //!
 //! The worker-pool size is taken from `CHAOS_THREADS` (default 2) so CI
 //! can sweep 1/2/4 without recompiling.
@@ -84,64 +81,6 @@ fn complete(outcome: JobOutcome, label: &str) -> SsspResult {
         JobOutcome::Complete { result, .. } => result,
         other => panic!("{label}: expected a completed job, got {other:?}"),
     }
-}
-
-fn cancel_everywhere(g: &CsrGraph, src: usize, delta: f64) {
-    let pool = ThreadPool::with_threads(pool_threads()).unwrap();
-    for strategy in STRATEGIES {
-        for kernels in [Kernels::Sequential, Kernels::Pooled] {
-            let name = format!("{strategy} on {kernels:?}");
-            let on = (kernels == Kernels::Pooled).then_some(&pool);
-            let run = |budget: &mut RunBudget| {
-                SsspEngine::new(g).run_stepping(on, src, delta, strategy, budget)
-            };
-            let mut counting = RunBudget::unlimited();
-            let (reference, _) = run(&mut counting).expect("valid input");
-            let epochs = counting.ticks();
-            assert!(epochs > 2, "{name}: too few epochs to be interesting");
-            let mut engine = SsspEngine::new(g);
-            for k in 0..epochs {
-                let err = run(&mut RunBudget::unlimited().cancel_after(k))
-                    .expect_err("cancel_after inside the run must stop it");
-                let cp = match err {
-                    SsspError::Cancelled { checkpoint } => *checkpoint,
-                    other => panic!("{name} epoch {k}: expected Cancelled, got {other}"),
-                };
-                cp.validate(g.num_vertices()).expect("checkpoint must validate");
-                // Property 1: everything the checkpoint certifies is final.
-                for (v, d) in cp.settled_distances() {
-                    assert_eq!(
-                        d.to_bits(),
-                        reference.dist[v].to_bits(),
-                        "{name} epoch {k}: certified distance of vertex {v} is not final"
-                    );
-                }
-                // Property 2: the checkpoint reconverges bit-identically on
-                // both kernels.
-                assert!(cp.resumable, "{name} epoch {k}");
-                for resume_on in [None, Some(&pool)] {
-                    let (resumed, _) = engine
-                        .resume_stepping(resume_on, &cp, &mut RunBudget::unlimited())
-                        .expect("resume must reconverge");
-                    let label = format!("{name} epoch {k}, pooled resume={}", resume_on.is_some());
-                    assert_eq!(bits(&resumed.dist), bits(&reference.dist), "{label}");
-                    assert_eq!(resumed.stats, reference.stats, "{label}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn cancellation_at_every_epoch_is_certified_and_resumable_unit_weights() {
-    let g = chaos_graph();
-    cancel_everywhere(&g, 0, 1.0);
-}
-
-#[test]
-fn cancellation_at_every_epoch_is_certified_and_resumable_real_weights() {
-    let g = weighted_chaos_graph();
-    cancel_everywhere(&g, 1, 0.5);
 }
 
 #[test]

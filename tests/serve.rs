@@ -413,3 +413,26 @@ fn corrupt_checkpoint_and_torn_manifest_are_quarantined_on_restart() {
     revived.kill9();
     let _ = std::fs::remove_dir_all(&tmp);
 }
+
+/// A hostile `LOAD GEN` spec is a typed refusal, and a connection gives
+/// its slot back however it ends: two slots serve any number of clients
+/// that send `ba:10,0` and hang up.
+#[test]
+fn hostile_gen_specs_are_refused_without_leaking_connection_slots() {
+    let config = ServerConfig { max_connections: 2, ..ServerConfig::default() };
+    let server = start(config, "127.0.0.1:0").unwrap();
+    let addr = server.addr();
+    for _ in 0..4 {
+        let mut c = TcpStream::connect(addr).unwrap();
+        let reply = ask(&mut c, "LOAD GEN ba:10,0");
+        assert!(reply.first().is_some_and(|r| r.starts_with("ERROR code=35 ")), "{reply:?}");
+        drop(c);
+        // Once the handler has seen the hang-up, STATS's is the one open.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while stat(addr, "connections_open") > 1 {
+            assert!(Instant::now() < deadline, "the connection's slot was not given back");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+    server.shutdown();
+}

@@ -1,43 +1,28 @@
-//! Generalized-stepping integration suite: the strategy layer must be
-//! invisible in the *answer* and visible only in the *work*.
+//! Generalized-stepping integration suite: the contracts of the one
+//! stepping loop that a single fixture pins. The sweeps every strategy,
+//! kernel, direction and cut shares live in `tests/differential.rs`.
 //!
-//! 1. **Every strategy is exact** — classic Δ, ρ-stepping for small /
-//!    medium / effectively-infinite ρ, and Δ*-stepping for several fuse
-//!    factors all reproduce Dijkstra's distance vector bit-for-bit on
-//!    the paper suite and the weighted suite, sequentially and on
-//!    1/2/4-thread pools.
-//! 2. **Determinism across schedules** — for every strategy, stats
-//!    (not just distances) are identical between the pool-less path and
-//!    every pool width, across repeated runs.
-//! 3. **Same loop, same answers** — classic on the one loop reproduces,
+//! 1. **Same loop, same answers** — classic on the one loop reproduces,
 //!    bit for bit, the `SsspStats` the deleted `fused_loop` /
 //!    `improved_loop` produced at the parent commit (golden literals),
 //!    and agrees with the canonical Meyer–Sanders loop on every phase
 //!    count and on `relaxations`, whose heavy pass relaxes the settled
 //!    *set* once (a hand-built re-entry pins the exact count, across
 //!    cancel/resume at every epoch).
-//! 4. **Cancellation chaos** — cancel classic, ρ- and Δ*-stepping runs
-//!    at *every* budget epoch the uninterrupted run passes through: the
-//!    checkpoint validates, everything it certifies is final, and both
-//!    resume paths (sequential and pooled) reconverge bit-identically
-//!    in distances *and* stats.
-//! 5. **Disk round-trip** — a cancelled run of any strategy survives
-//!    save/load through the engine's checkpoint files and resumes to
-//!    the exact uninterrupted answer; so does a trailer-less classic
-//!    checkpoint written by the parent commit's `fused` (byte fixture).
-//! 6. **Extraction scans the pending set** — resuming rebuilds the set
+//! 2. **Old checkpoints** — a trailer-less classic checkpoint written by
+//!    the parent commit's `fused` (byte fixture) still resumes.
+//! 3. **Extraction scans the pending set** — resuming rebuilds the set
 //!    from `dist` and the checkpoint's bound/threshold so that every later
 //!    checkpoint (ascending frontier included) equals the uninterrupted
 //!    run's, and `EngineStats::extraction_scanned` stays
 //!    O(n + improvements) where a full-vector scan would be n × steps.
 
-use graphdata::{paper_suite, suite::weighted_suite, CsrGraph, SuiteScale};
+use graphdata::CsrGraph;
 use sssp_core::dijkstra::dijkstra;
 use sssp_core::engine::SsspEngine;
-use sssp_core::{Checkpoint, RunBudget, SsspError, SsspStats, SteppingStrategy, StopPoint};
+use sssp_core::{Checkpoint, RunBudget, SsspStats, SteppingStrategy, StopPoint};
 use taskpool::ThreadPool;
 
-const RUNS: usize = 5;
 const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Distances must be bit-identical, not approximately equal.
@@ -45,22 +30,8 @@ fn bits(dist: &[f64]) -> Vec<u64> {
     dist.iter().map(|d| d.to_bits()).collect()
 }
 
-/// The strategy sweep every exactness test runs: degenerate, moderate,
-/// and extract-everything parameters for both generalized families,
-/// plus classic Δ as the control.
-fn strategy_sweep() -> Vec<SteppingStrategy> {
-    vec![
-        SteppingStrategy::Classic,
-        SteppingStrategy::Rho(1),
-        SteppingStrategy::Rho(64),
-        SteppingStrategy::Rho(1 << 20),
-        SteppingStrategy::DeltaStar(1.0),
-        SteppingStrategy::DeltaStar(4.0),
-    ]
-}
-
-/// Weighted graph with several buckets' worth of work, mirroring the
-/// chaos suite's generator so epoch counts stay interesting.
+/// Weighted graph with several buckets' worth of work, the one the
+/// chaos suite and the differential harness cut at every epoch.
 fn weighted_chaos_graph() -> CsrGraph {
     let mut el = graphdata::gen::gnm(150, 900, 11);
     el.symmetrize();
@@ -70,58 +41,6 @@ fn weighted_chaos_graph() -> CsrGraph {
         5,
     );
     CsrGraph::from_edge_list(&el).unwrap()
-}
-
-fn check_exact(name: &str, g: &CsrGraph, src: usize, delta: f64) {
-    let oracle = bits(&dijkstra(g, src).dist);
-    for strategy in strategy_sweep() {
-        let mut engine = SsspEngine::new(g);
-        let (seq, _) = engine
-            .run_stepping(None, src, delta, strategy, &mut RunBudget::unlimited())
-            .expect("valid input");
-        assert_eq!(
-            bits(&seq.dist),
-            oracle,
-            "{strategy} on {name}: sequential distances diverge from Dijkstra"
-        );
-        for &threads in &THREADS {
-            let pool = ThreadPool::with_threads(threads).expect("pool");
-            for rep in 0..RUNS {
-                let (par, _) = engine
-                    .run_stepping(Some(&pool), src, delta, strategy, &mut RunBudget::unlimited())
-                    .expect("valid input");
-                assert_eq!(
-                    bits(&par.dist),
-                    oracle,
-                    "{strategy} on {name}: distances diverged at {threads} thread(s), rep {rep}"
-                );
-                // One algorithm with two execution modes: stats match
-                // the sequential run exactly, for every strategy.
-                assert_eq!(
-                    par.stats, seq.stats,
-                    "{strategy} on {name}: stats diverged at {threads} thread(s), rep {rep}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn every_strategy_matches_dijkstra_on_the_paper_suite() {
-    for d in paper_suite(SuiteScale::Smoke) {
-        let src = d.graph.num_vertices() / 2;
-        check_exact(&d.name, &d.graph, src, 1.0);
-    }
-}
-
-#[test]
-fn every_strategy_matches_dijkstra_on_real_weights() {
-    // Real-valued weights are where a wrong extraction threshold would
-    // show: unit weights forgive an off-by-one bucket range because
-    // every candidate in a phase shares one distance value.
-    for d in weighted_suite(SuiteScale::Smoke).into_iter().take(2) {
-        check_exact(&d.name, &d.graph, 1, 0.25);
-    }
 }
 
 /// The golden graph set: unit-weight grid, two real-weighted graphs, a
@@ -342,106 +261,6 @@ fn total_epochs(
         .run_stepping(Some(pool), src, delta, strategy, &mut budget)
         .expect("valid input");
     budget.ticks()
-}
-
-#[test]
-fn cancelling_every_strategy_at_every_epoch_reconverges() {
-    let g = weighted_chaos_graph();
-    let (src, delta) = (0, 0.5);
-    let pool = ThreadPool::with_threads(2).expect("pool");
-    for strategy in [
-        SteppingStrategy::Classic,
-        SteppingStrategy::Rho(16),
-        SteppingStrategy::DeltaStar(2.0),
-    ] {
-        let mut engine = SsspEngine::new(&g);
-        let (reference, _) = engine
-            .run_stepping(Some(&pool), src, delta, strategy, &mut RunBudget::unlimited())
-            .expect("valid input");
-        let epochs = total_epochs(&g, src, delta, strategy, &pool);
-        assert!(epochs > 2, "{strategy}: too few epochs to be interesting");
-        for k in 0..epochs {
-            let mut budget = RunBudget::unlimited().cancel_after(k);
-            let err = engine
-                .run_stepping(Some(&pool), src, delta, strategy, &mut budget)
-                .expect_err("cancel_after inside the run must stop it");
-            let cp = match err {
-                SsspError::Cancelled { checkpoint } => *checkpoint,
-                other => panic!("{strategy} epoch {k}: expected Cancelled, got {other}"),
-            };
-            cp.validate(g.num_vertices()).expect("checkpoint must validate");
-            assert_eq!(
-                cp.stepping.map(|st| st.strategy),
-                Some(strategy),
-                "{strategy} epoch {k}: the loop emits its stepping state for every strategy"
-            );
-            // Everything the checkpoint certifies is final.
-            for (v, d) in cp.settled_distances() {
-                assert_eq!(
-                    d.to_bits(),
-                    reference.dist[v].to_bits(),
-                    "{strategy} epoch {k}: certified distance of vertex {v} is not final"
-                );
-            }
-            // Both resume paths reconverge bit-identically.
-            if cp.resumable {
-                let (seq, _) = engine
-                    .resume_stepping(None, &cp, &mut RunBudget::unlimited())
-                    .expect("sequential resume must reconverge");
-                assert_eq!(bits(&seq.dist), bits(&reference.dist), "{strategy} epoch {k}");
-                assert_eq!(seq.stats, reference.stats, "{strategy} epoch {k}");
-                let (par, _) = engine
-                    .resume_stepping(Some(&pool), &cp, &mut RunBudget::unlimited())
-                    .expect("pooled resume must reconverge");
-                assert_eq!(bits(&par.dist), bits(&reference.dist), "{strategy} epoch {k}");
-                assert_eq!(par.stats, reference.stats, "{strategy} epoch {k}");
-            }
-        }
-    }
-}
-
-#[test]
-fn checkpoints_round_trip_through_disk() {
-    for strategy in [SteppingStrategy::Classic, SteppingStrategy::Rho(16)] {
-        checkpoint_round_trips_through_disk(strategy);
-    }
-}
-
-fn checkpoint_round_trips_through_disk(strategy: SteppingStrategy) {
-    let g = weighted_chaos_graph();
-    let (src, delta) = (0, 0.5);
-    let mut engine = SsspEngine::new(&g);
-    let (reference, _) = engine
-        .run_stepping(None, src, delta, strategy, &mut RunBudget::unlimited())
-        .expect("valid input");
-
-    let mut budget = RunBudget::unlimited().cancel_after(3);
-    let err = engine
-        .run_stepping(None, src, delta, strategy, &mut budget)
-        .expect_err("cancel_after inside the run must stop it");
-    let cp = match err {
-        SsspError::Cancelled { checkpoint } => *checkpoint,
-        other => panic!("expected Cancelled, got {other}"),
-    };
-    assert!(cp.resumable && cp.stepping.is_some());
-
-    let dir = std::env::temp_dir().join(format!(
-        "sssp-stepping-it-{}-{}",
-        strategy.name(),
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cp.ckpt");
-    engine.save_checkpoint(&cp, &path).expect("save");
-    let loaded = engine.load_checkpoint(&path).expect("load");
-    assert_eq!(loaded.stepping, cp.stepping, "stepping state must survive the disk");
-
-    let (resumed, _) = engine
-        .resume_stepping(None, &loaded, &mut RunBudget::unlimited())
-        .expect("resume from disk must reconverge");
-    assert_eq!(bits(&resumed.dist), bits(&reference.dist));
-    assert_eq!(resumed.stats, reference.stats);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
