@@ -28,7 +28,7 @@
 //! 4. **`impl-coverage`** — every name accepted by
 //!    `Implementation::parse` maps to a variant dispatched inside the
 //!    figure door `run_checked`, and every canonical `name()` string
-//!    appears as a literal in `tests/differential.rs`, so no figure
+//!    appears as a literal in `tests/differential/mod.rs`, so no figure
 //!    variant can be reachable from the CLI without being in the
 //!    differential harness.
 //! 5. **`wire-code-coverage`** — the resident service's
@@ -571,7 +571,7 @@ fn arm_literals(block: &str) -> Vec<(Vec<String>, String)> {
 ///   the `run_checked` body);
 /// - every `parse()` alias maps to a dispatched variant;
 /// - every canonical `name()` literal appears quoted in
-///   `tests/differential.rs`.
+///   `tests/differential/mod.rs`.
 ///
 /// NB: `arm_literals` reads *raw* lines from the parse/name blocks, so
 /// this helper takes the raw source and re-slices it.
@@ -668,7 +668,7 @@ pub fn lint_impl_coverage(run_rs: &SourceFile, harness_src: &str) -> Vec<Finding
         any_name = true;
         if !harness_src.contains(&format!("\"{name}\"")) {
             finding(name_line, format!(
-                "canonical name \"{name}\" is not covered as a literal in tests/differential.rs"
+                "canonical name \"{name}\" is not covered as a literal in tests/differential/mod.rs"
             ));
         }
     }
@@ -1428,8 +1428,8 @@ pub fn run_all(root: &Path) -> Result<Vec<Finding>, String> {
         .iter()
         .find(|f| f.rel == "crates/core/src/run.rs")
         .ok_or("crates/core/src/run.rs not found")?;
-    let harness = fs::read_to_string(root.join("tests/differential.rs"))
-        .map_err(|e| format!("tests/differential.rs: {e}"))?;
+    let harness = fs::read_to_string(root.join("tests/differential/mod.rs"))
+        .map_err(|e| format!("tests/differential/mod.rs: {e}"))?;
     findings.extend(lint_impl_coverage(run_rs, &harness));
 
     let guard_rs = files

@@ -27,7 +27,8 @@
 //! with an unimprovable candidate. Both drains treat such entries as
 //! no-ops, so `dist`, improvements, and every other
 //! [`crate::stats::SsspStats`] field stay bit-identical across
-//! directions and thread counts (asserted by `tests/differential.rs`).
+//! directions and thread counts (asserted by the differential harness,
+//! `tests/differential/`).
 //!
 //! The floor is the float subtlety. Every candidate for `v` is
 //! `dist[u] + w` with `dist[u] >= lower` (the minimum frontier tentative

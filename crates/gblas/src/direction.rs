@@ -14,7 +14,7 @@
 //! total edge count of the operand (for delta-stepping: the light
 //! sub-graph `A_L`). Both numbers are schedule-independent, so the
 //! chosen direction is a pure function of algorithm state — a
-//! requirement, because the differential harness (`tests/differential.rs`)
+//! requirement, because the differential harness (`tests/differential/`)
 //! compares runs at 1/2/4 threads bit for bit.
 //!
 //! The threshold is recorded in `BENCH_sssp.json` by the bench harness;

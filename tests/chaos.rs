@@ -1,21 +1,28 @@
 //! Chaos suite: deterministic fault injection at every boundary of the
 //! stepping door — the one loop every batched, served or single-source
-//! `fused` / `improved` run executes. Cancellation at every epoch, with
-//! resume on both kernels, is a column of `tests/differential.rs`.
+//! `fused` / `improved` run executes.
 //!
-//! Three properties, exercised exhaustively rather than sampled:
+//! Four properties, exercised exhaustively rather than sampled:
 //!
-//! 1. **Panic injection at every task boundary** — for every strategy on
+//! 1. **Cancellation at every epoch boundary** — every strategy, cut at
+//!    every epoch its run passes through, pool-less and pooled: the
+//!    checkpoint validates, everything it certifies is final, and it
+//!    resumes on both kernels to the uninterrupted bits and stats. These
+//!    two tests are slices of the differential harness
+//!    (`tests/differential/`), on the unit grid and on real weights.
+//! 2. **Panic injection at every task boundary** — for every strategy on
 //!    the pooled kernels, arm the taskpool fault hook at task `j` for a
 //!    sweep of `j`, run the job through `batch::run_job`, and demand the
 //!    degraded run still produces exact distances.
-//! 2. **Kill, reload, resume** — a checkpoint survives being saved by one
+//! 3. **Kill, reload, resume** — a checkpoint survives being saved by one
 //!    "process", reloaded and cut again by a second and resumed from its
 //!    directory by a third, bit-identical to the uninterrupted job.
-//! 3. **A panic then a budget stop** still yields a certified checkpoint.
+//! 4. **A panic then a budget stop** still yields a certified checkpoint.
 //!
 //! The worker-pool size is taken from `CHAOS_THREADS` (default 2) so CI
 //! can sweep 1/2/4 without recompiling.
+
+mod differential;
 
 use std::sync::Arc;
 
@@ -29,6 +36,11 @@ use sssp_core::{
 };
 use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
+
+differential::slice_tests!(
+    cancellation_at_every_epoch_is_certified_and_resumable_unit_weights,
+    cancellation_at_every_epoch_is_certified_and_resumable_real_weights,
+);
 
 fn pool_threads() -> usize {
     std::env::var("CHAOS_THREADS")

@@ -1,6 +1,12 @@
-//! Generalized-stepping integration suite: the contracts of the one
-//! stepping loop that a single fixture pins. The sweeps every strategy,
-//! kernel, direction and cut shares live in `tests/differential.rs`.
+//! Generalized-stepping integration suite: the strategy layer is
+//! invisible in the answer and visible only in the work.
+//!
+//! Every strategy matches Dijkstra bit for bit on the paper suite and on
+//! real weights, on every kernel with the oracle run's stats; runs cut at
+//! every epoch, or at sampled ones and sent through the checkpoint file,
+//! resume to the same bits and stats. Those tests are slices of the
+//! differential harness (`tests/differential/`), whose `OWNERS` table says
+//! which rows each one runs. The rest pin one contract on one fixture:
 //!
 //! 1. **Same loop, same answers** — classic on the one loop reproduces,
 //!    bit for bit, the `SsspStats` the deleted `fused_loop` /
@@ -17,11 +23,20 @@
 //!    run's, and `EngineStats::extraction_scanned` stays
 //!    O(n + improvements) where a full-vector scan would be n × steps.
 
+mod differential;
+
 use graphdata::CsrGraph;
 use sssp_core::dijkstra::dijkstra;
 use sssp_core::engine::SsspEngine;
 use sssp_core::{Checkpoint, RunBudget, SsspStats, SteppingStrategy, StopPoint};
 use taskpool::ThreadPool;
+
+differential::slice_tests!(
+    every_strategy_matches_dijkstra_on_the_paper_suite,
+    every_strategy_matches_dijkstra_on_real_weights,
+    cancelling_every_strategy_at_every_epoch_reconverges,
+    checkpoints_round_trip_through_disk,
+);
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
