@@ -91,8 +91,8 @@ fn main() {
     // chunks(3) walk above only ever sees baseline rows.
     let heavy = stepping::HEAVY_DELTA;
     println!(
-        "\nSTEPPING: fused vs classic vs rho:{} vs delta-star:{} (delta = {}, and {heavy} on the \
-         @{heavy} rows; real weights)",
+        "\nSTEPPING: fused vs classic vs rho:{} vs delta-star:{} (delta = {}, and {heavy} without \
+         rho on the @{heavy} rows; real weights)",
         stepping::RHO,
         stepping::DELTA_STAR_FACTOR,
         stepping::DELTA,
@@ -107,10 +107,14 @@ fn main() {
     }
     let table = baseline::to_table(&stepping_entries);
     println!("{}", markdown_table(&baseline::HEADER, &table));
-    for chunk in stepping_entries.chunks(4) {
-        let (classic, rho) = (&chunk[1], &chunk[2]);
+    for rho in stepping_entries.iter().filter(|e| e.impl_name == "stepping-rho") {
+        let classic = stepping_entries
+            .iter()
+            .filter(|e| (&e.scale, &e.graph) == (&rho.scale, &rho.graph))
+            .find(|e| e.impl_name == "stepping-classic")
+            .expect("every rho row has its graph's classic row");
         println!(
-            "{}/{}: rho-stepping does {:.2}x the relaxations of classic at the same delta{}",
+            "{}/{}: rho-stepping does {:.2}x the relaxations of classic delta=1{}",
             rho.scale,
             rho.graph,
             rho.stats.relaxations as f64 / classic.stats.relaxations as f64,

@@ -16,6 +16,8 @@
 //! row as the timing reference. Every graph runs twice: at Δ = 1, where
 //! every edge is light, and at [`HEAVY_DELTA`], whose rows (graph names
 //! suffixed `@0.25`) put heavy-pass `relaxations` under the gate.
+//! ρ-stepping extracts the ρ nearest pending vertices whatever Δ is, so
+//! it runs at Δ = 1 only ([`strategies_at`]).
 
 use graphdata::suite::Dataset;
 use graphdata::{gen, SuiteScale, WeightModel};
@@ -43,13 +45,19 @@ pub const RHO: usize = 64;
 /// Bucket-fuse factor for the `stepping-delta-star` rows.
 pub const DELTA_STAR_FACTOR: f64 = 4.0;
 
-/// The strategy sweep, in emission order after the `fused` row.
-pub fn strategies() -> [(&'static str, SteppingStrategy); 3] {
-    [
+/// The strategy sweep at `delta`, in emission order after the `fused`
+/// row: every strategy at [`DELTA`], and at any other Δ the ones whose
+/// counters move with it, classic and Δ*.
+pub fn strategies_at(delta: f64) -> Vec<(&'static str, SteppingStrategy)> {
+    let mut sweep = vec![
         ("stepping-classic", SteppingStrategy::Classic),
         ("stepping-rho", SteppingStrategy::Rho(RHO)),
         ("stepping-delta-star", SteppingStrategy::DeltaStar(DELTA_STAR_FACTOR)),
-    ]
+    ];
+    if delta != DELTA {
+        sweep.remove(1);
+    }
+    sweep
 }
 
 /// Real-weighted rmat and Erdős–Rényi gate graphs. Weights are uniform
@@ -129,7 +137,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
             entries.push(entry("fused", 1, fused_t, fu.stats.clone()));
 
             let mut relaxations = Vec::new();
-            for (name, strategy) in strategies() {
+            for (name, strategy) in strategies_at(delta) {
                 let (r, _) = engine
                     .run_stepping(Some(&pool), src, delta, strategy, &mut RunBudget::unlimited())
                     .expect("gate graphs are valid");
@@ -177,19 +185,24 @@ mod tests {
         // run() itself asserts Dijkstra agreement and the relaxation
         // reduction; this test pins the document shape on top.
         let entries = run(SuiteScale::Smoke, 2, Reps { warmup: 0, samples: 1 });
-        // 2 weighted gate graphs x 2 deltas x (fused + 3 strategies).
-        assert_eq!(entries.len(), 16);
-        for chunk in entries.chunks(4) {
-            assert_eq!(chunk[0].impl_name, "fused");
-            assert_eq!(chunk[1].impl_name, "stepping-classic");
-            assert_eq!(chunk[2].impl_name, "stepping-rho");
-            assert_eq!(chunk[3].impl_name, "stepping-delta-star");
+        // 2 weighted gate graphs x (fused + 3 strategies at delta 1, and
+        // fused + classic + delta-star at 0.25).
+        assert_eq!(entries.len(), 14);
+        for chunk in entries.chunks(7) {
+            let (light, heavy) = chunk.split_at(4);
+            let names = |rows: &[BenchEntry]| {
+                rows.iter().map(|e| e.impl_name.clone()).collect::<Vec<_>>()
+            };
+            let all = ["fused", "stepping-classic", "stepping-rho", "stepping-delta-star"];
+            assert_eq!(names(light), all);
+            assert_eq!(names(heavy), ["fused", "stepping-classic", "stepping-delta-star"]);
+            assert_eq!(heavy[0].graph, format!("{}@0.25", light[0].graph));
             // Classic through the strategy front door is still the
             // classic algorithm: its counters match fused exactly.
-            assert_eq!(chunk[0].stats, chunk[1].stats, "{}", chunk[0].graph);
-            if chunk[0].graph.ends_with("@0.25") {
-                continue; // the ρ claim is against classic Δ = 1
+            for rows in [light, heavy] {
+                assert_eq!(rows[0].stats, rows[1].stats, "{}", rows[0].graph);
             }
+            let chunk = light; // the ρ claim is against classic Δ = 1
             assert!(
                 chunk[2].stats.relaxations < chunk[1].stats.relaxations,
                 "{}: rho {} vs classic {}",

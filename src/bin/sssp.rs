@@ -133,6 +133,8 @@ input (one of):
   --format mm|tsv|bin      override format detection
   --gen SPEC               synthetic graph instead of a file:
                            grid:WxH | er:N,M | rmat:SCALE,EF | ba:N,M | path:N | cycle:N
+                           (at most 2^24 vertices plus edges: rmat:20,16 and
+                           grid:2048x2048 are refused, exit 1)
 
 options:
   --impl NAME              dijkstra | bellman-ford | delta/canonical | gblas |

@@ -8,8 +8,9 @@
 //!    every epoch its run passes through, pool-less and pooled: the
 //!    checkpoint validates, everything it certifies is final, and it
 //!    resumes on both kernels to the uninterrupted bits and stats. These
-//!    two tests are slices of the differential harness
-//!    (`tests/differential/`), on the unit grid and on real weights.
+//!    two tests run a part of the differential harness
+//!    (`tests/differential/`), on the unit grid and on real weights, and
+//!    cut on 1-, 2- and 4-thread pools whatever `CHAOS_THREADS` says.
 //! 2. **Panic injection at every task boundary** — for every strategy on
 //!    the pooled kernels, arm the taskpool fault hook at task `j` for a
 //!    sweep of `j`, run the job through `batch::run_job`, and demand the
@@ -19,13 +20,14 @@
 //!    directory by a third, bit-identical to the uninterrupted job.
 //! 4. **A panic then a budget stop** still yields a certified checkpoint.
 //!
-//! The worker-pool size is taken from `CHAOS_THREADS` (default 2) so CI
-//! can sweep 1/2/4 without recompiling.
+//! The other tests take their worker-pool size from `CHAOS_THREADS`
+//! (default 2) so CI can sweep 1/2/4 without recompiling.
 
 mod differential;
 
 use std::sync::Arc;
 
+use differential::{Group::*, Part::EveryCut};
 use graphdata::gen::grid2d;
 use graphdata::CsrGraph;
 use sssp_core::batch::{run_job, Job, JobOutcome, ManifestState};
@@ -37,10 +39,15 @@ use sssp_core::{
 use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
 
-differential::slice_tests!(
-    cancellation_at_every_epoch_is_certified_and_resumable_unit_weights,
-    cancellation_at_every_epoch_is_certified_and_resumable_real_weights,
-);
+#[test]
+fn cancellation_at_every_epoch_is_certified_and_resumable_unit_weights() {
+    differential::run(&[Grid], &[EveryCut]);
+}
+
+#[test]
+fn cancellation_at_every_epoch_is_certified_and_resumable_real_weights() {
+    differential::run(&[Layout, Hostile], &[EveryCut]);
+}
 
 fn pool_threads() -> usize {
     std::env::var("CHAOS_THREADS")

@@ -18,12 +18,12 @@
 //! `repro::canonical`'s counters. The figure variants run on the same
 //! rows against the fused run.
 //!
-//! The work is cut into [`Part`]s, and [`OWNERS`] hands every group's
-//! share of every part to exactly one named test of the suites that
-//! include this module (`the_owners_cover_every_group_and_part_once` in
-//! `tests/determinism.rs` checks that). A suite declares the tests it
-//! owns with [`slice_tests!`], and the harness asserts that each owner's
-//! fixtures exercise what the owner claims ([`Claim`]).
+//! The work is cut into [`Part`]s. Each test of the suites that include
+//! this module runs some parts on some groups through [`run`], and asserts
+//! on what the returned [`Seen`] shows its fixtures exercised.
+
+// Each suite runs its own share: what one leaves unused, another uses.
+#![allow(dead_code)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -49,18 +49,6 @@ use taskpool::ThreadPool;
 use Group::*;
 use Part::*;
 use SteppingStrategy::{Classic, DeltaStar, Rho};
-
-/// Declares the named tests a suite owns in [`OWNERS`]: each runs its
-/// slices of the harness.
-macro_rules! slice_tests {
-    ($($name:ident),* $(,)?) => {$(
-        #[test]
-        fn $name() {
-            crate::differential::check(module_path!(), stringify!($name));
-        }
-    )*};
-}
-pub(crate) use slice_tests;
 
 /// Which inputs a row belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +88,8 @@ pub enum Part {
     /// Every kernel and direction, cut at one sampled epoch and resumed.
     SampledCuts,
     /// Rows marked [`Cuts::Every`]: the oracle-direction runs, pool-less
-    /// and on 2 threads, cut at every epoch below their total and resumed.
+    /// and on 1, 2 and 4 threads, cut at every epoch below their total
+    /// and resumed.
     EveryCut,
     /// Classic forced to pull on a session pool: its pull rounds run as
     /// tasks, and land on the oracle's bits and stats.
@@ -123,73 +112,12 @@ pub enum Part {
     Certificate,
 }
 
-/// What an owner's fixtures must be seen to exercise.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Claim {
-    /// A forced-push classic run relaxed edges in its heavy passes.
-    HeavyPass,
-    /// A classic oracle run took both push and pull rounds.
-    BothDirections,
-}
-
-/// A named test and the parts it runs on its groups.
-pub struct Owner {
-    pub suite: &'static str,
-    pub test: &'static str,
-    pub groups: &'static [Group],
-    pub parts: &'static [Part],
-    pub claims: &'static [Claim],
-}
-
-const fn owner(suite: &'static str, test: &'static str, groups: &'static [Group], parts: &'static [Part]) -> Owner {
-    Owner { suite, test, groups, parts, claims: &[] }
-}
-
-impl Owner {
-    const fn claiming(self, claims: &'static [Claim]) -> Owner {
-        Owner { claims, ..self }
-    }
-}
-
-const UNIT: &[Group] = &[Paper, Grid];
-const REAL: &[Group] = &[Weighted, Layout, Hostile, Switch0, Switch1];
-const FIGURE_ROWS: &[Group] = &[Paper, Grid, Weighted, Layout, Hostile, Switch0, Switch1];
-
-/// Who runs what: every group's share of every part has one owner.
-pub const OWNERS: &[Owner] = &[
-    owner("stepping", "every_strategy_matches_dijkstra_on_the_paper_suite", UNIT, &[Oracle]),
-    owner("stepping", "every_strategy_matches_dijkstra_on_real_weights", &[Weighted, Hostile], &[Oracle]),
-    owner("stepping", "cancelling_every_strategy_at_every_epoch_reconverges", &[Switch0], &[EveryCut]),
-    owner("stepping", "checkpoints_round_trip_through_disk", &[Weighted, Hostile, Switch0, Switch1], &[SampledCuts]),
-    owner("direction", "forced_pull_matches_push_bit_for_bit_on_unit_weights", UNIT, &[Forced]),
-    owner("direction", "forced_pull_matches_push_bit_for_bit_on_real_weights", &[Weighted, Hostile, Switch0, Switch1], &[Forced])
-        .claiming(&[Claim::HeavyPass]),
-    owner("direction", "parallel_pull_kernel_is_bit_identical_not_just_its_fallback", UNIT, &[PullTasks]),
-    owner("direction", "auto_oracle_crosses_the_switch_boundary_and_stays_exact", &[Switch0, Switch1], &[Oracle])
-        .claiming(&[Claim::BothDirections]),
-    owner("direction", "cancellation_at_every_epoch_across_the_switch_boundary", &[Switch1], &[EveryCut])
-        .claiming(&[Claim::BothDirections]),
-    owner("chaos", "cancellation_at_every_epoch_is_certified_and_resumable_unit_weights", &[Grid], &[EveryCut]),
-    owner("chaos", "cancellation_at_every_epoch_is_certified_and_resumable_real_weights", &[Layout, Hostile], &[EveryCut]),
-    owner("prepared_layout", "every_split_is_exactly_each_rows_light_prefix", &GROUPS, &[Split]),
-    owner("prepared_layout", "edge_cases_match_dijkstra_bit_for_bit_through_the_engine_and_the_job_door", &[Layout], &[Oracle]),
-    owner("prepared_layout", "edge_cases_give_the_same_stats_on_every_kernel_and_direction", &[Layout], &[Forced]),
-    owner("determinism", "cancelled_then_resumed_runs_are_bit_identical", &[Paper, Grid, Layout], &[SampledCuts]),
-    owner("determinism", "engine_reuse_is_deterministic_and_matches_direct_calls", &GROUPS, &[FreshEngine]),
-    owner("determinism", "front_door_covers_every_impl_name_deterministically", FIGURE_ROWS, &[Door]),
-    owner("determinism", "parallel_implementations_are_deterministic_on_unit_weights", UNIT, &[Pooled]),
-    owner("determinism", "parallel_implementations_are_deterministic_on_real_weights", REAL, &[Pooled]),
-    owner("equivalence", "all_implementations_agree_on_unit_weight_suite", UNIT, &[Sequential]),
-    owner("equivalence", "all_implementations_agree_on_weighted_suite_across_deltas", REAL, &[Sequential]),
-    owner("equivalence", "fused_certificates_hold_on_weighted_suite", FIGURE_ROWS, &[Certificate]),
-    owner("equivalence", "gblas_and_fused_stats_describe_same_algorithm", FIGURE_ROWS, &[Gblas]),
-    owner(
-        "equivalence",
-        "isolated_source_on_every_implementation",
-        &[Isolated],
-        &[Oracle, Forced, SampledCuts, Sequential, Pooled, Gblas, Door, Certificate],
-    ),
-];
+/// The unit-weight groups.
+pub const UNIT: &[Group] = &[Paper, Grid];
+/// The real-weight groups.
+pub const REAL: &[Group] = &[Weighted, Layout, Hostile, Switch0, Switch1];
+/// The groups the figure variants run on: all but the isolated source.
+pub const FIGURE_GROUPS: &[Group] = &[Paper, Grid, Weighted, Layout, Hostile, Switch0, Switch1];
 
 /// Classic Δ and the two generalized families at moderate,
 /// extract-everything and degenerate parameters.
@@ -206,6 +134,11 @@ const CLASSIC: &[SteppingStrategy] = &[Classic];
 const DIRECTIONS: [Option<Direction>; 3] = [None, Some(Direction::Push), Some(Direction::Pull)];
 
 const THREADS: [usize; 3] = [1, 2, 4];
+
+/// Every uninterrupted pooled run, stepping loop and figure variant alike,
+/// runs this many times: a merge that followed the schedule rather than
+/// spawn order would differ between them.
+const RUNS: usize = 3;
 
 /// The figure door's names as literals: `sssp-analyze`'s `impl-coverage`
 /// lint checks every `Implementation::name` against this file, so no
@@ -226,8 +159,8 @@ fn bits(dist: &[f64]) -> Vec<u64> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Cuts {
     /// At one sampled epoch per run ([`SampledCuts`]), and, for the
-    /// oracle-direction runs pool-less and on 2 threads, at every epoch
-    /// below their total ([`EveryCut`]).
+    /// oracle-direction runs pool-less and on 1, 2 and 4 threads, at
+    /// every epoch below their total ([`EveryCut`]).
     Every,
     /// At one sampled epoch per run.
     Sampled,
@@ -400,61 +333,20 @@ pub fn rows(groups: &[Group]) -> Vec<Row> {
     rows
 }
 
-/// Run the parts `test` of `suite` owns, and assert its claims.
-pub fn check(suite: &str, test: &str) {
-    let owners: Vec<&Owner> = OWNERS.iter().filter(|o| (o.suite, o.test) == (suite, test)).collect();
-    assert!(!owners.is_empty(), "{suite}::{test} owns no part of the harness");
+/// Run `parts` on the table's rows in `groups`, and return what their
+/// runs were seen to exercise.
+pub fn run(groups: &[Group], parts: &[Part]) -> Seen {
+    let rows = rows(groups);
+    assert!(!rows.is_empty(), "no rows in {groups:?}");
     let mut seen = Seen::default();
-    for owner in owners {
-        for &part in owner.parts {
-            let rows = rows(owner.groups);
-            assert!(!rows.is_empty(), "{test}: no rows in {:?}", owner.groups);
-            match part {
-                Split => rows.iter().for_each(|row| check_split(&PreparedGraph::new(&row.graph), row)),
-                Sequential | Pooled | Gblas | Door | Certificate => check_figures(&rows, part),
-                _ => check_stepping(test, &rows, part, &mut seen),
-            }
-        }
-        for claim in owner.claims {
-            match claim {
-                Claim::HeavyPass => assert!(seen.heavy_relaxations > 0, "{test}: no heavy pass relaxed an edge"),
-                Claim::BothDirections => {
-                    assert!(!seen.both_ways.is_empty(), "{test}: no classic oracle took both directions")
-                }
-            }
+    for &part in parts {
+        match part {
+            Split => rows.iter().for_each(|row| check_split(&PreparedGraph::new(&row.graph), row)),
+            Sequential | Pooled | Gblas | Door | Certificate => check_figures(&rows, part),
+            _ => check_stepping(&rows, part, &mut seen),
         }
     }
-}
-
-/// Every group's share of every part has exactly one owner, and every
-/// owner is a test its suite declares.
-#[allow(dead_code)] // one suite runs it
-pub fn check_owners_cover_the_table() {
-    // Every part but `EveryCut`, which only rows marked `Cuts::Every`
-    // take, and `PullTasks`, which checks a kernel path, not a row.
-    let cell_parts = [Split, Oracle, Forced, SampledCuts, FreshEngine, Sequential, Pooled, Gblas, Door, Certificate];
-    let every_rows = rows(&GROUPS);
-    for group in GROUPS {
-        let cut_everywhere = every_rows.iter().any(|r| r.group == group && r.cuts == Cuts::Every);
-        let parts = cell_parts.iter().chain(cut_everywhere.then_some(&EveryCut));
-        for &part in parts {
-            let owned = OWNERS.iter().filter(|o| o.groups.contains(&group) && o.parts.contains(&part));
-            let names: Vec<_> = owned.map(|o| o.test).collect();
-            assert_eq!(names.len(), 1, "{group:?} × {part:?} is owned by {names:?}");
-        }
-        if !cut_everywhere {
-            let stray = OWNERS.iter().find(|o| o.groups.contains(&group) && o.parts.contains(&EveryCut));
-            assert!(stray.is_none(), "{group:?} has no row cut at every epoch");
-        }
-    }
-    assert!(OWNERS.iter().any(|o| o.parts.contains(&PullTasks)), "no owner runs the pull kernel as tasks");
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests");
-    for o in OWNERS {
-        let src = std::fs::read_to_string(root.join(format!("{}.rs", o.suite))).expect("suite source");
-        let declared = src.split("slice_tests!").nth(1).and_then(|tail| tail.split(')').next());
-        let word = |w: &str| w.trim_matches(|c: char| c == '(' || c.is_whitespace()) == o.test;
-        assert!(declared.is_some_and(|d| d.split(',').any(word)), "{}::{} is not declared", o.suite, o.test);
-    }
+    seen
 }
 
 fn kernel_name(pool: Option<&ThreadPool>) -> String {
@@ -521,9 +413,9 @@ fn check_split(prep: &PreparedGraph, row: &Row) {
 /// classic run relaxed in its heavy passes, and the rows whose classic
 /// oracle took both directions.
 #[derive(Default)]
-struct Seen {
-    heavy_relaxations: u64,
-    both_ways: Vec<String>,
+pub struct Seen {
+    pub heavy_relaxations: u64,
+    pub both_ways: Vec<String>,
 }
 
 /// The pool-less oracle-direction run of one strategy on a row.
@@ -585,9 +477,11 @@ impl Drop for ScratchDir {
     }
 }
 
-/// Run `part` on `rows` through the stepping loop, for `test`.
-fn check_stepping(test: &str, rows: &[Row], part: Part, seen: &mut Seen) {
-    let dir = ScratchDir::new(format!("sssp-{test}-{}-{part:?}", std::process::id()));
+/// Run `part` on `rows` through the stepping loop.
+fn check_stepping(rows: &[Row], part: Part, seen: &mut Seen) {
+    // One directory per test thread: the suites' tests run side by side.
+    let thread = std::thread::current().id();
+    let dir = ScratchDir::new(format!("sssp-differential-{}-{thread:?}", std::process::id()));
     let mut pools: Vec<ThreadPool> =
         THREADS.iter().map(|&t| ThreadPool::with_threads(t).expect("pool")).collect();
     // A pool created under a session takes the task path at every size.
@@ -614,7 +508,7 @@ fn check_stepping(test: &str, rows: &[Row], part: Part, seen: &mut Seen) {
     if part == EveryCut {
         let every: usize = rows.iter().filter(|r| r.cuts == Cuts::Every).map(|r| r.strategies.len()).sum();
         assert!(every > 0, "no row is cut at every epoch");
-        assert_eq!(cut_everywhere, every * 2, "runs cut at every epoch");
+        assert_eq!(cut_everywhere, every * (1 + THREADS.len()), "runs cut at every epoch");
     }
     if part == PullTasks {
         assert!(harness.pull_ran_as_tasks(rows), "no row ran the pull kernel as tasks");
@@ -709,7 +603,7 @@ impl Harness<'_> {
                     }
                 }
                 EveryCut if row.cuts == Cuts::Every => {
-                    for pool in [None, Some(&pools[1])] {
+                    for pool in kernels() {
                         for k in 0..oracle.total {
                             self.check_cut(&prep, row, Run { pool, ..oracle.run }, k, &oracle, &truth);
                         }
@@ -783,21 +677,24 @@ impl Harness<'_> {
         }
     }
 
-    /// One uninterrupted run: the oracle's bits, stats, epochs, and its
-    /// direction's rounds.
+    /// One uninterrupted run, [`RUNS`] times if pooled: the oracle's
+    /// bits, stats, epochs, and its direction's rounds.
     fn check_run(&mut self, prep: &PreparedGraph, row: &Row, run: Run, oracle: &Reference, truth: &[u64]) {
-        let label = run.label(row);
-        let mut counting = RunBudget::unlimited();
-        let (r, p) = self.solve(prep, row, run, &mut counting).0.expect("valid input");
-        assert_eq!(bits(&r.dist), truth, "{label}: distances");
-        assert_eq!(r.stats, oracle.result.stats, "{label}: stats");
-        assert_eq!(counting.ticks(), oracle.total, "{label}: epochs");
-        assert_eq!(rounds(&p), oracle.rounds(run.forced), "{label}: rounds");
-        if run.forced == Some(Direction::Push) && run.strategy == Classic {
-            // A push reads exactly the frontier's light edges: the other
-            // relaxations are the heavy passes'.
-            let heavy = r.stats.relaxations - p.edges_scanned;
-            self.seen.heavy_relaxations = self.seen.heavy_relaxations.max(heavy);
+        let repeats = if run.pool.is_some() { RUNS } else { 1 };
+        for rep in 0..repeats {
+            let label = format!("{}, run {rep}", run.label(row));
+            let mut counting = RunBudget::unlimited();
+            let (r, p) = self.solve(prep, row, run, &mut counting).0.expect("valid input");
+            assert_eq!(bits(&r.dist), truth, "{label}: distances");
+            assert_eq!(r.stats, oracle.result.stats, "{label}: stats");
+            assert_eq!(counting.ticks(), oracle.total, "{label}: epochs");
+            assert_eq!(rounds(&p), oracle.rounds(run.forced), "{label}: rounds");
+            if run.forced == Some(Direction::Push) && run.strategy == Classic {
+                // A push reads exactly the frontier's light edges: the
+                // other relaxations are the heavy passes'.
+                let heavy = r.stats.relaxations - p.edges_scanned;
+                self.seen.heavy_relaxations = self.seen.heavy_relaxations.max(heavy);
+            }
         }
     }
 
@@ -928,22 +825,18 @@ fn check_figures(rows: &[Row], part: Part) {
             }
             Pooled => {
                 // Sec. VI-C, pooled: the fused algorithm, every counter
-                // included.
-                for pool in &pools {
+                // included. Fig. 2 with select filters on the parallel
+                // library kernels: the pool-less run's bits and counters.
+                let select = simple.then(|| delta_stepping_gblas_select(None, g, src, delta));
+                for (pool, rep) in pools.iter().flat_map(|p| (0..RUNS).map(move |rep| (p, rep))) {
+                    let at = format!("at {} thread(s), run {rep}", pool.num_threads());
                     let r = delta_stepping_parallel(pool, g, src, delta);
-                    let at = format!("{label}: parallel at {} thread(s)", pool.num_threads());
-                    assert_eq!(bits(&r.dist), want, "{at}");
-                    assert_eq!(r.stats, fused.stats, "{at}: stats");
-                }
-                // Fig. 2 with select filters on the parallel library
-                // kernels: the pool-less run's bits and counters.
-                if simple {
-                    let select = delta_stepping_gblas_select(None, g, src, delta);
-                    for pool in &pools {
+                    assert_eq!(bits(&r.dist), want, "{label}: parallel {at}");
+                    assert_eq!(r.stats, fused.stats, "{label}: parallel {at}: stats");
+                    if let Some(select) = &select {
                         let r = delta_stepping_gblas_select(Some(pool), g, src, delta);
-                        let at = format!("{label}: gblas-parallel at {} thread(s)", pool.num_threads());
-                        assert_eq!(bits(&r.dist), want, "{at}");
-                        assert_eq!(r.stats, select.stats, "{at}: stats");
+                        assert_eq!(bits(&r.dist), want, "{label}: gblas-parallel {at}");
+                        assert_eq!(r.stats, select.stats, "{label}: gblas-parallel {at}: stats");
                     }
                 }
             }

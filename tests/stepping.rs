@@ -4,9 +4,9 @@
 //! Every strategy matches Dijkstra bit for bit on the paper suite and on
 //! real weights, on every kernel with the oracle run's stats; runs cut at
 //! every epoch, or at sampled ones and sent through the checkpoint file,
-//! resume to the same bits and stats. Those tests are slices of the
-//! differential harness (`tests/differential/`), whose `OWNERS` table says
-//! which rows each one runs. The rest pin one contract on one fixture:
+//! resume to the same bits and stats. Those tests run their parts of the
+//! differential harness (`tests/differential/`) on their groups of rows.
+//! The rest pin one contract on one fixture:
 //!
 //! 1. **Same loop, same answers** — classic on the one loop reproduces,
 //!    bit for bit, the `SsspStats` the deleted `fused_loop` /
@@ -28,15 +28,29 @@ mod differential;
 use graphdata::CsrGraph;
 use sssp_core::dijkstra::dijkstra;
 use sssp_core::engine::SsspEngine;
+use differential::{Group::*, Part::*, UNIT};
 use sssp_core::{Checkpoint, RunBudget, SsspStats, SteppingStrategy, StopPoint};
 use taskpool::ThreadPool;
 
-differential::slice_tests!(
-    every_strategy_matches_dijkstra_on_the_paper_suite,
-    every_strategy_matches_dijkstra_on_real_weights,
-    cancelling_every_strategy_at_every_epoch_reconverges,
-    checkpoints_round_trip_through_disk,
-);
+#[test]
+fn every_strategy_matches_dijkstra_on_the_paper_suite() {
+    differential::run(UNIT, &[Oracle]);
+}
+
+#[test]
+fn every_strategy_matches_dijkstra_on_real_weights() {
+    differential::run(&[Weighted, Hostile], &[Oracle]);
+}
+
+#[test]
+fn cancelling_every_strategy_at_every_epoch_reconverges() {
+    differential::run(&[Switch0], &[EveryCut]);
+}
+
+#[test]
+fn checkpoints_round_trip_through_disk() {
+    differential::run(&[Weighted, Hostile, Switch0, Switch1], &[SampledCuts]);
+}
 
 const THREADS: [usize; 3] = [1, 2, 4];
 
