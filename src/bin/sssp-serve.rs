@@ -252,9 +252,10 @@ fn run_server(args: &[String]) -> ExitCode {
     let _ = std::io::stdout().flush();
     // Serve until SIGTERM/SIGINT (or a wire DRAIN op) asks for the
     // graceful drain; SIGKILL remains the crash-safety path the resume
-    // tests exercise.
+    // tests exercise. The poll bounds how late a drain starts: a job of
+    // a few tens of milliseconds must not finish first.
     loop {
-        std::thread::sleep(Duration::from_millis(50));
+        std::thread::sleep(Duration::from_millis(5));
         if DRAIN_SIGNAL.load(Ordering::Relaxed) || handle.drain_requested() {
             break;
         }

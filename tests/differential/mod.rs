@@ -10,9 +10,9 @@
 //! [`TestSession`] pool, which takes the task path at every size) with the
 //! light rounds left to the oracle, forced to push and forced to pull, and
 //! through the job door; they are cut (see [`Cuts`]) and resumed on both
-//! kernels, in memory and from the checkpoint file. All runs of a slice
-//! are views ([`SsspEngine::over`]) lent one workspace across graphs of
-//! different sizes, and each is held bit for bit to Dijkstra and to the
+//! kernels, in memory and from the checkpoint file. All runs of one
+//! part are views ([`SsspEngine::over`]) lent one workspace across graphs
+//! of different sizes, and each is held bit for bit to Dijkstra and to the
 //! pool-less oracle run's [`SsspStats`], epochs and push/pull rounds. The
 //! oracle is held to [`validate::check_certificate`] and, for classic, to
 //! `repro::canonical`'s counters. The figure variants run on the same

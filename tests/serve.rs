@@ -422,14 +422,22 @@ fn hostile_gen_specs_are_refused_without_leaking_connection_slots() {
     let config = ServerConfig { max_connections: 2, ..ServerConfig::default() };
     let server = start(config, "127.0.0.1:0").unwrap();
     let addr = server.addr();
+    // One connection asks for STATS throughout and holds one slot: a
+    // fresh one per poll could find the last poll's slot not yet free.
+    let mut stats = TcpStream::connect(addr).unwrap();
+    let open = |stats: &mut TcpStream| -> u64 {
+        let reply = ask(stats, "STATS");
+        let line = reply.iter().find_map(|l| l.strip_prefix("connections_open="));
+        line.unwrap_or_else(|| panic!("no connections_open in {reply:?}")).parse().unwrap()
+    };
     for _ in 0..4 {
         let mut c = TcpStream::connect(addr).unwrap();
         let reply = ask(&mut c, "LOAD GEN ba:10,0");
         assert!(reply.first().is_some_and(|r| r.starts_with("ERROR code=35 ")), "{reply:?}");
         drop(c);
-        // Once the handler has seen the hang-up, STATS's is the one open.
+        // Once the handler has seen the hang-up, the STATS one is open.
         let deadline = Instant::now() + Duration::from_secs(20);
-        while stat(addr, "connections_open") > 1 {
+        while open(&mut stats) > 1 {
             assert!(Instant::now() < deadline, "the connection's slot was not given back");
             std::thread::sleep(Duration::from_millis(20));
         }
