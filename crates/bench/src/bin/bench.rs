@@ -19,15 +19,13 @@
 //!                       counter or push/pull epoch count drifted or a
 //!                       baseline row is missing
 //!                       (wall times are information, never compared)
-//!   --refresh-results   also regenerate the results/*.csv and
-//!                       results/*.json files for every experiment at the
-//!                       scale in effect, so they can't go stale
+//!
+//! The paper's figures and their `results/*` artifacts come from the
+//! `figures` binary.
 
 use graphdata::SuiteScale;
-use sssp_bench::experiments::{
-    ablation_select, baseline, datasets, delta_sweep, fig3, fig4, phase_profile, stepping,
-};
-use sssp_bench::{markdown_table, write_csv, write_json, Reps};
+use sssp_bench::experiments::{baseline, stepping};
+use sssp_bench::{markdown_table, Reps};
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.windows(2)
@@ -44,7 +42,6 @@ fn main() {
     assert!(threads > 0, "--threads expects a positive integer");
     let check_path = flag_value(&args, "--check");
     let out_path = flag_value(&args, "--out");
-    let refresh = args.iter().any(|a| a == "--refresh-results");
 
     let scales: &[SuiteScale] = if smoke {
         &[SuiteScale::Smoke]
@@ -66,8 +63,7 @@ fn main() {
         };
         entries.extend(baseline::run(scale, threads, reps));
     }
-    let table = baseline::to_table(&entries);
-    println!("{}", markdown_table(&baseline::HEADER, &table));
+    println!("{}", markdown_table(&baseline::console_rows(&entries)));
 
     // Headline: per-graph speedup of the direction oracle over forced
     // push at the same thread count (minima: stable on shared machines).
@@ -105,8 +101,7 @@ fn main() {
         };
         stepping_entries.extend(stepping::run(scale, threads, reps));
     }
-    let table = baseline::to_table(&stepping_entries);
-    println!("{}", markdown_table(&baseline::HEADER, &table));
+    println!("{}", markdown_table(&baseline::console_rows(&stepping_entries)));
     for rho in stepping_entries.iter().filter(|e| e.impl_name == "stepping-rho") {
         let classic = stepping_entries
             .iter()
@@ -160,62 +155,4 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("\nwrote {path}");
     }
-
-    if refresh {
-        let scale = if smoke { SuiteScale::Smoke } else { SuiteScale::Default };
-        refresh_results(scale);
-    }
-}
-
-/// Regenerate every committed `results/` artifact (what the standalone
-/// experiment binaries write), so the files track the current code.
-fn refresh_results(scale: SuiteScale) {
-    let reps = Reps::default();
-    println!("\nrefreshing results/ at {scale:?} scale...");
-
-    let rows = fig3::run(scale, reps);
-    write_csv("results/fig3.csv", &fig3::HEADER, &fig3::to_table(&rows)).expect("write csv");
-    write_json("results/fig3.json", &rows).expect("write json");
-    println!("  results/fig3.{{csv,json}}");
-
-    let threads = [1usize, 2, 4, 8];
-    let rows = fig4::run(scale, &threads, reps);
-    let header = fig4::header(&threads);
-    let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    write_csv("results/fig4.csv", &header_refs, &fig4::to_table(&rows)).expect("write csv");
-    write_json("results/fig4.json", &rows).expect("write json");
-    println!("  results/fig4.{{csv,json}}");
-
-    let rows = datasets::run(scale);
-    write_csv("results/datasets.csv", &datasets::HEADER, &datasets::to_table(&rows))
-        .expect("write csv");
-    write_json("results/datasets.json", &rows).expect("write json");
-    println!("  results/datasets.{{csv,json}}");
-
-    let rows = ablation_select::run(scale, reps);
-    write_csv(
-        "results/ablation_select.csv",
-        &ablation_select::HEADER,
-        &ablation_select::to_table(&rows),
-    )
-    .expect("write csv");
-    write_json("results/ablation_select.json", &rows).expect("write json");
-    println!("  results/ablation_select.{{csv,json}}");
-
-    let deltas = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0];
-    let rows = delta_sweep::run(scale, &deltas, reps);
-    write_csv("results/delta_sweep.csv", &delta_sweep::HEADER, &delta_sweep::to_table(&rows))
-        .expect("write csv");
-    write_json("results/delta_sweep.json", &rows).expect("write json");
-    println!("  results/delta_sweep.{{csv,json}}");
-
-    let rows = phase_profile::run(scale);
-    write_csv(
-        "results/phase_profile.csv",
-        &phase_profile::HEADER,
-        &phase_profile::to_table(&rows),
-    )
-    .expect("write csv");
-    write_json("results/phase_profile.json", &rows).expect("write json");
-    println!("  results/phase_profile.{{csv,json}}");
 }

@@ -31,7 +31,7 @@ use taskpool::ThreadPool;
 
 use crate::bench_source;
 use crate::measure::{measure_median_min, Reps};
-use crate::report::{Json, ToJson};
+use crate::report::{count, json_object, real, text, Cell, Json};
 
 /// Δ for the unit-weight suite (the paper's fig3/fig4 setting).
 pub const DELTA: f64 = 1.0;
@@ -67,29 +67,43 @@ pub struct BenchEntry {
     pub directions: Option<(u64, u64)>,
 }
 
-impl ToJson for BenchEntry {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("scale", self.scale.to_json()),
-            ("graph", self.graph.to_json()),
-            ("nv", self.nv.to_json()),
-            ("ne", self.ne.to_json()),
-            ("impl", self.impl_name.to_json()),
-            ("threads", self.threads.to_json()),
-            ("median_ms", self.median_ms.to_json()),
-            ("min_ms", self.min_ms.to_json()),
-            ("relaxations", self.stats.relaxations.to_json()),
-            ("improvements", self.stats.improvements.to_json()),
-            ("buckets_processed", self.stats.buckets_processed.to_json()),
-            ("light_phases", self.stats.light_phases.to_json()),
-            ("heavy_phases", self.stats.heavy_phases.to_json()),
+impl BenchEntry {
+    /// The entry's columns: its `BENCH_sssp.json` object, and the
+    /// console table picks six of them ([`console_rows`]). Only the auto
+    /// rows carry the two epoch counts.
+    pub fn columns(&self) -> Vec<Cell> {
+        let mut columns = vec![
+            text("scale", &self.scale),
+            text("graph", &self.graph),
+            count("nv", self.nv as u64),
+            count("ne", self.ne as u64),
+            text("impl", &self.impl_name),
+            count("threads", self.threads as u64),
+            real("median_ms", self.median_ms, 3),
+            real("min_ms", self.min_ms, 3),
+            count("relaxations", self.stats.relaxations),
+            count("improvements", self.stats.improvements),
+            count("buckets_processed", self.stats.buckets_processed as u64),
+            count("light_phases", self.stats.light_phases as u64),
+            count("heavy_phases", self.stats.heavy_phases as u64),
         ];
         if let Some((push, pull)) = self.directions {
-            fields.push(("push_epochs", push.to_json()));
-            fields.push(("pull_epochs", pull.to_json()));
+            columns.push(count("push_epochs", push));
+            columns.push(count("pull_epochs", pull));
         }
-        Json::obj(fields)
+        columns
     }
+}
+
+/// The columns of the console table `bench` prints.
+const CONSOLE: [&str; 6] = ["scale", "graph", "impl", "threads", "median_ms", "relaxations"];
+
+/// The console-table columns of `entries`, for [`crate::report::markdown_table`].
+pub fn console_rows(entries: &[BenchEntry]) -> Vec<Vec<Cell>> {
+    let pick = |e: &BenchEntry| {
+        e.columns().into_iter().filter(|(name, _)| CONSOLE.contains(&name.as_str())).collect()
+    };
+    entries.iter().map(pick).collect()
 }
 
 /// Canonical lowercase name for a suite scale, shared with the
@@ -221,7 +235,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
 /// document shape: `{"delta": …, "entries": […]}`.
 pub fn to_document(entries: &[BenchEntry]) -> Json {
     Json::obj(vec![
-        ("delta", DELTA.to_json()),
+        ("delta", Json::Float(DELTA)),
         (
             // The push/pull switch threshold the entries were measured
             // under: pull when frontier_light_edges * denom >= total
@@ -229,32 +243,12 @@ pub fn to_document(entries: &[BenchEntry]) -> Json {
             "direction",
             Json::obj(vec![(
                 "pull_edge_fraction_denom",
-                direction::PULL_EDGE_FRACTION_DENOM.to_json(),
+                Json::UInt(direction::PULL_EDGE_FRACTION_DENOM as u64),
             )]),
         ),
-        ("entries", entries.to_json()),
+        ("entries", Json::Arr(entries.iter().map(|e| json_object(&e.columns())).collect())),
     ])
 }
-
-/// Table rows for the console report.
-pub fn to_table(entries: &[BenchEntry]) -> Vec<Vec<String>> {
-    entries
-        .iter()
-        .map(|e| {
-            vec![
-                e.scale.clone(),
-                e.graph.clone(),
-                e.impl_name.clone(),
-                e.threads.to_string(),
-                format!("{:.3}", e.median_ms),
-                e.stats.relaxations.to_string(),
-            ]
-        })
-        .collect()
-}
-
-/// Console/CSV header matching [`to_table`].
-pub const HEADER: [&str; 6] = ["scale", "graph", "impl", "threads", "median_ms", "relaxations"];
 
 /// What [`check_against`] concluded.
 #[derive(Debug, Default)]

@@ -1,11 +1,12 @@
 //! TAB-SETUP — the dataset inventory implicit in Sec. VI-A: which graphs
 //! the evaluation runs on, with their sizes and shapes.
 
-use graphdata::{paper_suite, SuiteScale};
+use graphdata::suite::Dataset;
 use sssp_core::dijkstra::dijkstra;
 
-use crate::report::{Json, ToJson};
+use super::{Figure, Session, Suite};
 use crate::bench_source;
+use crate::report::{count, real, text, Cell};
 
 /// One suite entry's vital statistics.
 #[derive(Debug, Clone)]
@@ -28,31 +29,32 @@ pub struct DatasetRow {
     pub eccentricity: f64,
 }
 
-impl ToJson for DatasetRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("family", self.family.to_json()),
-            ("nv", self.nv.to_json()),
-            ("ne", self.ne.to_json()),
-            ("mean_degree", self.mean_degree.to_json()),
-            ("source", self.source.to_json()),
-            ("reachable", self.reachable.to_json()),
-            ("eccentricity", self.eccentricity.to_json()),
-        ])
+impl DatasetRow {
+    /// The inventory's columns.
+    pub fn columns(&self) -> Vec<Cell> {
+        vec![
+            text("graph", &self.name),
+            text("family", &self.family),
+            count("nv", self.nv as u64),
+            count("ne", self.ne as u64),
+            real("mean_degree", self.mean_degree, 2),
+            count("source", self.source as u64),
+            count("reachable", self.reachable as u64),
+            real("eccentricity", self.eccentricity, 0),
+        ]
     }
 }
 
-/// Compute the inventory at `scale`.
-pub fn run(scale: SuiteScale) -> Vec<DatasetRow> {
-    paper_suite(scale)
-        .into_iter()
+/// Compute the inventory of `suite`.
+pub fn run(suite: &[Dataset]) -> Vec<DatasetRow> {
+    suite
+        .iter()
         .map(|d| {
             let g = &d.graph;
             let src = bench_source(g);
             let r = dijkstra(g, src);
             DatasetRow {
-                name: d.name,
+                name: d.name.clone(),
                 family: d.family.to_string(),
                 nv: g.num_vertices(),
                 ne: g.num_edges(),
@@ -65,43 +67,24 @@ pub fn run(scale: SuiteScale) -> Vec<DatasetRow> {
         .collect()
 }
 
-/// Table rows for printing/CSV.
-pub fn to_table(rows: &[DatasetRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.family.clone(),
-                r.nv.to_string(),
-                r.ne.to_string(),
-                format!("{:.2}", r.mean_degree),
-                r.source.to_string(),
-                r.reachable.to_string(),
-                format!("{:.0}", r.eccentricity),
-            ]
-        })
-        .collect()
+/// The TAB-SETUP table.
+pub fn figure(session: &mut Session) -> Figure {
+    let rows = run(session.suite(Suite::Paper));
+    let edges: usize = rows.iter().map(|r| r.ne).sum();
+    Figure {
+        headline: vec![format!("{} graphs, {edges} directed edges in all", rows.len())],
+        rows: rows.iter().map(DatasetRow::columns).collect(),
+    }
 }
-
-/// Header matching [`to_table`].
-pub const HEADER: [&str; 8] = [
-    "graph",
-    "family",
-    "|V|",
-    "|E|",
-    "deg",
-    "source",
-    "reachable",
-    "ecc",
-];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphdata::{paper_suite, SuiteScale};
 
     #[test]
     fn smoke_inventory() {
-        let rows = run(SuiteScale::Smoke);
+        let rows = run(&paper_suite(SuiteScale::Smoke));
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert!(r.reachable > 1, "{}: source reaches nothing", r.name);

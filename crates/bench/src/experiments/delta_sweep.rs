@@ -4,14 +4,17 @@
 //! phases. This sweep runs the fused implementation across Δ on the
 //! *weighted* suite and records both time and phase structure.
 
-use graphdata::suite::weighted_suite;
-use graphdata::SuiteScale;
+use graphdata::suite::Dataset;
 use sssp_core::dijkstra::dijkstra;
 use sssp_core::fused;
 
-use crate::measure::{measure_min, Reps};
-use crate::report::{Json, ToJson};
+use super::{Figure, Session, Suite};
 use crate::bench_source;
+use crate::measure::{measure_min, Reps};
+use crate::report::{count, real, text, Cell};
+
+/// The bucket widths of the sweep.
+pub const DELTAS: [f64; 6] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0];
 
 /// One (graph, Δ) measurement.
 #[derive(Debug, Clone)]
@@ -32,24 +35,25 @@ pub struct DeltaRow {
     pub relaxations: u64,
 }
 
-impl ToJson for DeltaRow {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("delta", self.delta.to_json()),
-            ("time_ms", self.time_ms.to_json()),
-            ("dijkstra_ms", self.dijkstra_ms.to_json()),
-            ("buckets", self.buckets.to_json()),
-            ("light_phases", self.light_phases.to_json()),
-            ("relaxations", self.relaxations.to_json()),
-        ])
+impl DeltaRow {
+    /// The sweep's columns.
+    pub fn columns(&self) -> Vec<Cell> {
+        vec![
+            text("graph", &self.name),
+            real("delta", self.delta, 3),
+            real("time_ms", self.time_ms, 3),
+            real("dijkstra_ms", self.dijkstra_ms, 3),
+            count("buckets", self.buckets as u64),
+            count("light_phases", self.light_phases as u64),
+            count("relaxations", self.relaxations),
+        ]
     }
 }
 
-/// Sweep `deltas` over the weighted suite at `scale`.
-pub fn run(scale: SuiteScale, deltas: &[f64], reps: Reps) -> Vec<DeltaRow> {
+/// Sweep `deltas` over the weighted `suite`.
+pub fn run(suite: &[Dataset], deltas: &[f64], reps: Reps) -> Vec<DeltaRow> {
     let mut rows = Vec::new();
-    for d in weighted_suite(scale) {
+    for d in suite {
         let g = &d.graph;
         let src = bench_source(g);
         let dj = dijkstra(g, src);
@@ -86,45 +90,29 @@ pub fn run(scale: SuiteScale, deltas: &[f64], reps: Reps) -> Vec<DeltaRow> {
     rows
 }
 
-/// Table rows for printing/CSV.
-pub fn to_table(rows: &[DeltaRow]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                format!("{}", r.delta),
-                format!("{:.3}", r.time_ms),
-                format!("{:.3}", r.dijkstra_ms),
-                r.buckets.to_string(),
-                r.light_phases.to_string(),
-                r.relaxations.to_string(),
-            ]
-        })
-        .collect()
+/// The ABL-DELTA table over [`DELTAS`].
+pub fn figure(session: &mut Session) -> Figure {
+    let reps = session.reps;
+    let rows = run(session.suite(Suite::Weighted), &DELTAS, reps);
+    Figure {
+        headline: vec![format!(
+            "{} (graph, delta) points, every one checked against Dijkstra's distances",
+            rows.len()
+        )],
+        rows: rows.iter().map(DeltaRow::columns).collect(),
+    }
 }
-
-/// Header matching [`to_table`].
-pub const HEADER: [&str; 7] = [
-    "graph",
-    "delta",
-    "time_ms",
-    "dijkstra_ms",
-    "buckets",
-    "light_phases",
-    "relaxations",
-];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphdata::suite::weighted_suite;
+    use graphdata::SuiteScale;
 
     #[test]
     fn sweep_structure_follows_delta() {
-        let rows = run(
-            SuiteScale::Smoke,
-            &[0.25, 1.0],
-            Reps { warmup: 0, samples: 1 },
-        );
+        let rows =
+            run(&weighted_suite(SuiteScale::Smoke), &[0.25, 1.0], Reps { warmup: 0, samples: 1 });
         // 4 weighted graphs x 2 deltas.
         assert_eq!(rows.len(), 8);
         // Bigger delta => fewer (or equal) buckets on each graph.

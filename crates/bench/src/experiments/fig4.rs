@@ -16,19 +16,22 @@
 //! * `improved` — the paper's proposed fix (ABL-PARIMPROVED):
 //!   fine-grained filtering + chunked relaxation.
 //!
-//! On a real multi-core machine, [`run_wallclock`] measures the actual
-//! threaded implementations instead (also used by the Criterion bench).
+//! On a real multi-core machine, [`run_wallclock`] (`figures fig4
+//! --wallclock`) measures the actual threaded implementations instead.
 
-use graphdata::{paper_suite, SuiteScale};
+use graphdata::suite::Dataset;
 use sssp_core::fused;
 use sssp_core::repro::parallel::{self, delta_stepping_simulated, TaskScheme};
 use sssp_core::stepping::{delta_stepping_strategy, SteppingStrategy};
 use taskpool::ThreadPool;
 
-use crate::experiments::geomean;
-use crate::measure::{measure_min, Reps};
-use crate::report::{Json, ToJson};
+use super::{geomean, Figure, Session, Suite};
 use crate::bench_source;
+use crate::measure::{measure_min, Reps};
+use crate::report::{count, real, text, Cell};
+
+/// The worker counts FIG4 reports.
+pub const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// One graph's scaling measurements.
 #[derive(Debug, Clone)]
@@ -48,24 +51,30 @@ pub struct Fig4Row {
     pub improved_speedup: Vec<f64>,
 }
 
-impl ToJson for Fig4Row {
-    fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("name", self.name.to_json()),
-            ("nv", self.nv.to_json()),
-            ("sequential_ms", self.sequential_ms.to_json()),
-            ("threads", self.threads.to_json()),
-            ("parallel_speedup", self.parallel_speedup.to_json()),
-            ("improved_speedup", self.improved_speedup.to_json()),
-        ])
+impl Fig4Row {
+    /// FIG4's columns: one paper-scheme and one improved speedup per
+    /// thread count.
+    pub fn columns(&self) -> Vec<Cell> {
+        let mut columns = vec![
+            text("graph", &self.name),
+            count("nv", self.nv as u64),
+            real("seq_ms", self.sequential_ms, 3),
+        ];
+        let series = [("par", &self.parallel_speedup), ("impr", &self.improved_speedup)];
+        for (name, speedups) in series {
+            for (t, x) in self.threads.iter().zip(speedups) {
+                columns.push(real(&format!("{name}_x{t}"), *x, 2));
+            }
+        }
+        columns
     }
 }
 
 /// Run FIG4 with the schedule simulation (primary mode; single-core safe).
-pub fn run(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
+pub fn run(suite: &[Dataset], threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
     let delta = 1.0;
-    paper_suite(scale)
-        .into_iter()
+    suite
+        .iter()
         .map(|d| {
             let g = &d.graph;
             let src = bench_source(g);
@@ -105,7 +114,7 @@ pub fn run(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
                 .map(|&t| trace_improved.speedup_vs(seq_t, t))
                 .collect();
             Fig4Row {
-                name: d.name,
+                name: d.name.clone(),
                 nv: g.num_vertices(),
                 sequential_ms: seq_t.as_secs_f64() * 1e3,
                 threads: threads.to_vec(),
@@ -118,14 +127,14 @@ pub fn run(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
 
 /// Wall-clock variant: measure the real threaded implementations. Only
 /// meaningful on a machine with multiple cores.
-pub fn run_wallclock(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
+pub fn run_wallclock(suite: &[Dataset], threads: &[usize], reps: Reps) -> Vec<Fig4Row> {
     let delta = 1.0;
     let pools: Vec<ThreadPool> = threads
         .iter()
         .map(|&t| ThreadPool::with_threads(t).expect("pool"))
         .collect();
-    paper_suite(scale)
-        .into_iter()
+    suite
+        .iter()
         .map(|d| {
             let g = &d.graph;
             let src = bench_source(g);
@@ -164,7 +173,7 @@ pub fn run_wallclock(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fi
                 improved_speedup.push(seq_t.as_secs_f64() / it.as_secs_f64());
             }
             Fig4Row {
-                name: d.name,
+                name: d.name.clone(),
                 nv: g.num_vertices(),
                 sequential_ms: seq_t.as_secs_f64() * 1e3,
                 threads: threads.to_vec(),
@@ -175,56 +184,39 @@ pub fn run_wallclock(scale: SuiteScale, threads: &[usize], reps: Reps) -> Vec<Fi
         .collect()
 }
 
-/// Geometric-mean speedup across graphs for thread index `k` of the paper
-/// scheme (the 1.44× / 1.5× numbers).
-pub fn average_parallel_speedup(rows: &[Fig4Row], k: usize) -> f64 {
-    geomean(&rows.iter().map(|r| r.parallel_speedup[k]).collect::<Vec<_>>())
-}
-
-/// Same for the improved scheme.
-pub fn average_improved_speedup(rows: &[Fig4Row], k: usize) -> f64 {
-    geomean(&rows.iter().map(|r| r.improved_speedup[k]).collect::<Vec<_>>())
-}
-
-/// Table rows for printing/CSV.
-pub fn to_table(rows: &[Fig4Row]) -> Vec<Vec<String>> {
-    rows.iter()
-        .map(|r| {
-            let mut row = vec![r.name.clone(), r.nv.to_string(), format!("{:.3}", r.sequential_ms)];
-            for k in 0..r.threads.len() {
-                row.push(format!("{:.2}", r.parallel_speedup[k]));
-            }
-            for k in 0..r.threads.len() {
-                row.push(format!("{:.2}", r.improved_speedup[k]));
-            }
-            row
-        })
-        .collect()
-}
-
-/// Build the header matching [`to_table`] for the given thread counts.
-pub fn header(threads: &[usize]) -> Vec<String> {
-    let mut h = vec!["graph".to_string(), "|V|".to_string(), "seq_ms".to_string()];
-    for &t in threads {
-        h.push(format!("par x{t}"));
+/// The FIG4 table (simulated, or wall-clock under `--wallclock`) and
+/// the geomean at each thread count.
+pub fn figure(session: &mut Session) -> Figure {
+    let (reps, wallclock) = (session.reps, session.wallclock);
+    let suite = session.suite(Suite::Paper);
+    let rows =
+        if wallclock { run_wallclock(suite, &THREADS, reps) } else { run(suite, &THREADS, reps) };
+    let average = |k: usize, series: fn(&Fig4Row) -> &[f64]| {
+        geomean(&rows.iter().map(|r| series(r)[k]).collect::<Vec<_>>())
+    };
+    let mut headline = vec![if wallclock {
+        "mode: wall-clock (real threaded implementations)".to_string()
+    } else {
+        "mode: task-schedule simulation (LPT makespan of the recorded task graph)".to_string()
+    }];
+    for (k, t) in THREADS.iter().enumerate() {
+        headline.push(format!(
+            "geomean at {t} thread(s): paper-scheme {:.2}x, improved {:.2}x",
+            average(k, |r| &r.parallel_speedup),
+            average(k, |r| &r.improved_speedup)
+        ));
     }
-    for &t in threads {
-        h.push(format!("impr x{t}"));
-    }
-    h
+    Figure { rows: rows.iter().map(Fig4Row::columns).collect(), headline }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graphdata::{paper_suite, SuiteScale};
 
     #[test]
     fn smoke_run_is_consistent() {
-        let rows = run(
-            SuiteScale::Smoke,
-            &[1, 2, 4],
-            Reps { warmup: 0, samples: 1 },
-        );
+        let rows = run(&paper_suite(SuiteScale::Smoke), &[1, 2, 4], Reps { warmup: 0, samples: 1 });
         assert_eq!(rows.len(), 4);
         for r in &rows {
             assert_eq!(r.parallel_speedup.len(), 3);
@@ -237,17 +229,14 @@ mod tests {
                 assert!(w[1] >= w[0] * 0.999, "{}: {:?}", r.name, r.parallel_speedup);
             }
         }
-        let h = header(&[1, 2, 4]);
-        assert_eq!(to_table(&rows)[0].len(), h.len());
+        let names: Vec<String> = rows[0].columns().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names[3..], ["par_x1", "par_x2", "par_x4", "impr_x1", "impr_x2", "impr_x4"]);
     }
 
     #[test]
     fn wallclock_mode_runs() {
-        let rows = run_wallclock(
-            SuiteScale::Smoke,
-            &[1, 2],
-            Reps { warmup: 0, samples: 1 },
-        );
+        let rows =
+            run_wallclock(&paper_suite(SuiteScale::Smoke), &[1, 2], Reps { warmup: 0, samples: 1 });
         assert_eq!(rows.len(), 4);
         for r in &rows {
             for &s in r.parallel_speedup.iter().chain(r.improved_speedup.iter()) {

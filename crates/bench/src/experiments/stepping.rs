@@ -178,7 +178,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{Json, ToJson};
+    use crate::report::Json;
 
     #[test]
     fn smoke_gate_shows_the_rho_win_and_round_trips() {
@@ -223,7 +223,6 @@ mod tests {
             .filter_map(|e| e.get("impl").and_then(Json::as_str).map(str::to_string))
             .collect();
         assert!(names.iter().any(|n| n == "stepping-rho"));
-        let _ = entries.to_json();
     }
 
     #[test]

@@ -1,24 +1,35 @@
 //! # sssp-bench — the harness that regenerates every figure in the paper
 //!
-//! Each experiment lives in [`experiments`] and is driven both by a binary
-//! (`fig3`, `fig4`, `datasets`, `delta_sweep`, `phase_profile`) that prints
-//! the paper-style table and writes machine-readable results, and by a
-//! Criterion bench for statistically careful timing.
+//! Each figure experiment lives in [`experiments`] and is one entry of
+//! [`experiments::REGISTRY`]. One binary runs the registry:
 //!
-//! | experiment | paper artifact | binary |
+//! ```text
+//! cargo run -p sssp-bench --release --bin figures -- [NAME...] [--scale smoke|default|large] [--wallclock]
+//! ```
+//!
+//! prints each table with its headline and writes
+//! `results/<name>.{csv,json}`, both from the rows' one column
+//! definition ([`report::write_results`]).
+//!
+//! | experiment | paper artifact | `figures` name |
 //! |---|---|---|
-//! | [`experiments::fig3`] | Fig. 3: fused vs unfused, avg ≈ 3.7× | `cargo run -p sssp-bench --release --bin fig3` |
-//! | [`experiments::fig4`] | Fig. 4: task-parallel speedup at 2/4 threads | `--bin fig4` |
-//! | [`experiments::datasets`] | Sec. VI-A dataset inventory | `--bin datasets` |
-//! | [`experiments::delta_sweep`] | Sec. VII Δ discussion | `--bin delta_sweep` |
-//! | [`experiments::phase_profile`] | Sec. VI-C 35–40 % filter-time claim | `--bin phase_profile` |
+//! | [`experiments::datasets`] | Sec. VI-A dataset inventory | `datasets` |
+//! | [`experiments::ablation_select`] | Fig. 3: fused vs unfused, avg ≈ 3.7× | `fig3` |
+//! | [`experiments::ablation_select`] | decomposing Fig. 3: `select` vs fusion | `ablation_select` |
+//! | [`experiments::fig4`] | Fig. 4: task-parallel speedup at 2/4 threads | `fig4` |
+//! | [`experiments::delta_sweep`] | Sec. VII Δ discussion | `delta_sweep` |
+//! | [`experiments::phase_profile`] | Sec. VI-C 35–40 % filter-time claim | `phase_profile` |
+//!
+//! The `bench` binary is the stats-drift gate behind `BENCH_sssp.json`
+//! ([`experiments::baseline`], [`experiments::stepping`]); the Criterion
+//! benches (`ops`, `baselines`, `algos`) time what no figure covers.
 
 pub mod experiments;
 pub mod measure;
 pub mod report;
 
-pub use measure::{measure_median, measure_min, Reps};
-pub use report::{markdown_table, write_json, write_csv};
+pub use measure::Reps;
+pub use report::markdown_table;
 
 use graphdata::CsrGraph;
 

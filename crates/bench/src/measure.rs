@@ -1,6 +1,5 @@
-//! Lightweight timing helpers for the table-emitting binaries (Criterion
-//! handles the statistically careful runs; these give quick, stable medians
-//! for the printed tables).
+//! Lightweight timing helpers for the figure tables and the bench
+//! baseline: quick, stable minima and medians.
 
 use std::time::{Duration, Instant};
 
@@ -35,13 +34,6 @@ fn collect<F: FnMut()>(mut f: F, reps: Reps) -> Vec<Duration> {
         .collect()
 }
 
-/// Median wall time of `f` under the policy.
-pub fn measure_median<F: FnMut()>(f: F, reps: Reps) -> Duration {
-    let mut times = collect(f, reps);
-    times.sort_unstable();
-    times[times.len() / 2]
-}
-
 /// Minimum wall time of `f` under the policy (least-noise estimator).
 pub fn measure_min<F: FnMut()>(f: F, reps: Reps) -> Duration {
     collect(f, reps).into_iter().min().expect("samples >= 1")
@@ -60,7 +52,7 @@ mod tests {
 
     #[test]
     fn measures_something_positive() {
-        let d = measure_median(
+        let d = measure_min(
             || {
                 let v: Vec<u64> = (0..10_000).collect();
                 std::hint::black_box(v.iter().sum::<u64>());

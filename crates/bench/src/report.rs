@@ -1,13 +1,16 @@
-//! Result reporting: aligned console/markdown tables plus CSV and JSON
-//! files under `results/`.
+//! Result reporting: every table this crate prints or writes is a list of
+//! rows, and a row is its list of named, typed [`Cell`]s — the one place
+//! a table's columns are defined. From that definition
+//! [`markdown_table`] renders the console table and [`write_results`]
+//! writes `results/<name>.{csv,json}`, so a column carries the same name
+//! in all three.
 //!
-//! JSON handling is hand-rolled (no external serializer): record types
-//! implement [`ToJson`] by building a [`Json`] tree, which renders as
-//! pretty-printed standards-compliant JSON (non-finite floats become
-//! `null`); [`Json::parse`] reads it back, so the bench regression check
-//! can diff a fresh run against the committed `BENCH_sssp.json`.
+//! JSON handling is hand-rolled (no external serializer): [`Json`]
+//! renders pretty-printed standards-compliant JSON (non-finite floats
+//! become `null`), and [`Json::parse`] reads it back, so the bench
+//! regression check can diff a fresh run against the committed
+//! `BENCH_sssp.json`.
 
-use std::io::Write;
 use std::path::Path;
 
 /// A JSON value tree.
@@ -364,190 +367,156 @@ impl Parser<'_> {
     }
 }
 
-/// Conversion into a [`Json`] tree, implemented by every record type that
-/// [`write_json`] accepts.
-pub trait ToJson {
-    /// Build the JSON representation.
-    fn to_json(&self) -> Json;
+
+/// One typed value of a result row. A [`Value::Real`] carries the digits
+/// it shows in the markdown table and the CSV; its JSON value is exact.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// Free text: graph, family and implementation names.
+    Text(String),
+    /// A count or a size.
+    Count(u64),
+    /// A real number shown with `.1` digits after the point.
+    Real(f64, usize),
 }
 
-impl ToJson for Json {
-    fn to_json(&self) -> Json {
-        self.clone()
-    }
-}
-
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl ToJson for String {
-    fn to_json(&self) -> Json {
-        Json::Str(self.clone())
-    }
-}
-
-impl ToJson for &str {
-    fn to_json(&self) -> Json {
-        Json::Str((*self).to_string())
-    }
-}
-
-impl ToJson for f64 {
-    fn to_json(&self) -> Json {
-        Json::Float(*self)
-    }
-}
-
-macro_rules! impl_to_json_uint {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::UInt(*self as u64)
-            }
-        }
-    )*};
-}
-
-impl_to_json_uint!(usize, u64, u32, u16, u8);
-
-macro_rules! impl_to_json_int {
-    ($($t:ty),*) => {$(
-        impl ToJson for $t {
-            fn to_json(&self) -> Json {
-                Json::Int(*self as i64)
-            }
-        }
-    )*};
-}
-
-impl_to_json_int!(isize, i64, i32, i16, i8);
-
-impl<T: ToJson> ToJson for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<T: ToJson> ToJson for Option<T> {
-    fn to_json(&self) -> Json {
+impl Value {
+    fn display(&self) -> String {
         match self {
-            Some(v) => v.to_json(),
-            None => Json::Null,
+            Value::Text(s) => s.clone(),
+            Value::Count(n) => n.to_string(),
+            Value::Real(x, digits) => format!("{x:.digits$}"),
+        }
+    }
+
+    fn json(&self) -> Json {
+        match self {
+            Value::Text(s) => Json::Str(s.clone()),
+            Value::Count(n) => Json::UInt(*n),
+            Value::Real(x, _) => Json::Float(*x),
         }
     }
 }
 
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+/// One named column of a row.
+pub type Cell = (String, Value);
+
+/// A text column.
+pub fn text(name: &str, value: impl Into<String>) -> Cell {
+    (name.to_string(), Value::Text(value.into()))
+}
+
+/// A count column.
+pub fn count(name: &str, value: u64) -> Cell {
+    (name.to_string(), Value::Count(value))
+}
+
+/// A real column shown with `digits` after the point.
+pub fn real(name: &str, value: f64, digits: usize) -> Cell {
+    (name.to_string(), Value::Real(value, digits))
+}
+
+/// A row as a JSON object keyed by its column names, in column order.
+pub fn json_object(row: &[Cell]) -> Json {
+    Json::Obj(row.iter().map(|(name, value)| (name.clone(), value.json())).collect())
+}
+
+/// The column names every row shares. Panics when two rows disagree:
+/// a table has one schema.
+fn header(rows: &[Vec<Cell>]) -> Vec<&str> {
+    fn names(row: &[Cell]) -> Vec<&str> {
+        row.iter().map(|(name, _)| name.as_str()).collect()
     }
+    let header = rows.first().map(|row| names(row)).unwrap_or_default();
+    for row in rows {
+        assert_eq!(names(row), header, "every row of a table has the same columns");
+    }
+    header
 }
 
 /// Render rows as a GitHub-flavoured markdown table (also readable on a
-/// terminal). `header` and every row must have the same arity.
-pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let ncols = header.len();
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), ncols, "row arity mismatch");
-        for (w, cell) in widths.iter_mut().zip(row.iter()) {
+/// terminal), headed by their column names.
+pub fn markdown_table(rows: &[Vec<Cell>]) -> String {
+    let header: Vec<String> = header(rows).into_iter().map(String::from).collect();
+    let cells: Vec<Vec<String>> =
+        rows.iter().map(|row| row.iter().map(|(_, v)| v.display()).collect()).collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
+    for row in &cells {
+        for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
         }
     }
-    let mut out = String::new();
-    let fmt_row = |cells: Vec<String>, widths: &[usize]| -> String {
-        let padded: Vec<String> = cells
-            .iter()
-            .zip(widths.iter())
-            .map(|(c, w)| format!("{c:<w$}"))
-            .collect();
+    let line = |cells: &[String]| {
+        let padded: Vec<String> =
+            cells.iter().zip(&widths).map(|(c, w)| format!("{c:<w$}")).collect();
         format!("| {} |\n", padded.join(" | "))
     };
-    out.push_str(&fmt_row(
-        header.iter().map(|s| s.to_string()).collect(),
-        &widths,
-    ));
     let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    out.push_str(&format!("|-{}-|\n", dashes.join("-|-")));
-    for row in rows {
-        out.push_str(&fmt_row(row.clone(), &widths));
+    let mut out = line(&header) + &format!("|-{}-|\n", dashes.join("-|-"));
+    for row in &cells {
+        out.push_str(&line(row));
     }
     out
 }
 
-/// Serialize `records` as pretty JSON into `path`, creating parent
-/// directories.
-pub fn write_json<T: ToJson + ?Sized>(path: impl AsRef<Path>, records: &T) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    std::fs::write(path, records.to_json().render())
-}
-
-/// Write a CSV file (header + string rows), creating parent directories.
-pub fn write_csv(
-    path: impl AsRef<Path>,
-    header: &[&str],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    let path = path.as_ref();
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = std::fs::File::create(path)?;
-    writeln!(f, "{}", header.join(","))?;
+/// The one writer of result artifacts: `<dir>/<name>.csv` (header and
+/// displayed values) and `<dir>/<name>.json` (an array of row objects)
+/// from the rows' one column definition, creating `dir`. Returns the
+/// same rows as a [`markdown_table`].
+pub fn write_results(dir: &Path, name: &str, rows: &[Vec<Cell>]) -> std::io::Result<String> {
+    let mut csv = header(rows).join(",") + "\n";
     for row in rows {
-        writeln!(f, "{}", row.join(","))?;
+        let values: Vec<String> = row.iter().map(|(_, v)| v.display()).collect();
+        csv.push_str(&(values.join(",") + "\n"));
     }
-    Ok(())
+    let json = Json::Arr(rows.iter().map(|row| json_object(row)).collect());
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(dir.join(format!("{name}.csv")), csv)?;
+    std::fs::write(dir.join(format!("{name}.json")), json.render() + "\n")?;
+    Ok(markdown_table(rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rows() -> Vec<Vec<Cell>> {
+        vec![
+            vec![text("graph", "grid"), count("nv", 1024), real("ms", 0.5, 3)],
+            vec![text("graph", "rmat-13"), count("nv", 8192), real("ms", 12.25, 3)],
+        ]
+    }
+
     #[test]
     fn table_alignment() {
-        let t = markdown_table(
-            &["name", "n"],
-            &[
-                vec!["grid".into(), "1024".into()],
-                vec!["rmat-13".into(), "8192".into()],
-            ],
-        );
-        assert!(t.contains("| grid    | 1024 |"));
-        assert!(t.contains("| rmat-13 | 8192 |"));
+        let t = markdown_table(&rows());
+        assert!(t.starts_with("| graph   | nv   | ms     |\n"), "{t}");
+        assert!(t.contains("| grid    | 1024 | 0.500  |"), "{t}");
+        assert!(t.contains("| rmat-13 | 8192 | 12.250 |"), "{t}");
         assert!(t.lines().count() == 4);
     }
 
     #[test]
-    #[should_panic(expected = "arity")]
+    #[should_panic(expected = "same columns")]
     fn table_rejects_ragged_rows() {
-        markdown_table(&["a", "b"], &[vec!["only-one".into()]]);
+        markdown_table(&[rows()[0].clone(), vec![text("graph", "only-one")]]);
     }
 
     #[test]
-    fn csv_and_json_round_trip() {
+    fn csv_and_json_share_one_schema() {
         let dir = std::env::temp_dir().join(format!("ssspbench-{}", std::process::id()));
-        let csv = dir.join("t.csv");
-        write_csv(&csv, &["a", "b"], &[vec!["1".into(), "2".into()]]).unwrap();
-        let content = std::fs::read_to_string(&csv).unwrap();
-        assert_eq!(content, "a,b\n1,2\n");
-        let json = dir.join("t.json");
-        write_json(&json, &vec![("x", 1)]).unwrap();
-        assert!(std::fs::read_to_string(&json).unwrap().contains("x"));
+        let table = write_results(&dir, "t", &rows()).unwrap();
+        assert_eq!(table, markdown_table(&rows()));
+        let csv = std::fs::read_to_string(dir.join("t.csv")).unwrap();
+        assert_eq!(csv, "graph,nv,ms\ngrid,1024,0.500\nrmat-13,8192,12.250\n");
+        let json = Json::parse(&std::fs::read_to_string(dir.join("t.json")).unwrap()).unwrap();
+        let first = &json.as_arr().unwrap()[0];
+        assert_eq!(first, &json_object(&rows()[0]));
+        assert_eq!(first.get("ms"), Some(&Json::Float(0.5)));
+        assert_eq!(first.get("nv").and_then(Json::as_u64), Some(1024));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
 
     #[test]
     fn json_rendering_escapes_and_structures() {

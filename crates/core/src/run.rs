@@ -17,12 +17,16 @@
 //!    at or beyond 2^53 — where `i as f64 * Δ` is no longer exact and
 //!    `bucket_of` saturates — is rejected as
 //!    [`SsspError::IterationLimitExceeded`] after zero epochs and without
-//!    a checkpoint.
+//!    a checkpoint;
+//! 4. for `gblas`, the bucket-count cap: the Fig. 2 loop is the one
+//!    figure loop that visits every bucket index, empty or not, so a run
+//!    whose bucket count exceeds [`GuardConfig::max_ticks`] — the cap
+//!    that bounds every stepping run — is rejected the same way.
 //!
 //! Then the variant runs to completion: figure code has no budget, so it
 //! is never cancelled, never checkpointed and never degraded, and a
-//! worker panic propagates. The three checks are what make every figure
-//! loop terminate on every input it accepts.
+//! worker panic propagates. These checks are what make every figure
+//! loop terminate, in bounded time, on every input it accepts.
 //!
 //! [`Kernels`]: crate::batch::Kernels
 
@@ -117,6 +121,14 @@ pub fn run_checked(
         return Err(SsspError::IterationLimitExceeded {
             ticks: 0,
             limit: MAX_BUCKET_INDEX,
+            checkpoint: None,
+        });
+    }
+    // Buckets 0..=last_bucket: Fig. 2 walks each of them.
+    if implementation == Implementation::Gblas && last_bucket + 1.0 > cfg.max_ticks as f64 {
+        return Err(SsspError::IterationLimitExceeded {
+            ticks: 0,
+            limit: cfg.max_ticks,
             checkpoint: None,
         });
     }
@@ -233,6 +245,37 @@ mod tests {
             let (result, _) = run_checked(imp, &g, 0, 1e-12, None, &cfg).unwrap();
             assert_eq!(result.dist, dj.dist, "{}", imp.name());
         }
+    }
+
+    /// One 1e12-weight edge at Δ = 0.3 is ~10^13 buckets: inside the
+    /// exact range, but far past `max_ticks`. Fig. 2 would walk them all,
+    /// so the door refuses it at once; the loops that skip empty buckets
+    /// still answer.
+    #[test]
+    fn gblas_refuses_more_buckets_than_max_ticks() {
+        let mut el = EdgeList::new(3);
+        el.push(0, 1, 1e12);
+        el.push(1, 2, 1.0);
+        let g = CsrGraph::from_edge_list(&el).unwrap();
+        let cfg = GuardConfig::default();
+        let started = std::time::Instant::now();
+        match run_checked(Implementation::Gblas, &g, 0, 0.3, None, &cfg) {
+            Err(SsspError::IterationLimitExceeded { ticks: 0, limit, checkpoint: None }) => {
+                assert_eq!(limit, cfg.max_ticks);
+            }
+            other => panic!("expected the bucket-count cap, got {other:?}"),
+        }
+        assert!(started.elapsed() < std::time::Duration::from_secs(1), "refused at once");
+        let (result, _) = run_checked(Implementation::GblasSelect, &g, 0, 0.3, None, &cfg).unwrap();
+        assert_eq!(result.dist, dijkstra(&g, 0).dist);
+        // Under the cap, gblas runs as before.
+        let small = GuardConfig { max_ticks: 20, ..GuardConfig::default() };
+        let line = CsrGraph::from_edge_list(&path(6)).unwrap();
+        assert!(run_checked(Implementation::Gblas, &line, 0, 0.5, None, &small).is_ok());
+        assert!(matches!(
+            run_checked(Implementation::Gblas, &line, 0, 0.2, None, &small),
+            Err(SsspError::IterationLimitExceeded { ticks: 0, limit: 20, checkpoint: None })
+        ));
     }
 
     #[test]

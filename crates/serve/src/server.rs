@@ -353,6 +353,13 @@ fn run_job(
     let gauge = ProgressGauge::new();
     let deadline = req.deadline_ms.map(Duration::from_millis);
     shared.supervisor.job_started(slot, generation, token.clone(), gauge.clone(), deadline);
+    // A drain that began after this job left the queue but before it was
+    // registered found no token to cancel. The drain raises the queue's
+    // flag before it cancels registered jobs, so this check or the
+    // drain's cancel sees the job.
+    if shared.queue.is_draining() {
+        token.cancel();
+    }
 
     let job = batch::Job {
         source: req.source,
@@ -1228,6 +1235,36 @@ mod tests {
         assert!(server.drain_requested());
         // Nothing is running, so the bounded drain completes clean.
         assert!(server.drain(Duration::from_secs(5)));
+    }
+
+    /// A drain that begins after a worker dequeued a job but before the
+    /// job registered its cancel token still stops the job: a certified
+    /// partial with wire code 16 and its checkpoint saved, never an `OK`.
+    #[test]
+    fn a_drain_between_pop_and_registration_cancels_the_job() {
+        let dir = std::env::temp_dir().join(format!("serve-drain-pop-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut shared = bare_shared(1);
+        shared.cfg.checkpoint_dir = Some(dir.clone());
+        let g = CsrGraph::from_edge_list(&graphdata::gen::grid2d(6, 6)).unwrap();
+        let req = SsspRequest { fingerprint: g.fingerprint(), ..dummy_request() };
+        let entry = Arc::new(GraphEntry::new(PreparedGraph::load(g)));
+        lock::recover("graphs", &shared.graphs).insert(req.fingerprint, entry);
+
+        let (reply, _rx) = mpsc::channel();
+        assert!(shared.queue.submit(Job { request: req.clone(), reply }).is_ok());
+        let job = shared.queue.pop().expect("admitted job dispatches");
+        shared.begin_drain();
+        let mut ws = SteppingWorkspace::default();
+        match run_job(&shared, &job.request, &mut None, 0, 0, &mut ws) {
+            Response::Partial(p) => {
+                assert_eq!(p.code, 16, "drain cancels: {p:?}");
+                assert_eq!(p.saved.as_deref(), Some("ckpt-0.bin"), "{p:?}");
+            }
+            other => panic!("expected a cancelled partial, got {other:?}"),
+        }
+        assert!(dir.join(format!("{:016x}", req.fingerprint)).join("ckpt-0.bin").exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -438,6 +438,34 @@ fn figure_variants_reject_a_delta_past_exact_bucket_indices() {
 }
 
 #[test]
+fn gblas_refuses_a_bucket_count_past_max_ticks() {
+    // One 1e12-weight edge at Δ = 0.3 is ~10^13 buckets, well inside the
+    // exact range, and the Fig. 2 loop walks every one of them: it ran
+    // past a 10 s timeout before the figure door capped it at the
+    // stepping runs' tick cap.
+    let dir = std::env::temp_dir().join(format!("sssp-cli-buckets-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tsv = dir.join("far.tsv");
+    let el = graphdata::EdgeList::from_triples(vec![(0, 1, 1e12), (1, 2, 1.0)]);
+    let mut buf = Vec::new();
+    graphdata::io::write_snap_tsv(&mut buf, &el).unwrap();
+    std::fs::write(&tsv, &buf).unwrap();
+    let path = tsv.to_str().unwrap();
+
+    let started = std::time::Instant::now();
+    let out = sssp(&[path, "--impl", "gblas", "--delta", "0.3"]);
+    assert_eq!(out.status.code(), Some(3), "{}", stderr(&out));
+    assert!(started.elapsed() < std::time::Duration::from_secs(5), "refused at once");
+    let err = stderr(&out);
+    assert!(err.contains("delta is impractically small"), "{err}");
+    assert_eq!(err.trim().lines().count(), 1, "{err}");
+    // The loops that skip empty buckets answer the same input.
+    let out = sssp(&[path, "--impl", "gblas-select", "--delta", "0.3"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn deadline_and_checkpoint_dir_are_usage_errors_where_they_do_not_apply() {
     // --deadline-ms budgets the stepping door; the figure and baseline
     // names run to completion, so the flag would be silently ignored.

@@ -315,35 +315,47 @@ fn sigterm_drains_to_certified_partials_and_resumes_bit_identically() {
     assert!(want.starts_with("OK "), "{want}");
     cold.kill9();
 
-    // The victim gets SIGTERM while the job is running.
+    // The victim gets SIGTERM once its worker has dequeued the job. A
+    // drain that lands before the job registers still cancels it, but a
+    // job that *finishes* before the signal lands has nothing left to
+    // cancel: it answers the reference OK, which says nothing about the
+    // drain, and that round is repeated on a fresh daemon.
     let dir = tmp.to_str().unwrap();
-    let victim = Daemon::spawn(&[
-        "--impl",
-        "improved",
-        "--checkpoint-dir",
-        dir,
-        "--drain-deadline-ms",
-        "15000",
-    ]);
-    let addr = victim.addr;
-    let mut c = TcpStream::connect(addr).unwrap();
-    assert_eq!(load(&mut c, spec), fp);
-    let line = query(fp);
-    let job = std::thread::spawn(move || {
-        let mut c2 = TcpStream::connect(addr).unwrap();
-        ask(&mut c2, &line)
-    });
-    wait_for_stat(addr, "queue_running", 1);
-    victim.sigterm();
+    let mut rounds = 0;
+    let reply = loop {
+        rounds += 1;
+        let _ = std::fs::remove_dir_all(&tmp);
+        let victim = Daemon::spawn(&[
+            "--impl",
+            "improved",
+            "--checkpoint-dir",
+            dir,
+            "--drain-deadline-ms",
+            "15000",
+        ]);
+        let addr = victim.addr;
+        let mut c = TcpStream::connect(addr).unwrap();
+        assert_eq!(load(&mut c, spec), fp);
+        let line = query(fp);
+        let job = std::thread::spawn(move || {
+            let mut c2 = TcpStream::connect(addr).unwrap();
+            ask(&mut c2, &line)
+        });
+        wait_for_stat(addr, "queue_running", 1);
+        victim.sigterm();
+        let reply = job.join().unwrap();
+        let exit = victim.wait_exit();
+        assert!(exit.success(), "graceful drain must exit 0, got {exit:?}");
+        if reply[0] != want || rounds == 5 {
+            break reply;
+        }
+    };
 
     // The blocked client gets a certified partial (wire code 16 =
     // cancelled) with its checkpoint saved, not a dropped connection.
-    let reply = job.join().unwrap();
-    assert!(reply[0].starts_with("PARTIAL"), "{reply:?}");
+    assert!(reply[0].starts_with("PARTIAL"), "{reply:?} after {rounds} rounds");
     assert_eq!(field(&reply[0], "code"), "16", "drain cancels, certified: {reply:?}");
     assert_eq!(field(&reply[0], "saved"), "ckpt-0.bin");
-    let exit = victim.wait_exit();
-    assert!(exit.success(), "graceful drain must exit 0, got {exit:?}");
     let subdir = tmp.join(format!("{fp:016x}"));
     assert!(subdir.join("ckpt-0.bin").exists(), "checkpoint persisted through the drain");
     assert!(subdir.join("manifest.bin").exists(), "manifest persisted through the drain");
