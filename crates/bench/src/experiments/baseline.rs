@@ -60,10 +60,10 @@ pub struct BenchEntry {
     /// Run statistics (identical across implementations by construction;
     /// recorded so a stats drift fails the regression check too).
     pub stats: SsspStats,
-    /// For the auto-direction `improved` entry: how many light epochs the
-    /// density oracle sent each way, `(push, pull)`, observed on the
-    /// correctness-gate run. `None` for entries that never consult the
-    /// oracle or have it pinned.
+    /// For the auto-direction `improved` entry and the stepping gate's
+    /// strategy rows: how many light epochs the loop sent each way,
+    /// `(push, pull)`, observed on the correctness-gate run. `None` for
+    /// entries whose directions are not recorded or are pinned.
     pub directions: Option<(u64, u64)>,
 }
 
@@ -270,7 +270,8 @@ impl CheckReport {
 ///   any `(scale, graph, impl)` present on both sides must match
 ///   *exactly*; a drift means the algorithm changed behaviour.
 /// * **Direction counts** — a row that carries `push_epochs` /
-///   `pull_epochs` (the auto-direction `improved` rows) must match them
+///   `pull_epochs` (the auto-direction `improved` rows and the stepping
+///   gate's strategy rows) must match them
 ///   exactly too: the oracle's choices are as deterministic as the stats.
 /// * **Presence** — a datapoint the baseline has but the fresh run is
 ///   missing fails when the fresh run covered that scale at all (a

@@ -13,9 +13,13 @@
 //!
 //! Entries reuse [`BenchEntry`], so they ride the same stats-drift gate
 //! as the main baseline; each graph also records a sequential `fused`
-//! row as the timing reference. Every graph runs twice: at Δ = 1, where
-//! every edge is light, and at [`HEAVY_DELTA`], whose rows (graph names
-//! suffixed `@0.25`) put heavy-pass `relaxations` under the gate.
+//! row as the timing reference. The strategy rows record their light
+//! rounds' `(push, pull)` counts too, as the baseline's `improved` rows
+//! do, so the gate also diffs the oracle's decisions on weighted graphs,
+//! whose light edges have several weights and never pull. Every graph
+//! runs twice: at Δ = 1, where every edge is light, and at
+//! [`HEAVY_DELTA`], whose rows (graph names suffixed `@0.25`) put
+//! heavy-pass `relaxations` under the gate.
 //! ρ-stepping extracts the ρ nearest pending vertices whatever Δ is, so
 //! it runs at Δ = 1 only ([`strategies_at`]).
 
@@ -138,7 +142,7 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
 
             let mut relaxations = Vec::new();
             for (name, strategy) in strategies_at(delta) {
-                let (r, _) = engine
+                let (r, profile) = engine
                     .run_stepping(Some(&pool), src, delta, strategy, &mut RunBudget::unlimited())
                     .expect("gate graphs are valid");
                 assert_eq!(r.dist, dj.dist, "{graph}: {name} disagrees with Dijkstra");
@@ -158,7 +162,9 @@ pub fn run(scale: SuiteScale, threads: usize, reps: Reps) -> Vec<BenchEntry> {
                     },
                     reps,
                 );
-                entries.push(entry(name, threads, ms(t), r.stats.clone()));
+                let mut row = entry(name, threads, ms(t), r.stats.clone());
+                row.directions = Some((profile.push_epochs, profile.pull_epochs));
+                entries.push(row);
             }
             // The headline claim, enforced where the baseline is born:
             // ρ-stepping must do strictly less relaxation work than
@@ -198,9 +204,16 @@ mod tests {
             assert_eq!(names(heavy), ["fused", "stepping-classic", "stepping-delta-star"]);
             assert_eq!(heavy[0].graph, format!("{}@0.25", light[0].graph));
             // Classic through the strategy front door is still the
-            // classic algorithm: its counters match fused exactly.
+            // classic algorithm: its counters match fused exactly. Every
+            // strategy row records its rounds, and on these weights, with
+            // several light weights, every round pushes.
             for rows in [light, heavy] {
                 assert_eq!(rows[0].stats, rows[1].stats, "{}", rows[0].graph);
+                assert!(rows[0].directions.is_none(), "{}", rows[0].graph);
+                for row in &rows[1..] {
+                    let light = row.stats.light_phases as u64;
+                    assert_eq!(row.directions, Some((light, 0)), "{} {}", row.graph, row.impl_name);
+                }
             }
             let chunk = light; // the ρ claim is against classic Δ = 1
             assert!(

@@ -18,9 +18,10 @@
 //! * **One all-light split**, made in O(1) at preparation when the weights
 //!   pass preflight. Every Δ at or above the largest weight (every served
 //!   unit-weight graph at Δ = 1) gets it: no heavy edge, no point stored,
-//!   and its pull (CSC) index, built on the first dense epoch, is the
-//!   graph's own transpose — one per graph, shared by every such Δ, every
-//!   worker and every request, and counted in
+//!   and its pull (CSC) index, built on the first pulled epoch (a dense
+//!   one, when every weight is the same), is the graph's own transpose —
+//!   one per graph, shared by every such Δ, every worker and every
+//!   request, and counted in
 //!   [`PreparedGraph::resident_bytes`]. A NaN weight, which the maximum
 //!   weight does not see, sorts last as a heavy edge; such a graph fails
 //!   preflight and never takes this path.
@@ -169,9 +170,12 @@ impl<'g> PreparedGraph<'g> {
     fn prepare(g: &CsrGraph, offsets: Cow<'g, [usize]>, fingerprint: Fingerprint<'g>) -> Self {
         let scan = g.weight_scan();
         let weights = guard::weights_verdict(&scan);
+        // Every edge is light: one weight when the extremes meet, read off
+        // the scan rather than a pass over the rows.
+        let one_weight = g.num_edges() == 0 || scan.min_weight == scan.max_weight;
         let all_light = weights
             .is_ok()
-            .then(|| Arc::new(Split::all_light(g.num_vertices(), g.num_edges())));
+            .then(|| Arc::new(Split::all_light(g.num_vertices(), g.num_edges(), one_weight)));
         PreparedGraph {
             offsets,
             adj: g.weight_sorted_adjacency(),
@@ -309,8 +313,20 @@ impl<'g> PreparedGraph<'g> {
             bounds.push(start + self.row(v).partition_point(|&(_, w)| w <= delta));
         }
         bounds.push(self.num_edges());
-        Split::from_bounds(bounds)
+        let light = bounds.chunks_exact(2).map(|b| &self.adj[b[0]..b[1]]);
+        let one_light_weight = one_weight(light);
+        Split::from_bounds(bounds, one_light_weight)
     }
+}
+
+/// Whether every edge of `rows`, each sorted by weight, has one weight
+/// (vacuously so when there are none): O(1) per row, from its ends.
+fn one_weight<'a>(rows: impl Iterator<Item = &'a [(usize, f64)]>) -> bool {
+    let mut weight = None;
+    rows.filter_map(|row| Some((row.first()?.1, row.last()?.1))).all(|(lo, hi)| {
+        let w = *weight.get_or_insert(lo);
+        lo == w && hi == w
+    })
 }
 
 /// The light/heavy split of a prepared graph at one Δ: for each row, its
@@ -321,12 +337,23 @@ impl<'g> PreparedGraph<'g> {
 /// read per row in either phase. When every edge is light (Δ at or above
 /// every weight — unit weights at Δ = 1) the rows are the light edges and
 /// no point is stored.
+///
+/// The split also records whether every light edge has the same weight.
+/// Only then can a pull row stop early ([`crate::pull`]): each frontier
+/// vertex's candidates sit at `dist[u] + w`, and a row stops at the first
+/// one at or below `lower + min_w`, which with one weight is any parent
+/// at the frontier's lowest distance — on unit weights at Δ = 1, every
+/// parent. With several light weights a row almost never meets that
+/// floor and reads every light in-edge of every open target, so the
+/// stepping loop pushes instead ([`SplitView::one_light_weight`]).
 #[derive(Debug)]
 pub struct Split {
     /// `None` when no edge is heavy.
     bounds: Option<Vec<usize>>,
     num_vertices: usize,
     num_light: usize,
+    /// Every light edge has one weight (vacuously, when there is none).
+    one_light_weight: bool,
     /// The pull (CSC) index over the light edges, built on the split's
     /// first dense epoch and kept for its lifetime. For a prepared
     /// graph's all-light split this is the graph's transpose.
@@ -334,35 +361,36 @@ pub struct Split {
 }
 
 impl PartialEq for Split {
-    /// Split equality is partition-point equality; the pull index is a
-    /// cache derived from them.
+    /// Split equality is partition-point equality, and the weight flag
+    /// the points imply; the pull index is a cache derived from them.
     fn eq(&self, other: &Self) -> bool {
-        (&self.bounds, self.num_vertices, self.num_light)
-            == (&other.bounds, other.num_vertices, other.num_light)
+        (&self.bounds, self.num_vertices, self.num_light, self.one_light_weight)
+            == (&other.bounds, other.num_vertices, other.num_light, other.one_light_weight)
     }
 }
 
 impl Split {
-    fn from_bounds(bounds: Vec<usize>) -> Split {
+    fn from_bounds(bounds: Vec<usize>, one_light_weight: bool) -> Split {
         let num_light = bounds
             .chunks(2)
             .filter(|c| c.len() == 2)
             .map(|c| c[1] - c[0])
             .sum();
         if bounds.last() == Some(&num_light) {
-            return Split::all_light(bounds.len() / 2, num_light);
+            return Split::all_light(bounds.len() / 2, num_light, one_light_weight);
         }
         Split {
             num_vertices: bounds.len() / 2,
             bounds: Some(bounds),
             num_light,
+            one_light_weight,
             pull: OnceLock::new(),
         }
     }
 
     /// The split of a graph with `n` vertices and `m` edges, all light.
-    fn all_light(n: usize, m: usize) -> Split {
-        Split { bounds: None, num_vertices: n, num_light: m, pull: OnceLock::new() }
+    fn all_light(n: usize, m: usize, one_light_weight: bool) -> Split {
+        Split { bounds: None, num_vertices: n, num_light: m, one_light_weight, pull: OnceLock::new() }
     }
 
     /// Heap bytes the split holds: its partition points (none when no
@@ -395,7 +423,8 @@ impl From<LightHeavy> for Split {
     /// every light and heavy edge of the rows before it, at
     /// `light_off[v] + heavy_off[v]`, and holds `light_off[v + 1] -
     /// light_off[v]` light edges in any row order — the same bounds
-    /// [`PreparedGraph::split`] finds in the sorted rows.
+    /// [`PreparedGraph::split`] finds in the sorted rows. Its light
+    /// weights are in no order, so the weight flag reads them all.
     fn from(lh: LightHeavy) -> Split {
         let n = lh.light_off.len() - 1;
         let mut bounds = Vec::with_capacity(2 * n + 1);
@@ -404,7 +433,8 @@ impl From<LightHeavy> for Split {
             bounds.push(lh.light_off[v + 1] + lh.heavy_off[v]);
         }
         bounds.push(lh.light_off[n] + lh.heavy_off[n]);
-        Split::from_bounds(bounds)
+        let one_light_weight = lh.light_w.first().is_none_or(|&w| lh.light_w.iter().all(|&x| x == w));
+        Split::from_bounds(bounds, one_light_weight)
     }
 }
 
@@ -461,6 +491,12 @@ impl<'a> SplitView<'a> {
     /// Whether any row has a heavy edge.
     pub fn has_heavy_edges(&self) -> bool {
         self.bounds.is_some()
+    }
+
+    /// Whether every light edge has the same weight: the only splits
+    /// whose pull rows can stop early ([`Split`]).
+    pub fn one_light_weight(&self) -> bool {
+        self.split.one_light_weight
     }
 
     /// The split's pull (CSC) index over the light edges, built on the
@@ -631,6 +667,56 @@ mod tests {
         assert!(prep.all_light.as_ref().unwrap().pull.get().is_none(), "no transpose built");
         assert_eq!(own.resident_bytes(), PullIndex::bytes_for(g.num_vertices(), split.num_light()));
         assert_eq!(prep.split_stats().resident_bytes, points + own.resident_bytes());
+    }
+
+    /// The weight flag of every split `prep` makes at each of `deltas` —
+    /// the built one, the fetched one, and the one a copied split implies
+    /// — against a walk over the split's light edges.
+    fn one_light_weight_at(g: &CsrGraph, deltas: &[f64]) -> Vec<bool> {
+        let prep = PreparedGraph::new(g);
+        let flag = |delta: f64| {
+            let split = prep.split(delta);
+            let view = split.on(&prep);
+            let mut light = (0..g.num_vertices()).flat_map(|v| view.light(v)).map(|&(_, w)| w);
+            let brute = light.next().is_none_or(|w| light.all(|x| x == w));
+            assert_eq!(view.one_light_weight(), brute, "Δ = {delta}");
+            assert_eq!(prep.split_for(delta).0.on(&prep).one_light_weight(), brute, "Δ = {delta}");
+            assert_eq!(Split::from(LightHeavy::build(g, delta)), split, "Δ = {delta}");
+            brute
+        };
+        deltas.iter().map(|&delta| flag(delta)).collect()
+    }
+
+    #[test]
+    fn the_split_knows_whether_its_light_edges_share_one_weight() {
+        // Unit weights: all light, or (below 1) none.
+        let unit = CsrGraph::from_edge_list(&gen::grid2d(6, 6)).unwrap();
+        assert_eq!(one_light_weight_at(&unit, &[0.5, 1.0, 4.0]), [true; 3]);
+        // Uniform real weights in [0.1, 2.0): several below every Δ that
+        // has light edges at all.
+        assert_eq!(
+            one_light_weight_at(&weighted(), &[0.05, 0.5, 1.0, 5.0]),
+            [true, false, false, false]
+        );
+        // Two weights: one light weight with Δ between them.
+        let mut el = gen::gnm(60, 400, 9);
+        el.symmetrize();
+        graphdata::weights::assign_symmetric(
+            &mut el,
+            graphdata::WeightModel::UniformInt { lo: 1, hi: 2 },
+            4,
+        );
+        let two = CsrGraph::from_edge_list(&el).unwrap();
+        assert_eq!(one_light_weight_at(&two, &[0.5, 1.0, 1.5, 2.0]), [true, true, true, false]);
+        // A zero weight beside a positive one is two weights.
+        let zero = CsrGraph::from_raw_parts(
+            3,
+            vec![0, 2, 3, 4],
+            vec![1, 2, 2, 0],
+            vec![0.0, 1.0, 1.0, 1.0],
+        )
+        .unwrap();
+        assert_eq!(one_light_weight_at(&zero, &[0.0, 0.5, 1.0, 2.0]), [true, true, false, false]);
     }
 
     #[test]

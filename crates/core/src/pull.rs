@@ -46,9 +46,15 @@
 //! On a unit-weight graph at Δ = 1 every frontier vertex sits at
 //! `lower`, so this is Beamer's bottom-up step: each unvisited target
 //! stops at its first frontier parent, and targets already found this
-//! level are skipped. Neither cut changes a request, and `relaxations`
-//! counts the candidates offered rather than the edges read, so only the
-//! returned in-edge count (`PhaseProfile::edges_scanned`) moves. When
+//! level are skipped. When the light edges have one weight, any parent
+//! at `lower` meets the floor. With several, only an in-edge of the
+//! minimum weight from a parent at `lower` does, so a row almost never
+//! stops and the pass reads every light in-edge of every open target;
+//! the stepping loop therefore pulls such splits only when forced
+//! ([`crate::prepared::Split`]). Neither cut changes a request, and
+//! `relaxations` counts the candidates offered rather than the edges
+//! read, so only the returned in-edge count
+//! (`PhaseProfile::edges_scanned`) moves. When
 //! the index holds any negative weight (preflight normally rejects
 //! those, but the kernel must not *silently* corrupt on garbage), the
 //! floor is `-∞` and both cuts are off.

@@ -510,15 +510,16 @@ mod tests {
         let g = test_graph();
         // The trace records wall-clock task durations, and this test
         // shares its process with a parallel test runner: alternate the
-        // two schemes, so both sample the same load, and keep each one's
-        // best run, so a preempted run is not read as the scheme's cost.
-        let at_4 =
-            |scheme| delta_stepping_simulated(&g, 0, 1.0, scheme).1.makespan(4).as_secs_f64();
-        let (mut p4, mut i4) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..9 {
-            p4 = p4.min(at_4(TaskScheme::PaperTasks));
-            i4 = i4.min(at_4(TaskScheme::Improved));
+        // two schemes, so both sample the same load, and keep each task's
+        // best time over the runs (the traces have one shape run to run),
+        // so a task preempted in one run is not read as the scheme's cost.
+        let trace = |scheme| delta_stepping_simulated(&g, 0, 1.0, scheme).1;
+        let (mut paper, mut improved) = (trace(TaskScheme::PaperTasks), trace(TaskScheme::Improved));
+        for _ in 1..9 {
+            paper = paper.min_with(&trace(TaskScheme::PaperTasks));
+            improved = improved.min_with(&trace(TaskScheme::Improved));
         }
+        let (p4, i4) = (paper.makespan(4).as_secs_f64(), improved.makespan(4).as_secs_f64());
         // At 4 workers the fine-grained decomposition must not be
         // meaningfully worse (allow 15% timing noise).
         assert!(

@@ -97,6 +97,29 @@ impl ScheduleTrace {
             .sum()
     }
 
+    /// The elementwise minimum of two recordings of one run: each serial
+    /// segment and each task at its faster time. Both must have the same
+    /// shape, which a deterministic run's traces do. Interference only
+    /// ever adds time, so folding repeated runs this way estimates the
+    /// undisturbed trace task by task.
+    #[cfg(test)]
+    pub(crate) fn min_with(&self, other: &ScheduleTrace) -> ScheduleTrace {
+        assert_eq!(self.segments.len(), other.segments.len(), "traces of one shape");
+        let segments = self
+            .segments
+            .iter()
+            .zip(&other.segments)
+            .map(|pair| match pair {
+                (Segment::Serial(a), Segment::Serial(b)) => Segment::Serial(*a.min(b)),
+                (Segment::Parallel(a), Segment::Parallel(b)) if a.len() == b.len() => {
+                    Segment::Parallel(a.iter().zip(b).map(|(x, y)| *x.min(y)).collect())
+                }
+                _ => panic!("traces of one shape"),
+            })
+            .collect();
+        ScheduleTrace { segments }
+    }
+
     /// Simulated speedup of this trace on `workers` workers relative to a
     /// sequential baseline.
     pub fn speedup_vs(&self, baseline: Duration, workers: usize) -> f64 {
@@ -174,6 +197,27 @@ mod tests {
         assert_eq!(t.critical_path(), ms(19));
         assert_eq!(t.makespan(1), ms(29));
         assert_eq!(t.makespan(2), ms(19));
+    }
+
+    #[test]
+    fn min_with_takes_each_segment_and_task_at_its_faster_time() {
+        let record = |serial: u64, tasks: [u64; 3]| {
+            let mut t = ScheduleTrace::new();
+            t.serial(ms(serial));
+            t.parallel(tasks.map(ms).to_vec());
+            t
+        };
+        let best = record(5, [9, 2, 7]).min_with(&record(3, [4, 8, 7]));
+        assert_eq!(best.total_work(), ms(3 + 4 + 2 + 7));
+        assert_eq!(best.makespan(2), ms(3 + 7));
+    }
+
+    #[test]
+    #[should_panic(expected = "traces of one shape")]
+    fn min_with_refuses_traces_of_another_shape() {
+        let mut other = ScheduleTrace::new();
+        other.parallel(vec![ms(1), ms(1)]);
+        ScheduleTrace::new().min_with(&other);
     }
 
     #[test]

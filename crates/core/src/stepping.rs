@@ -30,8 +30,10 @@
 //! open range re-enters the frontier — including heavy-edge
 //! improvements, which *can* land in-range once `k > 1`. Each light
 //! round pushes the frontier's out-edges or pulls the light in-edges
-//! ([`crate::pull`]), as the run's caller pinned or the shared
-//! [`gblas::direction`] oracle decides, and counts which into the run.
+//! ([`crate::pull`]), as the run's caller pinned or, when every light
+//! edge has one weight, the shared [`gblas::direction`] oracle decides
+//! (with several light weights it pushes), and counts which into the
+//! run.
 //! When the range is empty the loop terminates with `bound` = ∞.
 //!
 //! Extraction (1) never reads the whole distance vector. It scans a
@@ -200,8 +202,9 @@ pub struct SteppingWorkspace {
     pending: Vec<usize>,
     /// What the run in flight has done, cleared at every loop entry.
     tally: RunTally,
-    /// Frontier bitmap for dense (pull) epochs — all-`false` between
-    /// phases, set and cleared by iterating the (sparse) frontier.
+    /// Vertex bitmap, all-`false` between phases: a pull round marks its
+    /// frontier in it, and a heavy pass the first sighting of each
+    /// settled vertex; each clears what it set by iterating its list.
     in_frontier: Vec<bool>,
     /// Set while an engine run is inside this workspace. A run that finds
     /// it still set follows one that panicked mid-run, whose request
@@ -303,11 +306,15 @@ pub fn stepping_resume_with(
 
 /// One light round's requests, `t_Req = A_L^T (t ∘ t_Bi)`, returning the
 /// direction taken: sparse frontiers push through the request buffers;
-/// dense ones (per the density oracle, unless `forced`) pull the light
-/// in-edges against the frontier bitmap. The request vector is
-/// bit-identical either way (see [`crate::pull`]). `edges_scanned` grows
-/// by the edges the pass read: the frontier's light edges on a push, the
-/// in-edges the scan reached on a pull.
+/// dense ones pull the light in-edges against the frontier bitmap. Unless
+/// `forced`, the density oracle decides only when every light edge has
+/// one weight, the one case where a pull row stops early (see
+/// [`crate::prepared::Split`]); otherwise the round pushes. The choice
+/// reads only the split and the frontier, so every kernel takes the same
+/// rounds. The request vector is bit-identical either way (see
+/// [`crate::pull`]).
+/// `edges_scanned` grows by the edges the pass read: the frontier's light
+/// edges on a push, the in-edges the scan reached on a pull.
 #[allow(clippy::too_many_arguments)]
 fn relax_light(
     forced: Option<Direction>,
@@ -321,7 +328,13 @@ fn relax_light(
     edges_scanned: &mut u64,
 ) -> Direction {
     let frontier_edges: usize = frontier.iter().map(|&v| lh.light_degree(v)).sum();
-    let dir = forced.unwrap_or_else(|| direction::decide(frontier_edges, lh.num_light()));
+    let dir = forced.unwrap_or_else(|| {
+        if lh.one_light_weight() {
+            direction::decide(frontier_edges, lh.num_light())
+        } else {
+            Direction::Push
+        }
+    });
     if dir == Direction::Push {
         *edges_scanned += frontier_edges as u64;
         relax(pool, lh, dist, frontier, true, rws, relaxations);
@@ -650,18 +663,17 @@ pub(crate) fn stepping_loop(
                 break; // ρ always lands here: no separate heavy pass
             }
             stats.heavy_phases += 1;
-            // Heavy suffixes sit between light prefixes in one adjacency;
-            // walking the settled rows in ascending order lets those reads
-            // stream. Request order never changes a min-fold, so distances
-            // are the unsorted walk's. `S` is a set, as the paper's
-            // `s = s ∨ t_B` makes it: a vertex that re-entered this
-            // range's frontier offers its heavy edges once, at its final
-            // `t[v]`, which every copy would have read. A checkpoint taken
+            // `S` is a set, as the paper's `s = s ∨ t_B` makes it: a
+            // vertex that re-entered this range's frontier offers its
+            // heavy edges once, at its final `t[v]`, which every copy
+            // would have read. The frontier bitmap, all-false between
+            // phases, marks first sightings, so `S` keeps settled order;
+            // request order never changes a min-fold. A checkpoint taken
             // before this point holds the multiset; the resumed run
             // dedups it here the same way.
             if lh.has_heavy_edges() {
-                settled.sort_unstable();
-                settled.dedup();
+                settled.retain(|&v| !std::mem::replace(&mut in_frontier[v], true));
+                settled.iter().for_each(|&v| in_frontier[v] = false);
             }
             relax(pool, lh, t, settled, false, rws, &mut stats.relaxations);
             settled.clear();

@@ -17,6 +17,16 @@
 //! requirement, because the differential harness (`tests/differential/`)
 //! compares runs at 1/2/4 threads bit for bit.
 //!
+//! The density rule assumes a pull row stops early. The stepping loop's
+//! pull (`sssp_core::pull`) stops a row at its first candidate at the
+//! floor `lower + min_w`, which every frontier parent at the lowest
+//! distance meets when the light edges share one weight — Beamer's
+//! bottom-up step on unit weights. With several light weights a row
+//! almost never meets it and reads every in-edge, so that loop asks
+//! this oracle only when its split's light edges have one weight, and
+//! pushes otherwise. The Fig. 2 `vxm` site keeps the density rule alone:
+//! its pull never stops early.
+//!
 //! The threshold is recorded in `BENCH_sssp.json` by the bench harness;
 //! see DESIGN.md §14 for the measurement behind the default.
 //!
@@ -63,7 +73,10 @@ static PUSH_DECISIONS: AtomicU64 = AtomicU64::new(0);
 static PULL_DECISIONS: AtomicU64 = AtomicU64::new(0);
 
 /// The density rule: pull iff the frontier carries at least
-/// `1/`[`PULL_EDGE_FRACTION_DENOM`] of `total_edges`.
+/// `1/`[`PULL_EDGE_FRACTION_DENOM`] of `total_edges`. Tuned for a pull
+/// whose rows stop at their first frontier parent: the stepping loop
+/// consults it only when every light edge has one weight, and pushes
+/// otherwise.
 pub fn decide(frontier_edges: usize, total_edges: usize) -> Direction {
     if total_edges > 0
         && frontier_edges.saturating_mul(PULL_EDGE_FRACTION_DENOM) >= total_edges

@@ -36,6 +36,8 @@ pub struct WeightScan {
     pub first_invalid: Option<(usize, usize, f64)>,
     /// [`CsrGraph::max_weight`], from the same pass.
     pub max_weight: f64,
+    /// The smallest weight NaN aside (`∞` when there is none).
+    pub min_weight: f64,
     /// The smallest strictly positive weight (`None` when there is none).
     pub min_positive_weight: Option<f64>,
 }
@@ -273,12 +275,16 @@ impl CsrGraph {
         WEIGHT_PASSES.fetch_add(1, Ordering::Relaxed);
         let mut first_invalid = None;
         let mut max_weight = 0.0f64;
+        let mut min_weight = f64::INFINITY;
         let mut min_positive_weight: Option<f64> = None;
         for (i, &w) in self.weights.iter().enumerate() {
             if !(w.is_finite() && w >= 0.0) && first_invalid.is_none() {
                 first_invalid = Some(i);
             }
             max_weight = max_weight.max(w);
+            if w < min_weight {
+                min_weight = w;
+            }
             if w > 0.0 && min_positive_weight.is_none_or(|m| w < m) {
                 min_positive_weight = Some(w);
             }
@@ -289,6 +295,7 @@ impl CsrGraph {
                 (src, self.targets[i], self.weights[i])
             }),
             max_weight,
+            min_weight,
             min_positive_weight,
         }
     }
@@ -490,6 +497,7 @@ mod tests {
         let scan = g.weight_scan();
         assert_eq!(scan.first_invalid, None);
         assert_eq!(scan.max_weight, g.max_weight());
+        assert_eq!(scan.min_weight, 0.5);
         assert_eq!(scan.min_positive_weight, Some(0.5));
 
         let bad = CsrGraph::from_raw_parts_unchecked(
@@ -501,6 +509,7 @@ mod tests {
         let scan = bad.weight_scan();
         assert_eq!(scan.first_invalid, Some((0, 2, -1.0)));
         assert_eq!(scan.max_weight, 3.0);
+        assert_eq!(scan.min_weight, -1.0);
         assert_eq!(scan.min_positive_weight, Some(3.0));
     }
 

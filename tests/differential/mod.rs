@@ -64,8 +64,9 @@ pub enum Group {
     Layout,
     /// Zero, subnormal and huge-ratio weights.
     Hostile,
-    /// A weighted gnm graph whose oracle crosses the push/pull switch,
-    /// from source 0 and from source 1.
+    /// A gnm graph weighted 1 and 2 at Δ = 1, from source 0 and from
+    /// source 1: its light edges have one weight, so its oracle crosses
+    /// the push/pull switch, and its heavy passes relax edges.
     Switch0,
     Switch1,
     /// A source with no out-edges.
@@ -308,14 +309,15 @@ pub fn rows(groups: &[Group]) -> Vec<Row> {
         let huge = Rc::new(cycled_weights(120, 700, 22, &ratio));
         add(Hostile, "huge-ratio weights", &huge, (0.3, 0), &STRATEGIES, Every);
     }
-    // A weighted graph whose oracle crosses the push/pull switch.
+    // A weighted graph whose oracle crosses the push/pull switch: only a
+    // split whose light edges share one weight consults the oracle.
     if groups.contains(&Switch0) || groups.contains(&Switch1) {
         let mut el = gen::gnm(150, 900, 11);
         el.symmetrize();
-        graphdata::weights::assign_symmetric(&mut el, WeightModel::UniformFloat { lo: 0.1, hi: 2.0 }, 5);
+        graphdata::weights::assign_symmetric(&mut el, WeightModel::UniformInt { lo: 1, hi: 2 }, 5);
         let gnm = Rc::new(CsrGraph::from_edge_list(&el).unwrap());
         for (group, source) in [(Switch0, 0), (Switch1, 1)] {
-            add(group, "gnm-150-w", &gnm, (0.5, source), MULTI_VERTEX_STEPS, Every);
+            add(group, "gnm-150-w12", &gnm, (1.0, source), MULTI_VERTEX_STEPS, Every);
         }
     }
     // A source with no out-edges.
@@ -390,11 +392,20 @@ fn last_bucket(r: &SsspResult, delta: f64) -> f64 {
     r.dist.iter().filter(|d| d.is_finite()).fold(0.0, |m, &d| f64::max(m, d)) / delta
 }
 
+/// Whether the light edges (`w <= Δ`) of `g` have more than one weight.
+fn several_light_weights(g: &CsrGraph, delta: f64) -> bool {
+    let mut light = g.weights().iter().filter(|&&w| w <= delta);
+    light.next().is_some_and(|&w| light.any(|&x| x != w))
+}
+
 /// The row's split is each vertex's light prefix: every edge once, light
-/// ones at or below Δ, heavy ones above.
+/// ones at or below Δ, heavy ones above, and it knows whether its light
+/// edges share one weight.
 fn check_split(prep: &PreparedGraph, row: &Row) {
     let split = prep.split(row.delta);
     let view = split.on(prep);
+    let several = several_light_weights(&row.graph, row.delta);
+    assert_eq!(view.one_light_weight(), !several, "{}: one light weight", row.label);
     for v in 0..row.graph.num_vertices() {
         let label = format!("{}, row {v}", row.label);
         assert!(view.light(v).iter().all(|&(_, w)| w <= row.delta), "{label}");
@@ -410,12 +421,14 @@ fn check_split(prep: &PreparedGraph, row: &Row) {
 }
 
 /// What the fixtures showed they exercise: the most one forced-push
-/// classic run relaxed in its heavy passes, and the rows whose classic
-/// oracle took both directions.
+/// classic run relaxed in its heavy passes, the rows whose classic
+/// oracle took both directions, and the rows whose light edges have
+/// several weights, where every oracle run pushed.
 #[derive(Default)]
 pub struct Seen {
     pub heavy_relaxations: u64,
     pub both_ways: Vec<String>,
+    pub push_only: Vec<String>,
 }
 
 /// The pool-less oracle-direction run of one strategy on a row.
@@ -563,6 +576,15 @@ impl Harness<'_> {
         let rounds = rounds(&profile);
         if strategy == Classic && rounds.0 > 0 && rounds.1 > 0 {
             self.seen.both_ways.push(row.label.clone());
+        }
+        // A pull row stops early only when the light edges share one
+        // weight; with several, the oracle pushes every round, and every
+        // kernel's run is held to these rounds.
+        if several_light_weights(&row.graph, row.delta) {
+            assert_eq!(rounds.1, 0, "{label}: the oracle pulled on several light weights");
+            if strategy == Classic && rounds.0 > 0 {
+                self.seen.push_only.push(row.label.clone());
+            }
         }
         let (total, light) = (counting.ticks(), result.stats.light_phases as u64);
         Reference { run, label, result, total, light, rounds }

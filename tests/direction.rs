@@ -4,8 +4,10 @@
 //! on every kernel; a session pool runs the pull rounds as tasks, not
 //! only the sequential fallback; the automatic oracle takes both
 //! directions on a graph that crosses the switch, with the same rounds on
-//! every kernel; and runs cut at every epoch across the switch resume to
-//! the same bits, stats and rounds. Those tests run their parts of the
+//! every kernel, and pushes every round where the light edges have
+//! several weights, so no pull row could stop early; and runs cut at
+//! every epoch across the switch resume to the same bits, stats and
+//! rounds. Those tests run their parts of the
 //! differential harness (`tests/differential/`) on their groups of rows.
 //! A pinned direction also belongs to its run: two engines forced
 //! opposite ways at once each see only their own.
@@ -28,6 +30,7 @@ fn forced_pull_matches_push_bit_for_bit_on_unit_weights() {
 fn forced_pull_matches_push_bit_for_bit_on_real_weights() {
     let seen = differential::run(&[Weighted, Hostile, Switch0, Switch1], &[Forced]);
     assert!(seen.heavy_relaxations > 0, "no heavy pass relaxed an edge");
+    assert!(!seen.push_only.is_empty(), "no row had several light weights");
 }
 
 #[test]
