@@ -1,10 +1,10 @@
 //! The dense **pull** light-phase kernel (direction optimization).
 //!
 //! [`crate::reqbuf`] relaxes a frontier by *pushing*: scatter every
-//! frontier out-edge into per-task sparse buffers, then merge and sort.
+//! frontier out-edge into per-task sparse buffers, then merge.
 //! That is the right shape while the frontier is sparse, but in the
 //! "explosion" epochs of small-world graphs the frontier carries a large
-//! fraction of the light edges, and the scatter + merge + sort machinery
+//! fraction of the light edges, and the scatter + merge machinery
 //! is pure overhead. GraphBLAST's answer — and this module's — is to
 //! *pull*: scan candidate target vertices in index order and fold their
 //! light **in-edges** against a frontier bitmap. Sequential reads, no
@@ -18,17 +18,17 @@
 //! ## Bit-identity with push
 //!
 //! For each target `v`, the pull pass yields the minimum of exactly the
-//! candidate multiset `{ dist[u] + w : (u, v, w) ∈ A_L, u ∈ frontier }`
-//! that the push pass offers — `min` over the same finite candidates is
-//! order-insensitive bit for bit, and no unread candidate can beat the
-//! one a row stops at (the floor, below), so the resulting request
-//! vector is identical. The only divergence is the *touched set*: pull
-//! may skip a target at or below the floor that push would have touched
-//! with an unimprovable candidate. Both drains treat such entries as
-//! no-ops, so `dist`, improvements, and every other
-//! [`crate::stats::SsspStats`] field stay bit-identical across
-//! directions and thread counts (asserted by the differential harness,
-//! `tests/differential/`).
+//! candidate multiset `{ dist[u] + w < dist[v] : (u, v, w) ∈ A_L,
+//! u ∈ frontier }` that the push pass offers — both drop a candidate
+//! that cannot improve its target before touching it, `min` over the
+//! same finite candidates is order-insensitive bit for bit, and no
+//! unread candidate can beat the one a row stops at (the floor, below).
+//! So push and pull touch the same set of targets with the same request
+//! bits; only the order differs (pull's is ascending, push's is
+//! first-touch), and the stepping loop sorts the one list it keeps.
+//! `dist`, improvements, and every other [`crate::stats::SsspStats`]
+//! field stay bit-identical across directions and thread counts
+//! (asserted by the differential harness, `tests/differential/`).
 //!
 //! The floor is the float subtlety. Every candidate for `v` is
 //! `dist[u] + w` with `dist[u] >= lower` (the minimum frontier tentative
@@ -41,7 +41,10 @@
 //! - a target with `dist[v] <= floor` is skipped: no candidate can land
 //!   below its tentative distance;
 //! - a row stops at the first *accepted* candidate `<= floor`: no later
-//!   in-edge can beat it under the strict `<` fold.
+//!   in-edge can beat it under the strict `<` fold. Every such candidate
+//!   is below `dist[v]`, since an unskipped target has `dist[v] > floor`,
+//!   so dropping the candidates that cannot improve never hides the
+//!   exit.
 //!
 //! On a unit-weight graph at Δ = 1 every frontier vertex sits at
 //! `lower`, so this is Beamer's bottom-up step: each unvisited target
@@ -52,7 +55,7 @@
 //! stops and the pass reads every light in-edge of every open target;
 //! the stepping loop therefore pulls such splits only when forced
 //! ([`crate::prepared::Split`]). Neither cut changes a request, and
-//! `relaxations` counts the candidates offered rather than the edges
+//! `relaxations` counts the candidates formed rather than the edges
 //! read, so only the returned in-edge count
 //! (`PhaseProfile::edges_scanned`) moves. When
 //! the index holds any negative weight (preflight normally rejects
@@ -183,10 +186,11 @@ impl PullIndex {
 /// Scan targets `[start, start + req.len())`, folding frontier in-edges
 /// into the `req` slice (indexed relative to `start`) and appending
 /// touched targets (absolute indices, ascending) to `touched`. The
-/// per-target offer logic mirrors `reqbuf`'s `offer` exactly: touch on
-/// the first candidate, min-fold the rest. A target at or below the
-/// floor is skipped, and a row stops at the first accepted candidate
-/// that reaches it (see the module doc). Returns the in-edges read.
+/// per-target offer logic mirrors `reqbuf`'s `offer_row` and `offer`
+/// exactly: drop a candidate that cannot improve `dist[v]`, touch on the
+/// first one that can, min-fold the rest. A target at or below the floor
+/// is skipped, and a row stops at the first accepted candidate that
+/// reaches it (see the module doc). Returns the in-edges read.
 #[allow(clippy::too_many_arguments)]
 fn pull_range(
     idx: &PullIndex,
@@ -218,7 +222,8 @@ fn pull_range(
         #[cfg(not(feature = "racecheck"))]
         let _ = hooked;
         let (lo, hi) = (idx.off[v], idx.off[v + 1]);
-        if dist[v] <= floor {
+        let dv = dist[v];
+        if dv <= floor {
             unread += hi - lo;
             continue;
         }
@@ -233,6 +238,9 @@ fn pull_range(
                 racecheck::plain_read("sssp.dist", &dist[u] as *const f64);
             }
             let cand = dist[u] + w;
+            if cand >= dv {
+                continue;
+            }
             if *slot == INF {
                 #[cfg(feature = "racecheck")]
                 if hooked {
@@ -389,10 +397,10 @@ mod tests {
         assert_eq!(idx.resident_bytes(), PullIndex::bytes_for(idx.num_vertices(), idx.src.len()));
     }
 
-    /// Push and pull `frontier` over `split`; assert the pull request
-    /// vector equals push's on every target pull touched, that a target
-    /// only push touched cannot improve, and that pull's touched list is
-    /// ascending. Returns pull's touched list and the in-edges it read.
+    /// Push and pull `frontier` over `split`; assert both touch the same
+    /// set of targets with bit-equal requests, and that pull's touched
+    /// list is ascending. Returns pull's touched list and the in-edges it
+    /// read.
     fn assert_pull_matches_push(
         g: &PreparedGraph<'_>,
         split: &Split,
@@ -417,23 +425,17 @@ mod tests {
         let scanned =
             pull_light_sequential(idx, dist, &in_frontier, lower, &mut pull_req, &mut pull_touched);
 
-        for &v in &pull_touched {
-            assert_eq!(pull_req[v].to_bits(), push_req[v].to_bits(), "v={v}");
-        }
-        // Entries push touched but pull skipped must be unimprovable
-        // (settled at or below the floor `lower + min_w`).
-        for &v in &push_touched {
-            if !pull_touched.contains(&v) {
-                assert!(dist[v] <= lower + idx.min_w, "pull skipped improvable v={v}");
-                assert!(push_req[v] >= dist[v], "skipped entry would have improved");
-            }
-        }
         assert!(pull_touched.windows(2).all(|p| p[0] < p[1]), "ascending");
+        let mut push_set = push_touched;
+        push_set.sort_unstable();
+        assert_eq!(pull_touched, push_set, "touched sets");
+        let (pull_bits, push_bits): (Vec<u64>, Vec<u64>) =
+            pull_touched.iter().map(|&v| (pull_req[v].to_bits(), push_req[v].to_bits())).unzip();
+        assert_eq!(pull_bits, push_bits, "requests");
         (pull_touched, scanned)
     }
 
-    /// Pull produces the same request vector as push, and its touched
-    /// list only ever omits push-touched entries that drain to no-ops.
+    /// Pull touches the same targets as push, with the same request bits.
     #[test]
     fn pull_matches_push_requests_bit_for_bit() {
         let (g, split, dist, frontier) = workload();
@@ -534,12 +536,12 @@ mod tests {
             (2, 4, 0.0), // 2.0: above the floor
             (3, 4, 0.25),
             (1, 5, 0.5), // 5 sits at the floor: skipped
-            (2, 6, 1.0), // 3.0: no better than 6's 2.5, touched as push does
+            (2, 6, 1.0), // 3.0: no better than 6's 2.5, read but not touched
         ];
         let dist = [INF, 1.5, 2.0, 1.5, INF, 1.5, 2.5];
         let (touched, scanned, min_w) = float_case(&triples, &dist);
         assert_eq!(min_w, 0.0);
-        assert_eq!(touched, vec![0, 4, 6]);
+        assert_eq!(touched, vec![0, 4]);
         assert_eq!(scanned, 1 + 2 + 1);
     }
 

@@ -19,13 +19,14 @@
 //! 2. *Merge* — the caller folds the buffers into the dense `req`
 //!    accumulator **in spawn order**, min-combining duplicates and
 //!    recording first touches. Only the entries actually touched are ever
-//!    reset back to `∞`, and the touched list is sorted on *every* path,
-//!    so downstream bookkeeping order is identical whatever the frontier
-//!    size or thread count.
+//!    reset back to `∞`. The chunks are contiguous and merged in spawn
+//!    order, so the touched list comes out in the scatter's first-touch
+//!    order on every path, whatever the frontier size or thread count.
+//!    Nothing sorts it: the stepping loop sorts only the frontier it
+//!    keeps.
 //!
-//! A heavy row offers only the candidates that improve `dist[u]`, the
-//! test the drain applies anyway; a light row offers all of them (see
-//! `offer_row`).
+//! A row, light or heavy, offers only the candidates that improve
+//! `dist[u]`, the test the drain applies anyway (see `offer_row`).
 //!
 //! Distances are bit-identical across thread counts: candidates are
 //! `dist[v] + w` with finite non-negative weights (preflight rejects the
@@ -114,15 +115,17 @@ impl RelaxWorkspace {
         }
     }
 
-    /// The touched positions of the current request vector, sorted
-    /// ascending (canonical on every relaxation path).
+    /// The touched positions of the current request vector, in
+    /// first-touch order: the scatter's on every push path, ascending
+    /// after a pull.
     pub fn touched(&self) -> &[usize] {
         &self.touched
     }
 
-    /// Visit `(vertex, candidate)` for every touched entry in sorted
-    /// vertex order, resetting each entry to `∞` — the only writes the
-    /// reset ever performs are on entries that were actually touched.
+    /// Visit `(vertex, candidate)` for every touched entry in
+    /// [`Self::touched`] order, resetting each entry to `∞` — the only
+    /// writes the reset ever performs are on entries that were actually
+    /// touched.
     pub fn drain_requests<F: FnMut(usize, f64)>(&mut self, mut f: F) {
         for &u in &self.touched {
             let cand = self.req[u];
@@ -135,9 +138,9 @@ impl RelaxWorkspace {
     /// Fill the request accumulator by the dense **pull** pass instead of
     /// the push scatter: scan every target's light in-edges against the
     /// frontier bitmap (see [`crate::pull`]). The drain-side contract is
-    /// unchanged — `touched` comes out ascending and only touched entries
-    /// ever need resetting — and the resulting request vector is
-    /// bit-identical to [`relax`]'s over the same frontier.
+    /// unchanged — only touched entries ever need resetting — and the
+    /// touched set and request vector are bit-identical to [`relax`]'s
+    /// over the same frontier; only the order differs (ascending here).
     /// Without a pool the scan is the sequential pass over the same
     /// accumulator. Returns the in-edges the scan read.
     pub fn pull_light(
@@ -189,26 +192,13 @@ fn offer(req: &mut [f64], touched: &mut Vec<usize>, u: usize, cand: f64) {
     }
 }
 
-/// Emit `(u, tv + w)` for the edges of one light or heavy row. A heavy
-/// row emits only the candidates below `dist[u]`: that is the test
-/// `apply_requests` applies to the merged minimum, and `dist` does not
-/// move before the drain, so a dropped candidate was always a no-op. A
-/// light row emits every candidate. Either way the caller counts the
-/// whole row as relaxations.
+/// Emit `(u, tv + w)` for the edges of one light or heavy row whose
+/// candidate is below `dist[u]`: that is the test `apply_requests`
+/// applies to the merged minimum, and `dist` does not move before the
+/// drain, so a dropped candidate was always a no-op. The caller counts
+/// the whole row as relaxations.
 #[inline]
-fn offer_row(
-    row: &[(usize, f64)],
-    tv: f64,
-    dist: &[f64],
-    use_light: bool,
-    mut emit: impl FnMut(usize, f64),
-) {
-    if use_light {
-        for &(u, w) in row {
-            emit(u, tv + w);
-        }
-        return;
-    }
+fn offer_row(row: &[(usize, f64)], tv: f64, dist: &[f64], mut emit: impl FnMut(usize, f64)) {
     for &(u, w) in row {
         let cand = tv + w;
         #[cfg(feature = "racecheck")]
@@ -223,10 +213,10 @@ fn offer_row(
 /// request accumulator, the one push door of the stepping loop: the
 /// sequential scatter without a pool or below its cut-over, per-task
 /// sparse buffers merged in spawn order above it. Both make the same
-/// offers (see `touched_order_identical_across_branches`): on return
-/// `ws.touched()` lists the requested vertices in sorted order and
-/// `relaxations` has grown by the number of edge products actually
-/// completed.
+/// offers in the same order (see `touched_order_identical_across_branches`):
+/// on return `ws.touched()` lists the requested vertices in first-touch
+/// order and `relaxations` has grown by the number of edge products
+/// actually completed.
 pub fn relax(
     pool: Option<&ThreadPool>,
     lh: SplitView<'_>,
@@ -246,38 +236,29 @@ pub fn relax(
     if let Some(pool) = pool {
         let nnz: usize = frontier.iter().map(|&v| edges(v).len()).sum();
         if nnz >= effective_threshold(pool, SEQ_RELAX_THRESHOLD) {
-            return relax_tasks(pool, lh, dist, frontier, use_light, ws, relaxations);
+            return relax_tasks(pool, edges, dist, frontier, ws, relaxations);
         }
     }
     let RelaxWorkspace { req, touched, .. } = ws;
     for &v in frontier {
         let row = edges(v);
-        offer_row(row, dist[v], dist, use_light, |u, c| offer(req, touched, u, c));
+        offer_row(row, dist[v], dist, |u, c| offer(req, touched, u, c));
         // Counted per completed vertex, matching the parallel path's
         // per-completed-chunk accounting.
         *relaxations += row.len() as u64;
     }
-    touched.sort_unstable();
 }
 
-/// [`relax`]'s task branch: produce into per-task buffers, merge them in
-/// spawn order.
-fn relax_tasks(
+/// [`relax`]'s task branch over the rows `edges` picks: produce into
+/// per-task buffers, merge them in spawn order.
+fn relax_tasks<'a>(
     pool: &ThreadPool,
-    lh: SplitView<'_>,
+    edges: impl Fn(usize) -> &'a [(usize, f64)] + Sync,
     dist: &[f64],
     frontier: &[usize],
-    use_light: bool,
     ws: &mut RelaxWorkspace,
     relaxations: &mut u64,
 ) {
-    let edges = |v: usize| {
-        if use_light {
-            lh.light(v)
-        } else {
-            lh.heavy(v)
-        }
-    };
     // Produce: one task per frontier chunk, each with an exclusive buffer.
     let pieces = (pool.num_threads() * 4).min(frontier.len());
     let ranges = split_evenly(0..frontier.len(), pieces);
@@ -298,7 +279,7 @@ fn relax_tasks(
                 racecheck::plain_read("sssp.dist", &dist[v] as *const f64);
             }
             let row = edges(v);
-            offer_row(row, dist[v], dist, use_light, |u, c| {
+            offer_row(row, dist[v], dist, |u, c| {
                 buf.tgt.push(u);
                 buf.cand.push(c);
             });
@@ -309,7 +290,8 @@ fn relax_tasks(
 
     // Merge: fold buffers in spawn order — single-threaded, so plain
     // loads/stores; the scope barrier already ordered the buffer writes
-    // before us.
+    // before us. The chunks are contiguous, so first touches land in the
+    // scatter's order.
     let RelaxWorkspace { req, touched, bufs, .. } = ws;
     for buf in bufs.iter_mut().take(active) {
         #[cfg(feature = "racecheck")]
@@ -320,7 +302,6 @@ fn relax_tasks(
         *relaxations += buf.processed;
         buf.processed = 0;
     }
-    touched.sort_unstable();
 }
 
 #[cfg(test)]
@@ -387,6 +368,38 @@ mod tests {
         }
     }
 
+    /// The reference min-fold of every candidate of `frontier`'s light or
+    /// heavy rows, kept where it improves `dist`, in first-touch order of
+    /// the improving candidates; the whole rows' edge count; and how many
+    /// targets had candidates but none that improves.
+    fn improving_fold(
+        lh: SplitView<'_>,
+        dist: &[f64],
+        frontier: &[usize],
+        use_light: bool,
+    ) -> (Vec<(usize, u64)>, u64, usize) {
+        let mut min = vec![INF; dist.len()];
+        let mut reached = vec![false; dist.len()];
+        let mut order = Vec::new();
+        let mut edges = 0u64;
+        for &v in frontier {
+            let row = if use_light { lh.light(v) } else { lh.heavy(v) };
+            for &(u, w) in row {
+                edges += 1;
+                reached[u] = true;
+                let c = dist[v] + w;
+                if c < dist[u] {
+                    if min[u] == INF {
+                        order.push(u);
+                    }
+                    min[u] = min[u].min(c);
+                }
+            }
+        }
+        let dropped = (0..dist.len()).filter(|&u| reached[u] && min[u] == INF).count();
+        (order.into_iter().map(|u| (u, min[u].to_bits())).collect(), edges, dropped)
+    }
+
     #[test]
     fn matches_reference_min_fold() {
         let (g, split, dist, frontier) = workload();
@@ -397,17 +410,10 @@ mod tests {
         let mut relaxed = 0u64;
         relax(Some(&pool), lh, &dist, &frontier, true, &mut ws, &mut relaxed);
 
-        // Reference: dense min-fold.
+        let (improving, expect_relax, _) = improving_fold(lh, &dist, &frontier, true);
         let mut expect = vec![INF; n];
-        let mut expect_relax = 0u64;
-        for &v in &frontier {
-            for &(u, w) in lh.light(v) {
-                expect_relax += 1;
-                let c = dist[v] + w;
-                if c < expect[u] {
-                    expect[u] = c;
-                }
-            }
+        for &(u, c) in &improving {
+            expect[u] = f64::from_bits(c);
         }
         assert_eq!(relaxed, expect_relax);
         let mut got = vec![INF; n];
@@ -416,40 +422,28 @@ mod tests {
     }
 
     #[test]
-    fn heavy_rows_offer_only_improving_candidates() {
+    fn every_row_offers_only_improving_candidates() {
         let (g, split, dist, frontier) = workload();
         let lh = split.on(&g);
         let n = g.num_vertices();
-        // Reference: every heavy candidate folded, then the drain's test.
-        let mut expect = vec![INF; n];
-        let mut expect_relax = 0u64;
-        for &v in &frontier {
-            for &(u, w) in lh.heavy(v) {
-                expect_relax += 1;
-                expect[u] = expect[u].min(dist[v] + w);
-            }
-        }
-        let improving: Vec<(usize, u64)> = (0..n)
-            .filter(|&u| expect[u] < dist[u])
-            .map(|u| (u, expect[u].to_bits()))
-            .collect();
-        assert!(!improving.is_empty());
-        assert!(
-            (0..n).any(|u| expect[u] != INF && expect[u] >= dist[u]),
-            "want targets whose every heavy candidate is dropped"
-        );
         let (inline, _session, tasks) = branch_pools(4);
         let branches = [("pool-less", None), ("inline", Some(&inline)), ("tasks", Some(&tasks))];
-        for (branch, pool) in branches {
-            let mut ws = RelaxWorkspace::new(n);
-            let mut relaxed = 0u64;
-            relax(pool, lh, &dist, &frontier, false, &mut ws, &mut relaxed);
-            // Every heavy edge still counts; only improving targets are
-            // touched, each with the full fold's minimum.
-            assert_eq!(relaxed, expect_relax, "{branch}");
-            let mut got = Vec::new();
-            ws.drain_requests(|u, c| got.push((u, c.to_bits())));
-            assert_eq!(got, improving, "{branch}");
+        for use_light in [true, false] {
+            let (improving, expect_relax, dropped) = improving_fold(lh, &dist, &frontier, use_light);
+            assert!(!improving.is_empty(), "use_light={use_light}");
+            assert!(dropped > 0, "use_light={use_light}: want targets whose every candidate is dropped");
+            for (branch, pool) in branches {
+                let mut ws = RelaxWorkspace::new(n);
+                let mut relaxed = 0u64;
+                relax(pool, lh, &dist, &frontier, use_light, &mut ws, &mut relaxed);
+                // Every edge still counts; only improving targets are
+                // touched, first touch first, each with the full fold's
+                // minimum.
+                assert_eq!(relaxed, expect_relax, "{branch}, use_light={use_light}");
+                let mut got = Vec::new();
+                ws.drain_requests(|u, c| got.push((u, c.to_bits())));
+                assert_eq!(got, improving, "{branch}, use_light={use_light}");
+            }
         }
     }
 

@@ -40,7 +40,7 @@ pub struct PhaseProfile {
     /// Edges the light passes read: every frontier light edge of a push;
     /// on a pull, no in-edge of a skipped target and each other row up to
     /// where it stops at its floor. A count of work, not part of the [`SsspStats`] contract:
-    /// `relaxations` counts candidates offered and does not move with
+    /// `relaxations` counts candidates formed and does not move with
     /// it. Filled by the stepping loop; the figure variants leave it 0.
     pub edges_scanned: u64,
     /// Light rounds this run (a resume: its own rounds only) pushed and

@@ -47,10 +47,15 @@
 //! O(|pending|) — O(frontier) on road-like graphs.
 //!
 //! Determinism: relaxation goes through the contention-free
-//! [`crate::reqbuf`] request buffers (spawn-order merge, sorted touched
-//! lists), thresholds are pure functions of the distance multiset, and
-//! no float is produced that depends on thread count — distances *and*
-//! stats are bit-identical across 1/2/4 threads and the pool-less path.
+//! [`crate::reqbuf`] request buffers (spawn-order merge, first-touch
+//! order on every push path) or the pull kernel (ascending), both
+//! touching exactly the targets a candidate improves. The drain
+//! min-folds them in whichever order, and the frontier it refills is
+//! sorted: it is the only list that reaches `settled` and checkpoints.
+//! Thresholds are pure functions of the distance multiset, and no float
+//! is produced that depends on thread count — distances, stats and
+//! checkpoints are bit-identical across 1/2/4 threads, both directions
+//! and the pool-less path.
 //!
 //! Checkpointing follows [`crate::checkpoint`]: `settled_below` is the
 //! extracted-range bound carried in [`SteppingState`]. Stops happen at
@@ -314,7 +319,9 @@ pub fn stepping_resume_with(
 /// rounds. The request vector is bit-identical either way (see
 /// [`crate::pull`]).
 /// `edges_scanned` grows by the edges the pass read: the frontier's light
-/// edges on a push, the in-edges the scan reached on a pull.
+/// edges on a push, the in-edges the scan reached on a pull. The
+/// frontier's light degree sum is taken only where something reads it:
+/// the oracle, or a pull round's `relaxations`; a push counts its own.
 #[allow(clippy::too_many_arguments)]
 fn relax_light(
     forced: Option<Direction>,
@@ -327,17 +334,19 @@ fn relax_light(
     relaxations: &mut u64,
     edges_scanned: &mut u64,
 ) -> Direction {
-    let frontier_edges: usize = frontier.iter().map(|&v| lh.light_degree(v)).sum();
-    let dir = forced.unwrap_or_else(|| {
-        if lh.one_light_weight() {
-            direction::decide(frontier_edges, lh.num_light())
-        } else {
-            Direction::Push
+    let degree_sum = || frontier.iter().map(|&v| lh.light_degree(v)).sum::<usize>();
+    let (dir, frontier_edges) = match forced {
+        Some(dir) => (dir, None),
+        None if lh.one_light_weight() => {
+            let edges = degree_sum();
+            (direction::decide(edges, lh.num_light()), Some(edges))
         }
-    });
+        None => (Direction::Push, None),
+    };
     if dir == Direction::Push {
-        *edges_scanned += frontier_edges as u64;
+        let before = *relaxations;
         relax(pool, lh, dist, frontier, true, rws, relaxations);
+        *edges_scanned += *relaxations - before;
         return dir;
     }
     let mut lower = INF;
@@ -351,19 +360,24 @@ fn relax_light(
     for &v in frontier {
         in_frontier[v] = false;
     }
-    // A relaxation is a candidate offered, not an edge read: push offers
-    // one per frontier light edge, and the pull pass stands for that same
-    // candidate set, though it reads fewer edges whenever a row stops at
-    // its floor or a target is skipped.
-    *relaxations += frontier_edges as u64;
+    // A relaxation is a candidate formed, not an edge read or an offer:
+    // push forms one per frontier light edge and offers those that
+    // improve, and the pull pass stands for that same candidate set,
+    // though it reads fewer edges whenever a row stops at its floor or a
+    // target is skipped.
+    *relaxations += frontier_edges.unwrap_or_else(degree_sum) as u64;
     dir
 }
 
 /// Fold the outstanding requests into `t` (`t = min(t, t_Req)`), pushing
-/// every improvement that lands below `threshold` onto `frontier`. The
-/// only place a vertex joins `pending`: on its discovery (∞ → finite) at
-/// or above `threshold`. A vertex already finite there is a member
-/// already, so no vertex is ever listed twice.
+/// every improvement that lands below `threshold` onto `frontier`, then
+/// sort `frontier`: requests drain in the kernel's touched order, and the
+/// frontier is the one list that reaches `settled` and checkpoints, so
+/// it alone is put in ascending vertex order. The only place a vertex
+/// joins `pending`: on its discovery (∞ → finite) at or above
+/// `threshold`. A vertex already finite there is a member already, so no
+/// vertex is ever listed twice; `pending`'s order is never read (see
+/// `extract_frontier`).
 fn apply_requests(
     rws: &mut RelaxWorkspace,
     t: &mut [f64],
@@ -388,6 +402,7 @@ fn apply_requests(
             }
         }
     });
+    frontier.sort_unstable();
 }
 
 /// Extraction: drop the stale members of `pending` (`t[v] < bound` —
@@ -396,7 +411,9 @@ fn apply_requests(
 /// the members of `[bound, threshold)` to `frontier` in ascending vertex
 /// order. Returns the threshold, or `None` when nothing is tentative at
 /// or above the bound. Reads `t` only through `pending`, so a step costs
-/// O(|pending|), never O(n).
+/// O(|pending|), never O(n). The threshold is a function of the pending
+/// values' multiset and the frontier leaves sorted, so the order in which
+/// members joined `pending` never shows.
 fn extract_frontier(
     strategy: SteppingStrategy,
     delta: f64,

@@ -41,7 +41,7 @@ use sssp_core::repro::parallel::{delta_stepping_parallel, delta_stepping_simulat
 use sssp_core::stats::PhaseProfile;
 use sssp_core::stepping::SteppingWorkspace;
 use sssp_core::{bellman_ford, dijkstra, fused, run_checked, validate, GuardConfig};
-use sssp_core::{Implementation, Kernels, PreparedGraph, RunBudget, SsspError, SsspResult};
+use sssp_core::{Checkpoint, Implementation, Kernels, PreparedGraph, RunBudget, SsspError, SsspResult};
 use sssp_core::{SsspStats, SteppingStrategy};
 use taskpool::fault::TestSession;
 use taskpool::ThreadPool;
@@ -720,21 +720,34 @@ impl Harness<'_> {
         }
     }
 
+    /// Cancel `run` after `k` epochs: its checkpoint and its rounds.
+    fn cut(&mut self, prep: &PreparedGraph, row: &Row, run: Run, k: u64, label: &str) -> (Checkpoint, EngineStats) {
+        let (out, cut) = self.solve(prep, row, run, &mut RunBudget::unlimited().cancel_after(k));
+        match out {
+            Err(SsspError::Cancelled { checkpoint }) => (*checkpoint, cut),
+            Err(other) => panic!("{label}: expected Cancelled, got {other}"),
+            Ok(_) => panic!("{label}: expected Cancelled, the run finished"),
+        }
+    }
+
     /// Cancel `run` after `k` epochs and resume its checkpoint on both
     /// kernels in memory, and on one of them through the checkpoint file:
     /// every resumption lands on the uninterrupted run's distances, stats
-    /// and, with the cut run's, rounds.
+    /// and, with the cut run's, rounds. The checkpoint itself is the
+    /// pool-less oracle run's cut at `k`, byte for byte, whatever the
+    /// kernel or direction, and its frontier is strictly ascending.
     fn check_cut(&mut self, prep: &PreparedGraph, row: &Row, run: Run, k: u64, oracle: &Reference, truth: &[u64]) {
         let label = format!("{}, cut at epoch {k}", run.label(row));
-        let (out, cut) = self.solve(prep, row, run, &mut RunBudget::unlimited().cancel_after(k));
-        let cp = match out {
-            Err(SsspError::Cancelled { checkpoint }) => *checkpoint,
-            Err(other) => panic!("{label}: expected Cancelled, got {other}"),
-            Ok(_) => panic!("{label}: expected Cancelled, the run finished"),
-        };
+        let (cp, cut) = self.cut(prep, row, run, k, &label);
         cp.validate(row.graph.num_vertices()).expect("checkpoint must validate");
         assert!(cp.resumable, "{label}");
         assert_eq!(cp.stepping.map(|st| st.strategy), Some(run.strategy), "{label}: stepping state");
+        assert!(cp.frontier.windows(2).all(|p| p[0] < p[1]), "{label}: frontier not strictly ascending");
+        if run.pool.is_some() || run.forced.is_some() {
+            let (want, _) = self.cut(prep, row, oracle.run, k, &oracle.label);
+            assert_eq!((&cp.frontier, &cp.settled), (&want.frontier, &want.settled), "{label}: the oracle's sets");
+            assert!(cp.to_bytes(0) == want.to_bytes(0), "{label}: bytes differ from the oracle's cut");
+        }
         // Everything the checkpoint certifies is final.
         for (v, d) in cp.settled_distances() {
             assert_eq!(d.to_bits(), truth[v], "{label}: certified vertex {v} is not final");
