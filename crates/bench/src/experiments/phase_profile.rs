@@ -9,11 +9,14 @@
 //! time at all. The filter column therefore times the split the paper's
 //! code built, [`fused::LightHeavy::build`], and the relaxation and
 //! vector-op columns come from the warm stepping solve's
-//! [`sssp_core::PhaseProfile`].
+//! [`sssp_core::PhaseProfile`]. Beside the filter, the prepare column
+//! times what the stepping loop pays in its place: preparing the graph
+//! ([`PreparedGraph::new`], the weight-sorted rows and their scan) and
+//! its split at Δ. It is not part of the filter share.
 
 use graphdata::suite::Dataset;
 use sssp_core::stepping::{stepping_checked, SteppingStrategy};
-use sssp_core::{fused, RunBudget};
+use sssp_core::{fused, PreparedGraph, RunBudget};
 
 use super::{Figure, Session, Suite};
 use crate::bench_source;
@@ -29,6 +32,8 @@ pub struct ProfileRow {
     pub nv: usize,
     /// Building `A_L`/`A_H` in one pass, milliseconds.
     pub filter_ms: f64,
+    /// Preparing the graph and its split at Δ, milliseconds.
+    pub prepare_ms: f64,
     /// Time in `(min,+)` relaxation, milliseconds.
     pub relax_ms: f64,
     /// Time in vector filtering/bookkeeping, milliseconds.
@@ -44,6 +49,7 @@ impl ProfileRow {
             text("graph", &self.name),
             count("nv", self.nv as u64),
             real("filter_ms", self.filter_ms, 3),
+            real("prepare_ms", self.prepare_ms, 3),
             real("relax_ms", self.relax_ms, 3),
             real("vector_ms", self.vector_ms, 3),
             real("filter_share", self.filter_share, 3),
@@ -51,8 +57,8 @@ impl ProfileRow {
     }
 }
 
-/// Profile each graph of `suite` at Δ = 1: the split build timed under
-/// `reps`, the solve's phases from one warm run.
+/// Profile each graph of `suite` at Δ = 1: the split build and the
+/// preparation timed under `reps`, the solve's phases from one warm run.
 pub fn run(suite: &[Dataset], reps: Reps) -> Vec<ProfileRow> {
     let delta = 1.0;
     suite
@@ -63,6 +69,13 @@ pub fn run(suite: &[Dataset], reps: Reps) -> Vec<ProfileRow> {
             let filter = measure_min(
                 || {
                     std::hint::black_box(fused::LightHeavy::build(g, delta));
+                },
+                reps,
+            );
+            let prepare = measure_min(
+                || {
+                    let prepared = PreparedGraph::new(g);
+                    std::hint::black_box(prepared.split(delta));
                 },
                 reps,
             );
@@ -79,6 +92,7 @@ pub fn run(suite: &[Dataset], reps: Reps) -> Vec<ProfileRow> {
                 name: d.name.clone(),
                 nv: g.num_vertices(),
                 filter_ms,
+                prepare_ms: ms(prepare),
                 relax_ms,
                 vector_ms,
                 filter_share: filter_ms / (filter_ms + relax_ms + vector_ms),
@@ -114,6 +128,7 @@ mod tests {
             // on every graph: a zero here means the column measures
             // nothing.
             assert!(r.filter_ms > 0.0, "{}: no filter time", r.name);
+            assert!(r.prepare_ms > 0.0, "{}: no preparation time", r.name);
             let total = r.filter_ms + r.relax_ms + r.vector_ms;
             assert!(total > 0.0);
         }

@@ -5,13 +5,19 @@
 //! (a pass over the whole CSR), the weight verdict of preflight and the
 //! maximum weight of the epoch budget (two more passes over the weights),
 //! and a light/heavy split that copied every edge once per Δ. A
-//! [`PreparedGraph`] holds the first three, the weights taken in one pass,
-//! and makes the fourth cheap: its adjacency is the graph's rows sorted by
-//! weight ([`CsrGraph::weight_sorted_adjacency`]), so for any Δ the light
+//! [`PreparedGraph`] holds the first three and makes the fourth cheap: its
+//! adjacency is the graph's rows sorted by weight, so for any Δ the light
 //! edges of a row (`w <= Δ`) are its prefix and the heavy edges its
 //! suffix. A [`Split`] is then one partition point per row, found by a
 //! binary search per row, instead of a 16-byte-per-edge copy of `A_L` /
 //! `A_H` — and nothing at all when no edge is heavy.
+//!
+//! Preparation is one pass over the rows
+//! ([`CsrGraph::weight_sorted_rows`]): the sort, on one packed integer
+//! key per edge (rows already in order are copied), plus a weight scan
+//! read off each sorted row's ends — the verdict, the maximum and the
+//! smallest positive weight, equal bit for bit to
+//! [`CsrGraph::weight_scan`]'s.
 //!
 //! The graph owns its splits ([`PreparedGraph::split_for`]):
 //!
@@ -114,7 +120,7 @@ pub struct PreparedGraph<'g> {
     /// Row boundaries, as the graph's [`CsrGraph::offsets`].
     offsets: Cow<'g, [usize]>,
     /// `(target, weight)` pairs, every row sorted by weight
-    /// ([`CsrGraph::weight_sorted_adjacency`]).
+    /// ([`CsrGraph::weight_sorted_rows`]).
     adj: Vec<(usize, f64)>,
     fingerprint: Fingerprint<'g>,
     /// Preflight's weight verdict: the first invalid edge in as-loaded
@@ -136,8 +142,9 @@ pub struct PreparedGraph<'g> {
 
 impl PreparedGraph<'static> {
     /// Prepare a graph the caller hands over — what a registry does once
-    /// per `LOAD`: fingerprint the rows as loaded, scan the weights, sort
-    /// the adjacency, and keep only the offsets of the original.
+    /// per `LOAD`: fingerprint the rows as loaded, sort the adjacency and
+    /// scan the weights in one pass, and keep only the offsets of the
+    /// original.
     pub fn load(g: CsrGraph) -> Self {
         let fingerprint = g.fingerprint();
         PreparedGraph::load_with_fingerprint(g, fingerprint)
@@ -159,16 +166,16 @@ impl PreparedGraph<'static> {
 }
 
 impl<'g> PreparedGraph<'g> {
-    /// Prepare a borrowed graph: one pass over the weights and one sorted
-    /// copy of the adjacency. The fingerprint is taken from `g` on first
-    /// use.
+    /// Prepare a borrowed graph: one pass over the rows for the sorted
+    /// copy of the adjacency and the weight scan. The fingerprint is
+    /// taken from `g` on first use.
     pub fn new(g: &'g CsrGraph) -> Self {
         let lazy = Fingerprint::Lazy(g, OnceLock::new());
         PreparedGraph::prepare(g, Cow::Borrowed(g.offsets()), lazy)
     }
 
     fn prepare(g: &CsrGraph, offsets: Cow<'g, [usize]>, fingerprint: Fingerprint<'g>) -> Self {
-        let scan = g.weight_scan();
+        let (adj, scan) = g.weight_sorted_rows();
         let weights = guard::weights_verdict(&scan);
         // Every edge is light: one weight when the extremes meet, read off
         // the scan rather than a pass over the rows.
@@ -178,7 +185,7 @@ impl<'g> PreparedGraph<'g> {
             .then(|| Arc::new(Split::all_light(g.num_vertices(), g.num_edges(), one_weight)));
         PreparedGraph {
             offsets,
-            adj: g.weight_sorted_adjacency(),
+            adj,
             fingerprint,
             weights,
             max_weight: scan.max_weight,

@@ -1,6 +1,12 @@
 //! CSR adjacency: the read-optimized representation consumed by the
 //! direct (non-GraphBLAS) SSSP implementations — the counterpart of the
 //! paper's "direct C" data layout.
+//!
+//! A solver prepares a graph in one pass over its rows
+//! ([`CsrGraph::weight_sorted_rows`]): each row sorted by weight, and the
+//! weight scan a preflight needs read off the sorted rows' ends.
+//! [`CsrGraph::weight_scan`] is the same scan without the sort, for
+//! one-shot callers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -10,12 +16,13 @@ use crate::error::GraphError;
 /// Content passes [`CsrGraph::fingerprint`] has made in this process.
 static FINGERPRINT_PASSES: AtomicU64 = AtomicU64::new(0);
 
-/// Passes over the weight array [`CsrGraph::max_weight`] and
-/// [`CsrGraph::weight_scan`] have made in this process.
+/// Passes over the weights [`CsrGraph::max_weight`],
+/// [`CsrGraph::weight_scan`] and [`CsrGraph::weight_sorted_rows`] have
+/// made in this process.
 static WEIGHT_PASSES: AtomicU64 = AtomicU64::new(0);
 
 /// The sort key of a weight in a weight-ordered row
-/// ([`CsrGraph::weight_sorted_adjacency`]): the order of [`f64::total_cmp`]
+/// ([`CsrGraph::weight_sorted_rows`]): the order of [`f64::total_cmp`]
 /// with every NaN last, as an integer.
 #[inline]
 pub(crate) fn weight_key(w: f64) -> u64 {
@@ -26,6 +33,103 @@ pub(crate) fn weight_key(w: f64) -> u64 {
     // Negative weights: flip the magnitude so larger magnitudes sort
     // first; then the sign bit, so negatives sort below positives.
     (bits ^ ((((bits as i64) >> 63) as u64) >> 1)) ^ (1 << 63)
+}
+
+/// A pair's key in a weight-ordered row: [`weight_key`] above the target,
+/// so one integer comparison orders by weight, then target.
+#[inline]
+fn pack(target: usize, w: f64) -> u128 {
+    (u128::from(weight_key(w)) << 64) | target as u128
+}
+
+/// The pair [`pack`] made, for any weight but NaN: [`weight_key`] undone.
+#[inline]
+fn unpack(key: u128) -> (usize, f64) {
+    let flipped = ((key >> 64) as u64) ^ (1 << 63);
+    let bits = flipped ^ ((((flipped as i64) >> 63) as u64) >> 1);
+    (key as u64 as usize, f64::from_bits(bits))
+}
+
+/// Whether a weight passes preflight: finite and not negative (`-0.0`
+/// passes).
+#[inline]
+fn valid_weight(w: f64) -> bool {
+    w.is_finite() && w >= 0.0
+}
+
+/// A [`WeightScan`] gathered from the ends of weight-sorted rows
+/// ([`CsrGraph::weight_sorted_rows`]).
+#[derive(Debug)]
+struct RowEnds {
+    max_weight: f64,
+    min_weight: f64,
+    /// The row whose first weight set `min_weight`.
+    min_row: usize,
+    min_positive_weight: Option<f64>,
+    /// The first row holding an invalid weight.
+    invalid_row: Option<usize>,
+}
+
+impl Default for RowEnds {
+    fn default() -> Self {
+        RowEnds {
+            max_weight: 0.0,
+            min_weight: f64::INFINITY,
+            min_row: 0,
+            min_positive_weight: None,
+            invalid_row: None,
+        }
+    }
+}
+
+impl RowEnds {
+    /// Take in row `v`, sorted by weight with every NaN last.
+    fn observe(&mut self, v: usize, row: &[(usize, f64)], has_nan: bool) {
+        let (Some(&(_, first)), Some(&(_, last))) = (row.first(), row.last()) else {
+            return;
+        };
+        if self.invalid_row.is_none() && !(valid_weight(first) && valid_weight(last)) {
+            self.invalid_row = Some(v);
+        }
+        let values = if has_nan { &row[..row.partition_point(|&(_, w)| !w.is_nan())] } else { row };
+        let (Some(&(_, lo)), Some(&(_, hi))) = (values.first(), values.last()) else {
+            return;
+        };
+        self.max_weight = self.max_weight.max(hi);
+        if lo < self.min_weight {
+            self.min_weight = lo;
+            self.min_row = v;
+        }
+        let positive = if lo > 0.0 {
+            Some(lo)
+        } else {
+            values.get(values.partition_point(|&(_, w)| w <= 0.0)).map(|&(_, w)| w)
+        };
+        if let Some(w) = positive.filter(|&w| self.min_positive_weight.is_none_or(|m| w < m)) {
+            self.min_positive_weight = Some(w);
+        }
+    }
+
+    /// The scan of `g`, whose rows were observed in order: the first
+    /// invalid edge and a zero minimum taken from their rows as loaded.
+    fn finish(self, g: &CsrGraph) -> WeightScan {
+        let first_in_row = |v: usize, pick: &dyn Fn(f64) -> bool| {
+            let (ts, ws) = g.neighbors(v);
+            let i = ws.iter().position(|&w| pick(w)).expect("the row's ends hold one");
+            (v, ts[i], ws[i])
+        };
+        let min_weight = if self.min_weight == 0.0 {
+            first_in_row(self.min_row, &|w| w == 0.0).2
+        } else {
+            self.min_weight
+        };
+        WeightScan {
+            first_invalid: self.invalid_row.map(|v| first_in_row(v, &|w| !valid_weight(w))),
+            max_weight: self.max_weight,
+            min_weight,
+            min_positive_weight: self.min_positive_weight,
+        }
+    }
 }
 
 /// What one [`CsrGraph::weight_scan`] pass learns about the weights.
@@ -278,7 +382,7 @@ impl CsrGraph {
         let mut min_weight = f64::INFINITY;
         let mut min_positive_weight: Option<f64> = None;
         for (i, &w) in self.weights.iter().enumerate() {
-            if !(w.is_finite() && w >= 0.0) && first_invalid.is_none() {
+            if !valid_weight(w) && first_invalid.is_none() {
                 first_invalid = Some(i);
             }
             max_weight = max_weight.max(w);
@@ -300,8 +404,9 @@ impl CsrGraph {
         }
     }
 
-    /// How many passes over the weight array ([`CsrGraph::max_weight`],
-    /// [`CsrGraph::weight_scan`]) this process has made, over all graphs:
+    /// How many passes over the weights ([`CsrGraph::max_weight`],
+    /// [`CsrGraph::weight_scan`], [`CsrGraph::weight_sorted_rows`]) this
+    /// process has made, over all graphs:
     /// the probe for tests that pin "scan once per graph, never per run".
     pub fn weight_passes() -> u64 {
         WEIGHT_PASSES.load(Ordering::Relaxed)
@@ -310,20 +415,68 @@ impl CsrGraph {
     /// The adjacency as `(target, weight)` pairs, row after row as
     /// [`CsrGraph::offsets`] delimits them, each row sorted by weight in
     /// the order of [`f64::total_cmp`] with every NaN last, then by
-    /// target. In every row the edges with `w <= Δ` are then a prefix, for
-    /// every Δ: a light/heavy split is one partition point per row instead
-    /// of a copy of the edges. `total_cmp` keeps `-0.0` beside `+0.0` (raw
-    /// bits would sort it after every positive weight), and NaN-last keeps
-    /// the prefix property on the unvalidated graphs a NaN weight can
-    /// reach. Pairs keep an edge's target and weight on one cache line.
-    pub fn weight_sorted_adjacency(&self) -> Vec<(usize, f64)> {
-        let mut adj: Vec<(usize, f64)> =
-            self.targets.iter().copied().zip(self.weights.iter().copied()).collect();
+    /// target; and the [`CsrGraph::weight_scan`] of the same weights, bit
+    /// for bit, read off the sorted rows. One pass over the rows for both,
+    /// counted once in [`CsrGraph::weight_passes`].
+    ///
+    /// In every row the edges with `w <= Δ` are a prefix, for every Δ: a
+    /// light/heavy split is one partition point per row instead of a copy
+    /// of the edges. `total_cmp` keeps `-0.0` beside `+0.0` (raw bits
+    /// would sort it after every positive weight), and NaN-last keeps the
+    /// prefix property on the unvalidated graphs a NaN weight can reach.
+    /// Pairs keep an edge's target and weight on one cache line.
+    ///
+    /// A row already in order (every unit-weight row: CSR rows are
+    /// target-sorted) is copied as it stands. Any other row without a NaN
+    /// is sorted as packed `weight_key(w) << 64 | target` integers in a
+    /// scratch buffer the size of the largest row; the key is a bijection
+    /// on non-NaN weights, so the weight comes back exactly. Every NaN
+    /// shares one key, which would lose its sign and payload, so a row
+    /// holding one is sorted on `(weight_key, target)` pairs in place.
+    ///
+    /// The scan takes each row's ends: its largest and smallest non-NaN
+    /// weight, and its smallest positive one by a search in the non-NaN
+    /// prefix. An invalid weight is negative (at the front) or infinite
+    /// or NaN (at the back), so the first row whose ends are invalid holds
+    /// the first invalid edge, found by a walk of that row as loaded.
+    /// Likewise a zero minimum is the first zero of its row as loaded,
+    /// whose sign the sort may have moved.
+    pub fn weight_sorted_rows(&self) -> (Vec<(usize, f64)>, WeightScan) {
+        WEIGHT_PASSES.fetch_add(1, Ordering::Relaxed);
+        let mut adj = Vec::with_capacity(self.num_edges());
+        let mut keys: Vec<u128> = Vec::new();
+        let mut ends = RowEnds::default();
         for v in 0..self.num_vertices {
-            adj[self.offsets[v]..self.offsets[v + 1]]
-                .sort_unstable_by_key(|&(t, w)| (weight_key(w), t));
+            let (ts, ws) = self.neighbors(v);
+            let start = adj.len();
+            let pairs = ts.iter().copied().zip(ws.iter().copied());
+            let mut last = 0;
+            let in_order = pairs.clone().all(|(t, w)| {
+                let key = pack(t, w);
+                let next = !w.is_nan() && last <= key;
+                last = key;
+                next
+            });
+            let mut has_nan = false;
+            if in_order {
+                adj.extend(pairs);
+            } else {
+                keys.clear();
+                keys.extend(pairs.clone().map(|(t, w)| {
+                    has_nan |= w.is_nan();
+                    pack(t, w)
+                }));
+                if has_nan {
+                    adj.extend(pairs);
+                    adj[start..].sort_unstable_by_key(|&(t, w)| (weight_key(w), t));
+                } else {
+                    keys.sort_unstable();
+                    adj.extend(keys.iter().map(|&k| unpack(k)));
+                }
+            }
+            ends.observe(v, &adj[start..], has_nan);
         }
-        adj
+        (adj, ends.finish(self))
     }
 
     /// Take the graph apart: vertex count, offsets, targets, weights.
@@ -543,7 +696,7 @@ mod tests {
             vec![4, 3, 1, 2, 0, 1, 4],
             vec![f64::NAN, 2.0, 0.0, -0.0, 2.0, -f64::NAN, 9.0],
         );
-        let adj = g.weight_sorted_adjacency();
+        let (adj, _) = g.weight_sorted_rows();
         let row = &adj[..6];
         let targets: Vec<usize> = row.iter().map(|&(t, _)| t).collect();
         assert_eq!(targets, [2, 1, 0, 3, 1, 4]);
