@@ -71,6 +71,8 @@ pub struct EngineStats {
     /// `extraction_scanned`: a budget-stopped run's rounds count too.
     pub push_epochs: u64,
     pub pull_epochs: u64,
+    /// Heavy phases that pulled, summed the same way.
+    pub heavy_pull_phases: u64,
 }
 
 /// The prepared graph an engine runs on: its own, or one a caller keeps
@@ -183,8 +185,9 @@ impl<'g> SsspEngine<'g> {
     }
 
     /// Pin every light round of this engine's runs to `forced` (`None`:
-    /// the oracle chooses). Distances and stats stay the same; for
-    /// benchmarks and tests.
+    /// the oracle chooses), and every heavy phase on a symmetric graph (a
+    /// heavy phase on any other graph pushes). Distances and stats stay
+    /// the same; for benchmarks and tests.
     #[doc(hidden)]
     pub fn force_direction(&mut self, forced: Option<Direction>) {
         self.forced = forced;
@@ -315,6 +318,7 @@ impl<'g> SsspEngine<'g> {
         self.stats.extraction_scanned += tally.extraction_scanned;
         self.stats.push_epochs += tally.push_epochs;
         self.stats.pull_epochs += tally.pull_epochs;
+        self.stats.heavy_pull_phases += tally.heavy_pull_phases;
         gblas::direction::add_run_decisions(tally.push_epochs, tally.pull_epochs);
         let (result, mut profile) = outcome?;
         profile.matrix_filter += filter_time;
@@ -784,6 +788,74 @@ mod tests {
         // The cut run and its resume make the full run's rounds again.
         let stats = engine.stats();
         assert_eq!((stats.push_epochs, stats.pull_epochs), (2 * push, 2 * pull));
+    }
+
+    /// A weighted symmetric rmat, its hub, and its twin: the same graph
+    /// with one reverse weight 1 ulp heavier, so no longer symmetric.
+    fn weighted_rmat_and_twin() -> (CsrGraph, CsrGraph, usize) {
+        let mut el = gen::rmat(gen::RmatParams::graph500(10, 8), 5);
+        el.symmetrize();
+        let model = graphdata::WeightModel::UniformFloat { lo: 1e-3, hi: 1.0 };
+        graphdata::weights::assign_symmetric(&mut el, model, 6);
+        let g = CsrGraph::from_edge_list(&el).unwrap();
+        let source = (0..g.num_vertices()).max_by_key(|&v| g.out_degree(v)).unwrap();
+        let mut triples: Vec<_> = g.iter_edges().collect();
+        let heavy = triples.iter_mut().find(|e| e.0 > e.1 && e.2 > 0.125).unwrap();
+        heavy.2 = f64::from_bits(heavy.2.to_bits() + 1);
+        let twin = CsrGraph::from_edge_list(&graphdata::EdgeList::from_triples(triples)).unwrap();
+        (g, twin, source)
+    }
+
+    #[test]
+    fn heavy_pulls_fire_on_a_symmetric_graph_the_same_on_every_kernel_and_never_on_its_twin() {
+        let _session = taskpool::fault::TestSession::begin();
+        let (g, twin, src) = weighted_rmat_and_twin();
+        assert!(g.is_symmetric() && !twin.is_symmetric());
+        let pools: Vec<ThreadPool> = [1, 2, 4].map(|t| ThreadPool::with_threads(t).unwrap()).into();
+        let kernels = std::iter::once(None).chain(pools.iter().map(Some));
+        let run = |graph: &CsrGraph, forced, pool| {
+            let mut engine = SsspEngine::new(graph);
+            engine.force_direction(forced);
+            let budget = &mut RunBudget::unlimited();
+            engine.run_stepping(pool, src, 0.125, SteppingStrategy::Classic, budget).unwrap()
+        };
+        let (auto, profile) = run(&g, None, None);
+        let pulls = profile.heavy_pull_phases;
+        assert!(pulls >= 1, "no heavy phase pulled");
+        assert!(pulls < auto.stats.heavy_phases as u64, "every heavy phase pulled");
+        for pool in kernels {
+            for (forced, expect) in
+                [(None, pulls), (Some(Direction::Push), 0), (Some(Direction::Pull), auto.stats.heavy_phases as u64)]
+            {
+                let (r, p) = run(&g, forced, pool);
+                assert_eq!(p.heavy_pull_phases, expect, "{forced:?} on {:?} threads", pool.map(|p| p.num_threads()));
+                assert_eq!((&r.dist, &r.stats), (&auto.dist, &auto.stats));
+                let (_, p) = run(&twin, forced, pool);
+                assert_eq!(p.heavy_pull_phases, 0, "the twin pulled, {forced:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_stopped_runs_heavy_pulls_count_in_the_engine_stats() {
+        let (g, _, src) = weighted_rmat_and_twin();
+        let mut engine = SsspEngine::new(&g);
+        let classic = SteppingStrategy::Classic;
+        let mut counting = RunBudget::unlimited();
+        let (_, full) = engine.run_stepping(None, src, 0.125, classic, &mut counting).unwrap();
+        assert!(full.heavy_pull_phases >= 1);
+        let mut stopped_pulled = false;
+        for k in 0..counting.ticks() {
+            let before = engine.stats().heavy_pull_phases;
+            let cut = engine.run_stepping(None, src, 0.125, classic, &mut RunBudget::unlimited().cancel_after(k));
+            let cp = cut.unwrap_err().into_checkpoint().unwrap();
+            // A stopped run returns no profile; its pulls reach the stats.
+            let stopped = engine.stats().heavy_pull_phases - before;
+            let (_, rest) = engine.resume_stepping(None, &cp, &mut RunBudget::unlimited()).unwrap();
+            assert_eq!(stopped + rest.heavy_pull_phases, full.heavy_pull_phases, "cut at epoch {k}");
+            stopped_pulled |= stopped > 0;
+        }
+        assert!(stopped_pulled, "no stopped run had pulled");
     }
 
     #[test]

@@ -49,6 +49,14 @@
 //! distances and every [`crate::SsspStats`] counter are the ones the
 //! as-loaded row order gives.
 //!
+//! The prepared graph also copies the graph's symmetry flag
+//! ([`CsrGraph::is_symmetric`], decided when the graph was built, so
+//! preparation makes no pass for it) and keeps it when [`PreparedGraph::load`]
+//! drops the arrays. Every view of a split reads it
+//! ([`SplitView::is_symmetric`]): on a symmetric graph a heavy row is also
+//! its vertex's heavy in-row, so a heavy phase can pull through the rows
+//! themselves ([`crate::pull`]).
+//!
 //! The fingerprint is always the **as-loaded** graph's: checkpoints and
 //! manifests carry it, so it is never recomputed from the sorted rows. A
 //! registry prepares the graph it owns with [`PreparedGraph::load`]
@@ -127,6 +135,9 @@ pub struct PreparedGraph<'g> {
     /// row order.
     weights: Result<(), SsspError>,
     max_weight: f64,
+    /// [`CsrGraph::is_symmetric`] of the graph as loaded, kept after
+    /// [`PreparedGraph::load`] drops its arrays.
+    symmetric: bool,
     /// The Meyer–Sanders Δ, for [`GuardConfig::delta_fallback`].
     fallback_delta: f64,
     /// The split of every Δ at or above `max_weight`, when the weights
@@ -189,6 +200,7 @@ impl<'g> PreparedGraph<'g> {
             fingerprint,
             weights,
             max_weight: scan.max_weight,
+            symmetric: g.is_symmetric(),
             fallback_delta: meyer_sanders(
                 g.mean_degree(),
                 scan.max_weight,
@@ -240,6 +252,14 @@ impl<'g> PreparedGraph<'g> {
     /// The largest edge weight, as [`CsrGraph::max_weight`] reports it.
     pub fn max_weight(&self) -> f64 {
         self.max_weight
+    }
+
+    /// Whether the graph as loaded is exactly symmetric
+    /// ([`CsrGraph::is_symmetric`]): then every weight-sorted row is also
+    /// its vertex's in-row, and the stepping loop may pull a heavy phase
+    /// through it ([`crate::pull`]).
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// [`guard::preflight`] without its weight pass: the source and Δ
@@ -359,6 +379,8 @@ pub struct Split {
     bounds: Option<Vec<usize>>,
     num_vertices: usize,
     num_light: usize,
+    /// The most heavy edges any one row has (0 when none is heavy).
+    max_heavy_degree: usize,
     /// Every light edge has one weight (vacuously, when there is none).
     one_light_weight: bool,
     /// The pull (CSC) index over the light edges, built on the split's
@@ -386,10 +408,12 @@ impl Split {
         if bounds.last() == Some(&num_light) {
             return Split::all_light(bounds.len() / 2, num_light, one_light_weight);
         }
+        let max_heavy_degree = bounds[1..].chunks_exact(2).map(|c| c[1] - c[0]).max().unwrap_or(0);
         Split {
             num_vertices: bounds.len() / 2,
             bounds: Some(bounds),
             num_light,
+            max_heavy_degree,
             one_light_weight,
             pull: OnceLock::new(),
         }
@@ -397,7 +421,14 @@ impl Split {
 
     /// The split of a graph with `n` vertices and `m` edges, all light.
     fn all_light(n: usize, m: usize, one_light_weight: bool) -> Split {
-        Split { bounds: None, num_vertices: n, num_light: m, one_light_weight, pull: OnceLock::new() }
+        Split {
+            bounds: None,
+            num_vertices: n,
+            num_light: m,
+            max_heavy_degree: 0,
+            one_light_weight,
+            pull: OnceLock::new(),
+        }
     }
 
     /// Heap bytes the split holds: its partition points (none when no
@@ -421,6 +452,7 @@ impl Split {
             offsets: &g.offsets,
             bounds: self.bounds.as_deref(),
             split: self,
+            symmetric: g.symmetric,
         }
     }
 }
@@ -454,6 +486,8 @@ pub struct SplitView<'a> {
     /// The split's bounds; `None` when every edge is light.
     bounds: Option<&'a [usize]>,
     split: &'a Split,
+    /// The prepared graph's [`PreparedGraph::is_symmetric`].
+    symmetric: bool,
 }
 
 impl<'a> SplitView<'a> {
@@ -493,6 +527,24 @@ impl<'a> SplitView<'a> {
     /// Total light edges.
     pub fn num_light(&self) -> usize {
         self.split.num_light
+    }
+
+    /// Total heavy edges.
+    pub fn num_heavy(&self) -> usize {
+        self.adj.len() - self.split.num_light
+    }
+
+    /// The most heavy edges any one row has: `k` vertices carry at most
+    /// `k` times as many heavy edges.
+    pub fn max_heavy_degree(&self) -> usize {
+        self.split.max_heavy_degree
+    }
+
+    /// Whether the graph is exactly symmetric. A heavy edge is heavy both
+    /// ways then (its reverse has the same weight), so `heavy(v)` is also
+    /// `v`'s heavy in-row, lightest first: what a heavy pull reads.
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// Whether any row has a heavy edge.
@@ -746,6 +798,29 @@ mod tests {
                 row.windows(2).all(|p| p[0].1 <= p[1].1),
                 "row {v} is lightest first"
             );
+        }
+    }
+
+    /// Both doors copy the graph's symmetry flag; `load` keeps it after
+    /// it drops the arrays, and every view of every split reads it.
+    #[test]
+    fn the_symmetry_flag_survives_both_doors() {
+        let g = weighted();
+        let mut triples: Vec<_> = g.iter_edges().collect();
+        let nudge = &mut triples.iter_mut().find(|e| e.0 < e.1).unwrap().2;
+        *nudge = f64::from_bits(nudge.to_bits() + 1);
+        let twin = CsrGraph::from_edge_list(&graphdata::EdgeList::from_triples(triples)).unwrap();
+        for (graph, symmetric) in [(g, true), (twin, false)] {
+            assert_eq!(graph.is_symmetric(), symmetric);
+            let borrowed = PreparedGraph::new(&graph);
+            let loaded = PreparedGraph::load(graph.clone());
+            for prep in [&borrowed, &loaded] {
+                assert_eq!(prep.is_symmetric(), symmetric);
+                for delta in [0.5, 5.0] {
+                    assert_eq!(prep.split_for(delta).0.on(prep).is_symmetric(), symmetric, "Δ = {delta}");
+                }
+            }
+            assert_eq!(loaded.fingerprint(), graph.fingerprint());
         }
     }
 

@@ -1,4 +1,5 @@
-//! The dense **pull** light-phase kernel (direction optimization).
+//! The dense **pull** kernels (direction optimization): the light
+//! round's, and the heavy phase's on a symmetric graph.
 //!
 //! [`crate::reqbuf`] relaxes a frontier by *pushing*: scatter every
 //! frontier out-edge into per-task sparse buffers, then merge.
@@ -61,6 +62,33 @@
 //! the index holds any negative weight (preflight normally rejects
 //! those, but the kernel must not *silently* corrupt on garbage), the
 //! floor is `-∞` and both cuts are off.
+//!
+//! ## The heavy pull
+//!
+//! A heavy phase relaxes the heavy edges of the settled set `S`. On a
+//! graph whose adjacency is exactly symmetric
+//! ([`graphdata::CsrGraph::is_symmetric`]: every edge's reverse has its
+//! weight bits) an edge is heavy both ways, so a vertex's heavy row,
+//! weight-ascending since preparation, is also its heavy in-row, and the
+//! phase can pull through the rows it already has: no index is built.
+//! [`pull_heavy_sequential`] visits every target `u` with `dist[u] >
+//! lower`, `lower` being the least `dist` in `S`, in ascending order, and
+//! folds `dist[x] + w` for the `x ∈ S` of its row (read from the same
+//! bitmap a light pull uses) under the push's strict `<`. It stops the
+//! row at the first weight with `lower + w >= best`, where `best` is
+//! `dist[u]` or the least candidate so far. The stop is exact: every
+//! `x ∈ S` has `dist[x] >= lower` and rounding is monotone, so each later
+//! candidate is at least `lower + w' >= lower + w >= best` and cannot win
+//! the strict fold (a NaN weight, sorted last, never stops a row and
+//! never wins). A target at or below `lower` is skipped for the same
+//! reason. The members of `S` are targets like any other: under Δ* a
+//! heavy edge from the front of a `k`-bucket range can improve a member
+//! near its end, which the push offers too. Heavy weights exceed Δ > 0,
+//! so no candidate is a signed zero, and the touched set and request
+//! bits are the heavy push's (see `heavy_pull_matches_heavy_push_bit_for_bit`);
+//! the stepping loop counts `S`'s heavy degree sum as its relaxations,
+//! the candidates the push forms. Pooled, both pulls split the targets
+//! into ranges on one scaffold, `pull_chunks`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -284,13 +312,10 @@ pub fn pull_light_sequential(
     pull_range(idx, dist, in_frontier, lower, 0, &mut req[..n], touched, false)
 }
 
-/// Parallel pull pass: split the target range into contiguous chunks,
-/// hand each task a disjoint `&mut` slice of `req` (no atomics, no
-/// locks), and concatenate the per-chunk touched lists in range order —
-/// each is ascending over its own range, so the concatenation is
-/// globally ascending with **no merge and no sort**. Results, the
-/// returned count of in-edges read included, are byte-identical to
-/// [`pull_light_sequential`] at any thread count.
+/// Parallel pull pass: the light pull of [`pull_light_sequential`] on
+/// `pull_chunks`' scaffold. Results, the returned count of in-edges
+/// read included, are byte-identical to [`pull_light_sequential`] at any
+/// thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn pull_light_parallel(
     pool: &ThreadPool,
@@ -303,9 +328,33 @@ pub fn pull_light_parallel(
     locals: &mut Vec<(Vec<usize>, u64)>,
     threshold: usize,
 ) -> u64 {
-    let n = idx.num_vertices();
+    pull_chunks(pool, idx.num_vertices(), req, touched, locals, threshold, |start, slice, local, hooked| {
+        pull_range(idx, dist, in_frontier, lower, start, slice, local, hooked)
+    })
+}
+
+/// The scaffold both pulls run on when pooled: split the target range
+/// `[0, n)` into contiguous chunks, hand each task a disjoint `&mut`
+/// slice of `req` (no atomics, no locks) and its own touched list, and
+/// concatenate the lists in range order — each is ascending over its own
+/// range, so the concatenation is globally ascending with **no merge and
+/// no sort**. `range(start, slice, touched, hooked)` scans one chunk and
+/// returns the edges it read, summed here. Below `threshold` targets the
+/// whole range runs inline, unhooked.
+fn pull_chunks<F>(
+    pool: &ThreadPool,
+    n: usize,
+    req: &mut [f64],
+    touched: &mut Vec<usize>,
+    locals: &mut Vec<(Vec<usize>, u64)>,
+    threshold: usize,
+    range: F,
+) -> u64
+where
+    F: Fn(usize, &mut [f64], &mut Vec<usize>, bool) -> u64 + Sync,
+{
     if n < threshold {
-        return pull_range(idx, dist, in_frontier, lower, 0, &mut req[..n], touched, false);
+        return range(0, &mut req[..n], touched, false);
     }
 
     let pieces = (pool.num_threads() * 4).min(n);
@@ -320,7 +369,7 @@ pub fn pull_light_parallel(
     }
     scope_with_buffers(pool, locals, inputs, |_, (local, scanned), (start, slice)| {
         local.clear();
-        *scanned = pull_range(idx, dist, in_frontier, lower, start, slice, local, true);
+        *scanned = range(start, slice, local, true);
     });
     let mut scanned = 0u64;
     for buf in locals.iter().take(active) {
@@ -330,6 +379,108 @@ pub fn pull_light_parallel(
         scanned += buf.1;
     }
     scanned
+}
+
+/// Scan targets `[start, start + req.len())` for one heavy phase, folding
+/// the heavy in-edges from the settled set `S` (marked in `in_settled`)
+/// into the `req` slice (indexed relative to `start`) and appending
+/// touched targets (absolute, ascending) to `touched`. On a symmetric
+/// graph `lh.heavy(u)` is `u`'s heavy in-row, lightest first. A target at
+/// or below `lower` (the least `dist` in `S`) is skipped, and a row stops
+/// at the first weight with `lower + w >= best`, where `best` is `dist[u]`
+/// or the least candidate so far (see the module doc). Returns the heavy
+/// in-edges read.
+#[allow(clippy::too_many_arguments)]
+fn pull_heavy_range(
+    lh: SplitView<'_>,
+    dist: &[f64],
+    in_settled: &[bool],
+    lower: f64,
+    start: usize,
+    req: &mut [f64],
+    touched: &mut Vec<usize>,
+    hooked: bool,
+) -> u64 {
+    let mut read = 0usize;
+    for (j, slot) in req.iter_mut().enumerate() {
+        let u = start + j;
+        #[cfg(feature = "racecheck")]
+        if hooked {
+            taskpool::sched::yield_point();
+            racecheck::plain_read("sssp.dist", &dist[u] as *const f64);
+        }
+        #[cfg(not(feature = "racecheck"))]
+        let _ = hooked;
+        let du = dist[u];
+        if du <= lower {
+            continue;
+        }
+        let row = lh.heavy(u);
+        let mut best = du;
+        let mut stop = row.len();
+        for (i, &(x, w)) in row.iter().enumerate() {
+            if lower + w >= best {
+                stop = i;
+                break;
+            }
+            if !in_settled[x] {
+                continue;
+            }
+            #[cfg(feature = "racecheck")]
+            if hooked {
+                racecheck::plain_read("sssp.dist", &dist[x] as *const f64);
+            }
+            let cand = dist[x] + w;
+            if cand < best {
+                best = cand;
+            }
+        }
+        read += stop;
+        if best < du {
+            #[cfg(feature = "racecheck")]
+            if hooked {
+                racecheck::plain_write("pull.req", slot as *const f64);
+            }
+            touched.push(u);
+            *slot = best;
+        }
+    }
+    read as u64
+}
+
+/// Sequential heavy pull over all targets: `pull_heavy_range` on
+/// `[0, n)`. `req` is the dense accumulator (≥ `n` long, all-`∞` outside
+/// `touched`); touched targets append ascending. Returns the heavy
+/// in-edges read.
+pub fn pull_heavy_sequential(
+    lh: SplitView<'_>,
+    dist: &[f64],
+    in_settled: &[bool],
+    lower: f64,
+    req: &mut [f64],
+    touched: &mut Vec<usize>,
+) -> u64 {
+    let n = lh.num_vertices();
+    pull_heavy_range(lh, dist, in_settled, lower, 0, &mut req[..n], touched, false)
+}
+
+/// Parallel heavy pull on `pull_chunks`' scaffold: byte-identical to
+/// [`pull_heavy_sequential`] at any thread count.
+#[allow(clippy::too_many_arguments)]
+pub fn pull_heavy_parallel(
+    pool: &ThreadPool,
+    lh: SplitView<'_>,
+    dist: &[f64],
+    in_settled: &[bool],
+    lower: f64,
+    req: &mut [f64],
+    touched: &mut Vec<usize>,
+    locals: &mut Vec<(Vec<usize>, u64)>,
+    threshold: usize,
+) -> u64 {
+    pull_chunks(pool, lh.num_vertices(), req, touched, locals, threshold, |start, slice, local, hooked| {
+        pull_heavy_range(lh, dist, in_settled, lower, start, slice, local, hooked)
+    })
 }
 
 #[cfg(test)]
@@ -574,6 +725,79 @@ mod tests {
             let seq_bits: Vec<u64> = seq_req.iter().map(|x| x.to_bits()).collect();
             assert_eq!(bits, seq_bits, "{threads} threads");
         }
+    }
+
+    /// Push and pull the heavy edges of the settled set `frontier` over
+    /// `split` on a symmetric graph: the same touched set with the same
+    /// request bits, pull's ascending, at every thread count. Returns the
+    /// heavy in-edges the pull read and the push's relaxations.
+    fn assert_heavy_pull_matches_push(
+        g: &PreparedGraph<'_>,
+        split: &Split,
+        dist: &[f64],
+        settled: &[usize],
+    ) -> (u64, u64) {
+        let lh = split.on(g);
+        assert!(lh.is_symmetric() && lh.has_heavy_edges());
+        let n = g.num_vertices();
+        let mut push_ws = RelaxWorkspace::new(n);
+        let mut pushed = 0u64;
+        relax(None, lh, dist, settled, false, &mut push_ws, &mut pushed);
+        let mut push_set = push_ws.touched().to_vec();
+        push_set.sort_unstable();
+        let mut push_req = vec![INF; n];
+        push_ws.drain_requests(|u, c| push_req[u] = c);
+
+        let in_settled = bitmap(n, settled);
+        let lower = frontier_lower(dist, settled);
+        let mut req = vec![INF; n];
+        let mut touched = Vec::new();
+        let read = pull_heavy_sequential(lh, dist, &in_settled, lower, &mut req, &mut touched);
+        assert!(touched.windows(2).all(|p| p[0] < p[1]), "ascending");
+        assert_eq!(touched, push_set, "touched sets");
+        let (pull_bits, push_bits): (Vec<u64>, Vec<u64>) =
+            touched.iter().map(|&v| (req[v].to_bits(), push_req[v].to_bits())).unzip();
+        assert_eq!(pull_bits, push_bits, "requests");
+
+        for threads in [1, 2, 4] {
+            let pool = ThreadPool::with_threads(threads).unwrap();
+            let (mut par_req, mut par_touched, mut locals) = (vec![INF; n], Vec::new(), Vec::new());
+            let par_read = pull_heavy_parallel(
+                &pool, lh, dist, &in_settled, lower, &mut par_req, &mut par_touched, &mut locals, 1,
+            );
+            assert_eq!((&par_touched, par_read), (&touched, read), "{threads} threads");
+            assert_eq!(bits(&par_req), bits(&req), "{threads} threads");
+        }
+        (read, pushed)
+    }
+
+    fn bits(x: &[f64]) -> Vec<u64> {
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A heavy pull over an arbitrary settled set lands on the heavy
+    /// push's requests, with settled targets and ties among them.
+    #[test]
+    fn heavy_pull_matches_heavy_push_bit_for_bit() {
+        let (g, split, dist, settled) = workload();
+        assert_heavy_pull_matches_push(&g, &split, &dist, &settled);
+    }
+
+    /// A bucket's heavy phase, as the stepping loop meets it: the settled
+    /// set sits in `[lower, lower + Δ)` and the open vertices just above,
+    /// so every open row stops at its first weight past `best - lower`,
+    /// and a settled one at its first edge: the pull reads a fraction of
+    /// the heavy edges the push relaxes.
+    #[test]
+    fn heavy_pull_stops_each_row_at_its_floor() {
+        let (g, split, _, _) = workload();
+        let n = g.num_vertices();
+        // Settled at 2.0–2.6, the rest found at 3.0–3.08 by light edges.
+        let at = |v: usize| if v.is_multiple_of(4) { 2.0 + (v % 7) as f64 * 0.1 } else { 3.0 + (v % 5) as f64 * 0.02 };
+        let dist: Vec<f64> = (0..n).map(at).collect();
+        let settled: Vec<usize> = (0..n).step_by(4).collect();
+        let (read, pushed) = assert_heavy_pull_matches_push(&g, &split, &dist, &settled);
+        assert!(read * 4 < pushed, "read {read} heavy in-edges for {pushed} relaxations");
     }
 
     /// A negative weight disables the settled-skip instead of silently

@@ -92,8 +92,8 @@ pub struct RelaxWorkspace {
     req: Vec<f64>,
     touched: Vec<usize>,
     bufs: Vec<RequestBuf>,
-    /// Per-task touched lists and in-edge counts for the dense pull pass
-    /// ([`Self::pull_light`]).
+    /// Per-task touched lists and in-edge counts for the pull passes
+    /// ([`Self::pull_light`], [`Self::pull_heavy`]).
     pull_locals: Vec<(Vec<usize>, u64)>,
 }
 
@@ -167,6 +167,43 @@ impl RelaxWorkspace {
                 idx,
                 dist,
                 in_frontier,
+                lower,
+                &mut self.req,
+                &mut self.touched,
+            ),
+        }
+    }
+
+    /// Fill the request accumulator by the heavy **pull** pass instead of
+    /// the heavy push: on a symmetric graph, scan every open target's
+    /// weight-sorted heavy row against the settled-set bitmap, stopping
+    /// each row at its floor (see [`crate::pull`]). The touched set and
+    /// the requests are [`relax`]'s over the same settled set, ascending.
+    /// Returns the heavy in-edges read.
+    pub fn pull_heavy(
+        &mut self,
+        pool: Option<&ThreadPool>,
+        lh: SplitView<'_>,
+        dist: &[f64],
+        in_settled: &[bool],
+        lower: f64,
+    ) -> u64 {
+        match pool {
+            Some(pool) => crate::pull::pull_heavy_parallel(
+                pool,
+                lh,
+                dist,
+                in_settled,
+                lower,
+                &mut self.req,
+                &mut self.touched,
+                &mut self.pull_locals,
+                effective_threshold(pool, crate::pull::SEQ_PULL_THRESHOLD),
+            ),
+            None => crate::pull::pull_heavy_sequential(
+                lh,
+                dist,
+                in_settled,
                 lower,
                 &mut self.req,
                 &mut self.touched,

@@ -48,6 +48,12 @@ pub struct PhaseProfile {
     /// the stepping loop; the figure variants leave them 0.
     pub push_epochs: u64,
     pub pull_epochs: u64,
+    /// Heavy phases this run pulled ([`crate::pull`]): only on a
+    /// symmetric graph, when the caller pinned pull or the density oracle
+    /// chose it. The same at every thread count and pool-less; the other
+    /// heavy phases pushed. Filled by the stepping loop; the figure
+    /// variants leave it 0.
+    pub heavy_pull_phases: u64,
 }
 
 impl PhaseProfile {

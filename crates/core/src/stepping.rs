@@ -33,7 +33,10 @@
 //! ([`crate::pull`]), as the run's caller pinned or, when every light
 //! edge has one weight, the shared [`gblas::direction`] oracle decides
 //! (with several light weights it pushes), and counts which into the
-//! run.
+//! run. A heavy phase pushes the settled set's heavy edges, or, on a
+//! symmetric graph, pulls them through each open vertex's weight-sorted
+//! heavy row when the oracle finds the settled set dense or the caller
+//! pinned pull (`relax_heavy`); the run counts its heavy pulls too.
 //! When the range is empty the loop terminates with `bound` = ∞.
 //!
 //! Extraction (1) never reads the whole distance vector. It scans a
@@ -209,7 +212,8 @@ pub struct SteppingWorkspace {
     tally: RunTally,
     /// Vertex bitmap, all-`false` between phases: a pull round marks its
     /// frontier in it, and a heavy pass the first sighting of each
-    /// settled vertex; each clears what it set by iterating its list.
+    /// settled vertex, which a heavy pull then reads as `S`; each clears
+    /// what it set by iterating its list.
     in_frontier: Vec<bool>,
     /// Set while an engine run is inside this workspace. A run that finds
     /// it still set follows one that panicked mid-run, whose request
@@ -245,14 +249,15 @@ impl SteppingWorkspace {
     }
 }
 
-/// One run's pending entries examined by extractions and light rounds
-/// pushed / pulled, kept in its workspace so that a budget-stopped run,
-/// which returns no profile, still reports them.
+/// One run's pending entries examined by extractions, light rounds
+/// pushed / pulled and heavy phases pulled, kept in its workspace so that
+/// a budget-stopped run, which returns no profile, still reports them.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct RunTally {
     pub(crate) extraction_scanned: u64,
     pub(crate) push_epochs: u64,
     pub(crate) pull_epochs: u64,
+    pub(crate) heavy_pull_phases: u64,
 }
 
 /// Run `strategy` once under `budget` on a fresh
@@ -366,6 +371,73 @@ fn relax_light(
     // though it reads fewer edges whenever a row stops at its floor or a
     // target is skipped.
     *relaxations += frontier_edges.unwrap_or_else(degree_sum) as u64;
+    dir
+}
+
+/// One heavy phase's requests, `t_Req = A_H^T (t ∘ s)` over the settled
+/// set `S`, returning the direction taken. `S` is a set, as the paper's
+/// `s = s ∨ t_B` makes it: a vertex that re-entered this range's frontier
+/// offers its heavy edges once, at its final `t[v]`, which every copy
+/// would have read. The frontier bitmap, all-false between phases, marks
+/// first sightings, so `settled` keeps settled order; request order never
+/// changes a min-fold. A checkpoint taken before this point holds the
+/// multiset; the resumed run dedups it here the same way.
+///
+/// On a symmetric graph the phase may pull ([`crate::pull`]): as the
+/// caller pinned it, or as the density oracle decides on `S`'s heavy
+/// degree sum against the heavy edges plus vertices, the heavy
+/// counterpart of a light round's choice. The sum is folded into the
+/// dedup, which reads each row's bounds anyway, and is what a pull adds
+/// to `relaxations`: the candidates the push would form. It is not taken
+/// when the oracle would push even if every listed vertex had the
+/// split's largest heavy degree: the rule is monotone in the edge count,
+/// so that bound decides as the sum would, and the many small phases of
+/// a graph that never pulls (a weighted grid) pay nothing. Any other
+/// graph, or a phase pinned to push, pushes.
+#[allow(clippy::too_many_arguments)]
+fn relax_heavy(
+    forced: Option<Direction>,
+    pool: Option<&ThreadPool>,
+    lh: SplitView<'_>,
+    dist: &[f64],
+    settled: &mut Vec<usize>,
+    in_frontier: &mut [bool],
+    rws: &mut RelaxWorkspace,
+    relaxations: &mut u64,
+) -> Direction {
+    let total = lh.num_heavy() + lh.num_vertices();
+    let may_pull = lh.is_symmetric()
+        && match forced {
+            Some(dir) => dir == Direction::Pull,
+            None => direction::decide(settled.len().saturating_mul(lh.max_heavy_degree()), total) == Direction::Pull,
+        };
+    let mut heavy_edges = 0usize;
+    settled.retain(|&v| {
+        let first = !std::mem::replace(&mut in_frontier[v], true);
+        if first && may_pull {
+            heavy_edges += lh.heavy(v).len();
+        }
+        first
+    });
+    let dir = match forced {
+        _ if !may_pull => Direction::Push,
+        Some(dir) => dir,
+        None => direction::decide(heavy_edges, total),
+    };
+    if dir == Direction::Pull {
+        let mut lower = INF;
+        for &v in settled.iter() {
+            if dist[v] < lower {
+                lower = dist[v];
+            }
+        }
+        rws.pull_heavy(pool, lh, dist, in_frontier, lower);
+        *relaxations += heavy_edges as u64;
+    }
+    settled.iter().for_each(|&v| in_frontier[v] = false);
+    if dir == Direction::Push {
+        relax(pool, lh, dist, settled, false, rws, relaxations);
+    }
     dir
 }
 
@@ -680,19 +752,14 @@ pub(crate) fn stepping_loop(
                 break; // ρ always lands here: no separate heavy pass
             }
             stats.heavy_phases += 1;
-            // `S` is a set, as the paper's `s = s ∨ t_B` makes it: a
-            // vertex that re-entered this range's frontier offers its
-            // heavy edges once, at its final `t[v]`, which every copy
-            // would have read. The frontier bitmap, all-false between
-            // phases, marks first sightings, so `S` keeps settled order;
-            // request order never changes a min-fold. A checkpoint taken
-            // before this point holds the multiset; the resumed run
-            // dedups it here the same way.
-            if lh.has_heavy_edges() {
-                settled.retain(|&v| !std::mem::replace(&mut in_frontier[v], true));
-                settled.iter().for_each(|&v| in_frontier[v] = false);
+            // Without heavy edges the phase relaxes nothing: `S` has no
+            // heavy row to offer.
+            if lh.has_heavy_edges()
+                && relax_heavy(forced, pool, lh, t, settled, in_frontier, rws, &mut stats.relaxations)
+                    == Direction::Pull
+            {
+                tally.heavy_pull_phases += 1;
             }
-            relax(pool, lh, t, settled, false, rws, &mut stats.relaxations);
             settled.clear();
             close_phase(&mut lap, &mut profile.relaxation);
 
@@ -710,6 +777,7 @@ pub(crate) fn stepping_loop(
 
     profile.push_epochs = tally.push_epochs;
     profile.pull_epochs = tally.pull_epochs;
+    profile.heavy_pull_phases = tally.heavy_pull_phases;
     Ok((result, profile))
 }
 

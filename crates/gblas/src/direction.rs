@@ -24,8 +24,12 @@
 //! bottom-up step on unit weights. With several light weights a row
 //! almost never meets it and reads every in-edge, so that loop asks
 //! this oracle only when its split's light edges have one weight, and
-//! pushes otherwise. The Fig. 2 `vxm` site keeps the density rule alone:
-//! its pull never stops early.
+//! pushes otherwise. It also asks it for a heavy phase on a symmetric
+//! graph, with the settled set's heavy edges against the heavy edges
+//! plus vertices: that pull reads each open vertex's weight-sorted heavy
+//! row, which stops at the first weight no settled parent could use. The
+//! Fig. 2 `vxm` site keeps the density rule alone: its pull never stops
+//! early.
 //!
 //! The threshold is recorded in `BENCH_sssp.json` by the bench harness;
 //! see DESIGN.md §14 for the measurement behind the default.

@@ -7,6 +7,12 @@
 //! weight scan a preflight needs read off the sorted rows' ends.
 //! [`CsrGraph::weight_scan`] is the same scan without the sort, for
 //! one-shot callers.
+//!
+//! Every constructor also decides, in one cursor pass over the
+//! target-ascending rows, whether the adjacency is exactly symmetric
+//! ([`CsrGraph::is_symmetric`]): on such a graph a row is also its
+//! vertex's in-row, which lets a solver pull through the rows it already
+//! holds instead of building a transpose.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -155,6 +161,60 @@ pub struct CsrGraph {
     offsets: Vec<usize>,
     targets: Vec<usize>,
     weights: Vec<f64>,
+    /// [`CsrGraph::is_symmetric`], decided at construction.
+    symmetric: bool,
+}
+
+/// Whether the CSR arrays hold, for every edge `(u, v, w)`, the reverse
+/// edge `(v, u, w)` with the same weight bits. One pass over the rows
+/// with a cursor per row: row `u` is read once, ascending, and each of
+/// its edges to a higher vertex `v` must be the next unmatched entry of
+/// row `v`, which then holds exactly the edges to lower vertices,
+/// consumed in ascending source order. So every row must be strictly
+/// ascending by target, and when the pass reaches row `u` its cursor must
+/// stand where its targets reach `u`: every lower edge matched once. A
+/// self-loop is its own reverse. Anything else — an unsorted or
+/// duplicated target, a missing or reweighted reverse, arrays that do not
+/// describe a graph — answers `false`.
+fn symmetric_rows(num_vertices: usize, offsets: &[usize], targets: &[usize], weights: &[f64]) -> bool {
+    if offsets.len() != num_vertices + 1
+        || offsets.last() != Some(&targets.len())
+        || targets.len() != weights.len()
+        || offsets.windows(2).any(|o| o[0] > o[1])
+    {
+        return false;
+    }
+    let mut cursor = offsets[..num_vertices].to_vec();
+    for u in 0..num_vertices {
+        let (lo, hi) = (offsets[u], offsets[u + 1]);
+        let mut first_up = hi;
+        for p in lo..hi {
+            let v = targets[p];
+            if p > lo && targets[p - 1] >= v {
+                return false;
+            }
+            if v < u {
+                continue;
+            }
+            if first_up == hi {
+                first_up = p;
+            }
+            if v == u {
+                continue;
+            }
+            let Some(q) = cursor.get(v).copied().filter(|&q| q < offsets[v + 1]) else {
+                return false;
+            };
+            if targets[q] != u || weights[q].to_bits() != weights[p].to_bits() {
+                return false;
+            }
+            cursor[v] = q + 1;
+        }
+        if cursor[u] != first_up {
+            return false;
+        }
+    }
+    true
 }
 
 impl CsrGraph {
@@ -184,11 +244,16 @@ impl CsrGraph {
             targets[p] = e.dst;
             weights[p] = e.weight;
         }
+        // Freed first, so the symmetry pass's cursors never raise the
+        // construction's peak heap.
+        drop((cleaned, cursor));
+        let symmetric = symmetric_rows(n, &offsets, &targets, &weights);
         Ok(CsrGraph {
             num_vertices: n,
             offsets,
             targets,
             weights,
+            symmetric,
         })
     }
 
@@ -240,11 +305,13 @@ impl CsrGraph {
                 "edge weight {w} is not finite and non-negative"
             )));
         }
+        let symmetric = symmetric_rows(num_vertices, &offsets, &targets, &weights);
         Ok(CsrGraph {
             num_vertices,
             offsets,
             targets,
             weights,
+            symmetric,
         })
     }
 
@@ -264,11 +331,13 @@ impl CsrGraph {
     ) -> Self {
         debug_assert_eq!(offsets.len(), num_vertices + 1);
         debug_assert_eq!(targets.len(), weights.len());
+        let symmetric = symmetric_rows(num_vertices, &offsets, &targets, &weights);
         CsrGraph {
             num_vertices,
             offsets,
             targets,
             weights,
+            symmetric,
         }
     }
 
@@ -296,6 +365,18 @@ impl CsrGraph {
     #[inline]
     pub fn out_degree(&self, v: usize) -> usize {
         self.offsets[v + 1] - self.offsets[v]
+    }
+
+    /// Whether the adjacency is exactly symmetric: every edge `(u, v, w)`
+    /// has a reverse `(v, u, w)` with the same weight bits, every row is
+    /// strictly ascending by target, and a self-loop is its own reverse.
+    /// Decided once, at construction; a graph the check cannot prove
+    /// symmetric (an unsorted or duplicated row of
+    /// [`CsrGraph::from_raw_parts_unchecked`] included) answers `false`.
+    /// The fingerprint does not cover it: it is a function of the arrays.
+    #[inline]
+    pub fn is_symmetric(&self) -> bool {
+        self.symmetric
     }
 
     /// Raw offsets array (length `|V| + 1`).
@@ -709,6 +790,75 @@ mod tests {
             let mid = row.partition_point(|&(_, w)| w <= delta);
             assert_eq!(mid, row.iter().filter(|&&(_, w)| w <= delta).count(), "delta {delta}");
         }
+    }
+
+    /// A symmetric weighted triangle plus a pendant edge, as raw rows,
+    /// so each case below can break it in one place.
+    fn symmetric_rows_of(rows: &[&[(usize, f64)]]) -> CsrGraph {
+        let mut offsets = vec![0];
+        let (mut targets, mut weights) = (Vec::new(), Vec::new());
+        for row in rows {
+            targets.extend(row.iter().map(|&(t, _)| t));
+            weights.extend(row.iter().map(|&(_, w)| w));
+            offsets.push(targets.len());
+        }
+        CsrGraph::from_raw_parts_unchecked(rows.len(), offsets, targets, weights)
+    }
+
+    #[test]
+    fn symmetry_is_exact_to_the_weight_bit() {
+        let w = 0.3;
+        let ok: [&[(usize, f64)]; 4] =
+            [&[(1, w), (2, 1.5)], &[(0, w), (2, 0.7), (3, 2.0)], &[(0, 1.5), (1, 0.7)], &[(1, 2.0)]];
+        assert!(symmetric_rows_of(&ok).is_symmetric());
+        // Every validating constructor decides it too.
+        let g = symmetric_rows_of(&ok);
+        let (n, offsets, targets, weights) = g.clone().into_parts();
+        assert!(CsrGraph::from_raw_parts(n, offsets, targets, weights).unwrap().is_symmetric());
+        assert!(CsrGraph::from_edge_list(&g.to_edge_list()).unwrap().is_symmetric());
+
+        // One reverse weight 1 ulp off.
+        let ulp = f64::from_bits(w.to_bits() + 1);
+        assert!(!symmetric_rows_of(&[&[(1, w), (2, 1.5)], &[(0, ulp), (2, 0.7), (3, 2.0)], ok[2], ok[3]])
+            .is_symmetric());
+        // +0.0 against -0.0: equal as numbers, not as bits.
+        assert!(symmetric_rows_of(&[&[(1, 0.0)], &[(0, 0.0)]]).is_symmetric());
+        assert!(!symmetric_rows_of(&[&[(1, 0.0)], &[(0, -0.0)]]).is_symmetric());
+        assert!(!symmetric_rows_of(&[&[(1, -0.0)], &[(0, 0.0)]]).is_symmetric());
+        // A missing reverse edge, from above and from below.
+        assert!(!symmetric_rows_of(&[ok[0], &[(0, w), (2, 0.7), (3, 2.0)], ok[2], &[]]).is_symmetric());
+        assert!(!symmetric_rows_of(&[ok[0], &[(0, w), (2, 0.7)], ok[2], ok[3]]).is_symmetric());
+        assert!(!symmetric_rows_of(&[&[(1, 1.0)], &[]]).is_symmetric());
+        assert!(!symmetric_rows_of(&[&[], &[(0, 1.0)]]).is_symmetric());
+        // An edge whose reverse points elsewhere.
+        assert!(!symmetric_rows_of(&[&[(1, 1.0)], &[(2, 1.0)], &[(0, 1.0)]]).is_symmetric());
+    }
+
+    #[test]
+    fn rows_that_are_not_strictly_ascending_are_not_symmetric() {
+        // Unsorted: the same edges as a symmetric graph, row 1 reversed.
+        let unsorted: [&[(usize, f64)]; 3] = [&[(1, 1.0), (2, 2.0)], &[(2, 3.0), (0, 1.0)], &[(0, 2.0), (1, 3.0)]];
+        assert!(!symmetric_rows_of(&unsorted).is_symmetric());
+        let sorted: [&[(usize, f64)]; 3] = [&[(1, 1.0), (2, 2.0)], &[(0, 1.0), (2, 3.0)], &[(0, 2.0), (1, 3.0)]];
+        assert!(symmetric_rows_of(&sorted).is_symmetric());
+        // Duplicated targets, even matched by duplicated reverses.
+        assert!(!symmetric_rows_of(&[&[(1, 1.0), (1, 1.0)], &[(0, 1.0), (0, 1.0)]]).is_symmetric());
+        // Arrays that describe no graph: a target out of range.
+        assert!(!symmetric_rows_of(&[&[(5, 1.0)], &[]]).is_symmetric());
+    }
+
+    #[test]
+    fn self_loops_are_their_own_reverse_and_empty_graphs_are_symmetric() {
+        assert!(symmetric_rows_of(&[&[(0, 4.0)]]).is_symmetric());
+        assert!(symmetric_rows_of(&[&[(0, 4.0), (1, 1.0)], &[(0, 1.0), (1, 0.5)]]).is_symmetric());
+        // A self-loop where the reverse of another edge should be.
+        assert!(!symmetric_rows_of(&[&[(1, 1.0)], &[(1, 1.0)]]).is_symmetric());
+        // A NaN weight has its own bits, and they match themselves.
+        assert!(symmetric_rows_of(&[&[(1, f64::NAN)], &[(0, f64::NAN)]]).is_symmetric());
+        assert!(CsrGraph::from_edge_list(&EdgeList::new(0)).unwrap().is_symmetric());
+        assert!(CsrGraph::from_edge_list(&EdgeList::new(3)).unwrap().is_symmetric());
+        // `sample` has one-way edges.
+        assert!(!sample().is_symmetric());
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn cancellation_at_every_epoch_is_certified_and_resumable_unit_weights() {
 
 #[test]
 fn cancellation_at_every_epoch_is_certified_and_resumable_real_weights() {
-    differential::run(&[Layout, Hostile], &[EveryCut]);
+    differential::run(&[Layout, Hostile, Symmetric, Twin], &[EveryCut]);
 }
 
 fn pool_threads() -> usize {

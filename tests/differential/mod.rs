@@ -71,9 +71,16 @@ pub enum Group {
     Switch1,
     /// A source with no out-edges.
     Isolated,
+    /// A symmetric rmat graph with uniform float weights, ties and a zero
+    /// weight, at Δ = 0.3: the oracle pulls its densest heavy phases.
+    Symmetric,
+    /// Its twin, one reverse weight 1 ulp heavier: never symmetric, so
+    /// every heavy phase pushes, even forced to pull.
+    Twin,
 }
 
-pub const GROUPS: [Group; 8] = [Paper, Grid, Weighted, Layout, Hostile, Switch0, Switch1, Isolated];
+pub const GROUPS: [Group; 10] =
+    [Paper, Grid, Weighted, Layout, Hostile, Switch0, Switch1, Isolated, Symmetric, Twin];
 
 /// One share of the work on a row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,9 +123,10 @@ pub enum Part {
 /// The unit-weight groups.
 pub const UNIT: &[Group] = &[Paper, Grid];
 /// The real-weight groups.
-pub const REAL: &[Group] = &[Weighted, Layout, Hostile, Switch0, Switch1];
+pub const REAL: &[Group] = &[Weighted, Layout, Hostile, Switch0, Switch1, Symmetric, Twin];
 /// The groups the figure variants run on: all but the isolated source.
-pub const FIGURE_GROUPS: &[Group] = &[Paper, Grid, Weighted, Layout, Hostile, Switch0, Switch1];
+pub const FIGURE_GROUPS: &[Group] =
+    &[Paper, Grid, Weighted, Layout, Hostile, Switch0, Switch1, Symmetric, Twin];
 
 /// Classic Δ and the two generalized families at moderate,
 /// extract-everything and degenerate parameters.
@@ -236,6 +244,33 @@ fn cycled_weights(n: usize, m: usize, seed: u64, weights: &[f64]) -> CsrGraph {
     weighted_by(el, |u, v| weights[(u * 7 + v) % weights.len()])
 }
 
+/// A symmetric rmat graph on 128 vertices whose edge `{u, v}` weighs the
+/// same both ways: uniform floats in `[0, 1)` drawn from a table of 61,
+/// so many edges tie, and one of them 0.0. Its twin nudges the weight of
+/// one heavy edge's reverse up by 1 ulp, so the twin is not symmetric.
+fn symmetric_and_twin() -> (CsrGraph, CsrGraph) {
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut table: Vec<f64> = (0..61)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        })
+        .collect();
+    table[17] = 0.0;
+    let mut el = gen::rmat(gen::RmatParams::graph500(7, 8), 9);
+    el.symmetrize();
+    let g = weighted_by(el, |u, v| table[(u * 31 + v * 17) % table.len()]);
+    let mut rows: Vec<Vec<(usize, f64)>> = (0..g.num_vertices())
+        .map(|v| g.neighbors(v).0.iter().copied().zip(g.neighbors(v).1.iter().copied()).collect())
+        .collect();
+    let (u, i) = (0..rows.len())
+        .flat_map(|u| (0..rows[u].len()).map(move |i| (u, i)))
+        .find(|&(u, i)| rows[u][i].0 < u && rows[u][i].1 > 0.5)
+        .expect("a heavy edge");
+    rows[u][i].1 = f64::from_bits(rows[u][i].1.to_bits() + 1);
+    (g, raw(&rows))
+}
+
 /// The table's rows in `groups`. The source and Δ sweeps of the suites
 /// run classic; one row per suite graph runs every strategy.
 pub fn rows(groups: &[Group]) -> Vec<Row> {
@@ -320,6 +355,15 @@ pub fn rows(groups: &[Group]) -> Vec<Row> {
             add(group, "gnm-150-w12", &gnm, (1.0, source), MULTI_VERTEX_STEPS, Every);
         }
     }
+    // Heavy phases pulled and their asymmetric twin: from the hub, every
+    // strategy, cut at every epoch.
+    if groups.contains(&Symmetric) || groups.contains(&Twin) {
+        let (symmetric, twin) = symmetric_and_twin();
+        let hub = (0..symmetric.num_vertices()).max_by_key(|&v| symmetric.out_degree(v)).unwrap();
+        for (group, g) in [(Symmetric, symmetric), (Twin, twin)] {
+            add(group, &format!("{group:?} rmat-7"), &Rc::new(g), (0.3, hub), &STRATEGIES, Every);
+        }
+    }
     // A source with no out-edges.
     if groups.contains(&Isolated) {
         let mut el = graphdata::EdgeList::from_triples(vec![(1, 2, 1.0)]);
@@ -398,6 +442,17 @@ fn several_light_weights(g: &CsrGraph, delta: f64) -> bool {
     light.next().is_some_and(|&w| light.any(|&x| x != w))
 }
 
+/// Whether every row of `g` is strictly ascending and the edges, weight
+/// bits included, are the same multiset read both ways.
+fn exactly_symmetric(g: &CsrGraph) -> bool {
+    let ascending = (0..g.num_vertices()).all(|v| g.neighbors(v).0.windows(2).all(|p| p[0] < p[1]));
+    let mut forward: Vec<_> = g.iter_edges().map(|(u, v, w)| (u, v, w.to_bits())).collect();
+    let mut backward: Vec<_> = g.iter_edges().map(|(u, v, w)| (v, u, w.to_bits())).collect();
+    forward.sort_unstable();
+    backward.sort_unstable();
+    ascending && forward == backward
+}
+
 /// The row's split is each vertex's light prefix: every edge once, light
 /// ones at or below Δ, heavy ones above, and it knows whether its light
 /// edges share one weight.
@@ -406,6 +461,10 @@ fn check_split(prep: &PreparedGraph, row: &Row) {
     let view = split.on(prep);
     let several = several_light_weights(&row.graph, row.delta);
     assert_eq!(view.one_light_weight(), !several, "{}: one light weight", row.label);
+    let symmetric = exactly_symmetric(&row.graph);
+    assert_eq!((prep.is_symmetric(), view.is_symmetric()), (symmetric, symmetric), "{}: symmetric", row.label);
+    assert!(symmetric || row.group != Symmetric, "{}: not symmetric", row.label);
+    assert!(!symmetric || row.group != Twin, "{}: symmetric", row.label);
     for v in 0..row.graph.num_vertices() {
         let label = format!("{}, row {v}", row.label);
         assert!(view.light(v).iter().all(|&(_, w)| w <= row.delta), "{label}");
@@ -422,13 +481,15 @@ fn check_split(prep: &PreparedGraph, row: &Row) {
 
 /// What the fixtures showed they exercise: the most one forced-push
 /// classic run relaxed in its heavy passes, the rows whose classic
-/// oracle took both directions, and the rows whose light edges have
-/// several weights, where every oracle run pushed.
+/// oracle took both directions, the rows whose light edges have several
+/// weights, where every oracle run pushed, and each oracle run's heavy
+/// phases pulled.
 #[derive(Default)]
 pub struct Seen {
     pub heavy_relaxations: u64,
     pub both_ways: Vec<String>,
     pub push_only: Vec<String>,
+    pub heavy_pulls: Vec<(Group, SteppingStrategy, u64)>,
 }
 
 /// The pool-less oracle-direction run of one strategy on a row.
@@ -440,6 +501,12 @@ struct Reference<'a> {
     total: u64,
     light: u64,
     rounds: (u64, u64),
+    /// Its heavy phases, and those that pulled.
+    heavy: u64,
+    heavy_pulls: u64,
+    /// Whether a heavy phase may pull at all: the graph is symmetric and
+    /// has heavy edges at the row's Δ.
+    may_pull_heavy: bool,
 }
 
 impl Reference<'_> {
@@ -450,6 +517,16 @@ impl Reference<'_> {
             None => self.rounds,
             Some(Direction::Push) => (self.light, 0),
             Some(Direction::Pull) => (0, self.light),
+        }
+    }
+
+    /// The heavy phases a run in `forced`'s direction pulls: a forced
+    /// run pulls every one it may, and pushes the rest.
+    fn heavy_pulls(&self, forced: Option<Direction>) -> u64 {
+        match forced {
+            None => self.heavy_pulls,
+            Some(Direction::Push) => 0,
+            Some(Direction::Pull) => if self.may_pull_heavy { self.heavy } else { 0 },
         }
     }
 }
@@ -587,7 +664,13 @@ impl Harness<'_> {
             }
         }
         let (total, light) = (counting.ticks(), result.stats.light_phases as u64);
-        Reference { run, label, result, total, light, rounds }
+        let heavy = result.stats.heavy_phases as u64;
+        let may_pull_heavy = row.graph.is_symmetric() && row.graph.weights().iter().any(|&w| w > row.delta);
+        let heavy_pulls = profile.heavy_pull_phases;
+        assert!(heavy_pulls == 0 || may_pull_heavy, "{label}: pulled a heavy phase it may not");
+        assert!(heavy_pulls <= heavy, "{label}: heavy pulls");
+        self.seen.heavy_pulls.push((row.group, strategy, heavy_pulls));
+        Reference { run, label, result, total, light, rounds, heavy, heavy_pulls, may_pull_heavy }
     }
 
     /// Run `part` on every strategy of `row`; returns the runs cut at
@@ -711,6 +794,7 @@ impl Harness<'_> {
             assert_eq!(r.stats, oracle.result.stats, "{label}: stats");
             assert_eq!(counting.ticks(), oracle.total, "{label}: epochs");
             assert_eq!(rounds(&p), oracle.rounds(run.forced), "{label}: rounds");
+            assert_eq!(p.heavy_pull_phases, oracle.heavy_pulls(run.forced), "{label}: heavy pulls");
             if run.forced == Some(Direction::Push) && run.strategy == Classic {
                 // A push reads exactly the frontier's light edges: the
                 // other relaxations are the heavy passes'.
@@ -777,6 +861,8 @@ impl Harness<'_> {
             assert_eq!(r.stats, oracle.result.stats, "{label}: stats");
             let halves = (cut.push_epochs + p.push_epochs, cut.pull_epochs + p.pull_epochs);
             assert_eq!(halves, oracle.rounds(run.forced), "{label}: the halves' rounds");
+            let heavy_pulls = cut.heavy_pull_phases + p.heavy_pull_phases;
+            assert_eq!(heavy_pulls, oracle.heavy_pulls(run.forced), "{label}: the halves' heavy pulls");
         }
     }
 

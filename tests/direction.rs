@@ -19,6 +19,7 @@ use gblas::Direction;
 use graphdata::{paper_suite, SuiteScale};
 use sssp_core::engine::SsspEngine;
 use sssp_core::stepping::SteppingWorkspace;
+use sssp_core::SteppingStrategy::{Classic, DeltaStar};
 use sssp_core::{dijkstra, PreparedGraph, RunBudget};
 
 #[test]
@@ -28,7 +29,7 @@ fn forced_pull_matches_push_bit_for_bit_on_unit_weights() {
 
 #[test]
 fn forced_pull_matches_push_bit_for_bit_on_real_weights() {
-    let seen = differential::run(&[Weighted, Hostile, Switch0, Switch1], &[Forced]);
+    let seen = differential::run(&[Weighted, Hostile, Switch0, Switch1, Symmetric, Twin], &[Forced]);
     assert!(seen.heavy_relaxations > 0, "no heavy pass relaxed an edge");
     assert!(!seen.push_only.is_empty(), "no row had several light weights");
 }
@@ -42,6 +43,20 @@ fn parallel_pull_kernel_is_bit_identical_not_just_its_fallback() {
 fn auto_oracle_crosses_the_switch_boundary_and_stays_exact() {
     let seen = differential::run(&[Switch0, Switch1], &[Oracle]);
     assert!(!seen.both_ways.is_empty(), "no classic oracle took both directions");
+}
+
+/// A heavy phase pulls only on a symmetric graph: the oracle pulls the
+/// symmetric row's densest heavy phases, on every kernel alike, and never
+/// one of its twin's.
+#[test]
+fn heavy_phases_pull_on_the_symmetric_row_and_never_on_its_twin() {
+    let seen = differential::run(&[Symmetric, Twin], &[Oracle]);
+    let pulls = |strategy| {
+        seen.heavy_pulls.iter().filter(|&&(g, s, _)| g == Symmetric && s == strategy).map(|r| r.2).sum::<u64>()
+    };
+    assert!(pulls(Classic) > 0, "no classic heavy phase pulled");
+    assert!(pulls(DeltaStar(2.0)) > 0, "no Δ* heavy phase pulled");
+    assert!(seen.heavy_pulls.iter().all(|&(g, _, n)| g == Symmetric || n == 0), "the twin pulled");
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! Positive direction: every figure variant behind the figure door
 //! (`run_checked`), and every stepping strategy on the production loop's
 //! pooled kernels, stays race-free and bit-identical across seeded
-//! adversarial schedules (including a cancel-then-resume split run).
+//! adversarial schedules (including a cancel-then-resume split run, and
+//! the heavy pull on a weighted symmetric grid).
 //! Negative direction: deliberately unsound fixtures — the old
 //! fully-`Relaxed` `atomic_min` and an overlapping-chunk partition —
 //! MUST be flagged, proving the checker has teeth.
@@ -30,7 +31,8 @@ use graphdata::weights::assign_symmetric;
 use graphdata::{CsrGraph, WeightModel};
 use racecheck::{Session, SyncOrd};
 use sssp_core::explore::{explore, explore_cancel_resume, explore_strategy, ExploreConfig};
-use sssp_core::{Implementation, SteppingStrategy};
+use sssp_core::engine::SsspEngine;
+use sssp_core::{Implementation, RunBudget, SteppingStrategy};
 use taskpool::fault::TestSession;
 use taskpool::{scope, ThreadPool};
 
@@ -280,6 +282,41 @@ fn forced_pull_dense_kernel_is_race_free_across_schedules() {
         assert!(
             report.is_clean(),
             "forced-pull {strategy}: races {:?}, deadlocks {:?}, divergent seeds {:?}",
+            report.races,
+            report.deadlocks,
+            report.divergent_seeds
+        );
+        assert!(report.events > 0, "{strategy}: no shadow-state events recorded");
+    }
+}
+
+#[test]
+fn forced_pull_heavy_kernel_is_race_free_across_schedules() {
+    // The weighted grid is symmetric and has heavy edges at Δ = 1, so a
+    // run pinned to pull pulls every heavy phase too: the chunked heavy
+    // pull, whose hooks (`sssp.dist` reads of targets and settled
+    // sources, `pull.req` writes) the tracker orders against the
+    // fork/join events and the drain's `sssp.dist` writes.
+    let session = TestSession::begin();
+    let g = small_weighted_graph();
+    assert!(g.is_symmetric(), "the weighted grid must be symmetric");
+    let cfg = env_config();
+    let pull = Some(gblas::Direction::Pull);
+    for strategy in [SteppingStrategy::Classic, SteppingStrategy::DeltaStar(2.0)] {
+        // The session's pool runs the heavy pull as tasks at this size.
+        let pool = ThreadPool::with_threads(2).expect("pool");
+        let mut engine = SsspEngine::new(&g);
+        engine.force_direction(pull);
+        let (r, profile) =
+            engine.run_stepping(Some(&pool), 0, 1.0, strategy, &mut RunBudget::unlimited()).expect("valid input");
+        assert!(profile.heavy_pull_phases > 0, "{strategy}: no heavy phase pulled");
+        assert_eq!(profile.heavy_pull_phases, r.stats.heavy_phases as u64, "{strategy}: a heavy phase pushed");
+
+        let report = explore_strategy(strategy, pull, &g, 0, 1.0, &cfg, &session);
+        assert_eq!(report.schedules as u64, cfg.seeds.end - cfg.seeds.start);
+        assert!(
+            report.is_clean(),
+            "forced-pull heavy {strategy}: races {:?}, deadlocks {:?}, divergent seeds {:?}",
             report.races,
             report.deadlocks,
             report.divergent_seeds

@@ -49,7 +49,7 @@ fn cancelling_every_strategy_at_every_epoch_reconverges() {
 
 #[test]
 fn checkpoints_round_trip_through_disk() {
-    differential::run(&[Weighted, Hostile, Switch0, Switch1], &[SampledCuts]);
+    differential::run(&[Weighted, Hostile, Switch0, Switch1, Symmetric, Twin], &[SampledCuts]);
 }
 
 const THREADS: [usize; 3] = [1, 2, 4];
